@@ -26,15 +26,15 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Sequence
 
 import mpmath
 
 from . import ratmat
+from .config import DEFAULT_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 
-DEFAULT_PRECISION_BITS = 96
 RESAMPLE_BOUND = 32
 
 
@@ -278,9 +278,7 @@ def _certified_roots(coeffs: Sequence[Fraction], k: int, precision_bits: int) ->
     if deg <= 0:
         return points
 
-    scale = 1
-    for c in univ:
-        scale = scale * c.denominator // _gcd_int(scale, c.denominator) if c else scale
+    scale = lcm(*(c.denominator for c in univ))
     ints = [int(c * scale) for c in univ]
 
     with mpmath.workprec(max(96, precision_bits + 32)):
@@ -309,12 +307,6 @@ def _certified_roots(coeffs: Sequence[Fraction], k: int, precision_bits: int) ->
             f"recovered {len(points)} roots from a squarefree form of degree {k}"
         )
     return points
-
-
-def _gcd_int(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _refine_root(ints: list[int], z0, precision_bits: int):
@@ -497,7 +489,7 @@ def _point_pool() -> list[tuple[int, int]]:
     pool = [(1, 0)]
     for beta in range(1, 21):
         for alpha in range(-20, 21):
-            if _gcd_int(abs(alpha), beta) == 1:
+            if gcd(alpha, beta) == 1:
                 pool.append((alpha, beta))
     return pool
 
@@ -532,10 +524,6 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
     raise ConsistencyError(
         f"rank-{k} sampling failed {RESAMPLE_BOUND} times for degree {n}, seed {seed}"
     )
-
-
-def sample_rank_k_form(n: int, k: int, seed: int) -> BinaryForm:
-    return sample_rank_k_instance(n, k, seed).form
 
 
 # --- Vandermonde ranks and joins ----------------------------------------------

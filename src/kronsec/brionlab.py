@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .characters import kronecker, lr_checked
+from .config import DEFAULT_SWEEP_CAP
 from .errors import CapacityError, DomainError
 from .partitions import (
     Partition,
@@ -31,8 +32,6 @@ from .partitions import (
     partitions_of,
     size,
 )
-
-DEFAULT_SWEEP_CAP = 10
 
 VANISHING_OK = "vanishing-ok"
 EQUALITY_OK = "equality-ok"

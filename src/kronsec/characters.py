@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
+from .config import DEFAULT_N_CAP
 from .errors import CapacityError, ConsistencyError, DomainError
 from .partitions import (
     CycleClass,
@@ -31,8 +32,6 @@ from .partitions import (
     size,
     validate_partition,
 )
-
-DEFAULT_N_CAP = 14
 
 
 def _betas(lam: Partition, rows: int) -> list[int]:

@@ -378,14 +378,15 @@ def _record_line(record: brionlab.BrionRecord, human: bool) -> str:
 
 
 def _stream_records(records, cfg: Config, human: bool) -> int:
-    summary = {"records": 0, "vanishing_ok": 0, "equality_ok": 0, "no_sigma": 0, "violations": 0}
-    key_for = {brionlab.VANISHING_OK: "vanishing_ok", brionlab.EQUALITY_OK: "equality_ok",
-               brionlab.NO_SIGMA: "no_sigma", brionlab.VIOLATION: "violations"}
     with _sink(cfg) as out:
-        for record in records:
-            out.write(_record_line(record, human) + "\n")
-            summary["records"] += 1
-            summary[key_for[record.verdict]] += 1
+
+        def written():
+            for record in records:
+                out.write(_record_line(record, human) + "\n")
+                yield record
+
+        # Records are written as they are tallied, never held in a list.
+        summary = brionlab.summarize(written())
         if human:
             out.write(" ".join(f"{k}={v}" for k, v in summary.items()) + "\n")
         else:

@@ -14,14 +14,17 @@ from .errors import DomainError
 
 ENV_VAR = "KRONSEC_CONFIG"
 
+DEFAULT_N_CAP = 14
+DEFAULT_PRECISION_BITS = 96
+DEFAULT_SWEEP_CAP = 10
 MIN_PRECISION_BITS = 53
 
 
 @dataclass(frozen=True)
 class Config:
-    n_cap: int = 14
-    precision_bits: int = 96
-    sweep_cap: int = 10
+    n_cap: int = DEFAULT_N_CAP
+    precision_bits: int = DEFAULT_PRECISION_BITS
+    sweep_cap: int = DEFAULT_SWEEP_CAP
     seed: int = 0
     output: str = "-"
 

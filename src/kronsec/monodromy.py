@@ -34,6 +34,7 @@ from math import factorial
 
 import mpmath
 
+from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .permutations import (
     adjacent_transposition,
@@ -45,7 +46,6 @@ from .permutations import (
     identity_perm,
 )
 
-DEFAULT_PRECISION_BITS = 96
 DEFAULT_TOLERANCE = 2.0**-48
 DEFAULT_MAX_STEP = 1.0 / 32
 STEP_FLOOR_RATIO = 2.0**-20
@@ -240,8 +240,8 @@ def track_roots(
     base: ascending coefficients (constant term first) of a squarefree
     polynomial; segments: a list of Segment values (each closed at base).
     """
-    if precision_bits < 53:
-        raise DomainError(f"precision must be at least 53 bits, got {precision_bits}")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
     if tolerance <= 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     if not segments:

@@ -72,11 +72,6 @@ def dimension(lam: Partition) -> int:
     return dim
 
 
-def strip_first_row(lam: Partition) -> Partition:
-    """Drop the first row: (5,2,1) -> (2,1)."""
-    return lam[1:]
-
-
 def attach_first_row(lam: Partition, n: int) -> Partition:
     """Prepend a new first row so the result is a partition of n.
 

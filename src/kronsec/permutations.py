@@ -19,13 +19,6 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
-
-
 def adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
     """The transposition (i, i+1) in 1-based labels, as a 0-based tuple."""
     if not 1 <= i <= n - 1:

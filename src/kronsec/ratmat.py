@@ -1,8 +1,7 @@
-"""Exact linear algebra over Fraction for the small matrices used here.
+"""Exact linear algebra over Fraction.
 
 Everything works on lists of lists of Fraction and never touches floats.
-Matrices in this package stay below a few hundred entries, so plain
-Gauss-Jordan with exact pivoting is both fast enough and easy to audit.
+Elimination is plain Gauss-Jordan with exact pivoting, easy to audit.
 """
 
 from __future__ import annotations
@@ -10,10 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-
-
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:
@@ -35,14 +30,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if bk[j]:
                     oi[j] += aik * bk[j]
     return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

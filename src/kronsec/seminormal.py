@@ -13,6 +13,13 @@ d = content(i+1) - content(i) in T:
 so every entry is a Fraction and the defining S_n relations hold exactly,
 not approximately. Traces of word products are therefore literal
 character values and can be checked against the border-strip recursion.
+
+This is the content/axial-distance action of Okounkov-Vershik (1996), and it
+is stored as such: column c of s_i holds the one or two (row, entry) pairs of
+s_i v_T. Words act on sparse vectors, one basis vector at a time, so each
+relation is checked by applying both of its sides to every basis vector:
+O(n^2 dim) work in place of dense dim x dim products. Dense matrices are
+assembled only for callers that ask for one.
 """
 
 from __future__ import annotations
@@ -83,21 +90,27 @@ def _swap_values(t: Tableau, a: int, b: int) -> Tableau:
     return tuple(tuple(sub.get(v, v) for v in row) for row in t)
 
 
+Column = tuple[tuple[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class SeminormalRep:
-    """Exact matrices for the adjacent transpositions s_1 .. s_{n-1}."""
+    """Exact action of the adjacent transpositions s_1 .. s_{n-1}.
+
+    generators[i - 1][c] is column c of s_i: the (row, entry) pairs of s_i v_c.
+    """
 
     shape: Partition
     n: int
     dim: int
     tableaux: tuple[Tableau, ...]
-    generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    generators: tuple[tuple[Column, ...], ...]
 
     def generator(self, i: int) -> ratmat.Matrix:
         """Matrix of s_i = (i, i+1), 1-based, as mutable ratmat rows."""
         if not 1 <= i <= self.n - 1:
             raise DomainError(f"generator index must satisfy 1 <= i <= {self.n - 1}, got {i}")
-        return [list(row) for row in self.generators[i - 1]]
+        return _dense(self.dim, self.generators[i - 1])
 
 
 def build_rep(lam: Partition, dim_cap: int = DEFAULT_DIM_CAP) -> SeminormalRep:
@@ -120,37 +133,37 @@ def build_rep(lam: Partition, dim_cap: int = DEFAULT_DIM_CAP) -> SeminormalRep:
     index = {t: c for c, t in enumerate(tabs)}
     gens = []
     for i in range(1, n):
-        cols: list[list[tuple[int, Fraction]]] = []
+        cols: list[Column] = []
         for c, t in enumerate(tabs):
             pos = _positions(t)
             (ri, ci), (rj, cj) = pos[i], pos[i + 1]
             if ri == rj:
-                cols.append([(c, Fraction(1))])
+                cols.append(((c, Fraction(1)),))
             elif ci == cj:
-                cols.append([(c, Fraction(-1))])
+                cols.append(((c, Fraction(-1)),))
             else:
                 d = (cj - rj) - (ci - ri)
                 a = Fraction(1, d)
                 other = index[_swap_values(t, i, i + 1)]
                 beta = Fraction(1) if d > 0 else 1 - a * a
-                cols.append([(c, a), (other, beta)])
-        matrix = [[Fraction(0)] * dim for _ in range(dim)]
-        for c, entries in enumerate(cols):
-            for r, v in entries:
-                matrix[r][c] = v
-        gens.append(tuple(tuple(row) for row in matrix))
+                cols.append(((c, a), (other, beta)))
+        gens.append(tuple(cols))
     return SeminormalRep(shape=lam, n=n, dim=dim, tableaux=tabs, generators=tuple(gens))
 
 
-def _sparse_rows(matrix) -> list[list[tuple[int, Fraction]]]:
-    return [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+def _dense(dim: int, columns) -> ratmat.Matrix:
+    matrix = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, entries in enumerate(columns):
+        for r, v in entries:
+            matrix[r][c] = v
+    return matrix
 
 
-def evaluate_word(rep: SeminormalRep, word) -> ratmat.Matrix:
-    """Exact matrix of the word product s_{w1} s_{w2} ... (leftmost applied last).
+def _apply(rep: SeminormalRep, word, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The word product s_{w1} s_{w2} ... applied to a sparse vector, rightmost letter first.
 
-    Generators have at most two entries per row, so the product is built by
-    repeated sparse row combination instead of dense cubic multiplies.
+    Zero entries are dropped, so two results are equal exactly when the
+    vectors are.
     """
     for letter in word:
         if not 1 <= letter <= rep.n - 1:
@@ -158,27 +171,28 @@ def evaluate_word(rep: SeminormalRep, word) -> ratmat.Matrix:
                 f"word letter {letter} out of range 1..{rep.n - 1} for shape "
                 f"{format_partition(rep.shape)}"
             )
-    product = ratmat.identity(rep.dim)
     for letter in reversed(word):
-        sparse = _sparse_rows(rep.generators[letter - 1])
-        product = [
-            _combine_rows(sparse[r], product, rep.dim) for r in range(rep.dim)
-        ]
-    return product
+        columns = rep.generators[letter - 1]
+        out: dict[int, Fraction] = {}
+        for c, x in vec.items():
+            for r, v in columns[c]:
+                out[r] = out.get(r, 0) + v * x
+        vec = {r: x for r, x in out.items() if x}
+    return vec
 
 
-def _combine_rows(entries, matrix, dim) -> list[Fraction]:
-    if len(entries) == 1:
-        j, v = entries[0]
-        return [v * x for x in matrix[j]]
-    (j1, v1), (j2, v2) = entries
-    row1, row2 = matrix[j1], matrix[j2]
-    return [v1 * row1[k] + v2 * row2[k] for k in range(dim)]
+def _basis(c: int) -> dict[int, Fraction]:
+    return {c: Fraction(1)}
+
+
+def evaluate_word(rep: SeminormalRep, word) -> ratmat.Matrix:
+    """Exact matrix of the word product s_{w1} s_{w2} ... (leftmost applied last)."""
+    return _dense(rep.dim, (_apply(rep, word, _basis(c)).items() for c in range(rep.dim)))
 
 
 def word_trace(rep: SeminormalRep, word) -> Fraction:
     """Trace of the word product; equals the character at the word's cycle type."""
-    return ratmat.trace(evaluate_word(rep, word))
+    return sum((_apply(rep, word, _basis(c)).get(c, 0) for c in range(rep.dim)), Fraction(0))
 
 
 def word_cycle_type(rep: SeminormalRep, word) -> Partition:
@@ -188,30 +202,23 @@ def word_cycle_type(rep: SeminormalRep, word) -> Partition:
 
 
 def check_relations(rep: SeminormalRep) -> dict[str, bool]:
-    """Exact verification of the defining S_n relations on the generators."""
-    n, dim = rep.n, rep.dim
-    ident = ratmat.identity(dim)
-    gens = [rep.generator(i) for i in range(1, n)]
-    involution = all(ratmat.mat_eq(ratmat.mat_mul(g, g), ident) for g in gens)
-    braid = True
-    for i in range(n - 2):
-        a, b = gens[i], gens[i + 1]
-        lhs = ratmat.mat_mul(ratmat.mat_mul(a, b), a)
-        rhs = ratmat.mat_mul(ratmat.mat_mul(b, a), b)
-        if not ratmat.mat_eq(lhs, rhs):
-            braid = False
-            break
-    commutation = True
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            if not ratmat.mat_eq(
-                ratmat.mat_mul(gens[i], gens[j]), ratmat.mat_mul(gens[j], gens[i])
-            ):
-                commutation = False
-                break
-        if not commutation:
-            break
-    return {"involution": involution, "braid": braid, "commutation": commutation}
+    """Exact verification of the defining S_n relations on the generators.
+
+    Each relation is a pair of words whose products must agree on every
+    basis vector.
+    """
+    n = rep.n
+
+    def holds(lhs, rhs) -> bool:
+        return all(
+            _apply(rep, lhs, _basis(c)) == _apply(rep, rhs, _basis(c)) for c in range(rep.dim)
+        )
+
+    return {
+        "involution": all(holds([i, i], []) for i in range(1, n)),
+        "braid": all(holds([i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, n - 1)),
+        "commutation": all(holds([i, j], [j, i]) for i in range(1, n) for j in range(i + 2, n)),
+    }
 
 
 def spherical_relation_image(rep: SeminormalRep) -> ratmat.Matrix:

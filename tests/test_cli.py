@@ -149,6 +149,22 @@ def test_brion_sweep_stream_shape(capsys):
         assert set(r) == {"n", "lambda", "omega", "sigma", "Sigma", "kron", "lr", "verdict"}
 
 
+def test_brion_sweep_human_summary_tallies_records(capsys):
+    code, out, err = run(capsys, "--human", "brion-sweep", "3")
+    assert code == 0
+    *lines, last = out.splitlines()
+    assert lines
+    summary = dict(pair.split("=") for pair in last.split())
+    verdicts = [dict(pair.split("=", 1) for pair in line.split())["verdict"] for line in lines]
+    assert summary == {
+        "records": str(len(lines)),
+        "vanishing_ok": str(verdicts.count("vanishing-ok")),
+        "equality_ok": str(verdicts.count("equality-ok")),
+        "no_sigma": str(verdicts.count("no-sigma")),
+        "violations": str(verdicts.count("violation")),
+    }
+
+
 def test_brion_sweep_deterministic(capsys):
     code_a, out_a, _ = run(capsys, "brion-sweep", "5")
     code_b, out_b, _ = run(capsys, "brion-sweep", "5")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,41 @@ def test_generators_satisfy_relations_up_to_size_5():
             assert flags == {"involution": True, "braid": True, "commutation": True}
 
 
+def test_relations_hold_at_dimension_768():
+    assert check_relations(build_rep((4, 3, 2, 1))) == {
+        "involution": True, "braid": True, "commutation": True,
+    }
+
+
+def _corrupt(rep, i, column):
+    """rep with the columns of s_i replaced by column(c, entries)."""
+    gens = list(rep.generators)
+    gens[i - 1] = tuple(column(c, entries) for c, entries in enumerate(gens[i - 1]))
+    return replace(rep, generators=tuple(gens))
+
+
+def test_check_relations_flags_corrupted_generators():
+    rep = build_rep((3, 2))
+    # Swapping 1/d and beta in one two-entry column of s_2 breaks s_2^2 = 1.
+    target = next(c for c, entries in enumerate(rep.generators[1]) if len(entries) == 2)
+
+    def swapped(c, entries):
+        if c != target:
+            return entries
+        (r1, v1), (r2, v2) = entries
+        return ((r1, v2), (r2, v1))
+
+    assert check_relations(_corrupt(rep, 2, swapped))["involution"] is False
+    # s_1 -> -1 squares to 1 and commutes with everything, but
+    # (-1) s_2 (-1) = s_2 differs from s_2 (-1) s_2 = -1.
+    minus_one = _corrupt(rep, 1, lambda c, entries: ((c, Fraction(-1)),))
+    assert check_relations(minus_one) == {"involution": True, "braid": False, "commutation": True}
+    # s_1 -> s_3 keeps its braid with s_2 (s_3 s_2 s_3 = s_2 s_3 s_2),
+    # but s_3 s_4 != s_4 s_3.
+    as_s3 = _corrupt(rep, 1, lambda c, entries: rep.generators[2][c])
+    assert check_relations(as_s3) == {"involution": True, "braid": True, "commutation": False}
+
+
 def test_word_evaluation_against_dense_products():
     rng = random.Random(4)
     for lam in [(3, 1), (2, 2), (3, 2), (2, 2, 1)]:
@@ -62,7 +98,7 @@ def test_word_evaluation_against_dense_products():
             word = [rng.randrange(1, n) for _ in range(rng.randrange(1, 9))]
             dense = ratmat.identity(rep.dim)
             for letter in word:
-                dense = ratmat.mat_mul(dense, rep.generators[letter - 1])
+                dense = ratmat.mat_mul(dense, rep.generator(letter))
             assert evaluate_word(rep, word) == dense
 
 
@@ -92,8 +128,8 @@ def test_spherical_relation_image_is_identity():
 
 def test_entries_are_exact_fractions():
     rep = build_rep((3, 2))
-    for g in rep.generators:
-        for row in g:
+    for i in range(1, rep.n):
+        for row in rep.generator(i):
             for entry in row:
                 assert isinstance(entry, Fraction)
 
@@ -113,6 +149,6 @@ def test_dimension_cap():
 
 def test_single_row_and_column_are_one_dimensional():
     top = build_rep((4,))
-    assert top.dim == 1 and all(g[0][0] == 1 for g in top.generators)
+    assert top.dim == 1 and all(top.generator(i)[0][0] == 1 for i in range(1, 4))
     sign = build_rep((1, 1, 1, 1))
-    assert sign.dim == 1 and all(g[0][0] == -1 for g in sign.generators)
+    assert sign.dim == 1 and all(sign.generator(i)[0][0] == -1 for i in range(1, 4))
