@@ -145,21 +145,33 @@ def catalecticant(p: BinaryForm, k: int) -> CatalecticantMatrix:
     return CatalecticantMatrix(source_degree=k, target_degree=n - k, entries=entries)
 
 
+def min_apolar_degree(p: BinaryForm) -> int:
+    """Smallest k >= 1 whose catalecticant has a kernel: r = rank C_(n//2).
+
+    The apolar ideal of a binary form is a complete intersection with
+    generators in degrees r <= n + 2 - r (Sylvester), and the middle
+    catalecticant has rank exactly r. For n = 1, C_1 of the nonzero linear
+    form has rank 1.
+    """
+    return ratmat.rank(catalecticant(p, max(1, p.degree // 2)).rows())
+
+
 def kernel_dimension(p: BinaryForm, k: int) -> int:
-    return ratmat.nullity(catalecticant(p, k).rows())
+    """dim ker C_k = max(0, k - r + 1) + max(0, k - n - 1 + r), r = min_apolar_degree(p).
+
+    The two terms count the degree-k multiples of the apolar generators of
+    degrees r and n + 2 - r.
+    """
+    n = p.degree
+    if not 1 <= k <= n:
+        raise DomainError(f"operator degree must satisfy 1 <= k <= {n}, got {k}")
+    r = min_apolar_degree(p)
+    return max(0, k - r + 1) + max(0, k - n - 1 + r)
 
 
 def secant_membership(p: BinaryForm, k: int) -> bool:
     """True when some degree-k operator annihilates p (nontrivial kernel)."""
     return kernel_dimension(p, k) > 0
-
-
-def min_apolar_degree(p: BinaryForm) -> int:
-    """Smallest k >= 1 whose catalecticant has a kernel; always <= n//2 + 1."""
-    for k in range(1, p.degree + 1):
-        if secant_membership(p, k):
-            return k
-    raise ConsistencyError(f"no apolar operator found for {p} at any degree, impossible")
 
 
 # --- univariate helpers over Fraction ---------------------------------------
@@ -383,9 +395,10 @@ def _pencil_squarefree(basis, k: int):
 def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_BITS) -> SecantCertificate:
     """Minimal Waring decomposition data for a binary form.
 
-    Walks k upward to the first nontrivial catalecticant kernel. A squarefree
-    kernel form there yields rank k with explicit support and coefficients;
-    a non-squarefree unique generator yields rank n - k + 2 with no support.
+    The first nontrivial catalecticant kernel sits at k = min_apolar_degree(p),
+    the rank of the middle catalecticant. A squarefree kernel form there
+    yields rank k with explicit support and coefficients; a non-squarefree
+    unique generator yields rank n - k + 2 with no support.
     """
     n = p.degree
     k = min_apolar_degree(p)
@@ -448,6 +461,13 @@ def _solve_coefficients_exact(points, p: BinaryForm) -> list[Fraction]:
     return sol
 
 
+def _mp(x):
+    """An mpmath number for a support coordinate; a Fraction goes through its integers."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpc(x)
+
+
 def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
     n = p.degree
     with mpmath.workprec(precision_bits + 96):
@@ -455,13 +475,18 @@ def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
         cols = len(points)
         mat = mpmath.matrix(rows, cols)
         for i, pt in enumerate(points):
-            al, be = mpmath.mpc(pt.alpha), mpmath.mpc(pt.beta)
+            al, be = _mp(pt.alpha), _mp(pt.beta)
             for j in range(rows):
                 mat[j, i] = mpmath.binomial(n, j) * al ** (n - j) * be**j
-        rhs = mpmath.matrix([mpmath.mpf(c.numerator) / c.denominator for c in p.coeffs])
+        rhs = mpmath.matrix([_mp(c) for c in p.coeffs])
+        # The columns differ in scale by many orders of magnitude and the
+        # normal equations inside lu_solve square that spread, so solve with
+        # every column divided by its largest entry and unscale the solution.
+        col_max = [max(abs(mat[j, i]) for j in range(rows)) for i in range(cols)]
+        scaled = mpmath.matrix([[mat[j, i] / col_max[i] for i in range(cols)] for j in range(rows)])
         # least squares through lu_solve: qr_solve cannot factor complex
         # overdetermined systems, and the residual is checked below anyway
-        sol = mpmath.lu_solve(mat, rhs)
+        sol = [y / m for y, m in zip(mpmath.lu_solve(scaled, rhs), col_max)]
         residual = max(
             abs(sum(mat[j, i] * sol[i] for i in range(cols)) - rhs[j]) for j in range(rows)
         )
@@ -470,7 +495,7 @@ def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
             raise PrecisionError(
                 f"numeric reconstruction residual {mpmath.nstr(residual)} too large for {p}"
             )
-        return [sol[i] for i in range(cols)], float(residual)
+        return sol, float(residual)
 
 
 # --- rank sampling -----------------------------------------------------------
@@ -497,8 +522,9 @@ def _point_pool() -> list[tuple[int, int]]:
 def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
     """Sample a generic rank-k form: k distinct small points, nonzero weights.
 
-    Verifies genericity (membership at k, none at k-1, one-dimensional kernel)
-    and resamples up to a fixed bound on failure, reporting the count.
+    Verifies genericity (minimal apolar degree exactly k; as 2k <= n + 1 the
+    degree-k kernel is then one-dimensional) and resamples up to a fixed
+    bound on failure, reporting the count.
     """
     if not 1 <= k <= (n + 1) // 2:
         raise DomainError(f"rank sampling needs 1 <= k <= (n+1)//2 = {(n + 1) // 2}, got {k}")
@@ -514,11 +540,7 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
         if not any(coeffs):
             continue
         f = BinaryForm(n, tuple(coeffs))
-        if not secant_membership(f, k):
-            continue
-        if k > 1 and secant_membership(f, k - 1):
-            continue
-        if kernel_dimension(f, k) != 1:
+        if min_apolar_degree(f) != k:
             continue
         return RankSample(form=f, points=pts, coefficients=weights, resamples=attempt)
     raise ConsistencyError(

@@ -26,7 +26,6 @@ from .partitions import (
     attach_first_row,
     conjugacy_classes,
     contains,
-    dimension,
     format_partition,
     partitions_of,
     size,

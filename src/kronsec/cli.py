@@ -3,7 +3,7 @@
 Every subcommand prints a single JSON object (or, for the report streams,
 JSON Lines) to the configured output. --human switches to an indented or
 tabular rendering of the same data. Exit codes: 0 success, 1 domain or usage
-errors, 2 internal consistency failure.
+errors, 2 internal consistency failure or any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def _cmd_rep_check(args, cfg: Config, human: bool) -> int:
 
 def _cmd_secant(args, cfg: Config, human: bool) -> int:
     p = apolarity.parse_form(args.form)
-    _emit({"member": apolarity.secant_membership(p, args.k),
-           "kernel_dimension": apolarity.kernel_dimension(p, args.k)}, cfg, human)
+    dim = apolarity.kernel_dimension(p, args.k)
+    _emit({"member": dim > 0, "kernel_dimension": dim}, cfg, human)
     return 0
 
 
@@ -452,6 +452,9 @@ def main(argv=None) -> int:
     except KronsecError as exc:
         _error_line("error", str(exc))
         return 1
+    except Exception as exc:  # the boundary: no traceback reaches the user
+        _error_line("internal", f"{type(exc).__name__}: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ import mpmath
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .permutations import (
-    adjacent_transposition,
     compose,
     cycle_notation,
     cycle_type,

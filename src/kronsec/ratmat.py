@@ -63,12 +63,6 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullity(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(a[0]) - rank(a)
-
-
 def kernel_basis(a: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel, one vector per free column."""
     if not a:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import pytest
 from conftest import oracle_apply_operator, oracle_power_sum_coeffs
 
 from kronsec.apolarity import (
-    BinaryForm,
     add_forms,
     catalecticant,
     form,
@@ -86,6 +86,9 @@ def test_catalecticant_shape_and_degree_bounds():
         catalecticant(p, 0)
     with pytest.raises(DomainError):
         catalecticant(p, 6)
+    for k in (0, 6):
+        with pytest.raises(DomainError):
+            kernel_dimension(p, k)
 
 
 def test_kernel_vectors_annihilate_the_form():
@@ -121,6 +124,28 @@ def test_membership_of_pure_power():
     p = power_form(3, -2, 7)
     assert secant_membership(p, 1)
     assert kernel_dimension(p, 1) == 1
+
+
+def _closed_form_cases():
+    for n in range(1, 6):
+        for coeffs in itertools.product((-1, 0, 1), repeat=n + 1):
+            if any(coeffs):
+                yield form(n, coeffs)
+    for n in range(1, 16):
+        for i in range(n + 1):
+            yield form(n, [int(j == i) for j in range(n + 1)])
+
+
+def test_one_rank_gives_every_kernel_dimension():
+    # Reference: one elimination per degree k, against the closed form
+    # dim ker C_k = max(0, k-r+1) + max(0, k-n-1+r) from the single rank r.
+    for p in _closed_form_cases():
+        n = p.degree
+        dims = [k + 1 - ratmat.rank(catalecticant(p, k).rows()) for k in range(1, n + 1)]
+        assert min_apolar_degree(p) == 1 + next(i for i, d in enumerate(dims) if d), p
+        for k, dim in enumerate(dims, start=1):
+            assert kernel_dimension(p, k) == dim, (p, k)
+            assert secant_membership(p, k) == (dim > 0), (p, k)
 
 
 # --- Sylvester certificates -----------------------------------------------------

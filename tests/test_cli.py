@@ -1,7 +1,11 @@
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
 
+from kronsec import cli
+from kronsec.apolarity import parse_form, sylvester_decompose
 from kronsec.cli import main
 
 
@@ -87,6 +91,33 @@ def test_sylvester(capsys):
     assert payload["support_exact"] is True
     points = {(pt["alpha"], pt["beta"]) for pt in payload["support"]}
     assert points == {("1", "0"), ("0", "1")}
+
+
+@pytest.mark.parametrize("text", [
+    # exact (0 : 1) plus three irrational points: the Fraction point used to
+    # raise TypeError in the numeric coefficient solve
+    "deg=6; coeffs=-1,2,-1,3,2,3,2",
+    # twelve points whose moment columns differ in scale by many orders of
+    # magnitude: the unscaled solve used to find the matrix singular
+    "deg=23; coeffs=0,-8,3,-3,7,-7,2,8,0,-2,-2,8,5,2,9,3,-4,-1,2,0,4,0,7,-6",
+])
+def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
+    payload = run_json(capsys, "sylvester", text)
+    assert payload["support_exact"] is False
+    assert payload["rank"] == len(payload["support"]) == len(payload["coefficients"])
+    cert = sylvester_decompose(parse_form(text))
+    n = cert.form.degree
+    with mpmath.workprec(256):
+        for j, target in enumerate(cert.form.coeffs):
+            rebuilt = sum(
+                c * mpmath.binomial(n, j) * _mp(pt.alpha) ** (n - j) * _mp(pt.beta) ** j
+                for pt, c in zip(cert.support, cert.coefficients)
+            )
+            assert abs(rebuilt - _mp(target)) <= 2 * cert.error_bound
+
+
+def _mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
 
 
 def test_vdm(capsys):
@@ -250,6 +281,26 @@ def test_injected_corruption_reaches_brion_sweep(capsys, monkeypatch):
     monkeypatch.setattr(characters, "lr_coefficient", lambda *a: real(*a) + 1)
     code, out, err = run(capsys, "brion-sweep", "2")
     assert code == 2
+
+
+def test_unexpected_exception_is_a_json_internal_error(capsys, monkeypatch):
+    def boom(args, cfg, human):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "kron", boom)
+    code, out, err = run(capsys, "kron", "[2,1]", "[2,1]", "[3]")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "internal", "message": "RuntimeError: boom"}
+
+
+def test_base_exceptions_still_propagate(capsys, monkeypatch):
+    def interrupted(args, cfg, human):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "kron", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["kron", "[2,1]", "[2,1]", "[3]"])
 
 
 def test_human_flag_pretty_prints(capsys):

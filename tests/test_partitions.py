@@ -2,7 +2,7 @@ import pytest
 from conftest import oracle_cycle_census, oracle_partition_count, oracle_partitions, oracle_syt_count
 from math import factorial
 
-from kronsec.errors import CapacityError, DomainError
+from kronsec.errors import DomainError
 from kronsec.partitions import (
     attach_first_row,
     conjugacy_classes,
