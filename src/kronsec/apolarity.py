@@ -194,27 +194,25 @@ def _poly_derivative(c: list[Fraction]) -> list[Fraction]:
     return [i * c[i] for i in range(1, len(c))]
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+def _poly_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    """Remainder of num divided by den, ascending coefficients."""
     dn, dd = _poly_degree(num), _poly_degree(den)
     if dd < 0:
         raise ZeroDivisionError("polynomial division by zero")
     rem = num[: dn + 1]
-    quot = [Fraction(0)] * max(dn - dd + 1, 1)
     lead = den[dd]
     for shift in range(dn - dd, -1, -1):
         factor = rem[dd + shift] / lead
-        quot[shift] = factor
         if factor:
             for i in range(dd + 1):
                 rem[i + shift] -= factor * den[i]
-    return quot, rem[:dd] if dd > 0 else []
+    return rem[:dd] if dd > 0 else []
 
 
 def _poly_gcd_is_constant(a: list[Fraction], b: list[Fraction]) -> bool:
     x, y = a[:], b[:]
     while _poly_degree(y) > 0:
-        _, r = _poly_divmod(x, y)
-        x, y = y, r
+        x, y = y, _poly_rem(x, y)
     return _poly_degree(y) == 0 or _poly_degree(x) <= 0
 
 
@@ -250,11 +248,6 @@ class SupportPoint:
     exact: bool
     radius: float | None = None
 
-    def key(self):
-        if self.exact:
-            return ("exact", Fraction(self.alpha), Fraction(self.beta))
-        return ("approx", complex(self.alpha), complex(self.beta))
-
 
 def normalize_point(alpha, beta) -> tuple[int, int]:
     """Canonical coprime integer pair with beta > 0, or (1, 0) at infinity."""
@@ -271,10 +264,10 @@ def _certified_roots(coeffs: Sequence[Fraction], k: int, precision_bits: int) ->
     """All k projective roots of a squarefree degree-k form, exact when rational.
 
     Rational roots are found by reconstructing candidates from numeric
-    approximations and verifying them by exact evaluation, then deflating
-    exactly. Whatever remains is refined by Newton iteration until the
-    inclusion radius deg * |U(z)/U'(z)| drops below 2^-precision_bits; that
-    bound certifies a true root within the disc.
+    approximations and verifying them by exact evaluation; nothing is
+    deflated. Every other approximation is refined by Newton iteration on the
+    full polynomial until the inclusion radius deg * |U(z)/U'(z)| drops below
+    2^-precision_bits; that bound certifies a true root within the disc.
     """
     points: list[SupportPoint] = []
     inf_mult = 0
@@ -296,8 +289,7 @@ def _certified_roots(coeffs: Sequence[Fraction], k: int, precision_bits: int) ->
     with mpmath.workprec(max(96, precision_bits + 32)):
         approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
 
-    remaining = ints[:]
-    frac_coeffs = [Fraction(c) for c in remaining]
+    frac_coeffs = [Fraction(c) for c in ints]
     leftovers = []
     for z in approx:
         if abs(mpmath.im(z)) < mpmath.mpf(2) ** (-24):

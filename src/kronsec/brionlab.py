@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .characters import kronecker, lr_checked
-from .config import DEFAULT_SWEEP_CAP
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .partitions import (
     Partition,
     attach_first_row,
@@ -158,7 +157,7 @@ def _pairs_inside(n: int):
                     yield lam, omega
 
 
-def sweep(n_max: int, cap: int = DEFAULT_SWEEP_CAP, mode: str = "both") -> Iterator[BrionRecord]:
+def sweep(n_max: int, mode: str = "both") -> Iterator[BrionRecord]:
     """Every record for 1 <= n <= n_max inside the hypothesis, canonical order.
 
     Order: n ascending, then |lambda|+|omega| ascending, then |lambda|, then
@@ -166,8 +165,6 @@ def sweep(n_max: int, cap: int = DEFAULT_SWEEP_CAP, mode: str = "both") -> Itera
     records. Deterministic by construction, so repeated runs emit identical
     streams.
     """
-    if n_max > cap:
-        raise CapacityError(f"sweep up to n={n_max} exceeds the configured bound {cap}")
     if mode not in ("vanishing", "equality", "both"):
         raise DomainError(f"sweep mode must be vanishing, equality, or both, got {mode!r}")
     for n in range(1, n_max + 1):
@@ -178,15 +175,13 @@ def sweep(n_max: int, cap: int = DEFAULT_SWEEP_CAP, mode: str = "both") -> Itera
                 yield from _equality_records(n, lam, omega)
 
 
-def boundary_scan(n: int, cap: int = DEFAULT_SWEEP_CAP, mode: str = "both") -> Iterator[BrionRecord]:
+def boundary_scan(n: int, mode: str = "both") -> Iterator[BrionRecord]:
     """The same evaluations just outside the hypothesis, reported, not asserted.
 
     Visits pairs with |lambda| + |omega| > n/2 whose completions still exist
     and still have long first rows (|lambda| <= (n+1)/2, same for omega).
     Verdicts here are observations; no claim is made either way.
     """
-    if n > cap:
-        raise CapacityError(f"boundary scan at n={n} exceeds the configured bound {cap}")
     if mode not in ("vanishing", "equality", "both"):
         raise DomainError(f"scan mode must be vanishing, equality, or both, got {mode!r}")
     half = (n + 1) // 2

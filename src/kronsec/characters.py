@@ -18,8 +18,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
-from .config import DEFAULT_N_CAP
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError
 from .partitions import (
     CycleClass,
     Partition,
@@ -115,11 +114,9 @@ def _table(n: int) -> CharacterTable:
     return CharacterTable(n, shapes, classes, values)
 
 
-def character_table(n: int, cap: int = DEFAULT_N_CAP) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     if n < 1:
         raise DomainError(f"character table needs n >= 1, got {n}")
-    if n > cap:
-        raise CapacityError(f"character table for n={n} exceeds the configured bound {cap}")
     return _table(n)
 
 
@@ -133,7 +130,7 @@ def _common_degree(*shapes: Partition) -> int:
     return sizes.pop()
 
 
-def kronecker(lam: Partition, om: Partition, sig: Partition, cap: int = DEFAULT_N_CAP) -> int:
+def kronecker(lam: Partition, om: Partition, sig: Partition) -> int:
     """Multiplicity of chi^sig in chi^lam * chi^om (pointwise product).
 
     Exact throughout: the class-weighted sum must be divisible by n! and
@@ -142,34 +139,38 @@ def kronecker(lam: Partition, om: Partition, sig: Partition, cap: int = DEFAULT_
     n = _common_degree(lam, om, sig)
     if n == 0:
         return 1
-    t = character_table(n, cap=cap)
-    rl, ro, rs = t.row(lam), t.row(om), t.row(sig)
-    total = sum(cc.cls_size * a * b * c for cc, a, b, c in zip(t.classes, rl, ro, rs))
-    value, rem = divmod(total, factorial(n))
-    if rem:
-        raise ConsistencyError(
-            f"Kronecker sum not divisible by {n}! for "
-            f"{format_partition(lam)}, {format_partition(om)}, {format_partition(sig)}"
-        )
+    t = character_table(n)
+    return _multiplicity(t, _pointwise(t, lam, om), lam, om, sig)
+
+
+def tensor_decompose(lam: Partition, om: Partition) -> dict[Partition, int]:
+    """All nonzero multiplicities in chi^lam tensor chi^om, keyed by shape."""
+    n = _common_degree(lam, om)
+    if n == 0:
+        return {(): 1}
+    t = character_table(n)
+    product = _pointwise(t, lam, om)
+    out = {}
+    for sig in partitions_of(n):
+        m = _multiplicity(t, product, lam, om, sig)
+        if m:
+            out[sig] = m
+    return out
+
+
+def _pointwise(t: CharacterTable, lam: Partition, om: Partition) -> tuple[int, ...]:
+    """The character chi^lam * chi^om, one value per class of t."""
+    return tuple(a * b for a, b in zip(t.row(lam), t.row(om)))
+
+
+def _multiplicity(t: CharacterTable, product, lam: Partition, om: Partition, sig: Partition) -> int:
+    value = t.inner_product(product, t.row(sig))
     if value < 0:
         raise ConsistencyError(
             f"negative Kronecker multiplicity {value} for "
             f"{format_partition(lam)}, {format_partition(om)}, {format_partition(sig)}"
         )
     return value
-
-
-def tensor_decompose(lam: Partition, om: Partition, cap: int = DEFAULT_N_CAP) -> dict[Partition, int]:
-    """All nonzero multiplicities in chi^lam tensor chi^om, keyed by shape."""
-    n = _common_degree(lam, om)
-    if n == 0:
-        return {(): 1}
-    out = {}
-    for sig in partitions_of(n):
-        m = kronecker(lam, om, sig, cap=cap)
-        if m:
-            out[sig] = m
-    return out
 
 
 # --- Littlewood-Richardson, route one: the tableaux rule -------------------

@@ -15,8 +15,10 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
+import mpmath
+
 from . import apolarity, brionlab, characters, curvebounds, monodromy, seminormal
-from .config import Config, load_config
+from .config import DEFAULT_DIM_CAP, Config, load_config
 from .errors import (
     CapacityError,
     ConsistencyError,
@@ -24,7 +26,7 @@ from .errors import (
     KronsecError,
     PrecisionError,
 )
-from .partitions import format_partition, parse_partition, partitions_of, size
+from .partitions import dimension, format_partition, parse_partition, partitions_of, size
 from .permutations import cycle_notation
 
 
@@ -137,6 +139,12 @@ def _merge_config(args) -> Config:
     return cfg
 
 
+def _require_within(what: str, value: int, cap: int) -> None:
+    """The one cap check; each command calls it before it computes or opens output."""
+    if value > cap:
+        raise CapacityError(f"{what} exceeds the configured bound {cap}")
+
+
 def _scalar(x):
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else str(x)
@@ -165,7 +173,8 @@ def _emit(obj: dict, cfg: Config, human: bool) -> None:
 
 
 def _cmd_chartable(args, cfg: Config, human: bool) -> int:
-    table = characters.character_table(args.n, cap=cfg.n_cap)
+    _require_within(f"character table for n={args.n}", args.n, cfg.n_cap)
+    table = characters.character_table(args.n)
     shapes = [format_partition(lam) for lam in table.irreducibles]
     classes = [format_partition(c.cycle_type) for c in table.classes]
     sizes = [c.cls_size for c in table.classes]
@@ -184,15 +193,17 @@ def _cmd_chartable(args, cfg: Config, human: bool) -> int:
 
 
 def _cmd_kron(args, cfg: Config, human: bool) -> int:
-    value = characters.kronecker(parse_partition(args.lam), parse_partition(args.omega),
-                                 parse_partition(args.sigma), cap=cfg.n_cap)
+    lam = parse_partition(args.lam)
+    _require_within(f"Kronecker coefficient for n={size(lam)}", size(lam), cfg.n_cap)
+    value = characters.kronecker(lam, parse_partition(args.omega), parse_partition(args.sigma))
     _emit({"kron": value}, cfg, human)
     return 0
 
 
 def _cmd_lr(args, cfg: Config, human: bool) -> int:
-    value = characters.lr_checked(parse_partition(args.lam), parse_partition(args.omega),
-                                  parse_partition(args.sigma))
+    sigma = parse_partition(args.sigma)
+    _require_within(f"LR number for |sigma|={size(sigma)}", size(sigma), cfg.n_cap)
+    value = characters.lr_checked(parse_partition(args.lam), parse_partition(args.omega), sigma)
     _emit({"lr": value}, cfg, human)
     return 0
 
@@ -212,7 +223,8 @@ def _cmd_pieri(args, cfg: Config, human: bool) -> int:
 def _cmd_tensor(args, cfg: Config, human: bool) -> int:
     lam = parse_partition(args.lam)
     omega = parse_partition(args.omega)
-    decomp = characters.tensor_decompose(lam, omega, cap=cfg.n_cap)
+    _require_within(f"tensor decomposition for n={size(lam)}", size(lam), cfg.n_cap)
+    decomp = characters.tensor_decompose(lam, omega)
     ordered = {format_partition(sig): decomp[sig]
                for sig in partitions_of(size(lam)) if sig in decomp}
     _emit({"lambda": format_partition(lam), "omega": format_partition(omega),
@@ -222,6 +234,9 @@ def _cmd_tensor(args, cfg: Config, human: bool) -> int:
 
 def _cmd_rep_check(args, cfg: Config, human: bool) -> int:
     lam = parse_partition(args.lam)
+    shape, dim = format_partition(lam), dimension(lam)
+    _require_within(f"shape {shape} of size {size(lam)}", size(lam), cfg.n_cap)
+    _require_within(f"shape {shape} of dimension {dim}", dim, DEFAULT_DIM_CAP)
     rep = seminormal.build_rep(lam)
     relations = seminormal.check_relations(rep)
     image = seminormal.spherical_relation_image(rep)
@@ -237,7 +252,7 @@ def _cmd_rep_check(args, cfg: Config, human: bool) -> int:
             if seminormal.word_trace(rep, word) != expected:
                 traces_ok = False
             sampled += 1
-    _emit({"shape": format_partition(lam), "n": rep.n, "dim": rep.dim,
+    _emit({"shape": shape, "n": rep.n, "dim": rep.dim,
            **relations, "spherical_identity": spherical,
            "word_samples": sampled, "word_traces_ok": traces_ok,
            "seed": cfg.seed}, cfg, human)
@@ -251,8 +266,8 @@ def _cmd_secant(args, cfg: Config, human: bool) -> int:
     return 0
 
 
-def _point_json(pt: apolarity.SupportPoint) -> dict:
-    return {"alpha": _scalar(pt.alpha), "beta": _scalar(pt.beta),
+def _point_json(pt: apolarity.SupportPoint, number) -> dict:
+    return {"alpha": number(pt.alpha), "beta": number(pt.beta),
             "exact": pt.exact,
             "radius": None if pt.radius is None else float(pt.radius)}
 
@@ -260,15 +275,24 @@ def _point_json(pt: apolarity.SupportPoint) -> dict:
 def _cmd_sylvester(args, cfg: Config, human: bool) -> int:
     p = apolarity.parse_form(args.form)
     cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
+    # Approximate values print at the precision of the numeric solve, so the
+    # printed certificate rebuilds the form within its own error_bound.
+    digits = mpmath.libmp.prec_to_dps(cfg.precision_bits + 96)
+
+    def number(x):
+        if isinstance(x, (mpmath.mpf, mpmath.mpc)):
+            return mpmath.nstr(x, digits)
+        return _scalar(x)
+
     _emit({
         "form": apolarity.format_form(cert.form),
         "kernel_degree": cert.kernel_degree,
         "rank": cert.rank,
         "member": cert.member,
         "annihilator": apolarity.format_form(cert.annihilator),
-        "support": None if cert.support is None else [_point_json(q) for q in cert.support],
+        "support": None if cert.support is None else [_point_json(q, number) for q in cert.support],
         "coefficients": None if cert.coefficients is None
-                        else [_scalar(c) for c in cert.coefficients],
+                        else [number(c) for c in cert.coefficients],
         "support_exact": cert.support_exact,
         "error_bound": None if cert.error_bound is None else float(cert.error_bound),
     }, cfg, human)
@@ -356,6 +380,7 @@ def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
         check = monodromy.spherical_word_check(args.n, **kwargs)
         _emit({"n": args.n, "identity": check.identity, **_loop_json(check.loop)}, cfg, human)
         return 0
+    _require_within(f"defining action on n={args.n} roots", args.n, cfg.n_cap)
     report = monodromy.defining_rep_decomposition(args.n, sample_loops=args.samples,
                                                   seed=cfg.seed, **kwargs)
     _emit({
@@ -395,13 +420,13 @@ def _stream_records(records, cfg: Config, human: bool) -> int:
 
 
 def _cmd_brion_sweep(args, cfg: Config, human: bool) -> int:
-    records = brionlab.sweep(args.n_max, cap=cfg.sweep_cap, mode=args.mode)
-    return _stream_records(records, cfg, human)
+    _require_within(f"sweep up to n={args.n_max}", args.n_max, min(cfg.sweep_cap, cfg.n_cap))
+    return _stream_records(brionlab.sweep(args.n_max, mode=args.mode), cfg, human)
 
 
 def _cmd_brion_boundary(args, cfg: Config, human: bool) -> int:
-    records = brionlab.boundary_scan(args.n, cap=cfg.sweep_cap, mode=args.mode)
-    return _stream_records(records, cfg, human)
+    _require_within(f"boundary scan at n={args.n}", args.n, min(cfg.sweep_cap, cfg.n_cap))
+    return _stream_records(brionlab.boundary_scan(args.n, mode=args.mode), cfg, human)
 
 
 _COMMANDS = {

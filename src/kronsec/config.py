@@ -18,6 +18,8 @@ DEFAULT_N_CAP = 14
 DEFAULT_PRECISION_BITS = 96
 DEFAULT_SWEEP_CAP = 10
 MIN_PRECISION_BITS = 53
+# Largest seminormal dimension rep-check builds; fixed, not a Config field.
+DEFAULT_DIM_CAP = 2000
 
 
 @dataclass(frozen=True)

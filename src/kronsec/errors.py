@@ -15,7 +15,7 @@ class DomainError(KronsecError):
 
 
 class CapacityError(DomainError):
-    """Request exceeds a configured capacity bound."""
+    """Request exceeds a configured capacity bound; only the CLI checks caps."""
 
 
 class PrecisionError(DomainError):

@@ -39,9 +39,6 @@ from .errors import ConsistencyError, DomainError, PrecisionError
 from .permutations import (
     compose,
     cycle_notation,
-    cycle_type,
-    fixed_points,
-    generated_group,
     identity_perm,
 )
 
@@ -442,22 +439,47 @@ class DefiningRepReport:
     seed: int
 
 
+def _require_connected_transpositions(n: int, perms) -> None:
+    """Transpositions generate S_n exactly when their graph on the n points is connected.
+
+    Raises ConsistencyError naming the first generator that is not a
+    transposition, or the connected components of the roots (1-based).
+    """
+    label = list(range(n))
+    for i, p in enumerate(perms, start=1):
+        moved = [x for x in range(n) if p[x] != x]
+        if len(moved) != 2:
+            raise ConsistencyError(
+                f"tracked generator {i} is {cycle_notation(p)}, not a transposition"
+            )
+        old, new = label[moved[0]], label[moved[1]]
+        label = [new if lab == old else lab for lab in label]
+    components: dict[int, list[int]] = {}
+    for x, lab in enumerate(label):
+        components.setdefault(lab, []).append(x + 1)
+    if len(components) > 1:
+        raise ConsistencyError(
+            "tracked transpositions leave the roots disconnected: "
+            + ", ".join("{" + ", ".join(map(str, c)) + "}" for c in components.values())
+        )
+
+
 def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **kwargs) -> DefiningRepReport:
     """Decompose the permutation action of tracked loops on the n roots.
 
     Tracks every standard generator loop plus `sample_loops` random generator
     words (each tracked word must match the composition of the tracked
-    generator permutations), verifies the tracked permutations generate all of
-    S_n, then splits the fixed-point character against the character table.
-    The split must come out {(n): 1, (n-1, 1): 1}; callers assert that.
+    generator permutations), verifies the tracked generators are
+    transpositions with a connected graph on the roots, so that they generate
+    all of S_n, then splits the fixed-point character against the character
+    table. The split must come out {(n): 1, (n-1, 1): 1}; callers assert that.
     """
     from .characters import character_table
-    from .partitions import class_size
 
-    gen_perms = []
-    for i in range(1, n):
-        loop = standard_generator_loop(n, i, **kwargs)
-        gen_perms.append(loop.permutation)
+    if n < 2:
+        raise DomainError(f"the defining action needs n >= 2 roots, got {n}")
+    gen_perms = [standard_generator_loop(n, i, **kwargs).permutation for i in range(1, n)]
+    _require_connected_transpositions(n, gen_perms)
 
     rng = random.Random(seed)
     word_checks_ok = True
@@ -470,20 +492,11 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
         if tracked != expected:
             word_checks_ok = False
 
-    group = generated_group(gen_perms, limit=factorial(n))
-    order = len(group)
-    reps = {}
-    for p in group:
-        reps.setdefault(cycle_type(p), p)
     table = character_table(n)
+    fixed = tuple(cc.cycle_type.count(1) for cc in table.classes)
     decomposition = {}
     for lam in table.irreducibles:
-        total = 0
-        for mu, rep in reps.items():
-            total += class_size(mu) * fixed_points(rep) * table.chi(lam, mu)
-        mult, remainder = divmod(total, factorial(n))
-        if remainder:
-            raise ConsistencyError(f"permutation character split non-integral at {lam}")
+        mult = table.inner_product(table.row(lam), fixed)
         if mult:
             decomposition[lam] = mult
     return DefiningRepReport(
@@ -491,7 +504,7 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
         generator_permutations=tuple(gen_perms),
         word_samples=sample_loops,
         word_checks_ok=word_checks_ok,
-        group_order=order,
+        group_order=factorial(n),
         decomposition=decomposition,
         seed=seed,
     )

@@ -70,12 +70,12 @@ def cycle_notation(p: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in nontrivial)
 
 
-def fixed_points(p: tuple[int, ...]) -> int:
-    return sum(1 for i, img in enumerate(p) if i == img)
-
-
 def generated_group(gens: list[tuple[int, ...]], limit: int | None = None) -> set[tuple[int, ...]]:
-    """Closure of the generators under composition (plain BFS)."""
+    """Closure of the generators under composition (plain BFS).
+
+    Costs the order of the group, n! for S_n, so no command calls it; the
+    benchmark tracer (perfbench/tracing.py) still spans it by name.
+    """
     if not gens:
         return set()
     n = len(gens[0])

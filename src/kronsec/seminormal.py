@@ -28,12 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError
 from .partitions import Partition, dimension, format_partition, size, validate_partition
 from .permutations import perm_of_word
 from . import ratmat
-
-DEFAULT_DIM_CAP = 2000
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -113,17 +111,13 @@ class SeminormalRep:
         return _dense(self.dim, self.generators[i - 1])
 
 
-def build_rep(lam: Partition, dim_cap: int = DEFAULT_DIM_CAP) -> SeminormalRep:
+def build_rep(lam: Partition) -> SeminormalRep:
     """Construct the seminormal representation for shape lam."""
     lam = validate_partition(lam)
     n = size(lam)
     if n < 1:
         raise DomainError("seminormal representation needs a nonempty shape")
     dim = dimension(lam)
-    if dim > dim_cap:
-        raise CapacityError(
-            f"shape {format_partition(lam)} has dimension {dim} > configured bound {dim_cap}"
-        )
     tabs = standard_tableaux(lam)
     if len(tabs) != dim:
         raise ConsistencyError(

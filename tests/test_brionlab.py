@@ -11,7 +11,7 @@ from kronsec.brionlab import (
     verify_vanishing,
 )
 from kronsec.characters import kronecker
-from kronsec.errors import CapacityError, DomainError
+from kronsec.errors import DomainError
 from kronsec.partitions import attach_first_row, partitions_of, size
 
 
@@ -92,11 +92,10 @@ def test_sweep_n_max_1_emits_single_trivial_record():
     assert r.kron == 1 and r.lr == 1 and r.verdict == "equality-ok"
 
 
-def test_sweep_cap_enforced():
-    with pytest.raises(CapacityError):
-        list(sweep(11))
-    with pytest.raises(CapacityError):
-        list(sweep(5, cap=4))
+def test_records_past_the_default_n_cap():
+    # Library functions take no caps: n = 15 is computed, not refused.
+    records = verify_vanishing(15, (1,), (1,))
+    assert records and all(r.verdict == "vanishing-ok" for r in records)
 
 
 def test_sweep_modes_partition_the_stream():
@@ -147,11 +146,6 @@ def test_boundary_scan_includes_the_first_interesting_pair():
     records = list(boundary_scan(4))
     pairs = {(r.lam, r.omega) for r in records}
     assert ((1,), (2,)) in pairs
-
-
-def test_boundary_scan_cap():
-    with pytest.raises(CapacityError):
-        list(boundary_scan(11))
 
 
 def test_summarize_counts():

@@ -14,7 +14,7 @@ from kronsec.characters import (
     pieri_distinguished,
     tensor_decompose,
 )
-from kronsec.errors import CapacityError, ConsistencyError, DomainError
+from kronsec.errors import ConsistencyError, DomainError
 from kronsec.partitions import (
     attach_first_row,
     conjugate,
@@ -85,13 +85,6 @@ def test_row_orthogonality_small():
         for a in t.irreducibles:
             for b in t.irreducibles:
                 assert t.inner_product(t.row(a), t.row(b)) == (1 if a == b else 0)
-
-
-def test_capacity_cap_enforced():
-    with pytest.raises(CapacityError):
-        character_table(15)
-    with pytest.raises(CapacityError):
-        character_table(9, cap=8)
 
 
 def test_kronecker_known_values():

@@ -1,11 +1,12 @@
 import json
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from kronsec import cli
-from kronsec.apolarity import parse_form, sylvester_decompose
+from kronsec.apolarity import parse_form
 from kronsec.cli import main
 
 
@@ -102,22 +103,35 @@ def test_sylvester(capsys):
     "deg=23; coeffs=0,-8,3,-3,7,-7,2,8,0,-2,-2,8,5,2,9,3,-4,-1,2,0,4,0,7,-6",
 ])
 def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
+    # Rebuilt from the printed digits, so stdout carries enough of them to
+    # meet the certificate's own error_bound.
     payload = run_json(capsys, "sylvester", text)
     assert payload["support_exact"] is False
     assert payload["rank"] == len(payload["support"]) == len(payload["coefficients"])
-    cert = sylvester_decompose(parse_form(text))
-    n = cert.form.degree
+    form = parse_form(text)
+    n = form.degree
     with mpmath.workprec(256):
-        for j, target in enumerate(cert.form.coeffs):
+        points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
+        coeffs = [_printed(c) for c in payload["coefficients"]]
+        for j, target in enumerate(form.coeffs):
             rebuilt = sum(
-                c * mpmath.binomial(n, j) * _mp(pt.alpha) ** (n - j) * _mp(pt.beta) ** j
-                for pt, c in zip(cert.support, cert.coefficients)
+                c * mpmath.binomial(n, j) * alpha ** (n - j) * beta**j
+                for (alpha, beta), c in zip(points, coeffs)
             )
-            assert abs(rebuilt - _mp(target)) <= 2 * cert.error_bound
+            assert abs(rebuilt - _exact(target)) <= 2 * payload["error_bound"]
 
 
-def _mp(x):
-    return mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x
+def _exact(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _printed(text: str):
+    """A printed exact or approximate value, read without rounding."""
+    parts = re.fullmatch(r"\((\S+) ([+-]) (\S+)j\)", text)
+    if parts:
+        re_part, sign, im_part = parts.groups()
+        return mpmath.mpc(_exact(Fraction(re_part)), _exact(Fraction(sign + im_part)))
+    return _exact(Fraction(text))
 
 
 def test_vdm(capsys):
@@ -153,6 +167,12 @@ def test_monodromy_inline_spec(capsys):
     payload = run_json(capsys, "monodromy", "--spec",
                        '{"base": [-1, 0, 1], "segments": ["half_twist(1)"]}')
     assert payload["permutation"] == "(1 2)"
+
+
+def test_monodromy_defining_needs_two_roots(capsys):
+    code, out, err = run(capsys, "monodromy", "--defining", "--n", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "domain"
 
 
 def test_monodromy_spec_file(capsys, tmp_path):
@@ -235,6 +255,34 @@ def test_config_file_flag(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "--config", str(cfg), "brion-sweep", "3")
     assert code == 1
     assert json.loads(err)["error"] == "capacity"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["chartable", "15"], id="chartable-15"),
+    pytest.param(["--n-cap", "5", "kron", "[3,3]", "[3,3]", "[6]"], id="kron-over-n-cap"),
+    pytest.param(["--n-cap", "5", "tensor", "[3,3]", "[3,3]"], id="tensor-over-n-cap"),
+    pytest.param(["--n-cap", "5", "lr", "[3]", "[3]", "[4,2]"], id="lr-over-n-cap"),
+    pytest.param(["--n-cap", "3", "rep-check", "[3,1]"], id="rep-check-over-n-cap"),
+    pytest.param(["rep-check", "[5,3,2,1]"], id="rep-check-dim-2310"),
+    pytest.param(["brion-sweep", "11"], id="brion-sweep-11"),
+    pytest.param(["brion-boundary", "11"], id="brion-boundary-11"),
+    pytest.param(["--n-cap", "5", "brion-sweep", "6"], id="brion-sweep-over-n-cap"),
+    pytest.param(["--n-cap", "5", "brion-boundary", "6"], id="brion-boundary-over-n-cap"),
+    pytest.param(["--n-cap", "3", "monodromy", "--defining", "--n", "4"], id="defining-over-n-cap"),
+])
+def test_cap_exceeded_is_a_capacity_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "capacity"
+    assert "exceeds the configured bound" in payload["message"]
+
+
+def test_cap_is_checked_before_the_output_file_opens(capsys, tmp_path):
+    target = tmp_path / "records.jsonl"
+    code, out, err = run(capsys, "--output", str(target), "brion-sweep", "11")
+    assert code == 1
+    assert not target.exists()
 
 
 def test_env_var_overrides_config_path(capsys, tmp_path, monkeypatch):

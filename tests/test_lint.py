@@ -1,13 +1,14 @@
-"""A lint check with the stdlib only: no package module imports a name it never uses."""
+"""A lint check with the stdlib only: no package module or test file imports a name it never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kronsec"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "kronsec"
 # __init__.py imports names to re-export them.
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,6 +1,12 @@
+from itertools import combinations
+from math import factorial
+from types import SimpleNamespace
+
 import pytest
 
-from kronsec.errors import DomainError
+import kronsec.monodromy as monodromy
+import kronsec.permutations as permutations
+from kronsec.errors import ConsistencyError, DomainError
 from kronsec.monodromy import (
     CoefficientCircle,
     HalfTwist,
@@ -118,6 +124,54 @@ def test_defining_rep_decomposition_small():
     assert report.word_checks_ok
     assert report.decomposition == {(3,): 1, (2, 1): 1}
     assert report.seed == 5
+
+
+def test_defining_rep_decomposition_never_closes_the_group(monkeypatch):
+    def closure(*args, **kwargs):
+        raise AssertionError("generated_group called")
+
+    monkeypatch.setattr(permutations, "generated_group", closure)
+    report = defining_rep_decomposition(4, sample_loops=1, seed=0)
+    assert report.group_order == 24
+    assert report.decomposition == {(4,): 1, (3, 1): 1}
+
+
+def _tracked_as(monkeypatch, perms):
+    """Make standard_generator_loop report the given permutations."""
+    monkeypatch.setattr(monodromy, "standard_generator_loop",
+                        lambda n, i, **kwargs: SimpleNamespace(permutation=perms[i - 1]))
+
+
+def test_a_tracked_three_cycle_is_a_consistency_error(monkeypatch):
+    _tracked_as(monkeypatch, [(1, 2, 0, 3), (0, 2, 1, 3), (0, 1, 3, 2)])
+    with pytest.raises(ConsistencyError, match=r"generator 1 is \(1 2 3\), not a transposition"):
+        defining_rep_decomposition(4, sample_loops=0)
+
+
+def test_disconnected_tracked_transpositions_are_a_consistency_error(monkeypatch):
+    # (1 2), (1 2), (3 4): transpositions, but roots {1, 2} and {3, 4} never meet.
+    _tracked_as(monkeypatch, [(1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)])
+    with pytest.raises(ConsistencyError, match=r"disconnected: \{1, 2\}, \{3, 4\}"):
+        defining_rep_decomposition(4, sample_loops=0)
+
+
+def test_connected_transpositions_are_exactly_the_generating_sets():
+    # The theorem the generator check rests on, against the group closure:
+    # every set of three transpositions of S_4.
+    n = 4
+    swaps = []
+    for a, b in combinations(range(n), 2):
+        p = list(range(n))
+        p[a], p[b] = b, a
+        swaps.append(tuple(p))
+    for gens in combinations(swaps, n - 1):
+        generates = len(permutations.generated_group(list(gens))) == factorial(n)
+        try:
+            monodromy._require_connected_transpositions(n, gens)
+            connected = True
+        except ConsistencyError:
+            connected = False
+        assert connected == generates, gens
 
 
 def test_degenerate_base_rejected():

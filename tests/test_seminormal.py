@@ -7,7 +7,7 @@ from conftest import oracle_syt_count
 
 from kronsec import ratmat
 from kronsec.characters import mn_value
-from kronsec.errors import CapacityError, DomainError
+from kronsec.errors import DomainError
 from kronsec.partitions import dimension, partitions_of
 from kronsec.seminormal import (
     build_rep,
@@ -140,11 +140,6 @@ def test_generator_index_bounds():
         evaluate_word(rep, [3])
     with pytest.raises(DomainError):
         evaluate_word(rep, [0])
-
-
-def test_dimension_cap():
-    with pytest.raises(CapacityError):
-        build_rep((5, 4, 3, 2, 1), dim_cap=100)
 
 
 def test_single_row_and_column_are_one_dimensional():
