@@ -26,6 +26,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
 from typing import Sequence
 
@@ -174,70 +175,48 @@ def secant_membership(p: BinaryForm, k: int) -> bool:
     return kernel_dimension(p, k) > 0
 
 
-# --- univariate helpers over Fraction ---------------------------------------
+# --- one integer polynomial per annihilator ---------------------------------
 
-def _poly_degree(c: list[Fraction]) -> int:
-    for i in range(len(c) - 1, -1, -1):
-        if c[i]:
-            return i
-    return -1
+def _dehomogenize(coeffs: Sequence[Fraction], k: int) -> tuple[int, list[int]]:
+    """(multiplicity of the root (1:0), integer coefficients of q(t, 1) ascending).
 
-
-def _poly_eval(c: list[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * t + coeff
-    return acc
-
-
-def _poly_derivative(c: list[Fraction]) -> list[Fraction]:
-    return [i * c[i] for i in range(1, len(c))]
+    q(t, 1) is scaled by the lcm of its denominators; every later step (the
+    squarefree test, rational root checks, root isolation and Newton) reads
+    these integers.
+    """
+    at_inf = 0
+    while at_inf <= k and not coeffs[at_inf]:
+        at_inf += 1
+    univ = [coeffs[k - d] for d in range(k - at_inf + 1)]
+    scale = lcm(*(c.denominator for c in univ))
+    return at_inf, [int(c * scale) for c in univ]
 
 
-def _poly_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Remainder of num divided by den, ascending coefficients."""
-    dn, dd = _poly_degree(num), _poly_degree(den)
-    if dd < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = num[: dn + 1]
-    lead = den[dd]
-    for shift in range(dn - dd, -1, -1):
-        factor = rem[dd + shift] / lead
-        if factor:
-            for i in range(dd + 1):
-                rem[i + shift] -= factor * den[i]
-    return rem[:dd] if dd > 0 else []
+def _squarefree(at_inf: int, ints: list[int]) -> bool:
+    """No repeated projective root: at_inf <= 1 and gcd(U, U') is constant.
 
-
-def _poly_gcd_is_constant(a: list[Fraction], b: list[Fraction]) -> bool:
-    x, y = a[:], b[:]
-    while _poly_degree(y) > 0:
-        x, y = y, _poly_rem(x, y)
-    return _poly_degree(y) == 0 or _poly_degree(x) <= 0
-
-
-def _squarefree_form(coeffs: Sequence[Fraction], k: int) -> bool:
-    """No repeated projective root: multiplicity at (1:0) <= 1 and gcd(U,U')=1."""
-    inf_mult = 0
-    while inf_mult <= k and not coeffs[inf_mult]:
-        inf_mult += 1
-    if inf_mult > 1:
+    The gcd runs as a primitive remainder sequence over Z (Collins 1967): each
+    pseudo-remainder is divided by its content, which keeps the coefficients
+    from the growth that makes a Euclid over Q hang at high degree.
+    """
+    if at_inf > 1:
         return False
-    univ = [coeffs[k - d] for d in range(k - inf_mult + 1)]  # U(t) = q(t, 1), ascending
-    if _poly_degree(univ) <= 0:
-        return True
-    return _poly_gcd_is_constant(univ, _poly_derivative(univ))
+    a, b = ints, [i * c for i, c in enumerate(ints)][1:]
+    while len(b) > 1:
+        rem = a[:]
+        while len(rem) >= len(b):
+            top, shift = rem[-1], len(rem) - len(b)
+            rem = [b[-1] * c for c in rem]
+            for i, c in enumerate(b):
+                rem[shift + i] -= top * c
+            while rem and not rem[-1]:
+                rem.pop()
+        content = gcd(*rem)
+        a, b = b, [c // content for c in rem]
+    return len(b) == 1 or len(ints) == 1  # a constant U has no root to repeat
 
 
 # --- certified root isolation ------------------------------------------------
-
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man, 1) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** (-exp)))
-    return -v if sign else v
-
 
 @dataclass(frozen=True)
 class SupportPoint:
@@ -260,45 +239,32 @@ def normalize_point(alpha, beta) -> tuple[int, int]:
     return (t.numerator, t.denominator)
 
 
-def _certified_roots(coeffs: Sequence[Fraction], k: int, precision_bits: int) -> list[SupportPoint]:
-    """All k projective roots of a squarefree degree-k form, exact when rational.
+def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[SupportPoint]:
+    """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
 
-    Rational roots are found by reconstructing candidates from numeric
-    approximations and verifying them by exact evaluation; nothing is
-    deflated. Every other approximation is refined by Newton iteration on the
-    full polynomial until the inclusion radius deg * |U(z)/U'(z)| drops below
-    2^-precision_bits; that bound certifies a true root within the disc.
+    Rational roots are found by reconstructing candidates p/q from numeric
+    approximations and verifying them by the exact integer identity
+    sum_i c_i p^i q^(d-i) = 0; nothing is deflated. Every other approximation
+    is refined by Newton iteration on the full polynomial until the inclusion
+    radius deg * |U(z)/U'(z)| drops below 2^-precision_bits; that bound
+    certifies a true root within the disc.
     """
-    points: list[SupportPoint] = []
-    inf_mult = 0
-    while inf_mult <= k and not coeffs[inf_mult]:
-        inf_mult += 1
-    if inf_mult == 1:
-        points.append(SupportPoint(Fraction(1), Fraction(0), exact=True))
-    elif inf_mult > 1:
-        raise ConsistencyError("repeated root at infinity in a form asserted squarefree")
-
-    univ = [coeffs[k - d] for d in range(k - inf_mult + 1)]
-    deg = _poly_degree(univ)
+    points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
+    deg = len(ints) - 1
     if deg <= 0:
         return points
-
-    scale = lcm(*(c.denominator for c in univ))
-    ints = [int(c * scale) for c in univ]
 
     with mpmath.workprec(max(96, precision_bits + 32)):
         approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
 
-    frac_coeffs = [Fraction(c) for c in ints]
     leftovers = []
     for z in approx:
         if abs(mpmath.im(z)) < mpmath.mpf(2) ** (-24):
-            cand = _mpf_to_fraction(mpmath.re(z)).limit_denominator(10**12)
-            if _poly_eval(frac_coeffs, cand) == 0 and not any(
-                pt.exact and pt.beta and Fraction(pt.alpha) / Fraction(pt.beta) == cand
-                for pt in points
-            ):
-                points.append(SupportPoint(Fraction(cand.numerator), Fraction(cand.denominator), exact=True))
+            cand = Fraction(*mpmath.libmp.to_rational(mpmath.re(z)._mpf_)).limit_denominator(10**12)
+            num, den = cand.numerator, cand.denominator
+            pt = SupportPoint(Fraction(num), Fraction(den), exact=True)
+            if pt not in points and not sum(c * num**i * den ** (deg - i) for i, c in enumerate(ints)):
+                points.append(pt)
                 continue
         leftovers.append(z)
 
@@ -306,9 +272,9 @@ def _certified_roots(coeffs: Sequence[Fraction], k: int, precision_bits: int) ->
         refined, radius = _refine_root(ints, z, precision_bits)
         points.append(SupportPoint(refined, mpmath.mpf(1), exact=False, radius=float(radius)))
 
-    if len(points) != k:
+    if len(points) != at_inf + deg:
         raise ConsistencyError(
-            f"recovered {len(points)} roots from a squarefree form of degree {k}"
+            f"recovered {len(points)} roots from a squarefree form of degree {at_inf + deg}"
         )
     return points
 
@@ -323,20 +289,21 @@ def _refine_root(ints: list[int], z0, precision_bits: int):
     target = mpmath.mpf(2) ** (-precision_bits)
     for prec in (precision_bits + 64, precision_bits + 160, precision_bits + 400, precision_bits + 900):
         with mpmath.workprec(prec):
+            u_coeffs = [mpmath.mpf(c) for c in reversed(ints)]
+            du_coeffs = [mpmath.mpf(i * ints[i]) for i in range(deg, 0, -1)]
+            tiny = mpmath.mpf(2) ** (-(prec - 8))
             z = mpmath.mpc(z0)
             for _ in range(80):
-                u = mpmath.polyval([mpmath.mpf(c) for c in reversed(ints)], z)
-                du = mpmath.polyval(
-                    [mpmath.mpf(i * ints[i]) for i in range(deg, 0, -1)], z
-                )
+                u = mpmath.polyval(u_coeffs, z)
+                du = mpmath.polyval(du_coeffs, z)
                 if du == 0:
                     break
                 step = u / du
                 z -= step
-                if abs(step) < mpmath.mpf(2) ** (-(prec - 8)):
+                if abs(step) < tiny:
                     break
-            u = mpmath.polyval([mpmath.mpf(c) for c in reversed(ints)], z)
-            du = mpmath.polyval([mpmath.mpf(i * ints[i]) for i in range(deg, 0, -1)], z)
+            u = mpmath.polyval(u_coeffs, z)
+            du = mpmath.polyval(du_coeffs, z)
             if du != 0:
                 radius = deg * abs(u / du)
                 if radius < target:
@@ -371,16 +338,17 @@ class SecantCertificate:
 
 
 def _pencil_squarefree(basis, k: int):
-    """A squarefree element of the kernel pencil, scanning small combinations."""
-    for vec in basis:
-        if _squarefree_form(vec, k):
-            return vec
+    """A squarefree element of the kernel pencil and its _dehomogenize data.
+
+    Scans the basis, then small combinations of its first two vectors.
+    """
+    pencil = ()
     if len(basis) >= 2:
-        g1, g2 = basis[0], basis[1]
-        for t in range(1, 2 * k + 2):
-            cand = [a + t * b for a, b in zip(g1, g2)]
-            if _squarefree_form(cand, k):
-                return cand
+        pencil = ([a + t * b for a, b in zip(basis[0], basis[1])] for t in range(1, 2 * k + 2))
+    for vec in chain(basis, pencil):
+        at_inf, ints = _dehomogenize(vec, k)
+        if _squarefree(at_inf, ints):
+            return vec, at_inf, ints
     return None
 
 
@@ -395,8 +363,8 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     n = p.degree
     k = min_apolar_degree(p)
     basis = ratmat.kernel_basis(catalecticant(p, k).rows())
-    square = _pencil_squarefree(basis, k)
-    if square is None:
+    found = _pencil_squarefree(basis, k)
+    if found is None:
         if len(basis) > 1:
             raise ConsistencyError(
                 f"kernel pencil of dimension {len(basis)} at degree {k} with no "
@@ -415,8 +383,9 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
             error_bound=None,
         )
 
+    square, at_inf, ints = found
     ann = BinaryForm(k, tuple(square))
-    points = _certified_roots(square, k, precision_bits)
+    points = _certified_roots(at_inf, ints, precision_bits)
     all_exact = all(pt.exact for pt in points)
     if all_exact:
         coeffs, residual = _solve_coefficients_exact(points, p), None

@@ -363,11 +363,13 @@ def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
         except json.JSONDecodeError as exc:
             raise DomainError(f"loop spec is not valid JSON: {exc}") from None
         base, segments, tolerance = monodromy.parse_loop_spec(data)
+        _require_within(f"loop base of degree {len(base) - 1}", len(base) - 1, cfg.n_cap)
         loop = monodromy.track_roots(base, segments, tolerance=tolerance, **kwargs)
         _emit(_loop_json(loop), cfg, human)
         return 0
     if args.n is None:
         raise DomainError("--word, --spherical, and --defining need --n")
+    _require_within(f"monodromy on n={args.n} roots", args.n, cfg.n_cap)
     if args.word is not None:
         try:
             word = [int(part) for part in args.word.split(",") if part.strip()]
@@ -380,7 +382,6 @@ def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
         check = monodromy.spherical_word_check(args.n, **kwargs)
         _emit({"n": args.n, "identity": check.identity, **_loop_json(check.loop)}, cfg, human)
         return 0
-    _require_within(f"defining action on n={args.n} roots", args.n, cfg.n_cap)
     report = monodromy.defining_rep_decomposition(args.n, sample_loops=args.samples,
                                                   seed=cfg.seed, **kwargs)
     _emit({

@@ -158,18 +158,13 @@ def _poly_from_roots(roots, leading):
     return coeffs  # ascending
 
 
-def _eval_poly(coeffs, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _eval_dpoly(coeffs, z):
-    acc = mpmath.mpc(0)
+def _eval_with_derivative(coeffs, z):
+    """(U(z), U'(z)) in one Horner pass, each in the rounding order of its own Horner rule."""
+    u = du = mpmath.mpc(0)
     for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * z + i * coeffs[i]
-    return acc
+        u = u * z + coeffs[i]
+        du = du * z + i * coeffs[i]
+    return u * z + coeffs[0], du
 
 
 def _min_gap(roots):
@@ -188,7 +183,10 @@ def _sorted_roots(coeffs):
         raise DomainError("monodromy needs degree >= 1")
     if coeffs[-1] == 0:
         raise DomainError("leading coefficient of the base polynomial must be nonzero")
-    raw = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)], maxsteps=200, extraprec=80)
+    try:
+        raw = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)], maxsteps=200, extraprec=80)
+    except mpmath.libmp.NoConvergence as exc:
+        raise PrecisionError(f"base roots did not converge: {exc}") from None
     return sorted(raw, key=lambda z: (mpmath.re(z), mpmath.im(z)))
 
 
@@ -351,10 +349,10 @@ def _newton_all(coeffs, guesses, tolerance):
         z = mpmath.mpc(z)
         converged = False
         for _ in range(60):
-            d = _eval_dpoly(coeffs, z)
+            u, d = _eval_with_derivative(coeffs, z)
             if d == 0:
                 break
-            step = _eval_poly(coeffs, z) / d
+            step = u / d
             z -= step
             if abs(step) < target:
                 converged = True

@@ -203,3 +203,42 @@ def oracle_power_sum_coeffs(n: int, points, weights) -> list[Fraction]:
         for j in range(n + 1):
             coeffs[j] += Fraction(w) * comb(n, j) * Fraction(a) ** (n - j) * Fraction(b) ** j
     return coeffs
+
+
+def _oracle_determinant(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction with row swaps."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            factor = a[r][col] / a[col][col]
+            if factor:
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def oracle_has_repeated_root(q_coeffs) -> bool:
+    """Whether the binary form sum_j q_j x^(k-j) y^j has a repeated projective root.
+
+    A double root at (1:0) means q_0 = q_1 = 0. Otherwise the finite roots
+    are those of U(t) = q(t, 1), and U has a repeated one exactly when the
+    resultant of U and U', the determinant of their Sylvester matrix, is 0.
+    """
+    if not q_coeffs[0] and not q_coeffs[1]:
+        return True
+    u = list(q_coeffs[1:] if not q_coeffs[0] else q_coeffs)  # descending powers of t
+    d = len(u) - 1
+    if d < 2:
+        return False
+    du = [(d - i) * c for i, c in enumerate(u[:-1])]
+    size = 2 * d - 1
+    sylvester = [[0] * i + u + [0] * (size - d - 1 - i) for i in range(d - 1)]
+    sylvester += [[0] * i + du + [0] * (size - d - i) for i in range(d)]
+    return _oracle_determinant(sylvester) == 0

@@ -2,8 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from conftest import oracle_apply_operator, oracle_power_sum_coeffs
+from conftest import oracle_apply_operator, oracle_has_repeated_root, oracle_power_sum_coeffs
 
 from kronsec.apolarity import (
     add_forms,
@@ -230,6 +231,60 @@ def test_sylvester_complex_support():
     assert not cert.support_exact
     imags = sorted(complex(pt.alpha / pt.beta).imag for pt in cert.support)
     assert abs(imags[0] + 1) < 1e-10 and abs(imags[1] - 1) < 1e-10
+
+
+LINEAR_FORMS = [(a, b) for a in range(-3, 4) for b in range(4) if a or b]
+
+
+def _fuzz_forms(seed: int):
+    """Random forms of degree 2-12 with coefficients in [-3, 3], and about one
+    in four times a product l1^(n-j) l2^j of powers of two linear forms, whose
+    annihilator is often not squarefree (the rank n - k + 2 branch)."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(2, 12)
+        coeffs = [rng.randint(-3, 3) for _ in range(n + 1)]
+        if any(coeffs):
+            yield form(n, coeffs)
+        if rng.random() < 0.25:
+            l1, l2 = rng.sample(LINEAR_FORMS, 2)
+            if l1[0] * l2[1] != l1[1] * l2[0]:
+                j = rng.randint(1, n - 1)
+                a = oracle_power_sum_coeffs(n - j, [l1], [1])
+                b = oracle_power_sum_coeffs(j, [l2], [1])
+                yield form(n, [sum(a[i] * b[m - i] for i in range(len(a)) if 0 <= m - i < len(b))
+                               for m in range(n + 1)])
+
+
+def _mp(x):
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpc(x)
+
+
+def test_sylvester_fuzz_against_the_oracles():
+    forms = list(itertools.islice(_fuzz_forms(20261018), 150))
+    for p in forms:
+        n = p.degree
+        cert = sylvester_decompose(p)
+        k = cert.kernel_degree
+        ann = list(cert.annihilator.coeffs)
+        assert not any(oracle_apply_operator(ann, n, p.coeffs)), p
+        assert (cert.support is None) == oracle_has_repeated_root(ann), p
+        assert cert.rank == (n - k + 2 if cert.support is None else k), p
+        if cert.support is None:
+            continue
+        points = [(pt.alpha, pt.beta) for pt in cert.support]
+        if cert.support_exact:
+            assert oracle_power_sum_coeffs(n, points, cert.coefficients) == list(p.coeffs), p
+            continue
+        with mpmath.workprec(256):
+            for j, target in enumerate(p.coeffs):
+                rebuilt = sum(
+                    _mp(c) * mpmath.binomial(n, j) * _mp(al) ** (n - j) * _mp(be) ** j
+                    for (al, be), c in zip(points, cert.coefficients)
+                )
+                assert abs(rebuilt - _mp(target)) <= 2 * cert.error_bound, p
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

@@ -101,6 +101,9 @@ def test_sylvester(capsys):
     # twelve points whose moment columns differ in scale by many orders of
     # magnitude: the unscaled solve used to find the matrix singular
     "deg=23; coeffs=0,-8,3,-3,7,-7,2,8,0,-2,-2,8,5,2,9,3,-4,-1,2,0,4,0,7,-6",
+    # a generic degree-40 form: the squarefree test of its degree-20
+    # annihilator took 22 s in a Euclid over Q
+    "deg=40; coeffs=-1,2,7,-9,5,-2,-8,-4,-6,2,6,-2,3,8,-6,9,-2,-9,-3,4,-1,-4,3,-4,-7,-5,5,-5,-5,-9,-9,-3,-3,-4,-4,0,1,-3,8,-3,-4",
 ])
 def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
     # Rebuilt from the printed digits, so stdout carries enough of them to
@@ -269,6 +272,11 @@ def test_config_file_flag(capsys, tmp_path, monkeypatch):
     pytest.param(["--n-cap", "5", "brion-sweep", "6"], id="brion-sweep-over-n-cap"),
     pytest.param(["--n-cap", "5", "brion-boundary", "6"], id="brion-boundary-over-n-cap"),
     pytest.param(["--n-cap", "3", "monodromy", "--defining", "--n", "4"], id="defining-over-n-cap"),
+    pytest.param(["--n-cap", "5", "monodromy", "--word", "1", "--n", "6"], id="word-over-n-cap"),
+    pytest.param(["--n-cap", "5", "monodromy", "--spherical", "--n", "6"], id="spherical-over-n-cap"),
+    pytest.param(["--n-cap", "5", "monodromy", "--spec",
+                  '{"base": [720, -1764, 1624, -735, 175, -21, 1], "segments": ["half_twist(1)"]}'],
+                 id="spec-over-n-cap"),
 ])
 def test_cap_exceeded_is_a_capacity_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -276,6 +284,16 @@ def test_cap_exceeded_is_a_capacity_error(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "capacity"
     assert "exceeds the configured bound" in payload["message"]
+
+
+def test_unconverged_base_roots_are_a_precision_error(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    code, out, err = run(capsys, "monodromy", "--word", "1", "--n", "3")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "precision"
 
 
 def test_cap_is_checked_before_the_output_file_opens(capsys, tmp_path):
