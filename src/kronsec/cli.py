@@ -26,7 +26,7 @@ from .errors import (
     KronsecError,
     PrecisionError,
 )
-from .partitions import dimension, format_partition, parse_partition, partitions_of, size
+from .partitions import dimension, format_partition, parse_partition, size
 from .permutations import cycle_notation
 
 
@@ -210,10 +210,11 @@ def _cmd_lr(args, cfg: Config, human: bool) -> int:
 
 def _cmd_pieri(args, cfg: Config, human: bool) -> int:
     lam = parse_partition(args.lam)
-    terms = characters.pieri_decompose(lam, args.n)
-    ordered = [mu for mu in partitions_of(args.n) if mu in terms]
+    _require_within(f"pieri decomposition for n={args.n}", args.n, cfg.n_cap)
+    # Partitions of one n in reverse-lex order are in descending tuple order.
+    terms = sorted(characters.pieri_decompose(lam, args.n), reverse=True)
     obj = {"lambda": format_partition(lam), "n": args.n,
-           "terms": [format_partition(mu) for mu in ordered]}
+           "terms": [format_partition(mu) for mu in terms]}
     if args.distinguished:
         obj["distinguished"] = format_partition(characters.pieri_distinguished(lam, args.n))
     _emit(obj, cfg, human)
@@ -224,11 +225,10 @@ def _cmd_tensor(args, cfg: Config, human: bool) -> int:
     lam = parse_partition(args.lam)
     omega = parse_partition(args.omega)
     _require_within(f"tensor decomposition for n={size(lam)}", size(lam), cfg.n_cap)
+    # tensor_decompose lists the shapes in partitions_of order already.
     decomp = characters.tensor_decompose(lam, omega)
-    ordered = {format_partition(sig): decomp[sig]
-               for sig in partitions_of(size(lam)) if sig in decomp}
     _emit({"lambda": format_partition(lam), "omega": format_partition(omega),
-           "terms": ordered}, cfg, human)
+           "terms": {format_partition(sig): m for sig, m in decomp.items()}}, cfg, human)
     return 0
 
 
@@ -240,8 +240,7 @@ def _cmd_rep_check(args, cfg: Config, human: bool) -> int:
     rep = seminormal.build_rep(lam)
     relations = seminormal.check_relations(rep)
     image = seminormal.spherical_relation_image(rep)
-    spherical = all(image[i][j] == (1 if i == j else 0)
-                    for i in range(rep.dim) for j in range(rep.dim))
+    spherical = all(col == ((c, 1),) for c, col in enumerate(image))
     rng = random.Random(cfg.seed)
     traces_ok = True
     sampled = 0

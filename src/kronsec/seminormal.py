@@ -1,4 +1,4 @@
-"""Young's seminormal representation of S_n with exact rational matrices.
+"""Young's seminormal representation of S_n with exact rational entries.
 
 The basis is the set of standard tableaux of the given shape in last-letter
 order (compare the rows holding n, then n-1, and so on). Each adjacent
@@ -18,8 +18,8 @@ This is the content/axial-distance action of Okounkov-Vershik (1996), and it
 is stored as such: column c of s_i holds the one or two (row, entry) pairs of
 s_i v_T. Words act on sparse vectors, one basis vector at a time, so each
 relation is checked by applying both of its sides to every basis vector:
-O(n^2 dim) work in place of dense dim x dim products. Dense matrices are
-assembled only for callers that ask for one.
+O(n^2 dim) work in place of dense dim x dim products. Every matrix the module
+returns, word images included, comes in that column format; none is dense.
 """
 
 from __future__ import annotations
@@ -31,52 +31,30 @@ from functools import cache
 from .errors import ConsistencyError, DomainError
 from .partitions import Partition, dimension, format_partition, size, validate_partition
 from .permutations import perm_of_word
-from . import ratmat
 
 Tableau = tuple[tuple[int, ...], ...]
 
 
 @cache
 def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
-    """All standard Young tableaux of shape lam, in last-letter order."""
+    """All standard Young tableaux of shape lam, in last-letter order.
+
+    The letter n sits in a corner. Going through the corner rows from top to
+    bottom and appending n to that row of every tableau of the smaller shape,
+    taken in its own order, lists the tableaux by the row of n, then of n-1,
+    and so on: last-letter order by construction.
+    """
     n = size(lam)
     if n == 0:
         return ((),)
-    rows = len(lam)
-    grid = [[0] * lam[i] for i in range(rows)]
-    heights = [0] * lam[0]  # filled cells per column
-    lengths = [0] * rows  # filled cells per row
     found: list[Tableau] = []
-
-    def place(v: int):
-        if v > n:
-            found.append(tuple(tuple(row) for row in grid))
-            return
-        for i in range(rows):
-            j = lengths[i]
-            if j >= lam[i]:
-                continue
-            if heights[j] != i:
-                continue
-            grid[i][j] = v
-            lengths[i] += 1
-            heights[j] += 1
-            place(v + 1)
-            lengths[i] -= 1
-            heights[j] -= 1
-
-    place(1)
-    found.sort(key=_last_letter_key)
+    for i, row in enumerate(lam):
+        if row == (lam[i + 1] if i + 1 < len(lam) else 0):
+            continue
+        smaller = lam[:i] + ((row - 1,) if row > 1 else ()) + lam[i + 1:]
+        for t in standard_tableaux(smaller):
+            found.append(t[:i] + ((t[i] if i < len(t) else ()) + (n,),) + t[i + 1:])
     return tuple(found)
-
-
-def _last_letter_key(t: Tableau) -> tuple[int, ...]:
-    n = sum(len(row) for row in t)
-    row_of = {}
-    for i, row in enumerate(t):
-        for v in row:
-            row_of[v] = i
-    return tuple(row_of[v] for v in range(n, 0, -1))
 
 
 def _positions(t: Tableau) -> dict[int, tuple[int, int]]:
@@ -103,12 +81,6 @@ class SeminormalRep:
     dim: int
     tableaux: tuple[Tableau, ...]
     generators: tuple[tuple[Column, ...], ...]
-
-    def generator(self, i: int) -> ratmat.Matrix:
-        """Matrix of s_i = (i, i+1), 1-based, as mutable ratmat rows."""
-        if not 1 <= i <= self.n - 1:
-            raise DomainError(f"generator index must satisfy 1 <= i <= {self.n - 1}, got {i}")
-        return _dense(self.dim, self.generators[i - 1])
 
 
 def build_rep(lam: Partition) -> SeminormalRep:
@@ -145,14 +117,6 @@ def build_rep(lam: Partition) -> SeminormalRep:
     return SeminormalRep(shape=lam, n=n, dim=dim, tableaux=tabs, generators=tuple(gens))
 
 
-def _dense(dim: int, columns) -> ratmat.Matrix:
-    matrix = [[Fraction(0)] * dim for _ in range(dim)]
-    for c, entries in enumerate(columns):
-        for r, v in entries:
-            matrix[r][c] = v
-    return matrix
-
-
 def _apply(rep: SeminormalRep, word, vec: dict[int, Fraction]) -> dict[int, Fraction]:
     """The word product s_{w1} s_{w2} ... applied to a sparse vector, rightmost letter first.
 
@@ -179,9 +143,13 @@ def _basis(c: int) -> dict[int, Fraction]:
     return {c: Fraction(1)}
 
 
-def evaluate_word(rep: SeminormalRep, word) -> ratmat.Matrix:
-    """Exact matrix of the word product s_{w1} s_{w2} ... (leftmost applied last)."""
-    return _dense(rep.dim, (_apply(rep, word, _basis(c)).items() for c in range(rep.dim)))
+def evaluate_word(rep: SeminormalRep, word) -> tuple[Column, ...]:
+    """Columns of the word product s_{w1} s_{w2} ... (leftmost applied last).
+
+    Column c holds the nonzero (row, entry) pairs of the image of v_c, by row,
+    in the format of SeminormalRep.generators.
+    """
+    return tuple(tuple(sorted(_apply(rep, word, _basis(c)).items())) for c in range(rep.dim))
 
 
 def word_trace(rep: SeminormalRep, word) -> Fraction:
@@ -215,11 +183,11 @@ def check_relations(rep: SeminormalRep) -> dict[str, bool]:
     }
 
 
-def spherical_relation_image(rep: SeminormalRep) -> ratmat.Matrix:
-    """Image of the relation word 1, 2, ..., n-1, n-1, ..., 2, 1.
+def spherical_relation_image(rep: SeminormalRep) -> tuple[Column, ...]:
+    """Columns of the relation word 1, 2, ..., n-1, n-1, ..., 2, 1.
 
-    In S_n the word telescopes to the identity, so the returned matrix must be
-    exactly the identity; callers treat anything else as a broken build.
+    In S_n the word telescopes to the identity, so column c must be exactly
+    ((c, 1),); callers treat anything else as a broken build.
     """
     word = list(range(1, rep.n)) + list(range(rep.n - 1, 0, -1))
     return evaluate_word(rep, word)

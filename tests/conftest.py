@@ -242,3 +242,40 @@ def oracle_has_repeated_root(q_coeffs) -> bool:
     sylvester = [[0] * i + u + [0] * (size - d - 1 - i) for i in range(d - 1)]
     sylvester += [[0] * i + du + [0] * (size - d - i) for i in range(d)]
     return _oracle_determinant(sylvester) == 0
+
+
+def oracle_last_letter_tableaux(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Standard tableaux of shape lam by brute force, in last-letter order.
+
+    Every filling of the diagram by 1..n is tried; the standard ones are
+    sorted by the rows holding n, n-1, ..., 1.
+    """
+    n = sum(lam)
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    found = []
+    for values in itertools.permutations(range(1, n + 1)):
+        at = dict(zip(cells, values))
+        if all(at[i, j] < at.get((i, j + 1), n + 1) and at[i, j] < at.get((i + 1, j), n + 1)
+               for i, j in cells):
+            row_of = {v: i for (i, _), v in at.items()}
+            key = tuple(row_of[v] for v in range(n, 0, -1))
+            found.append((key, tuple(tuple(at[i, j] for j in range(row)) for i, row in enumerate(lam))))
+    return [t for _, t in sorted(found)]
+
+
+def dense_from_columns(dim: int, columns) -> list[list[Fraction]]:
+    """The dim x dim matrix whose column c holds the (row, entry) pairs columns[c]."""
+    matrix = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, entries in enumerate(columns):
+        for r, v in entries:
+            matrix[r][c] = v
+    return matrix
+
+
+def dense_product(a, b) -> list[list[Fraction]]:
+    """Plain row-times-column product of two dense matrices."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def dense_identity(dim: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]

@@ -264,6 +264,7 @@ def test_config_file_flag(capsys, tmp_path, monkeypatch):
     pytest.param(["chartable", "15"], id="chartable-15"),
     pytest.param(["--n-cap", "5", "kron", "[3,3]", "[3,3]", "[6]"], id="kron-over-n-cap"),
     pytest.param(["--n-cap", "5", "tensor", "[3,3]", "[3,3]"], id="tensor-over-n-cap"),
+    pytest.param(["--n-cap", "5", "pieri", "[2,1]", "6"], id="pieri-over-n-cap"),
     pytest.param(["--n-cap", "5", "lr", "[3]", "[3]", "[4,2]"], id="lr-over-n-cap"),
     pytest.param(["--n-cap", "3", "rep-check", "[3,1]"], id="rep-check-over-n-cap"),
     pytest.param(["rep-check", "[5,3,2,1]"], id="rep-check-dim-2310"),

@@ -1,10 +1,13 @@
 """Lint checks with the stdlib only.
 
 No package module or test file imports a name it never uses, and no package
-module defines a private top-level name it never uses.
+module defines a private top-level name it never uses. Every function the
+benchmark tracer spans by name exists, and kronsec.__all__ lists exactly the
+names kronsec/__init__.py imports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ PACKAGE = TESTS.parent / "src" / "kronsec"
 # __init__.py imports names to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
+TRACER = TESTS.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,3 +74,28 @@ def test_the_scan_finds_a_dead_private_helper():
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
 def test_module_has_no_dead_private_helpers(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def spanned_names() -> dict[str, list[str]]:
+    """The tracer's SPANNED table, read from its source without importing it."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANNED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no SPANNED table")
+
+
+def test_every_traced_name_resolves():
+    # Tracer.install calls getattr on each name, so a deleted one breaks the traced run.
+    missing = [f"{home}.{name}" for home, names in spanned_names().items()
+               for name in names if not callable(getattr(importlib.import_module(home), name, None))]
+    assert missing == []
+
+
+def test_package_all_matches_its_imports():
+    import kronsec
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert sorted(kronsec.__all__) == sorted(imported)

@@ -3,9 +3,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import oracle_syt_count
+from conftest import (
+    dense_from_columns,
+    dense_identity,
+    dense_product,
+    oracle_last_letter_tableaux,
+    oracle_syt_count,
+)
 
-from kronsec import ratmat
 from kronsec.characters import mn_value
 from kronsec.errors import DomainError
 from kronsec.partitions import dimension, partitions_of
@@ -46,6 +51,12 @@ def test_last_letter_order_frozen_for_shape_32():
     assert last == ((1, 2, 3), (4, 5))
 
 
+def test_tableaux_come_in_last_letter_order_up_to_size_7():
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            assert list(standard_tableaux(lam)) == oracle_last_letter_tableaux(lam)
+
+
 def test_generators_satisfy_relations_up_to_size_5():
     for n in range(2, 6):
         for lam in partitions_of(n):
@@ -78,7 +89,9 @@ def test_check_relations_flags_corrupted_generators():
         (r1, v1), (r2, v2) = entries
         return ((r1, v2), (r2, v1))
 
-    assert check_relations(_corrupt(rep, 2, swapped))["involution"] is False
+    broken = _corrupt(rep, 2, swapped)
+    assert check_relations(broken)["involution"] is False
+    assert spherical_relation_image(broken) != tuple(((c, 1),) for c in range(broken.dim))
     # s_1 -> -1 squares to 1 and commutes with everything, but
     # (-1) s_2 (-1) = s_2 differs from s_2 (-1) s_2 = -1.
     minus_one = _corrupt(rep, 1, lambda c, entries: ((c, Fraction(-1)),))
@@ -96,10 +109,10 @@ def test_word_evaluation_against_dense_products():
         n = rep.n
         for _ in range(25):
             word = [rng.randrange(1, n) for _ in range(rng.randrange(1, 9))]
-            dense = ratmat.identity(rep.dim)
+            dense = dense_identity(rep.dim)
             for letter in word:
-                dense = ratmat.mat_mul(dense, rep.generator(letter))
-            assert evaluate_word(rep, word) == dense
+                dense = dense_product(dense, dense_from_columns(rep.dim, rep.generators[letter - 1]))
+            assert dense_from_columns(rep.dim, evaluate_word(rep, word)) == dense
 
 
 def test_traces_match_characters():
@@ -123,13 +136,14 @@ def test_spherical_relation_image_is_identity():
     for n in range(2, 7):
         for lam in partitions_of(n):
             rep = build_rep(lam)
-            assert spherical_relation_image(rep) == ratmat.identity(rep.dim)
+            image = dense_from_columns(rep.dim, spherical_relation_image(rep))
+            assert image == dense_identity(rep.dim)
 
 
 def test_entries_are_exact_fractions():
     rep = build_rep((3, 2))
     for i in range(1, rep.n):
-        for row in rep.generator(i):
+        for row in dense_from_columns(rep.dim, rep.generators[i - 1]):
             for entry in row:
                 assert isinstance(entry, Fraction)
 
@@ -144,6 +158,8 @@ def test_generator_index_bounds():
 
 def test_single_row_and_column_are_one_dimensional():
     top = build_rep((4,))
-    assert top.dim == 1 and all(top.generator(i)[0][0] == 1 for i in range(1, 4))
+    assert top.dim == 1 and all(
+        dense_from_columns(1, top.generators[i - 1])[0][0] == 1 for i in range(1, 4))
     sign = build_rep((1, 1, 1, 1))
-    assert sign.dim == 1 and all(sign.generator(i)[0][0] == -1 for i in range(1, 4))
+    assert sign.dim == 1 and all(
+        dense_from_columns(1, sign.generators[i - 1])[0][0] == -1 for i in range(1, 4))
