@@ -1,9 +1,11 @@
 """Exact S_n character arithmetic.
 
-Irreducible character values come from the Murnaghan-Nakayama border-strip
-recursion, memoized on (shape, remaining cycle type). Everything downstream
-(Kronecker coefficients, tensor decompositions, the character route to
-Littlewood-Richardson numbers) is an exact class-weighted sum over a cached
+Irreducible character values come from the Murnaghan-Nakayama rule read
+forwards: the power sum p_mu is expanded in the Schur basis one part at a
+time, with shapes stored as bead bitmasks (beta-sets on the abacus), so one
+expansion per cycle type gives a whole column of the table. Everything
+downstream (Kronecker coefficients, tensor decompositions, the character route
+to Littlewood-Richardson numbers) is an exact class-weighted sum over a cached
 character table, with every division checked to be exact: a non-integral or
 negative multiplicity is an internal fault, not a value.
 
@@ -32,43 +34,50 @@ from .partitions import (
 )
 
 
-def _betas(lam: Partition, rows: int) -> list[int]:
-    """First-column hook lengths (beta numbers) for a diagram padded to `rows`."""
-    return [lam[i] + (rows - 1 - i) if i < len(lam) else (rows - 1 - i) for i in range(rows)]
+def _beads(lam: Partition, beads: int) -> int:
+    """Bitmask of the beta-set of lam on `beads` beads: bit lam_i + beads - 1 - i for each i."""
+    mask = (1 << (beads - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + beads - 1 - i)
+    return mask
 
 
-def _partition_from_betas(betas: list[int]) -> Partition:
-    bs = sorted(betas, reverse=True)
-    rows = len(bs)
-    return tuple(p for p in (bs[i] - (rows - 1 - i) for i in range(rows)) if p > 0)
+@cache
+def _expansion(mu: Partition) -> dict[int, int]:
+    """p_mu in the Schur basis: bead mask of lam on |mu| beads -> chi^lam(mu), nonzero only.
 
-
-def _strip_removals(lam: Partition, r: int):
-    """Yield (sign, smaller shape) for every removable border strip of size r."""
-    rows = len(lam) if lam else 1
-    betas = _betas(lam, rows)
-    present = set(betas)
-    for b in betas:
-        target = b - r
-        if target < 0 or target in present:
-            continue
-        height = sum(1 for other in betas if target < other < b)
-        sign = -1 if height % 2 else 1
-        yield sign, _partition_from_betas([target if x == b else x for x in betas])
+    p_mu = p_{mu_1} * p_{mu_2 mu_3 ...}, and p_r * s_nu adds each border strip
+    of size r to nu: on the abacus one bead moves from b to an empty b + r,
+    with sign (-1)^(beads strictly between). James-Kerber 1981, section 2.7.
+    """
+    if not mu:
+        return {0: 1}
+    r = mu[0]
+    low = (1 << r) - 1
+    between = low >> 1
+    out: dict[int, int] = {}
+    for mask, value in _expansion(mu[1:]).items():
+        mask = (mask << r) | low
+        movable = mask & ~(mask >> r)
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            moved = mask ^ bit ^ (bit << r)
+            jumped = (mask >> bit.bit_length()) & between
+            out[moved] = out.get(moved, 0) + (-value if jumped.bit_count() & 1 else value)
+    return {mask: value for mask, value in out.items() if value}
 
 
 @cache
 def mn_value(lam: Partition, mu: Partition) -> int:
     """Character value chi^lam at cycle type mu, by Murnaghan-Nakayama."""
-    if size(lam) != size(mu):
+    n = size(mu)
+    if size(lam) != n:
         raise DomainError(
             f"shape and cycle type must partition the same n: |{format_partition(lam)}| = "
-            f"{size(lam)} vs |{format_partition(mu)}| = {size(mu)}"
+            f"{size(lam)} vs |{format_partition(mu)}| = {n}"
         )
-    if not lam:
-        return 1
-    r, rest = mu[0], mu[1:]
-    return sum(sign * mn_value(smaller, rest) for sign, smaller in _strip_removals(lam, r))
+    return _expansion(mu).get(_beads(lam, n), 0)
 
 
 class CharacterTable:
@@ -108,8 +117,10 @@ class CharacterTable:
 def _table(n: int) -> CharacterTable:
     shapes = partitions_of(n)
     classes = conjugacy_classes(n)
+    columns = [_expansion(cc.cycle_type) for cc in classes]
     values = tuple(
-        tuple(mn_value(lam, cc.cycle_type) for cc in classes) for lam in shapes
+        tuple(col.get(mask, 0) for col in columns)
+        for mask in (_beads(lam, n) for lam in shapes)
     )
     return CharacterTable(n, shapes, classes, values)
 

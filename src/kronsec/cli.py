@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from . import apolarity, brionlab, characters, curvebounds, monodromy, seminormal
-from .config import DEFAULT_DIM_CAP, Config, load_config
+from .config import DEFAULT_DIM_CAP, LOOP_SAMPLES_CAP, WORD_SAMPLES_CAP, Config, load_config
 from .errors import (
     CapacityError,
     ConsistencyError,
@@ -145,6 +145,13 @@ def _require_within(what: str, value: int, cap: int) -> None:
         raise CapacityError(f"{what} exceeds the configured bound {cap}")
 
 
+def _require_count(flag: str, value: int, cap: int) -> None:
+    """A sample count: negative is a domain error, above `cap` a capacity error."""
+    if value < 0:
+        raise DomainError(f"{flag} must be nonnegative, got {value}")
+    _require_within(f"{flag} {value}", value, cap)
+
+
 def _scalar(x):
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else str(x)
@@ -237,6 +244,7 @@ def _cmd_rep_check(args, cfg: Config, human: bool) -> int:
     shape, dim = format_partition(lam), dimension(lam)
     _require_within(f"shape {shape} of size {size(lam)}", size(lam), cfg.n_cap)
     _require_within(f"shape {shape} of dimension {dim}", dim, DEFAULT_DIM_CAP)
+    _require_count("--words", args.words, WORD_SAMPLES_CAP)
     rep = seminormal.build_rep(lam)
     relations = seminormal.check_relations(rep)
     image = seminormal.spherical_relation_image(rep)
@@ -381,6 +389,7 @@ def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
         check = monodromy.spherical_word_check(args.n, **kwargs)
         _emit({"n": args.n, "identity": check.identity, **_loop_json(check.loop)}, cfg, human)
         return 0
+    _require_count("--samples", args.samples, LOOP_SAMPLES_CAP)
     report = monodromy.defining_rep_decomposition(args.n, sample_loops=args.samples,
                                                   seed=cfg.seed, **kwargs)
     _emit({

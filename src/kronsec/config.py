@@ -20,6 +20,11 @@ DEFAULT_SWEEP_CAP = 10
 MIN_PRECISION_BITS = 53
 # Largest seminormal dimension rep-check builds; fixed, not a Config field.
 DEFAULT_DIM_CAP = 2000
+# Most random words `rep-check --words` traces and `monodromy --samples`
+# tracks; fixed, not Config fields. At each bound `rep-check "[2,1]"` and
+# `monodromy --defining --n 4` take about 10 s on a 2-core host.
+WORD_SAMPLES_CAP = 100_000
+LOOP_SAMPLES_CAP = 40
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from math import factorial
 
 import mpmath
 
+from .characters import character_table
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .permutations import (
@@ -472,8 +473,6 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
     all of S_n, then splits the fixed-point character against the character
     table. The split must come out {(n): 1, (n-1, 1): 1}; callers assert that.
     """
-    from .characters import character_table
-
     if n < 2:
         raise DomainError(f"the defining action needs n >= 2 roots, got {n}")
     gen_perms = [standard_generator_loop(n, i, **kwargs).permutation for i in range(1, n)]

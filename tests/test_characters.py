@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, factorial
 
 import pytest
 from conftest import oracle_character_table, oracle_is_horizontal_strip
@@ -49,7 +49,7 @@ def test_s3_and_s4_tables_frozen():
         assert t4.row(lam) == row
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_table_matches_permutation_character_reduction(n):
     oracle = oracle_character_table(n)
     table = character_table(n)
@@ -69,7 +69,7 @@ def test_mn_sign_character_is_conjugation():
 
 
 def test_mn_dimension_column():
-    for n in range(8):
+    for n in range(13):
         for lam in partitions_of(n):
             assert mn_value(lam, (1,) * n) == dimension(lam)
 
@@ -80,11 +80,32 @@ def test_mn_size_mismatch_rejected():
 
 
 def test_row_orthogonality_small():
-    for n in range(1, 8):
+    for n in range(1, 13):
         t = character_table(n)
         for a in t.irreducibles:
             for b in t.irreducibles:
                 assert t.inner_product(t.row(a), t.row(b)) == (1 if a == b else 0)
+
+
+def test_column_orthogonality_small():
+    # sum_lam chi^lam(mu) chi^lam(nu) = delta_{mu,nu} n!/|C_mu|, the centralizer order
+    for n in range(1, 13):
+        t = character_table(n)
+        columns = list(zip(*t.values))
+        for j, (cc, column) in enumerate(zip(t.classes, columns)):
+            centralizer = factorial(n) // cc.cls_size
+            for k, other in enumerate(columns):
+                dot = sum(x * y for x, y in zip(column, other))
+                assert dot == (centralizer if j == k else 0)
+
+
+def test_table_past_the_default_n_cap():
+    n = 15
+    t = character_table(n)
+    for lam in t.irreducibles:
+        assert t.row(lam)[-1] == dimension(lam)
+        for cc in t.classes:
+            assert mn_value(lam, cc.cycle_type) == t.chi(lam, cc.cycle_type)
 
 
 def test_kronecker_known_values():

@@ -8,6 +8,7 @@ import pytest
 from kronsec import cli
 from kronsec.apolarity import parse_form
 from kronsec.cli import main
+from kronsec.config import LOOP_SAMPLES_CAP, WORD_SAMPLES_CAP
 
 
 def run(capsys, *argv):
@@ -278,6 +279,9 @@ def test_config_file_flag(capsys, tmp_path, monkeypatch):
     pytest.param(["--n-cap", "5", "monodromy", "--spec",
                   '{"base": [720, -1764, 1624, -735, 175, -21, 1], "segments": ["half_twist(1)"]}'],
                  id="spec-over-n-cap"),
+    pytest.param(["rep-check", "[2,1]", "--words", str(WORD_SAMPLES_CAP + 1)], id="words-over-cap"),
+    pytest.param(["monodromy", "--defining", "--n", "4", "--samples", str(LOOP_SAMPLES_CAP + 1)],
+                 id="samples-over-cap"),
 ])
 def test_cap_exceeded_is_a_capacity_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -285,6 +289,18 @@ def test_cap_exceeded_is_a_capacity_error(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "capacity"
     assert "exceeds the configured bound" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep-check", "[2,1]", "--words", "-2"],
+    ["monodromy", "--defining", "--n", "3", "--samples", "-3"],
+], ids=["words", "samples"])
+def test_negative_sample_count_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "domain"
+    assert "must be nonnegative" in payload["message"]
 
 
 def test_unconverged_base_roots_are_a_precision_error(capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 No package module or test file imports a name it never uses, and no package
 module defines a private top-level name it never uses. Every function the
-benchmark tracer spans by name exists, and kronsec.__all__ lists exactly the
+benchmark tracer spans by name exists, every cache the benchmark reads
+statistics from stays a functools cache, and kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ PACKAGE = TESTS.parent / "src" / "kronsec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 TRACER = TESTS.parent / "perfbench" / "tracing.py"
+RUNNER = TESTS.parent / "perfbench" / "run.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -90,6 +93,16 @@ def test_every_traced_name_resolves():
     missing = [f"{home}.{name}" for home, names in spanned_names().items()
                for name in names if not callable(getattr(importlib.import_module(home), name, None))]
     assert missing == []
+
+
+def test_benchmark_cache_keys_are_functools_caches():
+    # run.py indexes its cache statistics by these names, so --trace 1 needs each to stay a cache.
+    keys = set(re.findall(r'caches\.(?:hits|misses|peak)\["([\w.]+)"\]', RUNNER.read_text(encoding="utf-8")))
+    assert keys == {"characters.mn_value", "partitions.partitions_of"}
+    for key in keys:
+        home, name = key.rsplit(".", 1)
+        fn = getattr(importlib.import_module(f"kronsec.{home}"), name)
+        assert callable(getattr(fn, "cache_info", None)) and callable(getattr(fn, "cache_clear", None)), key
 
 
 def test_package_all_matches_its_imports():
