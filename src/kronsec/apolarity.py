@@ -37,6 +37,10 @@ from .config import DEFAULT_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 
 RESAMPLE_BOUND = 32
+# Guard bits the numeric coefficient solve works at above `precision_bits`;
+# the CLI prints approximate coefficients at the same precision, so the
+# printed certificate rebuilds the form within its own error_bound.
+SOLVE_GUARD_BITS = 96
 
 
 # --- the form type and its text format --------------------------------------
@@ -431,7 +435,7 @@ def _mp(x):
 
 def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
     n = p.degree
-    with mpmath.workprec(precision_bits + 96):
+    with mpmath.workprec(precision_bits + SOLVE_GUARD_BITS):
         rows = n + 1
         cols = len(points)
         mat = mpmath.matrix(rows, cols)

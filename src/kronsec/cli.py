@@ -2,8 +2,9 @@
 
 Every subcommand prints a single JSON object (or, for the report streams,
 JSON Lines) to the configured output. --human switches to an indented or
-tabular rendering of the same data. Exit codes: 0 success, 1 domain or usage
-errors, 2 internal consistency failure or any other unexpected exception.
+tabular rendering of the same data. Exit codes: 0 success; on an error, the
+kind and exit code its class in errors.py names (1 for usage and domain
+errors, 2 for a consistency failure); 2 for any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -13,25 +14,20 @@ import json
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import mpmath
 
 from . import apolarity, brionlab, characters, curvebounds, monodromy, seminormal
 from .config import DEFAULT_DIM_CAP, LOOP_SAMPLES_CAP, WORD_SAMPLES_CAP, Config, load_config
-from .errors import (
-    CapacityError,
-    ConsistencyError,
-    DomainError,
-    KronsecError,
-    PrecisionError,
-)
+from .errors import CapacityError, DomainError, KronsecError
 from .partitions import dimension, format_partition, parse_partition, size
 from .permutations import cycle_notation
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(KronsecError):
+    kind = "usage"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,23 +116,10 @@ def _build_parser() -> _Parser:
 
 
 def _merge_config(args) -> Config:
+    """The file config with every given global flag on top; each flag's dest is its field."""
     cfg = load_config(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.precision_bits is not None:
-        updates["precision_bits"] = args.precision_bits
-    if args.n_cap is not None:
-        updates["n_cap"] = args.n_cap
-    if args.sweep_cap is not None:
-        updates["sweep_cap"] = args.sweep_cap
-    if args.output is not None:
-        updates["output"] = args.output
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(Config)
+                           if getattr(args, f.name) is not None})
 
 
 def _require_within(what: str, value: int, cap: int) -> None:
@@ -179,13 +162,13 @@ def _emit(obj: dict, cfg: Config, human: bool) -> None:
             out.write(json.dumps(obj, separators=(",", ":"), default=_scalar) + "\n")
 
 
-def _cmd_chartable(args, cfg: Config, human: bool) -> int:
+def _cmd_chartable(args, cfg: Config) -> dict | None:
     _require_within(f"character table for n={args.n}", args.n, cfg.n_cap)
     table = characters.character_table(args.n)
     shapes = [format_partition(lam) for lam in table.irreducibles]
     classes = [format_partition(c.cycle_type) for c in table.classes]
     sizes = [c.cls_size for c in table.classes]
-    if human:
+    if args.human:
         with _sink(cfg) as out:
             width = max(len(s) for s in shapes + classes) + 2
             out.write(" " * width + "".join(c.rjust(width) for c in classes) + "\n")
@@ -193,29 +176,26 @@ def _cmd_chartable(args, cfg: Config, human: bool) -> int:
             for lam, row in zip(table.irreducibles, table.values):
                 out.write(format_partition(lam).rjust(width)
                           + "".join(str(v).rjust(width) for v in row) + "\n")
-        return 0
-    _emit({"n": args.n, "classes": classes, "class_sizes": sizes,
-           "shapes": shapes, "table": [list(row) for row in table.values]}, cfg, human)
-    return 0
+        return None
+    return {"n": args.n, "classes": classes, "class_sizes": sizes,
+            "shapes": shapes, "table": [list(row) for row in table.values]}
 
 
-def _cmd_kron(args, cfg: Config, human: bool) -> int:
+def _cmd_kron(args, cfg: Config) -> dict:
     lam = parse_partition(args.lam)
     _require_within(f"Kronecker coefficient for n={size(lam)}", size(lam), cfg.n_cap)
     value = characters.kronecker(lam, parse_partition(args.omega), parse_partition(args.sigma))
-    _emit({"kron": value}, cfg, human)
-    return 0
+    return {"kron": value}
 
 
-def _cmd_lr(args, cfg: Config, human: bool) -> int:
+def _cmd_lr(args, cfg: Config) -> dict:
     sigma = parse_partition(args.sigma)
     _require_within(f"LR number for |sigma|={size(sigma)}", size(sigma), cfg.n_cap)
     value = characters.lr_checked(parse_partition(args.lam), parse_partition(args.omega), sigma)
-    _emit({"lr": value}, cfg, human)
-    return 0
+    return {"lr": value}
 
 
-def _cmd_pieri(args, cfg: Config, human: bool) -> int:
+def _cmd_pieri(args, cfg: Config) -> dict:
     lam = parse_partition(args.lam)
     _require_within(f"pieri decomposition for n={args.n}", args.n, cfg.n_cap)
     # Partitions of one n in reverse-lex order are in descending tuple order.
@@ -224,22 +204,20 @@ def _cmd_pieri(args, cfg: Config, human: bool) -> int:
            "terms": [format_partition(mu) for mu in terms]}
     if args.distinguished:
         obj["distinguished"] = format_partition(characters.pieri_distinguished(lam, args.n))
-    _emit(obj, cfg, human)
-    return 0
+    return obj
 
 
-def _cmd_tensor(args, cfg: Config, human: bool) -> int:
+def _cmd_tensor(args, cfg: Config) -> dict:
     lam = parse_partition(args.lam)
     omega = parse_partition(args.omega)
     _require_within(f"tensor decomposition for n={size(lam)}", size(lam), cfg.n_cap)
     # tensor_decompose lists the shapes in partitions_of order already.
     decomp = characters.tensor_decompose(lam, omega)
-    _emit({"lambda": format_partition(lam), "omega": format_partition(omega),
-           "terms": {format_partition(sig): m for sig, m in decomp.items()}}, cfg, human)
-    return 0
+    return {"lambda": format_partition(lam), "omega": format_partition(omega),
+            "terms": {format_partition(sig): m for sig, m in decomp.items()}}
 
 
-def _cmd_rep_check(args, cfg: Config, human: bool) -> int:
+def _cmd_rep_check(args, cfg: Config) -> dict:
     lam = parse_partition(args.lam)
     shape, dim = format_partition(lam), dimension(lam)
     _require_within(f"shape {shape} of size {size(lam)}", size(lam), cfg.n_cap)
@@ -259,18 +237,16 @@ def _cmd_rep_check(args, cfg: Config, human: bool) -> int:
             if seminormal.word_trace(rep, word) != expected:
                 traces_ok = False
             sampled += 1
-    _emit({"shape": shape, "n": rep.n, "dim": rep.dim,
-           **relations, "spherical_identity": spherical,
-           "word_samples": sampled, "word_traces_ok": traces_ok,
-           "seed": cfg.seed}, cfg, human)
-    return 0
+    return {"shape": shape, "n": rep.n, "dim": rep.dim,
+            **relations, "spherical_identity": spherical,
+            "word_samples": sampled, "word_traces_ok": traces_ok,
+            "seed": cfg.seed}
 
 
-def _cmd_secant(args, cfg: Config, human: bool) -> int:
+def _cmd_secant(args, cfg: Config) -> dict:
     p = apolarity.parse_form(args.form)
     dim = apolarity.kernel_dimension(p, args.k)
-    _emit({"member": dim > 0, "kernel_dimension": dim}, cfg, human)
-    return 0
+    return {"member": dim > 0, "kernel_dimension": dim}
 
 
 def _point_json(pt: apolarity.SupportPoint, number) -> dict:
@@ -279,19 +255,18 @@ def _point_json(pt: apolarity.SupportPoint, number) -> dict:
             "radius": None if pt.radius is None else float(pt.radius)}
 
 
-def _cmd_sylvester(args, cfg: Config, human: bool) -> int:
+def _cmd_sylvester(args, cfg: Config) -> dict:
     p = apolarity.parse_form(args.form)
     cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
-    # Approximate values print at the precision of the numeric solve, so the
-    # printed certificate rebuilds the form within its own error_bound.
-    digits = mpmath.libmp.prec_to_dps(cfg.precision_bits + 96)
+    # Approximate values print at the precision of the numeric solve.
+    digits = mpmath.libmp.prec_to_dps(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS)
 
     def number(x):
         if isinstance(x, (mpmath.mpf, mpmath.mpc)):
             return mpmath.nstr(x, digits)
         return _scalar(x)
 
-    _emit({
+    return {
         "form": apolarity.format_form(cert.form),
         "kernel_degree": cert.kernel_degree,
         "rank": cert.rank,
@@ -302,11 +277,10 @@ def _cmd_sylvester(args, cfg: Config, human: bool) -> int:
                         else [number(c) for c in cert.coefficients],
         "support_exact": cert.support_exact,
         "error_bound": None if cert.error_bound is None else float(cert.error_bound),
-    }, cfg, human)
-    return 0
+    }
 
 
-def _cmd_vdm(args, cfg: Config, human: bool) -> int:
+def _cmd_vdm(args, cfg: Config) -> dict:
     try:
         raw = json.loads(args.nodes)
     except json.JSONDecodeError as exc:
@@ -314,19 +288,16 @@ def _cmd_vdm(args, cfg: Config, human: bool) -> int:
     if not isinstance(raw, list):
         raise DomainError("nodes must be a JSON list")
     nodes = [tuple(x) if isinstance(x, list) else x for x in raw]
-    _emit({"rank": apolarity.vandermonde_rank(nodes, args.degree)}, cfg, human)
-    return 0
+    return {"rank": apolarity.vandermonde_rank(nodes, args.degree)}
 
 
-def _cmd_join(args, cfg: Config, human: bool) -> int:
+def _cmd_join(args, cfg: Config) -> dict:
     result = apolarity.join_rank_check(apolarity.parse_form(args.form1),
                                        apolarity.parse_form(args.form2))
-    _emit({"a": result.a, "b": result.b, "c": result.c,
-           "sum_is_zero": result.sum_is_zero}, cfg, human)
-    return 0
+    return {"a": result.a, "b": result.b, "c": result.c, "sum_is_zero": result.sum_is_zero}
 
 
-def _cmd_curve_bounds(args, cfg: Config, human: bool) -> int:
+def _cmd_curve_bounds(args, cfg: Config) -> dict:
     ctx = curvebounds.CurveContext(genus=args.genus, degree=args.degree)
     obj: dict = {}
     if args.twist is not None:
@@ -335,8 +306,7 @@ def _cmd_curve_bounds(args, cfg: Config, human: bool) -> int:
         obj["separates"] = curvebounds.separates_2k(ctx, args.k)
     if not obj:
         obj["max_k"] = curvebounds.max_admissible_k(ctx)
-    _emit(obj, cfg, human)
-    return 0
+    return obj
 
 
 def _loop_json(loop: monodromy.MonodromyLoop) -> dict:
@@ -352,7 +322,7 @@ def _loop_json(loop: monodromy.MonodromyLoop) -> dict:
     }
 
 
-def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
+def _cmd_monodromy(args, cfg: Config) -> dict:
     chosen = [bool(args.spec), args.word is not None, args.spherical, args.defining]
     if sum(chosen) != 1:
         raise DomainError("pick exactly one of --spec, --word, --spherical, --defining")
@@ -371,9 +341,7 @@ def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
             raise DomainError(f"loop spec is not valid JSON: {exc}") from None
         base, segments, tolerance = monodromy.parse_loop_spec(data)
         _require_within(f"loop base of degree {len(base) - 1}", len(base) - 1, cfg.n_cap)
-        loop = monodromy.track_roots(base, segments, tolerance=tolerance, **kwargs)
-        _emit(_loop_json(loop), cfg, human)
-        return 0
+        return _loop_json(monodromy.track_roots(base, segments, tolerance=tolerance, **kwargs))
     if args.n is None:
         raise DomainError("--word, --spherical, and --defining need --n")
     _require_within(f"monodromy on n={args.n} roots", args.n, cfg.n_cap)
@@ -382,17 +350,14 @@ def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
             word = [int(part) for part in args.word.split(",") if part.strip()]
         except ValueError:
             raise DomainError(f"word must be comma-separated integers, got {args.word!r}") from None
-        loop = monodromy.word_loop(args.n, word, **kwargs)
-        _emit(_loop_json(loop), cfg, human)
-        return 0
+        return _loop_json(monodromy.word_loop(args.n, word, **kwargs))
     if args.spherical:
         check = monodromy.spherical_word_check(args.n, **kwargs)
-        _emit({"n": args.n, "identity": check.identity, **_loop_json(check.loop)}, cfg, human)
-        return 0
+        return {"n": args.n, "identity": check.identity, **_loop_json(check.loop)}
     _require_count("--samples", args.samples, LOOP_SAMPLES_CAP)
     report = monodromy.defining_rep_decomposition(args.n, sample_loops=args.samples,
                                                   seed=cfg.seed, **kwargs)
-    _emit({
+    return {
         "n": report.n,
         "generators": [cycle_notation(p) for p in report.generator_permutations],
         "word_samples": report.word_samples,
@@ -400,8 +365,7 @@ def _cmd_monodromy(args, cfg: Config, human: bool) -> int:
         "group_order": report.group_order,
         "decomposition": {format_partition(lam): m for lam, m in report.decomposition.items()},
         "seed": report.seed,
-    }, cfg, human)
-    return 0
+    }
 
 
 def _record_line(record: brionlab.BrionRecord, human: bool) -> str:
@@ -411,7 +375,7 @@ def _record_line(record: brionlab.BrionRecord, human: bool) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _stream_records(records, cfg: Config, human: bool) -> int:
+def _stream_records(records, cfg: Config, human: bool) -> None:
     with _sink(cfg) as out:
 
         def written():
@@ -425,19 +389,20 @@ def _stream_records(records, cfg: Config, human: bool) -> int:
             out.write(" ".join(f"{k}={v}" for k, v in summary.items()) + "\n")
         else:
             out.write(json.dumps({"summary": summary}, separators=(",", ":")) + "\n")
-    return 0
 
 
-def _cmd_brion_sweep(args, cfg: Config, human: bool) -> int:
+def _cmd_brion_sweep(args, cfg: Config) -> None:
     _require_within(f"sweep up to n={args.n_max}", args.n_max, min(cfg.sweep_cap, cfg.n_cap))
-    return _stream_records(brionlab.sweep(args.n_max, mode=args.mode), cfg, human)
+    _stream_records(brionlab.sweep(args.n_max, mode=args.mode), cfg, args.human)
 
 
-def _cmd_brion_boundary(args, cfg: Config, human: bool) -> int:
+def _cmd_brion_boundary(args, cfg: Config) -> None:
     _require_within(f"boundary scan at n={args.n}", args.n, min(cfg.sweep_cap, cfg.n_cap))
-    return _stream_records(brionlab.boundary_scan(args.n, mode=args.mode), cfg, human)
+    _stream_records(brionlab.boundary_scan(args.n, mode=args.mode), cfg, args.human)
 
 
+# Each handler returns its JSON object for main to write, or writes a stream
+# or grid through _sink itself and returns None.
 _COMMANDS = {
     "chartable": _cmd_chartable,
     "kron": _cmd_kron,
@@ -462,30 +427,16 @@ def _error_line(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _error_line("usage", str(exc))
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](args, cfg, args.human)
-    except ConsistencyError as exc:
-        _error_line("consistency", str(exc))
-        return 2
-    except CapacityError as exc:
-        _error_line("capacity", str(exc))
-        return 1
-    except PrecisionError as exc:
-        _error_line("precision", str(exc))
-        return 1
-    except DomainError as exc:
-        _error_line("domain", str(exc))
-        return 1
-    except KronsecError as exc:
-        _error_line("error", str(exc))
-        return 1
+        obj = _COMMANDS[args.command](args, cfg)
+        if obj is not None:
+            _emit(obj, cfg, args.human)
+        return 0
+    except KronsecError as exc:  # the class names its kind and exit code
+        _error_line(exc.kind, str(exc))
+        return exc.exit_code
     except Exception as exc:  # the boundary: no traceback reaches the user
         _error_line("internal", f"{type(exc).__name__}: {exc}")
         return 2

@@ -8,7 +8,7 @@ then per-invocation command line flags on top.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
 
@@ -46,11 +46,10 @@ class Config:
             raise DomainError(f"sweep_cap must be nonnegative, got {self.sweep_cap}")
 
 
-_INT_FIELDS = ("n_cap", "precision_bits", "sweep_cap", "seed")
-
-
 def parse_config_text(text: str) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines; blank lines and # comments ignored. Each key is a `Config`
+    field; its value converts by the type of the field's default (int or str)."""
+    types = {f.name: type(f.default) for f in fields(Config)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -61,15 +60,12 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _INT_FIELDS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise DomainError(f"config key {key} needs an integer, got {value!r}") from None
-        elif key == "output":
-            values[key] = value
-        else:
+        if key not in types:
             raise DomainError(f"unknown config key {key!r} on line {lineno}")
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            raise DomainError(f"config key {key} needs an integer, got {value!r}") from None
     return values
 
 

@@ -475,6 +475,8 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
     """
     if n < 2:
         raise DomainError(f"the defining action needs n >= 2 roots, got {n}")
+    if sample_loops < 0:
+        raise DomainError(f"sample_loops must be nonnegative, got {sample_loops}")
     gen_perms = [standard_generator_loop(n, i, **kwargs).permutation for i in range(1, n)]
     _require_connected_transpositions(n, gen_perms)
 

@@ -70,7 +70,7 @@ def cycle_notation(p: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in nontrivial)
 
 
-def generated_group(gens: list[tuple[int, ...]], limit: int | None = None) -> set[tuple[int, ...]]:
+def generated_group(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """Closure of the generators under composition (plain BFS).
 
     Costs the order of the group, n! for S_n, so no command calls it; the
@@ -87,8 +87,6 @@ def generated_group(gens: list[tuple[int, ...]], limit: int | None = None) -> se
             for g in gens:
                 q = compose(g, p)
                 if q not in seen:
-                    if limit is not None and len(seen) >= limit:
-                        raise ValueError(f"group closure exceeded limit {limit}")
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt

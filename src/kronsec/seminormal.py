@@ -30,7 +30,7 @@ from functools import cache
 
 from .errors import ConsistencyError, DomainError
 from .partitions import Partition, dimension, format_partition, size, validate_partition
-from .permutations import perm_of_word
+from .permutations import cycle_type, perm_of_word
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -158,8 +158,6 @@ def word_trace(rep: SeminormalRep, word) -> Fraction:
 
 
 def word_cycle_type(rep: SeminormalRep, word) -> Partition:
-    from .permutations import cycle_type
-
     return cycle_type(perm_of_word(rep.n, list(word)))
 
 

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -9,6 +11,13 @@ from kronsec import cli
 from kronsec.apolarity import parse_form
 from kronsec.cli import main
 from kronsec.config import LOOP_SAMPLES_CAP, WORD_SAMPLES_CAP
+from kronsec.errors import (
+    CapacityError,
+    ConsistencyError,
+    DomainError,
+    KronsecError,
+    PrecisionError,
+)
 
 
 def run(capsys, *argv):
@@ -366,8 +375,33 @@ def test_injected_corruption_reaches_brion_sweep(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("error, kind, exit_code", [
+    (DomainError, "domain", 1),
+    (CapacityError, "capacity", 1),
+    (PrecisionError, "precision", 1),
+    (ConsistencyError, "consistency", 2),
+    (KronsecError, "error", 1),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_each_error_class_names_its_kind_and_exit_code(capsys, monkeypatch, error, kind, exit_code):
+    def raising(args, cfg):
+        raise error("stubbed")
+
+    monkeypatch.setitem(cli._COMMANDS, "kron", raising)
+    code, out, err = run(capsys, "kron", "[2,1]", "[2,1]", "[3]")
+    assert (code, out) == (exit_code, "")
+    assert json.loads(err) == {"error": kind, "message": "stubbed"}
+
+
+def test_every_subcommand_has_one_handler_taking_args_and_cfg():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli._COMMANDS)
+    for name, handler in cli._COMMANDS.items():
+        assert list(inspect.signature(handler).parameters) == ["args", "cfg"], name
+
+
 def test_unexpected_exception_is_a_json_internal_error(capsys, monkeypatch):
-    def boom(args, cfg, human):
+    def boom(args, cfg):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "kron", boom)
@@ -378,7 +412,7 @@ def test_unexpected_exception_is_a_json_internal_error(capsys, monkeypatch):
 
 
 def test_base_exceptions_still_propagate(capsys, monkeypatch):
-    def interrupted(args, cfg, human):
+    def interrupted(args, cfg):
         raise KeyboardInterrupt
 
     monkeypatch.setitem(cli._COMMANDS, "kron", interrupted)

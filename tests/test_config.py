@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from kronsec import cli
 from kronsec.config import Config, load_config, parse_config_text
 from kronsec.errors import DomainError
 
@@ -75,3 +78,23 @@ def test_file_values_still_validated(tmp_path, monkeypatch):
     path.write_text("precision_bits = 10\n")
     with pytest.raises(DomainError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("field", fields(Config), ids=lambda f: f.name)
+def test_every_field_is_a_config_key_and_a_flag_and_the_flag_wins(field, tmp_path, monkeypatch):
+    monkeypatch.delenv("KRONSEC_CONFIG", raising=False)
+    if type(field.default) is int:
+        from_file, from_flag = field.default + 1, field.default + 2
+    elif type(field.default) is str:
+        from_file, from_flag = "from-file.json", "from-flag.json"
+    else:
+        pytest.fail(f"no config key type for {field.name}")
+    path = tmp_path / "kronsec.cfg"
+    path.write_text(f"{field.name} = {from_file}\n")
+    command = ["kron", "[1]", "[1]", "[1]"]
+    parser = cli._build_parser()
+    args = parser.parse_args(["--config", str(path), *command])
+    assert getattr(cli._merge_config(args), field.name) == from_file
+    flag = "--" + field.name.replace("_", "-")
+    args = parser.parse_args(["--config", str(path), flag, str(from_flag), *command])
+    assert getattr(cli._merge_config(args), field.name) == from_flag

@@ -136,6 +136,15 @@ def test_defining_rep_decomposition_never_closes_the_group(monkeypatch):
     assert report.decomposition == {(4,): 1, (3, 1): 1}
 
 
+def test_negative_sample_loops_is_a_domain_error_before_any_tracking(monkeypatch):
+    def tracked(*args, **kwargs):
+        raise AssertionError("a loop was tracked")
+
+    monkeypatch.setattr(monodromy, "standard_generator_loop", tracked)
+    with pytest.raises(DomainError, match="sample_loops must be nonnegative, got -3"):
+        defining_rep_decomposition(2, sample_loops=-3)
+
+
 def _tracked_as(monkeypatch, perms):
     """Make standard_generator_loop report the given permutations."""
     monkeypatch.setattr(monodromy, "standard_generator_loop",
