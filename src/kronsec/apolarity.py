@@ -294,20 +294,17 @@ def _refine_root(ints: list[int], z0, precision_bits: int):
     for prec in (precision_bits + 64, precision_bits + 160, precision_bits + 400, precision_bits + 900):
         with mpmath.workprec(prec):
             u_coeffs = [mpmath.mpf(c) for c in reversed(ints)]
-            du_coeffs = [mpmath.mpf(i * ints[i]) for i in range(deg, 0, -1)]
             tiny = mpmath.mpf(2) ** (-(prec - 8))
             z = mpmath.mpc(z0)
             for _ in range(80):
-                u = mpmath.polyval(u_coeffs, z)
-                du = mpmath.polyval(du_coeffs, z)
+                u, du = mpmath.polyval(u_coeffs, z, derivative=True)
                 if du == 0:
                     break
                 step = u / du
                 z -= step
                 if abs(step) < tiny:
                     break
-            u = mpmath.polyval(u_coeffs, z)
-            du = mpmath.polyval(du_coeffs, z)
+            u, du = mpmath.polyval(u_coeffs, z, derivative=True)
             if du != 0:
                 radius = deg * abs(u / du)
                 if radius < target:
@@ -516,14 +513,17 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
 # --- Vandermonde ranks and joins ----------------------------------------------
 
 def _parse_node(node) -> tuple[int, int]:
-    if isinstance(node, str):
-        text = node.strip()
-        if text in ("inf", "oo", "infinity"):
-            return (1, 0)
-        return normalize_point(Fraction(text), 1)
-    if isinstance(node, tuple):
-        return normalize_point(*node)
-    return normalize_point(Fraction(node), 1)
+    try:
+        if isinstance(node, str):
+            text = node.strip()
+            if text in ("inf", "oo", "infinity"):
+                return (1, 0)
+            return normalize_point(Fraction(text), 1)
+        if isinstance(node, tuple):
+            return normalize_point(*node)
+        return normalize_point(Fraction(node), 1)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"bad node {node!r}: {exc}") from None
 
 
 def vandermonde_rank(nodes: Sequence, degree: int) -> int:

@@ -149,9 +149,13 @@ def _scalar(x):
 def _sink(cfg: Config):
     if cfg.output in ("-", ""):
         yield sys.stdout
-    else:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(cfg.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot open output {cfg.output}: {exc}") from None
+    with fh:
+        yield fh
 
 
 def _emit(obj: dict, cfg: Config, human: bool) -> None:

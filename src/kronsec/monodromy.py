@@ -26,6 +26,8 @@ Paths compose left to right; the tracked permutation of a concatenation is
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -73,8 +75,8 @@ class HalfTwist:
         rs[self.i - 1], rs[self.i] = lo, hi
         return rs
 
-    def coeffs_at(self, t: float, ctx: "TrackContext"):
-        return _poly_from_roots(self.roots_at(t, ctx.base_roots), ctx.leading)
+    def coeffs_at(self, t: float, base_coeffs, base_roots):
+        return _poly_from_roots(self.roots_at(t, base_roots), base_coeffs[-1])
 
     def describe(self) -> str:
         return f"half_twist({self.i})"
@@ -87,8 +89,8 @@ class CoefficientCircle:
     index: int
     radius: float
 
-    def coeffs_at(self, t: float, ctx: "TrackContext"):
-        coeffs = list(ctx.base_coeffs)
+    def coeffs_at(self, t: float, base_coeffs, base_roots):
+        coeffs = list(base_coeffs)
         coeffs[self.index] = coeffs[self.index] * mpmath.expjpi(2 * t)
         return coeffs
 
@@ -102,14 +104,7 @@ _SEGMENT_RE = re.compile(r"^\s*(half_twist|circle)\s*\(\s*([^)]*)\)\s*$")
 
 
 def parse_segment(spec) -> Segment:
-    """Accept "half_twist(2)" / "circle(0, 1.0)" strings or explicit dicts."""
-    if isinstance(spec, dict):
-        kind = spec.get("type")
-        if kind == "half_twist":
-            return HalfTwist(int(spec["i"]))
-        if kind == "circle":
-            return CoefficientCircle(int(spec["index"]), float(spec["radius"]))
-        raise DomainError(f"unknown segment type {kind!r}")
+    """Accept the strings "half_twist(2)" and "circle(0, 1.0)"."""
     m = _SEGMENT_RE.match(str(spec))
     if not m:
         raise DomainError(f"unparsable segment {spec!r}")
@@ -128,54 +123,56 @@ def parse_segment(spec) -> Segment:
 
 def parse_loop_spec(data: dict):
     """Split a loop description mapping into (base, segments, tolerance)."""
+    if not isinstance(data, dict):
+        raise DomainError("loop spec must be a JSON object")
     if "base" not in data or "segments" not in data:
         raise DomainError("loop spec needs 'base' and 'segments'")
+    if not isinstance(data["base"], list) or not isinstance(data["segments"], list):
+        raise DomainError("loop spec 'base' and 'segments' must be lists")
     base = [_as_complex(c) for c in data["base"]]
     segments = [parse_segment(s) for s in data["segments"]]
-    tolerance = float(data.get("tolerance", DEFAULT_TOLERANCE))
-    if tolerance <= 0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
+    tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
+    try:
+        tolerance = float(tolerance)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"tolerance must be a number, got {tolerance!r}") from None
+    if not 0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
     return base, segments, tolerance
 
 
 def _as_complex(entry) -> complex:
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise DomainError(f"complex coefficient entries are [re, im], got {entry!r}")
-        return complex(float(entry[0]), float(entry[1]))
-    return complex(entry)
+    try:
+        if isinstance(entry, (list, tuple)):
+            if len(entry) != 2:
+                raise DomainError(f"complex coefficient entries are [re, im], got {entry!r}")
+            value = complex(float(entry[0]), float(entry[1]))
+        else:
+            value = complex(entry)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"bad complex coefficient {entry!r}") from None
+    if not cmath.isfinite(value):
+        raise DomainError(f"complex coefficient {entry!r} is not finite")
+    return value
 
 
 # --- polynomial helpers -------------------------------------------------------
 
 def _poly_from_roots(roots, leading):
-    coeffs = [mpmath.mpc(leading)]
+    """Ascending coefficients of leading * prod (z - r); exact on integer input."""
+    coeffs = [leading]
     for r in roots:
-        nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] += c * (-r)
             nxt[i + 1] += c
         coeffs = nxt
-    return coeffs  # ascending
-
-
-def _eval_with_derivative(coeffs, z):
-    """(U(z), U'(z)) in one Horner pass, each in the rounding order of its own Horner rule."""
-    u = du = mpmath.mpc(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        u = u * z + coeffs[i]
-        du = du * z + i * coeffs[i]
-    return u * z + coeffs[0], du
+    return coeffs
 
 
 def _min_gap(roots):
-    best = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if best is None or d < best:
-                best = d
-    return best
+    """Least distance between two roots; infinite for fewer than two."""
+    return min((abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]), default=mpmath.inf)
 
 
 def _sorted_roots(coeffs):
@@ -192,13 +189,6 @@ def _sorted_roots(coeffs):
 
 
 # --- tracking -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrackContext:
-    base_coeffs: tuple
-    base_roots: tuple
-    leading: object
-
 
 @dataclass(frozen=True)
 class StepStats:
@@ -237,7 +227,7 @@ def track_roots(
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     if not segments:
         raise DomainError("a loop needs at least one segment")
@@ -245,20 +235,16 @@ def track_roots(
     with mpmath.workprec(precision_bits):
         coeffs0 = [mpmath.mpc(c) for c in base]
         roots0 = _sorted_roots(coeffs0)
-        gap0 = _min_gap(roots0)
-        if gap0 is not None and gap0 <= tolerance:
+        if _min_gap(roots0) <= tolerance:
             raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
-        ctx = TrackContext(
-            base_coeffs=tuple(coeffs0), base_roots=tuple(roots0), leading=coeffs0[-1]
-        )
-        _validate_segments(segs, ctx)
+        _validate_segments(segs, coeffs0)
 
-        current = list(roots0)
+        current = roots0
         stats = {"steps": 0, "halvings": 0, "min_step": max_step}
         for seg_index, seg in enumerate(segs):
-            current = _track_segment(seg, ctx, current, tolerance, max_step, stats, seg_index)
+            current = _track_segment(seg, coeffs0, roots0, current, tolerance, max_step, stats, seg_index)
 
-        perm = _match(current, roots0, tolerance)
+        perm = _match(current, roots0)
     return MonodromyLoop(
         base=tuple(complex(c) for c in base),
         segments=tuple(segs),
@@ -274,8 +260,8 @@ def track_roots(
     )
 
 
-def _validate_segments(segs, ctx):
-    n = len(ctx.base_coeffs) - 1
+def _validate_segments(segs, coeffs0):
+    n = len(coeffs0) - 1
     for seg in segs:
         if isinstance(seg, HalfTwist):
             if not 1 <= seg.i <= n - 1:
@@ -283,7 +269,7 @@ def _validate_segments(segs, ctx):
         else:
             if not 0 <= seg.index <= n:
                 raise DomainError(f"circle coefficient index {seg.index} out of range 0..{n}")
-            start = ctx.base_coeffs[seg.index]
+            start = coeffs0[seg.index]
             if abs(start) == 0:
                 raise DomainError(f"circle segment needs a nonzero coefficient {seg.index}")
             if abs(abs(start) - seg.radius) > 1e-9 * max(1.0, seg.radius):
@@ -293,13 +279,14 @@ def _validate_segments(segs, ctx):
                 )
 
 
-def _track_segment(seg, ctx, current, tolerance, max_step, stats, seg_index):
+def _track_segment(seg, coeffs0, roots0, current, tolerance, max_step, stats, seg_index):
     t = mpmath.mpf(0)
     h = mpmath.mpf(max_step)
     floor = mpmath.mpf(max_step) * STEP_FLOOR_RATIO
     prev_roots = None
     prev_h = None
     streak = 0
+    gap = _min_gap(current)
     while t < 1:
         remaining = 1 - t
         if h >= remaining:
@@ -307,9 +294,7 @@ def _track_segment(seg, ctx, current, tolerance, max_step, stats, seg_index):
             t_next = mpmath.mpf(1)
         else:
             t_next = t + h
-        coeffs = seg.coeffs_at(t_next, ctx)
-        gap = _min_gap(current)
-        guard = gap / 2 if gap is not None else mpmath.inf
+        coeffs = seg.coeffs_at(t_next, coeffs0, roots0)
         if prev_roots is not None and prev_h:
             ratio = h / prev_h
             predicted = [c + (c - p) * ratio for c, p in zip(current, prev_roots)]
@@ -320,7 +305,7 @@ def _track_segment(seg, ctx, current, tolerance, max_step, stats, seg_index):
         if ok:
             moved = max(abs(a - b) for a, b in zip(corrected, current))
             pairwise = _min_gap(corrected)
-            ok = moved < guard and (pairwise is None or pairwise > tolerance)
+            ok = moved < gap / 2 and pairwise > tolerance
         if not ok:
             stats["halvings"] += 1
             h = h / 2
@@ -332,7 +317,7 @@ def _track_segment(seg, ctx, current, tolerance, max_step, stats, seg_index):
                 )
             continue
         prev_roots, prev_h = current, h
-        current = corrected
+        current, gap = corrected, pairwise
         t = t_next
         stats["steps"] += 1
         stats["min_step"] = min(stats["min_step"], float(h))
@@ -345,28 +330,26 @@ def _track_segment(seg, ctx, current, tolerance, max_step, stats, seg_index):
 
 def _newton_all(coeffs, guesses, tolerance):
     target = mpmath.mpf(tolerance) / 8
+    descending = coeffs[::-1]
     out = []
     for z in guesses:
         z = mpmath.mpc(z)
-        converged = False
         for _ in range(60):
-            u, d = _eval_with_derivative(coeffs, z)
+            u, d = mpmath.polyval(descending, z, derivative=True)
             if d == 0:
-                break
+                return None
             step = u / d
             z -= step
             if abs(step) < target:
-                converged = True
                 break
-        if not converged:
+        else:
             return None
         out.append(z)
     return out
 
 
-def _match(finals, initials, tolerance):
-    gap = _min_gap(initials)
-    guard = gap / 2 if gap is not None else mpmath.inf
+def _match(finals, initials):
+    guard = _min_gap(initials) / 2
     perm = []
     for z in finals:
         dists = [abs(z - r) for r in initials]
@@ -387,21 +370,12 @@ def base_with_integer_roots(n: int):
     """Ascending coefficients of prod_{j=1..n} (z - j), exact integers."""
     if n < 2:
         raise DomainError(f"generator loops need degree >= 2, got {n}")
-    coeffs = [1]
-    for r in range(1, n + 1):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += -r * c
-            nxt[i + 1] += c
-        coeffs = nxt
-    return coeffs
+    return _poly_from_roots(range(1, n + 1), 1)
 
 
 def standard_generator_loop(n: int, i: int, **kwargs) -> MonodromyLoop:
     """Track the half-twist of roots i, i+1 over the base with roots 1..n."""
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"generator index must satisfy 1 <= i <= {n - 1}, got {i}")
-    return track_roots(base_with_integer_roots(n), [HalfTwist(i)], **kwargs)
+    return word_loop(n, [i], **kwargs)
 
 
 def word_loop(n: int, word, **kwargs) -> MonodromyLoop:

@@ -7,6 +7,7 @@ applies q first, then p, matching matrix products ``M_p @ M_q``.
 
 from __future__ import annotations
 
+from .errors import DomainError
 from .partitions import Partition
 
 
@@ -22,7 +23,7 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
     """The transposition (i, i+1) in 1-based labels, as a 0-based tuple."""
     if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index must satisfy 1 <= i <= {n - 1}, got {i}")
+        raise DomainError(f"generator index must satisfy 1 <= i <= {n - 1}, got {i}")
     p = list(range(n))
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)

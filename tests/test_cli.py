@@ -195,6 +195,41 @@ def test_monodromy_spec_file(capsys, tmp_path):
     assert payload["permutation"] == "()"
 
 
+def _spec(**fields):
+    return ["monodromy", "--spec",
+            json.dumps({"base": [-1, 0, 1], "segments": ["half_twist(1)"], **fields})]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_spec(base=5), id="spec-base-number"),
+    pytest.param(_spec(base=["abc", 0, 1]), id="spec-base-text"),
+    pytest.param(_spec(base=[None, 0, 1]), id="spec-base-null"),
+    pytest.param(_spec(segments=7), id="spec-segments-number"),
+    pytest.param(_spec(tolerance="x"), id="spec-tolerance-text"),
+    pytest.param(_spec(tolerance=None), id="spec-tolerance-null"),
+    pytest.param(_spec(tolerance=float("nan")), id="spec-tolerance-nan"),
+    pytest.param(_spec(tolerance=10**400), id="spec-tolerance-huge"),
+    pytest.param(_spec(base=[10**400, 0, 1]), id="spec-base-huge"),
+    pytest.param(["monodromy", "--spec", "{tmp}/five.json"], id="spec-file-not-an-object"),
+    pytest.param(_spec(segments=[{"type": "half_twist", "i": 1}]), id="spec-dict-segment"),
+    pytest.param(["vdm", '["abc"]', "2"], id="vdm-text"),
+    pytest.param(["vdm", "[null]", "2"], id="vdm-null"),
+    pytest.param(["vdm", "[[1,2,3]]", "2"], id="vdm-triple"),
+    pytest.param(["vdm", '[{"a":1}]', "2"], id="vdm-object"),
+    pytest.param(["vdm", "[1e400]", "2"], id="vdm-overflow"),
+    pytest.param(["vdm", "[NaN]", "2"], id="vdm-nan"),
+    pytest.param(["vdm", '["1/0"]', "2"], id="vdm-zero-denominator"),
+    pytest.param(["--output", "{tmp}/missing/x.json", "kron", "[2,1]", "[2,1]", "[3]"],
+                 id="output-in-missing-directory"),
+])
+def test_malformed_literals_are_domain_errors(capsys, tmp_path, argv):
+    (tmp_path / "five.json").write_text("5")
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "domain"
+    assert [f.name for f in tmp_path.iterdir()] == ["five.json"]
+
+
 def test_monodromy_needs_exactly_one_mode(capsys):
     code, out, err = run(capsys, "monodromy", "--n", "4")
     assert code == 1

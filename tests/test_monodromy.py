@@ -45,10 +45,13 @@ def test_parse_loop_spec_requires_base_and_segments():
 
 
 def test_base_with_integer_roots_is_monic_with_distinct_roots():
-    for n in range(2, 7):
+    for n in range(2, 11):
         coeffs = base_with_integer_roots(n)
         assert len(coeffs) == n + 1
         assert coeffs[-1] == 1
+        assert all(type(c) is int for c in coeffs)
+        for root in range(1, n + 1):
+            assert sum(c * root**i for i, c in enumerate(coeffs)) == 0
 
 
 def test_single_half_twist_swaps_adjacent_roots():

@@ -14,6 +14,7 @@ from conftest import (
 from kronsec.characters import mn_value
 from kronsec.errors import DomainError
 from kronsec.partitions import dimension, partitions_of
+from kronsec.permutations import perm_of_word
 from kronsec.seminormal import (
     build_rep,
     check_relations,
@@ -154,6 +155,13 @@ def test_generator_index_bounds():
         evaluate_word(rep, [3])
     with pytest.raises(DomainError):
         evaluate_word(rep, [0])
+
+
+def test_out_of_range_letters_are_domain_errors():
+    with pytest.raises(DomainError, match="generator index"):
+        perm_of_word(3, [3])
+    with pytest.raises(DomainError, match="generator index"):
+        word_cycle_type(build_rep((2, 1)), [0])
 
 
 def test_single_row_and_column_are_one_dimensional():
