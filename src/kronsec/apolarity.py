@@ -513,6 +513,9 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
 # --- Vandermonde ranks and joins ----------------------------------------------
 
 def _parse_node(node) -> tuple[int, int]:
+    # JSON true and false would otherwise pass as the numbers 1 and 0.
+    if any(isinstance(x, bool) for x in (node if isinstance(node, tuple) else (node,))):
+        raise DomainError(f"bad node {node!r}: a boolean is not a number")
     try:
         if isinstance(node, str):
             text = node.strip()

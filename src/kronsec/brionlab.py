@@ -39,6 +39,8 @@ NO_SIGMA = "no-sigma"
 
 BELOW_THRESHOLD = "below-threshold"
 
+MODES = ("vanishing", "equality", "both")
+
 
 @dataclass(frozen=True)
 class BrionRecord:
@@ -79,82 +81,82 @@ def _require_hypothesis(n: int, lam: Partition, omega: Partition) -> None:
             f"hypothesis violated: |lambda| + |omega| <= n/2 fails "
             f"({total} > {n}/2 for lambda={format_partition(lam)}, omega={format_partition(omega)})"
         )
-    # attach_first_row re-raises with the failing inequality named
-    attach_first_row(lam, n)
-    attach_first_row(omega, n)
 
 
-def _vanishing_records(n: int, lam: Partition, omega: Partition) -> Iterator[BrionRecord]:
+def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[BrionRecord]:
+    """The vanishing records of one pair, then its equality records, as mode selects."""
     big_l = attach_first_row(lam, n)
     big_o = attach_first_row(omega, n)
-    threshold = n - size(lam) - size(omega)
-    for big_s in partitions_of(n):
-        first = big_s[0] if big_s else 0
-        if first >= threshold:
-            continue
-        value = kronecker(big_l, big_o, big_s)
-        yield BrionRecord(
-            n=n,
-            lam=lam,
-            omega=omega,
-            sigma=None,
-            Sigma=big_s,
-            kron=value,
-            lr=None,
-            verdict=VANISHING_OK if value == 0 else VIOLATION,
-        )
-
-
-def _equality_records(n: int, lam: Partition, omega: Partition) -> Iterator[BrionRecord]:
-    big_l = attach_first_row(lam, n)
-    big_o = attach_first_row(omega, n)
-    for sigma in partitions_of(size(lam) + size(omega)):
-        try:
-            big_s = attach_first_row(sigma, n)
-        except DomainError:
+    total = size(lam) + size(omega)
+    threshold = n - total
+    if mode != "equality":
+        # No first row, not even the 0 of the empty Sigma, is shorter than 0.
+        for big_s in partitions_of(n, threshold - 1) if threshold > 0 else ():
+            value = kronecker(big_l, big_o, big_s)
+            yield BrionRecord(
+                n=n,
+                lam=lam,
+                omega=omega,
+                sigma=None,
+                Sigma=big_s,
+                kron=value,
+                lr=None,
+                verdict=VANISHING_OK if value == 0 else VIOLATION,
+            )
+    if mode != "vanishing":
+        for sigma in partitions_of(total):
+            try:
+                big_s = attach_first_row(sigma, n)
+            except DomainError:
+                yield BrionRecord(
+                    n=n,
+                    lam=lam,
+                    omega=omega,
+                    sigma=sigma,
+                    Sigma=None,
+                    kron=None,
+                    lr=None,
+                    verdict=NO_SIGMA,
+                )
+                continue
+            kron_value = kronecker(big_l, big_o, big_s)
+            lr_value = lr_checked(lam, omega, sigma)
             yield BrionRecord(
                 n=n,
                 lam=lam,
                 omega=omega,
                 sigma=sigma,
-                Sigma=None,
-                kron=None,
-                lr=None,
-                verdict=NO_SIGMA,
+                Sigma=big_s,
+                kron=kron_value,
+                lr=lr_value,
+                verdict=EQUALITY_OK if kron_value == lr_value else VIOLATION,
             )
-            continue
-        kron_value = kronecker(big_l, big_o, big_s)
-        lr_value = lr_checked(lam, omega, sigma)
-        yield BrionRecord(
-            n=n,
-            lam=lam,
-            omega=omega,
-            sigma=sigma,
-            Sigma=big_s,
-            kron=kron_value,
-            lr=lr_value,
-            verdict=EQUALITY_OK if kron_value == lr_value else VIOLATION,
-        )
 
 
 def verify_vanishing(n: int, lam: Partition, omega: Partition) -> list[BrionRecord]:
     """All short-first-row Sigma of n checked for zero multiplicity."""
     _require_hypothesis(n, lam, omega)
-    return list(_vanishing_records(n, lam, omega))
+    return list(_records(n, lam, omega, "vanishing"))
 
 
 def verify_equality(n: int, lam: Partition, omega: Partition) -> list[BrionRecord]:
     """All completions Sigma = attach(sigma, n) checked against both LR routes."""
     _require_hypothesis(n, lam, omega)
-    return list(_equality_records(n, lam, omega))
+    return list(_records(n, lam, omega, "equality"))
 
 
-def _pairs_inside(n: int):
-    for total in range(n // 2 + 1):
-        for a in range(total + 1):
-            for lam in partitions_of(a):
-                for omega in partitions_of(total - a):
-                    yield lam, omega
+def _scan(n: int, totals: range, mode: str) -> Iterator[BrionRecord]:
+    """Records of the pairs with |lambda| + |omega| in totals whose completions exist.
+
+    Both sizes are at most (n+1)/2 and both first rows fit under the new
+    one, n - |lambda| >= lambda_1. Inside the hypothesis every pair passes.
+    """
+    half = (n + 1) // 2
+    for total in totals:
+        for a in range(max(0, total - half), min(total, half) + 1):
+            for lam in partitions_of(a, n - a):
+                for omega in partitions_of(total - a, n - total + a):
+                    yield from _records(n, lam, omega, mode)
 
 
 def sweep(n_max: int, mode: str = "both") -> Iterator[BrionRecord]:
@@ -165,14 +167,10 @@ def sweep(n_max: int, mode: str = "both") -> Iterator[BrionRecord]:
     records. Deterministic by construction, so repeated runs emit identical
     streams.
     """
-    if mode not in ("vanishing", "equality", "both"):
+    if mode not in MODES:
         raise DomainError(f"sweep mode must be vanishing, equality, or both, got {mode!r}")
     for n in range(1, n_max + 1):
-        for lam, omega in _pairs_inside(n):
-            if mode in ("vanishing", "both"):
-                yield from _vanishing_records(n, lam, omega)
-            if mode in ("equality", "both"):
-                yield from _equality_records(n, lam, omega)
+        yield from _scan(n, range(n // 2 + 1), mode)
 
 
 def boundary_scan(n: int, mode: str = "both") -> Iterator[BrionRecord]:
@@ -182,24 +180,9 @@ def boundary_scan(n: int, mode: str = "both") -> Iterator[BrionRecord]:
     and still have long first rows (|lambda| <= (n+1)/2, same for omega).
     Verdicts here are observations; no claim is made either way.
     """
-    if mode not in ("vanishing", "equality", "both"):
+    if mode not in MODES:
         raise DomainError(f"scan mode must be vanishing, equality, or both, got {mode!r}")
-    half = (n + 1) // 2
-    for total in range(n // 2 + 1, 2 * half + 1):
-        for a in range(total + 1):
-            b = total - a
-            if a > half or b > half:
-                continue
-            for lam in partitions_of(a):
-                if lam and n - a < lam[0]:
-                    continue
-                for omega in partitions_of(b):
-                    if omega and n - b < omega[0]:
-                        continue
-                    if mode in ("vanishing", "both"):
-                        yield from _vanishing_records(n, lam, omega)
-                    if mode in ("equality", "both"):
-                        yield from _equality_records(n, lam, omega)
+    yield from _scan(n, range(n // 2 + 1, 2 * ((n + 1) // 2) + 1), mode)
 
 
 def summarize(records) -> dict:

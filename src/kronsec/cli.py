@@ -15,7 +15,6 @@ import random
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from fractions import Fraction
 
 import mpmath
 
@@ -106,11 +105,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("brion-sweep", help="exhaustive vanishing/equality records up to n_max")
     p.add_argument("n_max", type=int)
-    p.add_argument("--mode", choices=("vanishing", "equality", "both"), default="both")
+    p.add_argument("--mode", choices=brionlab.MODES, default="both")
 
     p = sub.add_parser("brion-boundary", help="the same records just outside the hypothesis")
     p.add_argument("n", type=int)
-    p.add_argument("--mode", choices=("vanishing", "equality", "both"), default="both")
+    p.add_argument("--mode", choices=brionlab.MODES, default="both")
 
     return parser
 
@@ -135,16 +134,6 @@ def _require_count(flag: str, value: int, cap: int) -> None:
     _require_within(f"{flag} {value}", value, cap)
 
 
-def _scalar(x):
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else str(x)
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    if isinstance(x, float):
-        return x
-    return str(x)
-
-
 @contextmanager
 def _sink(cfg: Config):
     if cfg.output in ("-", ""):
@@ -161,9 +150,9 @@ def _sink(cfg: Config):
 def _emit(obj: dict, cfg: Config, human: bool) -> None:
     with _sink(cfg) as out:
         if human:
-            out.write(json.dumps(obj, indent=2, default=_scalar) + "\n")
+            out.write(json.dumps(obj, indent=2, default=str) + "\n")
         else:
-            out.write(json.dumps(obj, separators=(",", ":"), default=_scalar) + "\n")
+            out.write(json.dumps(obj, separators=(",", ":"), default=str) + "\n")
 
 
 def _cmd_chartable(args, cfg: Config) -> dict | None:
@@ -268,7 +257,7 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
     def number(x):
         if isinstance(x, (mpmath.mpf, mpmath.mpc)):
             return mpmath.nstr(x, digits)
-        return _scalar(x)
+        return str(x)
 
     return {
         "form": apolarity.format_form(cert.form),

@@ -117,7 +117,7 @@ def parse_segment(spec) -> Segment:
         if len(args) != 2:
             raise DomainError(f"circle takes (coefficient_index, radius), got {spec!r}")
         return CoefficientCircle(int(args[0]), float(Fraction(args[1])))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"bad segment argument in {spec!r}: {exc}") from None
 
 
@@ -132,6 +132,8 @@ def parse_loop_spec(data: dict):
     base = [_as_complex(c) for c in data["base"]]
     segments = [parse_segment(s) for s in data["segments"]]
     tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
+    if isinstance(tolerance, bool):
+        raise DomainError(f"tolerance must be a number, got {tolerance!r}")
     try:
         tolerance = float(tolerance)
     except (TypeError, ValueError, OverflowError):
@@ -142,6 +144,9 @@ def parse_loop_spec(data: dict):
 
 
 def _as_complex(entry) -> complex:
+    # JSON true and false would otherwise pass as the numbers 1 and 0.
+    if any(isinstance(x, bool) for x in (entry if isinstance(entry, (list, tuple)) else (entry,))):
+        raise DomainError(f"bad complex coefficient {entry!r}")
     try:
         if isinstance(entry, (list, tuple)):
             if len(entry) != 2:

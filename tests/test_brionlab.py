@@ -109,6 +109,50 @@ def test_sweep_modes_partition_the_stream():
         list(sweep(3, mode="all"))
 
 
+@pytest.mark.parametrize("stream", [sweep, boundary_scan])
+def test_unknown_mode_raises_even_when_no_record_would_follow(stream):
+    with pytest.raises(DomainError, match="mode"):
+        list(stream(0, "all"))
+
+
+def _visits(n, pairs):
+    """(n, lambda, omega) once per record: the short-first-row Sigma, then every sigma."""
+    out = []
+    for lam, omega in pairs:
+        total = size(lam) + size(omega)
+        short = [s for s in partitions_of(n) if (s[0] if s else 0) < n - total]
+        out += [(n, lam, omega)] * (len(short) + len(partitions_of(total)))
+    return out
+
+
+def _pairs_by_size(totals):
+    for total in totals:
+        for a in range(total + 1):
+            for lam in partitions_of(a):
+                for omega in partitions_of(total - a):
+                    yield lam, omega
+
+
+def test_sweep_visits_every_pair_inside_the_hypothesis_in_order():
+    for n_max in range(9):
+        expected = []
+        for n in range(1, n_max + 1):
+            expected += _visits(n, _pairs_by_size(t for t in range(n + 1) if 2 * t <= n))
+        assert [(r.n, r.lam, r.omega) for r in sweep(n_max)] == expected
+
+
+def test_boundary_scan_visits_every_pair_just_outside_in_order():
+    for n in range(10):
+        half = (n + 1) / 2
+        pairs = [
+            (lam, omega) for lam, omega in _pairs_by_size(t for t in range(n + 2) if 2 * t > n)
+            if size(lam) <= half and size(omega) <= half
+            and (not lam or n - size(lam) >= lam[0])
+            and (not omega or n - size(omega) >= omega[0])
+        ]
+        assert [(r.n, r.lam, r.omega) for r in boundary_scan(n)] == _visits(n, pairs)
+
+
 def test_equality_record_count_matches_attachable_targets():
     # Every small sigma appears exactly once; those with a valid completion
     # carry a Sigma, the rest are no-sigma rows.

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import re
@@ -212,6 +213,10 @@ def _spec(**fields):
     pytest.param(_spec(base=[10**400, 0, 1]), id="spec-base-huge"),
     pytest.param(["monodromy", "--spec", "{tmp}/five.json"], id="spec-file-not-an-object"),
     pytest.param(_spec(segments=[{"type": "half_twist", "i": 1}]), id="spec-dict-segment"),
+    pytest.param(_spec(segments=["circle(0, 1e400)"]), id="spec-circle-huge-radius"),
+    pytest.param(_spec(base=[True, 0, 1]), id="spec-base-bool"),
+    pytest.param(_spec(base=[[1, False], 0, 1]), id="spec-base-bool-in-pair"),
+    pytest.param(_spec(tolerance=True), id="spec-tolerance-bool"),
     pytest.param(["vdm", '["abc"]', "2"], id="vdm-text"),
     pytest.param(["vdm", "[null]", "2"], id="vdm-null"),
     pytest.param(["vdm", "[[1,2,3]]", "2"], id="vdm-triple"),
@@ -219,6 +224,8 @@ def _spec(**fields):
     pytest.param(["vdm", "[1e400]", "2"], id="vdm-overflow"),
     pytest.param(["vdm", "[NaN]", "2"], id="vdm-nan"),
     pytest.param(["vdm", '["1/0"]', "2"], id="vdm-zero-denominator"),
+    pytest.param(["vdm", "[true]", "2"], id="vdm-bool"),
+    pytest.param(["vdm", "[[true,1]]", "2"], id="vdm-bool-in-pair"),
     pytest.param(["--output", "{tmp}/missing/x.json", "kron", "[2,1]", "[2,1]", "[3]"],
                  id="output-in-missing-directory"),
 ])
@@ -279,6 +286,26 @@ def test_brion_sweep_mode_flag(capsys):
     n_vanish = json.loads(vanish.splitlines()[-1])["summary"]["records"]
     n_equal = json.loads(equal.splitlines()[-1])["summary"]["records"]
     assert n_both == n_vanish + n_equal
+
+
+# sha256 of stdout for each (command, n, --mode), fixed when the stream format
+# was last changed on purpose.
+_BRION_STREAMS = {
+    ("brion-sweep", "7", "vanishing"): "a3effd31847d3b245738424d427d34ca7e98f59e3158b45416b9ae0f9799df40",
+    ("brion-sweep", "7", "equality"): "3da969a8214a61772dfb4ccc75e25c926331c3737dd626c6674881dc723b8684",
+    ("brion-sweep", "7", "both"): "aa5504eb3d460b470c48637d86bf9bb58e24dbbf2d6d35ed366bb474e785052d",
+    ("brion-boundary", "8", "vanishing"): "49002e5be581d2abace77a60852184aa16a8f7c4dd172407f5ff0ab6c8235f7a",
+    ("brion-boundary", "8", "equality"): "ac594b3079a13e40dcf19528b535948cf54c4f27c74683ca5405fb94e694ef4d",
+    ("brion-boundary", "8", "both"): "2ba09c0489019a47a0a8640f781179cd20483341b8a1790b0dff39b9f9ccd9c4",
+}
+
+
+@pytest.mark.parametrize("key", _BRION_STREAMS, ids="-".join)
+def test_brion_streams_are_byte_identical(capsys, key):
+    command, n, mode = key
+    code, out, err = run(capsys, command, n, "--mode", mode)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _BRION_STREAMS[key]
 
 
 def test_brion_boundary(capsys):
