@@ -37,6 +37,9 @@ from .config import DEFAULT_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 
 RESAMPLE_BOUND = 32
+# The prime of the modular squarefree certificate; any prime is sound, and
+# one this large rarely divides a leading coefficient or a discriminant.
+SQUAREFREE_PRIME = 2**31 - 1
 # Guard bits the numeric coefficient solve works at above `precision_bits`;
 # the CLI prints approximate coefficients at the same precision, so the
 # printed certificate rebuilds the form within its own error_bound.
@@ -196,15 +199,44 @@ def _dehomogenize(coeffs: Sequence[Fraction], k: int) -> tuple[int, list[int]]:
     return at_inf, [int(c * scale) for c in univ]
 
 
+def _coprime_mod_p(ints: list[int]) -> bool:
+    """p does not divide lc(U), and U, U' are coprime in F_p[t] for p = SQUAREFREE_PRIME.
+
+    That proves U squarefree over Q (Brown 1971): a repeated factor g^2 | U
+    over Z keeps its degree mod p, because lc(g) divides lc(U), and its image
+    would divide both U and U' mod p. False only means "maybe".
+    """
+    p = SQUAREFREE_PRIME
+    if not ints[-1] % p:
+        return False
+    a = [c % p for c in ints]
+    b = [i * c % p for i, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def _squarefree(at_inf: int, ints: list[int]) -> bool:
     """No repeated projective root: at_inf <= 1 and gcd(U, U') is constant.
 
-    The gcd runs as a primitive remainder sequence over Z (Collins 1967): each
+    A coprimality certificate mod a prime answers most inputs. Otherwise the
+    gcd runs as a primitive remainder sequence over Z (Collins 1967): each
     pseudo-remainder is divided by its content, which keeps the coefficients
     from the growth that makes a Euclid over Q hang at high degree.
     """
     if at_inf > 1:
         return False
+    if _coprime_mod_p(ints):
+        return True
     a, b = ints, [i * c for i, c in enumerate(ints)][1:]
     while len(b) > 1:
         rem = a[:]

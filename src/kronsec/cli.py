@@ -127,10 +127,14 @@ def _require_within(what: str, value: int, cap: int) -> None:
         raise CapacityError(f"{what} exceeds the configured bound {cap}")
 
 
+def _require_nonnegative(what: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{what} must be nonnegative, got {value}")
+
+
 def _require_count(flag: str, value: int, cap: int) -> None:
     """A sample count: negative is a domain error, above `cap` a capacity error."""
-    if value < 0:
-        raise DomainError(f"{flag} must be nonnegative, got {value}")
+    _require_nonnegative(flag, value)
     _require_within(f"{flag} {value}", value, cap)
 
 
@@ -385,11 +389,13 @@ def _stream_records(records, cfg: Config, human: bool) -> None:
 
 
 def _cmd_brion_sweep(args, cfg: Config) -> None:
+    _require_nonnegative("brion size n", args.n_max)
     _require_within(f"sweep up to n={args.n_max}", args.n_max, min(cfg.sweep_cap, cfg.n_cap))
     _stream_records(brionlab.sweep(args.n_max, mode=args.mode), cfg, args.human)
 
 
 def _cmd_brion_boundary(args, cfg: Config) -> None:
+    _require_nonnegative("brion size n", args.n)
     _require_within(f"boundary scan at n={args.n}", args.n, min(cfg.sweep_cap, cfg.n_cap))
     _stream_records(brionlab.boundary_scan(args.n, mode=args.mode), cfg, args.human)
 

@@ -18,6 +18,9 @@ DEFAULT_N_CAP = 14
 DEFAULT_PRECISION_BITS = 96
 DEFAULT_SWEEP_CAP = 10
 MIN_PRECISION_BITS = 53
+# Fixed, not a Config field. At this bound `monodromy --spherical --n 8`
+# took 16 s on a 2-core host.
+MAX_PRECISION_BITS = 4096
 # Largest seminormal dimension rep-check builds; fixed, not a Config field.
 DEFAULT_DIM_CAP = 2000
 # Most random words `rep-check --words` traces and `monodromy --samples`
@@ -41,6 +44,10 @@ class Config:
         if self.precision_bits < MIN_PRECISION_BITS:
             raise DomainError(
                 f"precision_bits must be at least {MIN_PRECISION_BITS}, got {self.precision_bits}"
+            )
+        if self.precision_bits > MAX_PRECISION_BITS:
+            raise DomainError(
+                f"precision_bits must be at most {MAX_PRECISION_BITS}, got {self.precision_bits}"
             )
         if self.sweep_cap < 0:
             raise DomainError(f"sweep_cap must be nonnegative, got {self.sweep_cap}")

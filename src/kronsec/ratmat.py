@@ -1,12 +1,16 @@
 """Exact linear algebra over Fraction.
 
-Everything works on lists of lists of Fraction and never touches floats.
-Elimination is plain Gauss-Jordan with exact pivoting, easy to audit.
+Matrices come in and go out as lists of lists of Fraction, and nothing ever
+touches a float. Inside, every row is cleared of denominators and eliminated
+fraction-free over the integers (Bareiss 1968): each step divides exactly by
+the previous pivot, so entries stay minors of the input and no cell update
+pays for a gcd. Only the answers are turned back into Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 
@@ -33,35 +37,61 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices (copy, in place safe)."""
-    m = [row[:] for row in a]
+def _integer_rows(a: Matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators, divided by its content.
+
+    Scaling a row by a nonzero rational keeps the row space, so the RREF,
+    the pivots, the kernel and the solutions are those of `a`.
+    """
+    out = []
+    for row in a:
+        scale = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        content = gcd(*ints)
+        out.append([v // content for v in ints] if content > 1 else ints)
+    return out
+
+
+def _eliminate(m: list[list[int]], reduced: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of integer rows in place; (pivot columns, d).
+
+    Forward only, m ends in row echelon form. With `reduced`, every pivot is
+    also cleared above (fraction-free Gauss-Jordan): each pivot entry then
+    equals d, the last pivot, and m is d times the RREF. d is 1 without a
+    pivot.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
+    d = 1
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
+        top = m[r]
+        p = top[c]
+        for i in range(0 if reduced else r + 1, rows):
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], top)]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        d = p
+    return pivots, d
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the pivot column indices; `a` is not modified."""
+    m = _integer_rows(a)
+    pivots, d = _eliminate(m, reduced=True)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    return len(_eliminate(_integer_rows(a), reduced=False)[0])
 
 
 def kernel_basis(a: Matrix) -> list[list[Fraction]]:
@@ -69,14 +99,15 @@ def kernel_basis(a: Matrix) -> list[list[Fraction]]:
     if not a:
         return []
     cols = len(a[0])
-    echelon, pivots = rref(a)
+    m = _integer_rows(a)
+    pivots, d = _eliminate(m, reduced=True)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -echelon[r][fc]
+            v[pc] = Fraction(-m[r][fc], d)
         basis.append(v)
     return basis
 
@@ -90,11 +121,11 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     if not a:
         return [] if not any(b) else None
     cols = len(a[0])
-    aug = [row[:] + [Fraction(bi)] for row, bi in zip(a, b)]
-    echelon, pivots = rref(aug)
+    m = _integer_rows([row + [Fraction(bi)] for row, bi in zip(a, b)])
+    pivots, d = _eliminate(m, reduced=True)
     if cols in pivots:
         return None
     x = [Fraction(0)] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = echelon[r][cols]
+        x[pc] = Fraction(m[r][cols], d)
     return x

@@ -224,6 +224,35 @@ def _oracle_determinant(rows) -> Fraction:
     return det
 
 
+def oracle_rref(a) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns by textbook Gauss-Jordan over Fraction.
+
+    Each pivot row is divided by its pivot and the pivot column is cleared
+    in every other row, one Fraction operation per cell.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
 def oracle_has_repeated_root(q_coeffs) -> bool:
     """Whether the binary form sum_j q_j x^(k-j) y^j has a repeated projective root.
 

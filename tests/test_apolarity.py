@@ -7,6 +7,10 @@ import pytest
 from conftest import oracle_apply_operator, oracle_has_repeated_root, oracle_power_sum_coeffs
 
 from kronsec.apolarity import (
+    SQUAREFREE_PRIME,
+    _coprime_mod_p,
+    _dehomogenize,
+    _squarefree,
     add_forms,
     catalecticant,
     form,
@@ -285,6 +289,47 @@ def test_sylvester_fuzz_against_the_oracles():
                     for (al, be), c in zip(points, cert.coefficients)
                 )
                 assert abs(rebuilt - _mp(target)) <= 2 * cert.error_bound, p
+
+
+_P = SQUAREFREE_PRIME
+
+
+@pytest.mark.parametrize("q", [
+    [1, 0, -_P],
+    [1, -1, -_P, _P],
+    [_P, 1, 1],
+    [_P * _P, 2 * _P, 1],
+    [1, -2, 1],
+    [0, _P, 3, -1],
+    [_P, 0, 0, 0],
+], ids=["t2-minus-p", "times-t-minus-1", "p-divides-lc", "square-p-divides-lc",
+        "square", "root-at-infinity", "cube-at-zero"])
+def test_squarefree_without_a_modular_certificate_runs_the_exact_test(q):
+    # Each U here is either divisible by p in its leading coefficient or has
+    # a repeated root mod p, so only the remainder sequence over Z decides.
+    coeffs = [Fraction(c) for c in q]
+    at_inf, ints = _dehomogenize(coeffs, len(q) - 1)
+    assert not _coprime_mod_p(ints)
+    assert _squarefree(at_inf, ints) == (not oracle_has_repeated_root(coeffs))
+
+
+def test_modular_certificate_never_claims_a_repeated_root_squarefree():
+    rng = random.Random(31)
+    certified = 0
+    for _ in range(300):
+        q = [1]
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.choice([(1, 0), (0, 1)] + [(rng.randint(-4, 4), rng.randint(1, 4))])
+            for _ in range(rng.choice([1, 1, 2])):
+                q = [x * a + y * b for x, y in zip(q + [0], [0] + q)]
+        coeffs = [Fraction(c) for c in q]
+        at_inf, ints = _dehomogenize(coeffs, len(q) - 1)
+        squarefree = not oracle_has_repeated_root(coeffs)
+        assert _squarefree(at_inf, ints) == squarefree, q
+        if at_inf <= 1 and _coprime_mod_p(ints):
+            certified += 1
+            assert squarefree, q
+    assert certified > 50
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from conftest import oracle_power_sum_coeffs
 
 from kronsec import cli
 from kronsec.apolarity import parse_form
@@ -315,6 +316,48 @@ def test_brion_boundary(capsys):
     assert json.loads(lines[-1])["summary"]["no_sigma"] == 2
 
 
+def _form_text(coeffs) -> str:
+    return f"deg={len(coeffs) - 1}; coeffs=" + ",".join(str(c) for c in coeffs)
+
+
+def _product(*factors) -> list[int]:
+    """Coefficients of the product of the linear forms a x + b y."""
+    coeffs = [1]
+    for a, b in factors:
+        coeffs = [a * x + b * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+_RANK_15_POINTS = [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2),
+                   (3, 1), (-3, 1), (1, 3), (-1, 3), (3, 2), (-3, 2), (2, 3)]
+_FORMS_ARGV = {
+    "sylvester-rank-15-deg-40": ["sylvester", _form_text(oracle_power_sum_coeffs(
+        40, _RANK_15_POINTS, [(-1) ** i * (1 + i % 4) for i in range(15)]))],
+    "sylvester-generic-deg-30": ["sylvester", _form_text([(7 * j) % 19 - 9 for j in range(31)])],
+    "sylvester-nonsquarefree": ["sylvester", _form_text(_product(*[(1, 2)] * 9, (1, -1), (1, -1)))],
+    "join": ["join", "deg=6; coeffs=1,0,0,0,0,0,1", "deg=6; coeffs=1,2,-3,4,5/2,6,7"],
+    "secant": ["secant", "deg=7; coeffs=1,1/2,0,3,-2,5/3,0,1", "5"],
+    "vdm": ["vdm", '[0, "1/2", "inf", -3, "7/5"]', "4"],
+}
+# sha256 of stdout for each command above, fixed when the forms output was
+# last changed on purpose.
+_FORMS_STDOUT = {
+    "sylvester-rank-15-deg-40": "a58418672fa98e780a9a18cddd0ea6bf3a4129f32992d64599ee3406d7972ad5",
+    "sylvester-generic-deg-30": "73d654c76feef0f923bf4449317559f26f734c62db99e75058d4b6e2e04b33ff",
+    "sylvester-nonsquarefree": "606cd1de779f969aab3f864974830a8efe4acf57d8e5e2ae4b56aa1538b66058",
+    "join": "827b7f0b0c904a769fa97a22d8b97dd0aabedac2d119f413c85c7606b29f543f",
+    "secant": "fe6a190f52b7010d022074cea291f7a2649a58e561ed03d015fa000d3c5754c5",
+    "vdm": "4e2b6bc2cf9efee3d4ac0dc1fa9597840e77ceae8bf21bd52531d0a428feff59",
+}
+
+
+@pytest.mark.parametrize("key", _FORMS_ARGV)
+def test_forms_outputs_are_byte_identical(capsys, key):
+    code, out, err = run(capsys, *_FORMS_ARGV[key])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _FORMS_STDOUT[key]
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, err = run(capsys, "--output", str(target), "kron", "[2,1]", "[2,1]", "[3]")
@@ -372,6 +415,27 @@ def test_negative_sample_count_is_a_domain_error(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "domain"
     assert "must be nonnegative" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["brion-sweep", "brion-boundary"])
+def test_negative_brion_size_is_a_domain_error(capsys, tmp_path, command):
+    target = tmp_path / "records.jsonl"
+    code, out, err = run(capsys, "--output", str(target), command, "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain", "message": "brion size n must be nonnegative, got -1"}
+    assert not target.exists()
+    code, out, err = run(capsys, command, "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["records"] == 0
+
+
+def test_precision_bits_are_bounded_above(capsys, tmp_path):
+    target = tmp_path / "rank.json"
+    code, out, err = run(capsys, "--output", str(target), "--precision-bits", "4097", "vdm", "[0]", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "domain"
+    assert not target.exists()
+    assert run_json(capsys, "--precision-bits", "4096", "vdm", "[0]", "1") == {"rank": 1}
 
 
 def test_unconverged_base_roots_are_a_precision_error(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 
 from kronsec import cli
-from kronsec.config import Config, load_config, parse_config_text
+from kronsec.config import MAX_PRECISION_BITS, Config, load_config, parse_config_text
 from kronsec.errors import DomainError
 
 
@@ -20,6 +20,12 @@ def test_precision_floor():
     assert Config(precision_bits=53).precision_bits == 53
     with pytest.raises(DomainError, match="53"):
         Config(precision_bits=52)
+
+
+def test_precision_ceiling():
+    assert Config(precision_bits=MAX_PRECISION_BITS).precision_bits == MAX_PRECISION_BITS == 4096
+    with pytest.raises(DomainError, match="4096"):
+        Config(precision_bits=4097)
 
 
 def test_negative_caps_rejected():
