@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .characters import kronecker, lr_checked
+from .characters import _table, lr_checked
 from .errors import DomainError
 from .partitions import (
     Partition,
@@ -83,16 +83,24 @@ def _require_hypothesis(n: int, lam: Partition, omega: Partition) -> None:
         )
 
 
+def _require_stream(kind: str, n: int, mode: str) -> None:
+    """The checks both generators run on their first pull, before any record."""
+    if n < 0:
+        raise DomainError(f"brion size n must be nonnegative, got {n}")
+    if mode not in MODES:
+        raise DomainError(f"{kind} mode must be vanishing, equality, or both, got {mode!r}")
+
+
 def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[BrionRecord]:
     """The vanishing records of one pair, then its equality records, as mode selects."""
-    big_l = attach_first_row(lam, n)
-    big_o = attach_first_row(omega, n)
+    table = _table(n)
+    product = table.product(attach_first_row(lam, n), attach_first_row(omega, n))
     total = size(lam) + size(omega)
     threshold = n - total
     if mode != "equality":
         # No first row, not even the 0 of the empty Sigma, is shorter than 0.
         for big_s in partitions_of(n, threshold - 1) if threshold > 0 else ():
-            value = kronecker(big_l, big_o, big_s)
+            value = table.multiplicity(product, big_s)
             yield BrionRecord(
                 n=n,
                 lam=lam,
@@ -119,7 +127,7 @@ def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[Br
                     verdict=NO_SIGMA,
                 )
                 continue
-            kron_value = kronecker(big_l, big_o, big_s)
+            kron_value = table.multiplicity(product, big_s)
             lr_value = lr_checked(lam, omega, sigma)
             yield BrionRecord(
                 n=n,
@@ -167,8 +175,7 @@ def sweep(n_max: int, mode: str = "both") -> Iterator[BrionRecord]:
     records. Deterministic by construction, so repeated runs emit identical
     streams.
     """
-    if mode not in MODES:
-        raise DomainError(f"sweep mode must be vanishing, equality, or both, got {mode!r}")
+    _require_stream("sweep", n_max, mode)
     for n in range(1, n_max + 1):
         yield from _scan(n, range(n // 2 + 1), mode)
 
@@ -180,8 +187,7 @@ def boundary_scan(n: int, mode: str = "both") -> Iterator[BrionRecord]:
     and still have long first rows (|lambda| <= (n+1)/2, same for omega).
     Verdicts here are observations; no claim is made either way.
     """
-    if mode not in MODES:
-        raise DomainError(f"scan mode must be vanishing, equality, or both, got {mode!r}")
+    _require_stream("scan", n, mode)
     yield from _scan(n, range(n // 2 + 1, 2 * ((n + 1) // 2) + 1), mode)
 
 

@@ -112,6 +112,19 @@ class CharacterTable:
             )
         return value
 
+    def product(self, lam: Partition, om: Partition) -> tuple[int, ...]:
+        """The character chi^lam * chi^om, one value per class."""
+        return tuple(a * b for a, b in zip(self.row(lam), self.row(om)))
+
+    def multiplicity(self, values, sig: Partition) -> int:
+        """Multiplicity of chi^sig in the class function `values`, checked nonnegative."""
+        value = self.inner_product(values, self.row(sig))
+        if value < 0:
+            raise ConsistencyError(
+                f"negative multiplicity {value} of {format_partition(sig)} for n={self.n}"
+            )
+        return value
+
 
 @cache
 def _table(n: int) -> CharacterTable:
@@ -147,41 +160,15 @@ def kronecker(lam: Partition, om: Partition, sig: Partition) -> int:
     Exact throughout: the class-weighted sum must be divisible by n! and
     nonnegative, anything else aborts as an internal fault.
     """
-    n = _common_degree(lam, om, sig)
-    if n == 0:
-        return 1
-    t = character_table(n)
-    return _multiplicity(t, _pointwise(t, lam, om), lam, om, sig)
+    t = _table(_common_degree(lam, om, sig))
+    return t.multiplicity(t.product(lam, om), sig)
 
 
 def tensor_decompose(lam: Partition, om: Partition) -> dict[Partition, int]:
     """All nonzero multiplicities in chi^lam tensor chi^om, keyed by shape."""
-    n = _common_degree(lam, om)
-    if n == 0:
-        return {(): 1}
-    t = character_table(n)
-    product = _pointwise(t, lam, om)
-    out = {}
-    for sig in partitions_of(n):
-        m = _multiplicity(t, product, lam, om, sig)
-        if m:
-            out[sig] = m
-    return out
-
-
-def _pointwise(t: CharacterTable, lam: Partition, om: Partition) -> tuple[int, ...]:
-    """The character chi^lam * chi^om, one value per class of t."""
-    return tuple(a * b for a, b in zip(t.row(lam), t.row(om)))
-
-
-def _multiplicity(t: CharacterTable, product, lam: Partition, om: Partition, sig: Partition) -> int:
-    value = t.inner_product(product, t.row(sig))
-    if value < 0:
-        raise ConsistencyError(
-            f"negative Kronecker multiplicity {value} for "
-            f"{format_partition(lam)}, {format_partition(om)}, {format_partition(sig)}"
-        )
-    return value
+    t = _table(_common_degree(lam, om))
+    product = t.product(lam, om)
+    return {sig: m for sig in t.irreducibles if (m := t.multiplicity(product, sig))}
 
 
 # --- Littlewood-Richardson, route one: the tableaux rule -------------------

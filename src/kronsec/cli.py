@@ -216,8 +216,9 @@ def _cmd_tensor(args, cfg: Config) -> dict:
 
 def _cmd_rep_check(args, cfg: Config) -> dict:
     lam = parse_partition(args.lam)
-    shape, dim = format_partition(lam), dimension(lam)
+    shape = format_partition(lam)
     _require_within(f"shape {shape} of size {size(lam)}", size(lam), cfg.n_cap)
+    dim = dimension(lam)  # after the size cap: the hook-length formula takes factorial(n)
     _require_within(f"shape {shape} of dimension {dim}", dim, DEFAULT_DIM_CAP)
     _require_count("--words", args.words, WORD_SAMPLES_CAP)
     rep = seminormal.build_rep(lam)

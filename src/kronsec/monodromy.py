@@ -472,11 +472,7 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
 
     table = character_table(n)
     fixed = tuple(cc.cycle_type.count(1) for cc in table.classes)
-    decomposition = {}
-    for lam in table.irreducibles:
-        mult = table.inner_product(table.row(lam), fixed)
-        if mult:
-            decomposition[lam] = mult
+    decomposition = {lam: m for lam in table.irreducibles if (m := table.multiplicity(fixed, lam))}
     return DefiningRepReport(
         n=n,
         generator_permutations=tuple(gen_perms),

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Iterator
 
 from .errors import ConsistencyError, DomainError
 from .partitions import Partition, dimension, format_partition, size, validate_partition
@@ -117,11 +118,11 @@ def build_rep(lam: Partition) -> SeminormalRep:
     return SeminormalRep(shape=lam, n=n, dim=dim, tableaux=tabs, generators=tuple(gens))
 
 
-def _apply(rep: SeminormalRep, word, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The word product s_{w1} s_{w2} ... applied to a sparse vector, rightmost letter first.
+def _images(rep: SeminormalRep, word) -> Iterator[dict[int, Fraction]]:
+    """The word product s_{w1} s_{w2} ... applied to v_0, v_1, ..., rightmost letter first.
 
-    Zero entries are dropped, so two results are equal exactly when the
-    vectors are.
+    Yields one sparse image per basis vector, in basis order. Zero entries are
+    dropped, so two images are equal exactly when the vectors are.
     """
     for letter in word:
         if not 1 <= letter <= rep.n - 1:
@@ -129,18 +130,16 @@ def _apply(rep: SeminormalRep, word, vec: dict[int, Fraction]) -> dict[int, Frac
                 f"word letter {letter} out of range 1..{rep.n - 1} for shape "
                 f"{format_partition(rep.shape)}"
             )
-    for letter in reversed(word):
-        columns = rep.generators[letter - 1]
-        out: dict[int, Fraction] = {}
-        for c, x in vec.items():
-            for r, v in columns[c]:
-                out[r] = out.get(r, 0) + v * x
-        vec = {r: x for r, x in out.items() if x}
-    return vec
-
-
-def _basis(c: int) -> dict[int, Fraction]:
-    return {c: Fraction(1)}
+    columns = [rep.generators[letter - 1] for letter in reversed(word)]
+    for c in range(rep.dim):
+        vec = {c: Fraction(1)}
+        for gen in columns:
+            out: dict[int, Fraction] = {}
+            for k, x in vec.items():
+                for r, v in gen[k]:
+                    out[r] = out.get(r, 0) + v * x
+            vec = {r: x for r, x in out.items() if x}
+        yield vec
 
 
 def evaluate_word(rep: SeminormalRep, word) -> tuple[Column, ...]:
@@ -149,12 +148,12 @@ def evaluate_word(rep: SeminormalRep, word) -> tuple[Column, ...]:
     Column c holds the nonzero (row, entry) pairs of the image of v_c, by row,
     in the format of SeminormalRep.generators.
     """
-    return tuple(tuple(sorted(_apply(rep, word, _basis(c)).items())) for c in range(rep.dim))
+    return tuple(tuple(sorted(image.items())) for image in _images(rep, word))
 
 
 def word_trace(rep: SeminormalRep, word) -> Fraction:
     """Trace of the word product; equals the character at the word's cycle type."""
-    return sum((_apply(rep, word, _basis(c)).get(c, 0) for c in range(rep.dim)), Fraction(0))
+    return sum((image.get(c, 0) for c, image in enumerate(_images(rep, word))), Fraction(0))
 
 
 def word_cycle_type(rep: SeminormalRep, word) -> Partition:
@@ -170,9 +169,7 @@ def check_relations(rep: SeminormalRep) -> dict[str, bool]:
     n = rep.n
 
     def holds(lhs, rhs) -> bool:
-        return all(
-            _apply(rep, lhs, _basis(c)) == _apply(rep, rhs, _basis(c)) for c in range(rep.dim)
-        )
+        return all(a == b for a, b in zip(_images(rep, lhs), _images(rep, rhs)))
 
     return {
         "involution": all(holds([i, i], []) for i in range(1, n)),

@@ -115,6 +115,13 @@ def test_unknown_mode_raises_even_when_no_record_would_follow(stream):
         list(stream(0, "all"))
 
 
+@pytest.mark.parametrize("stream", [sweep, boundary_scan])
+def test_negative_size_raises_on_the_first_pull(stream):
+    records = stream(-1)
+    with pytest.raises(DomainError, match="brion size n must be nonnegative, got -1"):
+        next(records)
+
+
 def _visits(n, pairs):
     """(n, lambda, omega) once per record: the short-first-row Sigma, then every sigma."""
     out = []

@@ -134,6 +134,22 @@ def test_kronecker_size_mismatch_rejected():
         kronecker((2,), (1,), (1,))
 
 
+def test_empty_shapes_are_the_trivial_group():
+    assert kronecker((), (), ()) == 1
+    assert tensor_decompose((), ()) == {(): 1}
+    with pytest.raises(DomainError, match="n >= 1"):
+        character_table(0)
+
+
+def test_multiplicity_rejects_what_is_no_character():
+    t = character_table(3)  # classes (3), (2,1), (1,1,1) of sizes 2, 3, 1
+    with pytest.raises(ConsistencyError, match="not integral"):
+        t.multiplicity((1, 0, 0), (3,))
+    with pytest.raises(ConsistencyError, match="negative"):
+        t.multiplicity(tuple(-x for x in t.row((2, 1))), (2, 1))
+    assert t.multiplicity(t.product((2, 1), (2, 1)), (2, 1)) == 1
+
+
 def test_tensor_decomposition_example():
     got = tensor_decompose((5, 1), (5, 1))
     assert got == {(6,): 1, (5, 1): 1, (4, 2): 1, (4, 1, 1): 1}

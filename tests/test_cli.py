@@ -59,6 +59,13 @@ def test_curve_bounds_optional_outputs(capsys):
     assert payload == {"separates": True}
 
 
+def test_empty_shapes_are_the_trivial_group(capsys):
+    assert run(capsys, "kron", "[]", "[]", "[]") == (0, '{"kron":1}\n', "")
+    code, out, err = run(capsys, "chartable", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_chartable(capsys):
     payload = run_json(capsys, "chartable", "3")
     assert payload["shapes"] == ["[3]", "[2,1]", "[1,1,1]"]
@@ -403,6 +410,17 @@ def test_cap_exceeded_is_a_capacity_error(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "capacity"
     assert "exceeds the configured bound" in payload["message"]
+
+
+def test_rep_check_caps_the_size_before_the_dimension(capsys, monkeypatch):
+    def no_dimension(lam):
+        raise AssertionError(f"dimension of over-cap shape {lam} computed")
+
+    monkeypatch.setattr(cli, "dimension", no_dimension)
+    code, out, err = run(capsys, "rep-check", "[100000]")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "capacity",
+                               "message": "shape [100000] of size 100000 exceeds the configured bound 14"}
 
 
 @pytest.mark.parametrize("argv", [
