@@ -121,20 +121,11 @@ def _falling(x: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CatalecticantMatrix:
-    """Matrix of q |-> q(d/dx, d/dy) p from degree-k operators to degree-(n-k) forms."""
+def catalecticant(p: BinaryForm, k: int) -> ratmat.Matrix:
+    """The (n-k+1) x (k+1) catalecticant of p at operator degree k, as row lists.
 
-    source_degree: int
-    target_degree: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def rows(self) -> ratmat.Matrix:
-        return [list(row) for row in self.entries]
-
-
-def catalecticant(p: BinaryForm, k: int) -> CatalecticantMatrix:
-    """The (n-k+1) x (k+1) catalecticant of p at operator degree k.
+    It is the matrix of q |-> q(d/dx, d/dy) p from degree-k operators to
+    degree-(n-k) forms.
 
     Column j is the operator (d/dx)^(k-j) (d/dy)^j applied to p, written on the
     basis x^(n-k-i) y^i. Literal differentiation: entry (i, j) equals
@@ -143,14 +134,10 @@ def catalecticant(p: BinaryForm, k: int) -> CatalecticantMatrix:
     n = p.degree
     if not 1 <= k <= n:
         raise DomainError(f"operator degree must satisfy 1 <= k <= {n}, got {k}")
-    entries = tuple(
-        tuple(
-            p.coeffs[i + j] * _falling(n - i - j, k - j) * _falling(i + j, j)
-            for j in range(k + 1)
-        )
+    return [
+        [p.coeffs[i + j] * _falling(n - i - j, k - j) * _falling(i + j, j) for j in range(k + 1)]
         for i in range(n - k + 1)
-    )
-    return CatalecticantMatrix(source_degree=k, target_degree=n - k, entries=entries)
+    ]
 
 
 def min_apolar_degree(p: BinaryForm) -> int:
@@ -161,7 +148,7 @@ def min_apolar_degree(p: BinaryForm) -> int:
     catalecticant has rank exactly r. For n = 1, C_1 of the nonzero linear
     form has rank 1.
     """
-    return ratmat.rank(catalecticant(p, max(1, p.degree // 2)).rows())
+    return ratmat.rank(catalecticant(p, max(1, p.degree // 2)))
 
 
 def kernel_dimension(p: BinaryForm, k: int) -> int:
@@ -352,17 +339,16 @@ def _refine_root(ints: list[int], z0, precision_bits: int):
 class SecantCertificate:
     """Outcome of sylvester_decompose.
 
-    kernel_degree is the first k whose catalecticant has a kernel; rank is the
-    Waring rank (kernel_degree in the squarefree case, n - k + 2 otherwise).
+    kernel_degree is the first k whose catalecticant has a kernel, so the form
+    lies on the k-th secant; rank is the Waring rank (kernel_degree in the
+    squarefree case, n - k + 2 otherwise).
     support/coefficients are present exactly when the annihilator used is
     squarefree; they are exact Fractions unless support_exact is False, in
     which case error_bound reports the certified radius / residual.
     """
 
-    form: BinaryForm
     kernel_degree: int
     rank: int
-    member: bool
     annihilator: BinaryForm
     support: tuple[SupportPoint, ...] | None
     coefficients: tuple | None
@@ -395,7 +381,7 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     """
     n = p.degree
     k = min_apolar_degree(p)
-    basis = ratmat.kernel_basis(catalecticant(p, k).rows())
+    basis = ratmat.kernel_basis(catalecticant(p, k))
     found = _pencil_squarefree(basis, k)
     if found is None:
         if len(basis) > 1:
@@ -405,10 +391,8 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
             )
         ann = BinaryForm(k, tuple(basis[0]))
         return SecantCertificate(
-            form=p,
             kernel_degree=k,
             rank=n - k + 2,
-            member=True,
             annihilator=ann,
             support=None,
             coefficients=None,
@@ -425,10 +409,8 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     else:
         coeffs, residual = _solve_coefficients_numeric(points, p, precision_bits)
     return SecantCertificate(
-        form=p,
         kernel_degree=k,
         rank=k,
-        member=True,
         annihilator=ann,
         support=tuple(points),
         coefficients=tuple(coeffs),
@@ -501,7 +483,6 @@ class RankSample:
     form: BinaryForm
     points: tuple[tuple[int, int], ...]
     coefficients: tuple[int, ...]
-    resamples: int
 
 
 def _point_pool() -> list[tuple[int, int]]:
@@ -518,13 +499,13 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
 
     Verifies genericity (minimal apolar degree exactly k; as 2k <= n + 1 the
     degree-k kernel is then one-dimensional) and resamples up to a fixed
-    bound on failure, reporting the count.
+    bound on failure.
     """
     if not 1 <= k <= (n + 1) // 2:
         raise DomainError(f"rank sampling needs 1 <= k <= (n+1)//2 = {(n + 1) // 2}, got {k}")
     rng = random.Random(seed)
     pool = _point_pool()
-    for attempt in range(RESAMPLE_BOUND):
+    for _ in range(RESAMPLE_BOUND):
         pts = tuple(sorted(rng.sample(pool, k)))
         weights = tuple(rng.choice([c for c in range(-9, 10) if c]) for _ in range(k))
         coeffs = [Fraction(0)] * (n + 1)
@@ -536,7 +517,7 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
         f = BinaryForm(n, tuple(coeffs))
         if min_apolar_degree(f) != k:
             continue
-        return RankSample(form=f, points=pts, coefficients=weights, resamples=attempt)
+        return RankSample(form=f, points=pts, coefficients=weights)
     raise ConsistencyError(
         f"rank-{k} sampling failed {RESAMPLE_BOUND} times for degree {n}, seed {seed}"
     )
@@ -545,8 +526,12 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
 # --- Vandermonde ranks and joins ----------------------------------------------
 
 def _parse_node(node) -> tuple[int, int]:
+    """A number, a string (a rational or "inf"), or an [alpha, beta] pair as a list or tuple."""
+    pair = isinstance(node, (list, tuple))
+    if pair and len(node) != 2:
+        raise DomainError(f"bad node {node!r}: a pair node is [alpha, beta]")
     # JSON true and false would otherwise pass as the numbers 1 and 0.
-    if any(isinstance(x, bool) for x in (node if isinstance(node, tuple) else (node,))):
+    if any(isinstance(x, bool) for x in (node if pair else (node,))):
         raise DomainError(f"bad node {node!r}: a boolean is not a number")
     try:
         if isinstance(node, str):
@@ -554,7 +539,7 @@ def _parse_node(node) -> tuple[int, int]:
             if text in ("inf", "oo", "infinity"):
                 return (1, 0)
             return normalize_point(Fraction(text), 1)
-        if isinstance(node, tuple):
+        if pair:
             return normalize_point(*node)
         return normalize_point(Fraction(node), 1)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -596,9 +581,9 @@ def join_rank_check(p: BinaryForm, q: BinaryForm) -> JoinRank:
     The product of annihilators of p and q annihilates p + q, which forces the
     bound; a violation would be an internal fault and raises.
     """
+    total = add_forms(p, q)  # rejects mismatched degrees before any rank
     a = min_apolar_degree(p)
     b = min_apolar_degree(q)
-    total = add_forms(p, q)
     if total is None:
         return JoinRank(a=a, b=b, c=0, sum_is_zero=True)
     c = min_apolar_degree(total)

@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 import mpmath
 
 from . import apolarity, brionlab, characters, curvebounds, monodromy, seminormal
-from .config import DEFAULT_DIM_CAP, LOOP_SAMPLES_CAP, WORD_SAMPLES_CAP, Config, load_config
+from .config import DEFAULT_DIM_CAP, LOOP_WORK_CAP, WORD_SAMPLES_CAP, Config, load_config
 from .errors import CapacityError, DomainError, KronsecError
 from .partitions import dimension, format_partition, parse_partition, size
 from .permutations import cycle_notation
@@ -132,10 +132,9 @@ def _require_nonnegative(what: str, value: int) -> None:
         raise DomainError(f"{what} must be nonnegative, got {value}")
 
 
-def _require_count(flag: str, value: int, cap: int) -> None:
-    """A sample count: negative is a domain error, above `cap` a capacity error."""
-    _require_nonnegative(flag, value)
-    _require_within(f"{flag} {value}", value, cap)
+def _require_loop_work(letters: int, n: int) -> None:
+    """Tracking `letters` half-twists over n roots costs about letters * n * (n + 7)."""
+    _require_within(f"tracking {letters} letters over {n} roots", letters * n * (n + 7), LOOP_WORK_CAP)
 
 
 @contextmanager
@@ -220,7 +219,8 @@ def _cmd_rep_check(args, cfg: Config) -> dict:
     _require_within(f"shape {shape} of size {size(lam)}", size(lam), cfg.n_cap)
     dim = dimension(lam)  # after the size cap: the hook-length formula takes factorial(n)
     _require_within(f"shape {shape} of dimension {dim}", dim, DEFAULT_DIM_CAP)
-    _require_count("--words", args.words, WORD_SAMPLES_CAP)
+    _require_nonnegative("--words", args.words)
+    _require_within(f"--words {args.words}", args.words, WORD_SAMPLES_CAP)
     rep = seminormal.build_rep(lam)
     relations = seminormal.check_relations(rep)
     image = seminormal.spherical_relation_image(rep)
@@ -265,10 +265,10 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         return str(x)
 
     return {
-        "form": apolarity.format_form(cert.form),
+        "form": apolarity.format_form(p),
         "kernel_degree": cert.kernel_degree,
         "rank": cert.rank,
-        "member": cert.member,
+        "member": True,  # p lies on the secant of its first kernel degree
         "annihilator": apolarity.format_form(cert.annihilator),
         "support": None if cert.support is None else [_point_json(q, number) for q in cert.support],
         "coefficients": None if cert.coefficients is None
@@ -285,8 +285,7 @@ def _cmd_vdm(args, cfg: Config) -> dict:
         raise DomainError(f"nodes must be a JSON list: {exc}") from None
     if not isinstance(raw, list):
         raise DomainError("nodes must be a JSON list")
-    nodes = [tuple(x) if isinstance(x, list) else x for x in raw]
-    return {"rank": apolarity.vandermonde_rank(nodes, args.degree)}
+    return {"rank": apolarity.vandermonde_rank(raw, args.degree)}
 
 
 def _cmd_join(args, cfg: Config) -> dict:
@@ -309,7 +308,7 @@ def _cmd_curve_bounds(args, cfg: Config) -> dict:
 
 def _loop_json(loop: monodromy.MonodromyLoop) -> dict:
     return {
-        "permutation": loop.notation(),
+        "permutation": cycle_notation(loop.permutation),
         "zero_based": list(loop.permutation),
         "steps": loop.refinement.steps,
         "halvings": loop.refinement.halvings,
@@ -339,6 +338,7 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
             raise DomainError(f"loop spec is not valid JSON: {exc}") from None
         base, segments, tolerance = monodromy.parse_loop_spec(data)
         _require_within(f"loop base of degree {len(base) - 1}", len(base) - 1, cfg.n_cap)
+        _require_loop_work(len(segments), len(base) - 1)
         return _loop_json(monodromy.track_roots(base, segments, tolerance=tolerance, **kwargs))
     if args.n is None:
         raise DomainError("--word, --spherical, and --defining need --n")
@@ -348,15 +348,19 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
             word = [int(part) for part in args.word.split(",") if part.strip()]
         except ValueError:
             raise DomainError(f"word must be comma-separated integers, got {args.word!r}") from None
+        _require_loop_work(len(word), args.n)
         return _loop_json(monodromy.word_loop(args.n, word, **kwargs))
     if args.spherical:
+        _require_loop_work(2 * (args.n - 1), args.n)
         check = monodromy.spherical_word_check(args.n, **kwargs)
         return {"n": args.n, "identity": check.identity, **_loop_json(check.loop)}
-    _require_count("--samples", args.samples, LOOP_SAMPLES_CAP)
+    _require_nonnegative("--samples", args.samples)
+    # n - 1 generators, then each sampled word has at most 2n - 1 letters.
+    _require_loop_work(args.n - 1 + args.samples * (2 * args.n - 1), args.n)
     report = monodromy.defining_rep_decomposition(args.n, sample_loops=args.samples,
                                                   seed=cfg.seed, **kwargs)
     return {
-        "n": report.n,
+        "n": args.n,
         "generators": [cycle_notation(p) for p in report.generator_permutations],
         "word_samples": report.word_samples,
         "word_checks_ok": report.word_checks_ok,

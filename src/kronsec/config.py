@@ -23,11 +23,14 @@ MIN_PRECISION_BITS = 53
 MAX_PRECISION_BITS = 4096
 # Largest seminormal dimension rep-check builds; fixed, not a Config field.
 DEFAULT_DIM_CAP = 2000
-# Most random words `rep-check --words` traces and `monodromy --samples`
-# tracks; fixed, not Config fields. At each bound `rep-check "[2,1]"` and
-# `monodromy --defining --n 4` take about 10 s on a 2-core host.
+# Most random words `rep-check --words` traces; fixed, not a Config field.
+# At this bound `rep-check "[2,1]"` takes about 10 s on a 2-core host.
 WORD_SAMPLES_CAP = 100_000
-LOOP_SAMPLES_CAP = 40
+# Bound on L * n * (n + 7) for a monodromy command that tracks at most L
+# half-twist letters over n roots; fixed, not a Config field. One letter
+# costs about 0.0005 * n * (n + 7) s at 96 bits on a 2-core host, so at this
+# bound a command takes 15 to 17 s at both n = 2 and n = 14.
+LOOP_WORK_CAP = 30_000
 
 
 @dataclass(frozen=True)

@@ -205,17 +205,12 @@ class StepStats:
 
 @dataclass(frozen=True)
 class MonodromyLoop:
-    """A tracked loop: its data, the induced root permutation, and step records."""
+    """A tracked loop: the induced root permutation, step records, and the settings used."""
 
-    base: tuple
-    segments: tuple
     permutation: tuple[int, ...]
     refinement: StepStats
     tolerance: float
     precision_bits: int
-
-    def notation(self) -> str:
-        return cycle_notation(self.permutation)
 
 
 def track_roots(
@@ -236,23 +231,20 @@ def track_roots(
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     if not segments:
         raise DomainError("a loop needs at least one segment")
-    segs = [parse_segment(s) if not isinstance(s, (HalfTwist, CoefficientCircle)) else s for s in segments]
     with mpmath.workprec(precision_bits):
         coeffs0 = [mpmath.mpc(c) for c in base]
         roots0 = _sorted_roots(coeffs0)
         if _min_gap(roots0) <= tolerance:
             raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
-        _validate_segments(segs, coeffs0)
+        _validate_segments(segments, coeffs0)
 
         current = roots0
         stats = {"steps": 0, "halvings": 0, "min_step": max_step}
-        for seg_index, seg in enumerate(segs):
+        for seg_index, seg in enumerate(segments):
             current = _track_segment(seg, coeffs0, roots0, current, tolerance, max_step, stats, seg_index)
 
         perm = _match(current, roots0)
     return MonodromyLoop(
-        base=tuple(complex(c) for c in base),
-        segments=tuple(segs),
         permutation=perm,
         refinement=StepStats(
             initial_step=max_step,
@@ -271,7 +263,7 @@ def _validate_segments(segs, coeffs0):
         if isinstance(seg, HalfTwist):
             if not 1 <= seg.i <= n - 1:
                 raise DomainError(f"half_twist index {seg.i} out of range 1..{n - 1}")
-        else:
+        elif isinstance(seg, CoefficientCircle):
             if not 0 <= seg.index <= n:
                 raise DomainError(f"circle coefficient index {seg.index} out of range 0..{n}")
             start = coeffs0[seg.index]
@@ -282,6 +274,8 @@ def _validate_segments(segs, coeffs0):
                     f"circle radius {seg.radius} does not pass through coefficient "
                     f"{seg.index} = {complex(start)}"
                 )
+        else:
+            raise DomainError(f"{seg!r} is not a Segment; parse_segment reads the text form")
 
 
 def _track_segment(seg, coeffs0, roots0, current, tolerance, max_step, stats, seg_index):
@@ -378,11 +372,6 @@ def base_with_integer_roots(n: int):
     return _poly_from_roots(range(1, n + 1), 1)
 
 
-def standard_generator_loop(n: int, i: int, **kwargs) -> MonodromyLoop:
-    """Track the half-twist of roots i, i+1 over the base with roots 1..n."""
-    return word_loop(n, [i], **kwargs)
-
-
 def word_loop(n: int, word, **kwargs) -> MonodromyLoop:
     """Track the concatenation of generator half-twists named by `word`."""
     if not word:
@@ -392,7 +381,6 @@ def word_loop(n: int, word, **kwargs) -> MonodromyLoop:
 
 @dataclass(frozen=True)
 class SphericalCheck:
-    n: int
     loop: MonodromyLoop
     identity: bool
 
@@ -401,14 +389,13 @@ def spherical_word_check(n: int, **kwargs) -> SphericalCheck:
     """Track the relation word 1..n-1, n-1..1; its monodromy must be trivial."""
     word = list(range(1, n)) + list(range(n - 1, 0, -1))
     loop = word_loop(n, word, **kwargs)
-    return SphericalCheck(n=n, loop=loop, identity=loop.permutation == identity_perm(n))
+    return SphericalCheck(loop=loop, identity=loop.permutation == identity_perm(n))
 
 
 @dataclass(frozen=True)
 class DefiningRepReport:
     """Tracked generators, the group they generate, and the character split."""
 
-    n: int
     generator_permutations: tuple[tuple[int, ...], ...]
     word_samples: int
     word_checks_ok: bool
@@ -456,7 +443,7 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
         raise DomainError(f"the defining action needs n >= 2 roots, got {n}")
     if sample_loops < 0:
         raise DomainError(f"sample_loops must be nonnegative, got {sample_loops}")
-    gen_perms = [standard_generator_loop(n, i, **kwargs).permutation for i in range(1, n)]
+    gen_perms = [word_loop(n, [i], **kwargs).permutation for i in range(1, n)]
     _require_connected_transpositions(n, gen_perms)
 
     rng = random.Random(seed)
@@ -474,7 +461,6 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
     fixed = tuple(cc.cycle_type.count(1) for cc in table.classes)
     decomposition = {lam: m for lam in table.irreducibles if (m := table.multiplicity(fixed, lam))}
     return DefiningRepReport(
-        n=n,
         generator_permutations=tuple(gen_perms),
         word_samples=sample_loops,
         word_checks_ok=word_checks_ok,

@@ -74,13 +74,13 @@ Column = tuple[tuple[int, Fraction], ...]
 class SeminormalRep:
     """Exact action of the adjacent transpositions s_1 .. s_{n-1}.
 
-    generators[i - 1][c] is column c of s_i: the (row, entry) pairs of s_i v_c.
+    generators[i - 1][c] is column c of s_i: the (row, entry) pairs of s_i v_c,
+    where v_c belongs to the tableau standard_tableaux(shape)[c].
     """
 
     shape: Partition
     n: int
     dim: int
-    tableaux: tuple[Tableau, ...]
     generators: tuple[tuple[Column, ...], ...]
 
 
@@ -115,7 +115,7 @@ def build_rep(lam: Partition) -> SeminormalRep:
                 beta = Fraction(1) if d > 0 else 1 - a * a
                 cols.append(((c, a), (other, beta)))
         gens.append(tuple(cols))
-    return SeminormalRep(shape=lam, n=n, dim=dim, tableaux=tabs, generators=tuple(gens))
+    return SeminormalRep(shape=lam, n=n, dim=dim, generators=tuple(gens))
 
 
 def _images(rep: SeminormalRep, word) -> Iterator[dict[int, Fraction]]:

@@ -27,7 +27,7 @@ from kronsec.apolarity import (
     vandermonde_rank,
 )
 from kronsec.errors import DomainError
-from kronsec import ratmat
+from kronsec import apolarity, ratmat
 
 
 # --- forms and parsing --------------------------------------------------------
@@ -79,14 +79,14 @@ def test_catalecticant_rows_realize_the_apolarity_pairing():
         q = [Fraction(rng.randrange(-4, 5)) for _ in range(k + 1)]
         applied = oracle_apply_operator(q, n, p.coeffs)
         for i in range(n - k + 1):
-            row_dot = sum(cat.entries[i][j] * q[j] for j in range(k + 1))
+            row_dot = sum(cat[i][j] * q[j] for j in range(k + 1))
             assert row_dot == applied[i]
 
 
 def test_catalecticant_shape_and_degree_bounds():
     p = form(5, [1, 2, 3, 4, 5, 6])
     cat = catalecticant(p, 2)
-    assert len(cat.entries) == 4 and len(cat.entries[0]) == 3
+    assert len(cat) == 4 and len(cat[0]) == 3
     with pytest.raises(DomainError):
         catalecticant(p, 0)
     with pytest.raises(DomainError):
@@ -111,7 +111,7 @@ def test_kernel_vectors_annihilate_the_form():
                 pts.append(cand)
         weights = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k)]
         p = form(n, oracle_power_sum_coeffs(n, pts, weights))
-        basis = ratmat.kernel_basis(catalecticant(p, k).rows())
+        basis = ratmat.kernel_basis(catalecticant(p, k))
         assert basis, "constructed rank-k form must be annihilated in degree k"
         for vec in basis:
             assert all(v == 0 for v in oracle_apply_operator(vec, n, p.coeffs))
@@ -146,7 +146,7 @@ def test_one_rank_gives_every_kernel_dimension():
     # dim ker C_k = max(0, k-r+1) + max(0, k-n-1+r) from the single rank r.
     for p in _closed_form_cases():
         n = p.degree
-        dims = [k + 1 - ratmat.rank(catalecticant(p, k).rows()) for k in range(1, n + 1)]
+        dims = [k + 1 - ratmat.rank(catalecticant(p, k)) for k in range(1, n + 1)]
         assert min_apolar_degree(p) == 1 + next(i for i, d in enumerate(dims) if d), p
         for k, dim in enumerate(dims, start=1):
             assert kernel_dimension(p, k) == dim, (p, k)
@@ -163,7 +163,7 @@ def _support_set(cert):
 def test_sylvester_on_sum_of_two_cubes():
     cert = sylvester_decompose(parse_form("deg=3; coeffs=1,0,0,1"))
     assert cert.rank == 2 and cert.kernel_degree == 2
-    assert cert.member and cert.support_exact
+    assert cert.support_exact
     assert cert.annihilator.coeffs == (0, 1, 0)  # the operator xy
     assert _support_set(cert) == {(1, 0), (0, 1)}
     assert cert.coefficients == (1, 1)
@@ -381,6 +381,13 @@ def test_vandermonde_node_spellings_normalize_to_the_same_point():
     assert vandermonde_rank([(1, 2), (2, 1), "inf"], 4) == 3
 
 
+def test_vandermonde_pair_nodes_are_lists_or_tuples_of_two():
+    assert vandermonde_rank([[1, 2], (2, 1), "inf"], 4) == 3
+    for node in ([1, 2, 3], (1,)):
+        with pytest.raises(DomainError, match=r"a pair node is \[alpha, beta\]"):
+            vandermonde_rank([node], 2)
+
+
 # --- joins ----------------------------------------------------------------------
 
 
@@ -397,6 +404,15 @@ def test_join_zero_sum_flag():
     q = form(3, [-1, -2, 0, -1])
     result = join_rank_check(p, q)
     assert result.sum_is_zero and result.c == 0
+
+
+def test_join_rejects_mismatched_degrees_before_any_rank(monkeypatch):
+    def no_rank(p):
+        raise AssertionError(f"ranked {p}")
+
+    monkeypatch.setattr(apolarity, "min_apolar_degree", no_rank)
+    with pytest.raises(DomainError, match="cannot add forms of degrees 4 and 2"):
+        join_rank_check(form(4, [1, 0, 0, 0, 1]), form(2, [1, 0, 1]))
 
 
 def test_join_subadditive_on_seeded_pairs():

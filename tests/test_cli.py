@@ -9,10 +9,10 @@ import mpmath
 import pytest
 from conftest import oracle_power_sum_coeffs
 
-from kronsec import cli
+from kronsec import apolarity, cli, monodromy
 from kronsec.apolarity import parse_form
 from kronsec.cli import main
-from kronsec.config import LOOP_SAMPLES_CAP, WORD_SAMPLES_CAP
+from kronsec.config import LOOP_WORK_CAP, WORD_SAMPLES_CAP
 from kronsec.errors import (
     CapacityError,
     ConsistencyError,
@@ -167,6 +167,16 @@ def test_join(capsys):
     assert payload == {"a": 1, "b": 1, "c": 2, "sum_is_zero": False}
 
 
+def test_join_rejects_mismatched_degrees_before_any_rank(capsys, monkeypatch):
+    def no_rank(p):
+        raise AssertionError(f"ranked {p}")
+
+    monkeypatch.setattr(apolarity, "min_apolar_degree", no_rank)
+    code, out, err = run(capsys, "join", "deg=3; coeffs=1,0,0,1", "deg=2; coeffs=1,0,1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain", "message": "cannot add forms of degrees 3 and 2"}
+
+
 def test_monodromy_word(capsys):
     payload = run_json(capsys, "monodromy", "--n", "3", "--word", "1,2,1")
     assert payload["permutation"] == "(1 3)"
@@ -204,9 +214,38 @@ def test_monodromy_spec_file(capsys, tmp_path):
     assert payload["permutation"] == "()"
 
 
+_MONODROMY_ARGV = {
+    "word": ["monodromy", "--word", "1,2,1", "--n", "3"],
+    "spherical": ["monodromy", "--spherical", "--n", "4"],
+    "defining": ["--seed", "3", "monodromy", "--defining", "--n", "4", "--samples", "2"],
+    "spec-circle": ["monodromy", "--spec", '{"base": [-1, 0, 1], "segments": ["circle(0, 1.0)"]}'],
+}
+# sha256 of stdout for each command above, fixed when the monodromy output was
+# last changed on purpose.
+_MONODROMY_STDOUT = {
+    "word": "1569e7c1d07bdf3c27d3849aa34aaaac1fe1166ab37b18895b34a6291825dd2f",
+    "spherical": "cbcf0646b0244e04f77b19e0ebcb17f2221aa9576ddb718ed442cd2d1c048792",
+    "defining": "8c80c35592f5b58e761d66fdccc3daf893e14f66c229c3586f60341dddf12138",
+    "spec-circle": "69a5a0d28a3e3223d26eeba512a68c9d0d826542923ce8af325dcfb946cce748",
+}
+
+
+@pytest.mark.parametrize("key", _MONODROMY_ARGV)
+def test_monodromy_outputs_are_byte_identical(capsys, key):
+    code, out, err = run(capsys, *_MONODROMY_ARGV[key])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _MONODROMY_STDOUT[key]
+
+
 def _spec(**fields):
     return ["monodromy", "--spec",
             json.dumps({"base": [-1, 0, 1], "segments": ["half_twist(1)"], **fields})]
+
+
+# The cases whose message is pinned as well as its kind.
+_MALFORMED_MESSAGES = {
+    ("vdm", "[[1,2,3]]", "2"): "bad node [1, 2, 3]: a pair node is [alpha, beta]",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,7 +280,9 @@ def test_malformed_literals_are_domain_errors(capsys, tmp_path, argv):
     (tmp_path / "five.json").write_text("5")
     code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == "domain"
+    payload = json.loads(err)
+    assert payload["error"] == "domain"
+    assert payload["message"] == _MALFORMED_MESSAGES.get(tuple(argv), payload["message"])
     assert [f.name for f in tmp_path.iterdir()] == ["five.json"]
 
 
@@ -401,7 +442,8 @@ def test_config_file_flag(capsys, tmp_path, monkeypatch):
                   '{"base": [720, -1764, 1624, -735, 175, -21, 1], "segments": ["half_twist(1)"]}'],
                  id="spec-over-n-cap"),
     pytest.param(["rep-check", "[2,1]", "--words", str(WORD_SAMPLES_CAP + 1)], id="words-over-cap"),
-    pytest.param(["monodromy", "--defining", "--n", "4", "--samples", str(LOOP_SAMPLES_CAP + 1)],
+    # At n = 4 a letter weighs 4 * 11 and a sampled word has up to 7 letters.
+    pytest.param(["monodromy", "--defining", "--n", "4", "--samples", str(LOOP_WORK_CAP // (4 * 11 * 7) + 1)],
                  id="samples-over-cap"),
 ])
 def test_cap_exceeded_is_a_capacity_error(capsys, argv):
@@ -410,6 +452,54 @@ def test_cap_exceeded_is_a_capacity_error(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "capacity"
     assert "exceeds the configured bound" in payload["message"]
+
+
+def _letters(count):
+    return ",".join(["1"] * count)
+
+
+def _half_twists(count):
+    return json.dumps({"base": [-1, 0, 1], "segments": ["half_twist(1)"] * count})
+
+
+# At n = 2 one letter weighs 2 * (2 + 7) = 18 against LOOP_WORK_CAP.
+_AT_WORK_CAP = LOOP_WORK_CAP // 18
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["monodromy", "--word", _letters(_AT_WORK_CAP + 1), "--n", "2"], id="word"),
+    pytest.param(["monodromy", "--spec", _half_twists(_AT_WORK_CAP + 1)], id="spec"),
+    pytest.param(["monodromy", "--defining", "--n", "14", "--samples", "4"], id="defining-n14"),
+    pytest.param(["monodromy", "--defining", "--n", "2", "--samples", str(_AT_WORK_CAP)], id="defining-n2"),
+])
+def test_monodromy_work_bound_is_checked_before_any_tracking(capsys, monkeypatch, tmp_path, argv):
+    def no_tracking(*args, **kwargs):
+        raise AssertionError("a loop was tracked")
+
+    monkeypatch.setattr(monodromy, "track_roots", no_tracking)
+    target = tmp_path / "loop.json"
+    code, out, err = run(capsys, "--output", str(target), *argv)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "capacity"
+    assert payload["message"].endswith(f"exceeds the configured bound {LOOP_WORK_CAP}")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["monodromy", "--word", _letters(_AT_WORK_CAP), "--n", "2"], id="word"),
+    pytest.param(["monodromy", "--spec", _half_twists(_AT_WORK_CAP)], id="spec"),
+    pytest.param(["monodromy", "--defining", "--n", "14"], id="defining-n14-default-samples"),
+    pytest.param(["monodromy", "--spherical", "--n", "14"], id="spherical-n14"),
+])
+def test_monodromy_work_bound_admits_up_to_the_bound(capsys, monkeypatch, argv):
+    def stop(*args, **kwargs):
+        raise DomainError("tracking reached")
+
+    monkeypatch.setattr(monodromy, "track_roots", stop)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain", "message": "tracking reached"}
 
 
 def test_rep_check_caps_the_size_before_the_dimension(capsys, monkeypatch):

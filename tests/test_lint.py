@@ -1,7 +1,8 @@
 """Lint checks with the stdlib only.
 
-No package module or test file imports a name it never uses, and no package
-module defines a private top-level name it never uses. Every function the
+No package module or test file imports a name it never uses, no package
+module defines a private top-level name it never uses, and every field a
+package class declares is read somewhere as an attribute. Every function the
 benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, and kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports.
@@ -21,6 +22,8 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + s
 PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 TRACER = TESTS.parent / "perfbench" / "tracing.py"
 RUNNER = TESTS.parent / "perfbench" / "run.py"
+# Everything that may read a field of a package class.
+READERS = PACKAGE_MODULES + sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -77,6 +80,41 @@ def test_the_scan_finds_a_dead_private_helper():
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
 def test_module_has_no_dead_private_helpers(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def unread_fields(definers: list[str], readers: list[str]) -> list[str]:
+    """"Class.field" for each annotated class field no source reads as `obj.field`.
+
+    A field is read when some `ast.Attribute` of that name is loaded, in any
+    module: the check is by name, so it cannot tell two classes' fields apart.
+    """
+    declared = set()
+    for source in definers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                declared.update((node.name, stmt.target.id) for stmt in node.body
+                                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
+
+
+def test_the_scan_finds_an_unread_field():
+    definer = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Loop:\n"
+        "    permutation: tuple\n    base: tuple\n    segments: tuple = ()\n"
+        "    def notation(self):\n        return str(self.permutation)\n"
+        "def reset(loop):\n    loop.segments = ()\n    return Loop(permutation=(), base=())\n"
+    )
+    # A keyword argument or an assignment to the field is not a read.
+    assert unread_fields([definer], [definer]) == ["Loop.base", "Loop.segments"]
+    assert unread_fields([definer], [definer, "print(loop.base)"]) == ["Loop.segments"]
+
+
+def test_every_package_field_is_read():
+    definers = [p.read_text(encoding="utf-8") for p in PACKAGE_MODULES]
+    assert unread_fields(definers, [p.read_text(encoding="utf-8") for p in READERS]) == []
 
 
 def spanned_names() -> dict[str, list[str]]:

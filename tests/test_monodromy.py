@@ -15,7 +15,6 @@ from kronsec.monodromy import (
     parse_loop_spec,
     parse_segment,
     spherical_word_check,
-    standard_generator_loop,
     track_roots,
     word_loop,
 )
@@ -57,7 +56,7 @@ def test_base_with_integer_roots_is_monic_with_distinct_roots():
 def test_single_half_twist_swaps_adjacent_roots():
     for n in (2, 3, 5):
         for i in range(1, n):
-            loop = standard_generator_loop(n, i)
+            loop = word_loop(n, [i])
             expected = list(range(n))
             expected[i - 1], expected[i] = expected[i], expected[i - 1]
             assert loop.permutation == tuple(expected)
@@ -83,7 +82,7 @@ def test_word_composition_matches_permutation_product():
         whole = word_loop(n, word).permutation
         acc = identity_perm(n)
         for letter in word:
-            step = standard_generator_loop(n, letter).permutation
+            step = word_loop(n, [letter]).permutation
             acc = compose(step, acc)
         assert whole == acc
 
@@ -92,7 +91,7 @@ def test_spherical_relation_word_is_trivial():
     for n in (2, 3, 4, 5):
         check = spherical_word_check(n)
         assert check.identity
-        assert check.loop.notation() == "()"
+        assert cycle_notation(check.loop.permutation) == "()"
 
 
 def test_full_circle_of_constant_coefficient_swaps_square_roots():
@@ -143,15 +142,15 @@ def test_negative_sample_loops_is_a_domain_error_before_any_tracking(monkeypatch
     def tracked(*args, **kwargs):
         raise AssertionError("a loop was tracked")
 
-    monkeypatch.setattr(monodromy, "standard_generator_loop", tracked)
+    monkeypatch.setattr(monodromy, "word_loop", tracked)
     with pytest.raises(DomainError, match="sample_loops must be nonnegative, got -3"):
         defining_rep_decomposition(2, sample_loops=-3)
 
 
 def _tracked_as(monkeypatch, perms):
-    """Make standard_generator_loop report the given permutations."""
-    monkeypatch.setattr(monodromy, "standard_generator_loop",
-                        lambda n, i, **kwargs: SimpleNamespace(permutation=perms[i - 1]))
+    """Make each one-letter generator loop report the given permutations."""
+    monkeypatch.setattr(monodromy, "word_loop",
+                        lambda n, word, **kwargs: SimpleNamespace(permutation=perms[word[0] - 1]))
 
 
 def test_a_tracked_three_cycle_is_a_consistency_error(monkeypatch):
@@ -191,6 +190,11 @@ def test_degenerate_base_rejected():
         track_roots((1, 2, 1), (HalfTwist(1),))  # double root at -1
     with pytest.raises(DomainError):
         track_roots((1,), ())  # constant polynomial has no roots
+
+
+def test_track_roots_takes_segment_values_only():
+    with pytest.raises(DomainError, match="not a Segment"):
+        track_roots((-1, 0, 1), ["half_twist(1)"])
 
 
 def test_half_twist_index_range():
