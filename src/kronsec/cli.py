@@ -41,7 +41,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="path to a key=value config file")
     parser.add_argument("--human", action="store_true", help="indented output instead of compact JSON")
     parser.add_argument("--seed", type=int, help="override the configured random seed")
-    parser.add_argument("--precision-bits", type=int, help="working precision for numeric tracking")
+    parser.add_argument("--precision-bits", type=int, help="mpmath working precision in bits; monodromy tracks "
+                        "roots with F = bits + ceil(log2(8 / tolerance)) fractional bits")
     parser.add_argument("--n-cap", type=int, help="largest symmetric group order allowed")
     parser.add_argument("--sweep-cap", type=int, help="largest sweep size allowed")
     parser.add_argument("--output", help="output path, - for stdout")

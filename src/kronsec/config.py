@@ -27,9 +27,9 @@ DEFAULT_DIM_CAP = 2000
 # At this bound `rep-check "[2,1]"` takes about 10 s on a 2-core host.
 WORD_SAMPLES_CAP = 100_000
 # Bound on L * n * (n + 7) for a monodromy command that tracks at most L
-# half-twist letters over n roots; fixed, not a Config field. One letter
-# costs about 0.0005 * n * (n + 7) s at 96 bits on a 2-core host, so at this
-# bound a command takes 15 to 17 s at both n = 2 and n = 14.
+# half-twist letters over n roots; fixed, not a Config field. At this bound,
+# on a 2-core host running at half the benchmark's reference speed, a
+# command took 5.8 s at n = 2 (1,666 letters) and 2.1 s at n = 14 (102).
 LOOP_WORK_CAP = 30_000
 
 

@@ -2,13 +2,21 @@
 
 A loop is a list of closed segments deforming the coefficient vector of a
 degree-n polynomial and returning to it. Roots are continued along sampled
-parameter steps by a linear predictor plus Newton correction at extended
-precision (mpmath, 96 bits by default), with nearest-neighbor matching
-accepted only while every root moved less than half the minimal pairwise
-root distance; otherwise the step is halved, down to a hard floor of 2^-20
-of the initial step. The permutation of the starting roots induced by the
-loop is the output; it is read off exactly once the final roots are matched
-back to the initial ones.
+parameter steps by a linear predictor plus Newton correction in one
+fixed-point kernel on Gaussian integers: each root is a pair of Python ints
+scaled by 2^F, with F = precision_bits + ceil(log2(8 / tolerance)), so the
+kernel carries precision_bits bits (96 by default) below the Newton target
+tolerance/8. Coefficients are held for u = z / 2^s, with 2^s a power of two
+at least every base root modulus, so small or clustered roots keep their
+relative precision. A step is accepted only while every root moved less
+than half the least pairwise root distance and all roots stay more than the
+tolerance apart, each an exact comparison of squared integers; otherwise the
+step is halved, down to a hard floor of 2^-20 of the initial step. A
+half-twist corrects only its two moving roots, on the fixed product of the
+n - 2 still roots times one moving quadratic; a circle rescales one
+coefficient. mpmath isolates the base roots, gives one phase e^(i pi x) per
+step, and matches the final roots back to the initial ones, which reads off
+the permutation of the starting roots that the loop induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
 
@@ -35,6 +43,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
+from mpmath import libmp
 
 from .characters import character_table
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
@@ -58,26 +67,6 @@ class HalfTwist:
 
     i: int
 
-    def roots_at(self, t: float, base_roots):
-        rs = list(base_roots)
-        a, b = rs[self.i - 1], rs[self.i]
-        mid = (a + b) / 2
-        half = (b - a) / 2
-        if t <= 1 / 3:
-            s = 1 - (3 * t) / 2  # radius factor 1 -> 1/2
-            lo, hi = mid - half * s, mid + half * s
-        elif t <= 2 / 3:
-            phase = mpmath.expjpi(3 * t - 1)
-            lo, hi = mid - half * phase / 2, mid + half * phase / 2
-        else:
-            s = (3 * t - 2) / 2 + mpmath.mpf(1) / 2  # 1/2 -> 1, swapped
-            lo, hi = mid + half * s, mid - half * s
-        rs[self.i - 1], rs[self.i] = lo, hi
-        return rs
-
-    def coeffs_at(self, t: float, base_coeffs, base_roots):
-        return _poly_from_roots(self.roots_at(t, base_roots), base_coeffs[-1])
-
     def describe(self) -> str:
         return f"half_twist({self.i})"
 
@@ -88,11 +77,6 @@ class CoefficientCircle:
 
     index: int
     radius: float
-
-    def coeffs_at(self, t: float, base_coeffs, base_roots):
-        coeffs = list(base_coeffs)
-        coeffs[self.index] = coeffs[self.index] * mpmath.expjpi(2 * t)
-        return coeffs
 
     def describe(self) -> str:
         return f"circle({self.index}, {self.radius})"
@@ -131,16 +115,21 @@ def parse_loop_spec(data: dict):
         raise DomainError("loop spec 'base' and 'segments' must be lists")
     base = [_as_complex(c) for c in data["base"]]
     segments = [parse_segment(s) for s in data["segments"]]
-    tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
+    return base, segments, _checked_tolerance(data.get("tolerance", DEFAULT_TOLERANCE))
+
+
+def _checked_tolerance(tolerance) -> float:
+    """The tolerance as a float; a DomainError unless it is a positive finite number."""
+    # JSON true and false would otherwise pass as the numbers 1 and 0.
     if isinstance(tolerance, bool):
         raise DomainError(f"tolerance must be a number, got {tolerance!r}")
     try:
-        tolerance = float(tolerance)
+        value = float(tolerance)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"tolerance must be a number, got {tolerance!r}") from None
-    if not 0 < tolerance < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
-    return base, segments, tolerance
+    if not 0 < value < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {value}")
+    return value
 
 
 def _as_complex(entry) -> complex:
@@ -193,6 +182,184 @@ def _sorted_roots(coeffs):
     return sorted(raw, key=lambda z: (mpmath.re(z), mpmath.im(z)))
 
 
+# --- the fixed-point kernel ---------------------------------------------------
+#
+# The kernel works in u = z / 2^s, with 2^s at least every base root modulus
+# and the tolerance, so the monic polynomial in u has coefficients of size at
+# most binomial(n, k) however large or small its roots are. A complex number
+# x + iy in u is held as the pair of ints (X, Y) with x + iy ~ (X + iY) / 2^F.
+# Sums are exact; each product is floored back to F fractional bits. Every
+# step decision compares squared ints, so none of them rounds, and scaling by
+# 2^s changes none of them.
+
+NEWTON_ITERATIONS = 60
+# Bits carried past F in the one mpmath phase of each step.
+PHASE_GUARD_BITS = 8
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """u = z / 2^scale held in units of 2^-bits; the squared Newton target and root separation in those units."""
+
+    bits: int
+    scale: int
+    newton_sq: int
+    separation_sq: int
+
+
+def _grid(precision_bits: int, tolerance: float, roots) -> _Grid:
+    """The grid: a root z is held as floor(2^F z), F = precision_bits + ceil(log2(8 / tolerance)).
+
+    That is u = z / 2^s at F + s fractional bits, precision_bits bits below
+    the Newton target tolerance / 8. With tolerance = m * 2^e and
+    1/2 <= m < 1, ceil(log2(8 / tolerance)) = 4 - e, and the target is
+    m * 2^(precision_bits + 1) grid units of u: an integer, as
+    precision_bits >= 53 and 2^53 * m is one.
+    """
+    mantissa, exp = math.frexp(tolerance)
+    scale = max([exp] + [int(mpmath.mag(r)) for r in roots if r])
+    target = int(mantissa * 2**53) << (precision_bits + 1 - 53)
+    return _Grid(precision_bits + 4 - exp + scale, scale, target**2, (8 * target) ** 2)
+
+
+def _fixed(z, bits: int) -> tuple[int, int]:
+    """floor(2^F z) of an mpc, taken part by part."""
+    return libmp.to_fixed(z.real._mpf_, bits), libmp.to_fixed(z.imag._mpf_, bits)
+
+
+def _unfixed(z, bits: int):
+    """The mpc 2^-F z of a fixed-point pair."""
+    return mpmath.mpc(mpmath.mpf((z[0], -bits)), mpmath.mpf((z[1], -bits)))
+
+
+def _dist_sq(a, b) -> int:
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+
+def _gap_sq(roots, moving, least):
+    """The least of `least` and the squared distances from each moving root to every other root."""
+    done = set()
+    for m in moving:
+        done.add(m)
+        for k, z in enumerate(roots):
+            if k not in done:
+                least = min(least, _dist_sq(roots[m], z))
+    return least
+
+
+def _phase(num: int, den: int, bits: int) -> tuple[int, int]:
+    """e^(i pi num/den) in fixed point, for den a power of two."""
+    with mpmath.workprec(bits + PHASE_GUARD_BITS):
+        return _fixed(mpmath.expjpi(mpmath.mpf(num) / den), bits)
+
+
+def _newton(desc, z, grid: _Grid):
+    """Newton-correct z on the polynomial with descending fixed-point coefficients.
+
+    Horner gives the value u and derivative d together; the step u/d is one
+    integer complex division. Returns the corrected root once a step has
+    |step|^2 below the target, or None at a zero derivative or after
+    NEWTON_ITERATIONS steps.
+    """
+    bits = grid.bits
+    zr, zi = z
+    (lead_r, lead_i), rest = desc[0], desc[1:]
+    for _ in range(NEWTON_ITERATIONS):
+        ur, ui, dr, di = lead_r, lead_i, 0, 0
+        for cr, ci in rest:
+            dr, di = ((dr * zr - di * zi) >> bits) + ur, ((dr * zi + di * zr) >> bits) + ui
+            ur, ui = ((ur * zr - ui * zi) >> bits) + cr, ((ur * zi + ui * zr) >> bits) + ci
+        den = dr * dr + di * di
+        if not den:
+            return None
+        sr = ((ur * dr + ui * di) << bits) // den
+        si = ((ui * dr - ur * di) << bits) // den
+        zr, zi = zr - sr, zi - si
+        if sr * sr + si * si < grid.newton_sq:
+            return zr, zi
+    return None
+
+
+def _times(a, b, bits: int) -> tuple[int, int]:
+    return (a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits
+
+
+def _times_linear(desc, r, bits: int):
+    """Descending coefficients of desc(z) * (z - r)."""
+    out = list(desc) + [(0, 0)]
+    for k, c in enumerate(desc, start=1):
+        rc = _times(r, c, bits)
+        out[k] = (out[k][0] - rc[0], out[k][1] - rc[1])
+    return out
+
+
+def _monic(coeffs0, grid: _Grid):
+    """Descending fixed-point coefficients, in u, of the base over its leading coefficient.
+
+    The coefficient of z^k becomes a_k * 2^(s(k - n)) in u; each is floored once.
+    """
+    def exact(x):
+        return Fraction(*libmp.to_rational(x._mpf_))
+
+    lead_r, lead_i = exact(coeffs0[-1].real), exact(coeffs0[-1].imag)
+    norm = lead_r * lead_r + lead_i * lead_i
+    n = len(coeffs0) - 1
+    out = []
+    for k in range(n, -1, -1):
+        cr, ci = exact(coeffs0[k].real), exact(coeffs0[k].imag)
+        unit = Fraction(2) ** (grid.bits + grid.scale * (k - n)) / norm
+        out.append((math.floor((cr * lead_r + ci * lead_i) * unit),
+                    math.floor((ci * lead_r - cr * lead_i) * unit)))
+    return out
+
+
+def _half_twist_path(i: int, base_roots, bits: int):
+    """Coefficients along half_twist(i) at t, as one function.
+
+    The moving pair is mid -+ half*w with w running 1 -> 1/2, then
+    e^(i pi (3t - 1))/2, then -1/2 -> -1. Its sum S = a + b never changes and
+    its product is (S^2 - D^2 w^2) / 4 with D = b - a, so with Q the product
+    of the n - 2 still roots the polynomial is Q z (z - S) + c(t) Q: one
+    O(n) update per step.
+    """
+    a, b = base_roots[i - 1], base_roots[i]
+    q = [(1 << bits, 0)]
+    for r in base_roots[:i - 1] + base_roots[i + 1:]:
+        q = _times_linear(q, r, bits)
+    s = (a[0] + b[0], a[1] + b[1])
+    d = (b[0] - a[0], b[1] - a[1])
+    fixed_part = _times_linear(q, s, bits) + [(0, 0)]
+    s2, d2 = _times(s, s, bits), _times(d, d, bits)
+
+    def coeffs_at(t: Fraction):
+        num, den = t.numerator, t.denominator
+        if den < 3 * num <= 2 * den:
+            pr, pi = _phase(6 * num - 2 * den, den, bits)
+            w2 = (pr >> 2, pi >> 2)
+        else:
+            # w = 1 - 3t/2 up to t = 1/3 and -(3t - 1)/2 from t = 2/3.
+            w = 2 * den - 3 * num if 3 * num <= den else 3 * num - den
+            w2 = ((w * w << bits) // (4 * den * den), 0)
+        dw = _times(d2, w2, bits)
+        c = ((s2[0] - dw[0]) >> 2, (s2[1] - dw[1]) >> 2)
+        return fixed_part[:2] + [(fr + cq[0], fi + cq[1])
+                                 for (fr, fi), cq in zip(fixed_part[2:], (_times(c, x, bits) for x in q))]
+
+    return coeffs_at
+
+
+def _circle_path(index: int, monic, bits: int):
+    """Coefficients along circle(index, r) at t: one coefficient times e^(2 pi i t)."""
+    k = len(monic) - 1 - index
+
+    def coeffs_at(t: Fraction):
+        out = list(monic)
+        out[k] = _times(monic[k], _phase(2 * t.numerator, t.denominator, bits), bits)
+        return out
+
+    return coeffs_at
+
+
 # --- tracking -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -227,8 +394,7 @@ def track_roots(
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
-    if not tolerance > 0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
+    tolerance = _checked_tolerance(tolerance)
     if not segments:
         raise DomainError("a loop needs at least one segment")
     with mpmath.workprec(precision_bits):
@@ -238,12 +404,27 @@ def track_roots(
             raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
         _validate_segments(segments, coeffs0)
 
-        current = roots0
+        grid = _grid(precision_bits, tolerance, roots0)
+        # z = U / 2^(F - s) for a grid value U of u.
+        root_bits = grid.bits - grid.scale
+        base_roots = [_fixed(r, root_bits) for r in roots0]
+        monic = _monic(coeffs0, grid)
+        current = base_roots
         stats = {"steps": 0, "halvings": 0, "min_step": max_step}
         for seg_index, seg in enumerate(segments):
-            current = _track_segment(seg, coeffs0, roots0, current, tolerance, max_step, stats, seg_index)
+            if isinstance(seg, HalfTwist):
+                coeffs_at = _half_twist_path(seg.i, base_roots, grid.bits)
+                # Roots are continued in tracked order; the pair to move is the one
+                # now sitting at base positions i and i+1.
+                moving = [min(range(len(current)), key=lambda k: _dist_sq(current[k], base_roots[j]))
+                          for j in (seg.i - 1, seg.i)]
+            else:
+                coeffs_at = _circle_path(seg.index, monic, grid.bits)
+                moving = range(len(current))
+            current = _track_segment(coeffs_at, moving, current, grid, max_step, stats,
+                                     f"segment {seg_index} ({seg.describe()})")
 
-        perm = _match(current, roots0)
+        perm = _match([_unfixed(z, root_bits) for z in current], roots0)
     return MonodromyLoop(
         permutation=perm,
         refinement=StepStats(
@@ -278,73 +459,62 @@ def _validate_segments(segs, coeffs0):
             raise DomainError(f"{seg!r} is not a Segment; parse_segment reads the text form")
 
 
-def _track_segment(seg, coeffs0, roots0, current, tolerance, max_step, stats, seg_index):
-    t = mpmath.mpf(0)
-    h = mpmath.mpf(max_step)
-    floor = mpmath.mpf(max_step) * STEP_FLOOR_RATIO
+def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, where):
+    """Continue the roots at indices `moving` from t = 0 to 1; the others stay put.
+
+    A step is accepted when Newton converged on every moving root, no root
+    moved by half the least root gap before the step (4 moved^2 < gap^2),
+    and every root stays more than the tolerance from every other.
+    """
+    still = [z for k, z in enumerate(current) if k not in moving]
+    still_gap = _gap_sq(still, range(len(still)), math.inf)
+    gap = _gap_sq(current, moving, still_gap)
+    t = Fraction(0)
+    h = Fraction(max_step)
+    floor = h * Fraction(STEP_FLOOR_RATIO)
     prev_roots = None
     prev_h = None
     streak = 0
-    gap = _min_gap(current)
     while t < 1:
-        remaining = 1 - t
-        if h >= remaining:
-            h = remaining
-            t_next = mpmath.mpf(1)
-        else:
-            t_next = t + h
-        coeffs = seg.coeffs_at(t_next, coeffs0, roots0)
-        if prev_roots is not None and prev_h:
-            ratio = h / prev_h
-            predicted = [c + (c - p) * ratio for c, p in zip(current, prev_roots)]
-        else:
-            predicted = list(current)
-        corrected = _newton_all(coeffs, predicted, tolerance)
-        ok = corrected is not None
+        if h >= 1 - t:
+            h = 1 - t
+        desc = coeffs_at(t + h)
+        num, den = (h / prev_h).as_integer_ratio() if prev_roots is not None else (0, 1)
+        corrected = list(current)
+        moved = 0
+        ok = True
+        for m in moving:
+            # Linear predictor: continue the last accepted step, scaled to this one.
+            (zr, zi), (pr, pi) = current[m], (prev_roots or current)[m]
+            z = _newton(desc, (zr + (zr - pr) * num // den, zi + (zi - pi) * num // den), grid)
+            if z is None:
+                ok = False
+                break
+            corrected[m] = z
+            moved = max(moved, _dist_sq(z, current[m]))
         if ok:
-            moved = max(abs(a - b) for a, b in zip(corrected, current))
-            pairwise = _min_gap(corrected)
-            ok = moved < gap / 2 and pairwise > tolerance
+            pairwise = _gap_sq(corrected, moving, still_gap)
+            ok = 4 * moved < gap and pairwise > grid.separation_sq
         if not ok:
             stats["halvings"] += 1
             h = h / 2
             streak = 0
             if h < floor:
                 raise PrecisionError(
-                    f"step size fell below the floor near t={float(t):.6f} in segment "
-                    f"{seg_index} ({seg.describe()}); root collision suspected"
+                    f"step size fell below the floor near t={float(t):.6f} in {where}; "
+                    "root collision suspected"
                 )
             continue
         prev_roots, prev_h = current, h
         current, gap = corrected, pairwise
-        t = t_next
+        t += h
         stats["steps"] += 1
         stats["min_step"] = min(stats["min_step"], float(h))
         streak += 1
         if streak >= 4 and h < max_step:
-            h = min(mpmath.mpf(max_step), h * 2)
+            h = min(Fraction(max_step), h * 2)
             streak = 0
     return current
-
-
-def _newton_all(coeffs, guesses, tolerance):
-    target = mpmath.mpf(tolerance) / 8
-    descending = coeffs[::-1]
-    out = []
-    for z in guesses:
-        z = mpmath.mpc(z)
-        for _ in range(60):
-            u, d = mpmath.polyval(descending, z, derivative=True)
-            if d == 0:
-                return None
-            step = u / d
-            z -= step
-            if abs(step) < target:
-                break
-        else:
-            return None
-        out.append(z)
-    return out
 
 
 def _match(finals, initials):

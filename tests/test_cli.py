@@ -237,6 +237,24 @@ def test_monodromy_outputs_are_byte_identical(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == _MONODROMY_STDOUT[key]
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_monodromy_spherical_at_53_bits(capsys, n):
+    payload = run_json(capsys, "--precision-bits", "53", "monodromy", "--spherical", "--n", str(n))
+    assert payload["identity"] is True
+    assert payload["precision_bits"] == 53
+
+
+@pytest.mark.parametrize("tolerance", [None, 1e-40])
+def test_a_root_collision_hits_the_step_floor(capsys, tolerance):
+    # z^2 + 2z + c with c = -e^(2 pi i t) has the double root -1 at t = 1/2.
+    spec = {"base": [-1, 2, 1], "segments": ["circle(0, 1)"]}
+    if tolerance is not None:
+        spec["tolerance"] = tolerance
+    code, out, err = run(capsys, "monodromy", "--spec", json.dumps(spec))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "precision"
+
+
 def _spec(**fields):
     return ["monodromy", "--spec",
             json.dumps({"base": [-1, 0, 1], "segments": ["half_twist(1)"], **fields})]
@@ -256,6 +274,7 @@ _MALFORMED_MESSAGES = {
     pytest.param(_spec(tolerance="x"), id="spec-tolerance-text"),
     pytest.param(_spec(tolerance=None), id="spec-tolerance-null"),
     pytest.param(_spec(tolerance=float("nan")), id="spec-tolerance-nan"),
+    pytest.param(_spec(tolerance=float("inf")), id="spec-tolerance-inf"),
     pytest.param(_spec(tolerance=10**400), id="spec-tolerance-huge"),
     pytest.param(_spec(base=[10**400, 0, 1]), id="spec-base-huge"),
     pytest.param(["monodromy", "--spec", "{tmp}/five.json"], id="spec-file-not-an-object"),

@@ -1,7 +1,10 @@
+import math
+import random
 from itertools import combinations
 from math import factorial
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 
 import kronsec.monodromy as monodromy
@@ -99,6 +102,68 @@ def test_full_circle_of_constant_coefficient_swaps_square_roots():
     loop = track_roots((-1, 0, 1), (CoefficientCircle(0, 1.0),))
     assert loop.permutation == (1, 0)
     assert cycle_notation(loop.permutation) == "(1 2)"
+
+
+@pytest.mark.parametrize("base, segments, tolerance, expected", [
+    pytest.param((1e-30, 0, 1), (CoefficientCircle(0, 1e-30),), 1e-20, (1, 0), id="roots-1e-15"),
+    pytest.param((-1e30, 0, 1), (CoefficientCircle(0, 1e30), HalfTwist(1)), monodromy.DEFAULT_TOLERANCE,
+                 (0, 1), id="roots-1e15"),
+    # Roots j * 1e-13: a grid fixed in z alone would lose them to the
+    # rounding of the constant coefficient.
+    pytest.param((2.4e-51, -5e-38, 3.5e-25, -1e-12, 1), (HalfTwist(2),), monodromy.DEFAULT_TOLERANCE,
+                 (0, 2, 1, 3), id="roots-j-1e-13"),
+])
+def test_roots_far_from_unit_size(base, segments, tolerance, expected):
+    assert track_roots(base, segments, tolerance=tolerance).permutation == expected
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+def test_tolerance_must_be_positive_and_finite(tolerance):
+    with pytest.raises(DomainError, match="positive and finite"):
+        track_roots((-1, 0, 1), (HalfTwist(1),), tolerance=tolerance)
+    with pytest.raises(DomainError, match="positive and finite"):
+        parse_loop_spec({"base": [-1, 0, 1], "segments": ["half_twist(1)"], "tolerance": tolerance})
+
+
+def _mpmath_newton(coeffs, z, target):
+    """Reference: Newton on mpmath.polyval until the step is below target."""
+    descending = coeffs[::-1]
+    for _ in range(100):
+        u, d = mpmath.polyval(descending, z, derivative=True)
+        step = u / d
+        z -= step
+        if abs(step) < target:
+            return z
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_fixed_point_newton_agrees_with_an_mpmath_reference():
+    rng = random.Random(14)
+    tolerance = monodromy.DEFAULT_TOLERANCE
+    for _ in range(24):
+        n = rng.randrange(2, 15)
+        scale = 2.0 ** rng.randrange(-30, 31)
+        roots = []
+        while len(roots) < n:
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            if all(abs(z - r) > 0.2 for r in roots):
+                roots.append(z)
+        roots = [r * scale for r in roots]
+        coeffs = [1]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        with mpmath.workprec(96):
+            coeffs0 = [mpmath.mpc(c) for c in coeffs]
+            grid = monodromy._grid(96, tolerance, [mpmath.mpc(r) for r in roots])
+            root_bits = grid.bits - grid.scale
+            monic = monodromy._monic(coeffs0, grid)
+        for r in roots:
+            guess = mpmath.mpc(r + complex(0.01, 0.01) * scale)
+            fixed = monodromy._newton(monic, monodromy._fixed(guess, root_bits), grid)
+            assert fixed is not None
+            with mpmath.workprec(256):
+                reference = _mpmath_newton(coeffs0, guess, tolerance * 2.0**-60)
+                assert abs(monodromy._unfixed(fixed, root_bits) - reference) < tolerance
 
 
 def test_circle_radius_must_match_base_coefficient():
