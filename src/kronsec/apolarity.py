@@ -339,15 +339,14 @@ def _refine_root(ints: list[int], z0, precision_bits: int):
 class SecantCertificate:
     """Outcome of sylvester_decompose.
 
-    kernel_degree is the first k whose catalecticant has a kernel, so the form
-    lies on the k-th secant; rank is the Waring rank (kernel_degree in the
+    annihilator has degree k, the first k whose catalecticant has a kernel,
+    so the form lies on the k-th secant; rank is the Waring rank (k in the
     squarefree case, n - k + 2 otherwise).
     support/coefficients are present exactly when the annihilator used is
     squarefree; they are exact Fractions unless support_exact is False, in
     which case error_bound reports the certified radius / residual.
     """
 
-    kernel_degree: int
     rank: int
     annihilator: BinaryForm
     support: tuple[SupportPoint, ...] | None
@@ -391,7 +390,6 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
             )
         ann = BinaryForm(k, tuple(basis[0]))
         return SecantCertificate(
-            kernel_degree=k,
             rank=n - k + 2,
             annihilator=ann,
             support=None,
@@ -409,7 +407,6 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     else:
         coeffs, residual = _solve_coefficients_numeric(points, p, precision_bits)
     return SecantCertificate(
-        kernel_degree=k,
         rank=k,
         annihilator=ann,
         support=tuple(points),
@@ -567,12 +564,15 @@ def vandermonde_rank(nodes: Sequence, degree: int) -> int:
 
 @dataclass(frozen=True)
 class JoinRank:
-    """First catalecticant kernel degrees of p, q, and p + q."""
+    """First catalecticant kernel degrees of p, q, and p + q.
+
+    c is 0 exactly when p + q is the zero form: every coefficient of a
+    nonzero form sits in its catalecticant, so its degree is at least 1.
+    """
 
     a: int
     b: int
     c: int
-    sum_is_zero: bool
 
 
 def join_rank_check(p: BinaryForm, q: BinaryForm) -> JoinRank:
@@ -585,10 +585,10 @@ def join_rank_check(p: BinaryForm, q: BinaryForm) -> JoinRank:
     a = min_apolar_degree(p)
     b = min_apolar_degree(q)
     if total is None:
-        return JoinRank(a=a, b=b, c=0, sum_is_zero=True)
+        return JoinRank(a=a, b=b, c=0)
     c = min_apolar_degree(total)
     if c > a + b:
         raise ConsistencyError(
             f"join subadditivity violated: c={c} > a+b={a + b} for {p} and {q}"
         )
-    return JoinRank(a=a, b=b, c=c, sum_is_zero=False)
+    return JoinRank(a=a, b=b, c=c)

@@ -134,7 +134,11 @@ def _require_nonnegative(what: str, value: int) -> None:
 
 
 def _require_loop_work(letters: int, n: int) -> None:
-    """Tracking `letters` half-twists over n roots costs about letters * n * (n + 7)."""
+    """Tracking `letters` letters over n roots costs about letters * n * (n + 7).
+
+    A half-twist is one letter. A coefficient circle Newton-corrects all n
+    roots where a half-twist corrects two, so it counts as n letters.
+    """
     _require_within(f"tracking {letters} letters over {n} roots", letters * n * (n + 7), LOOP_WORK_CAP)
 
 
@@ -267,7 +271,7 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
 
     return {
         "form": apolarity.format_form(p),
-        "kernel_degree": cert.kernel_degree,
+        "kernel_degree": cert.annihilator.degree,
         "rank": cert.rank,
         "member": True,  # p lies on the secant of its first kernel degree
         "annihilator": apolarity.format_form(cert.annihilator),
@@ -292,7 +296,7 @@ def _cmd_vdm(args, cfg: Config) -> dict:
 def _cmd_join(args, cfg: Config) -> dict:
     result = apolarity.join_rank_check(apolarity.parse_form(args.form1),
                                        apolarity.parse_form(args.form2))
-    return {"a": result.a, "b": result.b, "c": result.c, "sum_is_zero": result.sum_is_zero}
+    return {"a": result.a, "b": result.b, "c": result.c, "sum_is_zero": result.c == 0}
 
 
 def _cmd_curve_bounds(args, cfg: Config) -> dict:
@@ -307,16 +311,17 @@ def _cmd_curve_bounds(args, cfg: Config) -> dict:
     return obj
 
 
-def _loop_json(loop: monodromy.MonodromyLoop) -> dict:
+def _loop_json(loop: monodromy.MonodromyLoop, cfg: Config, tolerance=monodromy.DEFAULT_TOLERANCE) -> dict:
+    """The loop's result and the settings it was tracked with, which the CLI passed."""
     return {
         "permutation": cycle_notation(loop.permutation),
         "zero_based": list(loop.permutation),
         "steps": loop.refinement.steps,
         "halvings": loop.refinement.halvings,
-        "initial_step": float(loop.refinement.initial_step),
+        "initial_step": monodromy.DEFAULT_MAX_STEP,
         "min_step": float(loop.refinement.min_step),
-        "tolerance": float(loop.tolerance),
-        "precision_bits": loop.precision_bits,
+        "tolerance": tolerance,
+        "precision_bits": cfg.precision_bits,
     }
 
 
@@ -338,9 +343,11 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
         except json.JSONDecodeError as exc:
             raise DomainError(f"loop spec is not valid JSON: {exc}") from None
         base, segments, tolerance = monodromy.parse_loop_spec(data)
-        _require_within(f"loop base of degree {len(base) - 1}", len(base) - 1, cfg.n_cap)
-        _require_loop_work(len(segments), len(base) - 1)
-        return _loop_json(monodromy.track_roots(base, segments, tolerance=tolerance, **kwargs))
+        n = len(base) - 1
+        _require_within(f"loop base of degree {n}", n, cfg.n_cap)
+        letters = sum(n if isinstance(seg, monodromy.CoefficientCircle) else 1 for seg in segments)
+        _require_loop_work(letters, n)
+        return _loop_json(monodromy.track_roots(base, segments, tolerance=tolerance, **kwargs), cfg, tolerance)
     if args.n is None:
         raise DomainError("--word, --spherical, and --defining need --n")
     _require_within(f"monodromy on n={args.n} roots", args.n, cfg.n_cap)
@@ -350,11 +357,11 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
         except ValueError:
             raise DomainError(f"word must be comma-separated integers, got {args.word!r}") from None
         _require_loop_work(len(word), args.n)
-        return _loop_json(monodromy.word_loop(args.n, word, **kwargs))
+        return _loop_json(monodromy.word_loop(args.n, word, **kwargs), cfg)
     if args.spherical:
         _require_loop_work(2 * (args.n - 1), args.n)
         check = monodromy.spherical_word_check(args.n, **kwargs)
-        return {"n": args.n, "identity": check.identity, **_loop_json(check.loop)}
+        return {"n": args.n, "identity": check.identity, **_loop_json(check.loop, cfg)}
     _require_nonnegative("--samples", args.samples)
     # n - 1 generators, then each sampled word has at most 2n - 1 letters.
     _require_loop_work(args.n - 1 + args.samples * (2 * args.n - 1), args.n)
@@ -363,11 +370,11 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
     return {
         "n": args.n,
         "generators": [cycle_notation(p) for p in report.generator_permutations],
-        "word_samples": report.word_samples,
+        "word_samples": args.samples,
         "word_checks_ok": report.word_checks_ok,
         "group_order": report.group_order,
         "decomposition": {format_partition(lam): m for lam, m in report.decomposition.items()},
-        "seed": report.seed,
+        "seed": cfg.seed,
     }
 
 

@@ -27,9 +27,11 @@ DEFAULT_DIM_CAP = 2000
 # At this bound `rep-check "[2,1]"` takes about 10 s on a 2-core host.
 WORD_SAMPLES_CAP = 100_000
 # Bound on L * n * (n + 7) for a monodromy command that tracks at most L
-# half-twist letters over n roots; fixed, not a Config field. At this bound,
-# on a 2-core host running at half the benchmark's reference speed, a
-# command took 5.8 s at n = 2 (1,666 letters) and 2.1 s at n = 14 (102).
+# letters over n roots; fixed, not a Config field. A half-twist is one
+# letter; a coefficient circle corrects all n roots, so it counts as n. At
+# this bound, on a 2-core host running at twice the benchmark's reference
+# speed, a command took 1.2 s at n = 2 (1,666 half-twists), 0.28 s at
+# n = 14 (102 half-twists) and 0.82 s at n = 14 (7 circles, 98 letters).
 LOOP_WORK_CAP = 30_000
 
 

@@ -14,8 +14,10 @@ tolerance apart, each an exact comparison of squared integers; otherwise the
 step is halved, down to a hard floor of 2^-20 of the initial step. A
 half-twist corrects only its two moving roots, on the fixed product of the
 n - 2 still roots times one moving quadratic; a circle rescales one
-coefficient. mpmath isolates the base roots, gives one phase e^(i pi x) per
-step, and matches the final roots back to the initial ones, which reads off
+coefficient. mpmath isolates the base roots, which are then floored onto the
+grid, and gives one phase e^(i pi x) per step. On the grid the base roots
+must stay more than the tolerance apart, and each final root must end
+nearer than half the least base gap to one base root; that match reads off
 the permutation of the starting roots that the loop induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
@@ -164,11 +166,6 @@ def _poly_from_roots(roots, leading):
     return coeffs
 
 
-def _min_gap(roots):
-    """Least distance between two roots; infinite for fewer than two."""
-    return min((abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]), default=mpmath.inf)
-
-
 def _sorted_roots(coeffs):
     deg = len(coeffs) - 1
     if deg < 1:
@@ -189,8 +186,8 @@ def _sorted_roots(coeffs):
 # most binomial(n, k) however large or small its roots are. A complex number
 # x + iy in u is held as the pair of ints (X, Y) with x + iy ~ (X + iY) / 2^F.
 # Sums are exact; each product is floored back to F fractional bits. Every
-# step decision compares squared ints, so none of them rounds, and scaling by
-# 2^s changes none of them.
+# root decision (the base gap, each step, the final match) compares squared
+# ints, so none of them rounds, and scaling by 2^s changes none of them.
 
 NEWTON_ITERATIONS = 60
 # Bits carried past F in the one mpmath phase of each step.
@@ -225,11 +222,6 @@ def _grid(precision_bits: int, tolerance: float, roots) -> _Grid:
 def _fixed(z, bits: int) -> tuple[int, int]:
     """floor(2^F z) of an mpc, taken part by part."""
     return libmp.to_fixed(z.real._mpf_, bits), libmp.to_fixed(z.imag._mpf_, bits)
-
-
-def _unfixed(z, bits: int):
-    """The mpc 2^-F z of a fixed-point pair."""
-    return mpmath.mpc(mpmath.mpf((z[0], -bits)), mpmath.mpf((z[1], -bits)))
 
 
 def _dist_sq(a, b) -> int:
@@ -364,7 +356,6 @@ def _circle_path(index: int, monic, bits: int):
 
 @dataclass(frozen=True)
 class StepStats:
-    initial_step: float
     min_step: float
     steps: int
     halvings: int
@@ -372,12 +363,10 @@ class StepStats:
 
 @dataclass(frozen=True)
 class MonodromyLoop:
-    """A tracked loop: the induced root permutation, step records, and the settings used."""
+    """A tracked loop: the induced root permutation and its step records."""
 
     permutation: tuple[int, ...]
     refinement: StepStats
-    tolerance: float
-    precision_bits: int
 
 
 def track_roots(
@@ -400,42 +389,30 @@ def track_roots(
     with mpmath.workprec(precision_bits):
         coeffs0 = [mpmath.mpc(c) for c in base]
         roots0 = _sorted_roots(coeffs0)
-        if _min_gap(roots0) <= tolerance:
-            raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
-        _validate_segments(segments, coeffs0)
-
         grid = _grid(precision_bits, tolerance, roots0)
         # z = U / 2^(F - s) for a grid value U of u.
-        root_bits = grid.bits - grid.scale
-        base_roots = [_fixed(r, root_bits) for r in roots0]
+        base_roots = [_fixed(r, grid.bits - grid.scale) for r in roots0]
+        base_gap = _gap_sq(base_roots, range(len(base_roots)), math.inf)
+        if base_gap <= grid.separation_sq:
+            raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
+        _validate_segments(segments, coeffs0)
         monic = _monic(coeffs0, grid)
-        current = base_roots
-        stats = {"steps": 0, "halvings": 0, "min_step": max_step}
-        for seg_index, seg in enumerate(segments):
-            if isinstance(seg, HalfTwist):
-                coeffs_at = _half_twist_path(seg.i, base_roots, grid.bits)
-                # Roots are continued in tracked order; the pair to move is the one
-                # now sitting at base positions i and i+1.
-                moving = [min(range(len(current)), key=lambda k: _dist_sq(current[k], base_roots[j]))
-                          for j in (seg.i - 1, seg.i)]
-            else:
-                coeffs_at = _circle_path(seg.index, monic, grid.bits)
-                moving = range(len(current))
-            current = _track_segment(coeffs_at, moving, current, grid, max_step, stats,
-                                     f"segment {seg_index} ({seg.describe()})")
 
-        perm = _match([_unfixed(z, root_bits) for z in current], roots0)
-    return MonodromyLoop(
-        permutation=perm,
-        refinement=StepStats(
-            initial_step=max_step,
-            min_step=stats["min_step"],
-            steps=stats["steps"],
-            halvings=stats["halvings"],
-        ),
-        tolerance=tolerance,
-        precision_bits=precision_bits,
-    )
+    current = base_roots
+    stats = {"steps": 0, "halvings": 0, "min_step": max_step}
+    for seg_index, seg in enumerate(segments):
+        if isinstance(seg, HalfTwist):
+            coeffs_at = _half_twist_path(seg.i, base_roots, grid.bits)
+            # Roots are continued in tracked order; the pair to move is the one
+            # now sitting at base positions i and i+1.
+            moving = [min(range(len(current)), key=lambda k: _dist_sq(current[k], base_roots[j]))
+                      for j in (seg.i - 1, seg.i)]
+        else:
+            coeffs_at = _circle_path(seg.index, monic, grid.bits)
+            moving = range(len(current))
+        current = _track_segment(coeffs_at, moving, current, grid, max_step, stats,
+                                 f"segment {seg_index} ({seg.describe()})")
+    return MonodromyLoop(permutation=_match(current, base_roots, base_gap), refinement=StepStats(**stats))
 
 
 def _validate_segments(segs, coeffs0):
@@ -517,15 +494,21 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
     return current
 
 
-def _match(finals, initials):
-    guard = _min_gap(initials) / 2
+def _match(finals, base_roots, base_gap):
+    """The base root each final root ends on, nearer than half the least base gap.
+
+    The root tracked from base root k is finals[k]; base_gap is the least
+    squared distance between two base roots, so the test 4 d^2 < base_gap
+    is exact.
+    """
     perm = []
-    for z in finals:
-        dists = [abs(z - r) for r in initials]
-        j = min(range(len(initials)), key=dists.__getitem__)
-        if dists[j] >= guard:
+    for k, z in enumerate(finals):
+        dists = [_dist_sq(z, r) for r in base_roots]
+        j = min(range(len(base_roots)), key=dists.__getitem__)
+        if 4 * dists[j] >= base_gap:
             raise ConsistencyError(
-                f"final root {complex(z)} is not within half the base root gap of any base root"
+                f"the root tracked from base root {k + 1} ends no nearer than half "
+                "the least base root gap to any base root"
             )
         perm.append(j)
     if len(set(perm)) != len(perm):
@@ -567,11 +550,9 @@ class DefiningRepReport:
     """Tracked generators, the group they generate, and the character split."""
 
     generator_permutations: tuple[tuple[int, ...], ...]
-    word_samples: int
     word_checks_ok: bool
     group_order: int
     decomposition: dict
-    seed: int
 
 
 def _require_connected_transpositions(n: int, perms) -> None:
@@ -632,9 +613,7 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
     decomposition = {lam: m for lam in table.irreducibles if (m := table.multiplicity(fixed, lam))}
     return DefiningRepReport(
         generator_permutations=tuple(gen_perms),
-        word_samples=sample_loops,
         word_checks_ok=word_checks_ok,
         group_order=factorial(n),
         decomposition=decomposition,
-        seed=seed,
     )

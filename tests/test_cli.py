@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -219,6 +220,9 @@ _MONODROMY_ARGV = {
     "spherical": ["monodromy", "--spherical", "--n", "4"],
     "defining": ["--seed", "3", "monodromy", "--defining", "--n", "4", "--samples", "2"],
     "spec-circle": ["monodromy", "--spec", '{"base": [-1, 0, 1], "segments": ["circle(0, 1.0)"]}'],
+    # The tolerance and precision are printed from what the CLI passed.
+    "spec-settings": ["--precision-bits", "128", "monodromy", "--spec",
+                      '{"base": [-6, 11, -6, 1], "segments": ["half_twist(2)", "circle(0, 6)"], "tolerance": 1e-20}'],
 }
 # sha256 of stdout for each command above, fixed when the monodromy output was
 # last changed on purpose.
@@ -227,6 +231,7 @@ _MONODROMY_STDOUT = {
     "spherical": "cbcf0646b0244e04f77b19e0ebcb17f2221aa9576ddb718ed442cd2d1c048792",
     "defining": "8c80c35592f5b58e761d66fdccc3daf893e14f66c229c3586f60341dddf12138",
     "spec-circle": "69a5a0d28a3e3223d26eeba512a68c9d0d826542923ce8af325dcfb946cce748",
+    "spec-settings": "714096e4c7644ad3839f26d33796f59020a87a1de692514f1759ef44c5d07be9",
 }
 
 
@@ -253,6 +258,33 @@ def test_a_root_collision_hits_the_step_floor(capsys, tolerance):
     code, out, err = run(capsys, "monodromy", "--spec", json.dumps(spec))
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "precision"
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param({"base": [1, -2, 1], "segments": ["half_twist(1)"]}, id="double-root"),
+    # Roots 1, 2, 3 are one apart; a tolerance of exactly 1 sits on the boundary.
+    pytest.param({"base": [-6, 11, -6, 1], "segments": ["half_twist(1)"], "tolerance": 1.5}, id="gap-below-tolerance"),
+])
+def test_a_base_gap_within_the_tolerance_is_a_domain_error(capsys, spec):
+    code, out, err = run(capsys, "monodromy", "--spec", json.dumps(spec))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain",
+                               "message": "base polynomial is not resolvably squarefree at this tolerance"}
+
+
+def test_a_final_root_off_every_base_root_is_a_consistency_error(capsys, monkeypatch):
+    def half_gap_off(coeffs_at, moving, current, *rest):
+        # Root 1 ends straight above its base root, at most one grid unit past
+        # half the least base gap.
+        half = math.isqrt(monodromy._gap_sq(current, range(len(current)), math.inf)) // 2 + 1
+        return [(current[0][0], current[0][1] + half)] + current[1:]
+
+    monkeypatch.setattr(monodromy, "_track_segment", half_gap_off)
+    code, out, err = run(capsys, "monodromy", "--spec", '{"base": [-6, 11, -6, 1], "segments": ["half_twist(2)"]}')
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "consistency"
+    assert "root tracked from base root 1 ends no nearer than half the least base root gap" in payload["message"]
 
 
 def _spec(**fields):
@@ -481,13 +513,22 @@ def _half_twists(count):
     return json.dumps({"base": [-1, 0, 1], "segments": ["half_twist(1)"] * count})
 
 
+def _circles(count):
+    """count circles of the constant coefficient 14! of the polynomial with roots 1..14."""
+    return json.dumps({"base": monodromy.base_with_integer_roots(14),
+                       "segments": ["circle(0, 87178291200)"] * count})
+
+
 # At n = 2 one letter weighs 2 * (2 + 7) = 18 against LOOP_WORK_CAP.
 _AT_WORK_CAP = LOOP_WORK_CAP // 18
+# At n = 14 a circle counts as 14 letters of 14 * 21 each.
+_CIRCLES_AT_WORK_CAP = LOOP_WORK_CAP // (14 * 14 * 21)
 
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["monodromy", "--word", _letters(_AT_WORK_CAP + 1), "--n", "2"], id="word"),
     pytest.param(["monodromy", "--spec", _half_twists(_AT_WORK_CAP + 1)], id="spec"),
+    pytest.param(["monodromy", "--spec", _circles(_CIRCLES_AT_WORK_CAP + 1)], id="spec-circles"),
     pytest.param(["monodromy", "--defining", "--n", "14", "--samples", "4"], id="defining-n14"),
     pytest.param(["monodromy", "--defining", "--n", "2", "--samples", str(_AT_WORK_CAP)], id="defining-n2"),
 ])
@@ -508,6 +549,7 @@ def test_monodromy_work_bound_is_checked_before_any_tracking(capsys, monkeypatch
 @pytest.mark.parametrize("argv", [
     pytest.param(["monodromy", "--word", _letters(_AT_WORK_CAP), "--n", "2"], id="word"),
     pytest.param(["monodromy", "--spec", _half_twists(_AT_WORK_CAP)], id="spec"),
+    pytest.param(["monodromy", "--spec", _circles(_CIRCLES_AT_WORK_CAP)], id="spec-circles"),
     pytest.param(["monodromy", "--defining", "--n", "14"], id="defining-n14-default-samples"),
     pytest.param(["monodromy", "--spherical", "--n", "14"], id="spherical-n14"),
 ])

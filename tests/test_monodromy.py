@@ -163,7 +163,8 @@ def test_fixed_point_newton_agrees_with_an_mpmath_reference():
             assert fixed is not None
             with mpmath.workprec(256):
                 reference = _mpmath_newton(coeffs0, guess, tolerance * 2.0**-60)
-                assert abs(monodromy._unfixed(fixed, root_bits) - reference) < tolerance
+                tracked = mpmath.mpc(mpmath.mpf((fixed[0], -root_bits)), mpmath.mpf((fixed[1], -root_bits)))
+                assert abs(tracked - reference) < tolerance
 
 
 def test_circle_radius_must_match_base_coefficient():
@@ -190,7 +191,6 @@ def test_defining_rep_decomposition_small():
     assert report.group_order == 6
     assert report.word_checks_ok
     assert report.decomposition == {(3,): 1, (2, 1): 1}
-    assert report.seed == 5
 
 
 def test_defining_rep_decomposition_never_closes_the_group(monkeypatch):
@@ -248,6 +248,20 @@ def test_connected_transpositions_are_exactly_the_generating_sets():
         except ConsistencyError:
             connected = False
         assert connected == generates, gens
+
+
+def test_match_rejects_a_final_root_half_the_least_base_gap_away():
+    base = [(0, 0), (10, 0), (30, 0)]
+    assert monodromy._match([(10, 0), (4, 1), (30, 0)], base, 100) == (1, 0, 2)
+    with pytest.raises(ConsistencyError, match="root tracked from base root 2 ends no nearer than half"):
+        monodromy._match([(10, 0), (5, 0), (30, 0)], base, 100)
+
+
+def test_two_final_roots_on_one_base_root_are_not_a_bijection(monkeypatch):
+    monkeypatch.setattr(monodromy, "_track_segment",
+                        lambda coeffs_at, moving, current, *rest: [current[0], current[0], current[2]])
+    with pytest.raises(ConsistencyError, match="not a bijection"):
+        track_roots(base_with_integer_roots(3), (HalfTwist(1),))
 
 
 def test_degenerate_base_rejected():
