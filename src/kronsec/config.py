@@ -24,7 +24,8 @@ MAX_PRECISION_BITS = 4096
 # Largest seminormal dimension rep-check builds; fixed, not a Config field.
 DEFAULT_DIM_CAP = 2000
 # Most random words `rep-check --words` traces; fixed, not a Config field.
-# At this bound `rep-check "[2,1]"` takes about 10 s on a 2-core host.
+# At this bound `rep-check "[2,1]"` took 2.2-2.4 s on a 2-core host running
+# at about 0.6 to 0.7 times the benchmark's reference speed.
 WORD_SAMPLES_CAP = 100_000
 # Bound on L * n * (n + 7) for a monodromy command that tracks at most L
 # letters over n roots; fixed, not a Config field. A half-twist is one

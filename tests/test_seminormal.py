@@ -12,7 +12,7 @@ from conftest import (
 )
 
 from kronsec.characters import mn_value
-from kronsec.errors import DomainError
+from kronsec.errors import ConsistencyError, DomainError
 from kronsec.partitions import dimension, partitions_of
 from kronsec.permutations import perm_of_word
 from kronsec.seminormal import (
@@ -104,16 +104,60 @@ def test_check_relations_flags_corrupted_generators():
 
 
 def test_word_evaluation_against_dense_products():
+    # Words up to length 2n, the empty word included, on every shape of size
+    # at most 6, against dense Fraction products of the generators.
     rng = random.Random(4)
-    for lam in [(3, 1), (2, 2), (3, 2), (2, 2, 1)]:
-        rep = build_rep(lam)
-        n = rep.n
-        for _ in range(25):
-            word = [rng.randrange(1, n) for _ in range(rng.randrange(1, 9))]
-            dense = dense_identity(rep.dim)
-            for letter in word:
-                dense = dense_product(dense, dense_from_columns(rep.dim, rep.generators[letter - 1]))
-            assert dense_from_columns(rep.dim, evaluate_word(rep, word)) == dense
+    for n in range(2, 7):
+        for lam in partitions_of(n):
+            rep = build_rep(lam)
+            for _ in range(8):
+                word = [rng.randrange(1, n) for _ in range(rng.randrange(0, 2 * n + 1))]
+                dense = dense_identity(rep.dim)
+                for letter in word:
+                    dense = dense_product(dense, dense_from_columns(rep.dim, rep.generators[letter - 1]))
+                assert dense_from_columns(rep.dim, evaluate_word(rep, word)) == dense
+
+
+def test_results_are_fractions_at_the_edge():
+    rep = build_rep((3, 2, 1))
+    word = [1, 3, 2, 5, 4, 2]
+    assert type(word_trace(rep, word)) is Fraction
+    image = evaluate_word(rep, word)
+    assert all(type(v) is Fraction for column in image for _, v in column)
+    assert any(v.denominator > 1 for column in image for _, v in column)
+
+
+def test_involution_holds_on_every_shape_up_to_size_6():
+    # [i, i] against []: the sides differ in length, so the empty side is
+    # lifted by D^2 before the integer images are compared.
+    for n in range(2, 7):
+        for lam in partitions_of(n):
+            rep = build_rep(lam)
+            assert check_relations(rep)["involution"] is True
+            identity = tuple(((c, 1),) for c in range(rep.dim))
+            assert all(evaluate_word(rep, [i, i]) == identity for i in range(1, n))
+
+
+def test_an_entry_the_common_denominator_does_not_clear_is_an_error():
+    # Every entry of a generator of (3, 1) is cleared by D = lcm(1, 2, 3)^2 = 36;
+    # 36/7 is not an integer, so the scaled kernel must refuse it, not round it.
+    rep = build_rep((3, 1))
+    broken = _corrupt(rep, 2, lambda c, entries: ((entries[0][0], Fraction(1, 7)),) + entries[1:]
+                      if c == 0 else entries)
+    with pytest.raises(ConsistencyError, match="common denominator"):
+        check_relations(broken)
+    with pytest.raises(ConsistencyError, match="common denominator"):
+        word_trace(broken, [2, 1])
+    with pytest.raises(ConsistencyError, match="common denominator"):
+        evaluate_word(broken, [2])
+
+
+def test_a_trace_that_is_not_an_integer_is_an_error():
+    # s_1 -> (1/2) identity is cleared by D, but its trace 3/2 is no character value.
+    rep = build_rep((3, 1))
+    halved = _corrupt(rep, 1, lambda c, entries: ((c, Fraction(1, 2)),))
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        word_trace(halved, [1])
 
 
 def test_traces_match_characters():
