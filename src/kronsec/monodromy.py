@@ -14,11 +14,13 @@ tolerance apart, each an exact comparison of squared integers; otherwise the
 step is halved, down to a hard floor of 2^-20 of the initial step. A
 half-twist corrects only its two moving roots, on the fixed product of the
 n - 2 still roots times one moving quadratic; a circle rescales one
-coefficient. mpmath isolates the base roots, which are then floored onto the
-grid, and gives one phase e^(i pi x) per step. On the grid the base roots
-must stay more than the tolerance apart, and each final root must end
-nearer than half the least base gap to one base root; that match reads off
-the permutation of the starting roots that the loop induces.
+coefficient. The generator loops start from the exact roots 1..n of
+prod(z - j), which land on the grid exactly; only a base without known
+roots has them isolated by mpmath and floored onto the grid. mpmath also
+gives one phase e^(i pi x) per step. On the grid the base roots must stay
+more than the tolerance apart, and each final root must end nearer than
+half the least base gap to one base root; that match reads off the
+permutation of the starting roots that the loop induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
 
@@ -166,12 +168,28 @@ def _poly_from_roots(roots, leading):
     return coeffs
 
 
+def _known_roots(base, roots):
+    """The supplied roots of `base`, sorted; a DomainError unless they are ints with exactly this product.
+
+    The product is compared in exact rationals: a float leading coefficient
+    times a large root would round, and could match a base it does not equal.
+    """
+    roots = tuple(roots)
+    # True and 2.0 compare equal to integers, but are not the ints this path puts on the grid.
+    if any(isinstance(r, bool) or not isinstance(r, int) for r in roots):
+        raise DomainError(f"known base roots must be Python ints, got {roots!r}")
+    roots = sorted(roots)
+    try:
+        exact = [(Fraction(c.real), Fraction(c.imag)) for c in base]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("known roots need base coefficients with exact real and imaginary parts") from None
+    lead_r, lead_i = exact[-1]
+    if exact != [(lead_r * p, lead_i * p) for p in _poly_from_roots(roots, 1)]:
+        raise DomainError(f"the roots {roots} do not multiply out to the base polynomial")
+    return roots
+
+
 def _sorted_roots(coeffs):
-    deg = len(coeffs) - 1
-    if deg < 1:
-        raise DomainError("monodromy needs degree >= 1")
-    if coeffs[-1] == 0:
-        raise DomainError("leading coefficient of the base polynomial must be nonzero")
     try:
         raw = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)], maxsteps=200, extraprec=80)
     except mpmath.libmp.NoConvergence as exc:
@@ -220,7 +238,9 @@ def _grid(precision_bits: int, tolerance: float, roots) -> _Grid:
 
 
 def _fixed(z, bits: int) -> tuple[int, int]:
-    """floor(2^F z) of an mpc, taken part by part."""
+    """floor(2^F z) of an mpc, taken part by part; exact for an int."""
+    if isinstance(z, int):
+        return libmp.to_fixed(libmp.from_int(z), bits), 0
     return libmp.to_fixed(z.real._mpf_, bits), libmp.to_fixed(z.imag._mpf_, bits)
 
 
@@ -375,11 +395,14 @@ def track_roots(
     tolerance: float = DEFAULT_TOLERANCE,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     max_step: float = DEFAULT_MAX_STEP,
+    roots=None,
 ) -> MonodromyLoop:
     """Continue all roots of `base` around the closed path and read the permutation.
 
     base: ascending coefficients (constant term first) of a squarefree
     polynomial; segments: a list of Segment values (each closed at base).
+    roots: the base roots, when they are known ints; they must multiply out
+    to `base` exactly. Without them mpmath isolates the base roots.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
@@ -388,7 +411,11 @@ def track_roots(
         raise DomainError("a loop needs at least one segment")
     with mpmath.workprec(precision_bits):
         coeffs0 = [mpmath.mpc(c) for c in base]
-        roots0 = _sorted_roots(coeffs0)
+        if len(coeffs0) < 2:
+            raise DomainError("monodromy needs degree >= 1")
+        if coeffs0[-1] == 0:
+            raise DomainError("leading coefficient of the base polynomial must be nonzero")
+        roots0 = _sorted_roots(coeffs0) if roots is None else _known_roots(base, roots)
         grid = _grid(precision_bits, tolerance, roots0)
         # z = U / 2^(F - s) for a grid value U of u.
         base_roots = [_fixed(r, grid.bits - grid.scale) for r in roots0]
@@ -529,7 +556,8 @@ def word_loop(n: int, word, **kwargs) -> MonodromyLoop:
     """Track the concatenation of generator half-twists named by `word`."""
     if not word:
         raise DomainError("word_loop needs at least one letter")
-    return track_roots(base_with_integer_roots(n), [HalfTwist(i) for i in word], **kwargs)
+    return track_roots(base_with_integer_roots(n), [HalfTwist(i) for i in word],
+                       roots=range(1, n + 1), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -612,9 +612,24 @@ def test_unconverged_base_roots_are_a_precision_error(capsys, monkeypatch):
         raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
 
     monkeypatch.setattr(mpmath, "polyroots", no_convergence)
-    code, out, err = run(capsys, "monodromy", "--word", "1", "--n", "3")
+    code, out, err = run(capsys, "monodromy", "--spec", '{"base": [-1, 0, 1], "segments": ["half_twist(1)"]}')
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "precision"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--word", "1,2", "--n", "4"],
+    ["--spherical", "--n", "4"],
+    ["--defining", "--n", "4"],
+], ids=["word", "spherical", "defining"])
+def test_generator_loops_never_isolate_roots(capsys, monkeypatch, argv):
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("the base roots 1..n were isolated")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_isolation)
+    code, out, err = run(capsys, "monodromy", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
 
 
 def test_cap_is_checked_before_the_output_file_opens(capsys, tmp_path):
