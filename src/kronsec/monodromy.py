@@ -14,13 +14,13 @@ tolerance apart, each an exact comparison of squared integers; otherwise the
 step is halved, down to a hard floor of 2^-20 of the initial step. A
 half-twist corrects only its two moving roots, on the fixed product of the
 n - 2 still roots times one moving quadratic; a circle rescales one
-coefficient. The generator loops start from the exact roots 1..n of
-prod(z - j), which land on the grid exactly; only a base without known
-roots has them isolated by mpmath and floored onto the grid. mpmath also
-gives one phase e^(i pi x) per step. On the grid the base roots must stay
-more than the tolerance apart, and each final root must end nearer than
-half the least base gap to one base root; that match reads off the
-permutation of the starting roots that the loop induces.
+coefficient. A base equal to prod(z - j), j = 1..n, the base of every
+generator loop, starts from its exact roots, which land on the grid
+exactly; any other base has its roots isolated by mpmath and floored onto
+the grid. mpmath also gives one phase e^(i pi x) per step. On the grid the
+base roots must stay more than the tolerance apart, and each final root
+must end nearer than half the least base gap to one base root; that match
+reads off the permutation of the starting roots that the loop induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
 
@@ -166,27 +166,6 @@ def _poly_from_roots(roots, leading):
             nxt[i + 1] += c
         coeffs = nxt
     return coeffs
-
-
-def _known_roots(base, roots):
-    """The supplied roots of `base`, sorted; a DomainError unless they are ints with exactly this product.
-
-    The product is compared in exact rationals: a float leading coefficient
-    times a large root would round, and could match a base it does not equal.
-    """
-    roots = tuple(roots)
-    # True and 2.0 compare equal to integers, but are not the ints this path puts on the grid.
-    if any(isinstance(r, bool) or not isinstance(r, int) for r in roots):
-        raise DomainError(f"known base roots must be Python ints, got {roots!r}")
-    roots = sorted(roots)
-    try:
-        exact = [(Fraction(c.real), Fraction(c.imag)) for c in base]
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("known roots need base coefficients with exact real and imaginary parts") from None
-    lead_r, lead_i = exact[-1]
-    if exact != [(lead_r * p, lead_i * p) for p in _poly_from_roots(roots, 1)]:
-        raise DomainError(f"the roots {roots} do not multiply out to the base polynomial")
-    return roots
 
 
 def _sorted_roots(coeffs):
@@ -395,27 +374,33 @@ def track_roots(
     tolerance: float = DEFAULT_TOLERANCE,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     max_step: float = DEFAULT_MAX_STEP,
-    roots=None,
 ) -> MonodromyLoop:
     """Continue all roots of `base` around the closed path and read the permutation.
 
     base: ascending coefficients (constant term first) of a squarefree
     polynomial; segments: a list of Segment values (each closed at base).
-    roots: the base roots, when they are known ints; they must multiply out
-    to `base` exactly. Without them mpmath isolates the base roots.
+    A base equal to prod(z - j), j = 1..n, starts from its roots 1..n;
+    mpmath isolates the roots of any other base.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
     tolerance = _checked_tolerance(tolerance)
     if not segments:
         raise DomainError("a loop needs at least one segment")
+    base = tuple(base)
     with mpmath.workprec(precision_bits):
         coeffs0 = [mpmath.mpc(c) for c in base]
         if len(coeffs0) < 2:
             raise DomainError("monodromy needs degree >= 1")
         if coeffs0[-1] == 0:
             raise DomainError("leading coefficient of the base polynomial must be nonzero")
-        roots0 = _sorted_roots(coeffs0) if roots is None else _known_roots(base, roots)
+        # Python compares int, float, complex, Fraction and mpf with an int
+        # exactly, so only the polynomial prod(z - j) itself passes.
+        integer_roots = list(range(1, len(base)))
+        if list(base) == _poly_from_roots(integer_roots, 1):
+            roots0 = integer_roots
+        else:
+            roots0 = _sorted_roots(coeffs0)
         grid = _grid(precision_bits, tolerance, roots0)
         # z = U / 2^(F - s) for a grid value U of u.
         base_roots = [_fixed(r, grid.bits - grid.scale) for r in roots0]
@@ -556,8 +541,7 @@ def word_loop(n: int, word, **kwargs) -> MonodromyLoop:
     """Track the concatenation of generator half-twists named by `word`."""
     if not word:
         raise DomainError("word_loop needs at least one letter")
-    return track_roots(base_with_integer_roots(n), [HalfTwist(i) for i in word],
-                       roots=range(1, n + 1), **kwargs)
+    return track_roots(base_with_integer_roots(n), [HalfTwist(i) for i in word], **kwargs)
 
 
 @dataclass(frozen=True)

@@ -282,44 +282,28 @@ def test_half_twist_index_range():
 
 
 @pytest.mark.parametrize("precision_bits", [53, 96])
-def test_known_roots_give_the_loop_isolated_roots_give(precision_bits):
-    # word_loop puts the roots 1..n on the grid exactly; mpmath isolation of
-    # the same base must track to the same permutation and step records.
+def test_integer_root_base_gives_the_loop_isolation_gives(monkeypatch, precision_bits):
+    # prod(z - j) starts from its exact roots 1..n. Twice that base is not
+    # recognised, so mpmath isolates the same roots; half-twists read only
+    # the roots, so both must track to the same permutation and step records.
+    isolations = []
+    polyroots = mpmath.polyroots
+    monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: isolations.append(1) or polyroots(*a, **k))
     rng = random.Random(17)
     for n in range(2, 9):
         for _ in range(2):
             word = [rng.randrange(1, n) for _ in range(rng.randrange(1, n + 1))]
-            isolated = track_roots(base_with_integer_roots(n), [HalfTwist(i) for i in word],
-                                   precision_bits=precision_bits)
-            assert word_loop(n, word, precision_bits=precision_bits) == isolated
+            exact = word_loop(n, word, precision_bits=precision_bits)
+            assert not isolations
+            doubled = [2 * c for c in base_with_integer_roots(n)]
+            assert track_roots(doubled, [HalfTwist(i) for i in word], precision_bits=precision_bits) == exact
+            assert isolations == [1]
+            isolations.clear()
 
 
-@pytest.mark.parametrize("base, roots, message", [
-    pytest.param(base_with_integer_roots(4), (1, 2, 3, 5), "do not multiply out", id="wrong-root"),
-    pytest.param(base_with_integer_roots(4), (1, 2, 3), "do not multiply out", id="missing-root"),
-    pytest.param((4, -4, 2), (1, 2), "do not multiply out", id="leading-coefficient"),
-    # In floats 1.0 * -(2^60 + 1) - 1.0 rounds to -2^60, so a float product would match.
-    pytest.param((float(2**60 + 1), -float(2**60 + 2), 1.0), (1, 2**60 + 1), "do not multiply out",
-                 id="float-base-rounds"),
-    pytest.param(base_with_integer_roots(2), (1.0, 2.0), "must be Python ints", id="floats"),
-    pytest.param(base_with_integer_roots(2), (True, 2), "must be Python ints", id="bool"),
-    pytest.param((mpmath.mpf(2), -3, 1), (1, 2), "exact real and imaginary parts", id="mpf-base"),
-])
-def test_known_roots_are_checked_exactly(base, roots, message):
-    with pytest.raises(DomainError, match=message):
-        track_roots(base, (HalfTwist(1),), roots=roots)
-
-
-def test_known_roots_accept_an_exactly_equal_float_base():
-    segments = [HalfTwist(1), HalfTwist(2)]
-    assert track_roots((-6.0, 11.0, -6.0, 1.0), segments, roots=(1, 2, 3)) == word_loop(3, [1, 2])
-
-
-def test_known_roots_in_any_order_give_one_loop():
-    base, segments = base_with_integer_roots(5), [HalfTwist(2), HalfTwist(4), HalfTwist(2)]
-    assert track_roots(base, segments, roots=(4, 1, 5, 3, 2)) == track_roots(base, segments, roots=range(1, 6))
-
-
-def test_known_double_root_fails_the_base_gap():
-    with pytest.raises(DomainError, match="not resolvably squarefree"):
-        track_roots((1, -2, 1), (HalfTwist(1),), roots=(1, 1))
+@pytest.mark.parametrize("base, segments", [
+    (base_with_integer_roots(3), [HalfTwist(1), HalfTwist(2)]),
+    ((-1, 0, 1), [HalfTwist(1)]),
+], ids=["integer-roots", "isolated"])
+def test_base_may_be_a_one_shot_iterable(base, segments):
+    assert track_roots((c for c in base), segments) == track_roots(base, segments)
