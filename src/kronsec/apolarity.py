@@ -22,12 +22,14 @@ root, refined below a configurable precision target.
 
 from __future__ import annotations
 
+import cmath
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, lcm
+from math import comb, floor, gcd, lcm, pi
 from typing import Sequence
 
 import mpmath
@@ -37,6 +39,12 @@ from .config import DEFAULT_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 
 RESAMPLE_BOUND = 32
+# Aberth-Ehrlich sweeps the float root seeds of _rational_roots may take; a
+# seed still moving after them sends the annihilator to mpmath.polyroots.
+ABERTH_SWEEPS = 60
+# Largest denominator of an exact support point; a rational root with a
+# larger one comes out as a certified approximation.
+DENOMINATOR_BOUND = 10**12
 # The prime of the modular squarefree certificate; any prime is sound, and
 # one this large rarely divides a leading coefficient or a discriminant.
 SQUAREFREE_PRIME = 2**31 - 1
@@ -265,28 +273,38 @@ def normalize_point(alpha, beta) -> tuple[int, int]:
 def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[SupportPoint]:
     """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
 
-    Rational roots are found by reconstructing candidates p/q from numeric
-    approximations and verifying them by the exact integer identity
-    sum_i c_i p^i q^(d-i) = 0; nothing is deflated. Every other approximation
-    is refined by Newton iteration on the full polynomial until the inclusion
-    radius deg * |U(z)/U'(z)| drops below 2^-precision_bits; that bound
-    certifies a true root within the disc.
+    A form that splits over Q into linear factors gets its roots from
+    _rational_roots: float seeds, each checked by the exact integer identity.
+    Only other forms are isolated by mpmath.polyroots. There rational roots
+    are found by reconstructing candidates p/q from the approximations and
+    verifying the same identity sum_i c_i p^i q^(d-i) = 0; nothing is
+    deflated. Every other approximation is refined by Newton iteration on the
+    full polynomial until the inclusion radius deg * |U(z)/U'(z)| drops below
+    2^-precision_bits; that bound certifies a true root within the disc.
     """
     points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
     deg = len(ints) - 1
     if deg <= 0:
         return points
 
-    with mpmath.workprec(max(96, precision_bits + 32)):
-        approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
+    rational = _rational_roots(ints)
+    if rational is not None:
+        return points + [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
+                         for r in rational]
+
+    try:
+        with mpmath.workprec(max(96, precision_bits + 32)):
+            approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
+    except mpmath.libmp.NoConvergence as exc:
+        raise PrecisionError(f"support roots did not converge: {exc}") from None
 
     leftovers = []
     for z in approx:
         if abs(mpmath.im(z)) < mpmath.mpf(2) ** (-24):
-            cand = Fraction(*mpmath.libmp.to_rational(mpmath.re(z)._mpf_)).limit_denominator(10**12)
+            cand = Fraction(*mpmath.libmp.to_rational(mpmath.re(z)._mpf_)).limit_denominator(DENOMINATOR_BOUND)
             num, den = cand.numerator, cand.denominator
             pt = SupportPoint(Fraction(num), Fraction(den), exact=True)
-            if pt not in points and not sum(c * num**i * den ** (deg - i) for i, c in enumerate(ints)):
+            if pt not in points and not _eval_homogeneous(ints, num, den):
                 points.append(pt)
                 continue
         leftovers.append(z)
@@ -300,6 +318,106 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
             f"recovered {len(points)} roots from a squarefree form of degree {at_inf + deg}"
         )
     return points
+
+
+def _eval_homogeneous(ints: list[int], p: int, q: int) -> int:
+    """sum_i c_i p^i q^(d-i): q^d U(p/q) on integers, zero exactly when U(p/q) = 0 (q != 0)."""
+    acc, q_pow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        q_pow *= q
+        acc = acc * p + c * q_pow
+    return acc
+
+
+def _rational_roots(ints: list[int]) -> list[Fraction] | None:
+    """All deg roots of U as ascending Fractions when U splits over Q, else mostly None.
+
+    Floats only propose: Aberth-Ehrlich seeds, then the continued-fraction
+    convergents p/q (q <= DENOMINATOR_BOUND) of each seed's real part that
+    lie nearer to the seed than half its distance to every other seed, so a
+    seed near -8/3 never takes the root -3 of its neighbour and a seed off
+    the real axis takes nothing. A root is taken only by the exact identity
+    sum_i c_i p^i q^(d-i) = 0 and only once, so a returned list of deg
+    distinct roots is every root of the degree-deg U. None (no convergence,
+    overflow, an unmatched seed) proves nothing; the caller isolates the
+    roots another way.
+    """
+    roots = []
+    if not ints[0]:  # t divides U; squarefree, so only once
+        roots.append(Fraction(0))
+        ints = ints[1:]
+    seeds = _aberth_seeds(ints) if len(ints) > 1 else []
+    if seeds is None:
+        return None
+    for j, z in enumerate(seeds):
+        reach = min((abs(z - w) for k, w in enumerate(seeds) if k != j), default=float("inf")) / 2
+        if abs(z.imag) >= reach:
+            return None
+        for p, q in _convergents(Fraction(z.real)):
+            if q > DENOMINATOR_BOUND:
+                return None
+            if abs(p / q - z) < reach and Fraction(p, q) not in roots and not _eval_homogeneous(ints, p, q):
+                roots.append(Fraction(p, q))
+                break
+        else:
+            return None
+    return sorted(roots)
+
+
+def _convergents(x: Fraction):
+    """The continued-fraction convergents p/q of x in order, ending with x itself."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = floor(x)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield p1, q1
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
+def _aberth_seeds(ints: list[int]) -> list[complex] | None:
+    """Float approximations of the roots of U by Aberth-Ehrlich sweeps, or None.
+
+    Starts on a circle of Fujiwara's root radius and updates one root at a
+    time (Aberth 1973, Ehrlich 1967). A root stops moving once |U(z)| is
+    within the rounding error of Horner's rule, so clustered roots end at
+    the accuracy floats allow rather than never converging.
+    """
+    deg = len(ints) - 1
+    try:  # int / int rounds once and raises only if a quotient overflows
+        monic = [c / ints[-1] for c in reversed(ints)]
+    except OverflowError:
+        return None
+    bound = max((abs(monic[k]) ** (1 / k) for k in range(1, deg)), default=0.0)
+    radius = 2 * max(bound, (abs(monic[deg]) / 2) ** (1 / deg))
+    z = [radius * cmath.exp(1j * (2 * pi * j / deg + pi / (2 * deg))) for j in range(deg)]
+    tol = 4 * deg * sys.float_info.epsilon
+    done = [False] * deg
+    for _ in range(ABERTH_SWEEPS):
+        for j, zj in enumerate(z):
+            if done[j]:
+                continue
+            u = du = 0j
+            size, az = 0.0, abs(zj)
+            for a in monic:
+                du = du * zj + u
+                u = u * zj + a
+                size = size * az + abs(a)
+            if not cmath.isfinite(u) or not cmath.isfinite(du):
+                return None
+            if abs(u) <= tol * size:
+                done[j] = True
+                continue
+            try:
+                ratio = u / du
+                repel = sum(1 / (zj - zk) for k, zk in enumerate(z) if k != j)
+                z[j] = zj - ratio / (1 - ratio * repel)
+            except ZeroDivisionError:
+                return None
+        if all(done):
+            return z
+    return None
 
 
 def _refine_root(ints: list[int], z0, precision_bits: int):

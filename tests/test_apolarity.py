@@ -332,6 +332,81 @@ def test_modular_certificate_never_claims_a_repeated_root_squarefree():
     assert certified > 50
 
 
+# --- rational supports from float seeds -----------------------------------------
+
+
+def _ints_with_roots(roots, scale=1):
+    """Ascending integer coefficients of scale * prod (q t - p) over the roots p/q."""
+    ints = [scale]
+    for r in map(Fraction, roots):
+        p, q = r.numerator, r.denominator
+        ints = [q * a - p * b for a, b in zip([0] + ints, ints + [0])]
+    return ints
+
+
+def _isolated(monkeypatch, ints):
+    """The points _certified_roots gives with the float-seed path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(apolarity, "_rational_roots", lambda ints: None)
+        return apolarity._certified_roots(0, ints, 96)
+
+
+def test_rational_supports_match_the_isolating_path(monkeypatch):
+    # The float-seed path gives the certificate mpmath isolation gives, point
+    # order included, and reaches every one of these all-rational supports.
+    rng = random.Random(20261019)
+    for _ in range(100):
+        n = rng.randrange(4, 25)
+        k = rng.randrange(1, (n + 1) // 2 + 1)
+        f = sample_rank_k_instance(n, k, seed=rng.randrange(2**32)).form
+        cert = sylvester_decompose(f)
+        assert cert.support_exact, f
+        with monkeypatch.context() as m:
+            m.setattr(apolarity, "_rational_roots", lambda ints: None)
+            assert sylvester_decompose(f) == cert, f
+        at_inf, ints = _dehomogenize(list(cert.annihilator.coeffs), k)
+        assert apolarity._rational_roots(ints) is not None, f
+
+
+@pytest.mark.parametrize("roots", [
+    [Fraction(j, 997) for j in range(3, 9)],
+    [Fraction(1, 1000), Fraction(1, 1001), Fraction(-1, 1000), Fraction(-1, 1001)],
+    [Fraction(-8, 3), -3, -2, Fraction(-5, 2), 0, 7],
+], ids=["j-over-997", "thousandths", "neighbours-of-minus-8-thirds"])
+def test_clustered_rational_roots_stay_exact_on_both_paths(monkeypatch, roots):
+    ints = _ints_with_roots(roots)
+    want = [apolarity.SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
+            for r in sorted(map(Fraction, roots))]
+    assert apolarity._rational_roots(ints) == sorted(map(Fraction, roots))
+    assert apolarity._certified_roots(0, ints, 96) == want
+    assert _isolated(monkeypatch, ints) == want
+
+
+def test_coefficients_past_the_float_range_raise_no_overflow(monkeypatch):
+    # float() of a 1,100-bit int overflows; a common factor that size must not.
+    big = 3**700
+    ints = [big * c for c in _ints_with_roots([1, 2, Fraction(-1, 3)])]
+    assert big.bit_length() > 1024
+    assert apolarity._rational_roots(ints) == [Fraction(-1, 3), 1, 2]
+    # a monic coefficient past the float range: no seeds, isolation decides
+    wide = [1, big, 1]
+    assert apolarity._rational_roots(wide) is None
+    assert not any(pt.exact for pt in apolarity._certified_roots(0, wide, 96))
+
+
+def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
+    tiny = Fraction(1, apolarity.DENOMINATOR_BOUND + 1)
+    ints = _ints_with_roots([tiny, 2, -1])
+    assert apolarity._rational_roots(ints) is None
+    points = apolarity._certified_roots(0, ints, 96)
+    assert points == _isolated(monkeypatch, ints)
+    exact = [(pt.alpha, pt.beta) for pt in points if pt.exact]
+    assert sorted(exact) == [(-1, 1), (2, 1)]
+    (approx,) = [pt for pt in points if not pt.exact]
+    with mpmath.workprec(256):
+        assert abs(approx.alpha - _mp(tiny)) < 2.0**-96
+
+
 # --- seeded rank-k sampling -----------------------------------------------------
 
 

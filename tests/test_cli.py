@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -615,6 +616,47 @@ def test_unconverged_base_roots_are_a_precision_error(capsys, monkeypatch):
     code, out, err = run(capsys, "monodromy", "--spec", '{"base": [-1, 0, 1], "segments": ["half_twist(1)"]}')
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "precision"
+
+
+def _huge_support_form() -> str:
+    """Rank 8, degree 20, support (2^150 + 7j : 3 + j) with weights j + 1.
+
+    Floats cannot place the 150-bit roots of its annihilator, and Durand-Kerner
+    in mpmath.polyroots does not converge on them.
+    """
+    points = [(2**150 + 7 * j, 3 + j) for j in range(8)]
+    return _form_text(oracle_power_sum_coeffs(20, points, [j + 1 for j in range(8)]))
+
+
+def _polyroots_fails(*args, **kwargs):
+    raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=220 steps.")
+
+
+@pytest.mark.parametrize("patch", [False, True], ids=["huge-support", "patched"])
+def test_unconverged_support_roots_are_a_precision_error(capsys, monkeypatch, patch):
+    text = _huge_support_form()
+    if patch:
+        # an irrational support still goes to polyroots
+        monkeypatch.setattr(mpmath, "polyroots", _polyroots_fails)
+        text = "deg=3; coeffs=1,1,0,1"
+    code, out, err = run(capsys, "sylvester", text)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "precision"
+
+
+def test_rational_supports_never_isolate_roots(capsys, monkeypatch):
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("a support that splits over Q was isolated")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_isolation)
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randrange(5, 21)
+        k = rng.randrange(1, (n + 1) // 2 + 1)
+        sample = apolarity.sample_rank_k_instance(n, k, seed=rng.randrange(2**32))
+        payload = run_json(capsys, "sylvester", apolarity.format_form(sample.form))
+        assert payload["support_exact"] is True
+        assert {(int(pt["alpha"]), int(pt["beta"])) for pt in payload["support"]} == set(sample.points)
 
 
 @pytest.mark.parametrize("argv", [
