@@ -23,6 +23,7 @@ root, refined below a configurable precision target.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 import re
 import sys
@@ -311,7 +312,7 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
 
     for z in leftovers:
         refined, radius = _refine_root(ints, z, precision_bits)
-        points.append(SupportPoint(refined, mpmath.mpf(1), exact=False, radius=float(radius)))
+        points.append(SupportPoint(refined, mpmath.mpf(1), exact=False, radius=radius))
 
     if len(points) != at_inf + deg:
         raise ConsistencyError(
@@ -420,14 +421,16 @@ def _aberth_seeds(ints: list[int]) -> list[complex] | None:
     return None
 
 
-def _refine_root(ints: list[int], z0, precision_bits: int):
+def _refine_root(ints: list[int], z0, precision_bits: int) -> tuple:
     """Newton-refine z0 against the integer polynomial until certified.
 
     The certificate is the classical inclusion bound: for any z with
-    U'(z) != 0, some root lies within deg(U) * |U(z)/U'(z)| of z.
+    U'(z) != 0, some root lies within deg(U) * |U(z)/U'(z)| of z. It is
+    evaluated exactly at the refined point, compared with 2^-precision_bits
+    exactly, and returned as a float rounded up; it is 0.0 only when z is
+    itself a root.
     """
-    deg = len(ints) - 1
-    target = mpmath.mpf(2) ** (-precision_bits)
+    target = Fraction(1, 4**precision_bits)
     for prec in (precision_bits + 64, precision_bits + 160, precision_bits + 400, precision_bits + 900):
         with mpmath.workprec(prec):
             u_coeffs = [mpmath.mpf(c) for c in reversed(ints)]
@@ -441,14 +444,48 @@ def _refine_root(ints: list[int], z0, precision_bits: int):
                 z -= step
                 if abs(step) < tiny:
                     break
-            u, du = mpmath.polyval(u_coeffs, z, derivative=True)
-            if du != 0:
-                radius = deg * abs(u / du)
-                if radius < target:
-                    return z, radius
+        if mpmath.isfinite(z):
+            radius_sq = _radius_squared(ints, z)
+            if radius_sq is not None and radius_sq < target:
+                return z, _sqrt_up(radius_sq)
     raise PrecisionError(
         f"root isolation stalled above the precision floor 2^-{precision_bits}"
     )
+
+
+def _radius_squared(ints: list[int], z) -> Fraction | None:
+    """(deg * |U(z)/U'(z)|)^2 exactly at the mpc point z, or None when U'(z) = 0.
+
+    With z = (a + b i) / 2^e for integers a, b, e read off the mantissas and
+    exponents, homogeneous Horner on Gaussian integers gives 2^(e deg) U(z)
+    and 2^(e (deg - 1)) U'(z) with no rounding.
+    """
+    deg = len(ints) - 1
+    (sa, ma, ea, _), (sb, mb, eb, _) = z.real._mpf_, z.imag._mpf_
+    e = max(0, -ea, -eb)
+    a, b = (-1) ** sa * ma << (ea + e), (-1) ** sb * mb << (eb + e)
+
+    def norm_at_z(coeffs):
+        x, y, scale = coeffs[-1], 0, 1
+        for c in reversed(coeffs[:-1]):
+            scale <<= e
+            x, y = x * a - y * b + c * scale, x * b + y * a
+        return x * x + y * y
+
+    du = norm_at_z([i * c for i, c in enumerate(ints)][1:])
+    if not du:
+        return None
+    return Fraction(deg * deg * norm_at_z(ints), du << 2 * e)
+
+
+def _sqrt_up(square: Fraction) -> float:
+    """A float no smaller than the square root of a nonnegative Fraction."""
+    num, den = square.numerator, square.denominator
+    if not num:
+        return 0.0
+    k = max(0, 64 + (den.bit_length() - num.bit_length() + 1) // 2)
+    # sqrt(square) * 2^k < isqrt(num * 4^k // den) + 1 exactly
+    return math.nextafter(math.ldexp(math.isqrt((num << 2 * k) // den) + 1, -k), math.inf)
 
 
 # --- Sylvester decomposition -------------------------------------------------

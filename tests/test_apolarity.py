@@ -382,16 +382,15 @@ def test_clustered_rational_roots_stay_exact_on_both_paths(monkeypatch, roots):
     assert _isolated(monkeypatch, ints) == want
 
 
-def test_coefficients_past_the_float_range_raise_no_overflow(monkeypatch):
+def test_coefficients_past_the_float_range_raise_no_overflow():
     # float() of a 1,100-bit int overflows; a common factor that size must not.
     big = 3**700
     ints = [big * c for c in _ints_with_roots([1, 2, Fraction(-1, 3)])]
     assert big.bit_length() > 1024
     assert apolarity._rational_roots(ints) == [Fraction(-1, 3), 1, 2]
-    # a monic coefficient past the float range: no seeds, isolation decides
-    wide = [1, big, 1]
-    assert apolarity._rational_roots(wide) is None
-    assert not any(pt.exact for pt in apolarity._certified_roots(0, wide, 96))
+    # a monic coefficient past the float range gives no seeds, so the caller
+    # isolates the roots another way
+    assert apolarity._rational_roots([-big, 1, 1]) is None
 
 
 def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
@@ -405,6 +404,25 @@ def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
     (approx,) = [pt for pt in points if not pt.exact]
     with mpmath.workprec(256):
         assert abs(approx.alpha - _mp(tiny)) < 2.0**-96
+
+
+def test_approximate_radius_bounds_the_exact_residual():
+    # At the working precision Horner's rule gave U(z) = 0 for the root near
+    # -0.107 and printed radius 0.0; exactly, deg |U(z)/U'(z)| is about 7.7e-51.
+    cert = sylvester_decompose(parse_form("deg=3; coeffs=1,1,0,1"))
+    ints = [1, 9, -3]  # the annihilator -3x^2 + 9xy + y^2 at (t : 1), ascending in t
+    assert list(cert.annihilator.coeffs) == ints[::-1]
+    assert not cert.support_exact
+    for pt in cert.support:
+        assert pt.alpha.imag == 0
+        t = Fraction(*mpmath.libmp.to_rational(pt.alpha.real._mpf_))
+        u = sum(c * t**i for i, c in enumerate(ints))
+        du = sum(i * c * t ** (i - 1) for i, c in enumerate(ints) if i)
+        residual = 2 * abs(u / du)
+        assert 0 < residual <= Fraction(pt.radius) < Fraction(1, 2**96)
+        with mpmath.workprec(400):
+            root = min(((9 + s * mpmath.sqrt(93)) / 6 for s in (1, -1)), key=lambda r: abs(r - pt.alpha))
+            assert abs(pt.alpha - root) <= pt.radius
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

@@ -443,7 +443,7 @@ _FORMS_ARGV = {
 # last changed on purpose.
 _FORMS_STDOUT = {
     "sylvester-rank-15-deg-40": "a58418672fa98e780a9a18cddd0ea6bf3a4129f32992d64599ee3406d7972ad5",
-    "sylvester-generic-deg-30": "73d654c76feef0f923bf4449317559f26f734c62db99e75058d4b6e2e04b33ff",
+    "sylvester-generic-deg-30": "88e945548f5f7d2c6424af8f274ccbf6ad450acbd098c7226505bf0b28423acc",
     "sylvester-nonsquarefree": "606cd1de779f969aab3f864974830a8efe4acf57d8e5e2ae4b56aa1538b66058",
     "join": "827b7f0b0c904a769fa97a22d8b97dd0aabedac2d119f413c85c7606b29f543f",
     "secant": "fe6a190f52b7010d022074cea291f7a2649a58e561ed03d015fa000d3c5754c5",

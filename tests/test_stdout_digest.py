@@ -1,10 +1,10 @@
 """The CLI's stdout over the benchmark plans, pinned by digest.
 
 tests/stdout_digest.py prints one sha256 per workload and seed over the
-argv, exit code, stdout and stderr of every planned operation. The lines
-below were printed at the commit that added this test; a change to any
-byte the CLI prints on these plans fails here until the new lines are
-pinned and the change is declared in CHANGES.md.
+argv, exit code, stdout and stderr of every planned operation. Each line
+below was printed when that workload's output last changed on purpose; a
+change to any byte the CLI prints on these plans fails here until the new
+lines are pinned and the change is declared in CHANGES.md.
 """
 
 import subprocess
@@ -14,7 +14,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "stdout_digest.py"
 
 PINNED = """\
-forms seed=11 rounds=1 ops=96 sha256=c8dea49bf9fa284bf0cd72741c8371fa20347b3dd86e30e1ead60ea97ef6c630
+forms seed=11 rounds=1 ops=96 sha256=9b7e2d5cfe90e9a243ca28064235be907ca750bd3638bc82d68678ffaac64446
 loops seed=11 rounds=1 ops=56 sha256=58483428ddb54ba8a563b7874efbbcc3f2d88379eb9cfbbf90b7b280f4e73786
 reps seed=11 rounds=1 ops=154 sha256=87bcfcb79da12bf757a2c31266ea82140e50efe1e6133d1cceda28ea0ee6af1e
 """
