@@ -318,7 +318,32 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
         raise ConsistencyError(
             f"recovered {len(points)} roots from a squarefree form of degree {at_inf + deg}"
         )
+    _require_disjoint_discs(points)
     return points
+
+
+def _require_disjoint_discs(points: list[SupportPoint]) -> None:
+    """Raise PrecisionError unless the finite points hold pairwise distinct roots.
+
+    Each approximate point's disc holds a root and an exact point is one, so
+    pairwise disjoint discs, |z_i - z_j| > r_i + r_j (radius 0 for an exact
+    point), prove that the points are distinct roots. Compared exactly on
+    the dyadic centres and radii.
+    """
+    discs = []
+    for pt in points:
+        if pt.exact:
+            if pt.beta:
+                discs.append((pt.alpha / pt.beta, Fraction(0), Fraction(0)))
+        else:
+            x, y = (Fraction(*mpmath.libmp.to_rational(part._mpf_)) for part in (pt.alpha.real, pt.alpha.imag))
+            discs.append((x, y, Fraction(pt.radius)))
+    for i, (x1, y1, r1) in enumerate(discs):
+        for x2, y2, r2 in discs[i + 1:]:
+            if (r1 or r2) and (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
+                raise PrecisionError(
+                    f"two inclusion discs meet near {float(x1)}{float(y1):+}j; the roots are not separated"
+                )
 
 
 def _eval_homogeneous(ints: list[int], p: int, q: int) -> int:

@@ -26,7 +26,7 @@ from kronsec.apolarity import (
     sylvester_decompose,
     vandermonde_rank,
 )
-from kronsec.errors import DomainError
+from kronsec.errors import DomainError, PrecisionError
 from kronsec import apolarity, ratmat
 
 
@@ -423,6 +423,21 @@ def test_approximate_radius_bounds_the_exact_residual():
         with mpmath.workprec(400):
             root = min(((9 + s * mpmath.sqrt(93)) / 6 for s in (1, -1)), key=lambda r: abs(r - pt.alpha))
             assert abs(pt.alpha - root) <= pt.radius
+
+
+def test_two_discs_on_one_root_are_a_precision_error(monkeypatch):
+    # Two refinements that land on one root must not pass for two roots.
+    refine = apolarity._refine_root
+    starts = []
+
+    def onto_the_first_root(ints, z0, precision_bits):
+        starts.append(z0)
+        return refine(ints, starts[0], precision_bits)
+
+    monkeypatch.setattr(apolarity, "_refine_root", onto_the_first_root)
+    with pytest.raises(PrecisionError, match="discs meet"):
+        sylvester_decompose(parse_form("deg=3; coeffs=1,1,0,1"))
+    assert len(starts) == 2
 
 
 # --- seeded rank-k sampling -----------------------------------------------------
