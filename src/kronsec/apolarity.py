@@ -14,23 +14,25 @@ degree-k slice of the apolar ideal of p:
   * a non-squarefree unique generator means rank n - k + 2 (Sylvester's
     alternative) and no finite support is reported.
 
-Rational support points are recovered exactly (numeric isolation, then
-rational reconstruction verified by exact evaluation); irrational or complex
-points are certified intervals: each carries a radius proven to contain a
-root, refined below a configurable precision target.
+Rational support points are exact and verified by exact evaluation. A
+kernel form that splits over Q gets its roots from float Aberth-Ehrlich
+seeds and continued-fraction candidates, with no mpmath. Any other form
+(or one whose seeds do not all match) is isolated by mpmath.polyroots; its
+irrational or complex points are certified discs, each with a radius proven
+to contain a root, computed exactly, rounded up and refined below a
+configurable precision target, and the discs are checked pairwise disjoint.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import random
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, floor, gcd, lcm, pi
+from math import comb, floor, gcd, inf, isqrt, lcm, ldexp, nextafter, pi
 from typing import Sequence
 
 import mpmath
@@ -356,7 +358,7 @@ def _eval_homogeneous(ints: list[int], p: int, q: int) -> int:
 
 
 def _rational_roots(ints: list[int]) -> list[Fraction] | None:
-    """All deg roots of U as ascending Fractions when U splits over Q, else mostly None.
+    """All deg roots of U as ascending Fractions, or None.
 
     Floats only propose: Aberth-Ehrlich seeds, then the continued-fraction
     convergents p/q (q <= DENOMINATOR_BOUND) of each seed's real part that
@@ -376,7 +378,7 @@ def _rational_roots(ints: list[int]) -> list[Fraction] | None:
     if seeds is None:
         return None
     for j, z in enumerate(seeds):
-        reach = min((abs(z - w) for k, w in enumerate(seeds) if k != j), default=float("inf")) / 2
+        reach = min((abs(z - w) for k, w in enumerate(seeds) if k != j), default=inf) / 2
         if abs(z.imag) >= reach:
             return None
         for p, q in _convergents(Fraction(z.real)):
@@ -510,7 +512,7 @@ def _sqrt_up(square: Fraction) -> float:
         return 0.0
     k = max(0, 64 + (den.bit_length() - num.bit_length() + 1) // 2)
     # sqrt(square) * 2^k < isqrt(num * 4^k // den) + 1 exactly
-    return math.nextafter(math.ldexp(math.isqrt((num << 2 * k) // den) + 1, -k), math.inf)
+    return nextafter(ldexp(isqrt((num << 2 * k) // den) + 1, -k), inf)
 
 
 # --- Sylvester decomposition -------------------------------------------------
