@@ -364,7 +364,7 @@ def test_rational_supports_match_the_isolating_path(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(apolarity, "_rational_roots", lambda ints: None)
             assert sylvester_decompose(f) == cert, f
-        at_inf, ints = _dehomogenize(list(cert.annihilator.coeffs), k)
+        _, ints = _dehomogenize(list(cert.annihilator.coeffs), k)
         assert apolarity._rational_roots(ints) is not None, f
 
 
