@@ -335,9 +335,9 @@ def test_modular_certificate_never_claims_a_repeated_root_squarefree():
 # --- rational supports from float seeds -----------------------------------------
 
 
-def _ints_with_roots(roots, scale=1):
-    """Ascending integer coefficients of scale * prod (q t - p) over the roots p/q."""
-    ints = [scale]
+def _ints_with_roots(roots):
+    """Ascending integer coefficients of prod (q t - p) over the roots p/q."""
+    ints = [1]
     for r in map(Fraction, roots):
         p, q = r.numerator, r.denominator
         ints = [q * a - p * b for a, b in zip([0] + ints, ints + [0])]

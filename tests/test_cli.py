@@ -628,16 +628,15 @@ def _huge_support_form() -> str:
     return _form_text(oracle_power_sum_coeffs(20, points, [j + 1 for j in range(8)]))
 
 
-def _polyroots_fails(*args, **kwargs):
-    raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=220 steps.")
-
-
 @pytest.mark.parametrize("patch", [False, True], ids=["huge-support", "patched"])
 def test_unconverged_support_roots_are_a_precision_error(capsys, monkeypatch, patch):
+    def no_convergence(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=220 steps.")
+
     text = _huge_support_form()
     if patch:
         # an irrational support still goes to polyroots
-        monkeypatch.setattr(mpmath, "polyroots", _polyroots_fails)
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
         text = "deg=3; coeffs=1,1,0,1"
     code, out, err = run(capsys, "sylvester", text)
     assert (code, out) == (1, "")
