@@ -14,13 +14,13 @@ degree-k slice of the apolar ideal of p:
   * a non-squarefree unique generator means rank n - k + 2 (Sylvester's
     alternative) and no finite support is reported.
 
-Rational support points are exact and verified by exact evaluation. A
-kernel form that splits over Q gets its roots from float Aberth-Ehrlich
-seeds and continued-fraction candidates, with no mpmath. Any other form
-(or one whose seeds do not all match) is isolated by mpmath.polyroots; its
-irrational or complex points are certified discs, each with a radius proven
-to contain a root, computed exactly, rounded up and refined below a
-configurable precision target, and the discs are checked pairwise disjoint.
+Rational support points are exact and verified by exact evaluation. One
+matcher proposes them, compared exactly on integers, from root
+approximations of either source: float Aberth-Ehrlich seeds, so a form that
+splits over Q needs no mpmath, or mpmath.polyroots for any other form. The
+irrational or complex points left over are certified discs, each with a
+radius proven to contain a root, computed exactly, rounded up and refined
+below a configurable precision target, and checked pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, floor, gcd, inf, isqrt, lcm, ldexp, nextafter, pi
+from math import comb, gcd, inf, isqrt, lcm, ldexp, nextafter, pi
 from typing import Sequence
 
 import mpmath
@@ -42,8 +42,8 @@ from .config import DEFAULT_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 
 RESAMPLE_BOUND = 32
-# Aberth-Ehrlich sweeps the float root seeds of _rational_roots may take; a
-# seed still moving after them sends the annihilator to mpmath.polyroots.
+# Aberth-Ehrlich sweeps _aberth_seeds may take; a seed still moving after
+# them sends the annihilator to mpmath.polyroots.
 ABERTH_SWEEPS = 60
 # Largest denominator of an exact support point; a rational root with a
 # larger one comes out as a certified approximation.
@@ -276,50 +276,35 @@ def normalize_point(alpha, beta) -> tuple[int, int]:
 def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[SupportPoint]:
     """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
 
-    A form that splits over Q into linear factors gets its roots from
-    _rational_roots: float seeds, each checked by the exact integer identity.
-    Only other forms are isolated by mpmath.polyroots. There rational roots
-    are found by reconstructing candidates p/q from the approximations and
-    verifying the same identity sum_i c_i p^i q^(d-i) = 0; nothing is
-    deflated. Every other approximation is refined by Newton iteration on the
-    full polynomial until the inclusion radius deg * |U(z)/U'(z)| drops below
-    2^-precision_bits; that bound certifies a true root within the disc.
+    _rational_roots matches rational roots to approximations, first to the
+    float seeds of _aberth_seeds: when it matches all of them, the roots are
+    returned in ascending order with no mpmath. Otherwise mpmath.polyroots
+    isolates every root and the same matcher runs on its approximations;
+    each one it leaves over is refined by Newton iteration on the full
+    polynomial until the inclusion radius deg * |U(z)/U'(z)| drops below
+    2^-precision_bits, which certifies a true root within the disc. Nothing
+    is deflated, and the discs must be pairwise disjoint.
     """
     points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
-    deg = len(ints) - 1
-    if deg <= 0:
+    if len(ints) == 1:
         return points
 
-    rational = _rational_roots(ints)
-    if rational is not None:
-        return points + [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
-                         for r in rational]
+    seeds = _aberth_seeds(ints)
+    roots, leftovers = _rational_roots(ints, seeds or [])
+    if seeds and not leftovers:
+        roots.sort()
+    else:
+        try:
+            with mpmath.workprec(max(96, precision_bits + 32)):
+                approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
+        except mpmath.libmp.NoConvergence as exc:
+            raise PrecisionError(f"support roots did not converge: {exc}") from None
+        roots, leftovers = _rational_roots(ints, approx)
 
-    try:
-        with mpmath.workprec(max(96, precision_bits + 32)):
-            approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
-    except mpmath.libmp.NoConvergence as exc:
-        raise PrecisionError(f"support roots did not converge: {exc}") from None
-
-    leftovers = []
-    for z in approx:
-        if abs(mpmath.im(z)) < mpmath.mpf(2) ** (-24):
-            cand = Fraction(*mpmath.libmp.to_rational(mpmath.re(z)._mpf_)).limit_denominator(DENOMINATOR_BOUND)
-            num, den = cand.numerator, cand.denominator
-            pt = SupportPoint(Fraction(num), Fraction(den), exact=True)
-            if pt not in points and not _eval_homogeneous(ints, num, den):
-                points.append(pt)
-                continue
-        leftovers.append(z)
-
+    points += [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True) for r in roots]
     for z in leftovers:
         refined, radius = _refine_root(ints, z, precision_bits)
         points.append(SupportPoint(refined, mpmath.mpf(1), exact=False, radius=radius))
-
-    if len(points) != at_inf + deg:
-        raise ConsistencyError(
-            f"recovered {len(points)} roots from a squarefree form of degree {at_inf + deg}"
-        )
     _require_disjoint_discs(points)
     return points
 
@@ -338,8 +323,8 @@ def _require_disjoint_discs(points: list[SupportPoint]) -> None:
             if pt.beta:
                 discs.append((pt.alpha / pt.beta, Fraction(0), Fraction(0)))
         else:
-            x, y = (Fraction(*mpmath.libmp.to_rational(part._mpf_)) for part in (pt.alpha.real, pt.alpha.imag))
-            discs.append((x, y, Fraction(pt.radius)))
+            e, [(a, b)] = _gaussian([pt.alpha])
+            discs.append((Fraction(a, 1 << e), Fraction(b, 1 << e), Fraction(pt.radius)))
     for i, (x1, y1, r1) in enumerate(discs):
         for x2, y2, r2 in discs[i + 1:]:
             if (r1 or r2) and (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
@@ -348,60 +333,82 @@ def _require_disjoint_discs(points: list[SupportPoint]) -> None:
                 )
 
 
-def _eval_homogeneous(ints: list[int], p: int, q: int) -> int:
-    """sum_i c_i p^i q^(d-i): q^d U(p/q) on integers, zero exactly when U(p/q) = 0 (q != 0)."""
-    acc, q_pow = ints[-1], 1
+def _eval_homogeneous(ints: list[int], a: int, b: int, q: int) -> tuple[int, int]:
+    """q^d U((a + b i) / q) as a Gaussian integer (x, y), by homogeneous Horner with no rounding.
+
+    That is sum_i c_i (a + b i)^i q^(d-i); with b = 0 and q != 0 it is (0, 0)
+    exactly when U(a/q) = 0.
+    """
+    x, y, q_pow = ints[-1], 0, 1
     for c in reversed(ints[:-1]):
         q_pow *= q
-        acc = acc * p + c * q_pow
-    return acc
+        x, y = x * a - y * b + c * q_pow, x * b + y * a
+    return x, y
 
 
-def _rational_roots(ints: list[int]) -> list[Fraction] | None:
-    """All deg roots of U as ascending Fractions, or None.
+def _dyadic(x) -> tuple[int, int]:
+    """Integers (m, k) with x = m * 2^k exactly, for a float or an mpf.
 
-    Floats only propose: Aberth-Ehrlich seeds, then the continued-fraction
-    convergents p/q (q <= DENOMINATOR_BOUND) of each seed's real part that
-    lie nearer to the seed than half its distance to every other seed, so a
-    seed near -8/3 never takes the root -3 of its neighbour and a seed off
-    the real axis takes nothing. A root is taken only by the exact identity
-    sum_i c_i p^i q^(d-i) = 0 and only once, so a returned list of deg
-    distinct roots is every root of the degree-deg U. None (no convergence,
-    overflow, an unmatched seed) proves nothing; the caller isolates the
-    roots another way.
+    An mpf is read off its _mpf_ tuple: converting it outside its working
+    precision would round it to 53 bits.
     """
-    roots = []
-    if not ints[0]:  # t divides U; squarefree, so only once
-        roots.append(Fraction(0))
-        ints = ints[1:]
-    seeds = _aberth_seeds(ints) if len(ints) > 1 else []
-    if seeds is None:
-        return None
-    for j, z in enumerate(seeds):
-        reach = min((abs(z - w) for k, w in enumerate(seeds) if k != j), default=inf) / 2
-        if abs(z.imag) >= reach:
-            return None
-        for p, q in _convergents(Fraction(z.real)):
-            if q > DENOMINATOR_BOUND:
-                return None
-            if abs(p / q - z) < reach and Fraction(p, q) not in roots and not _eval_homogeneous(ints, p, q):
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
+
+
+def _gaussian(approx: Sequence) -> tuple[int, list[tuple[int, int]]]:
+    """e >= 0 and integers (a, b) with z = (a + b i) / 2^e exactly, one e for every z.
+
+    Each z is a complex, an mpf or an mpc; all of them are dyadic.
+    """
+    parts = [(_dyadic(z.real), _dyadic(z.imag)) for z in approx]
+    e = max([0] + [-k for pair in parts for _, k in pair])
+    return e, [(ma << (ka + e), mb << (kb + e)) for (ma, ka), (mb, kb) in parts]
+
+
+def _rational_roots(ints: list[int], approx: Sequence) -> tuple[list[Fraction], list]:
+    """The rational roots of U that the approximations match, and the approximations matching none.
+
+    Each approximation z (a float seed or a polyroots value) takes the first
+    continued-fraction convergent p/q (q <= DENOMINATOR_BOUND) of its real
+    part that lies strictly nearer to z than half its distance to every
+    other approximation and passes the exact identity
+    sum_i c_i p^i q^(d-i) = 0 (q | c_d tested first, as for any root p/q in
+    lowest terms). So a seed near -8/3 never takes the root -3
+    of its neighbour, one off the real axis takes nothing, and no root is
+    taken twice: two such discs are disjoint. Distances are compared
+    exactly on _gaussian's integers. The roots come in the order of their
+    approximations; a leftover only says that z matched no rational root.
+    """
+    e, gauss = _gaussian(approx)
+    roots, leftovers = [], []
+    for j, (z, (a, b)) in enumerate(zip(approx, gauss)):
+        # 4^e |z - w|^2 for the nearest other approximation w, or None
+        gap = min(((a - c) ** 2 + (b - d) ** 2 for k, (c, d) in enumerate(gauss) if k != j), default=None)
+        for p, q in _convergents(a, 1 << e):
+            # |p/q - z| < |z - w| / 2, both sides times 2^(e+1) q and squared
+            near = gap is None or 4 * (((p << e) - q * a) ** 2 + (q * b) ** 2) < q * q * gap
+            if near and not ints[-1] % q and _eval_homogeneous(ints, p, 0, q) == (0, 0):
                 roots.append(Fraction(p, q))
                 break
         else:
-            return None
-    return sorted(roots)
+            leftovers.append(z)
+    return roots, leftovers
 
 
-def _convergents(x: Fraction):
-    """The continued-fraction convergents p/q of x in order, ending with x itself."""
+def _convergents(num: int, den: int):
+    """The continued-fraction convergents p/q of num/den (den > 0) with q <= DENOMINATOR_BOUND, in order."""
     p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = floor(x)
+    while den:
+        a, rem = divmod(num, den)
+        num, den = den, rem
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        yield p1, q1
-        if x == a:
+        if q1 > DENOMINATOR_BOUND:
             return
-        x = 1 / (x - a)
+        yield p1, q1
 
 
 def _aberth_seeds(ints: list[int]) -> list[complex] | None:
@@ -483,26 +490,16 @@ def _refine_root(ints: list[int], z0, precision_bits: int) -> tuple:
 def _radius_squared(ints: list[int], z) -> Fraction | None:
     """(deg * |U(z)/U'(z)|)^2 exactly at the mpc point z, or None when U'(z) = 0.
 
-    With z = (a + b i) / 2^e for integers a, b, e read off the mantissas and
-    exponents, homogeneous Horner on Gaussian integers gives 2^(e deg) U(z)
-    and 2^(e (deg - 1)) U'(z) with no rounding.
+    With z = (a + b i) / 2^e read by _gaussian, homogeneous Horner gives
+    2^(e deg) U(z) and 2^(e (deg - 1)) U'(z) with no rounding.
     """
     deg = len(ints) - 1
-    (sa, ma, ea, _), (sb, mb, eb, _) = z.real._mpf_, z.imag._mpf_
-    e = max(0, -ea, -eb)
-    a, b = (-1) ** sa * ma << (ea + e), (-1) ** sb * mb << (eb + e)
-
-    def norm_at_z(coeffs):
-        x, y, scale = coeffs[-1], 0, 1
-        for c in reversed(coeffs[:-1]):
-            scale <<= e
-            x, y = x * a - y * b + c * scale, x * b + y * a
-        return x * x + y * y
-
-    du = norm_at_z([i * c for i, c in enumerate(ints)][1:])
-    if not du:
+    e, [(a, b)] = _gaussian([z])
+    dx, dy = _eval_homogeneous([i * c for i, c in enumerate(ints)][1:], a, b, 1 << e)
+    if not (dx or dy):
         return None
-    return Fraction(deg * deg * norm_at_z(ints), du << 2 * e)
+    x, y = _eval_homogeneous(ints, a, b, 1 << e)
+    return Fraction(deg * deg * (x * x + y * y), (dx * dx + dy * dy) << 2 * e)
 
 
 def _sqrt_up(square: Fraction) -> float:

@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 import mpmath
 
 from . import apolarity, brionlab, characters, curvebounds, monodromy, seminormal
-from .config import DEFAULT_DIM_CAP, LOOP_WORK_CAP, WORD_SAMPLES_CAP, Config, load_config
+from .config import DEFAULT_DIM_CAP, LOOP_WORK_CAP, WORD_WORK_CAP, Config, load_config
 from .errors import CapacityError, DomainError, KronsecError
 from .partitions import dimension, format_partition, parse_partition, size
 from .permutations import cycle_notation
@@ -225,7 +225,8 @@ def _cmd_rep_check(args, cfg: Config) -> dict:
     dim = dimension(lam)  # after the size cap: the hook-length formula takes factorial(n)
     _require_within(f"shape {shape} of dimension {dim}", dim, DEFAULT_DIM_CAP)
     _require_nonnegative("--words", args.words)
-    _require_within(f"--words {args.words}", args.words, WORD_SAMPLES_CAP)
+    _require_within(f"--words {args.words} over dimension {dim} at n={size(lam)}",
+                    args.words * dim * size(lam), WORD_WORK_CAP)
     rep = seminormal.build_rep(lam)
     relations = seminormal.check_relations(rep)
     image = seminormal.spherical_relation_image(rep)

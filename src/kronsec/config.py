@@ -23,10 +23,14 @@ MIN_PRECISION_BITS = 53
 MAX_PRECISION_BITS = 4096
 # Largest seminormal dimension rep-check builds; fixed, not a Config field.
 DEFAULT_DIM_CAP = 2000
-# Most random words `rep-check --words` traces; fixed, not a Config field.
-# At this bound `rep-check "[2,1]"` took 2.2-2.4 s on a 2-core host running
-# at about 0.6 to 0.7 times the benchmark's reference speed.
-WORD_SAMPLES_CAP = 100_000
+# Bound on words * dim * n for `rep-check --words`, each sampled word of
+# length < 2n being traced over all dim basis vectors; fixed, not a Config
+# field. It admits the default 5 words at every shape of size <= 14 and
+# dimension <= DEFAULT_DIM_CAP (at most 5 * 1716 * 14 = 120,120, at
+# [8,1^6]). At this bound the dearest command timed,
+# `rep-check "[8,1,1,1,1,1,1]" --words 6`, took 4.7 s on a 2-core host
+# running at about 0.6 times the benchmark's reference speed.
+WORD_WORK_CAP = 150_000
 # Bound on L * n * (n + 7) for a monodromy command that tracks at most L
 # letters over n roots; fixed, not a Config field. A half-twist is one
 # letter; a coefficient circle corrects all n roots, so it counts as n. At

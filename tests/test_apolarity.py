@@ -347,8 +347,17 @@ def _ints_with_roots(roots):
 def _isolated(monkeypatch, ints):
     """The points _certified_roots gives with the float-seed path switched off."""
     with monkeypatch.context() as m:
-        m.setattr(apolarity, "_rational_roots", lambda ints: None)
+        m.setattr(apolarity, "_aberth_seeds", lambda ints: None)
         return apolarity._certified_roots(0, ints, 96)
+
+
+def _seeded(ints):
+    """The ascending roots when the float seeds match a rational root each, else None."""
+    seeds = apolarity._aberth_seeds(ints)
+    if seeds is None:
+        return None
+    roots, leftovers = apolarity._rational_roots(ints, seeds)
+    return None if leftovers else sorted(roots)
 
 
 def test_rational_supports_match_the_isolating_path(monkeypatch):
@@ -362,10 +371,10 @@ def test_rational_supports_match_the_isolating_path(monkeypatch):
         cert = sylvester_decompose(f)
         assert cert.support_exact, f
         with monkeypatch.context() as m:
-            m.setattr(apolarity, "_rational_roots", lambda ints: None)
+            m.setattr(apolarity, "_aberth_seeds", lambda ints: None)
             assert sylvester_decompose(f) == cert, f
         _, ints = _dehomogenize(list(cert.annihilator.coeffs), k)
-        assert apolarity._rational_roots(ints) is not None, f
+        assert _seeded(ints) is not None, f
 
 
 @pytest.mark.parametrize("roots", [
@@ -377,7 +386,7 @@ def test_clustered_rational_roots_stay_exact_on_both_paths(monkeypatch, roots):
     ints = _ints_with_roots(roots)
     want = [apolarity.SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
             for r in sorted(map(Fraction, roots))]
-    assert apolarity._rational_roots(ints) == sorted(map(Fraction, roots))
+    assert _seeded(ints) == sorted(map(Fraction, roots))
     assert apolarity._certified_roots(0, ints, 96) == want
     assert _isolated(monkeypatch, ints) == want
 
@@ -387,16 +396,16 @@ def test_coefficients_past_the_float_range_raise_no_overflow():
     big = 3**700
     ints = [big * c for c in _ints_with_roots([1, 2, Fraction(-1, 3)])]
     assert big.bit_length() > 1024
-    assert apolarity._rational_roots(ints) == [Fraction(-1, 3), 1, 2]
+    assert _seeded(ints) == [Fraction(-1, 3), 1, 2]
     # a monic coefficient past the float range gives no seeds, so the caller
     # isolates the roots another way
-    assert apolarity._rational_roots([-big, 1, 1]) is None
+    assert apolarity._aberth_seeds([-big, 1, 1]) is None
 
 
 def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
     tiny = Fraction(1, apolarity.DENOMINATOR_BOUND + 1)
     ints = _ints_with_roots([tiny, 2, -1])
-    assert apolarity._rational_roots(ints) is None
+    assert _seeded(ints) is None
     points = apolarity._certified_roots(0, ints, 96)
     assert points == _isolated(monkeypatch, ints)
     exact = [(pt.alpha, pt.beta) for pt in points if pt.exact]
@@ -404,6 +413,23 @@ def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
     (approx,) = [pt for pt in points if not pt.exact]
     with mpmath.workprec(256):
         assert abs(approx.alpha - _mp(tiny)) < 2.0**-96
+
+
+def test_isolated_rational_roots_are_matched_exactly():
+    # (t - 10^6)(10^12 t - 10^18 - 1)(t^2 - 2): the two rational roots are
+    # 10^-12 apart near 10^6, closer than a float's spacing there, so only an
+    # exact distance test matches them to their polyroots approximations.
+    ints = [-2, 0, 1]
+    for linear in ([-10**6, 1], [-10**18 - 1, 10**12]):
+        ints = [a * linear[1] + b * linear[0] for a, b in zip([0] + ints, ints + [0])]
+    points = apolarity._certified_roots(0, ints, 96)
+    exact = [(pt.alpha, pt.beta) for pt in points if pt.exact]
+    assert exact == [(10**6, 1), (10**18 + 1, 10**12)]
+    approx = [pt for pt in points if not pt.exact]
+    assert len(approx) == 2
+    with mpmath.workprec(256):
+        for pt, root in zip(approx, (-mpmath.sqrt(2), mpmath.sqrt(2))):
+            assert abs(pt.alpha - root) <= pt.radius
 
 
 def test_approximate_radius_bounds_the_exact_residual():

@@ -11,10 +11,10 @@ import mpmath
 import pytest
 from conftest import oracle_power_sum_coeffs
 
-from kronsec import apolarity, cli, monodromy
+from kronsec import apolarity, cli, monodromy, seminormal
 from kronsec.apolarity import parse_form
 from kronsec.cli import main
-from kronsec.config import LOOP_WORK_CAP, WORD_SAMPLES_CAP
+from kronsec.config import DEFAULT_DIM_CAP, DEFAULT_N_CAP, LOOP_WORK_CAP, WORD_WORK_CAP
 from kronsec.errors import (
     CapacityError,
     ConsistencyError,
@@ -22,6 +22,7 @@ from kronsec.errors import (
     KronsecError,
     PrecisionError,
 )
+from kronsec.partitions import dimension, format_partition, partitions_of
 
 
 def run(capsys, *argv):
@@ -493,7 +494,10 @@ def test_config_file_flag(capsys, tmp_path, monkeypatch):
     pytest.param(["--n-cap", "5", "monodromy", "--spec",
                   '{"base": [720, -1764, 1624, -735, 175, -21, 1], "segments": ["half_twist(1)"]}'],
                  id="spec-over-n-cap"),
-    pytest.param(["rep-check", "[2,1]", "--words", str(WORD_SAMPLES_CAP + 1)], id="words-over-cap"),
+    # [2,1] has dimension 2 at n = 3, so a word weighs 6.
+    pytest.param(["rep-check", "[2,1]", "--words", str(WORD_WORK_CAP // 6 + 1)], id="words-over-cap"),
+    pytest.param(["rep-check", "[3,2,1]", "--words", "100000"], id="words-dim-16"),
+    pytest.param(["rep-check", "[7,3,2]", "--words", "100000"], id="words-dim-1925"),
     # At n = 4 a letter weighs 4 * 11 and a sampled word has up to 7 letters.
     pytest.param(["monodromy", "--defining", "--n", "4", "--samples", str(LOOP_WORK_CAP // (4 * 11 * 7) + 1)],
                  id="samples-over-cap"),
@@ -573,6 +577,20 @@ def test_rep_check_caps_the_size_before_the_dimension(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "capacity",
                                "message": "shape [100000] of size 100000 exceeds the configured bound 14"}
+
+
+def test_default_words_fit_the_word_work_bound_at_every_admitted_shape(capsys, monkeypatch):
+    def stop(lam):
+        raise DomainError("build reached")
+
+    monkeypatch.setattr(seminormal, "build_rep", stop)
+    admitted = [lam for n in range(1, DEFAULT_N_CAP + 1) for lam in partitions_of(n)
+                if dimension(lam) <= DEFAULT_DIM_CAP]
+    assert (8, 1, 1, 1, 1, 1, 1) in admitted  # dimension 1716 at n = 14, the most word work
+    for lam in admitted:
+        code, out, err = run(capsys, "rep-check", format_partition(lam))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "domain", "message": "build reached"}
 
 
 @pytest.mark.parametrize("argv", [
