@@ -305,7 +305,8 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     for z in leftovers:
         refined, radius = _refine_root(ints, z, precision_bits)
         points.append(SupportPoint(refined, mpmath.mpf(1), exact=False, radius=radius))
-    _require_disjoint_discs(points)
+    if leftovers:  # exact points alone are distinct roots already
+        _require_disjoint_discs(points)
     return points
 
 
