@@ -14,13 +14,14 @@ degree-k slice of the apolar ideal of p:
   * a non-squarefree unique generator means rank n - k + 2 (Sylvester's
     alternative) and no finite support is reported.
 
-Rational support points are exact and verified by exact evaluation. One
-matcher proposes them, compared exactly on integers, from root
-approximations of either source: float Aberth-Ehrlich seeds, so a form that
-splits over Q needs no mpmath, or mpmath.polyroots for any other form. The
-irrational or complex points left over are certified discs, each with a
-radius proven to contain a root, computed exactly, rounded up and refined
-below a configurable precision target, and checked pairwise disjoint.
+Rational support points are exact: one matcher proposes them, compared
+exactly on integers, from float Aberth-Ehrlich seeds (a form that splits over
+Q needs no mpmath) or from mpmath.polyroots, and exact evaluation verifies
+them. Their coefficients come by partial fractions over the annihilator and
+an exact rebuild. The irrational or complex points left over are certified
+discs, each with a radius proven to contain a root, computed exactly, rounded
+up and refined below a configurable precision target, and checked pairwise
+disjoint; their coefficients come from a numeric solve.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import comb, gcd, inf, isqrt, lcm, ldexp, nextafter, pi
+from itertools import accumulate, chain
+from math import comb, gcd, inf, isqrt, lcm, ldexp, nextafter, perm, pi
+from operator import mul
 from typing import Sequence
 
 import mpmath
@@ -125,28 +127,20 @@ def power_form(alpha, beta, n: int, scale=1) -> BinaryForm:
 
 # --- catalecticants ----------------------------------------------------------
 
-def _falling(x: int, k: int) -> int:
-    out = 1
-    for step in range(k):
-        out *= x - step
-    return out
-
-
 def catalecticant(p: BinaryForm, k: int) -> ratmat.Matrix:
     """The (n-k+1) x (k+1) catalecticant of p at operator degree k, as row lists.
 
     It is the matrix of q |-> q(d/dx, d/dy) p from degree-k operators to
     degree-(n-k) forms.
 
-    Column j is the operator (d/dx)^(k-j) (d/dy)^j applied to p, written on the
-    basis x^(n-k-i) y^i. Literal differentiation: entry (i, j) equals
-    a_(i+j) * (n-i-j)(n-i-j-1)...(n-k-i+1) * (i+j)(i+j-1)...(i+1).
+    Column j is (d/dx)^(k-j) (d/dy)^j applied to p on the basis x^(n-k-i) y^i,
+    so entry (i, j) is a_(i+j) (n-i-j)!/(n-k-i)! (i+j)!/i! (falling factorials).
     """
     n = p.degree
     if not 1 <= k <= n:
         raise DomainError(f"operator degree must satisfy 1 <= k <= {n}, got {k}")
     return [
-        [p.coeffs[i + j] * _falling(n - i - j, k - j) * _falling(i + j, j) for j in range(k + 1)]
+        [p.coeffs[i + j] * perm(n - i - j, k - j) * perm(i + j, j) for j in range(k + 1)]
         for i in range(n - k + 1)
     ]
 
@@ -521,10 +515,10 @@ class SecantCertificate:
 
     annihilator has degree k, the first k whose catalecticant has a kernel,
     so the form lies on the k-th secant; rank is the Waring rank (k in the
-    squarefree case, n - k + 2 otherwise).
-    support/coefficients are present exactly when the annihilator used is
-    squarefree; they are exact Fractions unless support_exact is False, in
-    which case error_bound reports the certified radius / residual.
+    squarefree case, n - k + 2 otherwise). support/coefficients are present
+    exactly when the annihilator used is squarefree: exact Fractions by
+    partial fractions and an exact rebuild when support_exact, else from a
+    numeric solve whose residual is error_bound.
     """
 
     rank: int
@@ -568,50 +562,56 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
                 f"kernel pencil of dimension {len(basis)} at degree {k} with no "
                 f"squarefree member for {p}"
             )
-        ann = BinaryForm(k, tuple(basis[0]))
-        return SecantCertificate(
-            rank=n - k + 2,
-            annihilator=ann,
-            support=None,
-            coefficients=None,
-            support_exact=True,
-            error_bound=None,
-        )
+        return SecantCertificate(rank=n - k + 2, annihilator=BinaryForm(k, tuple(basis[0])), support=None,
+                                 coefficients=None, support_exact=True, error_bound=None)
 
     square, at_inf, ints = found
-    ann = BinaryForm(k, tuple(square))
     points = _certified_roots(at_inf, ints, precision_bits)
     all_exact = all(pt.exact for pt in points)
     if all_exact:
-        coeffs, residual = _solve_coefficients_exact(points, p), None
+        coeffs, residual = _solve_coefficients_exact(points, ints, p), None
     else:
         coeffs, residual = _solve_coefficients_numeric(points, p, precision_bits)
-    return SecantCertificate(
-        rank=k,
-        annihilator=ann,
-        support=tuple(points),
-        coefficients=tuple(coeffs),
-        support_exact=all_exact,
-        error_bound=residual,
-    )
+    return SecantCertificate(rank=k, annihilator=BinaryForm(k, tuple(square)), support=tuple(points),
+                             coefficients=tuple(coeffs), support_exact=all_exact, error_bound=residual)
 
 
-def _solve_coefficients_exact(points, p: BinaryForm) -> list[Fraction]:
-    n = p.degree
-    a = [[Fraction(0)] * len(points) for _ in range(n + 1)]
-    for i, pt in enumerate(points):
-        al, be = Fraction(pt.alpha), Fraction(pt.beta)
-        for j in range(n + 1):
-            a[j][i] = comb(n, j) * al ** (n - j) * be**j
-    sol = ratmat.solve(a, list(p.coeffs))
-    if sol is None:
-        raise ConsistencyError(f"support of {p} does not span it, decomposition impossible")
-    recon = [
-        sum(a[j][i] * sol[i] for i in range(len(points))) for j in range(n + 1)
-    ]
-    if recon != list(p.coeffs):
+def _power_sum(n: int, points, weights) -> list[int]:
+    """Coefficients of sum_i w_i (a_i x + b_i y)^n for integers, by incremental powers."""
+    sums = [0] * (n + 1)
+    for w, (a, b) in zip(weights, points):
+        left = list(accumulate([w] + [a] * n, mul))  # w a^j
+        sums = [t + x * y for t, x, y in zip(sums, reversed(left), accumulate([1] + [b] * n, mul))]
+    return [comb(n, j) * t for j, t in enumerate(sums)]
+
+
+def _solve_coefficients_exact(points, ints: list[int], p: BinaryForm) -> list[Fraction]:
+    """The c_i of p = sum c_i (p_i x + q_i y)^n by partial fractions, checked by an exact rebuild.
+
+    With b_j = a_j / C(n, j) and s_m = b_(n-m), s_m = sum q_i^n c_i t_i^m for
+    m < n over the roots t_i = p_i / q_i of U = sum u_l t^l (`ints`). So a
+    finite point has q^n c = N(t) / U'(t), N_r = sum_(l>r) u_l s_(l-r-1) for
+    r < deg U (the Lagrange inverse of the transposed Vandermonde system),
+    and (1 : 0) takes c = a_0 - sum c_i p_i^n.
+    """
+    n, d = p.degree, len(ints) - 1
+    s = [p.coeffs[n - m] / comb(n, m) for m in range(d)]
+    scale = lcm(*(x.denominator for x in s))
+    s = [x.numerator * (scale // x.denominator) for x in s]
+    numer = [sum(ints[l] * s[l - r - 1] for l in range(r + 1, d + 1)) for r in range(d)]  # scale * N
+    deriv = [l * u for l, u in enumerate(ints)][1:]
+    pts = [(int(pt.alpha), int(pt.beta)) for pt in points]
+    # q^(d-1) scale N(p/q) over scale q^(d-1) U'(p/q) q^n, both by exact Horner
+    weight = {(a, b): Fraction(_eval_homogeneous(numer, a, 0, b)[0],
+                               scale * _eval_homogeneous(deriv, a, 0, b)[0] * b**n)
+              for a, b in pts if b}
+    weight[1, 0] = p.coeffs[0] - sum(c * a**n for (a, _), c in weight.items())  # read if (1 : 0) is a point
+    coeffs = [weight[pt] for pt in pts]
+    den = lcm(*(c.denominator for c in coeffs))
+    rebuilt = _power_sum(n, pts, [c.numerator * (den // c.denominator) for c in coeffs])
+    if rebuilt != [den * a for a in p.coeffs]:
         raise ConsistencyError(f"exact reconstruction mismatch for {p}")
-    return sol
+    return coeffs
 
 
 def _mp(x):
@@ -685,13 +685,10 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
     for _ in range(RESAMPLE_BOUND):
         pts = tuple(sorted(rng.sample(pool, k)))
         weights = tuple(rng.choice([c for c in range(-9, 10) if c]) for _ in range(k))
-        coeffs = [Fraction(0)] * (n + 1)
-        for (al, be), c in zip(pts, weights):
-            for j in range(n + 1):
-                coeffs[j] += c * comb(n, j) * al ** (n - j) * be**j
+        coeffs = _power_sum(n, pts, weights)
         if not any(coeffs):
             continue
-        f = BinaryForm(n, tuple(coeffs))
+        f = form(n, coeffs)
         if min_apolar_degree(f) != k:
             continue
         return RankSample(form=f, points=pts, coefficients=weights)

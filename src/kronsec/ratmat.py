@@ -4,7 +4,8 @@ Matrices come in and go out as lists of lists of Fraction, and nothing ever
 touches a float. Inside, every row is cleared of denominators and eliminated
 fraction-free over the integers (Bareiss 1968): each step divides exactly by
 the previous pivot, so entries stay minors of the input and no cell update
-pays for a gcd. Only the answers are turned back into Fractions.
+pays for a gcd. Only the answers are turned back into Fractions. No command
+calls `mat_mul` or `solve`; the benchmark tracer still spans both by name.
 """
 
 from __future__ import annotations
@@ -113,10 +114,10 @@ def kernel_basis(a: Matrix) -> list[list[Fraction]]:
 
 
 def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of a x = b, or None when the system is inconsistent.
+    """One exact solution of a x = b, free variables zero, or None if there is none.
 
-    Free variables are set to zero; callers that need the full affine space
-    should combine with kernel_basis.
+    Exact Sylvester coefficients come from partial fractions, so no command
+    calls it; the benchmark tracer (perfbench/tracing.py) still spans it by name.
     """
     if not a:
         return [] if not any(b) else None

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from conftest import oracle_apply_operator, oracle_has_repeated_root, oracle_power_sum_coeffs
+from test_cli import _RANK_15_POINTS
 
 from kronsec.apolarity import (
     SQUAREFREE_PRIME,
@@ -26,7 +27,7 @@ from kronsec.apolarity import (
     sylvester_decompose,
     vandermonde_rank,
 )
-from kronsec.errors import DomainError, PrecisionError
+from kronsec.errors import ConsistencyError, DomainError, PrecisionError
 from kronsec import apolarity, ratmat
 
 
@@ -187,20 +188,41 @@ def test_sylvester_rank_one():
     assert cert.coefficients == (1,)
 
 
-def test_sylvester_reconstructs_the_form_exactly():
+def test_sylvester_reconstructs_the_form_exactly(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("exact coefficients need no linear solve")
+
+    monkeypatch.setattr(ratmat, "solve", no_solve)
     rng = random.Random(9)
+    cases = []
     for _ in range(15):
         n = rng.randrange(5, 12)
         k = rng.randrange(1, (n + 1) // 2 + 1)
         sample = sample_rank_k_instance(n, k, seed=rng.randrange(10**6))
-        cert = sylvester_decompose(sample.form)
-        assert cert.rank == k and cert.support_exact
-        rebuilt = oracle_power_sum_coeffs(
-            n,
-            [(int(p.alpha), int(p.beta)) for p in cert.support],
-            cert.coefficients,
-        )
-        assert tuple(rebuilt) == sample.form.coeffs
+        cases.append((n, sample.points, sample.coefficients))
+    cases += [
+        (3, [(1, 0), (0, 1)], [1, 1]),  # x^3 + y^3
+        (40, _RANK_15_POINTS, [(-1) ** i * (1 + i % 4) for i in range(15)]),
+        # negative points and a prime denominator just below DENOMINATOR_BOUND
+        (7, [(-3, 1), (-5, 999_999_999_989), (2, 7)], [2, -1, Fraction(5, 3)]),
+        (5, [(-2, 3)], [Fraction(7, 3)]),
+        (6, [(1, 0)], [-4]),
+    ]
+    for n, points, weights in cases:
+        f = form(n, oracle_power_sum_coeffs(n, points, weights))
+        cert = sylvester_decompose(f)
+        assert cert.rank == len(points) and cert.support_exact
+        support = [(int(p.alpha), int(p.beta)) for p in cert.support]
+        assert dict(zip(support, cert.coefficients)) == dict(zip(points, weights))
+        assert tuple(oracle_power_sum_coeffs(n, support, cert.coefficients)) == f.coeffs
+
+
+def test_exact_coefficients_check_the_rebuilt_form():
+    # The support {(1:0), (0:1)} of x^3 + y^3 cannot carry x^3 + y^3 + xy^2.
+    cert = sylvester_decompose(form(3, [1, 0, 0, 1]))
+    _, ints = _dehomogenize(cert.annihilator.coeffs, 2)
+    with pytest.raises(ConsistencyError):
+        apolarity._solve_coefficients_exact(cert.support, ints, form(3, [1, 0, 1, 1]))
 
 
 def test_sylvester_irrational_support_is_certified_numerically():
