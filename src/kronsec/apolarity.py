@@ -18,10 +18,11 @@ Rational support points are exact: one matcher proposes them, compared
 exactly on integers, from float Aberth-Ehrlich seeds (a form that splits over
 Q needs no mpmath) or from mpmath.polyroots, and exact evaluation verifies
 them. Their coefficients come by partial fractions over the annihilator and
-an exact rebuild. The irrational or complex points left over are certified
-discs, each with a radius proven to contain a root, computed exactly, rounded
-up and refined below a configurable precision target, and checked pairwise
-disjoint; their coefficients come from a numeric solve.
+an exact rebuild. Each irrational or complex point is a certified disc,
+refined by intpoly.newton (the kernel that also tracks monodromy roots)
+until its exact, rounded-up radius is below a configurable precision
+target; the discs are checked pairwise disjoint, and the coefficients come
+from a numeric solve.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import mpmath
 
-from . import ratmat
+from . import intpoly, ratmat
 from .config import DEFAULT_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 
@@ -274,7 +275,7 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     float seeds of _aberth_seeds: when it matches all of them, the roots are
     returned in ascending order with no mpmath. Otherwise mpmath.polyroots
     isolates every root and the same matcher runs on its approximations;
-    each one it leaves over is refined by Newton iteration on the full
+    each one it leaves over is refined by _refine_root on the full
     polynomial until the inclusion radius deg * |U(z)/U'(z)| drops below
     2^-precision_bits, which certifies a true root within the disc. Nothing
     is deflated, and the discs must be pairwise disjoint.
@@ -412,7 +413,9 @@ def _aberth_seeds(ints: list[int]) -> list[complex] | None:
     Starts on a circle of Fujiwara's root radius and updates one root at a
     time (Aberth 1973, Ehrlich 1967). A root stops moving once |U(z)| is
     within the rounding error of Horner's rule, so clustered roots end at
-    the accuracy floats allow rather than never converging.
+    the accuracy floats allow rather than never converging. A seed at the
+    root 0, where that test holds only at 0.0 itself, stops once
+    |z| <= tol * radius for the starting radius.
     """
     deg = len(ints) - 1
     try:  # int / int rounds once and raises only if a quotient overflows
@@ -436,7 +439,7 @@ def _aberth_seeds(ints: list[int]) -> list[complex] | None:
                 size = size * az + abs(a)
             if not cmath.isfinite(u) or not cmath.isfinite(du):
                 return None
-            if abs(u) <= tol * size:
+            if abs(u) <= tol * size or az <= tol * radius:
                 done[j] = True
                 continue
             try:
@@ -453,43 +456,35 @@ def _aberth_seeds(ints: list[int]) -> list[complex] | None:
 def _refine_root(ints: list[int], z0, precision_bits: int) -> tuple:
     """Newton-refine z0 against the integer polynomial until certified.
 
-    The certificate is the classical inclusion bound: for any z with
-    U'(z) != 0, some root lies within deg(U) * |U(z)/U'(z)| of z. It is
-    evaluated exactly at the refined point, compared with 2^-precision_bits
-    exactly, and returned as a float rounded up; it is 0.0 only when z is
-    itself a root.
+    Each rung runs intpoly.newton on the absolute grid of 2^-bits (U's
+    coefficients as c << bits) until a step is below 2^-precision_bits. The
+    certificate is the classical inclusion bound: for any z with U'(z) != 0,
+    some root lies within deg(U) * |U(z)/U'(z)| of z. It is evaluated
+    exactly at the grid point z, compared with 2^-precision_bits, and
+    returned as a float rounded up (0.0 only at a root), with z as an mpc.
     """
     target = Fraction(1, 4**precision_bits)
-    for prec in (precision_bits + 64, precision_bits + 160, precision_bits + 400, precision_bits + 900):
-        with mpmath.workprec(prec):
-            u_coeffs = [mpmath.mpf(c) for c in reversed(ints)]
-            tiny = mpmath.mpf(2) ** (-(prec - 8))
-            z = mpmath.mpc(z0)
-            for _ in range(80):
-                u, du = mpmath.polyval(u_coeffs, z, derivative=True)
-                if du == 0:
-                    break
-                step = u / du
-                z -= step
-                if abs(step) < tiny:
-                    break
-        if mpmath.isfinite(z):
-            radius_sq = _radius_squared(ints, z)
+    # 72 bits below the target: 64 leave error bounds up to 30x larger, and
+    # at 96 they fall below the rounding of the digits the CLI prints.
+    for bits in (precision_bits + 72, precision_bits + 160, precision_bits + 400, precision_bits + 900):
+        z = intpoly.newton([(c << bits, 0) for c in reversed(ints)], intpoly.fixed(z0, bits),
+                           bits, 1 << 2 * (bits - precision_bits))
+        if z is not None:
+            radius_sq = _radius_squared(ints, *z, bits)
             if radius_sq is not None and radius_sq < target:
-                return z, _sqrt_up(radius_sq)
+                with mpmath.workprec(1 + max(x.bit_length() for x in z)):
+                    return mpmath.mpc(*(mpmath.mpf((x, -bits)) for x in z)), _sqrt_up(radius_sq)
     raise PrecisionError(
         f"root isolation stalled above the precision floor 2^-{precision_bits}"
     )
 
 
-def _radius_squared(ints: list[int], z) -> Fraction | None:
-    """(deg * |U(z)/U'(z)|)^2 exactly at the mpc point z, or None when U'(z) = 0.
+def _radius_squared(ints: list[int], a: int, b: int, e: int) -> Fraction | None:
+    """(deg * |U(z)/U'(z)|)^2 exactly at z = (a + b i) / 2^e, or None when U'(z) = 0.
 
-    With z = (a + b i) / 2^e read by _gaussian, homogeneous Horner gives
-    2^(e deg) U(z) and 2^(e (deg - 1)) U'(z) with no rounding.
+    Homogeneous Horner gives 2^(e deg) U(z) and 2^(e (deg - 1)) U'(z) exactly.
     """
     deg = len(ints) - 1
-    e, [(a, b)] = _gaussian([z])
     dx, dy = _eval_homogeneous([i * c for i, c in enumerate(ints)][1:], a, b, 1 << e)
     if not (dx or dy):
         return None
@@ -639,7 +634,11 @@ def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
         scaled = mpmath.matrix([[mat[j, i] / col_max[i] for i in range(cols)] for j in range(rows)])
         # least squares through lu_solve: qr_solve cannot factor complex
         # overdetermined systems, and the residual is checked below anyway
-        sol = [y / m for y, m in zip(mpmath.lu_solve(scaled, rhs), col_max)]
+        try:  # lu_solve raises ZeroDivisionError on a numerically singular matrix
+            solved = mpmath.lu_solve(scaled, rhs)
+        except ZeroDivisionError:
+            raise PrecisionError(f"singular coefficient solve for {p}: support points too close") from None
+        sol = [y / m for y, m in zip(solved, col_max)]
         residual = max(
             abs(sum(mat[j, i] * sol[i] for i in range(cols)) - rhs[j]) for j in range(rows)
         )

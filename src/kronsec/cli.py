@@ -253,22 +253,14 @@ def _cmd_secant(args, cfg: Config) -> dict:
     return {"member": dim > 0, "kernel_dimension": dim}
 
 
-def _point_json(pt: apolarity.SupportPoint, number) -> dict:
-    return {"alpha": number(pt.alpha), "beta": number(pt.beta),
-            "exact": pt.exact,
-            "radius": None if pt.radius is None else float(pt.radius)}
-
-
 def _cmd_sylvester(args, cfg: Config) -> dict:
     p = apolarity.parse_form(args.form)
     cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
     # Approximate values print at the precision of the numeric solve.
     digits = mpmath.libmp.prec_to_dps(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS)
 
-    def number(x):
-        if isinstance(x, (mpmath.mpf, mpmath.mpc)):
-            return mpmath.nstr(x, digits)
-        return str(x)
+    def number(x, exact: bool) -> str:
+        return str(x) if exact else mpmath.nstr(x, digits)
 
     return {
         "form": apolarity.format_form(p),
@@ -276,9 +268,11 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         "rank": cert.rank,
         "member": True,  # p lies on the secant of its first kernel degree
         "annihilator": apolarity.format_form(cert.annihilator),
-        "support": None if cert.support is None else [_point_json(q, number) for q in cert.support],
+        "support": None if cert.support is None else [
+            {"alpha": number(q.alpha, q.exact), "beta": number(q.beta, q.exact), "exact": q.exact,
+             "radius": None if q.radius is None else float(q.radius)} for q in cert.support],
         "coefficients": None if cert.coefficients is None
-                        else [number(c) for c in cert.coefficients],
+                        else [number(c, cert.support_exact) for c in cert.coefficients],
         "support_exact": cert.support_exact,
         "error_bound": None if cert.error_bound is None else float(cert.error_bound),
     }

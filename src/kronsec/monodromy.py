@@ -2,13 +2,13 @@
 
 A loop is a list of closed segments deforming the coefficient vector of a
 degree-n polynomial and returning to it. Roots are continued along sampled
-parameter steps by a linear predictor plus Newton correction in one
-fixed-point kernel on Gaussian integers: each root is a pair of Python ints
-scaled by 2^F, with F = precision_bits + ceil(log2(8 / tolerance)), so the
-kernel carries precision_bits bits (96 by default) below the Newton target
-tolerance/8. Coefficients are held for u = z / 2^s, with 2^s a power of two
-at least every base root modulus, so small or clustered roots keep their
-relative precision. A step is accepted only while every root moved less
+parameter steps by a linear predictor plus Newton correction in
+intpoly.newton, the fixed-point kernel that also refines Sylvester supports:
+each root is a pair of Python ints scaled by 2^F, with F = precision_bits +
+ceil(log2(8 / tolerance)), so the kernel carries precision_bits bits (96 by
+default) below the Newton target tolerance/8. Coefficients are held for
+u = z / 2^s, with 2^s a power of two at least every base root modulus, so
+small or clustered roots keep their relative precision. A step is accepted only while every root moved less
 than half the least pairwise root distance and all roots stay more than the
 tolerance apart, each an exact comparison of squared integers; otherwise the
 step is halved, down to a hard floor of 2^-20 of the initial step. A
@@ -47,8 +47,8 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-from mpmath import libmp
 
+from . import intpoly
 from .characters import character_table
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
@@ -176,17 +176,15 @@ def _sorted_roots(coeffs):
     return sorted(raw, key=lambda z: (mpmath.re(z), mpmath.im(z)))
 
 
-# --- the fixed-point kernel ---------------------------------------------------
+# --- the fixed-point grid -----------------------------------------------------
 #
-# The kernel works in u = z / 2^s, with 2^s at least every base root modulus
+# Tracking works in u = z / 2^s, with 2^s at least every base root modulus
 # and the tolerance, so the monic polynomial in u has coefficients of size at
-# most binomial(n, k) however large or small its roots are. A complex number
-# x + iy in u is held as the pair of ints (X, Y) with x + iy ~ (X + iY) / 2^F.
-# Sums are exact; each product is floored back to F fractional bits. Every
-# root decision (the base gap, each step, the final match) compares squared
-# ints, so none of them rounds, and scaling by 2^s changes none of them.
+# most binomial(n, k) however large or small its roots are. u is held in
+# intpoly's fixed point at F fractional bits. Every root decision (the base
+# gap, each step, the final match) compares squared ints, so none of them
+# rounds, and scaling by 2^s changes none of them.
 
-NEWTON_ITERATIONS = 60
 # Bits carried past F in the one mpmath phase of each step.
 PHASE_GUARD_BITS = 8
 
@@ -216,13 +214,6 @@ def _grid(precision_bits: int, tolerance: float, roots) -> _Grid:
     return _Grid(precision_bits + 4 - exp + scale, scale, target**2, (8 * target) ** 2)
 
 
-def _fixed(z, bits: int) -> tuple[int, int]:
-    """floor(2^F z) of an mpc, taken part by part; exact for an int."""
-    if isinstance(z, int):
-        return libmp.to_fixed(libmp.from_int(z), bits), 0
-    return libmp.to_fixed(z.real._mpf_, bits), libmp.to_fixed(z.imag._mpf_, bits)
-
-
 def _dist_sq(a, b) -> int:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
@@ -241,34 +232,7 @@ def _gap_sq(roots, moving, least):
 def _phase(num: int, den: int, bits: int) -> tuple[int, int]:
     """e^(i pi num/den) in fixed point, for den a power of two."""
     with mpmath.workprec(bits + PHASE_GUARD_BITS):
-        return _fixed(mpmath.expjpi(mpmath.mpf(num) / den), bits)
-
-
-def _newton(desc, z, grid: _Grid):
-    """Newton-correct z on the polynomial with descending fixed-point coefficients.
-
-    Horner gives the value u and derivative d together; the step u/d is one
-    integer complex division. Returns the corrected root once a step has
-    |step|^2 below the target, or None at a zero derivative or after
-    NEWTON_ITERATIONS steps.
-    """
-    bits = grid.bits
-    zr, zi = z
-    (lead_r, lead_i), rest = desc[0], desc[1:]
-    for _ in range(NEWTON_ITERATIONS):
-        ur, ui, dr, di = lead_r, lead_i, 0, 0
-        for cr, ci in rest:
-            dr, di = ((dr * zr - di * zi) >> bits) + ur, ((dr * zi + di * zr) >> bits) + ui
-            ur, ui = ((ur * zr - ui * zi) >> bits) + cr, ((ur * zi + ui * zr) >> bits) + ci
-        den = dr * dr + di * di
-        if not den:
-            return None
-        sr = ((ur * dr + ui * di) << bits) // den
-        si = ((ui * dr - ur * di) << bits) // den
-        zr, zi = zr - sr, zi - si
-        if sr * sr + si * si < grid.newton_sq:
-            return zr, zi
-    return None
+        return intpoly.fixed(mpmath.expjpi(mpmath.mpf(num) / den), bits)
 
 
 def _times(a, b, bits: int) -> tuple[int, int]:
@@ -290,7 +254,7 @@ def _monic(coeffs0, grid: _Grid):
     The coefficient of z^k becomes a_k * 2^(s(k - n)) in u; each is floored once.
     """
     def exact(x):
-        return Fraction(*libmp.to_rational(x._mpf_))
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
 
     lead_r, lead_i = exact(coeffs0[-1].real), exact(coeffs0[-1].imag)
     norm = lead_r * lead_r + lead_i * lead_i
@@ -403,7 +367,7 @@ def track_roots(
             roots0 = _sorted_roots(coeffs0)
         grid = _grid(precision_bits, tolerance, roots0)
         # z = U / 2^(F - s) for a grid value U of u.
-        base_roots = [_fixed(r, grid.bits - grid.scale) for r in roots0]
+        base_roots = [intpoly.fixed(r, grid.bits - grid.scale) for r in roots0]
         base_gap = _gap_sq(base_roots, range(len(base_roots)), math.inf)
         if base_gap <= grid.separation_sq:
             raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
@@ -475,7 +439,8 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
         for m in moving:
             # Linear predictor: continue the last accepted step, scaled to this one.
             (zr, zi), (pr, pi) = current[m], (prev_roots or current)[m]
-            z = _newton(desc, (zr + (zr - pr) * num // den, zi + (zi - pi) * num // den), grid)
+            z = intpoly.newton(desc, (zr + (zr - pr) * num // den, zi + (zi - pi) * num // den),
+                               grid.bits, grid.newton_sq)
             if z is None:
                 ok = False
                 break

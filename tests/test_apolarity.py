@@ -28,7 +28,7 @@ from kronsec.apolarity import (
     vandermonde_rank,
 )
 from kronsec.errors import ConsistencyError, DomainError, PrecisionError
-from kronsec import apolarity, ratmat
+from kronsec import apolarity, intpoly, ratmat
 
 
 # --- forms and parsing --------------------------------------------------------
@@ -424,6 +424,14 @@ def test_coefficients_past_the_float_range_raise_no_overflow():
     assert apolarity._aberth_seeds([-big, 1, 1]) is None
 
 
+def test_a_seed_at_the_root_zero_stops_with_the_others(monkeypatch):
+    # t(t - 1)(t - 2)(t - 3): Horner's relative test never holds near 0, so
+    # the seed there stops by |z| against the starting radius.
+    monkeypatch.setattr(apolarity, "ABERTH_SWEEPS", 8)
+    seeds = apolarity._aberth_seeds([0, -6, 11, -6, 1])
+    assert seeds is not None and len(seeds) == 4
+
+
 def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
     tiny = Fraction(1, apolarity.DENOMINATOR_BOUND + 1)
     ints = _ints_with_roots([tiny, 2, -1])
@@ -486,6 +494,19 @@ def test_two_discs_on_one_root_are_a_precision_error(monkeypatch):
     with pytest.raises(PrecisionError, match="discs meet"):
         sylvester_decompose(parse_form("deg=3; coeffs=1,1,0,1"))
     assert len(starts) == 2
+
+
+def test_a_ladder_with_no_converged_rung_is_a_precision_error(monkeypatch):
+    monkeypatch.setattr(intpoly, "newton", lambda desc, z, bits, step_sq: None)
+    with pytest.raises(PrecisionError, match="stalled above the precision floor"):
+        sylvester_decompose(form(4, [2, 0, 24, 0, 8]))
+
+
+def test_a_singular_numeric_solve_is_a_precision_error():
+    # Two equal columns: mpmath.lu_solve raises ZeroDivisionError.
+    pt = apolarity.SupportPoint(mpmath.mpc(2), mpmath.mpf(1), exact=False, radius=2.0**-100)
+    with pytest.raises(PrecisionError, match="singular"):
+        apolarity._solve_coefficients_numeric([pt, pt], form(3, [1, 0, 0, 1]), 96)
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

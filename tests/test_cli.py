@@ -159,6 +159,41 @@ def _printed(text: str):
     return _exact(Fraction(text))
 
 
+def _near_double_root_form(delta: Fraction) -> str:
+    """The sum of (theta x + y)^9 over the roots theta of (t^2 - 2)((t - delta)^2 - 2)."""
+    def power_sum(m, shift):  # (shift + sqrt 2)^m + (shift - sqrt 2)^m
+        return sum(2 * math.comb(m, i) * shift ** (m - i) * 2 ** (i // 2) for i in range(0, m + 1, 2))
+
+    return _form_text([math.comb(9, i) * (power_sum(9 - i, 0) + power_sum(9 - i, delta)) for i in range(10)])
+
+
+@pytest.mark.parametrize("exponent", [20, 37, 40, 60])
+def test_near_double_roots_are_certified_or_a_precision_error(capsys, exponent):
+    # Support points sqrt(2) + delta and -sqrt(2) + delta sit delta = 10^-exponent
+    # from two others: either four pairwise disjoint discs whose printed values
+    # rebuild the form, or a precision error; a singular solve used to escape
+    # as an internal error at 10^-37.
+    text = _near_double_root_form(Fraction(1, 10**exponent))
+    code, out, err = run(capsys, "sylvester", text)
+    if code:
+        assert (code, json.loads(err)["error"]) == (1, "precision"), err
+        return
+    payload = json.loads(out)
+    assert payload["rank"] == len(payload["support"]) == 4
+    form, n = parse_form(text), 9
+    with mpmath.workprec(256):
+        discs = [(_printed(pt["alpha"]) / _printed(pt["beta"]), Fraction(pt["radius"])) for pt in payload["support"]]
+        for i, (z1, r1) in enumerate(discs):
+            for z2, r2 in discs[i + 1:]:
+                assert abs(z1 - z2) > _exact(r1 + r2)
+        points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
+        coeffs = [_printed(c) for c in payload["coefficients"]]
+        for j, target in enumerate(form.coeffs):
+            rebuilt = sum(c * mpmath.binomial(n, j) * alpha ** (n - j) * beta**j
+                          for (alpha, beta), c in zip(points, coeffs))
+            assert abs(rebuilt - _exact(target)) <= 2 * payload["error_bound"]
+
+
 def test_vdm(capsys):
     payload = run_json(capsys, "vdm", '[0, 1, "1/2", "inf"]', "5")
     assert payload == {"rank": 4}
@@ -444,7 +479,7 @@ _FORMS_ARGV = {
 # last changed on purpose.
 _FORMS_STDOUT = {
     "sylvester-rank-15-deg-40": "a58418672fa98e780a9a18cddd0ea6bf3a4129f32992d64599ee3406d7972ad5",
-    "sylvester-generic-deg-30": "88e945548f5f7d2c6424af8f274ccbf6ad450acbd098c7226505bf0b28423acc",
+    "sylvester-generic-deg-30": "068905b428e4ed846f87b95ea78c6263fef47a62771106825ec198155250fece",
     "sylvester-nonsquarefree": "606cd1de779f969aab3f864974830a8efe4acf57d8e5e2ae4b56aa1538b66058",
     "join": "827b7f0b0c904a769fa97a22d8b97dd0aabedac2d119f413c85c7606b29f543f",
     "secant": "fe6a190f52b7010d022074cea291f7a2649a58e561ed03d015fa000d3c5754c5",

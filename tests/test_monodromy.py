@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
+import kronsec.intpoly as intpoly
 import kronsec.monodromy as monodromy
 import kronsec.permutations as permutations
 from kronsec.errors import ConsistencyError, DomainError
@@ -159,7 +160,7 @@ def test_fixed_point_newton_agrees_with_an_mpmath_reference():
             monic = monodromy._monic(coeffs0, grid)
         for r in roots:
             guess = mpmath.mpc(r + complex(0.01, 0.01) * scale)
-            fixed = monodromy._newton(monic, monodromy._fixed(guess, root_bits), grid)
+            fixed = intpoly.newton(monic, intpoly.fixed(guess, root_bits), grid.bits, grid.newton_sq)
             assert fixed is not None
             with mpmath.workprec(256):
                 reference = _mpmath_newton(coeffs0, guess, tolerance * 2.0**-60)

@@ -14,7 +14,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "stdout_digest.py"
 
 PINNED = """\
-forms seed=11 rounds=1 ops=96 sha256=9b7e2d5cfe90e9a243ca28064235be907ca750bd3638bc82d68678ffaac64446
+forms seed=11 rounds=1 ops=96 sha256=159d215fe5cfb201093fceb23bc3c71f24d20ad81364be31af4de467722fe5a4
 loops seed=11 rounds=1 ops=56 sha256=58483428ddb54ba8a563b7874efbbcc3f2d88379eb9cfbbf90b7b280f4e73786
 reps seed=11 rounds=1 ops=154 sha256=87bcfcb79da12bf757a2c31266ea82140e50efe1e6133d1cceda28ea0ee6af1e
 """
