@@ -19,10 +19,9 @@ exactly on integers, from float Aberth-Ehrlich seeds (a form that splits over
 Q needs no mpmath) or from mpmath.polyroots, and exact evaluation verifies
 them. Their coefficients come by partial fractions over the annihilator and
 an exact rebuild. Each irrational or complex point is a certified disc,
-refined by intpoly.newton (the kernel that also tracks monodromy roots)
-until its exact, rounded-up radius is below a configurable precision
-target; the discs are checked pairwise disjoint, and the coefficients come
-from a numeric solve.
+refined by intpoly.newton (which also tracks monodromy roots) until its
+exact, rounded-up radius is below a configurable target; the discs are
+checked pairwise disjoint, and a numeric solve gives the coefficients.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ DENOMINATOR_BOUND = 10**12
 # one this large rarely divides a leading coefficient or a discriminant.
 SQUAREFREE_PRIME = 2**31 - 1
 # Guard bits the numeric coefficient solve works at above `precision_bits`;
-# the CLI prints approximate coefficients at the same precision, so the
-# printed certificate rebuilds the form within its own error_bound.
+# the CLI prints approximate values with the digits that read this precision
+# back, so the printed certificate rebuilds the form within its error_bound.
 SOLVE_GUARD_BITS = 96
 
 
@@ -342,25 +341,12 @@ def _eval_homogeneous(ints: list[int], a: int, b: int, q: int) -> tuple[int, int
     return x, y
 
 
-def _dyadic(x) -> tuple[int, int]:
-    """Integers (m, k) with x = m * 2^k exactly, for a float or an mpf.
-
-    An mpf is read off its _mpf_ tuple: converting it outside its working
-    precision would round it to 53 bits.
-    """
-    if isinstance(x, float):
-        num, den = x.as_integer_ratio()
-        return num, 1 - den.bit_length()
-    sign, man, exp, _ = x._mpf_
-    return -man if sign else man, exp
-
-
 def _gaussian(approx: Sequence) -> tuple[int, list[tuple[int, int]]]:
     """e >= 0 and integers (a, b) with z = (a + b i) / 2^e exactly, one e for every z.
 
     Each z is a complex, an mpf or an mpc; all of them are dyadic.
     """
-    parts = [(_dyadic(z.real), _dyadic(z.imag)) for z in approx]
+    parts = [(intpoly.dyadic(z.real), intpoly.dyadic(z.imag)) for z in approx]
     e = max([0] + [-k for pair in parts for _, k in pair])
     return e, [(ma << (ka + e), mb << (kb + e)) for (ma, ka), (mb, kb) in parts]
 
@@ -456,17 +442,20 @@ def _aberth_seeds(ints: list[int]) -> list[complex] | None:
 def _refine_root(ints: list[int], z0, precision_bits: int) -> tuple:
     """Newton-refine z0 against the integer polynomial until certified.
 
-    Each rung runs intpoly.newton on the absolute grid of 2^-bits (U's
-    coefficients as c << bits) until a step is below 2^-precision_bits. The
-    certificate is the classical inclusion bound: for any z with U'(z) != 0,
+    Each rung runs intpoly.newton on the grid of 2^-bits (U's coefficients
+    as c << bits) until a step is below 2^-precision_bits. The certificate
+    is the classical inclusion bound: for any z with U'(z) != 0,
     some root lies within deg(U) * |U(z)/U'(z)| of z. It is evaluated
     exactly at the grid point z, compared with 2^-precision_bits, and
     returned as a float rounded up (0.0 only at a root), with z as an mpc.
     """
     target = Fraction(1, 4**precision_bits)
-    # 72 bits below the target: 64 leave error bounds up to 30x larger, and
-    # at 96 they fall below the rounding of the digits the CLI prints.
-    for bits in (precision_bits + 72, precision_bits + 160, precision_bits + 400, precision_bits + 900):
+    # A grid relative to the root, as the printed digits are: 2^-72 of the
+    # target times 2^e <= max(1, |z0|). Finer grids leave the error bound
+    # below the digits' rounding; 2^-64 left it up to 30x larger.
+    e = max(1, max(map(abs, intpoly.fixed(z0, 0))).bit_length()) - 1
+    for extra in (72, 160, 400, 900):
+        bits = precision_bits + max(8, extra - e)
         z = intpoly.newton([(c << bits, 0) for c in reversed(ints)], intpoly.fixed(z0, bits),
                            bits, 1 << 2 * (bits - precision_bits))
         if z is not None:
@@ -617,37 +606,33 @@ def _mp(x):
 
 
 def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
-    n = p.degree
-    with mpmath.workprec(precision_bits + SOLVE_GUARD_BITS):
-        rows = n + 1
-        cols = len(points)
-        mat = mpmath.matrix(rows, cols)
-        for i, pt in enumerate(points):
-            al, be = _mp(pt.alpha), _mp(pt.beta)
-            for j in range(rows):
-                mat[j, i] = mpmath.binomial(n, j) * al ** (n - j) * be**j
-        rhs = mpmath.matrix([_mp(c) for c in p.coeffs])
+    n, prec = p.degree, precision_bits + SOLVE_GUARD_BITS
+    # Entries at twice the working precision, so the residual of the values
+    # returned does not hide in the solve's own rounding.
+    with mpmath.workprec(2 * prec):
+        cols = [[mpmath.binomial(n, j) * al ** (n - j) * be**j for j in range(n + 1)]
+                for al, be in ((_mp(pt.alpha), _mp(pt.beta)) for pt in points)]
+        rhs = [_mp(c) for c in p.coeffs]
+    with mpmath.workprec(prec):
         # The columns differ in scale by many orders of magnitude and the
         # normal equations inside lu_solve square that spread, so solve with
         # every column divided by its largest entry and unscale the solution.
-        col_max = [max(abs(mat[j, i]) for j in range(rows)) for i in range(cols)]
-        scaled = mpmath.matrix([[mat[j, i] / col_max[i] for i in range(cols)] for j in range(rows)])
+        col_max = [max(map(abs, col)) for col in cols]
+        scaled = mpmath.matrix([[col[j] / m for col, m in zip(cols, col_max)] for j in range(n + 1)])
         # least squares through lu_solve: qr_solve cannot factor complex
         # overdetermined systems, and the residual is checked below anyway
         try:  # lu_solve raises ZeroDivisionError on a numerically singular matrix
-            solved = mpmath.lu_solve(scaled, rhs)
+            solved = mpmath.lu_solve(scaled, mpmath.matrix(rhs))
         except ZeroDivisionError:
             raise PrecisionError(f"singular coefficient solve for {p}: support points too close") from None
         sol = [y / m for y, m in zip(solved, col_max)]
-        residual = max(
-            abs(sum(mat[j, i] * sol[i] for i in range(cols)) - rhs[j]) for j in range(rows)
-        )
-        scale = max(abs(rhs[j]) for j in range(rows))
-        if residual > scale * mpmath.mpf(2) ** (-(precision_bits // 2)):
+    with mpmath.workprec(2 * prec):
+        residual = max(abs(sum(col[j] * c for col, c in zip(cols, sol)) - rhs[j]) for j in range(n + 1))
+        if residual > max(map(abs, rhs)) * mpmath.mpf(2) ** (-(precision_bits // 2)):
             raise PrecisionError(
                 f"numeric reconstruction residual {mpmath.nstr(residual)} too large for {p}"
             )
-        return sol, float(residual)
+    return sol, float(residual)
 
 
 # --- rank sampling -----------------------------------------------------------

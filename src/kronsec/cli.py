@@ -256,8 +256,9 @@ def _cmd_secant(args, cfg: Config) -> dict:
 def _cmd_sylvester(args, cfg: Config) -> dict:
     p = apolarity.parse_form(args.form)
     cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
-    # Approximate values print at the precision of the numeric solve.
-    digits = mpmath.libmp.prec_to_dps(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS)
+    # Approximate values print with the digits that read back every bit of
+    # the numeric solve's working precision.
+    digits = mpmath.libmp.repr_dps(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS)
 
     def number(x, exact: bool) -> str:
         return str(x) if exact else mpmath.nstr(x, digits)

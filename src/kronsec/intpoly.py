@@ -3,17 +3,30 @@
 x + iy is held as the ints (X, Y) with x + iy ~ (X + iY) / 2^bits; sums are
 exact and each product is floored back to `bits` fractional bits. It tracks
 `monodromy` loop roots and refines `apolarity` Sylvester support points.
+`dyadic` is the package's one exact reader of floats and mpmath numbers, and
+`fixed` puts a value on the grid from it.
 """
 
 NEWTON_ITERATIONS = 60
 
 
+def dyadic(x) -> tuple[int, int]:
+    """Integers (m, k) with x = m * 2^k exactly, for an int, a float or an mpf.
+
+    An mpf is read off its _mpf_ tuple: converting it outside its working
+    precision would round it to 53 bits.
+    """
+    if isinstance(x, (int, float)):
+        num, den = x.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
+
+
 def fixed(z, bits: int) -> tuple[int, int]:
-    """floor(2^bits z) of an int, or of an mpf or mpc part by part, read off its _mpf_ tuples."""
-    if isinstance(z, int):
-        return z << bits, 0
-    parts = [(-man if sign else man, exp + bits) for sign, man, exp, _ in (z.real._mpf_, z.imag._mpf_)]
-    return tuple(m << shift if shift >= 0 else m >> -shift for m, shift in parts)
+    """floor(2^bits z), part by part, of an int, a float, a complex, an mpf or an mpc."""
+    parts = [dyadic(z.real), dyadic(z.imag)]
+    return tuple(m << (k + bits) if k + bits >= 0 else m >> -(k + bits) for m, k in parts)
 
 
 def newton(desc, z, bits: int, step_sq: int):

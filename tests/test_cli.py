@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import dropwhile
 
 import mpmath
 import pytest
@@ -116,6 +117,18 @@ def test_sylvester(capsys):
     assert points == {("1", "0"), ("0", "1")}
 
 
+def _form_text(coeffs) -> str:
+    return f"deg={len(coeffs) - 1}; coeffs=" + ",".join(str(c) for c in coeffs)
+
+
+def _power_sums(n: int, centre: int, square: int) -> list[int]:
+    """Coefficients of the sum of (theta x + y)^n over the roots theta = centre +- sqrt(square)."""
+    sums = [2, 2 * centre]  # theta^m summed, by Newton's identity for t^2 - 2 centre t + centre^2 - square
+    for _ in range(n - 1):
+        sums.append(2 * centre * sums[-1] - (centre * centre - square) * sums[-2])
+    return [math.comb(n, j) * sums[n - j] for j in range(n + 1)]
+
+
 @pytest.mark.parametrize("text", [
     # exact (0 : 1) plus three irrational points: the Fraction point used to
     # raise TypeError in the numeric coefficient solve
@@ -126,10 +139,16 @@ def test_sylvester(capsys):
     # a generic degree-40 form: the squarefree test of its degree-20
     # annihilator took 22 s in a Euclid over Q
     "deg=40; coeffs=-1,2,7,-9,5,-2,-8,-4,-6,2,6,-2,3,8,-6,9,-2,-9,-3,4,-1,-4,3,-4,-7,-5,5,-5,-5,-9,-9,-3,-3,-4,-4,0,1,-3,8,-3,-4",
+    # roots +-2^22 sqrt 2 and 3 * 2^20 + 1 +- 2^22 sqrt(-2): an absolute
+    # refinement grid left the error bound below the rounding of the printed
+    # digits and a printed disc off its root
+    _form_text(_power_sums(3, 0, 2**45)),
+    _form_text(_power_sums(6, 3 * 2**20 + 1, -(2**45))),
 ])
 def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
     # Rebuilt from the printed digits, so stdout carries enough of them to
-    # meet the certificate's own error_bound.
+    # meet the certificate's own error_bound, and each printed disc holds a
+    # root of the printed annihilator.
     payload = run_json(capsys, "sylvester", text)
     assert payload["support_exact"] is False
     assert payload["rank"] == len(payload["support"]) == len(payload["coefficients"])
@@ -144,6 +163,14 @@ def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
                 for (alpha, beta), c in zip(points, coeffs)
             )
             assert abs(rebuilt - _exact(target)) <= 2 * payload["error_bound"]
+    annihilator = parse_form(payload["annihilator"]).coeffs
+    with mpmath.workprec(1024):
+        # U(t) = a(t, 1) with its leading zeros, the roots at (1 : 0), dropped
+        roots = mpmath.polyroots([_exact(c) for c in dropwhile(lambda c: not c, annihilator)],
+                                 maxsteps=400, extraprec=1024)
+        for (alpha, beta), pt in zip(points, payload["support"]):
+            if not pt["exact"]:
+                assert min(abs(alpha / beta - r) for r in roots) <= _exact(Fraction(pt["radius"]))
 
 
 def _exact(x: Fraction):
@@ -167,7 +194,7 @@ def _near_double_root_form(delta: Fraction) -> str:
     return _form_text([math.comb(9, i) * (power_sum(9 - i, 0) + power_sum(9 - i, delta)) for i in range(10)])
 
 
-@pytest.mark.parametrize("exponent", [20, 37, 40, 60])
+@pytest.mark.parametrize("exponent", [20, 33, 37, 40, 60])
 def test_near_double_roots_are_certified_or_a_precision_error(capsys, exponent):
     # Support points sqrt(2) + delta and -sqrt(2) + delta sit delta = 10^-exponent
     # from two others: either four pairwise disjoint discs whose printed values
@@ -452,10 +479,6 @@ def test_brion_boundary(capsys):
     assert json.loads(lines[-1])["summary"]["no_sigma"] == 2
 
 
-def _form_text(coeffs) -> str:
-    return f"deg={len(coeffs) - 1}; coeffs=" + ",".join(str(c) for c in coeffs)
-
-
 def _product(*factors) -> list[int]:
     """Coefficients of the product of the linear forms a x + b y."""
     coeffs = [1]
@@ -479,7 +502,7 @@ _FORMS_ARGV = {
 # last changed on purpose.
 _FORMS_STDOUT = {
     "sylvester-rank-15-deg-40": "a58418672fa98e780a9a18cddd0ea6bf3a4129f32992d64599ee3406d7972ad5",
-    "sylvester-generic-deg-30": "068905b428e4ed846f87b95ea78c6263fef47a62771106825ec198155250fece",
+    "sylvester-generic-deg-30": "511c4b6fad5d33d236cb0713476cc426066c08065098b50751a308e09d01ca0c",
     "sylvester-nonsquarefree": "606cd1de779f969aab3f864974830a8efe4acf57d8e5e2ae4b56aa1538b66058",
     "join": "827b7f0b0c904a769fa97a22d8b97dd0aabedac2d119f413c85c7606b29f543f",
     "secant": "fe6a190f52b7010d022074cea291f7a2649a58e561ed03d015fa000d3c5754c5",

@@ -118,6 +118,13 @@ def test_roots_far_from_unit_size(base, segments, tolerance, expected):
     assert track_roots(base, segments, tolerance=tolerance).permutation == expected
 
 
+def test_a_tolerance_coarser_than_the_integer_roots_is_a_domain_error():
+    # 1e40 puts the grid above 2^-precision: the integer roots 1, 2 are read
+    # onto it with a negative shift, floored, and then found not separated.
+    with pytest.raises(DomainError, match="not resolvably squarefree"):
+        track_roots((2, -3, 1), (HalfTwist(1),), tolerance=1e40)
+
+
 @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
 def test_tolerance_must_be_positive_and_finite(tolerance):
     with pytest.raises(DomainError, match="positive and finite"):

@@ -14,7 +14,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "stdout_digest.py"
 
 PINNED = """\
-forms seed=11 rounds=1 ops=96 sha256=159d215fe5cfb201093fceb23bc3c71f24d20ad81364be31af4de467722fe5a4
+forms seed=11 rounds=1 ops=96 sha256=cc884102528f4d9b1fb887a8284a5a3ab93ffe14a2449a527e9280807366c89b
 loops seed=11 rounds=1 ops=56 sha256=58483428ddb54ba8a563b7874efbbcc3f2d88379eb9cfbbf90b7b280f4e73786
 reps seed=11 rounds=1 ops=154 sha256=87bcfcb79da12bf757a2c31266ea82140e50efe1e6133d1cceda28ea0ee6af1e
 """
