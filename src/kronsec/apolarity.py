@@ -15,25 +15,23 @@ degree-k slice of the apolar ideal of p:
     alternative) and no finite support is reported.
 
 Rational support points are exact: one matcher proposes them, compared
-exactly on integers, from float Aberth-Ehrlich seeds (a form that splits over
-Q needs no mpmath) or from mpmath.polyroots, and exact evaluation verifies
-them. Their coefficients come by partial fractions over the annihilator and
-an exact rebuild. Each irrational or complex point is a certified disc,
-refined by intpoly.newton (which also tracks monodromy roots) until its
-exact, rounded-up radius is below a configurable target; the discs are
-checked pairwise disjoint, and a numeric solve gives the coefficients.
+exactly on integers, from intpoly's float Aberth-Ehrlich seeds (a form that
+splits over Q needs no mpmath) or from mpmath.polyroots, and exact
+evaluation verifies them. Their coefficients come by partial fractions over
+the annihilator and an exact rebuild. Each irrational or complex point is a
+certified disc, refined by intpoly.newton until its exact, rounded-up
+radius is below a configurable target; the discs are checked pairwise
+disjoint, and a numeric solve gives the coefficients.
 """
 
 from __future__ import annotations
 
-import cmath
 import random
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import comb, gcd, inf, isqrt, lcm, ldexp, nextafter, perm, pi
+from math import comb, gcd, inf, isqrt, lcm, ldexp, nextafter, perm
 from operator import mul
 from typing import Sequence
 
@@ -44,15 +42,9 @@ from .config import DEFAULT_PRECISION_BITS
 from .errors import ConsistencyError, DomainError, PrecisionError
 
 RESAMPLE_BOUND = 32
-# Aberth-Ehrlich sweeps _aberth_seeds may take; a seed still moving after
-# them sends the annihilator to mpmath.polyroots.
-ABERTH_SWEEPS = 60
 # Largest denominator of an exact support point; a rational root with a
 # larger one comes out as a certified approximation.
 DENOMINATOR_BOUND = 10**12
-# The prime of the modular squarefree certificate; any prime is sound, and
-# one this large rarely divides a leading coefficient or a discriminant.
-SQUAREFREE_PRIME = 2**31 - 1
 # Guard bits the numeric coefficient solve works at above `precision_bits`;
 # the CLI prints approximate values with the digits that read this precision
 # back, so the printed certificate rebuilds the form within its error_bound.
@@ -191,59 +183,6 @@ def _dehomogenize(coeffs: Sequence[Fraction], k: int) -> tuple[int, list[int]]:
     return at_inf, [int(c * scale) for c in univ]
 
 
-def _coprime_mod_p(ints: list[int]) -> bool:
-    """p does not divide lc(U), and U, U' are coprime in F_p[t] for p = SQUAREFREE_PRIME.
-
-    That proves U squarefree over Q (Brown 1971): a repeated factor g^2 | U
-    over Z keeps its degree mod p, because lc(g) divides lc(U), and its image
-    would divide both U and U' mod p. False only means "maybe".
-    """
-    p = SQUAREFREE_PRIME
-    if not ints[-1] % p:
-        return False
-    a = [c % p for c in ints]
-    b = [i * c % p for i, c in enumerate(a)][1:]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q, shift = a[-1] * inv % p, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - q * c) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def _squarefree(at_inf: int, ints: list[int]) -> bool:
-    """No repeated projective root: at_inf <= 1 and gcd(U, U') is constant.
-
-    A coprimality certificate mod a prime answers most inputs. Otherwise the
-    gcd runs as a primitive remainder sequence over Z (Collins 1967): each
-    pseudo-remainder is divided by its content, which keeps the coefficients
-    from the growth that makes a Euclid over Q hang at high degree.
-    """
-    if at_inf > 1:
-        return False
-    if _coprime_mod_p(ints):
-        return True
-    a, b = ints, [i * c for i, c in enumerate(ints)][1:]
-    while len(b) > 1:
-        rem = a[:]
-        while len(rem) >= len(b):
-            top, shift = rem[-1], len(rem) - len(b)
-            rem = [b[-1] * c for c in rem]
-            for i, c in enumerate(b):
-                rem[shift + i] -= top * c
-            while rem and not rem[-1]:
-                rem.pop()
-        content = gcd(*rem)
-        a, b = b, [c // content for c in rem]
-    return len(b) == 1 or len(ints) == 1  # a constant U has no root to repeat
-
-
 # --- certified root isolation ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -271,7 +210,7 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
 
     _rational_roots matches rational roots to approximations, first to the
-    float seeds of _aberth_seeds: when it matches all of them, the roots are
+    float seeds of intpoly.aberth_seeds: when it matches all of them, the roots are
     returned in ascending order with no mpmath. Otherwise mpmath.polyroots
     isolates every root and the same matcher runs on its approximations;
     each one it leaves over is refined by _refine_root on the full
@@ -283,7 +222,7 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     if len(ints) == 1:
         return points
 
-    seeds = _aberth_seeds(ints)
+    seeds = intpoly.aberth_seeds(ints)
     roots, leftovers = _rational_roots(ints, seeds or [])
     if seeds and not leftovers:
         roots.sort()
@@ -318,7 +257,7 @@ def _require_disjoint_discs(points: list[SupportPoint]) -> None:
             if pt.beta:
                 discs.append((pt.alpha / pt.beta, Fraction(0), Fraction(0)))
         else:
-            e, [(a, b)] = _gaussian([pt.alpha])
+            e, [(a, b)] = intpoly.gaussian([pt.alpha])
             discs.append((Fraction(a, 1 << e), Fraction(b, 1 << e), Fraction(pt.radius)))
     for i, (x1, y1, r1) in enumerate(discs):
         for x2, y2, r2 in discs[i + 1:]:
@@ -326,29 +265,6 @@ def _require_disjoint_discs(points: list[SupportPoint]) -> None:
                 raise PrecisionError(
                     f"two inclusion discs meet near {float(x1)}{float(y1):+}j; the roots are not separated"
                 )
-
-
-def _eval_homogeneous(ints: list[int], a: int, b: int, q: int) -> tuple[int, int]:
-    """q^d U((a + b i) / q) as a Gaussian integer (x, y), by homogeneous Horner with no rounding.
-
-    That is sum_i c_i (a + b i)^i q^(d-i); with b = 0 and q != 0 it is (0, 0)
-    exactly when U(a/q) = 0.
-    """
-    x, y, q_pow = ints[-1], 0, 1
-    for c in reversed(ints[:-1]):
-        q_pow *= q
-        x, y = x * a - y * b + c * q_pow, x * b + y * a
-    return x, y
-
-
-def _gaussian(approx: Sequence) -> tuple[int, list[tuple[int, int]]]:
-    """e >= 0 and integers (a, b) with z = (a + b i) / 2^e exactly, one e for every z.
-
-    Each z is a complex, an mpf or an mpc; all of them are dyadic.
-    """
-    parts = [(intpoly.dyadic(z.real), intpoly.dyadic(z.imag)) for z in approx]
-    e = max([0] + [-k for pair in parts for _, k in pair])
-    return e, [(ma << (ka + e), mb << (kb + e)) for (ma, ka), (mb, kb) in parts]
 
 
 def _rational_roots(ints: list[int], approx: Sequence) -> tuple[list[Fraction], list]:
@@ -361,11 +277,11 @@ def _rational_roots(ints: list[int], approx: Sequence) -> tuple[list[Fraction], 
     sum_i c_i p^i q^(d-i) = 0 (q | c_d tested first, as for any root p/q in
     lowest terms). So a seed near -8/3 never takes the root -3
     of its neighbour, one off the real axis takes nothing, and no root is
-    taken twice: two such discs are disjoint. Distances are compared
-    exactly on _gaussian's integers. The roots come in the order of their
+    taken twice: two such discs are disjoint. Distances are compared exactly
+    on intpoly.gaussian's integers. The roots come in the order of their
     approximations; a leftover only says that z matched no rational root.
     """
-    e, gauss = _gaussian(approx)
+    e, gauss = intpoly.gaussian(approx)
     roots, leftovers = [], []
     for j, (z, (a, b)) in enumerate(zip(approx, gauss)):
         # 4^e |z - w|^2 for the nearest other approximation w, or None
@@ -373,7 +289,7 @@ def _rational_roots(ints: list[int], approx: Sequence) -> tuple[list[Fraction], 
         for p, q in _convergents(a, 1 << e):
             # |p/q - z| < |z - w| / 2, both sides times 2^(e+1) q and squared
             near = gap is None or 4 * (((p << e) - q * a) ** 2 + (q * b) ** 2) < q * q * gap
-            if near and not ints[-1] % q and _eval_homogeneous(ints, p, 0, q) == (0, 0):
+            if near and not ints[-1] % q and intpoly.horner(ints, p, 0, q) == (0, 0):
                 roots.append(Fraction(p, q))
                 break
         else:
@@ -391,52 +307,6 @@ def _convergents(num: int, den: int):
         if q1 > DENOMINATOR_BOUND:
             return
         yield p1, q1
-
-
-def _aberth_seeds(ints: list[int]) -> list[complex] | None:
-    """Float approximations of the roots of U by Aberth-Ehrlich sweeps, or None.
-
-    Starts on a circle of Fujiwara's root radius and updates one root at a
-    time (Aberth 1973, Ehrlich 1967). A root stops moving once |U(z)| is
-    within the rounding error of Horner's rule, so clustered roots end at
-    the accuracy floats allow rather than never converging. A seed at the
-    root 0, where that test holds only at 0.0 itself, stops once
-    |z| <= tol * radius for the starting radius.
-    """
-    deg = len(ints) - 1
-    try:  # int / int rounds once and raises only if a quotient overflows
-        monic = [c / ints[-1] for c in reversed(ints)]
-    except OverflowError:
-        return None
-    bound = max((abs(monic[k]) ** (1 / k) for k in range(1, deg)), default=0.0)
-    radius = 2 * max(bound, (abs(monic[deg]) / 2) ** (1 / deg))
-    z = [radius * cmath.exp(1j * (2 * pi * j / deg + pi / (2 * deg))) for j in range(deg)]
-    tol = 4 * deg * sys.float_info.epsilon
-    done = [False] * deg
-    for _ in range(ABERTH_SWEEPS):
-        for j, zj in enumerate(z):
-            if done[j]:
-                continue
-            u = du = 0j
-            size, az = 0.0, abs(zj)
-            for a in monic:
-                du = du * zj + u
-                u = u * zj + a
-                size = size * az + abs(a)
-            if not cmath.isfinite(u) or not cmath.isfinite(du):
-                return None
-            if abs(u) <= tol * size or az <= tol * radius:
-                done[j] = True
-                continue
-            try:
-                ratio = u / du
-                repel = sum(1 / (zj - zk) for k, zk in enumerate(z) if k != j)
-                z[j] = zj - ratio / (1 - ratio * repel)
-            except ZeroDivisionError:
-                return None
-        if all(done):
-            return z
-    return None
 
 
 def _refine_root(ints: list[int], z0, precision_bits: int) -> tuple:
@@ -474,10 +344,10 @@ def _radius_squared(ints: list[int], a: int, b: int, e: int) -> Fraction | None:
     Homogeneous Horner gives 2^(e deg) U(z) and 2^(e (deg - 1)) U'(z) exactly.
     """
     deg = len(ints) - 1
-    dx, dy = _eval_homogeneous([i * c for i, c in enumerate(ints)][1:], a, b, 1 << e)
+    dx, dy = intpoly.horner(intpoly.derivative(ints), a, b, 1 << e)
     if not (dx or dy):
         return None
-    x, y = _eval_homogeneous(ints, a, b, 1 << e)
+    x, y = intpoly.horner(ints, a, b, 1 << e)
     return Fraction(deg * deg * (x * x + y * y), (dx * dx + dy * dy) << 2 * e)
 
 
@@ -523,7 +393,7 @@ def _pencil_squarefree(basis, k: int):
         pencil = ([a + t * b for a, b in zip(basis[0], basis[1])] for t in range(1, 2 * k + 2))
     for vec in chain(basis, pencil):
         at_inf, ints = _dehomogenize(vec, k)
-        if _squarefree(at_inf, ints):
+        if at_inf <= 1 and intpoly.squarefree(ints):
             return vec, at_inf, ints
     return None
 
@@ -583,11 +453,11 @@ def _solve_coefficients_exact(points, ints: list[int], p: BinaryForm) -> list[Fr
     scale = lcm(*(x.denominator for x in s))
     s = [x.numerator * (scale // x.denominator) for x in s]
     numer = [sum(ints[l] * s[l - r - 1] for l in range(r + 1, d + 1)) for r in range(d)]  # scale * N
-    deriv = [l * u for l, u in enumerate(ints)][1:]
+    deriv = intpoly.derivative(ints)
     pts = [(int(pt.alpha), int(pt.beta)) for pt in points]
     # q^(d-1) scale N(p/q) over scale q^(d-1) U'(p/q) q^n, both by exact Horner
-    weight = {(a, b): Fraction(_eval_homogeneous(numer, a, 0, b)[0],
-                               scale * _eval_homogeneous(deriv, a, 0, b)[0] * b**n)
+    weight = {(a, b): Fraction(intpoly.horner(numer, a, 0, b)[0],
+                               scale * intpoly.horner(deriv, a, 0, b)[0] * b**n)
               for a, b in pts if b}
     weight[1, 0] = p.coeffs[0] - sum(c * a**n for (a, _), c in weight.items())  # read if (1 : 0) is a point
     coeffs = [weight[pt] for pt in pts]

@@ -154,19 +154,7 @@ def _as_complex(entry) -> complex:
     return value
 
 
-# --- polynomial helpers -------------------------------------------------------
-
-def _poly_from_roots(roots, leading):
-    """Ascending coefficients of leading * prod (z - r); exact on integer input."""
-    coeffs = [leading]
-    for r in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * (-r)
-            nxt[i + 1] += c
-        coeffs = nxt
-    return coeffs
-
+# --- base roots ---------------------------------------------------------------
 
 def _sorted_roots(coeffs):
     try:
@@ -235,36 +223,20 @@ def _phase(num: int, den: int, bits: int) -> tuple[int, int]:
         return intpoly.fixed(mpmath.expjpi(mpmath.mpf(num) / den), bits)
 
 
-def _times(a, b, bits: int) -> tuple[int, int]:
-    return (a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits
-
-
-def _times_linear(desc, r, bits: int):
-    """Descending coefficients of desc(z) * (z - r)."""
-    out = list(desc) + [(0, 0)]
-    for k, c in enumerate(desc, start=1):
-        rc = _times(r, c, bits)
-        out[k] = (out[k][0] - rc[0], out[k][1] - rc[1])
-    return out
-
-
 def _monic(coeffs0, grid: _Grid):
     """Descending fixed-point coefficients, in u, of the base over its leading coefficient.
 
-    The coefficient of z^k becomes a_k * 2^(s(k - n)) in u; each is floored once.
+    The coefficient of z^k becomes a_k * 2^(s(k - n)) in u, read exactly by intpoly.gaussian and floored once.
     """
-    def exact(x):
-        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
-
-    lead_r, lead_i = exact(coeffs0[-1].real), exact(coeffs0[-1].imag)
+    _, gauss = intpoly.gaussian(coeffs0)
+    (lead_r, lead_i), n = gauss[-1], len(gauss) - 1
     norm = lead_r * lead_r + lead_i * lead_i
-    n = len(coeffs0) - 1
     out = []
     for k in range(n, -1, -1):
-        cr, ci = exact(coeffs0[k].real), exact(coeffs0[k].imag)
-        unit = Fraction(2) ** (grid.bits + grid.scale * (k - n)) / norm
-        out.append((math.floor((cr * lead_r + ci * lead_i) * unit),
-                    math.floor((ci * lead_r - cr * lead_i) * unit)))
+        cr, ci = gauss[k]
+        shift = grid.bits + grid.scale * (k - n)
+        up, den = max(0, shift), norm << max(0, -shift)
+        out.append((((cr * lead_r + ci * lead_i) << up) // den, ((ci * lead_r - cr * lead_i) << up) // den))
     return out
 
 
@@ -280,11 +252,11 @@ def _half_twist_path(i: int, base_roots, bits: int):
     a, b = base_roots[i - 1], base_roots[i]
     q = [(1 << bits, 0)]
     for r in base_roots[:i - 1] + base_roots[i + 1:]:
-        q = _times_linear(q, r, bits)
+        q = intpoly.times_linear(q, r, bits)
     s = (a[0] + b[0], a[1] + b[1])
     d = (b[0] - a[0], b[1] - a[1])
-    fixed_part = _times_linear(q, s, bits) + [(0, 0)]
-    s2, d2 = _times(s, s, bits), _times(d, d, bits)
+    fixed_part = intpoly.times_linear(q, s, bits) + [(0, 0)]
+    s2, d2 = intpoly.times(s, s, bits), intpoly.times(d, d, bits)
 
     def coeffs_at(t: Fraction):
         num, den = t.numerator, t.denominator
@@ -295,10 +267,10 @@ def _half_twist_path(i: int, base_roots, bits: int):
             # w = 1 - 3t/2 up to t = 1/3 and -(3t - 1)/2 from t = 2/3.
             w = 2 * den - 3 * num if 3 * num <= den else 3 * num - den
             w2 = ((w * w << bits) // (4 * den * den), 0)
-        dw = _times(d2, w2, bits)
+        dw = intpoly.times(d2, w2, bits)
         c = ((s2[0] - dw[0]) >> 2, (s2[1] - dw[1]) >> 2)
         return fixed_part[:2] + [(fr + cq[0], fi + cq[1])
-                                 for (fr, fi), cq in zip(fixed_part[2:], (_times(c, x, bits) for x in q))]
+                                 for (fr, fi), cq in zip(fixed_part[2:], (intpoly.times(c, x, bits) for x in q))]
 
     return coeffs_at
 
@@ -309,7 +281,7 @@ def _circle_path(index: int, monic, bits: int):
 
     def coeffs_at(t: Fraction):
         out = list(monic)
-        out[k] = _times(monic[k], _phase(2 * t.numerator, t.denominator, bits), bits)
+        out[k] = intpoly.times(monic[k], _phase(2 * t.numerator, t.denominator, bits), bits)
         return out
 
     return coeffs_at
@@ -361,7 +333,7 @@ def track_roots(
         # Python compares int, float, complex, Fraction and mpf with an int
         # exactly, so only the polynomial prod(z - j) itself passes.
         integer_roots = list(range(1, len(base)))
-        if list(base) == _poly_from_roots(integer_roots, 1):
+        if list(base) == intpoly.from_roots(integer_roots):
             roots0 = integer_roots
         else:
             roots0 = _sorted_roots(coeffs0)
@@ -499,7 +471,7 @@ def base_with_integer_roots(n: int):
     """Ascending coefficients of prod_{j=1..n} (z - j), exact integers."""
     if n < 2:
         raise DomainError(f"generator loops need degree >= 2, got {n}")
-    return _poly_from_roots(range(1, n + 1), 1)
+    return intpoly.from_roots(range(1, n + 1))
 
 
 def word_loop(n: int, word, **kwargs) -> MonodromyLoop:

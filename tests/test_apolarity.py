@@ -8,10 +8,7 @@ from conftest import oracle_apply_operator, oracle_has_repeated_root, oracle_pow
 from test_cli import _RANK_15_POINTS
 
 from kronsec.apolarity import (
-    SQUAREFREE_PRIME,
-    _coprime_mod_p,
     _dehomogenize,
-    _squarefree,
     add_forms,
     catalecticant,
     form,
@@ -28,6 +25,7 @@ from kronsec.apolarity import (
     vandermonde_rank,
 )
 from kronsec.errors import ConsistencyError, DomainError, PrecisionError
+from kronsec.intpoly import SQUAREFREE_PRIME, coprime_mod_p, squarefree
 from kronsec import apolarity, intpoly, ratmat
 
 
@@ -331,8 +329,8 @@ def test_squarefree_without_a_modular_certificate_runs_the_exact_test(q):
     # a repeated root mod p, so only the remainder sequence over Z decides.
     coeffs = [Fraction(c) for c in q]
     at_inf, ints = _dehomogenize(coeffs, len(q) - 1)
-    assert not _coprime_mod_p(ints)
-    assert _squarefree(at_inf, ints) == (not oracle_has_repeated_root(coeffs))
+    assert not coprime_mod_p(ints)
+    assert (at_inf <= 1 and squarefree(ints)) == (not oracle_has_repeated_root(coeffs))
 
 
 def test_modular_certificate_never_claims_a_repeated_root_squarefree():
@@ -346,11 +344,11 @@ def test_modular_certificate_never_claims_a_repeated_root_squarefree():
                 q = [x * a + y * b for x, y in zip(q + [0], [0] + q)]
         coeffs = [Fraction(c) for c in q]
         at_inf, ints = _dehomogenize(coeffs, len(q) - 1)
-        squarefree = not oracle_has_repeated_root(coeffs)
-        assert _squarefree(at_inf, ints) == squarefree, q
-        if at_inf <= 1 and _coprime_mod_p(ints):
+        is_squarefree = not oracle_has_repeated_root(coeffs)
+        assert (at_inf <= 1 and squarefree(ints)) == is_squarefree, q
+        if at_inf <= 1 and coprime_mod_p(ints):
             certified += 1
-            assert squarefree, q
+            assert is_squarefree, q
     assert certified > 50
 
 
@@ -369,13 +367,13 @@ def _ints_with_roots(roots):
 def _isolated(monkeypatch, ints):
     """The points _certified_roots gives with the float-seed path switched off."""
     with monkeypatch.context() as m:
-        m.setattr(apolarity, "_aberth_seeds", lambda ints: None)
+        m.setattr(intpoly, "aberth_seeds", lambda ints: None)
         return apolarity._certified_roots(0, ints, 96)
 
 
 def _seeded(ints):
     """The ascending roots when the float seeds match a rational root each, else None."""
-    seeds = apolarity._aberth_seeds(ints)
+    seeds = intpoly.aberth_seeds(ints)
     if seeds is None:
         return None
     roots, leftovers = apolarity._rational_roots(ints, seeds)
@@ -393,7 +391,7 @@ def test_rational_supports_match_the_isolating_path(monkeypatch):
         cert = sylvester_decompose(f)
         assert cert.support_exact, f
         with monkeypatch.context() as m:
-            m.setattr(apolarity, "_aberth_seeds", lambda ints: None)
+            m.setattr(intpoly, "aberth_seeds", lambda ints: None)
             assert sylvester_decompose(f) == cert, f
         _, ints = _dehomogenize(list(cert.annihilator.coeffs), k)
         assert _seeded(ints) is not None, f
@@ -421,14 +419,14 @@ def test_coefficients_past_the_float_range_raise_no_overflow():
     assert _seeded(ints) == [Fraction(-1, 3), 1, 2]
     # a monic coefficient past the float range gives no seeds, so the caller
     # isolates the roots another way
-    assert apolarity._aberth_seeds([-big, 1, 1]) is None
+    assert intpoly.aberth_seeds([-big, 1, 1]) is None
 
 
 def test_a_seed_at_the_root_zero_stops_with_the_others(monkeypatch):
     # t(t - 1)(t - 2)(t - 3): Horner's relative test never holds near 0, so
     # the seed there stops by |z| against the starting radius.
-    monkeypatch.setattr(apolarity, "ABERTH_SWEEPS", 8)
-    seeds = apolarity._aberth_seeds([0, -6, 11, -6, 1])
+    monkeypatch.setattr(intpoly, "ABERTH_SWEEPS", 8)
+    seeds = intpoly.aberth_seeds([0, -6, 11, -6, 1])
     assert seeds is not None and len(seeds) == 4
 
 
