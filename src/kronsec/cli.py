@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 
 import mpmath
 
-from . import apolarity, brionlab, characters, curvebounds, monodromy, seminormal
+from . import apolarity, brionlab, characters, curvebounds, intpoly, monodromy, seminormal
 from .config import DEFAULT_DIM_CAP, LOOP_WORK_CAP, WORD_WORK_CAP, Config, load_config
 from .errors import CapacityError, DomainError, KronsecError
 from .partitions import dimension, format_partition, parse_partition, size
@@ -257,11 +257,15 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
     p = apolarity.parse_form(args.form)
     cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
     # Approximate values print with the digits that read back every bit of
-    # the numeric solve's working precision.
+    # the numeric solve's working precision, or of a longer mantissa, as a
+    # refined centre far from 0 has, so the printed centre is the refined one.
     digits = mpmath.libmp.repr_dps(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS)
 
     def number(x, exact: bool) -> str:
-        return str(x) if exact else mpmath.nstr(x, digits)
+        if exact:
+            return str(x)
+        bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
+        return mpmath.nstr(x, max(digits, mpmath.libmp.repr_dps(bits)))
 
     return {
         "form": apolarity.format_form(p),

@@ -144,6 +144,10 @@ def _power_sums(n: int, centre: int, square: int) -> list[int]:
     # digits and a printed disc off its root
     _form_text(_power_sums(3, 0, 2**45)),
     _form_text(_power_sums(6, 3 * 2**20 + 1, -(2**45))),
+    # roots +-2^100 sqrt 2 and 3 * 2^100 + 1 +- 2^100 sqrt(-2): printed with
+    # the solve's 60 digits, each centre sat 945 radii off its root
+    _form_text(_power_sums(3, 0, 2**201)),
+    _form_text(_power_sums(6, 3 * 2**100 + 1, -(2**201))),
 ])
 def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
     # Rebuilt from the printed digits, so stdout carries enough of them to

@@ -4,13 +4,15 @@ No package module or test file imports a name it never uses, no package
 module defines a private top-level name it never uses, and every field a
 package class declares is read somewhere as an attribute. Every function the
 benchmark tracer spans by name exists, every cache the benchmark reads
-statistics from stays a functools cache, and kronsec.__all__ lists exactly the
-names kronsec/__init__.py imports.
+statistics from stays a functools cache, kronsec.__all__ lists exactly the
+names kronsec/__init__.py imports, and kronsec/intpoly.py imports only the
+standard library.
 """
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +152,32 @@ def test_package_all_matches_its_imports():
     imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 for a in node.names}
     assert sorted(kronsec.__all__) == sorted(imported)
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """The top-level names of the imported modules outside sys.stdlib_module_names.
+
+    A relative import counts as one, named by its dots and module: a package
+    module may import mpmath.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or "") if node.level else node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+def test_the_scan_finds_an_import_outside_the_stdlib():
+    source = (
+        "from __future__ import annotations\nimport cmath, mpmath.libmp\n"
+        "from math import gcd\nfrom os.path import join\nfrom . import ratmat\n"
+        "def roots(c):\n    from mpmath import polyroots\n    return polyroots(c)\n"
+    )
+    assert non_stdlib_imports(source) == [".", "mpmath"]
+
+
+def test_intpoly_imports_only_the_stdlib():
+    # apolarity and monodromy share intpoly, so it must load without mpmath.
+    assert non_stdlib_imports((PACKAGE / "intpoly.py").read_text(encoding="utf-8")) == []

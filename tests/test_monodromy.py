@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from types import SimpleNamespace
@@ -173,6 +174,53 @@ def test_fixed_point_newton_agrees_with_an_mpmath_reference():
                 reference = _mpmath_newton(coeffs0, guess, tolerance * 2.0**-60)
                 tracked = mpmath.mpc(mpmath.mpf((fixed[0], -root_bits)), mpmath.mpf((fixed[1], -root_bits)))
                 assert abs(tracked - reference) < tolerance
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; an mpf through mpmath's own rational reader."""
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_)) if isinstance(x, mpmath.mpf) else Fraction(x)
+
+
+def _monic_by_fractions(coeffs0, grid):
+    """The base over its leading coefficient in u, floored from exact Fractions: the oracle for _monic."""
+    lead_r, lead_i = _exact(coeffs0[-1].real), _exact(coeffs0[-1].imag)
+    norm = lead_r * lead_r + lead_i * lead_i
+    n = len(coeffs0) - 1
+    out = []
+    for k in range(n, -1, -1):
+        cr, ci = _exact(coeffs0[k].real), _exact(coeffs0[k].imag)
+        unit = Fraction(2) ** (grid.bits + grid.scale * (k - n)) / norm
+        out.append((math.floor((cr * lead_r + ci * lead_i) * unit),
+                    math.floor((ci * lead_r - cr * lead_i) * unit)))
+    return out
+
+
+def test_gaussian_is_exact_and_monic_floors_as_the_fraction_formula():
+    big = 2**1100 - 3
+    assert big.bit_length() == 1100
+    with mpmath.workprec(1200):
+        values = [0, -7, big, 0.0, -0.375, 2.0**-1074, 1e300, complex(-1.5, 2.0**-60), 0j,
+                  mpmath.mpf(0), mpmath.mpf(-1) / 3, mpmath.mpf(big) * mpmath.mpf(2) ** -1500,
+                  mpmath.mpc(-2.5, mpmath.mpf(1) / 7), mpmath.mpc(big, 0)]
+    e, gauss = intpoly.gaussian(values)
+    for z, (a, b) in zip(values, gauss):
+        assert (Fraction(a, 2**e), Fraction(b, 2**e)) == (_exact(z.real), _exact(z.imag)), z
+    assert any(a % 2 or b % 2 for a, b in gauss)  # e is the least common exponent
+    assert intpoly.gaussian([3, 0.5j]) == (1, [(6, 0), (0, 1)])
+
+    rng = random.Random(22)
+    for bits in (96, 1024):
+        for _ in range(40):
+            n = rng.randrange(1, 10)
+
+            def part():
+                return mpmath.mpf((rng.getrandbits(bits) - (1 << bits - 1), rng.randrange(-bits - 40, 41 - bits)))
+
+            with mpmath.workprec(bits):
+                coeffs0 = [mpmath.mpc(part(), part() if rng.random() < 0.8 else 0) for _ in range(n + 1)]
+            grid = monodromy._Grid(bits=bits + rng.randrange(0, 80), scale=rng.randrange(-50, 51),
+                                   newton_sq=0, separation_sq=0)
+            assert monodromy._monic(coeffs0, grid) == _monic_by_fractions(coeffs0, grid)
 
 
 def test_circle_radius_must_match_base_coefficient():
