@@ -256,16 +256,15 @@ def _cmd_secant(args, cfg: Config) -> dict:
 def _cmd_sylvester(args, cfg: Config) -> dict:
     p = apolarity.parse_form(args.form)
     cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
-    # Approximate values print with the digits that read back every bit of
-    # the numeric solve's working precision, or of a longer mantissa, as a
-    # refined centre far from 0 has, so the printed centre is the refined one.
-    digits = mpmath.libmp.repr_dps(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS)
 
     def number(x, exact: bool) -> str:
+        # Approximate values print with the digits that read back every bit of
+        # the numeric solve's working precision, or of a longer mantissa, as a
+        # refined centre far from 0 has, so the printed centre is the refined one.
         if exact:
             return str(x)
         bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
-        return mpmath.nstr(x, max(digits, mpmath.libmp.repr_dps(bits)))
+        return mpmath.nstr(x, mpmath.libmp.repr_dps(max(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS, bits)))
 
     return {
         "form": apolarity.format_form(p),

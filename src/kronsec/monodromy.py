@@ -17,10 +17,11 @@ n - 2 still roots times one moving quadratic; a circle rescales one
 coefficient. A base equal to prod(z - j), j = 1..n, the base of every
 generator loop, starts from its exact roots, which land on the grid
 exactly; any other base has its roots isolated by mpmath and floored onto
-the grid. mpmath also gives one phase e^(i pi x) per step. On the grid the
-base roots must stay more than the tolerance apart, and each final root
-must end nearer than half the least base gap to one base root; that match
-reads off the permutation of the starting roots that the loop induces.
+the grid. Every path point is an exact rational turn floored once, so a loop
+on prod(z - j) runs on the stdlib alone. On the grid the base roots must
+stay more than the tolerance apart, and each final root must end nearer
+than half the least base gap to one base root; that match reads off the
+permutation of the starting roots that the loop induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
 
@@ -156,11 +157,12 @@ def _as_complex(entry) -> complex:
 
 # --- base roots ---------------------------------------------------------------
 
-def _sorted_roots(coeffs):
-    try:
-        raw = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)], maxsteps=200, extraprec=80)
-    except mpmath.libmp.NoConvergence as exc:
-        raise PrecisionError(f"base roots did not converge: {exc}") from None
+def _sorted_roots(coeffs, precision_bits: int):
+    with mpmath.workprec(precision_bits):
+        try:
+            raw = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)], maxsteps=200, extraprec=80)
+        except mpmath.libmp.NoConvergence as exc:
+            raise PrecisionError(f"base roots did not converge: {exc}") from None
     return sorted(raw, key=lambda z: (mpmath.re(z), mpmath.im(z)))
 
 
@@ -172,10 +174,6 @@ def _sorted_roots(coeffs):
 # intpoly's fixed point at F fractional bits. Every root decision (the base
 # gap, each step, the final match) compares squared ints, so none of them
 # rounds, and scaling by 2^s changes none of them.
-
-# Bits carried past F in the one mpmath phase of each step.
-PHASE_GUARD_BITS = 8
-
 
 @dataclass(frozen=True)
 class _Grid:
@@ -197,7 +195,9 @@ def _grid(precision_bits: int, tolerance: float, roots) -> _Grid:
     precision_bits >= 53 and 2^53 * m is one.
     """
     mantissa, exp = math.frexp(tolerance)
-    scale = max([exp] + [int(mpmath.mag(r)) for r in roots if r])
+    # The least s with |a|, |b| < 2^(s + e), plus one when both are nonzero, so 2^s > |z|.
+    e, gauss = intpoly.gaussian(roots)
+    scale = max([exp] + [max(abs(a), abs(b)).bit_length() - e + bool(a and b) for a, b in gauss if a or b])
     target = int(mantissa * 2**53) << (precision_bits + 1 - 53)
     return _Grid(precision_bits + 4 - exp + scale, scale, target**2, (8 * target) ** 2)
 
@@ -217,10 +217,16 @@ def _gap_sq(roots, moving, least):
     return least
 
 
-def _phase(num: int, den: int, bits: int) -> tuple[int, int]:
-    """e^(i pi num/den) in fixed point, for den a power of two."""
-    with mpmath.workprec(bits + PHASE_GUARD_BITS):
-        return intpoly.fixed(mpmath.expjpi(mpmath.mpf(num) / den), bits)
+def _turn(u: Fraction, bits: int) -> tuple[int, int]:
+    """The point at fraction u of a counterclockwise unit turn, in fixed point, floored once.
+
+    It is i^k ((1 - s^2) + 2is) / (1 + s^2) with k = floor(4u), s = 4u - k.
+    """
+    k, r = divmod(4 * u.numerator, q := u.denominator)
+    x, y, den = q * q - r * r, 2 * r * q, q * q + r * r
+    for _ in range(k % 4):
+        x, y = -y, x
+    return (x << bits) // den, (y << bits) // den
 
 
 def _monic(coeffs0, grid: _Grid):
@@ -243,11 +249,11 @@ def _monic(coeffs0, grid: _Grid):
 def _half_twist_path(i: int, base_roots, bits: int):
     """Coefficients along half_twist(i) at t, as one function.
 
-    The moving pair is mid -+ half*w with w running 1 -> 1/2, then
-    e^(i pi (3t - 1))/2, then -1/2 -> -1. Its sum S = a + b never changes and
-    its product is (S^2 - D^2 w^2) / 4 with D = b - a, so with Q the product
-    of the n - 2 still roots the polynomial is Q z (z - S) + c(t) Q: one
-    O(n) update per step.
+    The moving pair is mid -+ half*w with w running 1 -> 1/2, then half a
+    turn to -1/2 with w^2 = _turn(3t - 1) / 4, then -1/2 -> -1. Its sum
+    S = a + b never changes and its product is (S^2 - D^2 w^2) / 4 with
+    D = b - a, so with Q the product of the n - 2 still roots the polynomial
+    is Q z (z - S) + c(t) Q: one O(n) update per step.
     """
     a, b = base_roots[i - 1], base_roots[i]
     q = [(1 << bits, 0)]
@@ -261,8 +267,7 @@ def _half_twist_path(i: int, base_roots, bits: int):
     def coeffs_at(t: Fraction):
         num, den = t.numerator, t.denominator
         if den < 3 * num <= 2 * den:
-            pr, pi = _phase(6 * num - 2 * den, den, bits)
-            w2 = (pr >> 2, pi >> 2)
+            w2 = _turn(3 * t - 1, bits - 2)
         else:
             # w = 1 - 3t/2 up to t = 1/3 and -(3t - 1)/2 from t = 2/3.
             w = 2 * den - 3 * num if 3 * num <= den else 3 * num - den
@@ -276,12 +281,12 @@ def _half_twist_path(i: int, base_roots, bits: int):
 
 
 def _circle_path(index: int, monic, bits: int):
-    """Coefficients along circle(index, r) at t: one coefficient times e^(2 pi i t)."""
+    """Coefficients along circle(index, r) at t: one coefficient times _turn(t)."""
     k = len(monic) - 1 - index
 
     def coeffs_at(t: Fraction):
         out = list(monic)
-        out[k] = intpoly.times(monic[k], _phase(2 * t.numerator, t.denominator, bits), bits)
+        out[k] = intpoly.times(monic[k], _turn(t, bits), bits)
         return out
 
     return coeffs_at
@@ -323,28 +328,23 @@ def track_roots(
     tolerance = _checked_tolerance(tolerance)
     if not segments:
         raise DomainError("a loop needs at least one segment")
-    base = tuple(base)
-    with mpmath.workprec(precision_bits):
-        coeffs0 = [mpmath.mpc(c) for c in base]
-        if len(coeffs0) < 2:
-            raise DomainError("monodromy needs degree >= 1")
-        if coeffs0[-1] == 0:
-            raise DomainError("leading coefficient of the base polynomial must be nonzero")
-        # Python compares int, float, complex, Fraction and mpf with an int
-        # exactly, so only the polynomial prod(z - j) itself passes.
-        integer_roots = list(range(1, len(base)))
-        if list(base) == intpoly.from_roots(integer_roots):
-            roots0 = integer_roots
-        else:
-            roots0 = _sorted_roots(coeffs0)
-        grid = _grid(precision_bits, tolerance, roots0)
-        # z = U / 2^(F - s) for a grid value U of u.
-        base_roots = [intpoly.fixed(r, grid.bits - grid.scale) for r in roots0]
-        base_gap = _gap_sq(base_roots, range(len(base_roots)), math.inf)
-        if base_gap <= grid.separation_sq:
-            raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
-        _validate_segments(segments, coeffs0)
-        monic = _monic(coeffs0, grid)
+    base = list(base)
+    if len(base) < 2:
+        raise DomainError("monodromy needs degree >= 1")
+    if base[-1] == 0:
+        raise DomainError("leading coefficient of the base polynomial must be nonzero")
+    _validate_segments(segments, base)
+    # Python compares int, float, complex, Fraction and mpf with an int
+    # exactly, so only the polynomial prod(z - j) itself passes.
+    integer_roots = list(range(1, len(base)))
+    roots0 = integer_roots if base == intpoly.from_roots(integer_roots) else _sorted_roots(base, precision_bits)
+    grid = _grid(precision_bits, tolerance, roots0)
+    # z = U / 2^(F - s) for a grid value U of u.
+    base_roots = [intpoly.fixed(r, grid.bits - grid.scale) for r in roots0]
+    base_gap = _gap_sq(base_roots, range(len(base_roots)), math.inf)
+    if base_gap <= grid.separation_sq:
+        raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
+    monic = _monic(base, grid)
 
     current = base_roots
     stats = {"steps": 0, "halvings": 0, "min_step": max_step}

@@ -299,7 +299,7 @@ _MONODROMY_STDOUT = {
     "spherical": "cbcf0646b0244e04f77b19e0ebcb17f2221aa9576ddb718ed442cd2d1c048792",
     "defining": "8c80c35592f5b58e761d66fdccc3daf893e14f66c229c3586f60341dddf12138",
     "spec-circle": "69a5a0d28a3e3223d26eeba512a68c9d0d826542923ce8af325dcfb946cce748",
-    "spec-settings": "714096e4c7644ad3839f26d33796f59020a87a1de692514f1759ef44c5d07be9",
+    "spec-settings": "4e6b5e57a218b07a117ad47753a8097801e5b13a88b9c9e88e4fab8b73562741",
 }
 
 
