@@ -41,8 +41,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="path to a key=value config file")
     parser.add_argument("--human", action="store_true", help="indented output instead of compact JSON")
     parser.add_argument("--seed", type=int, help="override the configured random seed")
-    parser.add_argument("--precision-bits", type=int, help="mpmath working precision in bits; monodromy tracks "
-                        "roots with F = bits + ceil(log2(8 / tolerance)) fractional bits")
+    parser.add_argument("--precision-bits", type=int, help="bits of root isolation and Sylvester refinement; "
+                        "monodromy tracks roots with F = bits + ceil(log2(8 / tolerance)) fractional bits")
     parser.add_argument("--n-cap", type=int, help="largest symmetric group order allowed")
     parser.add_argument("--sweep-cap", type=int, help="largest sweep size allowed")
     parser.add_argument("--output", help="output path, - for stdout")
@@ -133,13 +133,15 @@ def _require_nonnegative(what: str, value: int) -> None:
         raise DomainError(f"{what} must be nonnegative, got {value}")
 
 
-def _require_loop_work(letters: int, n: int) -> None:
-    """Tracking `letters` letters over n roots costs about letters * n * (n + 7).
+def _require_loop_work(letters: int, n: int, precision_bits: int) -> None:
+    """Tracking `letters` letters over n roots at b bits costs about letters * n * (n + 7) * max(1, b // 96).
 
     A half-twist is one letter. A coefficient circle Newton-corrects all n
-    roots where a half-twist corrects two, so it counts as n letters.
+    roots where a half-twist corrects two, so it counts as n letters. Past
+    96 bits each fixed-point product grows with the bits it carries.
     """
-    _require_within(f"tracking {letters} letters over {n} roots", letters * n * (n + 7), LOOP_WORK_CAP)
+    _require_within(f"tracking {letters} letters over {n} roots at {precision_bits} bits",
+                    letters * n * (n + 7) * max(1, precision_bits // 96), LOOP_WORK_CAP)
 
 
 @contextmanager
@@ -345,7 +347,7 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
         n = len(base) - 1
         _require_within(f"loop base of degree {n}", n, cfg.n_cap)
         letters = sum(n if isinstance(seg, monodromy.CoefficientCircle) else 1 for seg in segments)
-        _require_loop_work(letters, n)
+        _require_loop_work(letters, n, cfg.precision_bits)
         return _loop_json(monodromy.track_roots(base, segments, tolerance=tolerance, **kwargs), cfg, tolerance)
     if args.n is None:
         raise DomainError("--word, --spherical, and --defining need --n")
@@ -355,15 +357,15 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
             word = [int(part) for part in args.word.split(",") if part.strip()]
         except ValueError:
             raise DomainError(f"word must be comma-separated integers, got {args.word!r}") from None
-        _require_loop_work(len(word), args.n)
+        _require_loop_work(len(word), args.n, cfg.precision_bits)
         return _loop_json(monodromy.word_loop(args.n, word, **kwargs), cfg)
     if args.spherical:
-        _require_loop_work(2 * (args.n - 1), args.n)
+        _require_loop_work(2 * (args.n - 1), args.n, cfg.precision_bits)
         check = monodromy.spherical_word_check(args.n, **kwargs)
         return {"n": args.n, "identity": check.identity, **_loop_json(check.loop, cfg)}
     _require_nonnegative("--samples", args.samples)
     # n - 1 generators, then each sampled word has at most 2n - 1 letters.
-    _require_loop_work(args.n - 1 + args.samples * (2 * args.n - 1), args.n)
+    _require_loop_work(args.n - 1 + args.samples * (2 * args.n - 1), args.n, cfg.precision_bits)
     report = monodromy.defining_rep_decomposition(args.n, sample_loops=args.samples,
                                                   seed=cfg.seed, **kwargs)
     return {

@@ -375,10 +375,11 @@ def _validate_segments(segs, coeffs0):
             start = coeffs0[seg.index]
             if abs(start) == 0:
                 raise DomainError(f"circle segment needs a nonzero coefficient {seg.index}")
-            if abs(abs(start) - seg.radius) > 1e-9 * max(1.0, seg.radius):
+            # Comparisons, unlike a difference, read an int past the float range exactly.
+            slack = 1e-9 * max(1.0, seg.radius)
+            if not seg.radius - slack <= abs(start) <= seg.radius + slack:
                 raise DomainError(
-                    f"circle radius {seg.radius} does not pass through coefficient "
-                    f"{seg.index} = {complex(start)}"
+                    f"circle radius {seg.radius} does not pass through coefficient {seg.index} = {start}"
                 )
         else:
             raise DomainError(f"{seg!r} is not a Segment; parse_segment reads the text form")

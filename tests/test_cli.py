@@ -3,8 +3,10 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import dropwhile
 
@@ -310,6 +312,71 @@ def test_monodromy_outputs_are_byte_identical(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == _MONODROMY_STDOUT[key]
 
 
+def test_a_circle_off_its_coefficient_is_refused_before_isolation(capsys, monkeypatch):
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("base roots were isolated")
+
+    monkeypatch.setattr(monodromy, "_sorted_roots", no_isolation)
+    code, out, err = run(capsys, "monodromy", "--spec", '{"base": [1, 0, 1], "segments": ["circle(0, 2.0)"]}')
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "domain"
+
+
+_EXACT_LOOP = '{"base": [-6, 11, -6, 1], "segments": ["half_twist(2)", "circle(0, 6)"]}'
+_EXACT_COMMANDS = {
+    "chartable": ["chartable", "6"],
+    "kron": ["kron", "[2,1]", "[2,1]", "[3]"],
+    "lr": ["lr", "[2,1]", "[1]", "[3,1]"],
+    "pieri": ["pieri", "[2,1]", "5", "--distinguished"],
+    "tensor": ["tensor", "[2,1]", "[2,1]"],
+    "rep-check": ["rep-check", "[3,2]"],
+    "brion-sweep": ["brion-sweep", "4"],
+    "secant": ["secant", "deg=3; coeffs=1,0,0,1", "2"],
+    "vdm": ["vdm", '[0, 1, "1/2", "inf"]', "3"],
+    "join": ["join", "deg=3; coeffs=1,0,0,1", "deg=3; coeffs=0,1,0,0"],
+    "curve-bounds": ["curve-bounds", "--genus", "2", "--degree", "7", "--k", "2"],
+    "sylvester-exact": ["sylvester", "deg=5; coeffs=1,0,0,0,0,1"],
+    "word": ["monodromy", "--word", "1,2,1", "--n", "3"],
+    "spherical": ["monodromy", "--spherical", "--n", "4"],
+    "defining": ["monodromy", "--defining", "--n", "4", "--samples", "2"],
+    "spec-integer-roots": ["monodromy", "--spec", _EXACT_LOOP],
+}
+# Controls: an irrational Sylvester support, and a base whose roots mpmath isolates.
+_APPROXIMATE_COMMANDS = {
+    "sylvester-approximate": ["sylvester", "deg=6; coeffs=-1,2,-1,3,2,3,2"],
+    "spec-isolated": ["monodromy", "--spec", '{"base": [1, 0, 1], "segments": ["half_twist(1)"]}'],
+}
+
+
+def _mpmath_calls(capsys, argv):
+    """The names of the functions defined under mpmath's directory that cli.main calls on argv."""
+    root = os.path.dirname(mpmath.__file__) + os.sep
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    assert code == 0, capsys.readouterr().err
+    capsys.readouterr()
+    return calls
+
+
+@pytest.mark.parametrize("key", _EXACT_COMMANDS)
+def test_exact_commands_call_no_mpmath(capsys, key):
+    assert _mpmath_calls(capsys, _EXACT_COMMANDS[key]) == []
+
+
+@pytest.mark.parametrize("key", _APPROXIMATE_COMMANDS)
+def test_the_mpmath_probe_sees_approximate_commands(capsys, key):
+    assert _mpmath_calls(capsys, _APPROXIMATE_COMMANDS[key])
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_monodromy_spherical_at_53_bits(capsys, n):
     payload = run_json(capsys, "--precision-bits", "53", "monodromy", "--spherical", "--n", str(n))
@@ -563,6 +630,10 @@ def test_config_file_flag(capsys, tmp_path, monkeypatch):
     # At n = 4 a letter weighs 4 * 11 and a sampled word has up to 7 letters.
     pytest.param(["monodromy", "--defining", "--n", "4", "--samples", str(LOOP_WORK_CAP // (4 * 11 * 7) + 1)],
                  id="samples-over-cap"),
+    # Past 96 bits the work bound charges bits // 96: 42 at 4096 bits, 10 at 1024.
+    pytest.param(["--precision-bits", "4096", "monodromy", "--spherical", "--n", "8"], id="spherical-n8-4096-bits"),
+    pytest.param(["--precision-bits", "1024", "monodromy", "--word", ",".join(["1"] * 11), "--n", "14"],
+                 id="word-11-letters-n14-1024-bits"),
 ])
 def test_cap_exceeded_is_a_capacity_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -619,6 +690,9 @@ def test_monodromy_work_bound_is_checked_before_any_tracking(capsys, monkeypatch
     pytest.param(["monodromy", "--spec", _circles(_CIRCLES_AT_WORK_CAP)], id="spec-circles"),
     pytest.param(["monodromy", "--defining", "--n", "14"], id="defining-n14-default-samples"),
     pytest.param(["monodromy", "--spherical", "--n", "14"], id="spherical-n14"),
+    # 10 * 14 * 21 * (1024 // 96) = 29,400.
+    pytest.param(["--precision-bits", "1024", "monodromy", "--word", _letters(10), "--n", "14"],
+                 id="word-10-letters-n14-1024-bits"),
 ])
 def test_monodromy_work_bound_admits_up_to_the_bound(capsys, monkeypatch, argv):
     def stop(*args, **kwargs):

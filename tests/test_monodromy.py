@@ -223,9 +223,50 @@ def test_gaussian_is_exact_and_monic_floors_as_the_fraction_formula():
             assert monodromy._monic(coeffs0, grid) == _monic_by_fractions(coeffs0, grid)
 
 
-def test_circle_radius_must_match_base_coefficient():
-    with pytest.raises(DomainError, match="radius"):
-        track_roots((-1, 0, 1), (CoefficientCircle(0, 2.0),))
+def test_circle_radius_must_match_base_coefficient(monkeypatch):
+    # The segments are checked before the base roots are isolated, and a
+    # coefficient past the float range is compared without overflow.
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("base roots were isolated")
+
+    monkeypatch.setattr(monodromy, "_sorted_roots", no_isolation)
+    for base in [(-1, 0, 1), (1, 0, 1), (-(10**400), 0, 1)]:
+        with pytest.raises(DomainError, match="radius"):
+            track_roots(base, [CoefficientCircle(0, 2.0)])
+
+
+@pytest.mark.parametrize("bits", [53, 96, 1024])
+def test_the_turn_is_exact_at_the_quarters_and_runs_counterclockwise(bits):
+    one = 1 << bits
+    quarters = [(one, 0), (0, one), (-one, 0), (0, -one), (one, 0)]
+    assert [monodromy._turn(Fraction(j, 4), bits) for j in range(5)] == quarters
+    points = [monodromy._turn(Fraction(j, 64), bits) for j in range(65)]
+    for x, y in points:
+        # Each part is floored once from a point on the circle of radius 2^bits.
+        assert abs(x * x + y * y - 4**bits) <= 2 ** (bits + 2)
+    for (x1, y1), (x2, y2) in zip(points, points[1:]):
+        assert x1 * y2 - y1 * x2 > 0
+
+
+def test_grid_scale_is_the_magnitude_mpmath_gives():
+    rng = random.Random(24)
+    roots = [1, -1, 7, 2**40, 2**40 - 1, 2**40 + 1, -(2**70), 0.5, 0.75, 2.0**-60, -3.1e-200, 1e300,
+             complex(0, 2**-30), complex(3, -4), complex(-(2**20), 2**20 - 1)]
+    with mpmath.workprec(200):
+        roots += [mpmath.mpc(mpmath.mpf(2) ** 33, 0), mpmath.mpc(0, -mpmath.mpf(2) ** -33),
+                  mpmath.mpc(mpmath.mpf(2) ** 33 + 1, 1), mpmath.mpc(1, mpmath.mpf(1) / 3)]
+        for _ in range(200):
+            def part():
+                return mpmath.mpf((rng.getrandbits(rng.randrange(1, 200)) - 2**80, rng.randrange(-400, 300)))
+
+            kind = rng.randrange(4)
+            x = part() if kind != 1 else 0
+            y = part() if kind != 0 else 0
+            roots.append(mpmath.mpc(x, y) if kind < 3 else rng.choice([1, -1]) * rng.getrandbits(300))
+    tolerance = 2.0**-1070  # below every root, so the scale is the root's alone
+    for r in roots:
+        if r:
+            assert monodromy._grid(96, tolerance, [r]).scale == int(mpmath.mag(r)), r
 
 
 def test_step_halving_invariance():
