@@ -250,15 +250,16 @@ def test_the_turn_is_exact_at_the_quarters_and_runs_counterclockwise(bits):
 
 def test_grid_scale_is_the_magnitude_mpmath_gives():
     rng = random.Random(24)
+
+    def part():
+        return mpmath.mpf((rng.getrandbits(rng.randrange(1, 200)) - 2**80, rng.randrange(-400, 300)))
+
     roots = [1, -1, 7, 2**40, 2**40 - 1, 2**40 + 1, -(2**70), 0.5, 0.75, 2.0**-60, -3.1e-200, 1e300,
              complex(0, 2**-30), complex(3, -4), complex(-(2**20), 2**20 - 1)]
     with mpmath.workprec(200):
         roots += [mpmath.mpc(mpmath.mpf(2) ** 33, 0), mpmath.mpc(0, -mpmath.mpf(2) ** -33),
                   mpmath.mpc(mpmath.mpf(2) ** 33 + 1, 1), mpmath.mpc(1, mpmath.mpf(1) / 3)]
         for _ in range(200):
-            def part():
-                return mpmath.mpf((rng.getrandbits(rng.randrange(1, 200)) - 2**80, rng.randrange(-400, 300)))
-
             kind = rng.randrange(4)
             x = part() if kind != 1 else 0
             y = part() if kind != 0 else 0
