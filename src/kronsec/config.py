@@ -34,13 +34,16 @@ WORD_WORK_CAP = 150_000
 # Bound on L * n * (n + 7) * max(1, b // 96) for a monodromy command that
 # tracks at most L letters over n roots at b bits; fixed, not a Config
 # field. A half-twist is one letter; a coefficient circle corrects all n
-# roots, so it counts as n. At this bound, on a 2-core host running at twice
-# the benchmark's reference speed, a command took 1.2 s at n = 2 (1,666
-# half-twists), 0.28 s at n = 14 (102 half-twists) and 0.82 s at n = 14
-# (7 circles, 98 letters), at 96 bits. On a slower 2-core host, where the
-# 1,666 half-twists took 2.4-3.0 s, the dearest admitted commands took
-# 1.1-1.9 s at 1024 bits (one circle at n = 12), 1.9-2.2 s at 2048 bits
-# (circles at n = 6 to 9) and 3.5-3.7 s at 4096 bits (one circle at n = 7).
+# roots, so it counts as n. The model charges a half-twist for its two
+# moving roots only, and its step count depends only on the distances from
+# them, so two close still roots do not make one letter dear. At this
+# bound, on a 2-core host running at twice the benchmark's reference speed,
+# a command took 1.2 s at n = 2 (1,666 half-twists), 0.28 s at n = 14 (102
+# half-twists) and 0.82 s at n = 14 (7 circles, 98 letters), at 96 bits. On
+# a slower 2-core host, where the 1,666 half-twists took 2.4-3.0 s, the
+# dearest admitted commands took 1.1-1.9 s at 1024 bits (one circle at
+# n = 12), 1.9-2.2 s at 2048 bits (circles at n = 6 to 9) and 3.5-3.7 s at
+# 4096 bits (one circle at n = 7).
 LOOP_WORK_CAP = 30_000
 
 

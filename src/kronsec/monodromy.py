@@ -8,20 +8,20 @@ each root is a pair of Python ints scaled by 2^F, with F = precision_bits +
 ceil(log2(8 / tolerance)), so the kernel carries precision_bits bits (96 by
 default) below the Newton target tolerance/8. Coefficients are held for
 u = z / 2^s, with 2^s a power of two at least every base root modulus, so
-small or clustered roots keep their relative precision. A step is accepted only while every root moved less
-than half the least pairwise root distance and all roots stay more than the
-tolerance apart, each an exact comparison of squared integers; otherwise the
-step is halved, down to a hard floor of 2^-20 of the initial step. A
-half-twist corrects only its two moving roots, on the fixed product of the
-n - 2 still roots times one moving quadratic; a circle rescales one
-coefficient. A base equal to prod(z - j), j = 1..n, the base of every
-generator loop, starts from its exact roots, which land on the grid
-exactly; any other base has its roots isolated by mpmath and floored onto
-the grid. Every path point is an exact rational turn floored once, so a loop
-on prod(z - j) runs on the stdlib alone. On the grid the base roots must
-stay more than the tolerance apart, and each final root must end nearer
-than half the least base gap to one base root; that match reads off the
-permutation of the starting roots that the loop induces.
+small or clustered roots keep their relative precision. A step is accepted
+only while no moving root moved half the least distance from a moving root
+to another root and each stays more than the tolerance from all others, by
+exact comparisons of squared integers; else the step is halved, down to a
+hard floor of 2^-20 of the initial step. A half-twist corrects only its two
+moving roots, on the fixed product of the n - 2 still roots times one moving
+quadratic; a circle rescales one coefficient. A base equal to prod(z - j),
+j = 1..n, the base of every generator loop, starts from its exact roots, which
+land on the grid exactly; any other base has its roots isolated by mpmath
+and floored onto the grid. Every path point is an exact rational turn
+floored once, so a loop on prod(z - j) runs on the stdlib alone. On the grid
+the base roots must stay more than the tolerance apart, and each final root
+must end nearer than half the least base gap to one base root; that match
+reads off the permutation of the starting roots that the loop induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
 
@@ -206,15 +206,11 @@ def _dist_sq(a, b) -> int:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def _gap_sq(roots, moving, least):
-    """The least of `least` and the squared distances from each moving root to every other root."""
-    done = set()
-    for m in moving:
-        done.add(m)
-        for k, z in enumerate(roots):
-            if k not in done:
-                least = min(least, _dist_sq(roots[m], z))
-    return least
+def _gap_sq(roots, moving):
+    """The least squared distance from a root at an index in `moving` to any other root; inf if there is none."""
+    moving = set(moving)
+    return min((_dist_sq(roots[m], z) for m in moving for k, z in enumerate(roots) if k > m or k not in moving),
+               default=math.inf)
 
 
 def _turn(u: Fraction, bits: int) -> tuple[int, int]:
@@ -341,7 +337,7 @@ def track_roots(
     grid = _grid(precision_bits, tolerance, roots0)
     # z = U / 2^(F - s) for a grid value U of u.
     base_roots = [intpoly.fixed(r, grid.bits - grid.scale) for r in roots0]
-    base_gap = _gap_sq(base_roots, range(len(base_roots)), math.inf)
+    base_gap = _gap_sq(base_roots, range(len(base_roots)))
     if base_gap <= grid.separation_sq:
         raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
     monic = _monic(base, grid)
@@ -388,13 +384,14 @@ def _validate_segments(segs, coeffs0):
 def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, where):
     """Continue the roots at indices `moving` from t = 0 to 1; the others stay put.
 
-    A step is accepted when Newton converged on every moving root, no root
-    moved by half the least root gap before the step (4 moved^2 < gap^2),
-    and every root stays more than the tolerance from every other.
+    A step is accepted when Newton converged on every moving root, each moved
+    less than half the least distance, before the step, from a moving root to
+    any other root (4 moved^2 < gap^2), and each stays more than the tolerance
+    from every other root. Gaps among still roots need no check: they do not
+    change, and a root moving less than half its distance to every other root
+    cannot take another's place.
     """
-    still = [z for k, z in enumerate(current) if k not in moving]
-    still_gap = _gap_sq(still, range(len(still)), math.inf)
-    gap = _gap_sq(current, moving, still_gap)
+    gap = _gap_sq(current, moving)
     t = Fraction(0)
     h = Fraction(max_step)
     floor = h * Fraction(STEP_FLOOR_RATIO)
@@ -420,7 +417,7 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
             corrected[m] = z
             moved = max(moved, _dist_sq(z, current[m]))
         if ok:
-            pairwise = _gap_sq(corrected, moving, still_gap)
+            pairwise = _gap_sq(corrected, moving)
             ok = 4 * moved < gap and pairwise > grid.separation_sq
         if not ok:
             stats["halvings"] += 1

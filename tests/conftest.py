@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite.
+"""Shared oracles for the test suite, and a time bound for a block.
 
 Everything in this file is computed from first principles with the standard
 library only: enumeration by brute force, the pentagonal-number recurrence,
@@ -9,10 +9,34 @@ from the package's computational internals.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+
+
+class Overtime(BaseException):
+    """Raised by the alarm of within_seconds; not an Exception, so no handler in kronsec can catch it."""
+
+
+@contextlib.contextmanager
+def within_seconds(seconds: float):
+    """Run the block under a SIGALRM timer; Overtime is raised inside it once `seconds` have passed.
+
+    On exit the timer is disarmed and the previous SIGALRM handler restored.
+    """
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def oracle_partition_count(n: int) -> int:

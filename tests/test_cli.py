@@ -6,13 +6,14 @@ import math
 import os
 import random
 import re
+import signal
 import sys
 from fractions import Fraction
 from itertools import dropwhile
 
 import mpmath
 import pytest
-from conftest import oracle_power_sum_coeffs
+from conftest import Overtime, oracle_power_sum_coeffs, within_seconds
 
 from kronsec import apolarity, cli, monodromy, seminormal
 from kronsec.apolarity import parse_form
@@ -322,6 +323,27 @@ def test_a_circle_off_its_coefficient_is_refused_before_isolation(capsys, monkey
     assert json.loads(err)["error"] == "domain"
 
 
+@pytest.mark.parametrize("e", [4, 7])
+def test_a_tight_still_pair_does_not_slow_a_half_twist(capsys, e):
+    # z (10^e z - 1)(z - 5)(z - 6): half_twist(3) moves 5 and 6 while the
+    # still roots 0 and 10^-e sit 10^-e apart, so the step is that of a
+    # generator half-twist.
+    base = [0, -30, 30 * 10**e + 11, -(11 * 10**e + 1), 10**e]
+    with within_seconds(5):
+        payload = run_json(capsys, "monodromy", "--spec", json.dumps({"base": base, "segments": ["half_twist(3)"]}))
+    assert (payload["permutation"], payload["steps"], payload["halvings"]) == ("(3 4)", 32, 0)
+
+
+def test_within_seconds_stops_a_cli_call_and_restores_the_alarm(capsys):
+    previous = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(Overtime):
+        with within_seconds(0.01):
+            main(["monodromy", "--spherical", "--n", "12"])
+    capsys.readouterr()
+    assert signal.getsignal(signal.SIGALRM) is previous
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 _EXACT_LOOP = '{"base": [-6, 11, -6, 1], "segments": ["half_twist(2)", "circle(0, 6)"]}'
 _EXACT_COMMANDS = {
     "chartable": ["chartable", "6"],
@@ -411,7 +433,7 @@ def test_a_final_root_off_every_base_root_is_a_consistency_error(capsys, monkeyp
     def half_gap_off(coeffs_at, moving, current, *rest):
         # Root 1 ends straight above its base root, at most one grid unit past
         # half the least base gap.
-        half = math.isqrt(monodromy._gap_sq(current, range(len(current)), math.inf)) // 2 + 1
+        half = math.isqrt(monodromy._gap_sq(current, range(len(current)))) // 2 + 1
         return [(current[0][0], current[0][1] + half)] + current[1:]
 
     monkeypatch.setattr(monodromy, "_track_segment", half_gap_off)

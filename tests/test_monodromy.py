@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -7,11 +8,12 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from conftest import Overtime, within_seconds
 
 import kronsec.intpoly as intpoly
 import kronsec.monodromy as monodromy
 import kronsec.permutations as permutations
-from kronsec.errors import ConsistencyError, DomainError
+from kronsec.errors import ConsistencyError, DomainError, PrecisionError
 from kronsec.monodromy import (
     CoefficientCircle,
     HalfTwist,
@@ -117,6 +119,44 @@ def test_full_circle_of_constant_coefficient_swaps_square_roots():
 ])
 def test_roots_far_from_unit_size(base, segments, tolerance, expected):
     assert track_roots(base, segments, tolerance=tolerance).permutation == expected
+
+
+def _fuzz_base(rng, family, n):
+    """Ascending coefficients of a degree-n base from one of four families."""
+    def disc(radius):
+        return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+
+    def turn():
+        return cmath.exp(2j * math.pi * rng.random())
+
+    if family == 0:
+        return [disc(3) for _ in range(n)] + [1]
+    if family == 1:
+        return intpoly.from_roots([rng.choice([1e-2, 1, 1e2]) * turn() for _ in range(n)])
+    if family == 2:
+        c = disc(5)
+        return intpoly.from_roots([c, c + 10.0 ** -rng.randint(3, 7) * turn()] + [disc(5) for _ in range(n - 2)])
+    return [rng.choice([-1, 1]) * rng.randint(1, 20)] + [rng.randint(-20, 20) for _ in range(n - 1)] + [rng.choice([1, 2, 3])]
+
+
+def test_a_half_twist_on_a_random_base_swaps_its_pair_or_stops_typed():
+    # Bases with tight root pairs, spread magnitudes and integer coefficients;
+    # a half-twist must answer with its transposition, or refuse with a
+    # precision or domain error, well inside its time bound.
+    rng = random.Random(7)
+    for trial in range(40):
+        n = rng.randint(3, 10)
+        base = _fuzz_base(rng, trial % 4, n)
+        i = rng.randint(1, n - 1)
+        expected = list(range(n))
+        expected[i - 1], expected[i] = expected[i], expected[i - 1]
+        try:
+            with within_seconds(5):
+                assert track_roots(base, [HalfTwist(i)]).permutation == tuple(expected), (base, i)
+        except (PrecisionError, DomainError):
+            pass
+        except Overtime:
+            pytest.fail(f"half_twist({i}) on {base} ran past 5 s")
 
 
 def test_a_tolerance_coarser_than_the_integer_roots_is_a_domain_error():
