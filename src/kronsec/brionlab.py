@@ -94,13 +94,13 @@ def _require_stream(kind: str, n: int, mode: str) -> None:
 def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[BrionRecord]:
     """The vanishing records of one pair, then its equality records, as mode selects."""
     table = _table(n)
-    product = table.product(attach_first_row(lam, n), attach_first_row(omega, n))
+    weighed = table.weigh(table.product(attach_first_row(lam, n), attach_first_row(omega, n)))
     total = size(lam) + size(omega)
     threshold = n - total
     if mode != "equality":
         # No first row, not even the 0 of the empty Sigma, is shorter than 0.
         for big_s in partitions_of(n, threshold - 1) if threshold > 0 else ():
-            value = table.multiplicity(product, big_s)
+            value = table.weighed_multiplicity(weighed, big_s)
             yield BrionRecord(
                 n=n,
                 lam=lam,
@@ -127,7 +127,7 @@ def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[Br
                     verdict=NO_SIGMA,
                 )
                 continue
-            kron_value = table.multiplicity(product, big_s)
+            kron_value = table.weighed_multiplicity(weighed, big_s)
             lr_value = lr_checked(lam, omega, sigma)
             yield BrionRecord(
                 n=n,

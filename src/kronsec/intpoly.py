@@ -186,12 +186,15 @@ def aberth_seeds(ints: list[int]) -> list[complex] | None:
     return None
 
 
-def newton(desc, z, bits: int, step_sq: int):
+def newton(desc, z, bits: int, step_sq: int, noise: int = 0):
     """Newton-correct z on the polynomial with descending fixed-point coefficients.
 
     Horner gives the value u and derivative d together; the step u/d is one
     integer complex division. Returns the corrected root once |step|^2 <
     step_sq, or None at a zero derivative or after NEWTON_ITERATIONS steps.
+    With noise > 0 it also returns None when `noise` units of rounding in u
+    could alone make a step that large (noise 2^bits / |d| >= the target):
+    there the grid is too coarse to tell a root from a point near one.
     """
     zr, zi = z
     (lead_r, lead_i), rest = desc[0], desc[1:]
@@ -207,5 +210,5 @@ def newton(desc, z, bits: int, step_sq: int):
         si = ((ui * dr - ur * di) << bits) // den
         zr, zi = zr - sr, zi - si
         if sr * sr + si * si < step_sq:
-            return zr, zi
+            return (zr, zi) if (noise * noise << 2 * bits) < step_sq * den else None
     return None

@@ -11,13 +11,14 @@ u = z / 2^s, with 2^s a power of two at least every base root modulus, so
 small or clustered roots keep their relative precision. A step is accepted
 only while no moving root moved half the least distance from a moving root
 to another root and each stays more than the tolerance from all others, by
-exact comparisons of squared integers; else the step is halved, down to a
-hard floor of 2^-20 of the initial step. A half-twist corrects only its two
-moving roots, on the fixed product of the n - 2 still roots times one moving
-quadratic; a circle rescales one coefficient. A base equal to prod(z - j),
-j = 1..n, the base of every generator loop, starts from its exact roots, which
-land on the grid exactly; any other base has its roots isolated by mpmath
-and floored onto the grid. Every path point is an exact rational turn
+exact comparisons of squared integers, and only where the grid's rounding
+could not alone make a Newton step past the target; else the step is
+halved, down to a hard floor of 2^-20 of the initial step. A half-twist
+corrects only its two moving roots, on the fixed product of the n - 2 still
+roots times one moving quadratic; a circle rescales one coefficient. A base
+equal to prod(z - j), j = 1..n, the base of every generator loop, starts
+from its exact roots, which land on the grid exactly; any other base has its
+roots isolated by mpmath and floored onto the grid. Every path point is an exact rational turn
 floored once, so a loop on prod(z - j) runs on the stdlib alone. On the grid
 the base roots must stay more than the tolerance apart, and each final root
 must end nearer than half the least base gap to one base root; that match
@@ -179,6 +180,7 @@ def _sorted_roots(coeffs, precision_bits: int):
 class _Grid:
     """u = z / 2^scale held in units of 2^-bits; the squared Newton target and root separation in those units."""
 
+    precision_bits: int
     bits: int
     scale: int
     newton_sq: int
@@ -199,7 +201,7 @@ def _grid(precision_bits: int, tolerance: float, roots) -> _Grid:
     e, gauss = intpoly.gaussian(roots)
     scale = max([exp] + [max(abs(a), abs(b)).bit_length() - e + bool(a and b) for a, b in gauss if a or b])
     target = int(mantissa * 2**53) << (precision_bits + 1 - 53)
-    return _Grid(precision_bits + 4 - exp + scale, scale, target**2, (8 * target) ** 2)
+    return _Grid(precision_bits, precision_bits + 4 - exp + scale, scale, target**2, (8 * target) ** 2)
 
 
 def _dist_sq(a, b) -> int:
@@ -389,7 +391,10 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
     any other root (4 moved^2 < gap^2), and each stays more than the tolerance
     from every other root. Gaps among still roots need no check: they do not
     change, and a root moving less than half its distance to every other root
-    cannot take another's place.
+    cannot take another's place. Newton is trusted only where n + 1 units of
+    rounding in the value, about one a Horner step while |u| <= 1, could not
+    alone make a step past the target. When the step falls below the floor,
+    the error says whether Newton or the root gaps refused the last try.
     """
     gap = _gap_sq(current, moving)
     t = Fraction(0)
@@ -405,14 +410,14 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
         num, den = (h / prev_h).as_integer_ratio() if prev_roots is not None else (0, 1)
         corrected = list(current)
         moved = 0
-        ok = True
+        ok = converged = True
         for m in moving:
             # Linear predictor: continue the last accepted step, scaled to this one.
             (zr, zi), (pr, pi) = current[m], (prev_roots or current)[m]
             z = intpoly.newton(desc, (zr + (zr - pr) * num // den, zi + (zi - pi) * num // den),
-                               grid.bits, grid.newton_sq)
+                               grid.bits, grid.newton_sq, len(desc))
             if z is None:
-                ok = False
+                ok = converged = False
                 break
             corrected[m] = z
             moved = max(moved, _dist_sq(z, current[m]))
@@ -426,7 +431,8 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
             if h < floor:
                 raise PrecisionError(
                     f"step size fell below the floor near t={float(t):.6f} in {where}; "
-                    "root collision suspected"
+                    + (f"precision ran out at {grid.precision_bits} bits" if not converged
+                       else "root collision suspected")
                 )
             continue
         prev_roots, prev_h = current, h
@@ -556,8 +562,8 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
             word_checks_ok = False
 
     table = character_table(n)
-    fixed = tuple(cc.cycle_type.count(1) for cc in table.classes)
-    decomposition = {lam: m for lam in table.irreducibles if (m := table.multiplicity(fixed, lam))}
+    weighed = table.weigh(cc.cycle_type.count(1) for cc in table.classes)
+    decomposition = {lam: m for lam in table.irreducibles if (m := table.weighed_multiplicity(weighed, lam))}
     return DefiningRepReport(
         generator_permutations=tuple(gen_perms),
         word_checks_ok=word_checks_ok,

@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite, and a time bound for a block.
+"""Shared oracles for the test suite, a time bound for a block, and seeded loop bases.
 
 Everything in this file is computed from first principles with the standard
 library only: enumeration by brute force, the pentagonal-number recurrence,
@@ -9,8 +9,11 @@ from the package's computational internals.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import itertools
+import math
+import random
 import signal
 from fractions import Fraction
 from functools import cache
@@ -37,6 +40,14 @@ def within_seconds(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def spread_half_twist(seed: int) -> tuple[int, list[complex], int]:
+    """n, n roots of modulus 1e-4, 1 or 1e4 at random angles, and a half-twist index i in 1..n-1."""
+    rng = random.Random(seed)
+    n = rng.randint(11, 14)
+    roots = [rng.choice([1e-4, 1, 1e4]) * cmath.exp(2j * math.pi * rng.random()) for _ in range(n)]
+    return n, roots, rng.randint(1, n - 1)
 
 
 def oracle_partition_count(n: int) -> int:

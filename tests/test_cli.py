@@ -13,9 +13,9 @@ from itertools import dropwhile
 
 import mpmath
 import pytest
-from conftest import Overtime, oracle_power_sum_coeffs, within_seconds
+from conftest import Overtime, oracle_power_sum_coeffs, spread_half_twist, within_seconds
 
-from kronsec import apolarity, cli, monodromy, seminormal
+from kronsec import apolarity, cli, intpoly, monodromy, seminormal
 from kronsec.apolarity import parse_form
 from kronsec.cli import main
 from kronsec.config import DEFAULT_DIM_CAP, DEFAULT_N_CAP, LOOP_WORK_CAP, WORD_WORK_CAP
@@ -414,7 +414,23 @@ def test_a_root_collision_hits_the_step_floor(capsys, tolerance):
         spec["tolerance"] = tolerance
     code, out, err = run(capsys, "monodromy", "--spec", json.dumps(spec))
     assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == "precision"
+    payload = json.loads(err)
+    assert payload["error"] == "precision"
+    if tolerance is None:
+        assert payload["message"].endswith("root collision suspected")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 36, 76])
+def test_spread_magnitude_half_twists_are_precision_errors_not_consistency(capsys, seed):
+    n, roots, i = spread_half_twist(seed)
+    base = [[c.real, c.imag] for c in intpoly.from_roots(roots)]
+    argv = ["monodromy", "--spec", json.dumps({"base": base, "segments": [f"half_twist({i})"]})]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "precision"
+    assert payload["message"].endswith("precision ran out at 96 bits")
+    assert run_json(capsys, "--precision-bits", "192", *argv)["permutation"] == f"({i} {i + 1})"
 
 
 @pytest.mark.parametrize("spec", [
@@ -951,3 +967,49 @@ def test_human_flag_pretty_prints(capsys):
     code, out, err = run(capsys, "--human", "kron", "[2,1]", "[2,1]", "[3]")
     assert code == 0
     assert out == '{\n  "kron": 1\n}\n'
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    real, builds = cli._build_parser, []
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    for argv in (["kron", "[2,1]", "[2,1]", "[3]"], ["vdm", "[0, 1, 2]", "3"], ["kron", "[2,1]"], ["chartable", "3"]):
+        run(capsys, *argv)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("first, second, dest, expected", [
+    (["--seed", "5", "kron", "[2,1]", "[2,1]", "[3]"], ["kron", "[2,1]", "[2,1]", "[3]"], "seed", None),
+    (["pieri", "[2,1]", "2", "--distinguished"], ["pieri", "[2,1]", "2"], "distinguished", False),
+    (["rep-check", "[2,1]", "--words", "2"], ["rep-check", "[2,1]"], "words", 5),
+], ids=["seed", "distinguished", "words"])
+def test_parses_in_one_process_are_independent(capsys, monkeypatch, first, second, dest, expected):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, second[0], lambda args, cfg: seen.append(getattr(args, dest)))
+    assert run(capsys, *first)[0] == 0
+    assert run(capsys, *second)[0] == 0
+    assert seen[0] != expected and seen[1] == expected
+
+
+def _help_texts(parser) -> dict[str, str]:
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {"": parser.format_help(), **{name: p.format_help() for name, p in subparsers.choices.items()}}
+
+
+def test_the_shared_parser_helps_like_a_fresh_one(capsys):
+    run(capsys, "--seed", "3", "pieri", "[2,1]", "2", "--distinguished")
+    run(capsys, "kron", "[2,1]")
+    assert _help_texts(cli._the_parser()) == _help_texts(cli._build_parser())
+
+
+@pytest.mark.parametrize("argv", [["kron", "[2,1]"], ["no-such-command"], ["rep-check", "[2,1]", "--words", "x"]])
+def test_a_usage_error_repeats_word_for_word(capsys, argv):
+    first = run(capsys, *argv)
+    assert first == run(capsys, *argv)
+    assert first[:2] == (1, "")
+    assert json.loads(first[2])["error"] == "usage"

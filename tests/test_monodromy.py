@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from conftest import Overtime, within_seconds
+from conftest import Overtime, spread_half_twist, within_seconds
 
 import kronsec.intpoly as intpoly
 import kronsec.monodromy as monodromy
@@ -159,6 +159,26 @@ def test_a_half_twist_on_a_random_base_swaps_its_pair_or_stops_typed():
             pytest.fail(f"half_twist({i}) on {base} ran past 5 s")
 
 
+def _transposition(n, i):
+    perm = list(range(n))
+    perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
+
+
+# With moduli from 1e-4 to 1e4 on one grid the moving pair's derivative is
+# so small that a unit of rounding moves it past the Newton target at 96
+# bits. Seeds 0, 1, 36 and 76 once ended off every base root, a consistency
+# error, and seed 10 in "root collision suspected".
+@pytest.mark.parametrize("seed", [0, 1, 10, 36, 76])
+def test_spread_magnitudes_run_out_of_precision_at_96_bits_and_answer_at_192(seed):
+    n, roots, i = spread_half_twist(seed)
+    base = intpoly.from_roots(roots)
+    with pytest.raises(PrecisionError) as caught:
+        track_roots(base, [HalfTwist(i)], precision_bits=96)
+    assert str(caught.value).endswith(f"in segment 0 (half_twist({i})); precision ran out at 96 bits")
+    assert track_roots(base, [HalfTwist(i)], precision_bits=192).permutation == _transposition(n, i)
+
+
 def test_a_tolerance_coarser_than_the_integer_roots_is_a_domain_error():
     # 1e40 puts the grid above 2^-precision: the integer roots 1, 2 are read
     # onto it with a negative shift, floored, and then found not separated.
@@ -258,8 +278,8 @@ def test_gaussian_is_exact_and_monic_floors_as_the_fraction_formula():
 
             with mpmath.workprec(bits):
                 coeffs0 = [mpmath.mpc(part(), part() if rng.random() < 0.8 else 0) for _ in range(n + 1)]
-            grid = monodromy._Grid(bits=bits + rng.randrange(0, 80), scale=rng.randrange(-50, 51),
-                                   newton_sq=0, separation_sq=0)
+            grid = monodromy._Grid(precision_bits=bits, bits=bits + rng.randrange(0, 80),
+                                   scale=rng.randrange(-50, 51), newton_sq=0, separation_sq=0)
             assert monodromy._monic(coeffs0, grid) == _monic_by_fractions(coeffs0, grid)
 
 
