@@ -14,14 +14,17 @@ degree-k slice of the apolar ideal of p:
   * a non-squarefree unique generator means rank n - k + 2 (Sylvester's
     alternative) and no finite support is reported.
 
-Rational support points are exact: one matcher proposes them, compared
-exactly on integers, from intpoly's float Aberth-Ehrlich seeds (a form that
-splits over Q needs no mpmath) or from mpmath.polyroots, and exact
-evaluation verifies them. Their coefficients come by partial fractions over
-the annihilator and an exact rebuild. Each irrational or complex point is a
-certified disc, refined by intpoly.newton until its exact, rounded-up
-radius is below a configurable target; the discs are checked pairwise
-disjoint, and a numeric solve gives the coefficients.
+Every support comes from intpoly's float Aberth-Ehrlich seeds, one per
+root. Rational points are exact: one matcher proposes them, compared
+exactly on integers, and exact evaluation verifies them; their coefficients
+come by partial fractions over the annihilator and an exact rebuild. Each
+seed the matcher leaves over is refined by intpoly.newton on the integer
+annihilator into a certified disc whose exact, rounded-up radius is below a
+configurable target, and the matcher runs again on the refined centres.
+The points, one per seed, are checked pairwise disjoint, which proves them
+all the roots, and a numeric solve gives the coefficients. mpmath.polyroots
+supplies the approximations only when the seeds fail: none come back, a
+refinement stalls, or two discs meet.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ DENOMINATOR_BOUND = 10**12
 # the CLI prints approximate values with the digits that read this precision
 # back, so the printed certificate rebuilds the form within its error_bound.
 SOLVE_GUARD_BITS = 96
+# A float seed with |im| <= NEAR_REAL |z| is taken as real: floats cannot
+# tell a real root from one this near the axis, and Newton keeps a real
+# start real.
+NEAR_REAL = 1e-12
 
 
 # --- the form type and its text format --------------------------------------
@@ -209,36 +216,53 @@ def normalize_point(alpha, beta) -> tuple[int, int]:
 def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[SupportPoint]:
     """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
 
-    _rational_roots matches rational roots to approximations, first to the
-    float seeds of intpoly.aberth_seeds: when it matches all of them, the roots are
-    returned in ascending order with no mpmath. Otherwise mpmath.polyroots
-    isolates every root and the same matcher runs on its approximations;
-    each one it leaves over is refined by _refine_root on the full
-    polynomial until the inclusion radius deg * |U(z)/U'(z)| drops below
-    2^-precision_bits, which certifies a true root within the disc. Nothing
-    is deflated, and the discs must be pairwise disjoint.
+    The approximations of the finite roots are the float seeds of
+    intpoly.aberth_seeds, a near-real seed put on the real axis, so that a
+    real root keeps an imaginary part of exactly 0 through Newton. When
+    there are no seeds, or _roots_from finds them wanting (a refinement
+    stalls or two discs meet), mpmath.polyroots supplies the approximations
+    instead and the same _roots_from runs on them.
     """
     points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
     if len(ints) == 1:
         return points
 
     seeds = intpoly.aberth_seeds(ints)
-    roots, leftovers = _rational_roots(ints, seeds or [])
-    if seeds and not leftovers:
-        roots.sort()
-    else:
+    if seeds is not None:
+        seeds = [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds]
         try:
-            with mpmath.workprec(max(96, precision_bits + 32)):
-                approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
-        except mpmath.libmp.NoConvergence as exc:
-            raise PrecisionError(f"support roots did not converge: {exc}") from None
-        roots, leftovers = _rational_roots(ints, approx)
+            return points + _roots_from(ints, seeds, precision_bits)
+        except PrecisionError:  # a refinement stalled or two discs met
+            pass
+    try:
+        with mpmath.workprec(max(96, precision_bits + 32)):
+            approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
+    except mpmath.libmp.NoConvergence as exc:
+        raise PrecisionError(f"support roots did not converge: {exc}") from None
+    return points + _roots_from(ints, approx, precision_bits)
 
-    points += [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True) for r in roots]
-    for z in leftovers:
-        refined, radius = _refine_root(ints, z, precision_bits)
-        points.append(SupportPoint(refined, mpmath.mpf(1), exact=False, radius=radius))
-    if leftovers:  # exact points alone are distinct roots already
+
+def _roots_from(ints: list[int], approx: Sequence, precision_bits: int) -> list[SupportPoint]:
+    """The finite roots of U from deg(U) approximations: exact points ascending, then certified discs.
+
+    _rational_roots matches rational roots to the approximations. Each one
+    it leaves over is refined by _refine_root on the full polynomial until
+    the inclusion radius deg * |U(z)/U'(z)| drops below 2^-precision_bits,
+    which certifies a true root within the disc, and the matcher runs again
+    on the refined centres for a rational root the approximation was too
+    coarse to match. Nothing is deflated. There is one point per
+    approximation, so pairwise disjoint discs prove the points are all the
+    roots. The discs are ordered by (|im|, re, im), which is polyroots'
+    order with its conjugate pairs in a fixed order.
+    """
+    roots, leftovers = _rational_roots(ints, approx)
+    refined = [_refine_root(ints, z, precision_bits) for z in leftovers]
+    more, leftovers = _rational_roots(ints, [z for z, _ in refined], taken=set(roots))
+    radius = dict(refined)
+    points = [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True) for r in sorted(roots + more)]
+    points += sorted((SupportPoint(z, mpmath.mpf(1), exact=False, radius=radius[z]) for z in leftovers),
+                     key=lambda pt: (abs(pt.alpha.imag), pt.alpha.real, pt.alpha.imag))
+    if refined:  # exact points alone are distinct roots already
         _require_disjoint_discs(points)
     return points
 
@@ -248,38 +272,39 @@ def _require_disjoint_discs(points: list[SupportPoint]) -> None:
 
     Each approximate point's disc holds a root and an exact point is one, so
     pairwise disjoint discs, |z_i - z_j| > r_i + r_j (radius 0 for an exact
-    point), prove that the points are distinct roots. Compared exactly on
-    the dyadic centres and radii.
+    point), prove that the points are distinct roots. Every pair is
+    compared, exactly, on the dyadic centres and radii: a refined centre
+    can land on a root exactly, with radius 0, where another point is.
     """
     discs = []
     for pt in points:
         if pt.exact:
-            if pt.beta:
-                discs.append((pt.alpha / pt.beta, Fraction(0), Fraction(0)))
+            discs.append((pt.alpha / pt.beta, Fraction(0), Fraction(0)))
         else:
             e, [(a, b)] = intpoly.gaussian([pt.alpha])
             discs.append((Fraction(a, 1 << e), Fraction(b, 1 << e), Fraction(pt.radius)))
     for i, (x1, y1, r1) in enumerate(discs):
         for x2, y2, r2 in discs[i + 1:]:
-            if (r1 or r2) and (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
                 raise PrecisionError(
                     f"two inclusion discs meet near {float(x1)}{float(y1):+}j; the roots are not separated"
                 )
 
 
-def _rational_roots(ints: list[int], approx: Sequence) -> tuple[list[Fraction], list]:
+def _rational_roots(ints: list[int], approx: Sequence, taken=frozenset()) -> tuple[list[Fraction], list]:
     """The rational roots of U that the approximations match, and the approximations matching none.
 
-    Each approximation z (a float seed or a polyroots value) takes the first
-    continued-fraction convergent p/q (q <= DENOMINATOR_BOUND) of its real
-    part that lies strictly nearer to z than half its distance to every
-    other approximation and passes the exact identity
-    sum_i c_i p^i q^(d-i) = 0 (q | c_d tested first, as for any root p/q in
-    lowest terms). So a seed near -8/3 never takes the root -3
-    of its neighbour, one off the real axis takes nothing, and no root is
-    taken twice: two such discs are disjoint. Distances are compared exactly
-    on intpoly.gaussian's integers. The roots come in the order of their
-    approximations; a leftover only says that z matched no rational root.
+    Each approximation z (a float seed, a polyroots value or a refined
+    centre) takes the first continued-fraction convergent p/q
+    (q <= DENOMINATOR_BOUND) of its real part that is not in `taken`, lies
+    strictly nearer to z than half its distance to every other
+    approximation and passes the exact identity sum_i c_i p^i q^(d-i) = 0
+    (q | c_d tested first, as for any root p/q in lowest terms). So a seed
+    near -8/3 never takes the root -3 of its neighbour, one off the real
+    axis takes nothing, and no root is taken twice: two such discs are
+    disjoint. Distances are compared exactly on intpoly.gaussian's
+    integers. The roots come in the order of their approximations; a
+    leftover only says that z matched no rational root.
     """
     e, gauss = intpoly.gaussian(approx)
     roots, leftovers = [], []
@@ -289,7 +314,8 @@ def _rational_roots(ints: list[int], approx: Sequence) -> tuple[list[Fraction], 
         for p, q in _convergents(a, 1 << e):
             # |p/q - z| < |z - w| / 2, both sides times 2^(e+1) q and squared
             near = gap is None or 4 * (((p << e) - q * a) ** 2 + (q * b) ** 2) < q * q * gap
-            if near and not ints[-1] % q and intpoly.horner(ints, p, 0, q) == (0, 0):
+            if (near and not ints[-1] % q and intpoly.horner(ints, p, 0, q) == (0, 0)
+                    and Fraction(p, q) not in taken):
                 roots.append(Fraction(p, q))
                 break
         else:
@@ -480,7 +506,7 @@ def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
     # Entries at twice the working precision, so the residual of the values
     # returned does not hide in the solve's own rounding.
     with mpmath.workprec(2 * prec):
-        cols = [[mpmath.binomial(n, j) * al ** (n - j) * be**j for j in range(n + 1)]
+        cols = [[comb(n, j) * al ** (n - j) * be**j for j in range(n + 1)]
                 for al, be in ((_mp(pt.alpha), _mp(pt.beta)) for pt in points)]
         rhs = [_mp(c) for c in p.coeffs]
     with mpmath.workprec(prec):

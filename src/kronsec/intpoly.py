@@ -12,11 +12,13 @@ tracks loop roots with them; `newton` serves both.
 
 import cmath
 import sys
-from math import gcd, pi
+from math import gcd, ldexp, pi
 
 NEWTON_ITERATIONS = 60
-# Aberth-Ehrlich sweeps aberth_seeds may take; a seed still moving after
-# them sends the annihilator to mpmath.polyroots.
+# Aberth-Ehrlich sweeps aberth_seeds may take. apolarity certifies a
+# Sylvester support from the seeds; a seed still moving after the last
+# sweep gives no seeds, and the support's roots come from the
+# mpmath.polyroots fallback instead.
 ABERTH_SWEEPS = 60
 # The prime of the modular squarefree certificate; any prime is sound, and
 # one this large rarely divides a leading coefficient or a discriminant.
@@ -148,13 +150,31 @@ def aberth_seeds(ints: list[int]) -> list[complex] | None:
     within the rounding error of Horner's rule, so clustered roots end at
     the accuracy floats allow rather than never converging. A seed at the
     root 0, where that test holds only at 0.0 itself, stops once
-    |z| <= tol * radius for the starting radius.
+    |z| <= tol * radius for the starting radius. When the sweeps overflow,
+    they run once more in t = 2^s u, with 2^s Fujiwara's radius read off
+    the bit lengths of the coefficients, and the seeds are scaled back; so
+    roots past 2^512 that still fit in a float get seeds too.
     """
-    deg = len(ints) - 1
-    try:  # int / int rounds once and raises only if a quotient overflows
-        monic = [c / ints[-1] for c in reversed(ints)]
+    try:
+        return _aberth_sweeps(ints, 0)
+    except OverflowError:
+        pass
+    deg, top = len(ints) - 1, ints[-1].bit_length()
+    # |c_k / c_deg| < 2^(bl(c_k) - bl(c_deg) + 1), so every root of U(2^s u) is at most 2 in size
+    s = max((-((top - c.bit_length() - 1) // (deg - k)) for k, c in enumerate(ints[:-1]) if c), default=0)
+    try:
+        seeds = _aberth_sweeps(ints, s)
+        return None if seeds is None else [complex(ldexp(z.real, s), ldexp(z.imag, s)) for z in seeds]
     except OverflowError:
         return None
+
+
+def _aberth_sweeps(ints: list[int], s: int) -> list[complex] | None:
+    """aberth_seeds on U(2^s u) in u; None when a seed does not settle, OverflowError on overflow."""
+    deg = len(ints) - 1
+    # c_k 2^(s k) / (c_deg 2^(s deg)): int / int rounds once, raising only if a quotient overflows
+    monic = [(c << max(0, -s * (deg - k))) / (ints[-1] << max(0, s * (deg - k)))
+             for k, c in reversed(list(enumerate(ints)))]
     bound = max((abs(monic[k]) ** (1 / k) for k in range(1, deg)), default=0.0)
     radius = 2 * max(bound, (abs(monic[deg]) / 2) ** (1 / deg))
     z = [radius * cmath.exp(1j * (2 * pi * j / deg + pi / (2 * deg))) for j in range(deg)]
@@ -171,7 +191,7 @@ def aberth_seeds(ints: list[int]) -> list[complex] | None:
                 u = u * zj + a
                 size = size * az + abs(a)
             if not cmath.isfinite(u) or not cmath.isfinite(du):
-                return None
+                raise OverflowError("Aberth sweep left the float range")
             if abs(u) <= tol * size or az <= tol * radius:
                 done[j] = True
                 continue

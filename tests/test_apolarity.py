@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -417,9 +418,12 @@ def test_coefficients_past_the_float_range_raise_no_overflow():
     ints = [big * c for c in _ints_with_roots([1, 2, Fraction(-1, 3)])]
     assert big.bit_length() > 1024
     assert _seeded(ints) == [Fraction(-1, 3), 1, 2]
-    # a monic coefficient past the float range gives no seeds, so the caller
-    # isolates the roots another way
-    assert intpoly.aberth_seeds([-big, 1, 1]) is None
+    # a monic coefficient past the float range: the sweeps run in t = 2^s u,
+    # and the seeds of the roots near +-3^350 ~ 2^555 come back in range
+    seeds = intpoly.aberth_seeds([-big, 1, 1])
+    root = float(3**350)
+    assert sorted(z.real for z in seeds) == pytest.approx([-root, root], rel=1e-12)
+    assert all(abs(z.imag) <= 1e-12 * root for z in seeds)
 
 
 def test_a_seed_at_the_root_zero_stops_with_the_others(monkeypatch):
@@ -491,7 +495,42 @@ def test_two_discs_on_one_root_are_a_precision_error(monkeypatch):
     monkeypatch.setattr(apolarity, "_refine_root", onto_the_first_root)
     with pytest.raises(PrecisionError, match="discs meet"):
         sylvester_decompose(parse_form("deg=3; coeffs=1,1,0,1"))
-    assert len(starts) == 2
+    # two float seeds, then the two polyroots values of the fallback
+    assert [type(z) for z in starts] == [complex, complex, mpmath.mpf, mpmath.mpf]
+
+
+def test_discs_that_meet_on_the_seed_route_fall_back_to_polyroots(monkeypatch):
+    # One seed repeated refines to one root twice; the discs meet, and the
+    # polyroots route certifies the roots the seed route gives unpatched.
+    p = form(4, [2, 0, 24, 0, 8])
+    want = sylvester_decompose(p)
+    seeds, isolate, isolated = intpoly.aberth_seeds, mpmath.polyroots, []
+
+    def isolating(*args, **kwargs):
+        isolated.append(args)
+        return isolate(*args, **kwargs)
+
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda ints: seeds(ints)[:1] * (len(ints) - 1))
+    monkeypatch.setattr(mpmath, "polyroots", isolating)
+    got = sylvester_decompose(p)
+    assert len(isolated) == 1
+    assert (got.rank, got.annihilator, got.support_exact) == (want.rank, want.annihilator, False)
+    for a, b in zip(got.support, want.support):
+        assert abs(a.alpha - b.alpha) <= a.radius + b.radius
+
+
+def test_a_disc_of_radius_zero_on_an_exact_root_is_not_a_second_root(monkeypatch):
+    # t (10^15 t - 1)(t^2 + 1): the seeds of 0 and 10^-15 both stop near 0,
+    # one matches 0 and the other refines onto 0 exactly, a disc of radius
+    # 0. The pair meets, and the polyroots route places 10^-15.
+    isolate, isolated = mpmath.polyroots, []
+    monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kwargs: isolated.append(args) or isolate(*args, **kwargs))
+    points = apolarity._certified_roots(0, [0, -1, 10**15, -1, 10**15], 96)
+    assert len(isolated) == 1
+    assert points[0] == apolarity.SupportPoint(Fraction(0), Fraction(1), exact=True)
+    with mpmath.workprec(256):
+        for pt, root in zip(points[1:], (mpmath.mpf(10) ** -15, -1j, 1j)):
+            assert abs(pt.alpha - root) <= pt.radius < 10**-40
 
 
 def test_a_ladder_with_no_converged_rung_is_a_precision_error(monkeypatch):
@@ -505,6 +544,13 @@ def test_a_singular_numeric_solve_is_a_precision_error():
     pt = apolarity.SupportPoint(mpmath.mpc(2), mpmath.mpf(1), exact=False, radius=2.0**-100)
     with pytest.raises(PrecisionError, match="singular"):
         apolarity._solve_coefficients_numeric([pt, pt], form(3, [1, 0, 0, 1]), 96)
+
+
+@pytest.mark.parametrize("precision_bits", [53, 96, 256])
+def test_the_numeric_solve_binomials_are_exact_at_its_precision(precision_bits):
+    # The solve multiplies by math.comb; mpmath.binomial gave the same values.
+    with mpmath.workprec(2 * (precision_bits + apolarity.SOLVE_GUARD_BITS)):
+        assert all(mpmath.binomial(n, j) == comb(n, j) for n in range(161) for j in range(n + 1))
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

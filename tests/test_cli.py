@@ -611,7 +611,7 @@ _FORMS_ARGV = {
 # last changed on purpose.
 _FORMS_STDOUT = {
     "sylvester-rank-15-deg-40": "a58418672fa98e780a9a18cddd0ea6bf3a4129f32992d64599ee3406d7972ad5",
-    "sylvester-generic-deg-30": "511c4b6fad5d33d236cb0713476cc426066c08065098b50751a308e09d01ca0c",
+    "sylvester-generic-deg-30": "d63ddf7e0ca3aafe3d05c1eb49729772fba843280ae113fc9be94c2a745800a1",
     "sylvester-nonsquarefree": "606cd1de779f969aab3f864974830a8efe4acf57d8e5e2ae4b56aa1538b66058",
     "join": "827b7f0b0c904a769fa97a22d8b97dd0aabedac2d119f413c85c7606b29f543f",
     "secant": "fe6a190f52b7010d022074cea291f7a2649a58e561ed03d015fa000d3c5754c5",
@@ -813,24 +813,31 @@ def test_unconverged_base_roots_are_a_precision_error(capsys, monkeypatch):
 def _huge_support_form() -> str:
     """Rank 8, degree 20, support (2^150 + 7j : 3 + j) with weights j + 1.
 
-    Floats cannot place the 150-bit roots of its annihilator, and Durand-Kerner
-    in mpmath.polyroots does not converge on them.
+    Its annihilator's monic coefficients overflow a float, and Durand-Kerner
+    in mpmath.polyroots does not converge on its 150-bit roots.
     """
     points = [(2**150 + 7 * j, 3 + j) for j in range(8)]
     return _form_text(oracle_power_sum_coeffs(20, points, [j + 1 for j in range(8)]))
 
 
-@pytest.mark.parametrize("patch", [False, True], ids=["huge-support", "patched"])
-def test_unconverged_support_roots_are_a_precision_error(capsys, monkeypatch, patch):
+def test_a_huge_rational_support_is_exact(capsys):
+    # Seeds found in a scaled variable t = 2^s u, refined and matched, give
+    # every root exactly.
+    payload = run_json(capsys, "sylvester", _huge_support_form())
+    assert payload["support_exact"] is True
+    support = [(int(pt["alpha"]), int(pt["beta"])) for pt in payload["support"]]
+    assert dict(zip(support, map(int, payload["coefficients"]))) == {
+        (2**150 + 7 * j, 3 + j): j + 1 for j in range(8)}
+
+
+def test_unconverged_support_roots_are_a_precision_error(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=220 steps.")
 
-    text = _huge_support_form()
-    if patch:
-        # an irrational support still goes to polyroots
-        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
-        text = "deg=3; coeffs=1,1,0,1"
-    code, out, err = run(capsys, "sylvester", text)
+    # an irrational support with no float seeds goes to polyroots
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda ints: None)
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    code, out, err = run(capsys, "sylvester", "deg=3; coeffs=1,1,0,1")
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "precision"
 
@@ -848,6 +855,38 @@ def test_rational_supports_never_isolate_roots(capsys, monkeypatch):
         payload = run_json(capsys, "sylvester", apolarity.format_form(sample.form))
         assert payload["support_exact"] is True
         assert {(int(pt["alpha"]), int(pt["beta"])) for pt in payload["support"]} == set(sample.points)
+
+
+def test_irrational_supports_are_certified_from_float_seeds(capsys, monkeypatch):
+    # Generic forms of degree 2 to 32 have supports that do not split over Q;
+    # the refined float seeds certify them with no mpmath.polyroots. Each
+    # printed certificate rebuilds its form within error_bound, and a disc
+    # that could hold a real root prints an imaginary part of exactly 0.
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("a support was isolated by mpmath.polyroots")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_isolation)
+    rng = random.Random(27)
+    approximate = on_axis = 0
+    for n in range(2, 33):
+        text = _form_text([rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 9)])
+        payload = run_json(capsys, "sylvester", text)
+        if payload["support"] is None or payload["support_exact"]:
+            continue
+        approximate += 1
+        form = parse_form(text)
+        with mpmath.workprec(256):
+            points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
+            coeffs = [_printed(c) for c in payload["coefficients"]]
+            for j, target in enumerate(form.coeffs):
+                rebuilt = sum(c * mpmath.binomial(n, j) * alpha ** (n - j) * beta**j
+                              for (alpha, beta), c in zip(points, coeffs))
+                assert abs(rebuilt - _exact(target)) <= 2 * payload["error_bound"], text
+            for (alpha, _), pt in zip(points, payload["support"]):
+                if not pt["exact"] and abs(alpha.imag) <= _exact(Fraction(pt["radius"])):
+                    assert alpha.imag == 0, text
+                    on_axis += 1
+    assert approximate >= 25 and on_axis >= 25
 
 
 @pytest.mark.parametrize("argv", [
