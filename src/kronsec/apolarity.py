@@ -14,6 +14,15 @@ degree-k slice of the apolar ideal of p:
   * a non-squarefree unique generator means rank n - k + 2 (Sylvester's
     alternative) and no finite support is reported.
 
+The minimal such k is r, the rank of the middle catalecticant. It is
+found mod a prime and certified exactly: the rows of C_mid independent mod
+p give r_p <= r, and an exact nonzero kernel of the rows of C_(r_p)
+independent mod p, checked against every row of C_(r_p), gives r <= r_p.
+That kernel is the annihilator space of the Sylvester path. When a check
+fails (an unlucky prime) the exact route runs instead: the rank of C_mid
+over Q, then the kernel of all of C_r. Every catalecticant is built once
+as integer rows: the rows of C_k scaled to a Hankel matrix of integers.
+
 Every support comes from intpoly's float Aberth-Ehrlich seeds, one per
 root. Rational points are exact: one matcher proposes them, compared
 exactly on integers, and exact evaluation verifies them; their coefficients
@@ -34,7 +43,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import comb, gcd, inf, isqrt, lcm, ldexp, nextafter, perm
+from math import comb, factorial, gcd, inf, isqrt, lcm, ldexp, nextafter
 from operator import mul
 from typing import Sequence
 
@@ -126,6 +135,33 @@ def power_form(alpha, beta, n: int, scale=1) -> BinaryForm:
 
 # --- catalecticants ----------------------------------------------------------
 
+def _moments(n: int, coeffs: Sequence) -> list:
+    """b_m = a_m m! (n-m)!, so that row i of C_k times i! (n-k-i)! is (b_i, ..., b_(i+k)).
+
+    Entry (i, j) of C_k is a_(i+j) (n-i-j)!/(n-k-i)! (i+j)!/i! (falling
+    factorials), which is b_(i+j) / (i! (n-k-i)!).
+    """
+    return [a * factorial(m) * factorial(n - m) for m, a in enumerate(coeffs)]
+
+
+def _hankel(b: list, k: int) -> list[list]:
+    """The rows (b_i, ..., b_(i+k)), i = 0..n-k: C_k with row i times i! (n-k-i)!."""
+    return [b[i:i + k + 1] for i in range(len(b) - k)]
+
+
+def _integer_moments(p: BinaryForm) -> list[int]:
+    """_moments of p times the lcm of its denominators, over the gcd of the numerators.
+
+    Scaling the form by a nonzero rational and a row by a nonzero integer
+    keeps every row space, so _hankel of these integers has the ranks and
+    kernels of the catalecticants; ratmat clears the same row contents.
+    """
+    scale = lcm(*(a.denominator for a in p.coeffs))
+    ints = [a.numerator * (scale // a.denominator) for a in p.coeffs]
+    content = gcd(*ints)
+    return _moments(p.degree, [x // content for x in ints])
+
+
 def catalecticant(p: BinaryForm, k: int) -> ratmat.Matrix:
     """The (n-k+1) x (k+1) catalecticant of p at operator degree k, as row lists.
 
@@ -133,15 +169,54 @@ def catalecticant(p: BinaryForm, k: int) -> ratmat.Matrix:
     degree-(n-k) forms.
 
     Column j is (d/dx)^(k-j) (d/dy)^j applied to p on the basis x^(n-k-i) y^i,
-    so entry (i, j) is a_(i+j) (n-i-j)!/(n-k-i)! (i+j)!/i! (falling factorials).
+    so entry (i, j) is a_(i+j) (n-i-j)!/(n-k-i)! (i+j)!/i! (see _moments).
     """
     n = p.degree
     if not 1 <= k <= n:
         raise DomainError(f"operator degree must satisfy 1 <= k <= {n}, got {k}")
-    return [
-        [p.coeffs[i + j] * perm(n - i - j, k - j) * perm(i + j, j) for j in range(k + 1)]
-        for i in range(n - k + 1)
-    ]
+    rows = _hankel(_moments(n, p.coeffs), k)
+    return [[x / (factorial(i) * factorial(n - k - i)) for x in row] for i, row in enumerate(rows)]
+
+
+def _annihilates(basis: list[list[Fraction]], rows: list[list[int]]) -> bool:
+    """Every vector of basis is exactly orthogonal to every integer row."""
+    for v in basis:
+        scale = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (scale // x.denominator) for x in v]
+        if any(sum(map(mul, row, w)) for row in rows):
+            return False
+    return True
+
+
+def _apolar_kernel(p: BinaryForm, degree_only: bool = False) -> tuple[int, list[list[Fraction]] | None]:
+    """r = min_apolar_degree(p) and ratmat.kernel_basis of C_r, proven from ranks mod a prime.
+
+    With P = intpoly.SQUAREFREE_PRIME and mid = max(1, n // 2):
+      * the rows of C_mid independent mod P are independent over Q, so
+        k = max(1, their number) <= r;
+      * the exact kernel of the rows of C_k independent mod P contains
+        ker C_k; a nonzero basis of it annihilating every row of C_k is
+        ker C_k itself, so C_k has a kernel and r <= k.
+    Then r = k, and the RREF basis, which depends only on the kernel, is
+    the one of all of C_r. When a check fails, P divides a minor that
+    matters, and the exact rank of C_mid and the kernel of C_r decide.
+    With degree_only, a C_mid of full rank mod P proves r = k alone (its
+    rank over Q lies between), and no kernel is computed: (k, None).
+    """
+    prime, mid = intpoly.SQUAREFREE_PRIME, max(1, p.degree // 2)
+    b = _integer_moments(p)
+    b_mod = [x % prime for x in b]
+    middle_rank = len(ratmat.independent_rows_mod_p(_hankel(b_mod, mid), prime))
+    k = max(1, middle_rank)
+    if degree_only and middle_rank == min(p.degree - mid, mid) + 1:
+        return k, None
+    rows = _hankel(b, k)
+    kept = ratmat.independent_rows_mod_p(_hankel(b_mod, k), prime)
+    basis = ratmat.kernel_basis([rows[i] for i in kept])
+    if basis and _annihilates(basis, rows):
+        return k, basis
+    r = ratmat.rank(_hankel(b, mid))
+    return r, ratmat.kernel_basis(_hankel(b, r))
 
 
 def min_apolar_degree(p: BinaryForm) -> int:
@@ -150,9 +225,11 @@ def min_apolar_degree(p: BinaryForm) -> int:
     The apolar ideal of a binary form is a complete intersection with
     generators in degrees r <= n + 2 - r (Sylvester), and the middle
     catalecticant has rank exactly r. For n = 1, C_1 of the nonzero linear
-    form has rank 1.
+    form has rank 1. The rank is taken mod a prime and proven by full rank
+    or by one exact kernel on the rows of C_r independent mod that prime,
+    with the exact rank as the fallback (_apolar_kernel).
     """
-    return ratmat.rank(catalecticant(p, max(1, p.degree // 2)))
+    return _apolar_kernel(p, degree_only=True)[0]
 
 
 def kernel_dimension(p: BinaryForm, k: int) -> int:
@@ -428,13 +505,13 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     """Minimal Waring decomposition data for a binary form.
 
     The first nontrivial catalecticant kernel sits at k = min_apolar_degree(p),
-    the rank of the middle catalecticant. A squarefree kernel form there
-    yields rank k with explicit support and coefficients; a non-squarefree
-    unique generator yields rank n - k + 2 with no support.
+    the rank of the middle catalecticant; _apolar_kernel certifies k with
+    the kernel of C_k, which is then the annihilator space. A squarefree
+    kernel form there yields rank k with explicit support and coefficients;
+    a non-squarefree unique generator yields rank n - k + 2 with no support.
     """
     n = p.degree
-    k = min_apolar_degree(p)
-    basis = ratmat.kernel_basis(catalecticant(p, k))
+    k, basis = _apolar_kernel(p)
     found = _pencil_squarefree(basis, k)
     if found is None:
         if len(basis) > 1:
@@ -605,17 +682,19 @@ def vandermonde_rank(nodes: Sequence, degree: int) -> int:
 
     Row for node t is (1, t, ..., t^degree); the point at infinity contributes
     (0, ..., 0, 1). Equality with min(#nodes, degree + 1) for distinct nodes is
-    the classical Vandermonde statement and is what callers test.
+    the classical Vandermonde statement and is what callers test. That full
+    rank is proven mod a prime (independent rows mod p are independent over
+    Q); the exact rank decides only when a prime loses it.
     """
     if degree < 0:
         raise DomainError(f"moment degree must be nonnegative, got {degree}")
     pts = [_parse_node(nd) for nd in nodes]
     if len(set(pts)) != len(pts):
         raise DomainError(f"repeated nodes rejected: {sorted(set(p for p in pts if pts.count(p) > 1))}")
-    rows = [
-        [Fraction(al**j * be ** (degree - j)) for j in range(degree + 1)]
-        for al, be in pts
-    ]
+    rows = [[al**j * be ** (degree - j) for j in range(degree + 1)] for al, be in pts]
+    full = min(len(rows), degree + 1)
+    if len(ratmat.independent_rows_mod_p(rows, intpoly.SQUAREFREE_PRIME)) == full:
+        return full
     return ratmat.rank(rows)
 
 

@@ -20,8 +20,11 @@ NEWTON_ITERATIONS = 60
 # sweep gives no seeds, and the support's roots come from the
 # mpmath.polyroots fallback instead.
 ABERTH_SWEEPS = 60
-# The prime of the modular squarefree certificate; any prime is sound, and
-# one this large rarely divides a leading coefficient or a discriminant.
+# The package's one modular prime: for the squarefree certificate here and
+# for the catalecticant and Vandermonde ranks of apolarity, each certified
+# or redone exactly. Any prime is sound, and one this large rarely divides
+# a leading coefficient, a discriminant or a maximal minor. It differs from
+# the benchmark oracle's prime, so the two never share an unlucky case.
 SQUAREFREE_PRIME = 2**31 - 1
 
 

@@ -1,11 +1,17 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra over Fraction, and a modular pass that exact answers certify.
 
-Matrices come in and go out as lists of lists of Fraction, and nothing ever
-touches a float. Inside, every row is cleared of denominators and eliminated
-fraction-free over the integers (Bareiss 1968): each step divides exactly by
-the previous pivot, so entries stay minors of the input and no cell update
-pays for a gcd. Only the answers are turned back into Fractions. No command
-calls `mat_mul` or `solve`; the benchmark tracer still spans both by name.
+Matrices come in and go out as lists of lists of Fraction (or of int), and
+nothing ever touches a float. Inside, every row is cleared of denominators
+and eliminated fraction-free over the integers (Bareiss 1968): each step
+divides exactly by the previous pivot, so entries stay minors of the input
+and no cell update pays for a gcd. Only the answers are turned back into
+Fractions; `kernel_basis` eliminates forward only and back-substitutes
+fraction-free. `independent_rows_mod_p` eliminates integer rows mod a prime
+instead: rows independent mod p are independent over Q, so the count is a
+lower bound on the rank, and a caller that needs the rank itself proves the
+matching upper bound exactly (apolarity checks an exact kernel against
+every row) or falls back to `rank`. No command calls `mat_mul` or `solve`;
+the benchmark tracer still spans both by name.
 """
 
 from __future__ import annotations
@@ -84,6 +90,36 @@ def _eliminate(m: list[list[int]], reduced: bool) -> tuple[list[int], int]:
     return pivots, d
 
 
+def independent_rows_mod_p(m: list[list[int]], p: int) -> list[int]:
+    """Indices of the rows of m that are independent mod the prime p, taken greedily from the top.
+
+    Each row is reduced mod p against the rows kept so far, in the order
+    they were kept (each is 1 at its pivot and 0 at the pivots kept before
+    it), and kept when something is left. Rows independent mod p have a
+    maximal minor that is nonzero mod p, hence nonzero, so their number is
+    at most the rank r over Q; it is less only when p divides every r x r
+    minor of m.
+    """
+    kept: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row), in the order kept
+    cols = len(m[0]) if m else 0
+    for i, row in enumerate(m):
+        if len(kept) == cols:
+            break
+        v = row
+        for c, b in basis:
+            f = v[c] % p
+            if f:  # entries are reduced once, after the last subtraction
+                v = [x - f * y for x, y in zip(v, b)]
+        v = [x % p for x in v]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            basis.append((c, [x * inv % p for x in v]))
+            kept.append(i)
+    return kept
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column indices; `a` is not modified."""
     m = _integer_rows(a)
@@ -96,19 +132,32 @@ def rank(a: Matrix) -> int:
 
 
 def kernel_basis(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column: the RREF basis.
+
+    The vector of free column f is 1 at f, 0 at the other free columns and
+    minus column f of the RREF at the pivots, the one kernel vector of that
+    shape. Forward elimination leaves it a triangular system, solved by
+    fraction-free back substitution: d x is an integer vector (Cramer, d
+    the last pivot), so every division in it is exact. That skips the
+    clearing above the pivots, about half the cost of the reduced form.
+    """
     if not a:
         return []
     cols = len(a[0])
     m = _integer_rows(a)
-    pivots, d = _eliminate(m, reduced=True)
+    pivots, d = _eliminate(m, reduced=False)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-m[r][fc], d)
+        solved: list[tuple[int, int]] = []  # (pivot column, d x there), from the last pivot up
+        for r in reversed(range(len(pivots))):
+            row = m[r]
+            t = d * row[fc] + sum(row[pc] * x for pc, x in solved)
+            solved.append((pivots[r], -t // row[pivots[r]]))
+        for pc, x in solved:
+            v[pc] = Fraction(x, d)
         basis.append(v)
     return basis
 

@@ -231,6 +231,30 @@ def oracle_apply_operator(q_coeffs, p_degree: int, p_coeffs) -> list[Fraction]:
     return result
 
 
+def oracle_catalecticant(p_degree: int, p_coeffs, k: int) -> list[list[Fraction]]:
+    """The degree-k catalecticant as rows: column j applies x^(k-j) y^j as an operator to p."""
+    cols = [oracle_apply_operator([int(i == j) for i in range(k + 1)], p_degree, p_coeffs)
+            for j in range(k + 1)]
+    return [list(row) for row in zip(*cols)]
+
+
+def oracle_rank_mod_p(rows, p: int) -> int:
+    """Rank of an integer matrix over GF(p) by Gaussian elimination with inverses mod p."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def oracle_power_sum_coeffs(n: int, points, weights) -> list[Fraction]:
     """Coefficients of sum_i w_i (a_i x + b_i y)^n by direct expansion."""
     coeffs = [Fraction(0)] * (n + 1)

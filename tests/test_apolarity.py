@@ -1,11 +1,20 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from pathlib import Path
 
 import mpmath
 import pytest
-from conftest import oracle_apply_operator, oracle_has_repeated_root, oracle_power_sum_coeffs
+from conftest import (
+    oracle_apply_operator,
+    oracle_catalecticant,
+    oracle_has_repeated_root,
+    oracle_power_sum_coeffs,
+    oracle_rank_mod_p,
+    oracle_rref,
+)
 from test_cli import _RANK_15_POINTS
 
 from kronsec.apolarity import (
@@ -153,6 +162,121 @@ def test_one_rank_gives_every_kernel_dimension():
             assert secant_membership(p, k) == (dim > 0), (p, k)
 
 
+# --- catalecticant ranks mod a prime, certified exactly ---------------------------
+
+# A prime above every degree below, so no factorial in a catalecticant
+# vanishes mod it, and small enough that it often loses a rank.
+SMALL_PRIME = 43
+
+
+def _product_of_powers(n: int, l1, l2, j: int) -> list[Fraction]:
+    """Coefficients of l1^(n-j) l2^j for linear forms l = (a, b) meaning a x + b y."""
+    a = oracle_power_sum_coeffs(n - j, [l1], [1])
+    b = oracle_power_sum_coeffs(j, [l2], [1])
+    return [sum(a[i] * b[m - i] for i in range(len(a)) if 0 <= m - i < len(b)) for m in range(n + 1)]
+
+
+def _modular_fuzz_forms(seed: int):
+    """Forms of degree 1-40: rank-k power sums, products l1^(n-j) l2^j, random
+    coefficients with denominators, and a quarter of them scaled by the
+    package prime, by its inverse or by SMALL_PRIME."""
+    rng = random.Random(seed)
+    points = [(a, b) for a in range(-9, 10) for b in range(5) if gcd(a, b) == 1]
+    while True:
+        n = rng.randint(1, rng.choice([12, 25, 40]))  # fewer of the costly oracle eliminations
+        kind = rng.randrange(3)
+        if kind == 0:
+            pts = rng.sample(points, rng.randint(1, n // 2 + 1))
+            coeffs = oracle_power_sum_coeffs(n, pts, [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in pts])
+        elif kind == 1:
+            coeffs = _product_of_powers(n, *rng.sample(points, 2), rng.randint(0, n))
+        else:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10])) for _ in range(n + 1)]
+        if rng.random() < 0.25:
+            scale = rng.choice([SQUAREFREE_PRIME, Fraction(1, SQUAREFREE_PRIME), SMALL_PRIME])
+            coeffs = [c * scale for c in coeffs]
+        if any(coeffs):
+            yield form(n, coeffs)
+
+
+def _oracle_apolar_kernel(p):
+    """(rank of C_mid, RREF kernel basis of C_r) from catalecticants built by differentiation."""
+    n = p.degree
+    r = len(oracle_rref(oracle_catalecticant(n, p.coeffs, max(1, n // 2)))[1])
+    echelon, pivots = oracle_rref(oracle_catalecticant(n, p.coeffs, r))
+    basis = []
+    for fc in (c for c in range(r + 1) if c not in pivots):
+        v = [Fraction(0)] * (r + 1)
+        v[fc] = Fraction(1)
+        for row, pc in zip(echelon, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return r, basis
+
+
+def _middle_rank_mod_p(p, prime: int) -> int:
+    """Rank mod prime of the middle catalecticant of p scaled to coprime integer coefficients."""
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * scale) for c in p.coeffs]
+    content = gcd(*ints)
+    middle = oracle_catalecticant(p.degree, [c // content for c in ints], max(1, p.degree // 2))
+    return oracle_rank_mod_p([[int(x) for x in row] for row in middle], prime)
+
+
+def test_modular_ranks_and_kernels_match_the_oracle(monkeypatch):
+    exact_ranks = []
+    rank = ratmat.rank
+    monkeypatch.setattr(ratmat, "rank", lambda a: exact_ranks.append(a) or rank(a))
+    fallbacks = 0
+    for p in itertools.islice(_modular_fuzz_forms(20261019), 300):
+        want = _oracle_apolar_kernel(p)
+        assert apolarity._apolar_kernel(p) == want, p
+        assert min_apolar_degree(p) == want[0], p
+        assert not exact_ranks, p  # the package prime loses no rank on these forms
+        with monkeypatch.context() as m:
+            m.setattr(intpoly, "SQUAREFREE_PRIME", SMALL_PRIME)
+            assert apolarity._apolar_kernel(p) == want, p
+            assert min_apolar_degree(p) == want[0], p
+        # Every C_k is a Hankel matrix of one sequence with its rows scaled,
+        # and over any field the middle rank of such a sequence fixes all
+        # the others. So the exact route runs exactly when the prime loses
+        # the middle rank, and then gives the oracle's answer.
+        assert bool(exact_ranks) == (_middle_rank_mod_p(p, SMALL_PRIME) < want[0]), p
+        fallbacks += bool(exact_ranks)
+        exact_ranks.clear()
+    assert fallbacks >= 5, fallbacks
+
+
+def test_the_sylvester_path_eliminates_only_the_independent_rows(monkeypatch):
+    def no_rank(a):
+        raise AssertionError("exact rank on the modular path")
+
+    seen = []
+    eliminate = ratmat._eliminate
+    monkeypatch.setattr(ratmat, "rank", no_rank)
+    monkeypatch.setattr(ratmat, "_eliminate", lambda m, reduced: seen.append(len(m)) or eliminate(m, reduced))
+    weights = [(-1) ** i * (1 + i % 4) for i in range(15)]
+    cert = sylvester_decompose(form(40, oracle_power_sum_coeffs(40, _RANK_15_POINTS, weights)))
+    assert cert.rank == 15 and cert.support_exact
+    assert seen and max(seen) <= 15
+    # A generic form has a middle catalecticant of full rank mod p, which
+    # proves its rank with no exact elimination at all.
+    seen.clear()
+    rng = random.Random(60)
+    assert min_apolar_degree(form(60, [rng.randint(-9, 9) for _ in range(61)])) == 31
+    assert seen == []
+
+
+def test_the_package_prime_is_not_the_benchmark_oracle_prime():
+    # perfbench checks apolar degrees mod its own prime; sharing it would let
+    # one unlucky form fool the package and its check alike.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracles", Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    assert SQUAREFREE_PRIME != oracles.MERSENNE_61
+
+
 # --- Sylvester certificates -----------------------------------------------------
 
 
@@ -274,11 +398,7 @@ def _fuzz_forms(seed: int):
         if rng.random() < 0.25:
             l1, l2 = rng.sample(LINEAR_FORMS, 2)
             if l1[0] * l2[1] != l1[1] * l2[0]:
-                j = rng.randint(1, n - 1)
-                a = oracle_power_sum_coeffs(n - j, [l1], [1])
-                b = oracle_power_sum_coeffs(j, [l2], [1])
-                yield form(n, [sum(a[i] * b[m - i] for i in range(len(a)) if 0 <= m - i < len(b))
-                               for m in range(n + 1)])
+                yield form(n, _product_of_powers(n, l1, l2, rng.randint(1, n - 1)))
 
 
 def _mp(x):
@@ -587,6 +707,18 @@ def test_vandermonde_known_ranks():
     assert vandermonde_rank([0, 1, Fraction(1, 2), "inf"], 5) == 4
     assert vandermonde_rank([0, 1, 2, 3, 4], 3) == 4
     assert vandermonde_rank([0, 1], 6) == 2
+
+
+def test_vandermonde_rank_past_a_prime_that_merges_two_nodes(monkeypatch):
+    exact_ranks = []
+    rank = ratmat.rank
+    monkeypatch.setattr(ratmat, "rank", lambda a: exact_ranks.append(a) or rank(a))
+    # 0 and 2^31 - 1 are distinct over Q and equal mod the package prime
+    assert vandermonde_rank([0, 2**31 - 1], 3) == 2
+    assert len(exact_ranks) == 1
+    # a full rank mod p is a proof, so no exact rank runs
+    assert vandermonde_rank([0, 1, Fraction(1, 2), "inf"], 5) == 4
+    assert len(exact_ranks) == 1
 
 
 def test_vandermonde_repeated_nodes_rejected():

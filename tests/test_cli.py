@@ -15,7 +15,7 @@ import mpmath
 import pytest
 from conftest import Overtime, oracle_power_sum_coeffs, spread_half_twist, within_seconds
 
-from kronsec import apolarity, cli, intpoly, monodromy, seminormal
+from kronsec import apolarity, cli, intpoly, monodromy, ratmat, seminormal
 from kronsec.apolarity import parse_form
 from kronsec.cli import main
 from kronsec.config import DEFAULT_DIM_CAP, DEFAULT_N_CAP, LOOP_WORK_CAP, WORD_WORK_CAP
@@ -247,6 +247,32 @@ def test_join_rejects_mismatched_degrees_before_any_rank(capsys, monkeypatch):
     code, out, err = run(capsys, "join", "deg=3; coeffs=1,0,0,1", "deg=2; coeffs=1,0,1")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "domain", "message": "cannot add forms of degrees 3 and 2"}
+
+
+# The middle catalecticant of this form is [[2^30, 1], [1, 2]], of
+# determinant 2^31 - 1: rank 1 mod the package prime, rank 2 over Q.
+_UNLUCKY = "deg=2; coeffs=536870912,1,1"
+_UNLUCKY_STDOUT = {
+    ("sylvester", _UNLUCKY): (
+        '{"form":"deg=2; coeffs=536870912,1,1","kernel_degree":2,"rank":2,"member":true,'
+        '"annihilator":"deg=2; coeffs=-1/1073741824,1,0","support":[{"alpha":"0","beta":"1",'
+        '"exact":true,"radius":null},{"alpha":"1073741824","beta":"1","exact":true,"radius":null}],'
+        '"coefficients":["2147483647/2147483648","1/2147483648"],"support_exact":true,'
+        '"error_bound":null}\n'),
+    ("secant", _UNLUCKY, "1"): '{"member":false,"kernel_dimension":0}\n',
+    ("secant", _UNLUCKY, "2"): '{"member":true,"kernel_dimension":2}\n',
+    ("join", _UNLUCKY, "deg=2; coeffs=1,0,0"): '{"a":2,"b":1,"c":2,"sum_is_zero":false}\n',
+}
+
+
+@pytest.mark.parametrize("argv", list(_UNLUCKY_STDOUT), ids=lambda argv: " ".join(argv[::2]))
+def test_a_prime_that_loses_the_middle_rank_takes_the_exact_route(capsys, monkeypatch, argv):
+    assert intpoly.SQUAREFREE_PRIME == 2**31 - 1
+    exact_ranks = []
+    rank = ratmat.rank
+    monkeypatch.setattr(ratmat, "rank", lambda a: exact_ranks.append(a) or rank(a))
+    assert run(capsys, *argv) == (0, _UNLUCKY_STDOUT[argv], "")
+    assert len(exact_ranks) == 1
 
 
 def test_monodromy_word(capsys):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from conftest import oracle_rref
+from conftest import oracle_rank_mod_p, oracle_rref
 
 from kronsec import ratmat
 
@@ -90,6 +91,20 @@ def test_elimination_matches_textbook_gauss_jordan():
                 consistent += 1
                 assert _times(a, x) == b
     assert inconsistent > 50 and consistent > 400
+
+
+@pytest.mark.parametrize("p", [2, 7, 2**31 - 1])
+def test_rows_independent_mod_p_are_the_greedy_basis_mod_p(p):
+    # Row i is kept exactly when it raises the rank mod p of the rows above
+    # it; the kept rows are then independent over Q as well, so their number
+    # bounds the rank over Q from below.
+    for a in _matrices():
+        scale = lcm(*(x.denominator for row in a for x in row))
+        rows = [[int(x * scale) for x in row] for row in a]
+        kept = ratmat.independent_rows_mod_p(rows, p)
+        assert kept == [i for i in range(len(rows))
+                        if oracle_rank_mod_p(rows[:i + 1], p) > oracle_rank_mod_p(rows[:i], p)]
+        assert len(oracle_rref([rows[i] for i in kept])[1]) == len(kept) <= len(oracle_rref(rows)[1])
 
 
 @pytest.mark.parametrize("a, b", [
