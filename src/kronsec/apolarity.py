@@ -23,17 +23,19 @@ fails (an unlucky prime) the exact route runs instead: the rank of C_mid
 over Q, then the kernel of all of C_r. Every catalecticant is built once
 as integer rows: the rows of C_k scaled to a Hankel matrix of integers.
 
-Every support comes from intpoly's float Aberth-Ehrlich seeds, one per
-root. Rational points are exact: one matcher proposes them, compared
-exactly on integers, and exact evaluation verifies them; their coefficients
-come by partial fractions over the annihilator and an exact rebuild. Each
-seed the matcher leaves over is refined by intpoly.newton on the integer
-annihilator into a certified disc whose exact, rounded-up radius is below a
-configurable target, and the matcher runs again on the refined centres.
-The points, one per seed, are checked pairwise disjoint, which proves them
-all the roots, and a numeric solve gives the coefficients. mpmath.polyroots
-supplies the approximations only when the seeds fail: none come back, a
-refinement stalls, or two discs meet.
+The support points (1 : 0) and (0 : 1) are read off the annihilator's
+coefficients; every other point comes from intpoly's float Aberth-Ehrlich
+seeds, one per root. Rational points are exact: one matcher proposes them,
+compared exactly on integers, and exact evaluation verifies them; their
+coefficients come by partial fractions over the annihilator and an exact
+rebuild. Each seed the matcher leaves over is refined by intpoly.newton on
+the integer annihilator into a certified disc whose exact, rounded-up
+radius is below a configurable target, and the matcher runs again on the
+refined centres. The points, one per root approximation, are checked
+pairwise disjoint, which proves them all the roots, and a numeric solve
+gives the coefficients. mpmath.polyroots supplies the approximations only
+when the seeds fail: none come back, a refinement stalls, or two discs
+meet.
 """
 
 from __future__ import annotations
@@ -293,20 +295,20 @@ def normalize_point(alpha, beta) -> tuple[int, int]:
 def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[SupportPoint]:
     """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
 
-    The approximations of the finite roots are the float seeds of
-    intpoly.aberth_seeds, a near-real seed put on the real axis, so that a
-    real root keeps an imaginary part of exactly 0 through Newton. When
-    there are no seeds, or _roots_from finds them wanting (a refinement
-    stalls or two discs meet), mpmath.polyroots supplies the approximations
-    instead and the same _roots_from runs on them.
+    (1 : 0) and t = 0 are read off the coefficients (at_inf, U(0) = 0), with
+    the exact approximation 0j for t = 0. The other finite roots start from
+    the float seeds of intpoly.aberth_seeds on U, or U / t, a near-real seed
+    put on the real axis, so that a real root keeps an imaginary part of
+    exactly 0 through Newton. When there are no seeds, or _roots_from finds
+    them wanting (a refinement stalls or two discs meet), mpmath.polyroots
+    supplies the approximations instead; _roots_from refines either on U.
     """
     points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
-    if len(ints) == 1:
-        return points
+    at_zero = not ints[0]  # U is squarefree: t = 0 is at most a simple root
 
-    seeds = intpoly.aberth_seeds(ints)
+    seeds = intpoly.aberth_seeds(ints[at_zero:])
     if seeds is not None:
-        seeds = [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds]
+        seeds = [0j] * at_zero + [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds]
         try:
             return points + _roots_from(ints, seeds, precision_bits)
         except PrecisionError:  # a refinement stalled or two discs met
@@ -382,6 +384,12 @@ def _rational_roots(ints: list[int], approx: Sequence, taken=frozenset()) -> tup
     disjoint. Distances are compared exactly on intpoly.gaussian's
     integers. The roots come in the order of their approximations; a
     leftover only says that z matched no rational root.
+
+    `taken` holds the roots an earlier pass matched. The second pass of
+    _roots_from sees only the refined centres, not the approximations that
+    matched those roots, so no distance test keeps a centre off them: on one
+    degree-16 annihilator, the centre near 0.1035 has the first convergent
+    0/1, and the root 0, matched by its seed 0j, would be taken twice.
     """
     e, gauss = intpoly.gaussian(approx)
     roots, leftovers = [], []
@@ -475,7 +483,7 @@ class SecantCertificate:
     squarefree case, n - k + 2 otherwise). support/coefficients are present
     exactly when the annihilator used is squarefree: exact Fractions by
     partial fractions and an exact rebuild when support_exact, else from a
-    numeric solve whose residual is error_bound.
+    numeric solve whose residual, an mpf, is error_bound.
     """
 
     rank: int
@@ -483,7 +491,7 @@ class SecantCertificate:
     support: tuple[SupportPoint, ...] | None
     coefficients: tuple | None
     support_exact: bool
-    error_bound: float | None
+    error_bound: mpmath.mpf | None
 
 
 def _pencil_squarefree(basis, k: int):
@@ -605,7 +613,7 @@ def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
             raise PrecisionError(
                 f"numeric reconstruction residual {mpmath.nstr(residual)} too large for {p}"
             )
-    return sol, float(residual)
+    return sol, residual
 
 
 # --- rank sampling -----------------------------------------------------------

@@ -171,9 +171,9 @@ def _sink(cfg: Config):
 def _emit(obj: dict, cfg: Config, human: bool) -> None:
     with _sink(cfg) as out:
         if human:
-            out.write(json.dumps(obj, indent=2, default=str) + "\n")
+            out.write(json.dumps(obj, indent=2, default=str, allow_nan=False) + "\n")
         else:
-            out.write(json.dumps(obj, separators=(",", ":"), default=str) + "\n")
+            out.write(json.dumps(obj, separators=(",", ":"), default=str, allow_nan=False) + "\n")
 
 
 def _cmd_chartable(args, cfg: Config) -> dict | None:
@@ -279,6 +279,11 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
         return mpmath.nstr(x, mpmath.libmp.repr_dps(max(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS, bits)))
 
+    def bound(x) -> float | str:
+        # A float wherever one holds the residual; JSON (RFC 8259) has no
+        # Infinity, so past the double range it prints as approximate values do.
+        return float(x) if abs(x) <= sys.float_info.max else number(x, False)
+
     return {
         "form": apolarity.format_form(p),
         "kernel_degree": cert.annihilator.degree,
@@ -291,7 +296,7 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         "coefficients": None if cert.coefficients is None
                         else [number(c, cert.support_exact) for c in cert.coefficients],
         "support_exact": cert.support_exact,
-        "error_bound": None if cert.error_bound is None else float(cert.error_bound),
+        "error_bound": None if cert.error_bound is None else bound(cert.error_bound),
     }
 
 

@@ -16,9 +16,9 @@ from math import gcd, ldexp, pi
 
 NEWTON_ITERATIONS = 60
 # Aberth-Ehrlich sweeps aberth_seeds may take. apolarity certifies a
-# Sylvester support from the seeds; a seed still moving after the last
-# sweep gives no seeds, and the support's roots come from the
-# mpmath.polyroots fallback instead.
+# Sylvester support from the seeds, with t = 0 read off the coefficients
+# and never seeded; a seed still moving after the last sweep gives no
+# seeds, and the support's roots come from the mpmath.polyroots fallback.
 ABERTH_SWEEPS = 60
 # The package's one modular prime: for the squarefree certificate here and
 # for the catalecticant and Vandermonde ranks of apolarity, each certified
@@ -151,9 +151,9 @@ def aberth_seeds(ints: list[int]) -> list[complex] | None:
     Starts on a circle of Fujiwara's root radius and updates one root at a
     time (Aberth 1973, Ehrlich 1967). A root stops moving once |U(z)| is
     within the rounding error of Horner's rule, so clustered roots end at
-    the accuracy floats allow rather than never converging. A seed at the
-    root 0, where that test holds only at 0.0 itself, stops once
-    |z| <= tol * radius for the starting radius. When the sweeps overflow,
+    the accuracy floats allow rather than never converging. Near a root 0 it
+    holds only at 0.0, so callers read t = 0 off U(0) = 0 and seed U / t, as
+    apolarity does; a constant U gets []. When the sweeps overflow,
     they run once more in t = 2^s u, with 2^s Fujiwara's radius read off
     the bit lengths of the coefficients, and the seeds are scaled back; so
     roots past 2^512 that still fit in a float get seeds too.
@@ -178,8 +178,8 @@ def _aberth_sweeps(ints: list[int], s: int) -> list[complex] | None:
     # c_k 2^(s k) / (c_deg 2^(s deg)): int / int rounds once, raising only if a quotient overflows
     monic = [(c << max(0, -s * (deg - k))) / (ints[-1] << max(0, s * (deg - k)))
              for k, c in reversed(list(enumerate(ints)))]
-    bound = max((abs(monic[k]) ** (1 / k) for k in range(1, deg)), default=0.0)
-    radius = 2 * max(bound, (abs(monic[deg]) / 2) ** (1 / deg))
+    radius = 2 * max(((abs(a) / 2 if k == deg else abs(a)) ** (1 / k) for k, a in enumerate(monic) if k),
+                     default=0.0)
     z = [radius * cmath.exp(1j * (2 * pi * j / deg + pi / (2 * deg))) for j in range(deg)]
     tol = 4 * deg * sys.float_info.epsilon
     done = [False] * deg
@@ -195,7 +195,7 @@ def _aberth_sweeps(ints: list[int], s: int) -> list[complex] | None:
                 size = size * az + abs(a)
             if not cmath.isfinite(u) or not cmath.isfinite(du):
                 raise OverflowError("Aberth sweep left the float range")
-            if abs(u) <= tol * size or az <= tol * radius:
+            if abs(u) <= tol * size:
                 done[j] = True
                 continue
             try:

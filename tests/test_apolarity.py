@@ -15,7 +15,7 @@ from conftest import (
     oracle_rank_mod_p,
     oracle_rref,
 )
-from test_cli import _RANK_15_POINTS
+from test_cli import _RANK_15_POINTS, _power_sums
 
 from kronsec.apolarity import (
     _dehomogenize,
@@ -493,12 +493,20 @@ def _isolated(monkeypatch, ints):
 
 
 def _seeded(ints):
-    """The ascending roots when the float seeds match a rational root each, else None."""
-    seeds = intpoly.aberth_seeds(ints)
+    """The ascending roots when the float seeds match a rational root each, else None.
+
+    The root 0 is read off U(0) = 0, and U / t seeded, as _certified_roots does.
+    """
+    at_zero = not ints[0]
+    seeds = intpoly.aberth_seeds(ints[at_zero:])
     if seeds is None:
         return None
-    roots, leftovers = apolarity._rational_roots(ints, seeds)
+    roots, leftovers = apolarity._rational_roots(ints, [0j] * at_zero + seeds)
     return None if leftovers else sorted(roots)
+
+
+def _no_isolation(*args, **kwargs):
+    raise AssertionError("a support was isolated by mpmath.polyroots")
 
 
 def test_rational_supports_match_the_isolating_path(monkeypatch):
@@ -546,12 +554,92 @@ def test_coefficients_past_the_float_range_raise_no_overflow():
     assert all(abs(z.imag) <= 1e-12 * root for z in seeds)
 
 
-def test_a_seed_at_the_root_zero_stops_with_the_others(monkeypatch):
-    # t(t - 1)(t - 2)(t - 3): Horner's relative test never holds near 0, so
-    # the seed there stops by |z| against the starting radius.
-    monkeypatch.setattr(intpoly, "ABERTH_SWEEPS", 8)
-    seeds = intpoly.aberth_seeds([0, -6, 11, -6, 1])
-    assert seeds is not None and len(seeds) == 4
+def test_the_root_zero_is_read_off_the_coefficients(monkeypatch):
+    # t(t - 1)(t - 2)(t - 3): U(0) = 0 gives the exact point 0, and the seeds
+    # of U / t the others, with no polyroots call.
+    monkeypatch.setattr(mpmath, "polyroots", _no_isolation)
+    points = apolarity._certified_roots(0, [0, -6, 11, -6, 1], 96)
+    assert points == [apolarity.SupportPoint(Fraction(j), Fraction(1), exact=True) for j in range(4)]
+
+
+def test_the_root_zero_and_a_root_near_it_are_certified_from_seeds(monkeypatch):
+    # t(10^e t - 1)(t^2 + 1): the seeds of 10^-e, -i and i come from U / t, so
+    # nothing stops the seed of 10^-e near 0. Up to 10^-12 it is exact, then a
+    # disc. The seeds used to fall back to polyroots from e = 15 on.
+    monkeypatch.setattr(mpmath, "polyroots", _no_isolation)
+    for e in range(1, 51):
+        roots = [0, Fraction(1, 10**e), -1j, 1j]
+        points = apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96)
+        exact = [pt.alpha / pt.beta for pt in points if pt.exact]
+        assert exact == roots[:1 + (e <= 12)], e
+        with mpmath.workprec(256):
+            held = sorted(j for pt in points if not pt.exact for j, root in enumerate(roots)
+                          if abs(pt.alpha - _mp(root)) <= pt.radius < 2.0**-96)
+        assert held == list(range(len(exact), 4)), e
+
+
+def test_the_package_never_seeds_a_polynomial_with_the_root_zero(monkeypatch):
+    # Forms with the support point (0 : 1), so U(0) = 0: w y^n plus a sum
+    # over rational points or over a conjugate pair c +- sqrt(d).
+    seeds, constants = intpoly.aberth_seeds, []
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda ints: constants.append(ints[0]) or seeds(ints))
+    rng = random.Random(41)
+    pool = [pt for pt in apolarity._point_pool() if pt != (0, 1)]
+    approximate = 0
+    for _ in range(40):
+        n = rng.randrange(5, 16)
+        if rng.random() < 0.5:
+            coeffs = _power_sums(n, rng.randint(-5, 5), rng.choice([-2, -1, 2, 3, 5]))
+        else:
+            k = rng.randrange(1, (n + 1) // 2)
+            coeffs = oracle_power_sum_coeffs(n, rng.sample(pool, k), [rng.randint(1, 9) for _ in range(k)])
+        coeffs[-1] += rng.choice([-3, -1, 1, 2])
+        cert = sylvester_decompose(form(n, coeffs))
+        assert apolarity.SupportPoint(Fraction(0), Fraction(1), exact=True) in cert.support, coeffs
+        approximate += not cert.support_exact
+    assert constants and all(constants) and approximate >= 10
+
+
+@pytest.mark.parametrize("e", range(51, 61))
+def test_a_root_nearer_zero_than_the_seeds_reach_is_a_precision_error(e):
+    # Past 10^-50 the two roots still end on polyroots and in discs that meet.
+    with pytest.raises(PrecisionError):
+        apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96)
+
+
+def test_seeds_of_u_over_t_certify_what_polyroots_certifies(monkeypatch):
+    # U = t V(t) with V(0) != 0 from rational roots, one near 0 at times, and
+    # quadratic factors: the seed route gives the exact points of the
+    # polyroots route and, for every one of its discs, one disc of that
+    # route that meets it.
+    rng = random.Random(20261029)
+    checked = 0
+    for _ in range(60):
+        roots = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20)) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.3:
+            roots.append(Fraction(1, 10 ** rng.randint(1, 30)))
+        v = _ints_with_roots(roots)
+        for _ in range(rng.randint(0, 3)):  # times c + b t + a t^2
+            c, b, a = rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9)
+            v = [c * x + b * y + a * z for x, y, z in zip(v + [0, 0], [0] + v + [0], [0, 0] + v)]
+        ints = [0] + v
+        if not squarefree(ints):
+            continue
+        checked += 1
+        with monkeypatch.context() as m:
+            m.setattr(mpmath, "polyroots", _no_isolation)
+            seeded = apolarity._certified_roots(0, ints, 96)
+        isolated = _isolated(monkeypatch, ints)
+        assert apolarity.SupportPoint(Fraction(0), Fraction(1), exact=True) in seeded, ints
+        assert [pt for pt in seeded if pt.exact] == [pt for pt in isolated if pt.exact], ints
+        discs = [pt for pt in isolated if not pt.exact]
+        assert len(discs) == len(seeded) - sum(pt.exact for pt in seeded), ints
+        with mpmath.workprec(256):
+            for pt in seeded:
+                if not pt.exact:
+                    meets = [d for d in discs if abs(pt.alpha - d.alpha) <= pt.radius + d.radius]
+                    assert len(meets) == 1, ints
+    assert checked >= 45
 
 
 def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
@@ -639,18 +727,33 @@ def test_discs_that_meet_on_the_seed_route_fall_back_to_polyroots(monkeypatch):
         assert abs(a.alpha - b.alpha) <= a.radius + b.radius
 
 
-def test_a_disc_of_radius_zero_on_an_exact_root_is_not_a_second_root(monkeypatch):
-    # t (10^15 t - 1)(t^2 + 1): the seeds of 0 and 10^-15 both stop near 0,
-    # one matches 0 and the other refines onto 0 exactly, a disc of radius
-    # 0. The pair meets, and the polyroots route places 10^-15.
-    isolate, isolated = mpmath.polyroots, []
-    monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kwargs: isolated.append(args) or isolate(*args, **kwargs))
-    points = apolarity._certified_roots(0, [0, -1, 10**15, -1, 10**15], 96)
-    assert len(isolated) == 1
-    assert points[0] == apolarity.SupportPoint(Fraction(0), Fraction(1), exact=True)
-    with mpmath.workprec(256):
-        for pt, root in zip(points[1:], (mpmath.mpf(10) ** -15, -1j, 1j)):
-            assert abs(pt.alpha - root) <= pt.radius < 10**-40
+def test_a_disc_of_radius_zero_on_an_exact_root_is_not_a_second_root():
+    # A refined centre can land on a root exactly, radius 0, where an exact
+    # point is; every pair is compared, exact ones too, so the pair meets.
+    for root in (Fraction(0), Fraction(-3, 4)):
+        exact = apolarity.SupportPoint(root, Fraction(1), exact=True)
+        disc = apolarity.SupportPoint(mpmath.mpc(_mp(root)), mpmath.mpf(1), exact=False, radius=0.0)
+        with pytest.raises(PrecisionError, match="discs meet"):
+            apolarity._require_disjoint_discs([exact, disc])
+
+
+def test_the_second_pass_does_not_match_the_root_zero_again(monkeypatch):
+    # The pinned degree-30 form of tests/test_cli.py has the annihilator
+    # root 0 and a root near 0.1035 whose refined centre has the first
+    # convergent 0/1. The seed 0j is not in the second pass, so only `taken`
+    # keeps that centre from matching 0 a second time.
+    cert = sylvester_decompose(form(30, [(7 * j) % 19 - 9 for j in range(31)]))
+    at_inf, ints = _dehomogenize(list(cert.annihilator.coeffs), cert.annihilator.degree)
+    assert (at_inf, ints[0]) == (0, 0)
+    match, passes = apolarity._rational_roots, []
+    monkeypatch.setattr(apolarity, "_rational_roots",
+                        lambda ints, approx, taken=frozenset(): passes.append((approx, taken)) or match(ints, approx, taken))
+    points = apolarity._certified_roots(0, ints, 96)
+    assert points == list(cert.support)
+    (first, _), (second, taken) = passes
+    assert first[0] == 0j and taken == {0}
+    assert match(ints, second, taken) == ([], second)
+    assert match(ints, second)[0] == [0]
 
 
 def test_a_ladder_with_no_converged_rung_is_a_precision_error(monkeypatch):

@@ -817,6 +817,54 @@ def test_negative_brion_size_is_a_domain_error(capsys, tmp_path, command):
     assert json.loads(out)["summary"]["records"] == 0
 
 
+def _strict_json(text: str):
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=no_constant)
+
+
+def test_an_error_bound_past_the_double_range_prints_as_digits(capsys):
+    # The sum of (x + b y)^9 over b = 10^40, 2, -1 and (3x + y)^9: coefficients
+    # near 10^360, and a residual past the largest double that printed as
+    # Infinity, which JSON does not have.
+    coeffs = [sum(math.comb(9, j) * a ** (9 - j) * b**j for a, b in ((1, 10**40), (1, 2), (1, -1), (3, 1)))
+              for j in range(10)]
+    code, out, err = run(capsys, "sylvester", _form_text(coeffs))
+    assert (code, err) == (0, "")
+    payload = _strict_json(out)
+    bound = _printed(payload["error_bound"])
+    assert bound > sys.float_info.max
+    with mpmath.workprec(256):
+        points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
+        weights = [_printed(c) for c in payload["coefficients"]]
+        for j, target in enumerate(coeffs):
+            rebuilt = sum(c * math.comb(9, j) * alpha ** (9 - j) * beta**j for (alpha, beta), c in zip(points, weights))
+            assert abs(rebuilt - target) <= 2 * bound
+
+
+def test_no_command_prints_a_non_finite_number(capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "secant", lambda args, cfg: {"error_bound": math.inf})
+    code, out, err = run(capsys, "secant", "deg=2; coeffs=1,0,1", "1")
+    assert (code, out) == (2, "")
+    assert _strict_json(err)["error"] == "internal"
+
+
+def test_the_root_zero_beside_a_tiny_root_ends_in_the_coefficient_solve(capsys, monkeypatch):
+    # The seeds now place the root 0 and its near neighbour with no
+    # polyroots call; the least-squares coefficient solve then loses the
+    # tiny root's column and reports a singular solve.
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("a support was isolated by mpmath.polyroots")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_isolation)
+    code, out, err = run(capsys, "sylvester",
+                         "deg=8; coeffs=0,200000000000000,8000000000000000,-10000,0,2,0,8000000000000000000000000000,5")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "precision" and "singular coefficient solve" in error["message"]
+
+
 def test_precision_bits_are_bounded_above(capsys, tmp_path):
     target = tmp_path / "rank.json"
     code, out, err = run(capsys, "--output", str(target), "--precision-bits", "4097", "vdm", "[0]", "1")
