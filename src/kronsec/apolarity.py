@@ -26,16 +26,23 @@ as integer rows: the rows of C_k scaled to a Hankel matrix of integers.
 The support points (1 : 0) and (0 : 1) are read off the annihilator's
 coefficients; every other point comes from intpoly's float Aberth-Ehrlich
 seeds, one per root. Rational points are exact: one matcher proposes them,
-compared exactly on integers, and exact evaluation verifies them; their
-coefficients come by partial fractions over the annihilator and an exact
-rebuild. Each seed the matcher leaves over is refined by intpoly.newton on
-the integer annihilator into a certified disc whose exact, rounded-up
-radius is below a configurable target, and the matcher runs again on the
+compared exactly on integers, and exact evaluation verifies them. Each seed
+the matcher leaves over is refined by intpoly.newton on the integer
+annihilator into a certified disc whose exact, rounded-up radius is below
+2^-(precision_bits + SOLVE_GUARD_BITS), and the matcher runs again on the
 refined centres. The points, one per root approximation, are checked
-pairwise disjoint, which proves them all the roots, and a numeric solve
-gives the coefficients. mpmath.polyroots supplies the approximations only
-when the seeds fail: none come back, a refinement stalls, or two discs
-meet.
+pairwise disjoint, which proves them all the roots. mpmath.polyroots
+supplies the approximations only when the seeds fail: none come back, a
+refinement stalls, or two discs meet.
+
+Every coefficient comes by partial fractions over the annihilator U
+(Kung-Rota), weight = N(t) / U'(t) for one numerator N built from the
+form, evaluated exactly on integers in the chart, t = x/y or y/x, where the
+point is small. On an exact support that gives Fractions, checked by an
+exact rebuild. On a support with approximate points, the weights at the
+refined centres are rounded to precision_bits + SOLVE_GUARD_BITS bits, and
+the error bound is the exact residual of the rebuild from them plus an
+allowance for their printed digits; no linear system is solved.
 """
 
 from __future__ import annotations
@@ -59,9 +66,12 @@ RESAMPLE_BOUND = 32
 # Largest denominator of an exact support point; a rational root with a
 # larger one comes out as a certified approximation.
 DENOMINATOR_BOUND = 10**12
-# Guard bits the numeric coefficient solve works at above `precision_bits`;
-# the CLI prints approximate values with the digits that read this precision
-# back, so the printed certificate rebuilds the form within its error_bound.
+# Guard bits above `precision_bits`: approximate support points are refined
+# to discs of radius below 2^-(precision_bits + SOLVE_GUARD_BITS) and their
+# weights rounded to that many bits, and the CLI prints them with the digits
+# that read this precision back. error_bound allows a relative error of
+# 2^-(precision_bits + SOLVE_GUARD_BITS) in each printed value, so the
+# printed certificate rebuilds the form within it.
 SOLVE_GUARD_BITS = 96
 # A float seed with |im| <= NEAR_REAL |z| is taken as real: floats cannot
 # tell a real root from one this near the axis, and Newton keeps a real
@@ -326,16 +336,17 @@ def _roots_from(ints: list[int], approx: Sequence, precision_bits: int) -> list[
 
     _rational_roots matches rational roots to the approximations. Each one
     it leaves over is refined by _refine_root on the full polynomial until
-    the inclusion radius deg * |U(z)/U'(z)| drops below 2^-precision_bits,
-    which certifies a true root within the disc, and the matcher runs again
-    on the refined centres for a rational root the approximation was too
-    coarse to match. Nothing is deflated. There is one point per
-    approximation, so pairwise disjoint discs prove the points are all the
-    roots. The discs are ordered by (|im|, re, im), which is polyroots'
-    order with its conjugate pairs in a fixed order.
+    the inclusion radius deg * |U(z)/U'(z)| drops below
+    2^-(precision_bits + SOLVE_GUARD_BITS), the precision the coefficients
+    are rounded to, which certifies a true root within the disc, and the
+    matcher runs again on the refined centres for a rational root the
+    approximation was too coarse to match. Nothing is deflated. There is one
+    point per approximation, so pairwise disjoint discs prove the points are
+    all the roots. The discs are ordered by (|im|, re, im), which is
+    polyroots' order with its conjugate pairs in a fixed order.
     """
     roots, leftovers = _rational_roots(ints, approx)
-    refined = [_refine_root(ints, z, precision_bits) for z in leftovers]
+    refined = [_refine_root(ints, z, precision_bits + SOLVE_GUARD_BITS) for z in leftovers]
     more, leftovers = _rational_roots(ints, [z for z, _ in refined], taken=set(roots))
     radius = dict(refined)
     points = [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True) for r in sorted(roots + more)]
@@ -482,8 +493,11 @@ class SecantCertificate:
     so the form lies on the k-th secant; rank is the Waring rank (k in the
     squarefree case, n - k + 2 otherwise). support/coefficients are present
     exactly when the annihilator used is squarefree: exact Fractions by
-    partial fractions and an exact rebuild when support_exact, else from a
-    numeric solve whose residual, an mpf, is error_bound.
+    partial fractions and an exact rebuild when support_exact, else the same
+    partial fractions at the refined centres as mpc values. error_bound, an
+    mpf rounded up, bounds every coefficient of the rebuild from those values
+    printed to a relative 2^-(precision_bits + SOLVE_GUARD_BITS): the exact
+    residual plus that allowance.
     """
 
     rank: int
@@ -534,9 +548,9 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     points = _certified_roots(at_inf, ints, precision_bits)
     all_exact = all(pt.exact for pt in points)
     if all_exact:
-        coeffs, residual = _solve_coefficients_exact(points, ints, p), None
+        coeffs, residual = _solve_coefficients_exact(points, at_inf, ints, p), None
     else:
-        coeffs, residual = _solve_coefficients_numeric(points, p, precision_bits)
+        coeffs, residual = _solve_coefficients_numeric(points, at_inf, ints, p, precision_bits)
     return SecantCertificate(rank=k, annihilator=BinaryForm(k, tuple(square)), support=tuple(points),
                              coefficients=tuple(coeffs), support_exact=all_exact, error_bound=residual)
 
@@ -550,28 +564,75 @@ def _power_sum(n: int, points, weights) -> list[int]:
     return [comb(n, j) * t for j, t in enumerate(sums)]
 
 
-def _solve_coefficients_exact(points, ints: list[int], p: BinaryForm) -> list[Fraction]:
-    """The c_i of p = sum c_i (p_i x + q_i y)^n by partial fractions, checked by an exact rebuild.
+def _numerator(poly: list[int], moments: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(scale * N, scale) for U = sum u_l t^l (`poly`) and the moments s_m, m < deg U.
 
-    With b_j = a_j / C(n, j) and s_m = b_(n-m), s_m = sum q_i^n c_i t_i^m for
-    m < n over the roots t_i = p_i / q_i of U = sum u_l t^l (`ints`). So a
-    finite point has q^n c = N(t) / U'(t), N_r = sum_(l>r) u_l s_(l-r-1) for
-    r < deg U (the Lagrange inverse of the transposed Vandermonde system),
-    and (1 : 0) takes c = a_0 - sum c_i p_i^n.
+    N_r = sum_(l>r) u_l s_(l-r-1), r < deg U, is the polynomial part of
+    U(t) sum_m s_m t^-(m+1). When s_m = sum_i c_i t_i^m over the roots t_i
+    of the squarefree U, that series is sum_i c_i / (t - t_i), so
+    N = sum_i c_i U(t) / (t - t_i) and c_i = N(t_i) / U'(t_i): the Lagrange
+    inverse of the transposed Vandermonde system (Kung-Rota, Bull. AMS 1984).
+    scale is the lcm of the denominators of the moments read.
     """
-    n, d = p.degree, len(ints) - 1
-    s = [p.coeffs[n - m] / comb(n, m) for m in range(d)]
-    scale = lcm(*(x.denominator for x in s))
-    s = [x.numerator * (scale // x.denominator) for x in s]
-    numer = [sum(ints[l] * s[l - r - 1] for l in range(r + 1, d + 1)) for r in range(d)]  # scale * N
-    deriv = intpoly.derivative(ints)
+    d = len(poly) - 1
+    scale = lcm(*(x.denominator for x in moments[:d]))
+    s = [x.numerator * (scale // x.denominator) for x in moments[:d]]
+    return [sum(poly[l] * s[l - r - 1] for l in range(r + 1, d + 1)) for r in range(d)], scale
+
+
+def _charts(at_inf: int, ints: list[int], p: BinaryForm) -> tuple:
+    """The partial fractions of p over its annihilator in t = x/y and in tau = y/x, as (N, scale * D) each.
+
+    With b_j = a_j / C(n, j), p = sum w_i (A_i x + B_i y)^n gives
+    b_j = sum w_i A_i^(n-j) B_i^j. In t = A/B the moments s_m = b_(n-m)
+    are sums over the finite points, with U = `ints`; in tau = B/A the
+    moments s_m = b_m are sums over every point but (0 : 1), with
+    V(tau) = tau^k U(1/tau) (tau = 0 is the point (1 : 0)). Each chart
+    needs its moments only below its degree, at most n. The tau lists are
+    reversed, so that Horner at (A, B) reads them at tau = B/A.
+    """
+    n = p.degree
+    b = [a / comb(n, j) for j, a in enumerate(p.coeffs)]
+    v = [0] * at_inf + ints[::-1]
+    v = v[:len(v) - (not v[-1])]  # the top coefficient U(0) vanishes when t = 0 is a point
+    (nt, st), (nv, sv) = _numerator(ints, b[::-1]), _numerator(v, b)
+    return (nt, [st * c for c in intpoly.derivative(ints)]), (nv[::-1], [sv * c for c in intpoly.derivative(v)[::-1]])
+
+
+def _weight(charts, n: int, a: int, b: int, q: int) -> tuple[int, int, int]:
+    """(x, y, den), den > 0: the weight (x + y i) / den of the point (a + b i : q) in p = sum w (A x + B y)^n.
+
+    A point with |A| <= |q| is read in t, where it is a root of U, and
+    any other, (1 : 0) included, in tau: w = N(t) / (U'(t) q^n) or
+    N(tau) / (V'(tau) A^n), each by one exact homogeneous Horner. At an
+    exact root both charts give the same rational. At an approximate centre
+    the chart where the point is small keeps its weight from carrying the
+    others' error: the root near 527 of the degree-23 form
+    "0,-8,3,-3,7,-7,2,8,0,-2,-2,8,5,2,9,3,-4,-1,2,0,4,0,7,-6" has a weight
+    near 2e-62, and read in t alone the certificate's error bound was
+    7.8e-17, against 9.0e-56 in two charts.
+    """
+    if a * a + b * b <= q * q:
+        (numer, deriv), power = charts[0], (q**n, 0)
+    else:
+        (numer, deriv), power = charts[1], (1, 0)
+        for _ in range(n):
+            power = (power[0] * a - power[1] * b, power[0] * b + power[1] * a)
+    x, y = intpoly.horner(numer, a, b, q)
+    u, v = intpoly.horner(deriv, a, b, q)
+    u, v = u * power[0] - v * power[1], u * power[1] + v * power[0]
+    if not (u or v):
+        raise PrecisionError(f"singular coefficient evaluation: the annihilator's derivative vanishes at {a}{b:+}i over {q}")
+    if not v:
+        return (x, y, u) if u > 0 else (-x, -y, -u)
+    return x * u + y * v, y * u - x * v, u * u + v * v
+
+
+def _solve_coefficients_exact(points, at_inf: int, ints: list[int], p: BinaryForm) -> list[Fraction]:
+    """The c_i of p = sum c_i (p_i x + q_i y)^n by partial fractions (_weight), checked by an exact rebuild."""
+    n, charts = p.degree, _charts(at_inf, ints, p)
     pts = [(int(pt.alpha), int(pt.beta)) for pt in points]
-    # q^(d-1) scale N(p/q) over scale q^(d-1) U'(p/q) q^n, both by exact Horner
-    weight = {(a, b): Fraction(intpoly.horner(numer, a, 0, b)[0],
-                               scale * intpoly.horner(deriv, a, 0, b)[0] * b**n)
-              for a, b in pts if b}
-    weight[1, 0] = p.coeffs[0] - sum(c * a**n for (a, _), c in weight.items())  # read if (1 : 0) is a point
-    coeffs = [weight[pt] for pt in pts]
+    coeffs = [Fraction(x, den) for x, _, den in (_weight(charts, n, a, 0, b) for a, b in pts)]
     den = lcm(*(c.denominator for c in coeffs))
     rebuilt = _power_sum(n, pts, [c.numerator * (den // c.denominator) for c in coeffs])
     if rebuilt != [den * a for a in p.coeffs]:
@@ -579,41 +640,93 @@ def _solve_coefficients_exact(points, ints: list[int], p: BinaryForm) -> list[Fr
     return coeffs
 
 
-def _mp(x):
-    """An mpmath number for a support coordinate; a Fraction goes through its integers."""
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpc(x)
+def _mpf(num: int, den: int, prec: int, up: bool = False):
+    """num / den (den > 0) on prec bits, rounded to nearest, or up when `up`, as an mpf.
 
-
-def _solve_coefficients_numeric(points, p: BinaryForm, precision_bits: int):
-    n, prec = p.degree, precision_bits + SOLVE_GUARD_BITS
-    # Entries at twice the working precision, so the residual of the values
-    # returned does not hide in the solve's own rounding.
-    with mpmath.workprec(2 * prec):
-        cols = [[comb(n, j) * al ** (n - j) * be**j for j in range(n + 1)]
-                for al, be in ((_mp(pt.alpha), _mp(pt.beta)) for pt in points)]
-        rhs = [_mp(c) for c in p.coeffs]
+    The quotient is taken on integers: mpmath's own rational conversion
+    strips the trailing zeros of a centre's 2^(e n) factor bit by bit.
+    """
+    shift = prec - 1 - abs(num).bit_length() + den.bit_length()  # so that |num / den| 2^shift < 2^prec
+    top, bottom = (num << shift, den) if shift >= 0 else (num, den << -shift)
+    m = -(-top // bottom) if up else (2 * top + bottom) // (2 * bottom)
     with mpmath.workprec(prec):
-        # The columns differ in scale by many orders of magnitude and the
-        # normal equations inside lu_solve square that spread, so solve with
-        # every column divided by its largest entry and unscale the solution.
-        col_max = [max(map(abs, col)) for col in cols]
-        scaled = mpmath.matrix([[col[j] / m for col, m in zip(cols, col_max)] for j in range(n + 1)])
-        # least squares through lu_solve: qr_solve cannot factor complex
-        # overdetermined systems, and the residual is checked below anyway
-        try:  # lu_solve raises ZeroDivisionError on a numerically singular matrix
-            solved = mpmath.lu_solve(scaled, mpmath.matrix(rhs))
-        except ZeroDivisionError:
-            raise PrecisionError(f"singular coefficient solve for {p}: support points too close") from None
-        sol = [y / m for y, m in zip(solved, col_max)]
-    with mpmath.workprec(2 * prec):
-        residual = max(abs(sum(col[j] * c for col, c in zip(cols, sol)) - rhs[j]) for j in range(n + 1))
-        if residual > max(map(abs, rhs)) * mpmath.mpf(2) ** (-(precision_bits // 2)):
-            raise PrecisionError(
-                f"numeric reconstruction residual {mpmath.nstr(residual)} too large for {p}"
-            )
-    return sol, residual
+        return mpmath.mpf((m, -shift))
+
+
+def _homogeneous(points) -> tuple[int, list[tuple[tuple[int, int], int]]]:
+    """e and each point as (A, B), A a Gaussian integer: (p, q) for an exact one, (2^e z, 2^e) for a centre z."""
+    e, centres = intpoly.gaussian([pt.alpha for pt in points if not pt.exact])
+    centres = iter(centres)
+    return e, [((int(pt.alpha), 0), int(pt.beta)) if pt.exact else (next(centres), 1 << e) for pt in points]
+
+
+def _gaussian_power_sum(n: int, points, weights) -> list[tuple[int, int]]:
+    """sum_i w_i A_i^(n-j) B_i^j, j = 0..n, for Gaussian integers w_i, A_i and integers B_i.
+
+    A centre's B is a power of two, and multiplying by B^j is a shift: on
+    the forms plans, full products, as _power_sum takes for the exact
+    rebuild, made the residual's two power sums about four times slower.
+    """
+    sums = [(0, 0)] * (n + 1)
+    for (x, y), ((a, b), q) in zip(weights, points):
+        left = [(x, y)]  # w A^m
+        for _ in range(n):
+            x, y = x * a - y * b, x * b + y * a
+            left.append((x, y))
+        s, q_pow = q.bit_length() - 1, 1
+        for j in range(n + 1):
+            x, y = left[n - j]
+            if q and q == 1 << s:
+                x, y = x << s * j, y << s * j
+            else:
+                x, y, q_pow = x * q_pow, y * q_pow, q_pow * q
+            sums[j] = (sums[j][0] + x, sums[j][1] + y)
+    return sums
+
+
+def _ceil_abs(x: int, y: int) -> int:
+    """The least integer no smaller than |x + y i|."""
+    square = x * x + y * y
+    root = isqrt(square)
+    return root + (root * root < square)
+
+
+def _solve_coefficients_numeric(points, at_inf: int, ints: list[int], p: BinaryForm, precision_bits: int):
+    """The weights of a support with approximate points, and a proven bound on the rebuild from their printing.
+
+    Each weight is _weight at its point, exact or the refined centre,
+    rounded to prec = precision_bits + SOLVE_GUARD_BITS bits a part. The
+    bound is exact: the largest |sum_i C(n, j) c_i A_i^(n-j) B_i^j - a_j|
+    over the values returned, on integers, plus (n + 2) 2^-prec times
+    sum_i C(n, j) |c_i| |A_i|^(n-j) |B_i|^j, which covers any printing of
+    each part within a relative 2^-prec (a term's n + 1 factors each err by
+    at most that), rounded up to an mpf. A bound above 2^-(precision_bits // 2)
+    of the largest coefficient is a PrecisionError.
+    """
+    n, prec = p.degree, precision_bits + SOLVE_GUARD_BITS
+    charts = _charts(at_inf, ints, p)
+    e, homog = _homogeneous(points)
+    coeffs = []
+    for pt, ((a, b), q) in zip(points, homog):
+        x, y, den = _weight(charts, n, a, b, q)
+        shift = 0 if pt.exact else e * n  # a centre prints as (z : 1), so its weight is q^n that of (A : q)
+        with mpmath.workprec(prec):
+            coeffs.append(mpmath.mpc(_mpf(x << shift, den, prec), _mpf(y << shift, den, prec)))
+    f, weights = intpoly.gaussian(coeffs)
+    # Every term c_i A_i^(n-j) B_i^j over 2^(f + e n): a centre's c (A / 2^e)^(n-j) is c 2^-(e n) A^(n-j) (2^e)^j.
+    weights = [(x << e * n, y << e * n) if pt.exact else (x, y) for pt, (x, y) in zip(points, weights)]
+    scale = lcm(*(a.denominator for a in p.coeffs))
+    target = [int(a * scale) << f + e * n for a in p.coeffs]
+    sums = _gaussian_power_sum(n, homog, weights)
+    sizes = _gaussian_power_sum(n, [((_ceil_abs(*a), 0), q) for a, q in homog], [(_ceil_abs(*w), 0) for w in weights])
+    worst = 0  # the largest residual plus allowance, times scale 2^(f + e n + prec)
+    for j, ((x, y), t, (size, _)) in enumerate(zip(sums, target, sizes)):
+        c = comb(n, j) * scale
+        worst = max(worst, (_ceil_abs(c * x - t, c * y) << prec) + (n + 2) * c * size)
+    bound = _mpf(worst, scale << f + e * n + prec, 53, up=True)
+    if worst << precision_bits // 2 > max(map(abs, target)) << prec:
+        raise PrecisionError(f"numeric reconstruction residual {mpmath.nstr(bound)} too large for {p}")
+    return coeffs, bound
 
 
 # --- rank sampling -----------------------------------------------------------

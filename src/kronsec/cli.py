@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import mpmath
 
@@ -270,19 +272,34 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
     p = apolarity.parse_form(args.form)
     cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
 
-    def number(x, exact: bool) -> str:
-        # Approximate values print with the digits that read back every bit of
-        # the numeric solve's working precision, or of a longer mantissa, as a
-        # refined centre far from 0 has, so the printed centre is the refined one.
-        if exact:
-            return str(x)
+    def digits(x) -> int:
+        # The digits that read back every bit of the refined precision, or of a
+        # longer mantissa, as a refined centre far from 0 has.
         bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
-        return mpmath.nstr(x, mpmath.libmp.repr_dps(max(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS, bits)))
+        return mpmath.libmp.repr_dps(max(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS, bits))
+
+    def number(x, exact: bool) -> str:
+        return str(x) if exact else mpmath.nstr(x, digits(x))
+
+    def radius(pt) -> float:
+        # The certified radius about the refined centre plus the distance its
+        # printed digits move it, rounded up: a disc of this radius about the
+        # printed centre holds a root.
+        n, moved = digits(pt.alpha), Fraction(0)
+        for part in (pt.alpha.real, pt.alpha.imag):
+            m, k = intpoly.dyadic(part)
+            moved += (Fraction(mpmath.nstr(part, n)) - m * Fraction(2) ** k) ** 2
+        return math.nextafter(pt.radius + apolarity._sqrt_up(moved), math.inf)
 
     def bound(x) -> float | str:
-        # A float wherever one holds the residual; JSON (RFC 8259) has no
-        # Infinity, so past the double range it prints as approximate values do.
-        return float(x) if abs(x) <= sys.float_info.max else number(x, False)
+        # The least float no smaller than the bound wherever a normal double
+        # holds it. Past the double range (JSON, RFC 8259, has no Infinity) and
+        # below it (where float() gives 0.0 or drops digits) it prints as
+        # approximate values do.
+        if not sys.float_info.min <= x <= sys.float_info.max:
+            return number(x, False)
+        up = float(x)
+        return up if up >= x else math.nextafter(up, math.inf)
 
     return {
         "form": apolarity.format_form(p),
@@ -292,7 +309,7 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         "annihilator": apolarity.format_form(cert.annihilator),
         "support": None if cert.support is None else [
             {"alpha": number(q.alpha, q.exact), "beta": number(q.beta, q.exact), "exact": q.exact,
-             "radius": None if q.radius is None else float(q.radius)} for q in cert.support],
+             "radius": None if q.radius is None else radius(q)} for q in cert.support],
         "coefficients": None if cert.coefficients is None
                         else [number(c, cert.support_exact) for c in cert.coefficients],
         "support_exact": cert.support_exact,

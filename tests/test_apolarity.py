@@ -2,7 +2,7 @@ import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import mpmath
@@ -343,9 +343,9 @@ def test_sylvester_reconstructs_the_form_exactly(monkeypatch):
 def test_exact_coefficients_check_the_rebuilt_form():
     # The support {(1:0), (0:1)} of x^3 + y^3 cannot carry x^3 + y^3 + xy^2.
     cert = sylvester_decompose(form(3, [1, 0, 0, 1]))
-    _, ints = _dehomogenize(cert.annihilator.coeffs, 2)
+    at_inf, ints = _dehomogenize(cert.annihilator.coeffs, 2)
     with pytest.raises(ConsistencyError):
-        apolarity._solve_coefficients_exact(cert.support, ints, form(3, [1, 0, 1, 1]))
+        apolarity._solve_coefficients_exact(cert.support, at_inf, ints, form(3, [1, 0, 1, 1]))
 
 
 def test_sylvester_irrational_support_is_certified_numerically():
@@ -602,9 +602,17 @@ def test_the_package_never_seeds_a_polynomial_with_the_root_zero(monkeypatch):
 
 @pytest.mark.parametrize("e", range(51, 61))
 def test_a_root_nearer_zero_than_the_seeds_reach_is_a_precision_error(e):
-    # Past 10^-50 the two roots still end on polyroots and in discs that meet.
-    with pytest.raises(PrecisionError):
-        apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96)
+    # Past 10^-50 the seeds do not reach 10^-e and polyroots supplies the
+    # approximations. Refined to 2^-96, the discs about 0 and 10^-e met, a
+    # precision error; refined past SOLVE_GUARD_BITS more, they certify 0
+    # exactly and discs about 10^-e, -i and i.
+    points = apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96)
+    assert [(pt.alpha, pt.beta) for pt in points if pt.exact] == [(0, 1)]
+    discs = [pt for pt in points if not pt.exact]
+    assert len(discs) == 3
+    for pt, (x, y) in zip(discs, [(Fraction(1, 10**e), 0), (0, -1), (0, 1)]):
+        k, [(a, b)] = intpoly.gaussian([pt.alpha])
+        assert (Fraction(a, 1 << k) - x) ** 2 + (Fraction(b, 1 << k) - y) ** 2 <= Fraction(pt.radius) ** 2
 
 
 def test_seeds_of_u_over_t_certify_what_polyroots_certifies(monkeypatch):
@@ -667,7 +675,7 @@ def test_isolated_rational_roots_are_matched_exactly():
     assert exact == [(10**6, 1), (10**18 + 1, 10**12)]
     approx = [pt for pt in points if not pt.exact]
     assert len(approx) == 2
-    with mpmath.workprec(256):
+    with mpmath.workprec(512):
         for pt, root in zip(approx, (-mpmath.sqrt(2), mpmath.sqrt(2))):
             assert abs(pt.alpha - root) <= pt.radius
 
@@ -763,17 +771,15 @@ def test_a_ladder_with_no_converged_rung_is_a_precision_error(monkeypatch):
 
 
 def test_a_singular_numeric_solve_is_a_precision_error():
-    # Two equal columns: mpmath.lu_solve raises ZeroDivisionError.
-    pt = apolarity.SupportPoint(mpmath.mpc(2), mpmath.mpf(1), exact=False, radius=2.0**-100)
+    # The centre 0 of U = t^2 - 2 is a zero of U', where no partial fraction exists.
+    zero = apolarity.SupportPoint(mpmath.mpc(0), mpmath.mpf(1), exact=False, radius=2.0)
     with pytest.raises(PrecisionError, match="singular"):
-        apolarity._solve_coefficients_numeric([pt, pt], form(3, [1, 0, 0, 1]), 96)
-
-
-@pytest.mark.parametrize("precision_bits", [53, 96, 256])
-def test_the_numeric_solve_binomials_are_exact_at_its_precision(precision_bits):
-    # The solve multiplies by math.comb; mpmath.binomial gave the same values.
-    with mpmath.workprec(2 * (precision_bits + apolarity.SOLVE_GUARD_BITS)):
-        assert all(mpmath.binomial(n, j) == comb(n, j) for n in range(161) for j in range(n + 1))
+        apolarity._solve_coefficients_numeric([zero, zero], 0, [-2, 0, 1], form(4, [2, 0, 24, 0, 8]), 96)
+    # Two equal centres off the roots of the annihilator xy of x^3 + y^3 each
+    # take a weight, and the rebuild's residual refuses them.
+    two = apolarity.SupportPoint(mpmath.mpc(2), mpmath.mpf(1), exact=False, radius=2.0**-100)
+    with pytest.raises(PrecisionError, match="residual"):
+        apolarity._solve_coefficients_numeric([two, two], 1, [0, 1], form(3, [1, 0, 0, 1]), 96)
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

@@ -151,6 +151,9 @@ def _power_sums(n: int, centre: int, square: int) -> list[int]:
     # the solve's 60 digits, each centre sat 945 radii off its root
     _form_text(_power_sums(3, 0, 2**201)),
     _form_text(_power_sums(6, 3 * 2**100 + 1, -(2**201))),
+    # roots +-2^110 sqrt 2: the least-squares solve lost the 2^110 spread
+    # within each column and ended in "singular coefficient solve"
+    _form_text(_power_sums(3, 0, 2**221)),
 ])
 def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
     # Rebuilt from the printed digits, so stdout carries enough of them to
@@ -159,38 +162,60 @@ def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
     payload = run_json(capsys, "sylvester", text)
     assert payload["support_exact"] is False
     assert payload["rank"] == len(payload["support"]) == len(payload["coefficients"])
-    form = parse_form(text)
-    n = form.degree
-    with mpmath.workprec(256):
-        points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
-        coeffs = [_printed(c) for c in payload["coefficients"]]
-        for j, target in enumerate(form.coeffs):
-            rebuilt = sum(
-                c * mpmath.binomial(n, j) * alpha ** (n - j) * beta**j
-                for (alpha, beta), c in zip(points, coeffs)
-            )
-            assert abs(rebuilt - _exact(target)) <= 2 * payload["error_bound"]
+    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
     annihilator = parse_form(payload["annihilator"]).coeffs
     with mpmath.workprec(1024):
         # U(t) = a(t, 1) with its leading zeros, the roots at (1 : 0), dropped
         roots = mpmath.polyroots([_exact(c) for c in dropwhile(lambda c: not c, annihilator)],
                                  maxsteps=400, extraprec=1024)
-        for (alpha, beta), pt in zip(points, payload["support"]):
-            if not pt["exact"]:
-                assert min(abs(alpha / beta - r) for r in roots) <= _exact(Fraction(pt["radius"]))
+        for z, radius, exact in _printed_discs(payload):
+            if not exact:
+                assert min(abs(_exact(z[0]) + 1j * _exact(z[1]) - r) for r in roots) <= _exact(radius)
 
 
 def _exact(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-def _printed(text: str):
-    """A printed exact or approximate value, read without rounding."""
+def _printed(text: str) -> tuple[Fraction, Fraction]:
+    """A printed exact or approximate value, read exactly as a Gaussian rational (re, im)."""
     parts = re.fullmatch(r"\((\S+) ([+-]) (\S+)j\)", text)
     if parts:
         re_part, sign, im_part = parts.groups()
-        return mpmath.mpc(_exact(Fraction(re_part)), _exact(Fraction(sign + im_part)))
-    return _exact(Fraction(text))
+        return Fraction(re_part), Fraction(sign + im_part)
+    return Fraction(text), Fraction(0)
+
+
+def _times(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _printed_discs(payload) -> list:
+    """(alpha / beta, radius, exact) of each printed finite support point, read exactly; an exact point has radius 0."""
+    discs = []
+    for pt in payload["support"]:
+        (a, b), (beta, _) = _printed(pt["alpha"]), _printed(pt["beta"])
+        if beta:
+            discs.append(((a / beta, b / beta), Fraction(pt["radius"] or 0), pt["exact"]))
+    return discs
+
+
+def _assert_rebuilds_within_bound(payload, coeffs) -> None:
+    """The printed support and weights, read exactly, rebuild every coefficient within the printed error_bound."""
+    n, bound = len(coeffs) - 1, Fraction(payload["error_bound"])
+    rebuilt = [(Fraction(0), Fraction(0))] * (n + 1)
+    for pt, c in zip(payload["support"], payload["coefficients"]):
+        alpha, beta = _printed(pt["alpha"]), _printed(pt["beta"])
+        left = [_printed(c)]  # c alpha^m
+        for _ in range(n):
+            left.append(_times(left[-1], alpha))
+        right = (Fraction(1), Fraction(0))  # beta^j
+        for j in range(n + 1):
+            x, y = _times(left[n - j], right)
+            rebuilt[j] = (rebuilt[j][0] + math.comb(n, j) * x, rebuilt[j][1] + math.comb(n, j) * y)
+            right = _times(right, beta)
+    for j, ((x, y), target) in enumerate(zip(rebuilt, coeffs)):
+        assert (x - target) ** 2 + y * y <= bound * bound, (j, payload["form"])
 
 
 def _near_double_root_form(delta: Fraction) -> str:
@@ -214,18 +239,11 @@ def test_near_double_roots_are_certified_or_a_precision_error(capsys, exponent):
         return
     payload = json.loads(out)
     assert payload["rank"] == len(payload["support"]) == 4
-    form, n = parse_form(text), 9
-    with mpmath.workprec(256):
-        discs = [(_printed(pt["alpha"]) / _printed(pt["beta"]), Fraction(pt["radius"])) for pt in payload["support"]]
-        for i, (z1, r1) in enumerate(discs):
-            for z2, r2 in discs[i + 1:]:
-                assert abs(z1 - z2) > _exact(r1 + r2)
-        points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
-        coeffs = [_printed(c) for c in payload["coefficients"]]
-        for j, target in enumerate(form.coeffs):
-            rebuilt = sum(c * mpmath.binomial(n, j) * alpha ** (n - j) * beta**j
-                          for (alpha, beta), c in zip(points, coeffs))
-            assert abs(rebuilt - _exact(target)) <= 2 * payload["error_bound"]
+    discs = _printed_discs(payload)
+    for i, (z1, r1, _) in enumerate(discs):
+        for z2, r2, _ in discs[i + 1:]:
+            assert (z1[0] - z2[0]) ** 2 + (z1[1] - z2[1]) ** 2 > (r1 + r2) ** 2
+    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
 
 
 def test_vdm(capsys):
@@ -637,7 +655,7 @@ _FORMS_ARGV = {
 # last changed on purpose.
 _FORMS_STDOUT = {
     "sylvester-rank-15-deg-40": "a58418672fa98e780a9a18cddd0ea6bf3a4129f32992d64599ee3406d7972ad5",
-    "sylvester-generic-deg-30": "d63ddf7e0ca3aafe3d05c1eb49729772fba843280ae113fc9be94c2a745800a1",
+    "sylvester-generic-deg-30": "74c3eafbdea4dd0b91e91ffcda49329375a2ee3a1624ef99c50567f01ef1bf5f",
     "sylvester-nonsquarefree": "606cd1de779f969aab3f864974830a8efe4acf57d8e5e2ae4b56aa1538b66058",
     "join": "827b7f0b0c904a769fa97a22d8b97dd0aabedac2d119f413c85c7606b29f543f",
     "secant": "fe6a190f52b7010d022074cea291f7a2649a58e561ed03d015fa000d3c5754c5",
@@ -824,23 +842,43 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=no_constant)
 
 
+def _far_point_form(scale: int) -> list[int]:
+    """scale times the sum of (x + b y)^9 over b = 10^40, 2, -1 and (3x + y)^9: coefficients near scale * 10^360."""
+    return [scale * sum(math.comb(9, j) * a ** (9 - j) * b**j for a, b in ((1, 10**40), (1, 2), (1, -1), (3, 1)))
+            for j in range(10)]
+
+
 def test_an_error_bound_past_the_double_range_prints_as_digits(capsys):
-    # The sum of (x + b y)^9 over b = 10^40, 2, -1 and (3x + y)^9: coefficients
-    # near 10^360, and a residual past the largest double that printed as
-    # Infinity, which JSON does not have.
-    coeffs = [sum(math.comb(9, j) * a ** (9 - j) * b**j for a, b in ((1, 10**40), (1, 2), (1, -1), (3, 1)))
-              for j in range(10)]
+    # A bound past the largest double printed as Infinity, which JSON does
+    # not have. This form's is near 1.9e309.
+    coeffs = _far_point_form(10**6)
     code, out, err = run(capsys, "sylvester", _form_text(coeffs))
     assert (code, err) == (0, "")
     payload = _strict_json(out)
-    bound = _printed(payload["error_bound"])
-    assert bound > sys.float_info.max
-    with mpmath.workprec(256):
-        points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
-        weights = [_printed(c) for c in payload["coefficients"]]
-        for j, target in enumerate(coeffs):
-            rebuilt = sum(c * math.comb(9, j) * alpha ** (9 - j) * beta**j for (alpha, beta), c in zip(points, weights))
-            assert abs(rebuilt - target) <= 2 * bound
+    assert isinstance(payload["error_bound"], str) and Fraction(payload["error_bound"]) > sys.float_info.max
+    _assert_rebuilds_within_bound(payload, coeffs)
+
+
+def test_exact_points_beside_a_far_one_take_their_exact_weights(capsys):
+    # The least-squares solve printed the weights of the exact points
+    # (-1 : 1), (1 : 2) and (3 : 1) as 1.46e306, -2.45e305 and 2.79e303 and
+    # passed its residual check; partial fractions give -1, 1 and 1.
+    payload = run_json(capsys, "sylvester", _form_text(_far_point_form(1)))
+    assert payload["support_exact"] is False
+    weights = {(pt["alpha"], pt["beta"]): _printed(c) for pt, c in zip(payload["support"], payload["coefficients"])
+               if pt["exact"]}
+    assert weights == {("-1", "1"): (-1, 0), ("1", "2"): (1, 0), ("3", "1"): (1, 0)}
+    _assert_rebuilds_within_bound(payload, _far_point_form(1))
+
+
+def test_a_bound_below_the_double_range_prints_as_digits(capsys):
+    # At 1024 bits the certificate of a generic degree-32 form is near
+    # 1e-328, where float() gives 0.0.
+    text = _form_text([(5 * j) % 17 - 8 for j in range(32)] + [3])
+    payload = _strict_json(run(capsys, "--precision-bits", "1024", "sylvester", text)[1])
+    bound = payload["error_bound"]
+    assert isinstance(bound, str) and 0 < Fraction(bound) < sys.float_info.min
+    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
 
 
 def test_no_command_prints_a_non_finite_number(capsys, monkeypatch):
@@ -851,18 +889,20 @@ def test_no_command_prints_a_non_finite_number(capsys, monkeypatch):
 
 
 def test_the_root_zero_beside_a_tiny_root_ends_in_the_coefficient_solve(capsys, monkeypatch):
-    # The seeds now place the root 0 and its near neighbour with no
-    # polyroots call; the least-squares coefficient solve then loses the
-    # tiny root's column and reports a singular solve.
+    # The seeds place the root 0 and its neighbour near 4.5e-41 with no
+    # polyroots call. Their weights, near +-2.2e67, cancel, so the error of
+    # the tiny root's centre weighs heavily: a typed precision error or a
+    # certificate that rebuilds the form, never an internal error.
     def no_isolation(*args, **kwargs):
         raise AssertionError("a support was isolated by mpmath.polyroots")
 
     monkeypatch.setattr(mpmath, "polyroots", no_isolation)
-    code, out, err = run(capsys, "sylvester",
-                         "deg=8; coeffs=0,200000000000000,8000000000000000,-10000,0,2,0,8000000000000000000000000000,5")
-    assert (code, out) == (1, "")
-    error = json.loads(err)
-    assert error["error"] == "precision" and "singular coefficient solve" in error["message"]
+    text = "deg=8; coeffs=0,200000000000000,8000000000000000,-10000,0,2,0,8000000000000000000000000000,5"
+    code, out, err = run(capsys, "sylvester", text)
+    if code:
+        assert (code, out, json.loads(err)["error"]) == (1, "", "precision"), err
+    else:
+        _assert_rebuilds_within_bound(json.loads(out), parse_form(text).coeffs)
 
 
 def test_precision_bits_are_bounded_above(capsys, tmp_path):
@@ -948,18 +988,11 @@ def test_irrational_supports_are_certified_from_float_seeds(capsys, monkeypatch)
         if payload["support"] is None or payload["support_exact"]:
             continue
         approximate += 1
-        form = parse_form(text)
-        with mpmath.workprec(256):
-            points = [(_printed(pt["alpha"]), _printed(pt["beta"])) for pt in payload["support"]]
-            coeffs = [_printed(c) for c in payload["coefficients"]]
-            for j, target in enumerate(form.coeffs):
-                rebuilt = sum(c * mpmath.binomial(n, j) * alpha ** (n - j) * beta**j
-                              for (alpha, beta), c in zip(points, coeffs))
-                assert abs(rebuilt - _exact(target)) <= 2 * payload["error_bound"], text
-            for (alpha, _), pt in zip(points, payload["support"]):
-                if not pt["exact"] and abs(alpha.imag) <= _exact(Fraction(pt["radius"])):
-                    assert alpha.imag == 0, text
-                    on_axis += 1
+        _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+        for (_, imag), radius, exact in _printed_discs(payload):
+            if not exact and abs(imag) <= radius:
+                assert imag == 0, text
+                on_axis += 1
     assert approximate >= 25 and on_axis >= 25
 
 
