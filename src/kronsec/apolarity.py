@@ -443,10 +443,11 @@ def _refine_root(ints: list[int], z0, precision_bits: int) -> tuple:
     """
     target = Fraction(1, 4**precision_bits)
     # A grid relative to the root, as the printed digits are: 2^-72 of the
-    # target times 2^e <= max(1, |z0|). Finer grids leave the error bound
-    # below the digits' rounding; 2^-64 left it up to 30x larger.
+    # target times 2^e <= max(1, |z0|) on the first rung. Finer grids leave
+    # the error bound below the digits' rounding; 2^-64 left it up to 30x
+    # larger.
     e = max(1, max(map(abs, intpoly.fixed(z0, 0))).bit_length()) - 1
-    for extra in (72, 160, 400, 900):
+    for extra in intpoly.RUNGS:
         bits = precision_bits + max(8, extra - e)
         z = intpoly.newton([(c << bits, 0) for c in reversed(ints)], intpoly.fixed(z0, bits),
                            bits, 1 << 2 * (bits - precision_bits))

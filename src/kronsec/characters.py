@@ -107,10 +107,6 @@ class CharacterTable:
         """|C| f(C) for each class C of the class function f: weigh once, then read many rows against it."""
         return tuple(cc.cls_size * v for cc, v in zip(self.classes, values))
 
-    def inner_product(self, row_a, row_b) -> int:
-        """<a, b> = (1/n!) sum_C |C| a(C) b(C), checked to be an integer."""
-        return self._averaged(self.weigh(row_a), row_b)
-
     def _averaged(self, weighed, row) -> int:
         total = sum(map(mul, weighed, row))
         value, rem = divmod(total, factorial(self.n))

@@ -278,8 +278,18 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
         return mpmath.libmp.repr_dps(max(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS, bits))
 
+    def text(x) -> str:
+        # An exact value, or the annihilator, as str gives it. Past Python's
+        # int-to-string limit str raises ValueError: the request is too large
+        # to print, not a fault of the package.
+        try:
+            return str(x)
+        except ValueError:
+            raise CapacityError(f"an exact value of the certificate has more digits than Python's "
+                                f"int-to-string limit of {sys.get_int_max_str_digits()}") from None
+
     def number(x, exact: bool) -> str:
-        return str(x) if exact else mpmath.nstr(x, digits(x))
+        return text(x) if exact else mpmath.nstr(x, digits(x))
 
     def radius(pt) -> float:
         # The certified radius about the refined centre plus the distance its
@@ -306,7 +316,7 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         "kernel_degree": cert.annihilator.degree,
         "rank": cert.rank,
         "member": True,  # p lies on the secant of its first kernel degree
-        "annihilator": apolarity.format_form(cert.annihilator),
+        "annihilator": text(cert.annihilator),
         "support": None if cert.support is None else [
             {"alpha": number(q.alpha, q.exact), "beta": number(q.beta, q.exact), "exact": q.exact,
              "radius": None if q.radius is None else radius(q)} for q in cert.support],

@@ -7,7 +7,9 @@ of two, (a + bi) / 2^e, or in fixed point as (X, Y) with x + iy ~ (X + iY) /
 fractional bits. `dyadic` is the package's one exact reader of floats and
 mpmath numbers; `fixed` and `gaussian` put values on a grid through it.
 `apolarity` certifies Sylvester supports with these routines and `monodromy`
-tracks loop roots with them; `newton` serves both.
+tracks loop roots with them. They share one root engine: `aberth_seeds`
+seeds the roots of a Sylvester annihilator and of a loop base, and `newton`
+refines both on grids RUNGS bits finer, rung by rung, and tracks loops.
 """
 
 import cmath
@@ -15,11 +17,13 @@ import sys
 from math import gcd, ldexp, pi
 
 NEWTON_ITERATIONS = 60
-# Aberth-Ehrlich sweeps aberth_seeds may take. apolarity certifies a
-# Sylvester support from the seeds, with t = 0 read off the coefficients
-# and never seeded; a seed still moving after the last sweep gives no
-# seeds, and the support's roots come from the mpmath.polyroots fallback.
-ABERTH_SWEEPS = 60
+# The extra fractional bits of the grids a root is refined on, past the
+# bits its caller needs, finer rung by rung: the first serves a root that
+# is not too ill-conditioned, and each later one a root whose derivative is
+# so small that the rounding of the coarser grid keeps Newton from its
+# target. apolarity refines Sylvester supports and monodromy base roots on
+# them.
+RUNGS = (72, 160, 400, 900)
 # The package's one modular prime: for the squarefree certificate here and
 # for the catalecticant and Vandermonde ranks of apolarity, each certified
 # or redone exactly. Any prime is sound, and one this large rarely divides
@@ -145,45 +149,38 @@ def squarefree(ints: list[int]) -> bool:
     return len(b) == 1 or len(ints) == 1  # a constant U has no root to repeat
 
 
-def aberth_seeds(ints: list[int]) -> list[complex] | None:
+def aberth_seeds(coeffs) -> list[complex] | None:
     """Float approximations of the roots of U by Aberth-Ehrlich sweeps, or None.
 
-    Starts on a circle of Fujiwara's root radius and updates one root at a
-    time (Aberth 1973, Ehrlich 1967). A root stops moving once |U(z)| is
-    within the rounding error of Horner's rule, so clustered roots end at
-    the accuracy floats allow rather than never converging. Near a root 0 it
-    holds only at 0.0, so callers read t = 0 off U(0) = 0 and seed U / t, as
-    apolarity does; a constant U gets []. When the sweeps overflow,
-    they run once more in t = 2^s u, with 2^s Fujiwara's radius read off
-    the bit lengths of the coefficients, and the seeds are scaled back; so
-    roots past 2^512 that still fit in a float get seeds too.
+    Each coefficient is an int or a Gaussian integer (a, b) = a + b i, as
+    gaussian gives them. The sweeps run in t = 2^s u, with 2^s Fujiwara's
+    root radius read off the bit lengths of the coefficients, so every root
+    of U(2^s u) is at most 2 in size (4 when c_deg is not real) and the
+    seeds are scaled back: roots past 2^512 that still fit in a float get
+    seeds too. They start on a circle of Fujiwara's radius and update one root at a time (Aberth 1973,
+    Ehrlich 1967). A root stops moving once |U(u)| is within the rounding
+    error of Horner's rule, so clustered roots end at the accuracy floats
+    allow rather than never converging. Near a root 0 it holds only at 0.0,
+    so callers read t = 0 off U(0) = 0 and seed U / t, as apolarity and
+    monodromy do; a constant U gets []. None when a seed is still moving
+    after the budget of sweeps or a sweep leaves the float range.
     """
-    try:
-        return _aberth_sweeps(ints, 0)
-    except OverflowError:
-        pass
-    deg, top = len(ints) - 1, ints[-1].bit_length()
-    # |c_k / c_deg| < 2^(bl(c_k) - bl(c_deg) + 1), so every root of U(2^s u) is at most 2 in size
-    s = max((-((top - c.bit_length() - 1) // (deg - k)) for k, c in enumerate(ints[:-1]) if c), default=0)
-    try:
-        seeds = _aberth_sweeps(ints, s)
-        return None if seeds is None else [complex(ldexp(z.real, s), ldexp(z.imag, s)) for z in seeds]
-    except OverflowError:
-        return None
-
-
-def _aberth_sweeps(ints: list[int], s: int) -> list[complex] | None:
-    """aberth_seeds on U(2^s u) in u; None when a seed does not settle, OverflowError on overflow."""
-    deg = len(ints) - 1
-    # c_k 2^(s k) / (c_deg 2^(s deg)): int / int rounds once, raising only if a quotient overflows
-    monic = [(c << max(0, -s * (deg - k))) / (ints[-1] << max(0, s * (deg - k)))
-             for k, c in reversed(list(enumerate(ints)))]
+    pairs = [c if isinstance(c, tuple) else (c, 0) for c in coeffs]
+    deg = len(pairs) - 1
+    # |c| < 2^size(c), and |c_deg| >= 2^(size(c_deg) - 1) when c_deg is real,
+    # so |c_k / c_deg| < 2^(s (deg - k)), or twice that for a non-real c_deg
+    sizes = [max(abs(a), abs(b)).bit_length() + bool(a and b) for a, b in pairs]
+    s = max((-((sizes[-1] - size - 1) // (deg - k)) for k, size in enumerate(sizes[:-1]) if size), default=0)
+    monic = [complex(x / d, y / d) for x, y, d in monic_parts(pairs, 0, s)]  # int / int rounds once
     radius = 2 * max(((abs(a) / 2 if k == deg else abs(a)) ** (1 / k) for k, a in enumerate(monic) if k),
                      default=0.0)
     z = [radius * cmath.exp(1j * (2 * pi * j / deg + pi / (2 * deg))) for j in range(deg)]
     tol = 4 * deg * sys.float_info.epsilon
     done = [False] * deg
-    for _ in range(ABERTH_SWEEPS):
+    # The budget: about two sweeps a root for the seeds to part, one a bit of
+    # the span of the coefficients' sizes, about the bits a seed descends to
+    # reach a small cluster, and the bits of a float for the last approach.
+    for _ in range(2 * deg + max(sizes) - min(filter(None, sizes)) + sys.float_info.mant_dig):
         for j, zj in enumerate(z):
             if done[j]:
                 continue
@@ -194,7 +191,7 @@ def _aberth_sweeps(ints: list[int], s: int) -> list[complex] | None:
                 u = u * zj + a
                 size = size * az + abs(a)
             if not cmath.isfinite(u) or not cmath.isfinite(du):
-                raise OverflowError("Aberth sweep left the float range")
+                return None
             if abs(u) <= tol * size:
                 done[j] = True
                 continue
@@ -205,8 +202,23 @@ def _aberth_sweeps(ints: list[int], s: int) -> list[complex] | None:
             except ZeroDivisionError:
                 return None
         if all(done):
-            return z
+            return [complex(ldexp(w.real, s), ldexp(w.imag, s)) for w in z]
     return None
+
+
+def monic_parts(pairs, bits: int, scale: int):
+    """c_k / c_deg at t = 2^scale u in units of 2^-bits, k = deg down to 0, as exact (x, y, d): (x + y i) / d.
+
+    pairs are Gaussian integers (a, b) = a + b i, ascending. The value is
+    c_k conj(c_deg) 2^(bits + scale (k - deg)) / |c_deg|^2; a caller rounds
+    x / d or floors x // d.
+    """
+    deg, (lead_r, lead_i) = len(pairs) - 1, pairs[-1]
+    norm = lead_r * lead_r + lead_i * lead_i
+    for k in range(deg, -1, -1):
+        (a, b), shift = pairs[k], bits + scale * (k - deg)
+        up, den = max(0, shift), norm << max(0, -shift)
+        yield (a * lead_r + b * lead_i) << up, (b * lead_r - a * lead_i) << up, den
 
 
 def newton(desc, z, bits: int, step_sq: int, noise: int = 0):

@@ -17,9 +17,11 @@ halved, down to a hard floor of 2^-20 of the initial step. A half-twist
 corrects only its two moving roots, on the fixed product of the n - 2 still
 roots times one moving quadratic; a circle rescales one coefficient. A base
 equal to prod(z - j), j = 1..n, the base of every generator loop, starts
-from its exact roots, which land on the grid exactly; any other base has its
-roots isolated by mpmath and floored onto the grid. Every path point is an exact rational turn
-floored once, so a loop on prod(z - j) runs on the stdlib alone. On the grid
+from its exact roots, which land on the grid exactly. Any other base has its
+roots seeded by intpoly.aberth_seeds, the engine that also seeds Sylvester
+supports, refined by intpoly.newton on finer grids, rung by rung under the
+tracker's own rules, and floored onto the grid. Every path point is an exact
+rational turn floored once, so every loop runs on the stdlib alone. On the grid
 the base roots must stay more than the tolerance apart, and each final root
 must end nearer than half the least base gap to one base root; that match
 reads off the permutation of the starting roots that the loop induces.
@@ -44,11 +46,9 @@ import cmath
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-
-import mpmath
 
 from . import intpoly
 from .characters import character_table
@@ -156,17 +156,6 @@ def _as_complex(entry) -> complex:
     return value
 
 
-# --- base roots ---------------------------------------------------------------
-
-def _sorted_roots(coeffs, precision_bits: int):
-    with mpmath.workprec(precision_bits):
-        try:
-            raw = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)], maxsteps=200, extraprec=80)
-        except mpmath.libmp.NoConvergence as exc:
-            raise PrecisionError(f"base roots did not converge: {exc}") from None
-    return sorted(raw, key=lambda z: (mpmath.re(z), mpmath.im(z)))
-
-
 # --- the fixed-point grid -----------------------------------------------------
 #
 # Tracking works in u = z / 2^s, with 2^s at least every base root modulus
@@ -233,15 +222,52 @@ def _monic(coeffs0, grid: _Grid):
     The coefficient of z^k becomes a_k * 2^(s(k - n)) in u, read exactly by intpoly.gaussian and floored once.
     """
     _, gauss = intpoly.gaussian(coeffs0)
-    (lead_r, lead_i), n = gauss[-1], len(gauss) - 1
-    norm = lead_r * lead_r + lead_i * lead_i
-    out = []
-    for k in range(n, -1, -1):
-        cr, ci = gauss[k]
-        shift = grid.bits + grid.scale * (k - n)
-        up, den = max(0, shift), norm << max(0, -shift)
-        out.append((((cr * lead_r + ci * lead_i) << up) // den, ((ci * lead_r - cr * lead_i) << up) // den))
-    return out
+    return [(x // d, y // d) for x, y, d in intpoly.monic_parts(gauss, grid.bits, grid.scale)]
+
+
+def _seeds(base) -> list[complex]:
+    """Float seeds of the roots of a base, from intpoly.aberth_seeds.
+
+    The base is read exactly by intpoly.gaussian; one with real coefficients
+    is first proven squarefree. A root 0 is read off the constant
+    coefficient and gets the seed 0j.
+    """
+    _, gauss = intpoly.gaussian(base)
+    if not any(b for _, b in gauss) and not intpoly.squarefree([a for a, _ in gauss]):
+        raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
+    at_zero = gauss[0] == (0, 0)
+    if (seeds := intpoly.aberth_seeds(gauss[at_zero:])) is None:
+        raise PrecisionError("base roots did not converge")
+    return [0j] * at_zero + seeds
+
+
+def _refined(base, seeds, grid: _Grid):
+    """The roots of the base on the grid, sorted by real part, then imaginary part, refined from the seeds.
+
+    Each seed is refined by intpoly.newton on a grid intpoly.RUNGS bits finer,
+    rung by rung, until a step is below one unit of the tracking grid, and
+    is floored onto it. A rung is accepted only under the tracker's own
+    rules: Newton converged on every seed where n + 1 units of the finer
+    grid's rounding could not alone make a step of one unit of the tracking
+    grid, so the root of the rounded polynomial is within a unit of the
+    base's, and every refined root moved less than half its seed's distance
+    to the nearest other seed, so no two seeds end on one root. A rung
+    refused hands each root Newton converged on to the next rung as its
+    seed, as an accepted step hands its roots to the next step: float seeds
+    of a pair closer than floats resolve can be too far off for the rule,
+    while the refined roots are not. The other roots start again from their
+    float seeds, which a finer grid may tell apart.
+    """
+    roots, prev = [None] * len(seeds), 0
+    for extra in intpoly.RUNGS:
+        fine = replace(grid, bits=grid.bits + extra)
+        starts = [intpoly.fixed(s, fine.bits - fine.scale) if z is None else (z[0] << extra - prev, z[1] << extra - prev)
+                  for s, z in zip(seeds, roots)]
+        desc, prev = _monic(base, fine), extra
+        roots = [intpoly.newton(desc, z, fine.bits, 1 << 2 * extra, len(desc)) for z in starts]
+        if None not in roots and all(4 * _dist_sq(z, starts[j]) < _gap_sq(starts, [j]) for j, z in enumerate(roots)):
+            return sorted((x >> extra, y >> extra) for x, y in roots)
+    raise PrecisionError("base roots did not converge")
 
 
 def _half_twist_path(i: int, base_roots, bits: int):
@@ -318,8 +344,8 @@ def track_roots(
 
     base: ascending coefficients (constant term first) of a squarefree
     polynomial; segments: a list of Segment values (each closed at base).
-    A base equal to prod(z - j), j = 1..n, starts from its roots 1..n;
-    mpmath isolates the roots of any other base.
+    A base equal to prod(z - j), j = 1..n, starts from its roots 1..n; the
+    roots of any other base are seeded and refined by _seeds and _refined.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
@@ -335,10 +361,11 @@ def track_roots(
     # Python compares int, float, complex, Fraction and mpf with an int
     # exactly, so only the polynomial prod(z - j) itself passes.
     integer_roots = list(range(1, len(base)))
-    roots0 = integer_roots if base == intpoly.from_roots(integer_roots) else _sorted_roots(base, precision_bits)
+    roots0 = integer_roots if base == intpoly.from_roots(integer_roots) else _seeds(base)
     grid = _grid(precision_bits, tolerance, roots0)
-    # z = U / 2^(F - s) for a grid value U of u.
-    base_roots = [intpoly.fixed(r, grid.bits - grid.scale) for r in roots0]
+    # z = U / 2^(F - s) for a grid value U of u; the integer roots land on the grid exactly.
+    base_roots = ([intpoly.fixed(r, grid.bits - grid.scale) for r in roots0] if roots0 is integer_roots
+                  else _refined(base, roots0, grid))
     base_gap = _gap_sq(base_roots, range(len(base_roots)))
     if base_gap <= grid.separation_sq:
         raise DomainError("base polynomial is not resolvably squarefree at this tolerance")

@@ -50,6 +50,11 @@ def spread_half_twist(seed: int) -> tuple[int, list[complex], int]:
     return n, roots, rng.randint(1, n - 1)
 
 
+def oracle_class_inner_product(class_sizes, a, b) -> Fraction:
+    """(1/n!) sum_C |C| a(C) b(C) of two class functions; n! is the sum of the class sizes."""
+    return Fraction(sum(size * x * y for size, x, y in zip(class_sizes, a, b)), sum(class_sizes))
+
+
 def oracle_partition_count(n: int) -> int:
     """p(n) by Euler's pentagonal-number recurrence."""
     counts = [1]

@@ -361,7 +361,7 @@ def test_a_circle_off_its_coefficient_is_refused_before_isolation(capsys, monkey
     def no_isolation(*args, **kwargs):
         raise AssertionError("base roots were isolated")
 
-    monkeypatch.setattr(monodromy, "_sorted_roots", no_isolation)
+    monkeypatch.setattr(intpoly, "aberth_seeds", no_isolation)
     code, out, err = run(capsys, "monodromy", "--spec", '{"base": [1, 0, 1], "segments": ["circle(0, 2.0)"]}')
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "domain"
@@ -406,11 +406,12 @@ _EXACT_COMMANDS = {
     "spherical": ["monodromy", "--spherical", "--n", "4"],
     "defining": ["monodromy", "--defining", "--n", "4", "--samples", "2"],
     "spec-integer-roots": ["monodromy", "--spec", _EXACT_LOOP],
+    # Not exact, but a base whose roots are isolated runs on the stdlib too.
+    "spec-isolated": ["monodromy", "--spec", '{"base": [1, 0, 1], "segments": ["half_twist(1)"]}'],
 }
-# Controls: an irrational Sylvester support, and a base whose roots mpmath isolates.
+# The control: an irrational Sylvester support.
 _APPROXIMATE_COMMANDS = {
     "sylvester-approximate": ["sylvester", "deg=6; coeffs=-1,2,-1,3,2,3,2"],
-    "spec-isolated": ["monodromy", "--spec", '{"base": [1, 0, 1], "segments": ["half_twist(1)"]}'],
 }
 
 
@@ -915,13 +916,13 @@ def test_precision_bits_are_bounded_above(capsys, tmp_path):
 
 
 def test_unconverged_base_roots_are_a_precision_error(capsys, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise mpmath.libmp.NoConvergence("Didn't converge in maxsteps=200 steps.")
-
-    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
-    code, out, err = run(capsys, "monodromy", "--spec", '{"base": [-1, 0, 1], "segments": ["half_twist(1)"]}')
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == "precision"
+    # Seeds that do not settle, and a refinement that fails on every rung.
+    for stage in ("aberth_seeds", "newton"):
+        with monkeypatch.context() as m:
+            m.setattr(intpoly, stage, lambda *args: None)
+            code, out, err = run(capsys, "monodromy", "--spec", '{"base": [-1, 0, 1], "segments": ["half_twist(1)"]}')
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "precision", "message": "base roots did not converge"}
 
 
 def _huge_support_form() -> str:
@@ -942,6 +943,43 @@ def test_a_huge_rational_support_is_exact(capsys):
     support = [(int(pt["alpha"]), int(pt["beta"])) for pt in payload["support"]]
     assert dict(zip(support, map(int, payload["coefficients"]))) == {
         (2**150 + 7 * j, 3 + j): j + 1 for j in range(8)}
+
+
+def _digit_form(digits: int) -> str:
+    """A degree-4 form with five random coefficients of `digits` digits; its annihilator has about twice as many."""
+    rng = random.Random(3)
+    return _form_text([rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(5)])
+
+
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="this Python has no int-to-string limit")
+
+
+@_NEEDS_DIGIT_LIMIT
+def test_an_annihilator_past_the_int_to_string_limit_is_a_capacity_error(capsys):
+    code, out, err = run(capsys, "sylvester", _digit_form(4000))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "capacity"
+    assert payload["message"].endswith(f"int-to-string limit of {sys.get_int_max_str_digits()}")
+    # The control: 2000-digit coefficients give an annihilator within the limit.
+    payload = run_json(capsys, "sylvester", _digit_form(2000))
+    assert payload["rank"] == 3 and payload["support"] is not None
+    assert len(str(payload["annihilator"])) > 4 * 3000
+
+
+@_NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize("where", ["point", "weight"])
+def test_an_exact_point_or_weight_past_the_int_to_string_limit_is_a_capacity_error(capsys, monkeypatch, where):
+    huge = Fraction(10 ** (sys.get_int_max_str_digits() + 1), 3)
+    point = apolarity.SupportPoint(huge if where == "point" else Fraction(1), Fraction(1), exact=True)
+    cert = apolarity.SecantCertificate(rank=1, annihilator=apolarity.form(1, [1, -1]), support=(point,),
+                                       coefficients=(huge if where == "weight" else Fraction(1),),
+                                       support_exact=True, error_bound=None)
+    monkeypatch.setattr(apolarity, "sylvester_decompose", lambda p, precision_bits: cert)
+    code, out, err = run(capsys, "sylvester", "deg=1; coeffs=1,1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "capacity"
 
 
 def test_unconverged_support_roots_are_a_precision_error(capsys, monkeypatch):
@@ -994,6 +1032,30 @@ def test_irrational_supports_are_certified_from_float_seeds(capsys, monkeypatch)
                 assert imag == 0, text
                 on_axis += 1
     assert approximate >= 25 and on_axis >= 25
+
+
+def _generic_form(n: int) -> str:
+    rng = random.Random(n)
+    return _form_text([rng.randint(-9, 9) for _ in range(n + 1)])
+
+
+@pytest.mark.parametrize("text, rank", [
+    # An annihilator of degree 26.
+    pytest.param(_generic_form(50), 26, id="generic-degree-50"),
+    # Annihilator roots 10^-40 and 10^-33 beside 1, 2 and 3.
+    pytest.param(_form_text(oracle_power_sum_coeffs(10, [(1, 10**40), (1, 10**33), (1, 1), (2, 1), (3, 1)], [1] * 5)),
+                 5, id="tiny-cluster"),
+])
+def test_supports_past_sixty_sweeps_are_certified_from_float_seeds(capsys, monkeypatch, text, rank):
+    # The seeds of both took more than the fixed 60 Aberth sweeps there used
+    # to be, and the supports went to mpmath.polyroots.
+    def no_isolation(*args, **kwargs):
+        raise AssertionError("a support was isolated by mpmath.polyroots")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_isolation)
+    payload = run_json(capsys, "sylvester", text)
+    assert (payload["rank"], payload["support_exact"]) == (rank, False)
+    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
 
 
 @pytest.mark.parametrize("argv", [

@@ -178,6 +178,13 @@ def test_the_scan_finds_an_import_outside_the_stdlib():
     assert non_stdlib_imports(source) == [".", "mpmath"]
 
 
-def test_intpoly_imports_only_the_stdlib():
-    # apolarity and monodromy share intpoly, so it must load without mpmath.
-    assert non_stdlib_imports((PACKAGE / "intpoly.py").read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("name, package", [
+    pytest.param("intpoly.py", False, id="intpoly.py"),
+    pytest.param("monodromy.py", True, id="monodromy.py"),
+])
+def test_intpoly_imports_only_the_stdlib(name, package):
+    # apolarity and monodromy share intpoly, so it must load without mpmath
+    # or the package. monodromy runs every loop on intpoly: it may import
+    # package modules, but nothing else outside the stdlib.
+    imported = non_stdlib_imports((PACKAGE / name).read_text(encoding="utf-8"))
+    assert [module for module in imported if not (package and module.startswith("."))] == []

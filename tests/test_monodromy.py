@@ -159,6 +159,30 @@ def test_a_half_twist_on_a_random_base_swaps_its_pair_or_stops_typed():
             pytest.fail(f"half_twist({i}) on {base} ran past 5 s")
 
 
+def test_every_isolated_base_root_lies_on_its_own_polyroots_root():
+    # The oracle is mpmath.polyroots at 256 bits. Each root the tracker starts
+    # from on a base other than prod(z - j), on all four fuzz families and on
+    # spread bases, lies within tolerance/8 of one oracle root, a different
+    # one for each.
+    tolerance = monodromy.DEFAULT_TOLERANCE
+    rng = random.Random(31)
+    bases = [_fuzz_base(rng, family, rng.randint(3, 10)) for family in range(4) for _ in range(3)]
+    bases += [intpoly.from_roots(spread_half_twist(seed)[1]) for seed in range(6)]
+    for base in bases:
+        seeds = monodromy._seeds(base)
+        grid = monodromy._grid(96, tolerance, seeds)
+        roots = monodromy._refined(base, seeds, grid)
+        with mpmath.workprec(256):
+            oracle = mpmath.polyroots([mpmath.mpc(c) for c in reversed(base)], maxsteps=100, extraprec=256)
+            unit = mpmath.mpf(2) ** (grid.scale - grid.bits)
+            nearest = []
+            for x, y in roots:
+                dists = [abs(mpmath.mpc(x, y) * unit - r) for r in oracle]
+                nearest.append(min(range(len(oracle)), key=dists.__getitem__))
+                assert dists[nearest[-1]] < tolerance / 8, base
+        assert sorted(nearest) == list(range(len(oracle))), base
+
+
 def _transposition(n, i):
     perm = list(range(n))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
@@ -289,7 +313,7 @@ def test_circle_radius_must_match_base_coefficient(monkeypatch):
     def no_isolation(*args, **kwargs):
         raise AssertionError("base roots were isolated")
 
-    monkeypatch.setattr(monodromy, "_sorted_roots", no_isolation)
+    monkeypatch.setattr(intpoly, "aberth_seeds", no_isolation)
     for base in [(-1, 0, 1), (1, 0, 1), (-(10**400), 0, 1)]:
         with pytest.raises(DomainError, match="radius"):
             track_roots(base, [CoefficientCircle(0, 2.0)])
@@ -442,11 +466,12 @@ def test_half_twist_index_range():
 @pytest.mark.parametrize("precision_bits", [53, 96])
 def test_integer_root_base_gives_the_loop_isolation_gives(monkeypatch, precision_bits):
     # prod(z - j) starts from its exact roots 1..n. Twice that base is not
-    # recognised, so mpmath isolates the same roots; half-twists read only
-    # the roots, so both must track to the same permutation and step records.
+    # recognised, so its roots are seeded and refined onto the grid; half-twists
+    # read only the roots, so both must track to the same permutation and step
+    # records.
     isolations = []
-    polyroots = mpmath.polyroots
-    monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: isolations.append(1) or polyroots(*a, **k))
+    seeds = intpoly.aberth_seeds
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda coeffs: isolations.append(1) or seeds(coeffs))
     rng = random.Random(17)
     for n in range(2, 9):
         for _ in range(2):
