@@ -10,6 +10,8 @@ mpmath numbers; `fixed` and `gaussian` put values on a grid through it.
 tracks loop roots with them. They share one root engine: `aberth_seeds`
 seeds the roots of a Sylvester annihilator and of a loop base, and `newton`
 refines both on grids RUNGS bits finer, rung by rung, and tracks loops.
+`squarefree` and `aberth_seeds` read their coefficients through `gaussian`,
+so one code path serves integer and Gaussian-rational polynomials.
 """
 
 import cmath
@@ -26,9 +28,11 @@ NEWTON_ITERATIONS = 60
 RUNGS = (72, 160, 400, 900)
 # The package's one modular prime: for the squarefree certificate here and
 # for the catalecticant and Vandermonde ranks of apolarity, each certified
-# or redone exactly. Any prime is sound, and one this large rarely divides
-# a leading coefficient, a discriminant or a maximal minor. It differs from
-# the benchmark oracle's prime, so the two never share an unlucky case.
+# or redone exactly. Any prime is sound for the ranks, and any p = 3 mod 4
+# for the squarefree certificate, which works in the field F_p[i]; one this
+# large rarely divides a leading coefficient, a discriminant or a maximal
+# minor. It differs from the benchmark oracle's prime, so the two never
+# share an unlucky case.
 SQUAREFREE_PRIME = 2**31 - 1
 
 
@@ -98,74 +102,88 @@ def times_linear(desc, r, bits: int):
     return out
 
 
-def coprime_mod_p(ints: list[int]) -> bool:
-    """p does not divide lc(U), and U, U' are coprime in F_p[t] for p = SQUAREFREE_PRIME.
+def coprime_mod_p(coeffs) -> bool:
+    """p does not divide lc(U), and U, U' are coprime in F_p[i][t] for p = SQUAREFREE_PRIME.
 
-    That proves U squarefree over Q (Brown 1971): a repeated factor g^2 | U
-    over Z keeps its degree mod p, because lc(g) divides lc(U), and its image
-    would divide both U and U' mod p. False only means "maybe".
+    U's coefficients are any numbers gaussian reads exactly. As p = 3 mod 4,
+    -1 is no square mod p and F_p[i] is a field. That proves U squarefree
+    over Q(i) (Brown 1971): a repeated factor g^2 | U over Z[i] keeps its
+    degree mod p, because lc(g) divides lc(U), and its image would divide
+    both U and U' mod p. False only means "maybe".
     """
     p = SQUAREFREE_PRIME
-    if not ints[-1] % p:
-        return False
-    a = [c % p for c in ints]
-    b = [c % p for c in derivative(ints)]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q, shift = a[-1] * inv % p, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - q * c) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
+    return _coprime(*_with_derivative(coeffs), lambda poly: _trimmed([(x % p, y % p) for x, y in poly]))
 
 
-def squarefree(ints: list[int]) -> bool:
-    """No repeated root: gcd(U, U') is constant.
+def squarefree(coeffs) -> bool:
+    """No repeated root: gcd(U, U') is constant, for U with coefficients gaussian reads exactly.
 
     A coprimality certificate mod a prime answers most inputs. Otherwise the
-    gcd runs as a primitive remainder sequence over Z (Collins 1967): each
-    pseudo-remainder is divided by its content, which keeps the coefficients
-    from the growth that makes a Euclid over Q hang at high degree.
+    gcd runs as a primitive remainder sequence over Z[i] (Collins 1967):
+    each pseudo-remainder is divided by the gcd of its integer parts, which
+    keeps the coefficients from the growth that makes a Euclid over Q(i)
+    hang at high degree.
     """
-    if coprime_mod_p(ints):
-        return True
-    a, b = ints, derivative(ints)
+    u, du = _with_derivative(coeffs)
+    return not du or coprime_mod_p(coeffs) or _coprime(u, du, _primitive)  # a constant U has no root to repeat
+
+
+def _with_derivative(coeffs):
+    _, u = gaussian(coeffs)
+    return u, [(k * a, k * b) for k, (a, b) in enumerate(u)][1:]
+
+
+def _trimmed(poly):
+    while poly and poly[-1] == (0, 0):
+        poly.pop()
+    return poly
+
+
+def _primitive(poly):
+    content = gcd(*(part for c in poly for part in c)) or 1
+    return _trimmed([(a // content, b // content) for a, b in poly])
+
+
+def _coprime(a, b, reduce) -> bool:
+    """gcd(a, b) is constant, by pseudo-remainders of Gaussian polynomials, each passed through reduce.
+
+    reduce maps into F_p[i] or divides by a nonzero integer, and drops
+    leading zeros; False when it lowers the degree of a, as it does when p
+    divides lc(a).
+    """
+    if len(a) > len(a := reduce(a)):  # the length before reduce, then after
+        return False
+    b = reduce(b)
     while len(b) > 1:
-        rem = a[:]
-        while len(rem) >= len(b):
-            top, shift = rem[-1], len(rem) - len(b)
-            rem = [b[-1] * c for c in rem]
-            for i, c in enumerate(b):
-                rem[shift + i] -= top * c
-            while rem and not rem[-1]:
-                rem.pop()
-        content = gcd(*rem)
-        a, b = b, [c // content for c in rem]
-    return len(b) == 1 or len(ints) == 1  # a constant U has no root to repeat
+        lead_r, lead_i = b[-1]
+        while len(a) >= len(b):
+            (top_r, top_i), shift = a[-1], len(a) - len(b)
+            a = [(lead_r * x - lead_i * y, lead_r * y + lead_i * x) for x, y in a]
+            for k, (x, y) in enumerate(b, start=shift):
+                a[k] = (a[k][0] - top_r * x + top_i * y, a[k][1] - top_r * y - top_i * x)
+            a = reduce(a)
+        a, b = b, a
+    return len(b) == 1
 
 
 def aberth_seeds(coeffs) -> list[complex] | None:
     """Float approximations of the roots of U by Aberth-Ehrlich sweeps, or None.
 
-    Each coefficient is an int or a Gaussian integer (a, b) = a + b i, as
-    gaussian gives them. The sweeps run in t = 2^s u, with 2^s Fujiwara's
+    U's coefficients are any numbers gaussian reads exactly, ints or
+    Gaussian rationals. The sweeps run in t = 2^s u, with 2^s Fujiwara's
     root radius read off the bit lengths of the coefficients, so every root
     of U(2^s u) is at most 2 in size (4 when c_deg is not real) and the
     seeds are scaled back: roots past 2^512 that still fit in a float get
-    seeds too. They start on a circle of Fujiwara's radius and update one root at a time (Aberth 1973,
-    Ehrlich 1967). A root stops moving once |U(u)| is within the rounding
-    error of Horner's rule, so clustered roots end at the accuracy floats
-    allow rather than never converging. Near a root 0 it holds only at 0.0,
-    so callers read t = 0 off U(0) = 0 and seed U / t, as apolarity and
-    monodromy do; a constant U gets []. None when a seed is still moving
-    after the budget of sweeps or a sweep leaves the float range.
+    seeds too. They start on a circle of Fujiwara's radius and update one
+    root at a time (Aberth 1973, Ehrlich 1967). A root stops moving once
+    |U(u)| is within the rounding error of Horner's rule, so clustered roots
+    end at the accuracy floats allow rather than never converging. Near a
+    root 0 it holds only at 0.0, so callers read t = 0 off U(0) = 0 and seed
+    U / t, as apolarity and monodromy do; a constant U gets []. None when a
+    seed is still moving after the budget of sweeps, a sweep leaves the
+    float range or a seed scaled back would.
     """
-    pairs = [c if isinstance(c, tuple) else (c, 0) for c in coeffs]
+    _, pairs = gaussian(coeffs)
     deg = len(pairs) - 1
     # |c| < 2^size(c), and |c_deg| >= 2^(size(c_deg) - 1) when c_deg is real,
     # so |c_k / c_deg| < 2^(s (deg - k)), or twice that for a non-real c_deg
@@ -180,29 +198,35 @@ def aberth_seeds(coeffs) -> list[complex] | None:
     # The budget: about two sweeps a root for the seeds to part, one a bit of
     # the span of the coefficients' sizes, about the bits a seed descends to
     # reach a small cluster, and the bits of a float for the last approach.
-    for _ in range(2 * deg + max(sizes) - min(filter(None, sizes)) + sys.float_info.mant_dig):
-        for j, zj in enumerate(z):
-            if done[j]:
-                continue
-            u = du = 0j
-            size, az = 0.0, abs(zj)
-            for a in monic:
-                du = du * zj + u
-                u = u * zj + a
-                size = size * az + abs(a)
-            if not cmath.isfinite(u) or not cmath.isfinite(du):
-                return None
-            if abs(u) <= tol * size:
-                done[j] = True
-                continue
-            try:
+    # No seed descends past the least positive float, 2^-(mant_dig - min_exp)
+    # = 2^-1074, so the span counts up to mant_dig - min_exp bits; clusters
+    # from 2^-40 to 2^-3000 beside 1, 2 and 3 settled within 311 sweeps.
+    descent = min(max(sizes) - min(filter(None, sizes)), sys.float_info.mant_dig - sys.float_info.min_exp)
+    try:
+        for _ in range(2 * deg + descent + sys.float_info.mant_dig):
+            for j, zj in enumerate(z):
+                if done[j]:
+                    continue
+                u = du = 0j
+                size, az = 0.0, abs(zj)
+                for a in monic:
+                    du = du * zj + u
+                    u = u * zj + a
+                    size = size * az + abs(a)
+                if not cmath.isfinite(u) or not cmath.isfinite(du):
+                    return None
+                if abs(u) <= tol * size:
+                    done[j] = True
+                    continue
                 ratio = u / du
                 repel = sum(1 / (zj - zk) for k, zk in enumerate(z) if k != j)
                 z[j] = zj - ratio / (1 - ratio * repel)
-            except ZeroDivisionError:
-                return None
-        if all(done):
-            return [complex(ldexp(w.real, s), ldexp(w.imag, s)) for w in z]
+            if all(done):
+                return [complex(ldexp(w.real, s), ldexp(w.imag, s)) for w in z]
+    except (ZeroDivisionError, OverflowError):
+        # U'(u) = 0 or two seeds at one point; or abs() in a sweep, or ldexp
+        # on a seed scaled back, past the float range
+        pass
     return None
 
 

@@ -228,15 +228,13 @@ def _monic(coeffs0, grid: _Grid):
 def _seeds(base) -> list[complex]:
     """Float seeds of the roots of a base, from intpoly.aberth_seeds.
 
-    The base is read exactly by intpoly.gaussian; one with real coefficients
-    is first proven squarefree. A root 0 is read off the constant
-    coefficient and gets the seed 0j.
+    The base is first proven squarefree, exactly, by intpoly.squarefree. A
+    root 0 is read off the constant coefficient and gets the seed 0j.
     """
-    _, gauss = intpoly.gaussian(base)
-    if not any(b for _, b in gauss) and not intpoly.squarefree([a for a, _ in gauss]):
+    if not intpoly.squarefree(base):
         raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
-    at_zero = gauss[0] == (0, 0)
-    if (seeds := intpoly.aberth_seeds(gauss[at_zero:])) is None:
+    at_zero = base[0] == 0
+    if (seeds := intpoly.aberth_seeds(base[at_zero:])) is None:
         raise PrecisionError("base roots did not converge")
     return [0j] * at_zero + seeds
 

@@ -1,9 +1,12 @@
+import cmath
 import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -552,6 +555,73 @@ def test_coefficients_past_the_float_range_raise_no_overflow():
     root = float(3**350)
     assert sorted(z.real for z in seeds) == pytest.approx([-root, root], rel=1e-12)
     assert all(abs(z.imag) <= 1e-12 * root for z in seeds)
+
+
+def test_roots_past_the_float_range_get_no_seeds():
+    # The roots +-2^1100 of U(2^s u) are seeded in u; scaled back they are
+    # past the float range, so there are no seeds, not an OverflowError.
+    assert intpoly.aberth_seeds([-(2**2200), 0, 1]) is None
+    assert intpoly.aberth_seeds([-(2**3300), 1, 0, 1]) is None
+
+
+def test_the_sweep_budget_stops_at_the_float_range(monkeypatch):
+    # With a stop rule that never fires, the seeds of t^2 - 2^100001 sweep the
+    # whole budget: twice the degree, the span of the coefficients' sizes but
+    # at most the mant_dig - min_exp = 1074 bits down to the least positive
+    # float, and 53. Each sweep checks u and U'(u) of both roots for finiteness.
+    info = sys.float_info
+    monkeypatch.setattr(intpoly, "sys", SimpleNamespace(float_info=SimpleNamespace(
+        epsilon=0.0, mant_dig=info.mant_dig, min_exp=info.min_exp)))
+    checks = []
+    monkeypatch.setattr(intpoly, "cmath", SimpleNamespace(
+        exp=cmath.exp, isfinite=lambda z: checks.append(z) or cmath.isfinite(z)))
+    assert intpoly.aberth_seeds([-(2 << 100000), 0, 1]) is None
+    assert len(checks) == 2 * 2 * (2 * 2 + 1074 + 53)
+
+
+def _gaussian_poly(lead, roots):
+    """lead * prod (t - r) over Gaussian integers r = (a, b), as exact mpc coefficients, ascending."""
+    poly = [lead]
+    for a, b in roots:
+        poly = [(x - a * u + b * v, y - a * v - b * u) for (x, y), (u, v) in zip([(0, 0)] + poly, poly + [(0, 0)])]
+    with mpmath.workprec(max(64, *(abs(part).bit_length() for c in poly for part in c))):
+        return [mpmath.mpc(x, y) for x, y in poly]
+
+
+def test_gaussian_squarefree_matches_the_roots_it_was_built_from():
+    # Gaussian leading coefficients and roots, some repeated: squarefree says
+    # whether a root repeats, and the certificate mod p never calls a
+    # repeated root squarefree.
+    rng = random.Random(97)
+    certified = 0
+    for _ in range(300):
+        lead = (rng.randint(-3, 3), rng.randint(1, 3))
+        roots = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            roots.append(rng.choice(roots))
+        coeffs = _gaussian_poly(lead, roots)
+        is_squarefree = len(set(roots)) == len(roots)
+        assert squarefree(coeffs) == is_squarefree, (lead, roots)
+        if coprime_mod_p(coeffs):
+            certified += 1
+            assert is_squarefree, (lead, roots)
+    assert certified > 100
+
+
+@pytest.mark.parametrize("lead, roots, want", [
+    ((_P, _P), [(0, 1), (-2, 0)], True),
+    ((0, _P), [(1, 1), (1, 1)], False),
+    ((1, 0), [(0, 1), (_P, 1)], True),
+    ((1, 0), [(0, 1), (0, 1), (_P, 1)], False),
+    ((2, 1), [(1, -1), (1 + _P, -1 - _P), (3, 0)], True),
+], ids=["p-divides-lc", "p-divides-lc-double-root", "roots-equal-mod-p", "double-root-and-equal-mod-p",
+        "gaussian-roots-equal-mod-p"])
+def test_gaussian_squarefree_without_a_modular_certificate_runs_the_exact_test(lead, roots, want):
+    # p divides lc(U) in Z[i], or two roots agree mod p, so only the
+    # remainder sequence over Z[i] decides.
+    coeffs = _gaussian_poly(lead, roots)
+    assert not coprime_mod_p(coeffs)
+    assert squarefree(coeffs) == want
 
 
 def test_the_root_zero_is_read_off_the_coefficients(monkeypatch):

@@ -480,6 +480,12 @@ def test_spread_magnitude_half_twists_are_precision_errors_not_consistency(capsy
 
 @pytest.mark.parametrize("spec", [
     pytest.param({"base": [1, -2, 1], "segments": ["half_twist(1)"]}, id="double-root"),
+    # Gaussian bases with a repeated root, proven so exactly over Z[i]:
+    # (z - i)^2, z^2 (z - i), and (z - 1 - i)^2 (z - 2i)(z + 2).
+    pytest.param({"base": [-1, [0, -2], 1], "segments": ["half_twist(1)"]}, id="gaussian-double-root"),
+    pytest.param({"base": [0, 0, [0, -1], 1], "segments": ["half_twist(1)"]}, id="gaussian-double-root-zero"),
+    pytest.param({"base": [8, [-4, 12], [-8, -2], [0, -4], 1], "segments": ["half_twist(1)"]},
+                 id="gaussian-double-root-beside-two"),
     # Roots 1, 2, 3 are one apart; a tolerance of exactly 1 sits on the boundary.
     pytest.param({"base": [-6, 11, -6, 1], "segments": ["half_twist(1)"], "tolerance": 1.5}, id="gap-below-tolerance"),
 ])
@@ -1056,6 +1062,34 @@ def test_supports_past_sixty_sweeps_are_certified_from_float_seeds(capsys, monke
     payload = run_json(capsys, "sylvester", text)
     assert (payload["rank"], payload["support_exact"]) == (rank, False)
     _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+
+
+def test_a_support_point_past_the_float_range_is_certified_by_the_fallback(capsys, monkeypatch):
+    # The annihilator's roots are 0 and one near 2^1100: its seed, scaled
+    # back, is past the float range, so there are no seeds and
+    # mpmath.polyroots isolates the support, once.
+    isolate, isolated = mpmath.polyroots, []
+    monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kwargs: isolated.append(1) or isolate(*args, **kwargs))
+    text = _form_text(oracle_power_sum_coeffs(2, [(2**1100, 1), (1, 1)], [1, 1]))
+    payload = run_json(capsys, "sylvester", text)
+    assert isolated == [1]
+    assert (payload["rank"], payload["support_exact"]) == (2, False)
+    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+
+
+@pytest.mark.parametrize("points", [
+    [(2**1100, 1), (1, 1)],
+    [(2**600 + 1, 1), (1, 1), (3, 1)],
+], ids=["two-to-the-1100", "two-to-the-600-plus-one"])
+def test_a_far_exact_support_point_polyroots_cannot_isolate_is_a_precision_error(capsys, points):
+    # Neither the seeds nor the polyroots fallback reach these exact points
+    # yet (ROADMAP item 22); the command refuses them typed, never as an
+    # internal error, which the first one was when a seed scaled back past
+    # the float range raised OverflowError.
+    text = _form_text(oracle_power_sum_coeffs(2 * len(points) - 1, points, [1] * len(points)))
+    code, out, err = run(capsys, "sylvester", text)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "precision"
 
 
 @pytest.mark.parametrize("argv", [

@@ -203,6 +203,30 @@ def test_spread_magnitudes_run_out_of_precision_at_96_bits_and_answer_at_192(see
     assert track_roots(base, [HalfTwist(i)], precision_bits=192).permutation == _transposition(n, i)
 
 
+@pytest.mark.parametrize("base", [
+    (-(2**2200), 0, 1),
+    (1, 0, -(2**2200)),
+    (1e308, 0, 5e-324),
+], ids=["roots-2-to-the-1100", "roots-2-to-the-minus-1100", "float-extremes"])
+def test_base_roots_outside_the_float_range_are_a_precision_error(base):
+    # Roots near 2^1100 or 1e316 have no float seeds, and roots near 2^-1100
+    # would all be seeded 0.0, which no rung can part: either way a typed
+    # error, never an OverflowError. (mpmath isolated the roots near 2^-1100,
+    # and the base gap check called them a domain error.)
+    with pytest.raises(PrecisionError, match="base roots did not converge"):
+        track_roots(base, [HalfTwist(1)])
+
+
+@pytest.mark.parametrize("roots", [
+    [1j, 2j],
+    [1 + 1j, -2, 3j],
+    [0, 1 - 2j, -1 + 1j, 2],
+], ids=["i-and-2i", "three-gaussian", "zero-and-three"])
+def test_a_squarefree_gaussian_base_swaps_its_pair(roots):
+    # intpoly.squarefree proves these bases squarefree over Z[i] before seeding.
+    assert track_roots(intpoly.from_roots(roots), [HalfTwist(1)]).permutation == _transposition(len(roots), 1)
+
+
 def test_a_tolerance_coarser_than_the_integer_roots_is_a_domain_error():
     # 1e40 puts the grid above 2^-precision: the integer roots 1, 2 are read
     # onto it with a negative shift, floored, and then found not separated.
