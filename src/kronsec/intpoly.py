@@ -120,9 +120,9 @@ def squarefree(coeffs) -> bool:
 
     A coprimality certificate mod a prime answers most inputs. Otherwise the
     gcd runs as a primitive remainder sequence over Z[i] (Collins 1967):
-    each pseudo-remainder is divided by the gcd of its integer parts, which
-    keeps the coefficients from the growth that makes a Euclid over Q(i)
-    hang at high degree.
+    each step of a pseudo-remainder is divided by the gcd of its integer
+    parts, which keeps the coefficients from the growth that makes a Euclid
+    over Q(i) hang at high degree.
     """
     u, du = _with_derivative(coeffs)
     return not du or coprime_mod_p(coeffs) or _coprime(u, du, _primitive)  # a constant U has no root to repeat
