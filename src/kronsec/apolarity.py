@@ -27,7 +27,7 @@ The support points (1 : 0) and (0 : 1) are read off the annihilator's
 coefficients; every other point comes from intpoly's float Aberth-Ehrlich
 seeds, one per root. Rational points are exact: one matcher proposes them,
 compared exactly on integers, and exact evaluation verifies them. Each seed
-the matcher leaves over is refined by intpoly.newton on the integer
+the matcher leaves over is refined by intpoly.certified_root on the integer
 annihilator into a certified disc whose exact, rounded-up radius is below
 2^-(precision_bits + SOLVE_GUARD_BITS), and the matcher runs again on the
 refined centres. The points, one per root approximation, are checked
@@ -52,7 +52,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import comb, factorial, gcd, inf, isqrt, lcm, ldexp, nextafter
+from math import comb, factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
@@ -346,7 +346,8 @@ def _roots_from(ints: list[int], approx: Sequence, precision_bits: int) -> list[
     polyroots' order with its conjugate pairs in a fixed order.
     """
     roots, leftovers = _rational_roots(ints, approx)
-    refined = [_refine_root(ints, z, precision_bits + SOLVE_GUARD_BITS) for z in leftovers]
+    pairs = [(c, 0) for c in ints]
+    refined = [_refine_root(pairs, z, precision_bits + SOLVE_GUARD_BITS) for z in leftovers]
     more, leftovers = _rational_roots(ints, [z for z, _ in refined], taken=set(roots))
     radius = dict(refined)
     points = [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True) for r in sorted(roots + more)]
@@ -376,9 +377,8 @@ def _require_disjoint_discs(points: list[SupportPoint]) -> None:
     for i, (x1, y1, r1) in enumerate(discs):
         for x2, y2, r2 in discs[i + 1:]:
             if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
-                raise PrecisionError(
-                    f"two inclusion discs meet near {float(x1)}{float(y1):+}j; the roots are not separated"
-                )
+                near = mpmath.mpc(*(_mpf(v.numerator, v.denominator, 53) for v in (x1, y1)))  # floats overflow
+                raise PrecisionError(f"two inclusion discs meet near {mpmath.nstr(near, 15)}; the roots are not separated")
 
 
 def _rational_roots(ints: list[int], approx: Sequence, taken=frozenset()) -> tuple[list[Fraction], list]:
@@ -410,7 +410,7 @@ def _rational_roots(ints: list[int], approx: Sequence, taken=frozenset()) -> tup
         for p, q in _convergents(a, 1 << e):
             # |p/q - z| < |z - w| / 2, both sides times 2^(e+1) q and squared
             near = gap is None or 4 * (((p << e) - q * a) ** 2 + (q * b) ** 2) < q * q * gap
-            if (near and not ints[-1] % q and intpoly.horner(ints, p, 0, q) == (0, 0)
+            if (near and not ints[-1] % q and intpoly.horner([(c, 0) for c in ints], p, 0, q) == (0, 0)
                     and Fraction(p, q) not in taken):
                 roots.append(Fraction(p, q))
                 break
@@ -431,57 +431,13 @@ def _convergents(num: int, den: int):
         yield p1, q1
 
 
-def _refine_root(ints: list[int], z0, precision_bits: int) -> tuple:
-    """Newton-refine z0 against the integer polynomial until certified.
-
-    Each rung runs intpoly.newton on the grid of 2^-bits (U's coefficients
-    as c << bits) until a step is below 2^-precision_bits. The certificate
-    is the classical inclusion bound: for any z with U'(z) != 0,
-    some root lies within deg(U) * |U(z)/U'(z)| of z. It is evaluated
-    exactly at the grid point z, compared with 2^-precision_bits, and
-    returned as a float rounded up (0.0 only at a root), with z as an mpc.
-    """
-    target = Fraction(1, 4**precision_bits)
-    # A grid relative to the root, as the printed digits are: 2^-72 of the
-    # target times 2^e <= max(1, |z0|) on the first rung. Finer grids leave
-    # the error bound below the digits' rounding; 2^-64 left it up to 30x
-    # larger.
-    e = max(1, max(map(abs, intpoly.fixed(z0, 0))).bit_length()) - 1
-    for extra in intpoly.RUNGS:
-        bits = precision_bits + max(8, extra - e)
-        z = intpoly.newton([(c << bits, 0) for c in reversed(ints)], intpoly.fixed(z0, bits),
-                           bits, 1 << 2 * (bits - precision_bits))
-        if z is not None:
-            radius_sq = _radius_squared(ints, *z, bits)
-            if radius_sq is not None and radius_sq < target:
-                with mpmath.workprec(1 + max(x.bit_length() for x in z)):
-                    return mpmath.mpc(*(mpmath.mpf((x, -bits)) for x in z)), _sqrt_up(radius_sq)
-    raise PrecisionError(
-        f"root isolation stalled above the precision floor 2^-{precision_bits}"
-    )
-
-
-def _radius_squared(ints: list[int], a: int, b: int, e: int) -> Fraction | None:
-    """(deg * |U(z)/U'(z)|)^2 exactly at z = (a + b i) / 2^e, or None when U'(z) = 0.
-
-    Homogeneous Horner gives 2^(e deg) U(z) and 2^(e (deg - 1)) U'(z) exactly.
-    """
-    deg = len(ints) - 1
-    dx, dy = intpoly.horner(intpoly.derivative(ints), a, b, 1 << e)
-    if not (dx or dy):
-        return None
-    x, y = intpoly.horner(ints, a, b, 1 << e)
-    return Fraction(deg * deg * (x * x + y * y), (dx * dx + dy * dy) << 2 * e)
-
-
-def _sqrt_up(square: Fraction) -> float:
-    """A float no smaller than the square root of a nonnegative Fraction."""
-    num, den = square.numerator, square.denominator
-    if not num:
-        return 0.0
-    k = max(0, 64 + (den.bit_length() - num.bit_length() + 1) // 2)
-    # sqrt(square) * 2^k < isqrt(num * 4^k // den) + 1 exactly
-    return nextafter(ldexp(isqrt((num << 2 * k) // den) + 1, -k), inf)
+def _refine_root(pairs: list[tuple[int, int]], z0, precision_bits: int) -> tuple:
+    """z0 refined by intpoly.certified_root on U, as an mpc, and its inclusion radius as a float rounded up."""
+    if (found := intpoly.certified_root(pairs, z0, precision_bits)) is None:
+        raise PrecisionError(f"root isolation stalled above the precision floor 2^-{precision_bits}")
+    z, bits, square = found
+    with mpmath.workprec(1 + max(x.bit_length() for x in z)):
+        return mpmath.mpc(*(mpmath.mpf((x, -bits)) for x in z)), intpoly.sqrt_up(Fraction(*square))
 
 
 # --- Sylvester decomposition -------------------------------------------------
@@ -597,7 +553,8 @@ def _charts(at_inf: int, ints: list[int], p: BinaryForm) -> tuple:
     v = [0] * at_inf + ints[::-1]
     v = v[:len(v) - (not v[-1])]  # the top coefficient U(0) vanishes when t = 0 is a point
     (nt, st), (nv, sv) = _numerator(ints, b[::-1]), _numerator(v, b)
-    return (nt, [st * c for c in intpoly.derivative(ints)]), (nv[::-1], [sv * c for c in intpoly.derivative(v)[::-1]])
+    return tuple(([(c, 0) for c in numer[::o]], intpoly.derivative([(s * c, 0) for c in poly])[::o])
+                 for numer, s, poly, o in ((nt, st, ints, 1), (nv, sv, v, -1)))
 
 
 def _weight(charts, n: int, a: int, b: int, q: int) -> tuple[int, int, int]:

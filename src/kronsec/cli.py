@@ -299,7 +299,7 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
         for part in (pt.alpha.real, pt.alpha.imag):
             m, k = intpoly.dyadic(part)
             moved += (Fraction(mpmath.nstr(part, n)) - m * Fraction(2) ** k) ** 2
-        return math.nextafter(pt.radius + apolarity._sqrt_up(moved), math.inf)
+        return math.nextafter(pt.radius + intpoly.sqrt_up(moved), math.inf)
 
     def bound(x) -> float | str:
         # The least float no smaller than the bound wherever a normal double

@@ -1,6 +1,7 @@
 """Integer polynomials, exact and in Gaussian-integer fixed point, on the stdlib alone.
 
-A polynomial is a list of int coefficients, ascending unless said otherwise.
+A polynomial is a list of coefficients, ascending unless said otherwise:
+ints, or Gaussian integers as pairs (a, b) = a + bi.
 A complex number x + iy is held either exactly as ints (a, b) over one power
 of two, (a + bi) / 2^e, or in fixed point as (X, Y) with x + iy ~ (X + iY) /
 2^bits, where sums are exact and each product is floored back to `bits`
@@ -8,23 +9,23 @@ fractional bits. `dyadic` is the package's one exact reader of floats and
 mpmath numbers; `fixed` and `gaussian` put values on a grid through it.
 `apolarity` certifies Sylvester supports with these routines and `monodromy`
 tracks loop roots with them. They share one root engine: `aberth_seeds`
-seeds the roots of a Sylvester annihilator and of a loop base, and `newton`
-refines both on grids RUNGS bits finer, rung by rung, and tracks loops.
-`squarefree` and `aberth_seeds` read their coefficients through `gaussian`,
-so one code path serves integer and Gaussian-rational polynomials.
+seeds the roots of a Sylvester annihilator and of a loop base, and
+`certified_root` refines each by `newton`, rung by rung, into an inclusion
+disc proven small enough. `squarefree` and `aberth_seeds` read coefficients
+through `gaussian`, and `certified_root` takes the Gaussian integers it
+gives, so one code path serves integer and Gaussian-rational polynomials.
 """
 
 import cmath
 import sys
-from math import gcd, ldexp, pi
+from math import gcd, inf, isqrt, ldexp, nextafter, pi
 
 NEWTON_ITERATIONS = 60
-# The extra fractional bits of the grids a root is refined on, past the
-# bits its caller needs, finer rung by rung: the first serves a root that
-# is not too ill-conditioned, and each later one a root whose derivative is
-# so small that the rounding of the coarser grid keeps Newton from its
-# target. apolarity refines Sylvester supports and monodromy base roots on
-# them.
+# The extra fractional bits of the grids certified_root refines a root on,
+# past the bits its caller needs, finer rung by rung: the first serves a
+# root that is not too ill-conditioned, and each later one a root whose
+# derivative is so small that the rounding of the coarser grid keeps Newton
+# from its target.
 RUNGS = (72, 160, 400, 900)
 # The package's one modular prime: for the squarefree certificate here and
 # for the catalecticant and Vandermonde ranks of apolarity, each certified
@@ -64,21 +65,21 @@ def gaussian(approx) -> tuple[int, list[tuple[int, int]]]:
     return e, [fixed(z, e) for z in approx]
 
 
-def horner(ints: list[int], a: int, b: int, q: int) -> tuple[int, int]:
+def horner(pairs, a: int, b: int, q: int) -> tuple[int, int]:
     """q^d U((a + b i) / q) as a Gaussian integer (x, y), by homogeneous Horner with no rounding.
 
-    That is sum_i c_i (a + b i)^i q^(d-i); with b = 0 and q != 0 it is (0, 0)
-    exactly when U(a/q) = 0.
+    That is sum_i u_i (a + b i)^i q^(d-i) for Gaussian-integer u_i; with
+    q != 0 it is (0, 0) exactly when U((a + b i) / q) = 0.
     """
-    x, y, q_pow = ints[-1], 0, 1
-    for c in reversed(ints[:-1]):
+    (x, y), q_pow = pairs[-1], 1
+    for cr, ci in reversed(pairs[:-1]):
         q_pow *= q
-        x, y = x * a - y * b + c * q_pow, x * b + y * a
+        x, y = x * a - y * b + cr * q_pow, x * b + y * a + ci * q_pow
     return x, y
 
 
-def derivative(ints: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(ints)][1:]
+def derivative(pairs):
+    return [(k * a, k * b) for k, (a, b) in enumerate(pairs)][1:]
 
 
 def from_roots(roots) -> list[int]:
@@ -130,7 +131,7 @@ def squarefree(coeffs) -> bool:
 
 def _with_derivative(coeffs):
     _, u = gaussian(coeffs)
-    return u, [(k * a, k * b) for k, (a, b) in enumerate(u)][1:]
+    return u, derivative(u)
 
 
 def _trimmed(poly):
@@ -271,3 +272,40 @@ def newton(desc, z, bits: int, step_sq: int, noise: int = 0):
         if sr * sr + si * si < step_sq:
             return (zr, zi) if (noise * noise << 2 * bits) < step_sq * den else None
     return None
+
+
+def certified_root(pairs, z0, precision_bits: int):
+    """z0 refined to a grid point within 2^-precision_bits of a root of U, proven, or None.
+
+    U's coefficients are Gaussian integers (a, b) = a + b i, ascending. Rung
+    by rung, newton runs on the grid of 2^-bits, relative to the root as
+    printed digits are: 2^-72 of the target times 2^e <= max(1, |z0|) on the
+    first rung (2^-64 left Sylvester error bounds up to 30x larger). The
+    certificate is the classical inclusion bound: for any z with U'(z) != 0,
+    some root lies within deg(U) |U(z)/U'(z)| of z, evaluated exactly by
+    homogeneous Horner and compared with 2^-precision_bits on integers.
+    Returns ((x, y), bits, (num, den)): the point (x + y i) / 2^bits and its
+    squared radius num / den, 0 only at a root.
+    """
+    deg, deriv = len(pairs) - 1, derivative(pairs)
+    e = max(1, max(map(abs, fixed(z0, 0))).bit_length()) - 1
+    for extra in RUNGS:
+        bits = precision_bits + max(8, extra - e)
+        z = newton([(a << bits, b << bits) for a, b in reversed(pairs)], fixed(z0, bits),
+                   bits, 1 << 2 * (bits - precision_bits))
+        if z is not None:
+            (x, y), (dx, dy) = horner(pairs, *z, 1 << bits), horner(deriv, *z, 1 << bits)
+            num, den = deg * deg * (x * x + y * y), (dx * dx + dy * dy) << 2 * bits
+            if num << 2 * precision_bits < den:
+                return z, bits, (num, den)
+    return None
+
+
+def sqrt_up(square) -> float:
+    """A float no smaller than the square root of a nonnegative Fraction."""
+    num, den = square.numerator, square.denominator
+    if not num:
+        return 0.0
+    k = max(0, 64 + (den.bit_length() - num.bit_length() + 1) // 2)
+    # sqrt(square) * 2^k < isqrt(num * 4^k // den) + 1 exactly
+    return nextafter(ldexp(isqrt((num << 2 * k) // den) + 1, -k), inf)

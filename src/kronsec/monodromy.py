@@ -18,9 +18,9 @@ corrects only its two moving roots, on the fixed product of the n - 2 still
 roots times one moving quadratic; a circle rescales one coefficient. A base
 equal to prod(z - j), j = 1..n, the base of every generator loop, starts
 from its exact roots, which land on the grid exactly. Any other base has its
-roots seeded by intpoly.aberth_seeds, the engine that also seeds Sylvester
-supports, refined by intpoly.newton on finer grids, rung by rung under the
-tracker's own rules, and floored onto the grid. Every path point is an exact
+roots seeded by intpoly.aberth_seeds and refined by intpoly.certified_root,
+the engine and the certificate of Sylvester supports too, into pairwise
+disjoint inclusion discs, and floored onto the grid. Every path point is an exact
 rational turn floored once, so every loop runs on the stdlib alone. On the grid
 the base roots must stay more than the tolerance apart, and each final root
 must end nearer than half the least base gap to one base root; that match
@@ -46,7 +46,7 @@ import cmath
 import math
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -242,30 +242,22 @@ def _seeds(base) -> list[complex]:
 def _refined(base, seeds, grid: _Grid):
     """The roots of the base on the grid, sorted by real part, then imaginary part, refined from the seeds.
 
-    Each seed is refined by intpoly.newton on a grid intpoly.RUNGS bits finer,
-    rung by rung, until a step is below one unit of the tracking grid, and
-    is floored onto it. A rung is accepted only under the tracker's own
-    rules: Newton converged on every seed where n + 1 units of the finer
-    grid's rounding could not alone make a step of one unit of the tracking
-    grid, so the root of the rounded polynomial is within a unit of the
-    base's, and every refined root moved less than half its seed's distance
-    to the nearest other seed, so no two seeds end on one root. A rung
-    refused hands each root Newton converged on to the next rung as its
-    seed, as an accepted step hands its roots to the next step: float seeds
-    of a pair closer than floats resolve can be too far off for the rule,
-    while the refined roots are not. The other roots start again from their
-    float seeds, which a finer grid may tell apart.
+    intpoly.certified_root refines each seed to a centre within 2^-T of a
+    root, T = max(F, precision_bits) for the grid's F fractional bits of z.
+    Centres more than 2^(1-T) apart, decided before they are floored onto a
+    grid that may be coarser than their gaps, prove the seeds found every root.
     """
-    roots, prev = [None] * len(seeds), 0
-    for extra in intpoly.RUNGS:
-        fine = replace(grid, bits=grid.bits + extra)
-        starts = [intpoly.fixed(s, fine.bits - fine.scale) if z is None else (z[0] << extra - prev, z[1] << extra - prev)
-                  for s, z in zip(seeds, roots)]
-        desc, prev = _monic(base, fine), extra
-        roots = [intpoly.newton(desc, z, fine.bits, 1 << 2 * extra, len(desc)) for z in starts]
-        if None not in roots and all(4 * _dist_sq(z, starts[j]) < _gap_sq(starts, [j]) for j, z in enumerate(roots)):
-            return sorted((x >> extra, y >> extra) for x, y in roots)
-    raise PrecisionError("base roots did not converge")
+    f = grid.bits - grid.scale
+    target = max(f, grid.precision_bits)
+    _, pairs = intpoly.gaussian(base)
+    found = [intpoly.certified_root(pairs, s, target) for s in seeds]
+    if None in found:
+        raise PrecisionError("base roots did not converge")
+    top = max(bits for _, bits, _ in found)
+    centres = [(x << top - bits, y << top - bits) for (x, y), bits, _ in found]
+    if _gap_sq(centres, range(len(centres))) <= 4 << 2 * (top - target):
+        raise PrecisionError("base roots did not converge")
+    return sorted((x >> top - f, y >> top - f) for x, y in centres)
 
 
 def _half_twist_path(i: int, base_roots, bits: int):

@@ -815,6 +815,13 @@ def test_a_disc_of_radius_zero_on_an_exact_root_is_not_a_second_root():
             apolarity._require_disjoint_discs([exact, disc])
 
 
+def test_discs_that_meet_past_the_float_range_are_a_precision_error():
+    # The message names where the discs meet without float(), which overflows there.
+    disc = apolarity.SupportPoint(mpmath.mpc(2**1100), mpmath.mpf(1), exact=False, radius=0.0)
+    with pytest.raises(PrecisionError, match=r"discs meet near \(1\.358\d*e\+331 \+ 0\.0j\)"):
+        apolarity._require_disjoint_discs([disc, disc])
+
+
 def test_the_second_pass_does_not_match_the_root_zero_again(monkeypatch):
     # The pinned degree-30 form of tests/test_cli.py has the annihilator
     # root 0 and a root near 0.1035 whose refined centre has the first

@@ -5,8 +5,8 @@ module defines a private top-level name it never uses, and every field a
 package class declares is read somewhere as an attribute. Every function the
 benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
-names kronsec/__init__.py imports, and kronsec/intpoly.py imports only the
-standard library.
+names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
+standard library, and one function climbs intpoly.RUNGS.
 """
 
 import ast
@@ -188,3 +188,36 @@ def test_intpoly_imports_only_the_stdlib(name, package):
     # package modules, but nothing else outside the stdlib.
     imported = non_stdlib_imports((PACKAGE / name).read_text(encoding="utf-8"))
     assert [module for module in imported if not (package and module.startswith("."))] == []
+
+
+def rung_loops(source: str) -> list[str]:
+    """The innermost enclosing function of each for loop or comprehension over RUNGS or x.RUNGS."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, (ast.For, ast.comprehension)) and "RUNGS" in (
+                getattr(node.iter, "id", None), getattr(node.iter, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_finds_every_rung_loop():
+    source = (
+        "def refine(z):\n    for extra in RUNGS:\n        z += extra\n"
+        "    def inner():\n        return [e for e in intpoly.RUNGS]\n    return z\n"
+        "TOTAL = sum(r for r in RUNGS)\nSIZES = len(RUNGS)\n"
+    )
+    assert rung_loops(source) == ["refine", "inner", "<module>"]
+
+
+def test_one_function_climbs_the_rungs():
+    # Every refined root is accepted by one certificate: a second rung
+    # ladder would bring back a second acceptance rule.
+    loops = [f"{path.stem}.{where}" for path in PACKAGE_MODULES for where in rung_loops(path.read_text(encoding="utf-8"))]
+    assert loops == ["intpoly.certified_root"]

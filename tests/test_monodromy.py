@@ -163,7 +163,8 @@ def test_every_isolated_base_root_lies_on_its_own_polyroots_root():
     # The oracle is mpmath.polyroots at 256 bits. Each root the tracker starts
     # from on a base other than prod(z - j), on all four fuzz families and on
     # spread bases, lies within tolerance/8 of one oracle root, a different
-    # one for each.
+    # one for each, and the certified disc about each refined seed, on the
+    # base's Gaussian-integer coefficients, holds an oracle root.
     tolerance = monodromy.DEFAULT_TOLERANCE
     rng = random.Random(31)
     bases = [_fuzz_base(rng, family, rng.randint(3, 10)) for family in range(4) for _ in range(3)]
@@ -172,6 +173,8 @@ def test_every_isolated_base_root_lies_on_its_own_polyroots_root():
         seeds = monodromy._seeds(base)
         grid = monodromy._grid(96, tolerance, seeds)
         roots = monodromy._refined(base, seeds, grid)
+        _, pairs = intpoly.gaussian(base)
+        discs = [intpoly.certified_root(pairs, s, max(grid.bits - grid.scale, 96)) for s in seeds]
         with mpmath.workprec(256):
             oracle = mpmath.polyroots([mpmath.mpc(c) for c in reversed(base)], maxsteps=100, extraprec=256)
             unit = mpmath.mpf(2) ** (grid.scale - grid.bits)
@@ -180,7 +183,12 @@ def test_every_isolated_base_root_lies_on_its_own_polyroots_root():
                 dists = [abs(mpmath.mpc(x, y) * unit - r) for r in oracle]
                 nearest.append(min(range(len(oracle)), key=dists.__getitem__))
                 assert dists[nearest[-1]] < tolerance / 8, base
+            for (x, y), bits, (num, den) in discs:
+                centre = mpmath.mpc(mpmath.mpf((x, -bits)), mpmath.mpf((y, -bits)))
+                assert min(abs(centre - r) for r in oracle) <= mpmath.sqrt(mpmath.mpf(num) / den), base
         assert sorted(nearest) == list(range(len(oracle))), base
+    # z^2 + 1 has U'(0) = 0: Newton cannot step from 0 on any rung.
+    assert intpoly.certified_root([(1, 0), (0, 0), (1, 0)], 0j, 96) is None
 
 
 def _transposition(n, i):
@@ -225,6 +233,22 @@ def test_base_roots_outside_the_float_range_are_a_precision_error(base):
 def test_a_squarefree_gaussian_base_swaps_its_pair(roots):
     # intpoly.squarefree proves these bases squarefree over Z[i] before seeding.
     assert track_roots(intpoly.from_roots(roots), [HalfTwist(1)]).permutation == _transposition(len(roots), 1)
+
+
+@pytest.mark.parametrize("roots", [[1, 2j], [1 + 1j, -2, 3j]], ids=["one-and-2i", "three-gaussian"])
+def test_a_repeated_seed_is_a_precision_error(monkeypatch, roots):
+    # Both seeds refine onto one root, so two inclusion discs meet.
+    seeds = intpoly.aberth_seeds
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda coeffs: seeds(coeffs)[:1] * (len(coeffs) - 1))
+    with pytest.raises(PrecisionError, match="base roots did not converge"):
+        track_roots(intpoly.from_roots(roots), [HalfTwist(1)])
+
+
+def test_a_tolerance_coarser_than_refined_roots_is_a_domain_error():
+    # The roots +-i are certified apart at 96 bits, and only then floored
+    # onto the grid of 2^33 that tolerance 1e40 gives, far inside the tolerance.
+    with pytest.raises(DomainError, match="not resolvably squarefree"):
+        track_roots((1, 0, 1), [HalfTwist(1)], tolerance=1e40)
 
 
 def test_a_tolerance_coarser_than_the_integer_roots_is_a_domain_error():
