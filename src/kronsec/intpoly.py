@@ -78,6 +78,20 @@ def horner(pairs, a: int, b: int, q: int) -> tuple[int, int]:
     return x, y
 
 
+def horner_with_derivative(pairs, a: int, b: int, q: int):
+    """horner(pairs, a, b, q) and horner(derivative(pairs), a, b, q), in one homogeneous Horner pass.
+
+    With w = a + b i, each step takes D <- D w + P and P <- P w + c q^k, so
+    D ends as q^(d-1) U'(w / q) beside P = q^d U(w / q), for degree d >= 1.
+    """
+    (x, y), (dx, dy), q_pow = pairs[-1], (0, 0), 1
+    for cr, ci in reversed(pairs[:-1]):
+        q_pow *= q
+        dx, dy = dx * a - dy * b + x, dx * b + dy * a + y
+        x, y = x * a - y * b + cr * q_pow, x * b + y * a + ci * q_pow
+    return (x, y), (dx, dy)
+
+
 def derivative(pairs):
     return [(k * a, k * b) for k, (a, b) in enumerate(pairs)][1:]
 
@@ -283,18 +297,18 @@ def certified_root(pairs, z0, precision_bits: int):
     first rung (2^-64 left Sylvester error bounds up to 30x larger). The
     certificate is the classical inclusion bound: for any z with U'(z) != 0,
     some root lies within deg(U) |U(z)/U'(z)| of z, evaluated exactly by
-    homogeneous Horner and compared with 2^-precision_bits on integers.
+    one homogeneous Horner pass and compared with 2^-precision_bits on integers.
     Returns ((x, y), bits, (num, den)): the point (x + y i) / 2^bits and its
     squared radius num / den, 0 only at a root.
     """
-    deg, deriv = len(pairs) - 1, derivative(pairs)
+    deg = len(pairs) - 1
     e = max(1, max(map(abs, fixed(z0, 0))).bit_length()) - 1
     for extra in RUNGS:
         bits = precision_bits + max(8, extra - e)
         z = newton([(a << bits, b << bits) for a, b in reversed(pairs)], fixed(z0, bits),
                    bits, 1 << 2 * (bits - precision_bits))
         if z is not None:
-            (x, y), (dx, dy) = horner(pairs, *z, 1 << bits), horner(deriv, *z, 1 << bits)
+            (x, y), (dx, dy) = horner_with_derivative(pairs, *z, 1 << bits)
             num, den = deg * deg * (x * x + y * y), (dx * dx + dy * dy) << 2 * bits
             if num << 2 * precision_bits < den:
                 return z, bits, (num, den)

@@ -21,7 +21,9 @@ from its exact roots, which land on the grid exactly. Any other base has its
 roots seeded by intpoly.aberth_seeds and refined by intpoly.certified_root,
 the engine and the certificate of Sylvester supports too, into pairwise
 disjoint inclusion discs, and floored onto the grid. Every path point is an exact
-rational turn floored once, so every loop runs on the stdlib alone. On the grid
+rational turn floored once, so every loop runs on the stdlib alone. The step
+parameter t and the step h are exact dyadics, integer numerators over one
+power of two 2^D, so the step loop builds no Fraction. On the grid
 the base roots must stay more than the tolerance apart, and each final root
 must end nearer than half the least base gap to one base root; that match
 reads off the permutation of the starting roots that the loop induces.
@@ -199,21 +201,27 @@ def _dist_sq(a, b) -> int:
 
 def _gap_sq(roots, moving):
     """The least squared distance from a root at an index in `moving` to any other root; inf if there is none."""
-    moving = set(moving)
-    return min((_dist_sq(roots[m], z) for m in moving for k, z in enumerate(roots) if k > m or k not in moving),
-               default=math.inf)
+    gap = math.inf
+    for m in moving:
+        xm, ym = roots[m]
+        for k, (x, y) in enumerate(roots):
+            if k != m and (d := (x - xm) ** 2 + (y - ym) ** 2) < gap:
+                gap = d
+    return gap
 
 
-def _turn(u: Fraction, bits: int) -> tuple[int, int]:
-    """The point at fraction u of a counterclockwise unit turn, in fixed point, floored once.
+def _turn(num: int, den: int, bits: int) -> tuple[int, int]:
+    """The point at fraction num / den of a counterclockwise unit turn, in fixed point, floored once.
 
-    It is i^k ((1 - s^2) + 2is) / (1 + s^2) with k = floor(4u), s = 4u - k.
+    It is i^k ((1 - s^2) + 2is) / (1 + s^2) with k = floor(4u), s = 4u - k,
+    u = num / den. A common factor g of num and den scales x, y and their
+    denominator by g^2, so the point does not depend on the pair being reduced.
     """
-    k, r = divmod(4 * u.numerator, q := u.denominator)
-    x, y, den = q * q - r * r, 2 * r * q, q * q + r * r
+    k, r = divmod(4 * num, den)
+    x, y, norm = den * den - r * r, 2 * r * den, den * den + r * r
     for _ in range(k % 4):
         x, y = -y, x
-    return (x << bits) // den, (y << bits) // den
+    return (x << bits) // norm, (y << bits) // norm
 
 
 def _monic(coeffs0, grid: _Grid):
@@ -261,7 +269,7 @@ def _refined(base, seeds, grid: _Grid):
 
 
 def _half_twist_path(i: int, base_roots, bits: int):
-    """Coefficients along half_twist(i) at t, as one function.
+    """Coefficients along half_twist(i) at t = num / den, as one function.
 
     The moving pair is mid -+ half*w with w running 1 -> 1/2, then half a
     turn to -1/2 with w^2 = _turn(3t - 1) / 4, then -1/2 -> -1. Its sum
@@ -278,10 +286,9 @@ def _half_twist_path(i: int, base_roots, bits: int):
     fixed_part = intpoly.times_linear(q, s, bits) + [(0, 0)]
     s2, d2 = intpoly.times(s, s, bits), intpoly.times(d, d, bits)
 
-    def coeffs_at(t: Fraction):
-        num, den = t.numerator, t.denominator
+    def coeffs_at(num: int, den: int):
         if den < 3 * num <= 2 * den:
-            w2 = _turn(3 * t - 1, bits - 2)
+            w2 = _turn(3 * num - den, den, bits - 2)
         else:
             # w = 1 - 3t/2 up to t = 1/3 and -(3t - 1)/2 from t = 2/3.
             w = 2 * den - 3 * num if 3 * num <= den else 3 * num - den
@@ -295,12 +302,12 @@ def _half_twist_path(i: int, base_roots, bits: int):
 
 
 def _circle_path(index: int, monic, bits: int):
-    """Coefficients along circle(index, r) at t: one coefficient times _turn(t)."""
+    """Coefficients along circle(index, r) at t = num / den: one coefficient times _turn(num, den)."""
     k = len(monic) - 1 - index
 
-    def coeffs_at(t: Fraction):
+    def coeffs_at(num: int, den: int):
         out = list(monic)
-        out[k] = intpoly.times(monic[k], _turn(t, bits), bits)
+        out[k] = intpoly.times(monic[k], _turn(num, den, bits), bits)
         return out
 
     return coeffs_at
@@ -412,26 +419,32 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
     rounding in the value, about one a Horner step while |u| <= 1, could not
     alone make a step past the target. When the step falls below the floor,
     the error says whether Newton or the root gaps refused the last try.
+
+    t, the step h, the floor and max_step are exact dyadics, held as integer
+    numerators over one denominator unit = 2^D: max_step and the floor ratio
+    are floats, and every other value is made from them by halving, doubling
+    and the clip 1 - t. A halving that meets an odd numerator first doubles
+    unit and every numerator. The path points and the predictor floor
+    quotients that a common factor of numerator and denominator does not
+    change, so every step is the one exact rationals give.
     """
     gap = _gap_sq(current, moving)
-    t = Fraction(0)
-    h = Fraction(max_step)
-    floor = h * Fraction(STEP_FLOOR_RATIO)
-    prev_roots = None
-    prev_h = None
+    (h_max, unit), (ratio, ratio_unit) = max_step.as_integer_ratio(), STEP_FLOOR_RATIO.as_integer_ratio()
+    h_max, floor, unit = h_max * ratio_unit, h_max * ratio, unit * ratio_unit
+    t, h = 0, h_max
+    # Until a step is accepted the predictor, led by prev_roots = current, predicts no move.
+    prev_roots, prev_h = current, h
     streak = 0
-    while t < 1:
-        if h >= 1 - t:
-            h = 1 - t
-        desc = coeffs_at(t + h)
-        num, den = (h / prev_h).as_integer_ratio() if prev_roots is not None else (0, 1)
+    while t < unit:
+        h = min(h, unit - t)
+        desc = coeffs_at(t + h, unit)
         corrected = list(current)
         moved = 0
         ok = converged = True
         for m in moving:
             # Linear predictor: continue the last accepted step, scaled to this one.
-            (zr, zi), (pr, pi) = current[m], (prev_roots or current)[m]
-            z = intpoly.newton(desc, (zr + (zr - pr) * num // den, zi + (zi - pi) * num // den),
+            (zr, zi), (pr, pi) = current[m], prev_roots[m]
+            z = intpoly.newton(desc, (zr + (zr - pr) * h // prev_h, zi + (zi - pi) * h // prev_h),
                                grid.bits, grid.newton_sq, len(desc))
             if z is None:
                 ok = converged = False
@@ -443,11 +456,13 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
             ok = 4 * moved < gap and pairwise > grid.separation_sq
         if not ok:
             stats["halvings"] += 1
-            h = h / 2
             streak = 0
+            if h & 1:
+                t, h, floor, h_max, prev_h, unit = (v << 1 for v in (t, h, floor, h_max, prev_h, unit))
+            h >>= 1
             if h < floor:
                 raise PrecisionError(
-                    f"step size fell below the floor near t={float(t):.6f} in {where}; "
+                    f"step size fell below the floor near t={t / unit:.6f} in {where}; "
                     + (f"precision ran out at {grid.precision_bits} bits" if not converged
                        else "root collision suspected")
                 )
@@ -456,10 +471,10 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
         current, gap = corrected, pairwise
         t += h
         stats["steps"] += 1
-        stats["min_step"] = min(stats["min_step"], float(h))
+        stats["min_step"] = min(stats["min_step"], h / unit)
         streak += 1
-        if streak >= 4 and h < max_step:
-            h = min(Fraction(max_step), h * 2)
+        if streak >= 4 and h < h_max:
+            h = min(h_max, h * 2)
             streak = 0
     return current
 

@@ -6,7 +6,8 @@ package class declares is read somewhere as an attribute. Every function the
 benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
-standard library, and one function climbs intpoly.RUNGS.
+standard library, one function climbs intpoly.RUNGS, and the loop tracker's
+step loop runs on ints, naming no Fraction.
 """
 
 import ast
@@ -221,3 +222,36 @@ def test_one_function_climbs_the_rungs():
     # ladder would bring back a second acceptance rule.
     loops = [f"{path.stem}.{where}" for path in PACKAGE_MODULES for where in rung_loops(path.read_text(encoding="utf-8"))]
     assert loops == ["intpoly.certified_root"]
+
+
+# The functions of monodromy that run once per tracking step or path point.
+STEP_FUNCTIONS = {"_track_segment", "_turn", "coeffs_at"}
+
+
+def fraction_users(source: str, names) -> list[str]:
+    """The functions called one of `names`, nested ones included, that name Fraction or x.Fraction anywhere inside."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+                  and any("Fraction" in (getattr(n, "id", None), getattr(n, "attr", None)) for n in ast.walk(node)))
+
+
+def test_the_scan_finds_a_fraction_in_a_step_function():
+    source = (
+        "from fractions import Fraction\nimport fractions\n"
+        "def parse(x):\n    return Fraction(x)\n"
+        "def path(q):\n    def coeffs_at(num, den):\n        return fractions.Fraction(num, den)\n"
+        "    return coeffs_at\n"
+        "def _turn(u: Fraction, bits):\n    return u\n"
+        "def _track_segment(h):\n    return h // 2\n"
+    )
+    assert fraction_users(source, STEP_FUNCTIONS) == ["_turn", "coeffs_at"]
+
+
+def test_the_step_loop_names_no_fraction():
+    # t and h are integer numerators over one power of two; a Fraction in
+    # the step loop would bring back its gcd on every step. parse_segment
+    # keeps its Fraction: it runs once per segment.
+    source = (PACKAGE / "monodromy.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert STEP_FUNCTIONS <= defined
+    assert fraction_users(source, STEP_FUNCTIONS) == []

@@ -191,6 +191,130 @@ def test_every_isolated_base_root_lies_on_its_own_polyroots_root():
     assert intpoly.certified_root([(1, 0), (0, 0), (1, 0)], 0j, 96) is None
 
 
+def test_one_horner_pass_gives_the_value_and_the_derivative():
+    # The pass certified_root evaluates U and U' with, against horner on U and on derivative(U).
+    rng = random.Random(33)
+
+    def gaussian_int(size):
+        return rng.randint(-(2**size), 2**size), rng.randint(-(2**size), 2**size)
+
+    for _ in range(200):
+        pairs = [gaussian_int(rng.choice([3, 40, 200])) for _ in range(rng.randint(2, 14))]
+        for q in (1, 1 << rng.randint(1, 120)):
+            a, b = gaussian_int(rng.choice([2, 60, 180]))
+            assert intpoly.horner_with_derivative(pairs, a, b, q) == (
+                intpoly.horner(pairs, a, b, q), intpoly.horner(intpoly.derivative(pairs), a, b, q)), (pairs, a, b, q)
+
+
+def _gap_sq_by_sets(roots, moving):
+    """The set-and-generator definition of _gap_sq: the oracle for its loop."""
+    moving = set(moving)
+    return min((monodromy._dist_sq(roots[m], z)
+                for m in moving for k, z in enumerate(roots) if k > m or k not in moving), default=math.inf)
+
+
+def test_gap_sq_is_the_least_distance_from_a_moving_root():
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        size = rng.choice([3, 30, 120])
+        roots = [(rng.randint(-(2**size), 2**size), rng.randint(-(2**size), 2**size)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            roots[rng.randrange(n)] = roots[rng.randrange(n)]  # a repeated root is a gap of 0
+        for moving in (range(n), [rng.randrange(n)], rng.sample(range(n), rng.randint(0, n)), []):
+            assert monodromy._gap_sq(roots, moving) == _gap_sq_by_sets(roots, moving), (roots, moving)
+    assert monodromy._gap_sq([(0, 0), (3, 4)], []) == math.inf
+    assert monodromy._gap_sq([(5, 5)], [0]) == math.inf
+
+
+def _fuzz_half_twist(seed, trial):
+    """The base and index of trial `trial` of a fuzz run seeded `seed`, as the fuzz test draws them."""
+    rng = random.Random(seed)
+    for family in range(trial + 1):
+        n = rng.randint(3, 10)
+        base = _fuzz_base(rng, family % 4, n)
+        i = rng.randint(1, n - 1)
+    return base, i
+
+
+# Recorded with exact Fraction step parameters: every pinned half-twist halves
+# its step, at max_step 1/32 = 2^-5 and at 0.1 = 3602879701896397 * 2^-55,
+# whose halvings meet an odd numerator at once.
+@pytest.mark.parametrize("seed, trial, max_step, permutation, stats", [
+    (0, 1, 1 / 32, (0, 1, 2, 3, 5, 4, 6), (0.00390625, 45, 6)),
+    (0, 1, 0.1, (0, 1, 2, 3, 5, 4, 6), (0.006249999999999973, 32, 10)),
+    (0, 2, 1 / 32, (0, 2, 1), (6.103515625e-05, 74, 18)),
+    (0, 2, 0.1, (0, 2, 1), (4.8828125e-05, 63, 22)),
+    (0, 10, 1 / 32, (1, 0, 2), (3.814697265625e-06, 115, 28)),
+    (0, 10, 0.1, (1, 0, 2), (3.0517578125e-06, 103, 31)),
+    (3, 5, 1 / 32, (1, 0, 2, 3), (0.00390625, 43, 5)),
+    (3, 5, 0.1, (1, 0, 2, 3), (0.003125, 38, 11)),
+    (1, 26, 1 / 32, (0, 2, 1), (5.960464477539063e-08, 123, 37)),
+])
+def test_the_step_schedule_is_the_exact_rational_one(seed, trial, max_step, permutation, stats):
+    base, i = _fuzz_half_twist(seed, trial)
+    loop = track_roots(base, [HalfTwist(i)], max_step=max_step)
+    assert loop.permutation == permutation
+    assert loop.refinement == monodromy.StepStats(*stats)
+
+
+def test_a_step_floor_message_keeps_its_exact_t():
+    base, i = _fuzz_half_twist(1, 26)
+    with pytest.raises(PrecisionError) as caught:
+        track_roots(base, [HalfTwist(i)], max_step=0.1)
+    assert str(caught.value) == ("step size fell below the floor near t=0.000000 in segment 0 (half_twist(2)); "
+                                 "root collision suspected")
+
+
+def _refused_at_the_end(monkeypatch, refusals):
+    """Make intpoly.newton refuse the first `refusals` tries whose step ends at t = 1."""
+    path, newton = monodromy._half_twist_path, intpoly.newton
+    at_end, refused = [False], []
+
+    def watched(*args):
+        coeffs_at = path(*args)
+
+        def at(num, den):
+            at_end[0] = num == den
+            return coeffs_at(num, den)
+
+        return at
+
+    def refusing(*args):
+        if at_end[0] and len(refused) < refusals:
+            refused.append(args)
+            return None
+        return newton(*args)
+
+    monkeypatch.setattr(monodromy, "_half_twist_path", watched)
+    monkeypatch.setattr(intpoly, "newton", refusing)
+
+
+# With max_step 0.1 the last step of a segment is clipped to 1 - t, an odd
+# numerator, so halving it doubles every numerator and the denominator first.
+# Recorded with exact Fraction step parameters.
+@pytest.mark.parametrize("refusals, max_step, stats", [
+    (1, 0.1, (0.049999999999999975, 11, 1)),
+    (2, 0.1, (0.024999999999999988, 12, 2)),
+    (1, 1 / 32, (0.015625, 33, 1)),
+    (2, 1 / 32, (0.0078125, 34, 2)),
+])
+def test_a_refused_clipped_step_halves_as_exact_rationals_do(monkeypatch, refusals, max_step, stats):
+    _refused_at_the_end(monkeypatch, refusals)
+    loop = word_loop(3, [1], max_step=max_step)
+    assert loop.permutation == (1, 0, 2)
+    assert loop.refinement == monodromy.StepStats(*stats)
+
+
+@pytest.mark.parametrize("max_step", [0.1, 1 / 32])
+def test_a_clipped_step_refused_to_the_floor_names_t_and_the_precision(monkeypatch, max_step):
+    _refused_at_the_end(monkeypatch, math.inf)
+    with pytest.raises(PrecisionError) as caught:
+        word_loop(3, [1], max_step=max_step)
+    assert str(caught.value) == ("step size fell below the floor near t=1.000000 in segment 0 (half_twist(1)); "
+                                 "precision ran out at 96 bits")
+
+
 def _transposition(n, i):
     perm = list(range(n))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
@@ -371,8 +495,10 @@ def test_circle_radius_must_match_base_coefficient(monkeypatch):
 def test_the_turn_is_exact_at_the_quarters_and_runs_counterclockwise(bits):
     one = 1 << bits
     quarters = [(one, 0), (0, one), (-one, 0), (0, -one), (one, 0)]
-    assert [monodromy._turn(Fraction(j, 4), bits) for j in range(5)] == quarters
-    points = [monodromy._turn(Fraction(j, 64), bits) for j in range(65)]
+    assert [monodromy._turn(j, 4, bits) for j in range(5)] == quarters
+    # The pair need not be reduced: t = 2j / 8 is the point at j / 4.
+    assert [monodromy._turn(2 * j, 8, bits) for j in range(5)] == quarters
+    points = [monodromy._turn(j, 64, bits) for j in range(65)]
     for x, y in points:
         # Each part is floored once from a point on the circle of radius 2^bits.
         assert abs(x * x + y * y - 4**bits) <= 2 ** (bits + 2)
