@@ -6,7 +6,13 @@ parameter steps by a linear predictor plus Newton correction in
 intpoly.newton, the fixed-point kernel that also refines Sylvester supports:
 each root is a pair of Python ints scaled by 2^F, with F = precision_bits +
 ceil(log2(8 / tolerance)), so the kernel carries precision_bits bits (96 by
-default) below the Newton target tolerance/8. Coefficients are held for
+default) below the Newton target tolerance/8. Before that exact Newton call,
+a few complex-float Newton steps on a float copy of the step's coefficients
+move the predicted start toward its root; the float start keeps the
+predicted point where its first step already converged, where floats fail,
+and where Horner's float rounding bound is not clearly below the least root
+gap. It only chooses where exact Newton starts: the exact kernel and the
+exact step tests below accept or refuse every step. Coefficients are held for
 u = z / 2^s, with 2^s a power of two at least every base root modulus, so
 small or clustered roots keep their relative precision. A step is accepted
 only while no moving root moved half the least distance from a moving root
@@ -48,6 +54,7 @@ import cmath
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -65,6 +72,15 @@ from .permutations import (
 DEFAULT_TOLERANCE = 2.0**-48
 DEFAULT_MAX_STEP = 1.0 / 32
 STEP_FLOOR_RATIO = 2.0**-20
+# A step must not span most of a closed segment: a step that lands back on
+# the base sees no root move. 1/8 is the largest step the acceptance checks run.
+MAX_STEP_CAP = 1.0 / 8
+# The float start: at most FLOAT_STEPS complex-float Newton steps, stopping
+# once a step is below FLOAT_CONVERGED, and trusted only while FLOAT_MARGIN
+# times Horner's rounding bound stays below the least root gap.
+FLOAT_STEPS = 8
+FLOAT_CONVERGED = 2.0**-50
+FLOAT_MARGIN = 64
 
 
 # --- segments ----------------------------------------------------------------
@@ -124,6 +140,19 @@ def parse_loop_spec(data: dict):
     base = [_as_complex(c) for c in data["base"]]
     segments = [parse_segment(s) for s in data["segments"]]
     return base, segments, _checked_tolerance(data.get("tolerance", DEFAULT_TOLERANCE))
+
+
+def _checked_max_step(max_step) -> float:
+    """max_step as a float; a DomainError unless it is a number with 0 < max_step <= MAX_STEP_CAP."""
+    if isinstance(max_step, bool):
+        raise DomainError(f"max_step must be a number, got {max_step!r}")
+    try:
+        value = float(max_step)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"max_step must be a number, got {max_step!r}") from None
+    if not 0 < value <= MAX_STEP_CAP:
+        raise DomainError(f"max_step must be positive and at most {MAX_STEP_CAP}, got {value}")
+    return value
 
 
 def _checked_tolerance(tolerance) -> float:
@@ -340,13 +369,15 @@ def track_roots(
     """Continue all roots of `base` around the closed path and read the permutation.
 
     base: ascending coefficients (constant term first) of a squarefree
-    polynomial; segments: a list of Segment values (each closed at base).
+    polynomial; segments: a list of Segment values (each closed at base);
+    max_step: the first and largest step in t, a number in (0, 1/8].
     A base equal to prod(z - j), j = 1..n, starts from its roots 1..n; the
     roots of any other base are seeded and refined by _seeds and _refined.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
     tolerance = _checked_tolerance(tolerance)
+    max_step = _checked_max_step(max_step)
     if not segments:
         raise DomainError("a loop needs at least one segment")
     base = list(base)
@@ -407,6 +438,50 @@ def _validate_segments(segs, coeffs0):
             raise DomainError(f"{seg!r} is not a Segment; parse_segment reads the text form")
 
 
+def _float_start(floats, z, bits: int, gap_u: float):
+    """z moved onto its root by complex-float Newton steps, on the grid of 2^-bits; z itself when floats cannot help.
+
+    floats are the descending coefficients as complex floats, and gap_u the
+    least squared root gap in units of u. Steps stop once one is below
+    FLOAT_CONVERGED or |P(w)| is within Horner's rounding bound
+    (n + 1) eps sum |c_k| |z|^k, where floats can tell w from the root no
+    better. z comes back unchanged when the first step already stops, when
+    floats fail (a zero derivative, an overflow, a value that is not finite,
+    no stop in FLOAT_STEPS steps), or when FLOAT_MARGIN times that bound over
+    |P'(w)| is not below the gap: there the float iterate could sit nearer
+    another root. The point is only a start: intpoly.newton and the step
+    tests decide whether the step is accepted.
+    """
+    one = 1 << bits
+    # int / int rounds once at any size, where float() overflows past about 2^1024.
+    w = complex(z[0] / one, z[1] / one)
+    try:
+        size, aw = 0.0, abs(w)
+        for c in floats:
+            size = size * aw + abs(c)
+        noise = len(floats) * sys.float_info.epsilon * size
+        for k in range(FLOAT_STEPS):
+            p = dp = 0j
+            for c in floats:
+                dp = dp * w + p
+                p = p * w + c
+            step = p / dp
+            w -= step
+            if abs(step) < FLOAT_CONVERGED or abs(p) <= noise:
+                break
+        else:
+            return z
+        if k == 0 or not cmath.isfinite(w):
+            return z
+        # Squared in floats: the gap comes as a float in units of u, and a bound past the float range is inf.
+        bound = FLOAT_MARGIN * noise / abs(dp)
+        if not bound * bound < gap_u:
+            return z
+    except (ZeroDivisionError, OverflowError):
+        return z
+    return intpoly.fixed(w, bits)
+
+
 def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, where):
     """Continue the roots at indices `moving` from t = 0 to 1; the others stay put.
 
@@ -419,6 +494,9 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
     rounding in the value, about one a Horner step while |u| <= 1, could not
     alone make a step past the target. When the step falls below the floor,
     the error says whether Newton or the root gaps refused the last try.
+    A try makes one intpoly.newton call per moving root, started where
+    _float_start moves the linear predictor's point; the float copy of the
+    try's coefficients is made once a try.
 
     t, the step h, the floor and max_step are exact dyadics, held as integer
     numerators over one denominator unit = 2^D: max_step and the floor ratio
@@ -429,6 +507,7 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
     change, so every step is the one exact rationals give.
     """
     gap = _gap_sq(current, moving)
+    one = 1 << grid.bits
     (h_max, unit), (ratio, ratio_unit) = max_step.as_integer_ratio(), STEP_FLOOR_RATIO.as_integer_ratio()
     h_max, floor, unit = h_max * ratio_unit, h_max * ratio, unit * ratio_unit
     t, h = 0, h_max
@@ -438,14 +517,18 @@ def _track_segment(coeffs_at, moving, current, grid: _Grid, max_step, stats, whe
     while t < unit:
         h = min(h, unit - t)
         desc = coeffs_at(t + h, unit)
+        floats = [complex(x / one, y / one) for x, y in desc]
+        # A lone root has gap inf, and inf / int overflows once the int is past the float range.
+        gap_u = gap / (one * one) if gap < math.inf else gap
         corrected = list(current)
         moved = 0
         ok = converged = True
         for m in moving:
             # Linear predictor: continue the last accepted step, scaled to this one.
             (zr, zi), (pr, pi) = current[m], prev_roots[m]
-            z = intpoly.newton(desc, (zr + (zr - pr) * h // prev_h, zi + (zi - pi) * h // prev_h),
-                               grid.bits, grid.newton_sq, len(desc))
+            start = _float_start(floats, (zr + (zr - pr) * h // prev_h, zi + (zi - pi) * h // prev_h),
+                                 grid.bits, gap_u)
+            z = intpoly.newton(desc, start, grid.bits, grid.newton_sq, len(desc))
             if z is None:
                 ok = converged = False
                 break

@@ -315,6 +315,103 @@ def test_a_clipped_step_refused_to_the_floor_names_t_and_the_precision(monkeypat
                                  "precision ran out at 96 bits")
 
 
+def _floats(desc, bits):
+    """The complex floats _track_segment hands the float start."""
+    one = 1 << bits
+    return [complex(x / one, y / one) for x, y in desc]
+
+
+def test_the_float_start_keeps_a_start_beside_a_tight_pair():
+    # Roots 1e-7 apart, as in fuzz family 2. Started 2^-24 off one of them,
+    # float Newton would end nearer the other; Horner's rounding bound is
+    # not clearly below their gap, so the start comes back unchanged.
+    base = intpoly.from_roots([0.5 + 0.25j, 0.5 + 0.25j + 1e-7, -1.0, 2 - 1j])
+    seeds = monodromy._seeds(base)
+    grid = monodromy._grid(96, monodromy.DEFAULT_TOLERANCE, seeds)
+    roots = monodromy._refined(base, seeds, grid)
+    floats, one = _floats(monodromy._monic(base, grid), grid.bits), 1 << grid.bits
+    x, y = roots[1]
+    start = (x + (one >> 24), y + (one >> 25))
+    gap_u = monodromy._gap_sq(roots, [1]) / (one * one)
+    assert monodromy._float_start(floats, start, grid.bits, gap_u) == start
+    # With no gap to keep, the same start moves, and lands nearer root 3 than root 2.
+    moved = monodromy._float_start(floats, start, grid.bits, math.inf)
+    assert monodromy._dist_sq(moved, roots[2]) < monodromy._dist_sq(moved, roots[1])
+
+
+def test_the_float_start_keeps_a_start_at_a_zero_derivative():
+    # z^2 + 1 at z = 0: P'(0) = 0.
+    bits = 100
+    desc = [(1 << bits, 0), (0, 0), (1 << bits, 0)]
+    assert monodromy._float_start(_floats(desc, bits), (0, 0), bits, math.inf) == (0, 0)
+
+
+def test_the_float_start_keeps_a_start_whose_first_step_is_converged():
+    # A start 2^-60 from a root of prod(u - j/8): the first step is below 2^-50.
+    bits = 150
+    roots = [intpoly.fixed(j / 8, bits) for j in range(1, 6)]
+    desc = [(1 << bits, 0)]
+    for r in roots:
+        desc = intpoly.times_linear(desc, r, bits)
+    start = (roots[2][0] + (1 << bits - 60), roots[2][1])
+    assert monodromy._float_start(_floats(desc, bits), start, bits, 1 / 64) == start
+
+
+@pytest.mark.parametrize("precision_bits", [96, 4096])
+def test_the_float_start_moves_a_rotating_start_nearer_its_root(precision_bits):
+    # Mid-rotation of half_twist(2) on prod(z - j), j = 1..4, the moving pair
+    # sits at 5/2 -+ i/4. A start 10^-2 off goes to within 2^-40 of the root
+    # found by exact Newton; at 4096 bits the grid ints are far past the float range.
+    roots0 = [1, 2, 3, 4]
+    grid = monodromy._grid(precision_bits, monodromy.DEFAULT_TOLERANCE, roots0)
+    root_bits = grid.bits - grid.scale
+    base_roots = [intpoly.fixed(r, root_bits) for r in roots0]
+    desc = monodromy._half_twist_path(2, base_roots, grid.bits)(1, 2)
+    start = intpoly.fixed(complex(2.51, 0.26), root_bits)
+    root = intpoly.newton(desc, start, grid.bits, grid.newton_sq)
+    assert monodromy._dist_sq(root, intpoly.fixed(complex(2.5, 0.25), root_bits)) < 1 << 2 * (root_bits - 40)
+    gap_u = monodromy._gap_sq(base_roots, [1, 2]) / (1 << 2 * grid.bits)
+    moved = monodromy._float_start(_floats(desc, grid.bits), start, grid.bits, gap_u)
+    assert monodromy._dist_sq(moved, root) < 1 << 2 * (grid.bits - 40)
+
+
+@pytest.mark.parametrize("precision_bits", [96, 4096])
+def test_a_lone_root_circles_at_any_precision(precision_bits):
+    # One root has no gap to keep: the float start's gap is inf, which must
+    # never be divided by a grid int past the float range.
+    loop = track_roots((-1, 1), [CoefficientCircle(0, 1.0)], precision_bits=precision_bits)
+    assert loop.permutation == (0,)
+
+
+def _outcome(base, i, precision_bits):
+    try:
+        loop = track_roots(base, [HalfTwist(i)], precision_bits=precision_bits)
+    except PrecisionError as exc:
+        return str(exc)
+    return loop.permutation, loop.refinement
+
+
+@pytest.mark.parametrize("precision_bits", [96, 192])
+def test_the_float_start_changes_no_permutation_and_no_step_record(monkeypatch, precision_bits):
+    # The float start only picks where exact Newton begins: with it and with
+    # the predictor alone, fuzz half-twists of families 0-3 and spread bases
+    # give the same permutations, StepStats and errors.
+    cases = [_fuzz_half_twist(seed, trial) for seed in (0, 3) for trial in range(8)]
+    cases += [(intpoly.from_roots(roots), i) for n, roots, i in map(spread_half_twist, (0, 2, 10))]
+    float_start, moved = monodromy._float_start, []
+
+    def counted(floats, z, bits, gap_u):
+        out = float_start(floats, z, bits, gap_u)
+        moved.append(out != z)
+        return out
+
+    monkeypatch.setattr(monodromy, "_float_start", counted)
+    with_floats = [_outcome(base, i, precision_bits) for base, i in cases]
+    assert sum(moved) > len(moved) // 4  # the float start does move starts here
+    monkeypatch.setattr(monodromy, "_float_start", lambda floats, z, bits, gap_u: z)
+    assert [_outcome(base, i, precision_bits) for base, i in cases] == with_floats
+
+
 def _transposition(n, i):
     perm = list(range(n))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
@@ -388,6 +485,14 @@ def test_tolerance_must_be_positive_and_finite(tolerance):
         track_roots((-1, 0, 1), (HalfTwist(1),), tolerance=tolerance)
     with pytest.raises(DomainError, match="positive and finite"):
         parse_loop_spec({"base": [-1, 0, 1], "segments": ["half_twist(1)"], "tolerance": tolerance})
+
+
+# 0, nan and inf once raised ZeroDivisionError, ValueError and OverflowError;
+# -0.1 ended in a step floor error near t=-1.2; 0.3 and 1.0 returned the identity.
+@pytest.mark.parametrize("max_step", [0.0, math.nan, math.inf, -0.1, 0.3, 1.0, True, "fast", None])
+def test_max_step_must_be_a_positive_number_at_most_an_eighth(max_step):
+    with pytest.raises(DomainError, match="max_step must be"):
+        word_loop(3, [1], max_step=max_step)
 
 
 def _mpmath_newton(coeffs, z, target):
