@@ -1,13 +1,16 @@
 """Exact S_n character arithmetic.
 
-Irreducible character values come from the Murnaghan-Nakayama rule read
-forwards: the power sum p_mu is expanded in the Schur basis one part at a
-time, with shapes stored as bead bitmasks (beta-sets on the abacus), so one
-expansion per cycle type gives a whole column of the table. Everything
-downstream (Kronecker coefficients, tensor decompositions, the character route
-to Littlewood-Richardson numbers) is an exact class-weighted sum over a cached
-character table, with every division checked to be exact: a non-integral or
-negative multiplicity is an internal fault, not a value.
+Irreducible character values come from the Murnaghan-Nakayama rule on the
+abacus, with shapes stored as bead bitmasks (beta-sets): the power sum p_mu is
+expanded in the Schur basis one part at a time, so one expansion per cycle
+type gives a whole column of the table. Kronecker coefficients and tensor
+decompositions build no table. A row of chi^lam takes one backward strip step
+per class off the expansion of the class's tail (`_rows`), and a tensor
+decomposition expands its class-weighted power sums in the Schur basis by one
+forward step per first part. Every such sum, and every multiplicity read off
+the cached table (`chartable`, the brion records, the defining representation),
+is divided by n! checked exact: a non-integral or negative multiplicity is an
+internal fault, not a value.
 
 Littlewood-Richardson coefficients are deliberately computed twice, by the
 combinatorial tableaux rule (`lr_coefficient`) and by restricting characters
@@ -18,6 +21,7 @@ to a Young subgroup (`lr_by_characters`). The two routes share no code path;
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby
 from math import factorial
 from operator import mul
 
@@ -53,11 +57,16 @@ def _expansion(mu: Partition) -> dict[int, int]:
     """
     if not mu:
         return {0: 1}
-    r = mu[0]
+    out: dict[int, int] = {}
+    _forward(mu[0], _expansion(mu[1:]), out)
+    return {mask: value for mask, value in out.items() if value}
+
+
+def _forward(r: int, terms: dict[int, int], out: dict[int, int]) -> None:
+    """Add p_r * sum(value * s_mask over terms) to out, masks on r more beads."""
     low = (1 << r) - 1
     between = low >> 1
-    out: dict[int, int] = {}
-    for mask, value in _expansion(mu[1:]).items():
+    for mask, value in terms.items():
         mask = (mask << r) | low
         movable = mask & ~(mask >> r)
         while movable:
@@ -66,7 +75,55 @@ def _expansion(mu: Partition) -> dict[int, int]:
             moved = mask ^ bit ^ (bit << r)
             jumped = (mask >> bit.bit_length()) & between
             out[moved] = out.get(moved, 0) + (-value if jumped.bit_count() & 1 else value)
-    return {mask: value for mask, value in out.items() if value}
+
+
+def _rows(n: int, shapes) -> list[list[int]]:
+    """chi^lam at every class of S_n in conjugacy_classes order, one row per shape.
+
+    The backward Murnaghan-Nakayama step: chi^lam(r, rest) sums chi^nu(rest)
+    over the shapes nu left by removing a border strip of size r from lam. On
+    the abacus one bead moves from p back to an empty p - r, with sign
+    (-1)^(beads strictly between). nu has at most n - r parts, so its low r
+    beads are all full, and dropping them reads nu on n - r beads in the
+    expansion of rest.
+    """
+    masks = [_beads(lam, n) for lam in shapes]
+    rows: list[list[int]] = [[] for _ in shapes]
+    for mu, _ in conjugacy_classes(n):
+        if not mu:  # the one class of S_0
+            for row in rows:
+                row.append(1)
+            continue
+        r = mu[0]
+        low = (1 << r) - 1
+        between = low >> 1
+        tail = _expansion(mu[1:])
+        for mask, row in zip(masks, rows):
+            value = 0
+            movable = mask & ~(mask << r) & ~low
+            while movable:
+                bit = movable & -movable
+                movable ^= bit
+                source = mask ^ bit ^ (bit >> r)
+                if term := tail.get(source >> r):
+                    jumped = (mask >> (bit >> r).bit_length()) & between
+                    value += -term if jumped.bit_count() & 1 else term
+            row.append(value)
+    return rows
+
+
+def _multiplicity(total: int, n: int, sig: Partition) -> int:
+    """total / n!, the multiplicity of chi^sig, checked integral and nonnegative."""
+    value, rem = divmod(total, factorial(n))
+    if rem:
+        raise ConsistencyError(
+            f"class-weighted inner product is not integral for n={n}: {total}/{n}!"
+        )
+    if value < 0:
+        raise ConsistencyError(
+            f"negative multiplicity {value} of {format_partition(sig)} for n={n}"
+        )
+    return value
 
 
 @cache
@@ -107,15 +164,6 @@ class CharacterTable:
         """|C| f(C) for each class C of the class function f: weigh once, then read many rows against it."""
         return tuple(cc.cls_size * v for cc, v in zip(self.classes, values))
 
-    def _averaged(self, weighed, row) -> int:
-        total = sum(map(mul, weighed, row))
-        value, rem = divmod(total, factorial(self.n))
-        if rem:
-            raise ConsistencyError(
-                f"class-weighted inner product is not integral for n={self.n}: {total}/{self.n}!"
-            )
-        return value
-
     def product(self, lam: Partition, om: Partition) -> tuple[int, ...]:
         """The character chi^lam * chi^om, one value per class."""
         return tuple(a * b for a, b in zip(self.row(lam), self.row(om)))
@@ -126,12 +174,7 @@ class CharacterTable:
 
     def weighed_multiplicity(self, weighed, sig: Partition) -> int:
         """multiplicity() of the class function whose weigh() is `weighed`."""
-        value = self._averaged(weighed, self.row(sig))
-        if value < 0:
-            raise ConsistencyError(
-                f"negative multiplicity {value} of {format_partition(sig)} for n={self.n}"
-            )
-        return value
+        return _multiplicity(sum(map(mul, weighed, self.row(sig))), self.n, sig)
 
 
 @cache
@@ -165,18 +208,41 @@ def _common_degree(*shapes: Partition) -> int:
 def kronecker(lam: Partition, om: Partition, sig: Partition) -> int:
     """Multiplicity of chi^sig in chi^lam * chi^om (pointwise product).
 
-    Exact throughout: the class-weighted sum must be divisible by n! and
-    nonnegative, anything else aborts as an internal fault.
+    The class-weighted sum of three rows from `_rows`. Exact throughout: the
+    sum must be divisible by n! and nonnegative, anything else aborts as an
+    internal fault.
     """
-    t = _table(_common_degree(lam, om, sig))
-    return t.multiplicity(t.product(lam, om), sig)
+    lam, om, sig = validate_partition(lam), validate_partition(om), validate_partition(sig)
+    n = _common_degree(lam, om, sig)
+    rows = _rows(n, (lam, om, sig))
+    total = sum(cc.cls_size * a * b * c for cc, a, b, c in zip(conjugacy_classes(n), *rows))
+    return _multiplicity(total, n, sig)
 
 
 def tensor_decompose(lam: Partition, om: Partition) -> dict[Partition, int]:
-    """All nonzero multiplicities in chi^lam tensor chi^om, keyed by shape."""
-    t = _table(_common_degree(lam, om))
-    weighed = t.weigh(t.product(lam, om))
-    return {sig: m for sig in t.irreducibles if (m := t.weighed_multiplicity(weighed, sig))}
+    """All nonzero multiplicities in chi^lam tensor chi^om, keyed by shape in partitions_of order.
+
+    F = sum over classes mu of |C_mu| chi^lam(mu) chi^om(mu) p_mu is n! times
+    the decomposition in the Schur basis. It is expanded by Horner over the
+    first part: conjugacy_classes lists the classes grouped by first part r,
+    and each group's weighted tail expansions, added into one dict, take one
+    forward step of p_r. Every coefficient is divided by n! checked exact.
+    """
+    lam, om = validate_partition(lam), validate_partition(om)
+    n = _common_degree(lam, om)
+    if not n:  # S_0 is the trivial group
+        return {(): 1}
+    schur: dict[int, int] = {}
+    weighted = zip(conjugacy_classes(n), *_rows(n, (lam, om)))
+    for r, group in groupby(weighted, key=lambda entry: entry[0].cycle_type[0]):
+        combined: dict[int, int] = {}
+        for (mu, cls_size), a, b in group:
+            if weight := cls_size * a * b:
+                for mask, value in _expansion(mu[1:]).items():
+                    combined[mask] = combined.get(mask, 0) + weight * value
+        _forward(r, combined, schur)
+    return {sig: m for sig in partitions_of(n)
+            if (m := _multiplicity(schur.get(_beads(sig, n), 0), n, sig))}
 
 
 # --- Littlewood-Richardson, route one: the tableaux rule -------------------

@@ -1,8 +1,17 @@
+import itertools
+import random
+from functools import cache
 from math import comb, factorial
 
 import pytest
-from conftest import oracle_character_table, oracle_class_inner_product, oracle_is_horizontal_strip
+from conftest import (
+    oracle_character_table,
+    oracle_class_inner_product,
+    oracle_cycle_census,
+    oracle_is_horizontal_strip,
+)
 
+import kronsec.characters as characters
 from kronsec.characters import (
     character_table,
     kronecker,
@@ -120,8 +129,6 @@ def test_kronecker_known_values():
 
 
 def test_kronecker_symmetric_in_all_arguments():
-    import itertools
-
     for n in (3, 4, 5):
         shapes = partitions_of(n)
         for lam, om, sig in itertools.combinations_with_replacement(shapes, 3):
@@ -166,6 +173,109 @@ def test_tensor_decomposition_reconstructs_pointwise_product():
                     product = t.chi(lam, cc.cycle_type) * t.chi(om, cc.cycle_type)
                     total = sum(m * t.chi(sig, cc.cycle_type) for sig, m in decomp.items())
                     assert total == product
+
+
+@pytest.mark.parametrize(
+    "bad", [(1, 2), (2, 0, 1), (3, -1, 1)], ids=["increasing", "zero-part", "negative-part"]
+)
+def test_kron_and_tensor_reject_what_is_no_partition(bad):
+    # A bead mask of (1, 2) puts two beads on one bit: checked before any mask is built.
+    with pytest.raises(DomainError, match="partition parts"):
+        kronecker(bad, (3,), (3,))
+    with pytest.raises(DomainError, match="partition parts"):
+        kronecker((3,), (3,), bad)
+    with pytest.raises(DomainError, match="partition parts"):
+        tensor_decompose(bad, (3,))
+    with pytest.raises(DomainError, match="partition parts"):
+        tensor_decompose((3,), bad)
+
+
+# --- The row and Horner routes against the character table ----------------
+
+
+def table_kronecker(lam, om, sig):
+    t = character_table(size(lam))
+    return t.multiplicity(t.product(lam, om), sig)
+
+
+def table_tensor(lam, om):
+    t = character_table(size(lam))
+    weighed = t.weigh(t.product(lam, om))
+    return {sig: m for sig in t.irreducibles if (m := t.weighed_multiplicity(weighed, sig))}
+
+
+@cache
+def oracle_multiplicities(n):
+    """{(lam, om, sig): g} over every triple of S_n, from the permutation-character table."""
+    table, census = oracle_character_table(n), oracle_cycle_census(n)
+    shapes = partitions_of(n)
+    out = {}
+    for lam, om, sig in itertools.product(shapes, repeat=3):
+        total = sum(census[mu] * table[lam][mu] * table[om][mu] * table[sig][mu] for mu in census)
+        g, rem = divmod(total, factorial(n))
+        assert rem == 0
+        out[lam, om, sig] = g
+    return out
+
+
+def seeded_shapes(n, count, arity):
+    rng = random.Random(1000 + n)
+    return [tuple(rng.choice(partitions_of(n)) for _ in range(arity)) for _ in range(count)]
+
+
+def test_kronecker_rows_match_the_table_and_the_oracle():
+    for n in range(1, 7):
+        oracle = oracle_multiplicities(n)
+        for triple in itertools.product(partitions_of(n), repeat=3):
+            assert kronecker(*triple) == table_kronecker(*triple) == oracle[triple]
+    for n in range(7, 17):
+        for triple in seeded_shapes(n, 12, 3):
+            assert kronecker(*triple) == table_kronecker(*triple)
+
+
+def test_tensor_horner_matches_the_table_and_the_oracle():
+    for n in range(1, 8):
+        oracle = oracle_multiplicities(n)
+        for lam, om in itertools.product(partitions_of(n), repeat=2):
+            got = tensor_decompose(lam, om)
+            assert list(got.items()) == list(table_tensor(lam, om).items())
+            assert got == {sig: g for sig in partitions_of(n) if (g := oracle[lam, om, sig])}
+    for n in range(8, 17):
+        for lam, om in seeded_shapes(n, 6, 2):
+            got = tensor_decompose(lam, om)
+            assert list(got.items()) == list(table_tensor(lam, om).items())
+            # partitions_of order: reverse-lex, that is descending tuples.
+            assert list(got) == sorted(got, reverse=True)
+
+
+def patched_expansion(monkeypatch, alter):
+    """Serve every tail expansion of size < 6 through alter(mu, clean copy), never recursing."""
+    clean = {mu: dict(characters._expansion(mu)) for k in range(6) for mu in partitions_of(k)}
+    monkeypatch.setattr(characters, "_expansion", lambda mu: alter(mu, dict(clean[mu])))
+
+
+def test_a_perturbed_tail_is_not_integral(monkeypatch):
+    def bump(mu, expansion):
+        if mu == (1,):  # chi^(1)((1)) = 1 becomes 2
+            expansion[0b10] += 1
+        return expansion
+
+    patched_expansion(monkeypatch, bump)
+    with pytest.raises(ConsistencyError, match="not integral"):
+        kronecker((3,), (3,), (3,))
+    with pytest.raises(ConsistencyError, match="not integral"):
+        tensor_decompose((3,), (3,))
+
+
+def test_sign_flipped_tails_give_a_negative_multiplicity(monkeypatch):
+    def flip(mu, expansion):
+        return {mask: -value for mask, value in expansion.items()}
+
+    patched_expansion(monkeypatch, flip)
+    with pytest.raises(ConsistencyError, match="negative multiplicity"):
+        kronecker((3, 1), (3, 1), (2, 2))
+    with pytest.raises(ConsistencyError, match="negative multiplicity"):
+        tensor_decompose((3, 1), (3, 1))
 
 
 # --- Littlewood-Richardson ---------------------------------------------------
@@ -239,8 +349,6 @@ def test_lr_size_mismatch_rejected():
 
 def test_lr_checked_passes_and_detects_corruption(monkeypatch):
     assert lr_checked((2, 1), (2, 1), (3, 2, 1)) == 2
-    import kronsec.characters as characters
-
     monkeypatch.setattr(characters, "lr_by_characters", lambda *args: 99)
     with pytest.raises(ConsistencyError):
         lr_checked((2, 1), (2, 1), (3, 2, 1))

@@ -6,8 +6,9 @@ package class declares is read somewhere as an attribute. Every function the
 benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
-standard library, one function climbs intpoly.RUNGS, and the loop tracker's
-step loop runs on ints, naming no Fraction.
+standard library, one function climbs intpoly.RUNGS, the loop tracker's
+step loop runs on ints, naming no Fraction, and kronecker and
+tensor_decompose name no character table.
 """
 
 import ast
@@ -228,11 +229,11 @@ def test_one_function_climbs_the_rungs():
 STEP_FUNCTIONS = {"_track_segment", "_turn", "coeffs_at"}
 
 
-def fraction_users(source: str, names) -> list[str]:
-    """The functions called one of `names`, nested ones included, that name Fraction or x.Fraction anywhere inside."""
+def naming_functions(source: str, functions, banned) -> list[str]:
+    """The functions called one of `functions`, nested ones included, that name x or y.x anywhere inside, x in `banned`."""
     return sorted(node.name for node in ast.walk(ast.parse(source))
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
-                  and any("Fraction" in (getattr(n, "id", None), getattr(n, "attr", None)) for n in ast.walk(node)))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in functions
+                  and any({getattr(n, "id", None), getattr(n, "attr", None)} & banned for n in ast.walk(node)))
 
 
 def test_the_scan_finds_a_fraction_in_a_step_function():
@@ -244,7 +245,7 @@ def test_the_scan_finds_a_fraction_in_a_step_function():
         "def _turn(u: Fraction, bits):\n    return u\n"
         "def _track_segment(h):\n    return h // 2\n"
     )
-    assert fraction_users(source, STEP_FUNCTIONS) == ["_turn", "coeffs_at"]
+    assert naming_functions(source, STEP_FUNCTIONS, {"Fraction"}) == ["_turn", "coeffs_at"]
 
 
 def test_the_step_loop_names_no_fraction():
@@ -254,4 +255,26 @@ def test_the_step_loop_names_no_fraction():
     source = (PACKAGE / "monodromy.py").read_text(encoding="utf-8")
     defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert STEP_FUNCTIONS <= defined
-    assert fraction_users(source, STEP_FUNCTIONS) == []
+    assert naming_functions(source, STEP_FUNCTIONS, {"Fraction"}) == []
+
+
+# kron and tensor read three and two rows of the character table: building
+# all of it costs a forward expansion per class of S_n.
+ROW_FUNCTIONS = {"kronecker", "tensor_decompose"}
+TABLE_NAMES = {"_table", "character_table"}
+
+
+def test_the_scan_finds_a_table_in_a_row_function():
+    source = (
+        "def kronecker(lam, om, sig):\n    return _table(3).chi(lam, sig)\n"
+        "def tensor_decompose(lam, om):\n    return characters.character_table(3)\n"
+        "def chartable(n):\n    return _table(n)\n"
+    )
+    assert naming_functions(source, ROW_FUNCTIONS, TABLE_NAMES) == ["kronecker", "tensor_decompose"]
+
+
+def test_kron_and_tensor_build_no_character_table():
+    source = (PACKAGE / "characters.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert ROW_FUNCTIONS <= defined
+    assert naming_functions(source, ROW_FUNCTIONS, TABLE_NAMES) == []
