@@ -128,7 +128,12 @@ def _multiplicity(total: int, n: int, sig: Partition) -> int:
 
 @cache
 def mn_value(lam: Partition, mu: Partition) -> int:
-    """Character value chi^lam at cycle type mu, by Murnaghan-Nakayama."""
+    """Character value chi^lam at cycle type mu, by Murnaghan-Nakayama.
+
+    Both arguments are validated inside the cache: a miss pays for it, a hit
+    does not, and a bad call raises every time, as errors are not cached.
+    """
+    lam, mu = validate_partition(lam), validate_partition(mu)
     n = size(mu)
     if size(lam) != n:
         raise DomainError(

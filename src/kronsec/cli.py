@@ -24,7 +24,7 @@ from . import apolarity, brionlab, characters, curvebounds, intpoly, monodromy, 
 from .config import DEFAULT_DIM_CAP, LOOP_WORK_CAP, WORD_WORK_CAP, Config, load_config
 from .errors import CapacityError, DomainError, KronsecError
 from .partitions import dimension, format_partition, parse_partition, size
-from .permutations import cycle_notation
+from .permutations import class_word, cycle_notation
 
 
 class _UsageError(KronsecError):
@@ -249,11 +249,19 @@ def _cmd_rep_check(args, cfg: Config) -> dict:
     rng = random.Random(cfg.seed)
     traces_ok = True
     sampled = 0
+    # Once the Coxeter relations hold exactly, rho factors through S_n and a
+    # word's trace is that of the class word of its cycle type, traced once per
+    # type. On a broken build every word is traced as sampled.
+    by_class: dict | None = {} if all(relations.values()) else None
     if rep.n >= 2:
         for _ in range(args.words):
             word = [rng.randrange(1, rep.n) for _ in range(rng.randrange(1, 2 * rep.n))]
-            expected = characters.mn_value(lam, seminormal.word_cycle_type(rep, word))
-            if seminormal.word_trace(rep, word) != expected:
+            mu = seminormal.word_cycle_type(rep, word)
+            if by_class is None:
+                trace = seminormal.word_trace(rep, word)
+            elif (trace := by_class.get(mu)) is None:
+                trace = by_class[mu] = seminormal.word_trace(rep, class_word(mu))
+            if trace != characters.mn_value(lam, mu):
                 traces_ok = False
             sampled += 1
     return {"shape": shape, "n": rep.n, "dim": rep.dim,

@@ -21,7 +21,7 @@ def validate_partition(parts) -> Partition:
     """Return ``parts`` as a tuple after checking it is a partition."""
     lam = tuple(parts)
     for p in lam:
-        if not isinstance(p, int) or p <= 0:
+        if type(p) is not int or p <= 0:  # bool is an int subclass, not a part
             raise DomainError(f"partition parts must be positive integers, got {p!r}")
     for a, b in zip(lam, lam[1:]):
         if a < b:
@@ -58,6 +58,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def dimension(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook length formula."""
+    lam = validate_partition(lam)
     n = size(lam)
     if n == 0:
         return 1

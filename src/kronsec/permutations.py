@@ -41,6 +41,21 @@ def perm_of_word(n: int, word: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     return p
 
 
+def class_word(mu: Partition) -> tuple[int, ...]:
+    """The word s_1 ... s_{mu_1-1} s_{mu_1+1} ... s_{mu_1+mu_2-1} ... of cycle type mu.
+
+    Each part m takes the next m letters a+1, ..., a+m, and s_{a+1} ... s_{a+m-1}
+    is an m-cycle on them, so the word has length |mu| - len(mu), the least
+    of any word of that cycle type; the word of 1^n is empty.
+    """
+    word: list[int] = []
+    start = 0
+    for part in mu:
+        word.extend(range(start + 1, start + part))
+        start += part
+    return tuple(word)
+
+
 def cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycle decomposition in 0-based labels, fixed points included."""
     seen = [False] * len(p)

@@ -132,11 +132,11 @@ def build_rep(lam: Partition) -> SeminormalRep:
             f"for {format_partition(lam)}"
         )
     index = {t: c for c, t in enumerate(tabs)}
+    positions = [_positions(t) for t in tabs]
     gens = []
     for i in range(1, n):
         cols: list[Column] = []
-        for c, t in enumerate(tabs):
-            pos = _positions(t)
+        for c, (t, pos) in enumerate(zip(tabs, positions)):
             (ri, ci), (rj, cj) = pos[i], pos[i + 1]
             if ri == rj:
                 cols.append(((c, Fraction(1)),))
@@ -168,9 +168,11 @@ def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]
             )
     scaled = rep._scaled[1]
     columns = [scaled[letter - 1] for letter in reversed(word)]
+    rest = columns[1:]
     for c in range(rep.dim):
-        vec = {c: lift}
-        for gen in columns:
+        # The first letter's image is its integer column, times lift.
+        vec = {r: v * lift for r, v in columns[0][c] if v} if columns else {c: lift}
+        for gen in rest:
             out: dict[int, int] = {}
             for k, x in vec.items():
                 for r, v in gen[k]:

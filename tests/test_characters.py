@@ -190,6 +190,22 @@ def test_kron_and_tensor_reject_what_is_no_partition(bad):
         tensor_decompose((3,), bad)
 
 
+@pytest.mark.parametrize("lam, mu", [
+    ((1, 2), (1, 1, 1)),
+    ((3, -1, 1), (3,)),
+    ((3,), (3, -1, 1)),
+    ((2, 0, 1), (3,)),
+    ((3,), (2, 0, 1)),
+    ((3,), (1, 2)),
+], ids=["increasing-shape", "negative-shape", "negative-type", "zero-shape", "zero-type",
+        "increasing-type"])
+def test_mn_value_rejects_what_is_no_partition(lam, mu):
+    # Twice: functools.cache keeps no exception, so the second call checks again.
+    for _ in range(2):
+        with pytest.raises(DomainError, match="partition parts"):
+            mn_value(lam, mu)
+
+
 # --- The row and Horner routes against the character table ----------------
 
 

@@ -8,6 +8,7 @@ import random
 import re
 import signal
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import dropwhile
 
@@ -27,6 +28,7 @@ from kronsec.errors import (
     PrecisionError,
 )
 from kronsec.partitions import dimension, format_partition, partitions_of
+from kronsec.permutations import class_word
 
 
 def run(capsys, *argv):
@@ -802,6 +804,52 @@ def test_rep_check_caps_the_size_before_the_dimension(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "capacity",
                                "message": "shape [100000] of size 100000 exceeds the configured bound 14"}
+
+
+def _spy_word_trace(monkeypatch) -> list:
+    words, trace = [], seminormal.word_trace
+
+    def spy(rep, word):
+        words.append(list(word))
+        return trace(rep, word)
+
+    monkeypatch.setattr(seminormal, "word_trace", spy)
+    return words
+
+
+def _sampled_words(seed: int, n: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [[rng.randrange(1, n) for _ in range(rng.randrange(1, 2 * n))] for _ in range(count)]
+
+
+def test_rep_check_traces_one_class_word_per_cycle_type(capsys, monkeypatch):
+    traced = _spy_word_trace(monkeypatch)
+    payload = run_json(capsys, "--seed", "5", "rep-check", "[3,2]", "--words", "12")
+    assert payload["involution"] and payload["braid"] and payload["commutation"]
+    assert payload["word_samples"] == 12 and payload["word_traces_ok"]
+    types = dict.fromkeys(seminormal.word_cycle_type(seminormal.build_rep((3, 2)), w)
+                          for w in _sampled_words(5, 5, 12))
+    assert len(types) < 12
+    assert traced == [list(class_word(mu)) for mu in types]
+
+
+def test_rep_check_traces_the_literal_words_when_a_relation_fails(capsys, monkeypatch):
+    # s_1 replaced by s_3, as in test_check_relations_flags_corrupted_generators:
+    # the involution and braid relations still hold, but s_3 s_4 != s_4 s_3, so
+    # rho need not factor through S_n and every sampled word is traced as drawn.
+    # (Corrupting a single entry leaves traces that are no integers, an error.)
+    build = seminormal.build_rep
+
+    def corrupted(lam):
+        rep = build(lam)
+        return replace(rep, generators=(rep.generators[2],) + rep.generators[1:])
+
+    monkeypatch.setattr(seminormal, "build_rep", corrupted)
+    traced = _spy_word_trace(monkeypatch)
+    payload = run_json(capsys, "--seed", "5", "rep-check", "[3,2]", "--words", "12")
+    assert (payload["involution"], payload["braid"], payload["commutation"]) == (True, True, False)
+    assert payload["word_samples"] == 12 and not payload["word_traces_ok"]
+    assert traced == _sampled_words(5, 5, 12)
 
 
 def test_default_words_fit_the_word_work_bound_at_every_admitted_shape(capsys, monkeypatch):

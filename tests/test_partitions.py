@@ -13,6 +13,7 @@ from kronsec.partitions import (
     parse_partition,
     partitions_of,
     size,
+    validate_partition,
 )
 
 
@@ -76,6 +77,20 @@ def test_dimension_known_values():
     assert dimension((3, 2)) == 5
     assert dimension((4, 4)) == 14
     assert dimension(()) == 1
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, 0, 1), (3, -1, 1)],
+                         ids=["increasing", "zero-part", "negative-part"])
+def test_dimension_rejects_what_is_no_partition(bad):
+    with pytest.raises(DomainError, match="partition parts"):
+        dimension(bad)
+
+
+@pytest.mark.parametrize("bad", [(True,), (2, True), (2.0, 1), ("2",)],
+                         ids=["true", "true-tail", "float", "str"])
+def test_validate_partition_takes_only_int_parts(bad):
+    with pytest.raises(DomainError, match="positive integers"):
+        validate_partition(bad)
 
 
 def test_attach_first_row():

@@ -14,7 +14,7 @@ from conftest import (
 from kronsec.characters import mn_value
 from kronsec.errors import ConsistencyError, DomainError
 from kronsec.partitions import dimension, partitions_of
-from kronsec.permutations import perm_of_word
+from kronsec.permutations import class_word, perm_of_word
 from kronsec.seminormal import (
     build_rep,
     check_relations,
@@ -169,6 +169,27 @@ def test_traces_match_characters():
                 word = [rng.randrange(1, n) for _ in range(rng.randrange(1, 2 * n))]
                 expected = mn_value(lam, word_cycle_type(rep, word))
                 assert word_trace(rep, word) == Fraction(expected)
+
+
+def test_class_word_traces_are_the_literal_traces_up_to_size_8():
+    # The relations hold, so the trace of a word depends only on its cycle
+    # type: the class word's trace equals that of seeded random words of the
+    # same type (the class word conjugated by a random word) and mn_value,
+    # and the empty word of 1^n traces the dimension.
+    rng = random.Random(23)
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            rep = build_rep(lam)
+            for mu in partitions_of(n):
+                short = class_word(mu)
+                trace = word_trace(rep, short)
+                assert trace == mn_value(lam, mu)
+                for _ in range(2):
+                    w = [rng.randrange(1, n) for _ in range(rng.randrange(0, n))]
+                    word = w + list(short) + w[::-1]
+                    assert word_cycle_type(rep, word) == mu
+                    assert word_trace(rep, word) == trace
+            assert word_trace(rep, class_word((1,) * n)) == rep.dim
 
 
 def test_identity_word_trace_is_dimension():
