@@ -157,10 +157,6 @@ class CharacterTable:
         self.classes: tuple[CycleClass, ...] = classes
         self.values: tuple[tuple[int, ...], ...] = values
         self._row_index = {lam: i for i, lam in enumerate(irreducibles)}
-        self._col_index = {cc.cycle_type: j for j, cc in enumerate(classes)}
-
-    def chi(self, lam: Partition, mu: Partition) -> int:
-        return self.values[self._row_index[lam]][self._col_index[mu]]
 
     def row(self, lam: Partition) -> tuple[int, ...]:
         return self.values[self._row_index[lam]]
@@ -173,12 +169,8 @@ class CharacterTable:
         """The character chi^lam * chi^om, one value per class."""
         return tuple(a * b for a, b in zip(self.row(lam), self.row(om)))
 
-    def multiplicity(self, values, sig: Partition) -> int:
-        """Multiplicity of chi^sig in the class function `values`, checked nonnegative."""
-        return self.weighed_multiplicity(self.weigh(values), sig)
-
     def weighed_multiplicity(self, weighed, sig: Partition) -> int:
-        """multiplicity() of the class function whose weigh() is `weighed`."""
+        """Multiplicity of chi^sig in the class function whose weigh() is `weighed`, checked nonnegative."""
         return _multiplicity(sum(map(mul, weighed, self.row(sig))), self.n, sig)
 
 

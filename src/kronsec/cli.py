@@ -244,15 +244,16 @@ def _cmd_rep_check(args, cfg: Config) -> dict:
                     args.words * dim * size(lam), WORD_WORK_CAP)
     rep = seminormal.build_rep(lam)
     relations = seminormal.check_relations(rep)
-    image = seminormal.spherical_relation_image(rep)
-    spherical = all(col == ((c, 1),) for c, col in enumerate(image))
+    # Each fact below is read off the proven relations, and worked out literally
+    # only where its hypothesis fails. By s_i^2 = 1 alone the spherical word
+    # 1..n-1, n-1..1 telescopes to the identity. By all three, rho factors
+    # through S_n, so each cycle type's class word is traced once for its words.
+    spherical = relations["involution"] or all(
+        col == ((c, 1),) for c, col in enumerate(seminormal.spherical_relation_image(rep)))
+    by_class: dict | None = {} if all(relations.values()) else None
     rng = random.Random(cfg.seed)
     traces_ok = True
     sampled = 0
-    # Once the Coxeter relations hold exactly, rho factors through S_n and a
-    # word's trace is that of the class word of its cycle type, traced once per
-    # type. On a broken build every word is traced as sampled.
-    by_class: dict | None = {} if all(relations.values()) else None
     if rep.n >= 2:
         for _ in range(args.words):
             word = [rng.randrange(1, rep.n) for _ in range(rng.randrange(1, 2 * rep.n))]

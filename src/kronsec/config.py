@@ -23,13 +23,13 @@ MIN_PRECISION_BITS = 53
 MAX_PRECISION_BITS = 4096
 # Largest seminormal dimension rep-check builds; fixed, not a Config field.
 DEFAULT_DIM_CAP = 2000
-# Bound on words * dim * n for `rep-check --words`, each sampled word of
-# length < 2n being traced over all dim basis vectors; fixed, not a Config
-# field. It admits the default 5 words at every shape of size <= 14 and
-# dimension <= DEFAULT_DIM_CAP (at most 5 * 1716 * 14 = 120,120, at
-# [8,1^6]). At this bound the dearest command timed,
-# `rep-check "[8,1,1,1,1,1,1]" --words 6`, took 4.7 s on a 2-core host
-# running at about 0.6 times the benchmark's reference speed.
+# Bound on words * dim * n for `rep-check --words`; fixed, not a Config field.
+# It charges each sampled word as traced over all dim basis vectors, as only a
+# build whose relations fail does; elsewhere the relations' O(n^2 dim) lead.
+# It admits the default 5 words at every shape of size <= 14 and dimension
+# <= DEFAULT_DIM_CAP (at most 5 * 1716 * 14 = 120,120, at [8,1^6]). At this
+# bound `rep-check "[8,1,1,1,1,1,1]" --words 6`, the dearest command timed,
+# took 1.5-1.9 s as a whole process on a 2-core host.
 WORD_WORK_CAP = 150_000
 # Bound on L * n * (n + 7) * max(1, b // 96) for a monodromy command that
 # tracks at most L letters over n roots at b bits; fixed, not a Config

@@ -79,6 +79,7 @@ def attach_first_row(lam: Partition, n: int) -> Partition:
     The new row has n - |lam| boxes and must be at least as long as the
     current first row.
     """
+    lam = validate_partition(lam)
     if n < 0:
         raise DomainError(f"target size must be nonnegative, got {n}")
     k = size(lam)

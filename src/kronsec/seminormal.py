@@ -233,8 +233,9 @@ def check_relations(rep: SeminormalRep) -> dict[str, bool]:
 def spherical_relation_image(rep: SeminormalRep) -> tuple[Column, ...]:
     """Columns of the relation word 1, 2, ..., n-1, n-1, ..., 2, 1.
 
-    In S_n the word telescopes to the identity, so column c must be exactly
-    ((c, 1),); callers treat anything else as a broken build.
+    In S_n the word telescopes to the identity by s_i^2 = 1 alone, so column c
+    must be exactly ((c, 1),); anything else is a broken build. rep-check calls
+    this only when check_relations finds the involution relation false.
     """
     word = list(range(1, rep.n)) + list(range(rep.n - 1, 0, -1))
     return evaluate_word(rep, word)

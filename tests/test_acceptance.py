@@ -95,11 +95,8 @@ def test_c03_orthogonality_and_dimension_sums(capsys):
                     assert oracle_class_inner_product(sizes, row_a, t.row(b)) == expected
             order = factorial(n)
             for i, ci in enumerate(t.classes):
-                for cj in t.classes[i:]:
-                    total = sum(
-                        t.chi(lam, ci.cycle_type) * t.chi(lam, cj.cycle_type)
-                        for lam in shapes
-                    )
+                for j, cj in enumerate(t.classes[i:], start=i):
+                    total = sum(t.row(lam)[i] * t.row(lam)[j] for lam in shapes)
                     if ci.cycle_type == cj.cycle_type:
                         assert total * ci.cls_size == order
                     else:

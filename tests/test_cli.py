@@ -833,23 +833,81 @@ def test_rep_check_traces_one_class_word_per_cycle_type(capsys, monkeypatch):
     assert traced == [list(class_word(mu)) for mu in types]
 
 
-def test_rep_check_traces_the_literal_words_when_a_relation_fails(capsys, monkeypatch):
-    # s_1 replaced by s_3, as in test_check_relations_flags_corrupted_generators:
-    # the involution and braid relations still hold, but s_3 s_4 != s_4 s_3, so
-    # rho need not factor through S_n and every sampled word is traced as drawn.
-    # (Corrupting a single entry leaves traces that are no integers, an error.)
+def _corrupt_build(monkeypatch, generators) -> None:
+    """rep-check builds its representation with generators(rep) in place of rep's own."""
     build = seminormal.build_rep
 
     def corrupted(lam):
         rep = build(lam)
-        return replace(rep, generators=(rep.generators[2],) + rep.generators[1:])
+        return replace(rep, generators=generators(rep))
 
     monkeypatch.setattr(seminormal, "build_rep", corrupted)
+
+
+def _s1_as_s3(rep):
+    # As in test_check_relations_flags_corrupted_generators: the involution and
+    # braid relations still hold, but s_3 s_4 != s_4 s_3.
+    return (rep.generators[2],) + rep.generators[1:]
+
+
+def _s2_swapped(rep):
+    # Swapping 1/d and beta in one two-entry column of s_2 breaks s_2^2 = 1.
+    s2 = list(rep.generators[1])
+    c = next(c for c, entries in enumerate(s2) if len(entries) == 2)
+    (r1, v1), (r2, v2) = s2[c]
+    s2[c] = ((r1, v2), (r2, v1))
+    return rep.generators[:1] + (tuple(s2),) + rep.generators[2:]
+
+
+def test_rep_check_traces_the_literal_words_when_a_relation_fails(capsys, monkeypatch):
+    # With s_1 replaced by s_3, rho need not factor through S_n, so every
+    # sampled word is traced as drawn. (Corrupting a single entry leaves traces
+    # that are no integers, an error.)
+    _corrupt_build(monkeypatch, _s1_as_s3)
     traced = _spy_word_trace(monkeypatch)
     payload = run_json(capsys, "--seed", "5", "rep-check", "[3,2]", "--words", "12")
     assert (payload["involution"], payload["braid"], payload["commutation"]) == (True, True, False)
     assert payload["word_samples"] == 12 and not payload["word_traces_ok"]
     assert traced == _sampled_words(5, 5, 12)
+
+
+def _spy_spherical_image(monkeypatch) -> list:
+    shapes, image = [], seminormal.spherical_relation_image
+
+    def spy(rep):
+        shapes.append(rep.shape)
+        return image(rep)
+
+    monkeypatch.setattr(seminormal, "spherical_relation_image", spy)
+    return shapes
+
+
+def test_rep_check_reads_the_spherical_identity_off_the_involution(capsys, monkeypatch):
+    multiplied = _spy_spherical_image(monkeypatch)
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            payload = run_json(capsys, "rep-check", format_partition(lam))
+            assert payload["involution"] and payload["spherical_identity"]
+    assert multiplied == []
+
+
+def test_rep_check_multiplies_the_spherical_word_out_when_the_involution_fails(capsys, monkeypatch):
+    # --words 0: the traces of this build are no integers.
+    _corrupt_build(monkeypatch, _s2_swapped)
+    multiplied = _spy_spherical_image(monkeypatch)
+    code, out, err = run(capsys, "rep-check", "[3,2]", "--words", "0")
+    assert (code, err) == (0, "")
+    assert '"involution":false' in out and '"spherical_identity":false' in out
+    assert multiplied == [(3, 2)]
+
+
+def test_rep_check_reads_the_spherical_identity_when_only_commutation_fails(capsys, monkeypatch):
+    _corrupt_build(monkeypatch, _s1_as_s3)
+    multiplied = _spy_spherical_image(monkeypatch)
+    code, out, err = run(capsys, "--seed", "5", "rep-check", "[3,2]")
+    assert (code, err) == (0, "")
+    assert '"commutation":false' in out and '"spherical_identity":true' in out
+    assert multiplied == []
 
 
 def test_default_words_fit_the_word_work_bound_at_every_admitted_shape(capsys, monkeypatch):

@@ -266,7 +266,7 @@ TABLE_NAMES = {"_table", "character_table"}
 
 def test_the_scan_finds_a_table_in_a_row_function():
     source = (
-        "def kronecker(lam, om, sig):\n    return _table(3).chi(lam, sig)\n"
+        "def kronecker(lam, om, sig):\n    return _table(3).row(lam)\n"
         "def tensor_decompose(lam, om):\n    return characters.character_table(3)\n"
         "def chartable(n):\n    return _table(n)\n"
     )

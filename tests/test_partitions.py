@@ -107,6 +107,14 @@ def test_attach_first_row_needs_room():
         attach_first_row((3, 3), 7)
 
 
+@pytest.mark.parametrize("lam, n", [((1, 2), 8), ((True,), 3), ((2, 0, 1), 8)],
+                         ids=["increasing", "bool", "zero-part"])
+def test_attach_first_row_takes_only_partitions(lam, n):
+    # (1, 2) would come back as the non-partition (5, 1, 2), and (True,) as (2, True).
+    with pytest.raises(DomainError, match="partition parts"):
+        attach_first_row(lam, n)
+
+
 def test_attach_result_always_a_partition_with_long_first_row():
     for n in range(12):
         for k in range(n + 1):
