@@ -26,10 +26,10 @@ from .characters import _table, lr_checked
 from .errors import DomainError
 from .partitions import (
     Partition,
-    attach_first_row,
     format_partition,
     partitions_of,
     size,
+    validate_partition,
 )
 
 VANISHING_OK = "vanishing-ok"
@@ -94,8 +94,11 @@ def _require_stream(kind: str, n: int, mode: str) -> None:
 def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[BrionRecord]:
     """The vanishing records of one pair, then its equality records, as mode selects."""
     table = _table(n)
-    weighed = table.weigh(table.product(attach_first_row(lam, n), attach_first_row(omega, n)))
-    total = size(lam) + size(omega)
+    a, b = size(lam), size(omega)
+    # The callers' pairs fit under a new row n - |lam| >= lam_1, empty only at n = 0.
+    big_l, big_o = ((n - a,) + lam, (n - b,) + omega) if n else ((), ())
+    weighed = table.weigh(table.product(big_l, big_o))
+    total = a + b
     threshold = n - total
     if mode != "equality":
         # No first row, not even the 0 of the empty Sigma, is shorter than 0.
@@ -113,9 +116,8 @@ def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[Br
             )
     if mode != "vanishing":
         for sigma in partitions_of(total):
-            try:
-                big_s = attach_first_row(sigma, n)
-            except DomainError:
+            # Sigma = (n - |sigma|,) + sigma needs a new row of at least sigma_1 (0 for sigma = ()).
+            if threshold < (sigma[0] if sigma else 0):
                 yield BrionRecord(
                     n=n,
                     lam=lam,
@@ -127,6 +129,7 @@ def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[Br
                     verdict=NO_SIGMA,
                 )
                 continue
+            big_s = (threshold,) + sigma if threshold else ()
             kron_value = table.weighed_multiplicity(weighed, big_s)
             lr_value = lr_checked(lam, omega, sigma)
             yield BrionRecord(
@@ -143,12 +146,14 @@ def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[Br
 
 def verify_vanishing(n: int, lam: Partition, omega: Partition) -> list[BrionRecord]:
     """All short-first-row Sigma of n checked for zero multiplicity."""
+    lam, omega = validate_partition(lam), validate_partition(omega)
     _require_hypothesis(n, lam, omega)
     return list(_records(n, lam, omega, "vanishing"))
 
 
 def verify_equality(n: int, lam: Partition, omega: Partition) -> list[BrionRecord]:
-    """All completions Sigma = attach(sigma, n) checked against both LR routes."""
+    """All completions Sigma = attach_first_row(sigma, n) checked against both LR routes."""
+    lam, omega = validate_partition(lam), validate_partition(omega)
     _require_hypothesis(n, lam, omega)
     return list(_records(n, lam, omega, "equality"))
 

@@ -3,44 +3,42 @@
 The basis is the set of standard tableaux of the given shape in last-letter
 order (compare the rows holding n, then n-1, and so on). Each adjacent
 transposition s_i acts on a basis vector v_T through the axial distance
-d = content(i+1) - content(i) in T:
+d = c(i+1) - c(i), c the content vector of T (c(v) = column - row of v):
 
-    same row of T      ->  v_T
-    same column of T   -> -v_T
-    otherwise          ->  (1/d) v_T + beta v_{sT},  sT = T with i, i+1 swapped,
-                           beta = 1 when d > 0, else 1 - 1/d^2
+    d = 1      ->  v_T     (i, i+1 in the same row of T)
+    d = -1     -> -v_T     (i, i+1 in the same column of T)
+    otherwise  ->  (1/d) v_T + beta v_{sT},  beta = 1 when d > 0, else 1 - 1/d^2,
 
-This is the content/axial-distance action of Okounkov-Vershik (1996), and it
-is stored as such: column c of s_i holds the one or two (row, Fraction) pairs
-of s_i v_T. Every matrix the module returns, word images included, comes in
-that column format; none is dense.
+sT the tableau whose content vector has entries i and i+1 swapped. This is
+the content/axial-distance action of Okounkov-Vershik (1996): a tableau is
+determined by its content vector, and |d| = 1 exactly when i and i+1 share
+a row or a column.
 
-Words are multiplied out on Python ints, not Fractions. The contents of a
-shape lam lie in [1 - l, lam_1 - 1], l its number of rows, so every axial
-distance has 1 <= |d| <= lam_1 + l - 2 = h, and with the common denominator
-D = lcm(1, ..., h)^2 the matrix D s_i has integer entries. A word of length L
-then acts as D^-L times a product of integer matrices, applied to one basis
-vector at a time on sparse int vectors, with no gcd anywhere in the loop; the
-O(n^2) relations cost O(n^2 dim) in all, in place of dense dim x dim products. The integer columns are read off `generators` (an
-entry that D does not clear is a ConsistencyError, never rounded), and the
-exact answers come back at the edge:
+It is built once, on Python ints. The contents of a shape lam lie in
+[1 - l, lam_1 - 1], l its number of rows, so 1 <= |d| <= lam_1 + l - 2 = h,
+and with D = lcm(1, ..., h)^2 every D s_i is an integer matrix, stored as
+the one- or two-entry integer columns that every word product reads. A word
+of length L acts as D^-L times a product of them, applied to one basis
+vector at a time on sparse int vectors, with no gcd in the loop; the O(n^2)
+relations cost O(n^2 dim) in all. The exact answers come back at the edge:
 
 - a relation with sides of lengths L1 <= L2 holds exactly when the integer
   images agree after the shorter side is multiplied by D^(L2 - L1);
 - a trace is the integer diagonal sum divided by D^L, which must leave no
   remainder, as a character value is an integer;
-- evaluate_word divides each integer entry by D^L into a Fraction.
+- evaluate_word divides each integer entry by D^L into a Fraction, so
+  evaluate_word(rep, [i]) is s_i.
 
-So the defining S_n relations hold exactly, not approximately, and traces of
-word products are literal character values that can be checked against the
-border-strip recursion.
+So the defining S_n relations hold exactly, and traces of word products are
+literal character values that can be checked against the border-strip
+recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import lcm
 from typing import Iterator
 
@@ -51,9 +49,18 @@ from .permutations import cycle_type, perm_of_word
 Tableau = tuple[tuple[int, ...], ...]
 
 
-@cache
 def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     """All standard Young tableaux of shape lam, in last-letter order.
+
+    lam is checked here, outside the cache, so a key equal to a partition
+    (a bool part) cannot hit it.
+    """
+    return _standard_tableaux(validate_partition(lam))
+
+
+@cache
+def _standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
+    """standard_tableaux of a validated lam.
 
     The letter n sits in a corner. Going through the corner rows from top to
     bottom and appending n to that row of every tableau of the smaller shape,
@@ -68,18 +75,9 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
         if row == (lam[i + 1] if i + 1 < len(lam) else 0):
             continue
         smaller = lam[:i] + ((row - 1,) if row > 1 else ()) + lam[i + 1:]
-        for t in standard_tableaux(smaller):
+        for t in _standard_tableaux(smaller):
             found.append(t[:i] + ((t[i] if i < len(t) else ()) + (n,),) + t[i + 1:])
     return tuple(found)
-
-
-def _positions(t: Tableau) -> dict[int, tuple[int, int]]:
-    return {v: (i, j) for i, row in enumerate(t) for j, v in enumerate(row)}
-
-
-def _swap_values(t: Tableau, a: int, b: int) -> Tableau:
-    sub = {a: b, b: a}
-    return tuple(tuple(sub.get(v, v) for v in row) for row in t)
 
 
 Column = tuple[tuple[int, Fraction], ...]
@@ -90,32 +88,17 @@ IntColumn = tuple[tuple[int, int], ...]
 class SeminormalRep:
     """Exact action of the adjacent transpositions s_1 .. s_{n-1}.
 
-    generators[i - 1][c] is column c of s_i: the (row, entry) pairs of s_i v_c,
-    where v_c belongs to the tableau standard_tableaux(shape)[c].
+    columns[i - 1][c] is column c of D s_i, D = denominator: the (row, int)
+    pairs of D s_i v_c, v_c the basis vector of standard_tableaux(shape)[c].
+    They are D or -D when |d| = 1, else D // d and then D or D - D // (d * d);
+    both divisions are exact, as d^2 divides D = lcm(1, ..., h)^2 for |d| <= h.
     """
 
     shape: Partition
     n: int
     dim: int
-    generators: tuple[tuple[Column, ...], ...]
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[IntColumn, ...], ...]]:
-        """The common denominator D and the integer columns of D s_1, ..., D s_{n-1}."""
-        h = self.shape[0] + len(self.shape) - 2
-        denominator = lcm(*range(1, h + 1)) ** 2
-
-        def cleared(v) -> int:
-            x, rem = divmod(v.numerator * denominator, v.denominator)
-            if rem:
-                raise ConsistencyError(
-                    f"generator entry {v} of {format_partition(self.shape)} is not cleared "
-                    f"by the common denominator {denominator}"
-                )
-            return x
-
-        return denominator, tuple(tuple(tuple((r, cleared(v)) for r, v in column) for column in gen)
-                                  for gen in self.generators)
+    denominator: int
+    columns: tuple[tuple[IntColumn, ...], ...]
 
 
 def build_rep(lam: Partition) -> SeminormalRep:
@@ -125,31 +108,34 @@ def build_rep(lam: Partition) -> SeminormalRep:
     if n < 1:
         raise DomainError("seminormal representation needs a nonempty shape")
     dim = dimension(lam)
-    tabs = standard_tableaux(lam)
+    tabs = _standard_tableaux(lam)
     if len(tabs) != dim:
         raise ConsistencyError(
             f"tableau count {len(tabs)} disagrees with hook-length dimension {dim} "
             f"for {format_partition(lam)}"
         )
-    index = {t: c for c, t in enumerate(tabs)}
-    positions = [_positions(t) for t in tabs]
-    gens = []
+    contents = []
+    for t in tabs:
+        at = {v: j - r for r, row in enumerate(t) for j, v in enumerate(row)}
+        contents.append(tuple(at[v] for v in range(1, n + 1)))
+    index = {content: c for c, content in enumerate(contents)}
+    h = lam[0] + len(lam) - 2  # every axial distance has 1 <= |d| <= h
+    denominator = lcm(*range(1, h + 1)) ** 2
+    columns = []
     for i in range(1, n):
-        cols: list[Column] = []
-        for c, (t, pos) in enumerate(zip(tabs, positions)):
-            (ri, ci), (rj, cj) = pos[i], pos[i + 1]
-            if ri == rj:
-                cols.append(((c, Fraction(1)),))
-            elif ci == cj:
-                cols.append(((c, Fraction(-1)),))
+        cols: list[IntColumn] = []
+        for c, content in enumerate(contents):
+            d = content[i] - content[i - 1]
+            if d == 1:
+                cols.append(((c, denominator),))
+            elif d == -1:
+                cols.append(((c, -denominator),))
             else:
-                d = (cj - rj) - (ci - ri)
-                a = Fraction(1, d)
-                other = index[_swap_values(t, i, i + 1)]
-                beta = Fraction(1) if d > 0 else 1 - a * a
-                cols.append(((c, a), (other, beta)))
-        gens.append(tuple(cols))
-    return SeminormalRep(shape=lam, n=n, dim=dim, generators=tuple(gens))
+                other = index[content[:i - 1] + (content[i], content[i - 1]) + content[i + 1:]]
+                beta = denominator if d > 0 else denominator - denominator // (d * d)
+                cols.append(((c, denominator // d), (other, beta)))
+        columns.append(tuple(cols))
+    return SeminormalRep(shape=lam, n=n, dim=dim, denominator=denominator, columns=tuple(columns))
 
 
 def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]:
@@ -161,13 +147,12 @@ def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]
     vectors are.
     """
     for letter in word:
-        if not 1 <= letter <= rep.n - 1:
+        if type(letter) is not int or not 1 <= letter <= rep.n - 1:  # bool is an int subclass, not a letter
             raise DomainError(
-                f"word letter {letter} out of range 1..{rep.n - 1} for shape "
+                f"word letter {letter!r} is not an int in 1..{rep.n - 1} for shape "
                 f"{format_partition(rep.shape)}"
             )
-    scaled = rep._scaled[1]
-    columns = [scaled[letter - 1] for letter in reversed(word)]
+    columns = [rep.columns[letter - 1] for letter in reversed(word)]
     rest = columns[1:]
     for c in range(rep.dim):
         # The first letter's image is its integer column, times lift.
@@ -184,10 +169,10 @@ def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]
 def evaluate_word(rep: SeminormalRep, word) -> tuple[Column, ...]:
     """Columns of the word product s_{w1} s_{w2} ... (leftmost applied last).
 
-    Column c holds the nonzero (row, entry) pairs of the image of v_c, by row,
-    in the format of SeminormalRep.generators.
+    Column c holds the nonzero (row, Fraction) pairs of the image of v_c, by
+    row; evaluate_word(rep, [i]) is s_i.
     """
-    scale = rep._scaled[0] ** len(word)
+    scale = rep.denominator ** len(word)
     return tuple(tuple((r, Fraction(x, scale)) for r, x in sorted(image.items()))
                  for image in _images(rep, word))
 
@@ -195,7 +180,7 @@ def evaluate_word(rep: SeminormalRep, word) -> tuple[Column, ...]:
 def word_trace(rep: SeminormalRep, word) -> Fraction:
     """Trace of the word product; equals the character at the word's cycle type."""
     total = sum(image.get(c, 0) for c, image in enumerate(_images(rep, word)))
-    scale = rep._scaled[0] ** len(word)
+    scale = rep.denominator ** len(word)
     trace, rem = divmod(total, scale)
     if rem:
         raise ConsistencyError(
@@ -217,7 +202,7 @@ def check_relations(rep: SeminormalRep) -> dict[str, bool]:
     scale of the longer one.
     """
     n = rep.n
-    denominator = rep._scaled[0]
+    denominator = rep.denominator
 
     def holds(shorter, longer) -> bool:
         lift = denominator ** (len(longer) - len(shorter))

@@ -356,6 +356,33 @@ def oracle_last_letter_tableaux(lam: tuple[int, ...]) -> list[tuple[tuple[int, .
     return [t for _, t in sorted(found)]
 
 
+def oracle_seminormal_generator(tableaux, i: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """Columns of s_i in Young's seminormal form, read off tableau positions, rows sorted.
+
+    Column c is the image of the basis vector of tableaux[c]. With i at
+    (r, j) and i+1 at (r', j') in that tableau: the same row gives 1, the same
+    column -1, and otherwise the axial distance d = (j' - r') - (j - r) gives
+    1/d on the diagonal and beta = 1 (d > 0) or 1 - 1/d^2 (d < 0) at the
+    tableau with i and i+1 swapped.
+    """
+    index = {t: c for c, t in enumerate(tableaux)}
+    swap = {i: i + 1, i + 1: i}
+    columns = []
+    for c, t in enumerate(tableaux):
+        at = {v: (r, j) for r, row in enumerate(t) for j, v in enumerate(row)}
+        (r1, j1), (r2, j2) = at[i], at[i + 1]
+        if r1 == r2:
+            columns.append(((c, Fraction(1)),))
+        elif j1 == j2:
+            columns.append(((c, Fraction(-1)),))
+        else:
+            d = (j2 - r2) - (j1 - r1)
+            swapped = tuple(tuple(swap.get(v, v) for v in row) for row in t)
+            beta = Fraction(1) if d > 0 else 1 - Fraction(1, d * d)
+            columns.append(tuple(sorted([(c, Fraction(1, d)), (index[swapped], beta)])))
+    return tuple(columns)
+
+
 def dense_from_columns(dim: int, columns) -> list[list[Fraction]]:
     """The dim x dim matrix whose column c holds the (row, entry) pairs columns[c]."""
     matrix = [[Fraction(0)] * dim for _ in range(dim)]

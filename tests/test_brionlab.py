@@ -73,6 +73,22 @@ def test_hypothesis_violations_rejected():
         verify_equality(7, (4,), ())  # 8 > 7: the completed first row is too short
 
 
+@pytest.mark.parametrize("verify", [verify_vanishing, verify_equality])
+def test_verify_takes_only_partitions(verify):
+    # The completed shapes are built without attach_first_row's check, so the
+    # shapes from the caller are checked once on the way in.
+    for lam, omega in [((1, 2), ()), ((1,), (1, 2)), ((True,), (1,)), ((1,), (True,))]:
+        with pytest.raises(DomainError, match="partition parts"):
+            verify(8, lam, omega)
+
+
+def test_n_0_has_one_equality_record_with_the_empty_sigma():
+    (record,) = verify_equality(0, (), ())
+    assert (record.sigma, record.Sigma, record.kron, record.lr) == ((), (), 1, 1)
+    assert record.verdict == "equality-ok"
+    assert verify_vanishing(0, (), ()) == []
+
+
 def test_sweep_is_deterministic_and_clean_through_n_6():
     first = [r.to_json() for r in sweep(6)]
     second = [r.to_json() for r in sweep(6)]

@@ -833,13 +833,13 @@ def test_rep_check_traces_one_class_word_per_cycle_type(capsys, monkeypatch):
     assert traced == [list(class_word(mu)) for mu in types]
 
 
-def _corrupt_build(monkeypatch, generators) -> None:
-    """rep-check builds its representation with generators(rep) in place of rep's own."""
+def _corrupt_build(monkeypatch, columns) -> None:
+    """rep-check builds its representation with the integer columns columns(rep) in place of rep's own."""
     build = seminormal.build_rep
 
     def corrupted(lam):
         rep = build(lam)
-        return replace(rep, generators=generators(rep))
+        return replace(rep, columns=columns(rep))
 
     monkeypatch.setattr(seminormal, "build_rep", corrupted)
 
@@ -847,16 +847,16 @@ def _corrupt_build(monkeypatch, generators) -> None:
 def _s1_as_s3(rep):
     # As in test_check_relations_flags_corrupted_generators: the involution and
     # braid relations still hold, but s_3 s_4 != s_4 s_3.
-    return (rep.generators[2],) + rep.generators[1:]
+    return (rep.columns[2],) + rep.columns[1:]
 
 
 def _s2_swapped(rep):
     # Swapping 1/d and beta in one two-entry column of s_2 breaks s_2^2 = 1.
-    s2 = list(rep.generators[1])
+    s2 = list(rep.columns[1])
     c = next(c for c, entries in enumerate(s2) if len(entries) == 2)
     (r1, v1), (r2, v2) = s2[c]
     s2[c] = ((r1, v2), (r2, v1))
-    return rep.generators[:1] + (tuple(s2),) + rep.generators[2:]
+    return rep.columns[:1] + (tuple(s2),) + rep.columns[2:]
 
 
 def test_rep_check_traces_the_literal_words_when_a_relation_fails(capsys, monkeypatch):

@@ -258,6 +258,18 @@ def test_the_step_loop_names_no_fraction():
     assert naming_functions(source, STEP_FUNCTIONS, {"Fraction"}) == []
 
 
+# The seminormal build and word products run on ints over one denominator D;
+# Fractions appear only at the edge, in evaluate_word and word_trace.
+INTEGER_FUNCTIONS = {"build_rep", "_images", "check_relations"}
+
+
+def test_the_seminormal_build_and_products_name_no_fraction():
+    source = (PACKAGE / "seminormal.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert INTEGER_FUNCTIONS <= defined
+    assert naming_functions(source, INTEGER_FUNCTIONS, {"Fraction"}) == []
+
+
 # kron and tensor read three and two rows of the character table: building
 # all of it costs a forward expansion per class of S_n.
 ROW_FUNCTIONS = {"kronecker", "tensor_decompose"}

@@ -8,6 +8,7 @@ from conftest import (
     dense_identity,
     dense_product,
     oracle_last_letter_tableaux,
+    oracle_seminormal_generator,
     oracle_syt_count,
 )
 
@@ -72,17 +73,28 @@ def test_relations_hold_at_dimension_768():
     }
 
 
+def test_generators_match_the_tableau_position_rule_up_to_size_7():
+    # build_rep reads content vectors; the oracle reads the positions of i and
+    # i+1 in each tableau. Both must give the same s_i for every i.
+    for n in range(2, 8):
+        for lam in partitions_of(n):
+            rep = build_rep(lam)
+            tabs = standard_tableaux(lam)
+            for i in range(1, n):
+                assert evaluate_word(rep, [i]) == oracle_seminormal_generator(tabs, i)
+
+
 def _corrupt(rep, i, column):
-    """rep with the columns of s_i replaced by column(c, entries)."""
-    gens = list(rep.generators)
-    gens[i - 1] = tuple(column(c, entries) for c, entries in enumerate(gens[i - 1]))
-    return replace(rep, generators=tuple(gens))
+    """rep with the integer columns of D s_i replaced by column(c, entries)."""
+    columns = list(rep.columns)
+    columns[i - 1] = tuple(column(c, entries) for c, entries in enumerate(columns[i - 1]))
+    return replace(rep, columns=tuple(columns))
 
 
 def test_check_relations_flags_corrupted_generators():
     rep = build_rep((3, 2))
     # Swapping 1/d and beta in one two-entry column of s_2 breaks s_2^2 = 1.
-    target = next(c for c, entries in enumerate(rep.generators[1]) if len(entries) == 2)
+    target = next(c for c, entries in enumerate(rep.columns[1]) if len(entries) == 2)
 
     def swapped(c, entries):
         if c != target:
@@ -95,11 +107,11 @@ def test_check_relations_flags_corrupted_generators():
     assert spherical_relation_image(broken) != tuple(((c, 1),) for c in range(broken.dim))
     # s_1 -> -1 squares to 1 and commutes with everything, but
     # (-1) s_2 (-1) = s_2 differs from s_2 (-1) s_2 = -1.
-    minus_one = _corrupt(rep, 1, lambda c, entries: ((c, Fraction(-1)),))
+    minus_one = _corrupt(rep, 1, lambda c, entries: ((c, -rep.denominator),))
     assert check_relations(minus_one) == {"involution": True, "braid": False, "commutation": True}
     # s_1 -> s_3 keeps its braid with s_2 (s_3 s_2 s_3 = s_2 s_3 s_2),
     # but s_3 s_4 != s_4 s_3.
-    as_s3 = _corrupt(rep, 1, lambda c, entries: rep.generators[2][c])
+    as_s3 = _corrupt(rep, 1, lambda c, entries: rep.columns[2][c])
     assert check_relations(as_s3) == {"involution": True, "braid": True, "commutation": False}
 
 
@@ -110,11 +122,12 @@ def test_word_evaluation_against_dense_products():
     for n in range(2, 7):
         for lam in partitions_of(n):
             rep = build_rep(lam)
+            gens = [dense_from_columns(rep.dim, evaluate_word(rep, [i])) for i in range(1, n)]
             for _ in range(8):
                 word = [rng.randrange(1, n) for _ in range(rng.randrange(0, 2 * n + 1))]
                 dense = dense_identity(rep.dim)
                 for letter in word:
-                    dense = dense_product(dense, dense_from_columns(rep.dim, rep.generators[letter - 1]))
+                    dense = dense_product(dense, gens[letter - 1])
                 assert dense_from_columns(rep.dim, evaluate_word(rep, word)) == dense
 
 
@@ -138,24 +151,10 @@ def test_involution_holds_on_every_shape_up_to_size_6():
             assert all(evaluate_word(rep, [i, i]) == identity for i in range(1, n))
 
 
-def test_an_entry_the_common_denominator_does_not_clear_is_an_error():
-    # Every entry of a generator of (3, 1) is cleared by D = lcm(1, 2, 3)^2 = 36;
-    # 36/7 is not an integer, so the scaled kernel must refuse it, not round it.
-    rep = build_rep((3, 1))
-    broken = _corrupt(rep, 2, lambda c, entries: ((entries[0][0], Fraction(1, 7)),) + entries[1:]
-                      if c == 0 else entries)
-    with pytest.raises(ConsistencyError, match="common denominator"):
-        check_relations(broken)
-    with pytest.raises(ConsistencyError, match="common denominator"):
-        word_trace(broken, [2, 1])
-    with pytest.raises(ConsistencyError, match="common denominator"):
-        evaluate_word(broken, [2])
-
-
 def test_a_trace_that_is_not_an_integer_is_an_error():
-    # s_1 -> (1/2) identity is cleared by D, but its trace 3/2 is no character value.
+    # s_1 -> (1/2) identity, D s_1 = (D // 2) identity: its trace 3/2 is no character value.
     rep = build_rep((3, 1))
-    halved = _corrupt(rep, 1, lambda c, entries: ((c, Fraction(1, 2)),))
+    halved = _corrupt(rep, 1, lambda c, entries: ((c, rep.denominator // 2),))
     with pytest.raises(ConsistencyError, match="not an integer"):
         word_trace(halved, [1])
 
@@ -209,7 +208,7 @@ def test_spherical_relation_image_is_identity():
 def test_entries_are_exact_fractions():
     rep = build_rep((3, 2))
     for i in range(1, rep.n):
-        for row in dense_from_columns(rep.dim, rep.generators[i - 1]):
+        for row in dense_from_columns(rep.dim, evaluate_word(rep, [i])):
             for entry in row:
                 assert isinstance(entry, Fraction)
 
@@ -222,6 +221,25 @@ def test_generator_index_bounds():
         evaluate_word(rep, [0])
 
 
+def test_letters_that_are_not_ints_are_domain_errors():
+    # True is an int subclass but no letter; a float must not reach the column index.
+    rep = build_rep((2, 1))
+    for letter in (1.0, True, "1"):
+        with pytest.raises(DomainError, match="not an int"):
+            word_trace(rep, [letter])
+        with pytest.raises(DomainError, match="not an int"):
+            evaluate_word(rep, [2, letter])
+
+
+def test_standard_tableaux_takes_only_partitions():
+    # (True,) equals the cached key (1,), so the check must run before the cache is read.
+    assert standard_tableaux([2, 1]) == standard_tableaux((2, 1))
+    assert standard_tableaux((1,)) == (((1,),),)
+    for bad in [(1, 2), (2, 0, 1), (True,), (2, 1.0)]:
+        with pytest.raises(DomainError, match="partition parts"):
+            standard_tableaux(bad)
+
+
 def test_out_of_range_letters_are_domain_errors():
     with pytest.raises(DomainError, match="generator index"):
         perm_of_word(3, [3])
@@ -232,7 +250,7 @@ def test_out_of_range_letters_are_domain_errors():
 def test_single_row_and_column_are_one_dimensional():
     top = build_rep((4,))
     assert top.dim == 1 and all(
-        dense_from_columns(1, top.generators[i - 1])[0][0] == 1 for i in range(1, 4))
+        dense_from_columns(1, evaluate_word(top, [i]))[0][0] == 1 for i in range(1, 4))
     sign = build_rep((1, 1, 1, 1))
     assert sign.dim == 1 and all(
-        dense_from_columns(1, sign.generators[i - 1])[0][0] == -1 for i in range(1, 4))
+        dense_from_columns(1, evaluate_word(sign, [i]))[0][0] == -1 for i in range(1, 4))
