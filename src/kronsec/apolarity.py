@@ -59,8 +59,8 @@ from typing import Sequence
 import mpmath
 
 from . import intpoly, ratmat
-from .config import DEFAULT_PRECISION_BITS
-from .errors import ConsistencyError, DomainError, PrecisionError
+from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
+from .errors import ConsistencyError, DomainError, PrecisionError, require_int
 
 RESAMPLE_BOUND = 32
 # Largest denominator of an exact support point; a rational root with a
@@ -89,8 +89,7 @@ class BinaryForm:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise DomainError(f"form degree must be >= 1, got {self.degree}")
+        require_int("form degree", self.degree, least=1)
         if len(self.coeffs) != self.degree + 1:
             raise DomainError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
@@ -184,8 +183,7 @@ def catalecticant(p: BinaryForm, k: int) -> ratmat.Matrix:
     so entry (i, j) is a_(i+j) (n-i-j)!/(n-k-i)! (i+j)!/i! (see _moments).
     """
     n = p.degree
-    if not 1 <= k <= n:
-        raise DomainError(f"operator degree must satisfy 1 <= k <= {n}, got {k}")
+    require_int("operator degree k", k, least=1, most=n)
     rows = _hankel(_moments(n, p.coeffs), k)
     return [[x / (factorial(i) * factorial(n - k - i)) for x in row] for i, row in enumerate(rows)]
 
@@ -251,8 +249,7 @@ def kernel_dimension(p: BinaryForm, k: int) -> int:
     degrees r and n + 2 - r.
     """
     n = p.degree
-    if not 1 <= k <= n:
-        raise DomainError(f"operator degree must satisfy 1 <= k <= {n}, got {k}")
+    require_int("operator degree k", k, least=1, most=n)
     r = min_apolar_degree(p)
     return max(0, k - r + 1) + max(0, k - n - 1 + r)
 
@@ -489,6 +486,7 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     kernel form there yields rank k with explicit support and coefficients;
     a non-squarefree unique generator yields rank n - k + 2 with no support.
     """
+    require_int("precision_bits", precision_bits, least=MIN_PRECISION_BITS)
     n = p.degree
     k, basis = _apolar_kernel(p)
     found = _pencil_squarefree(basis, k)
@@ -714,8 +712,8 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
     degree-k kernel is then one-dimensional) and resamples up to a fixed
     bound on failure.
     """
-    if not 1 <= k <= (n + 1) // 2:
-        raise DomainError(f"rank sampling needs 1 <= k <= (n+1)//2 = {(n + 1) // 2}, got {k}")
+    require_int("form degree", n, least=1)
+    require_int("rank k", k, least=1, most=(n + 1) // 2)
     rng = random.Random(seed)
     pool = _point_pool()
     for _ in range(RESAMPLE_BOUND):
@@ -765,8 +763,7 @@ def vandermonde_rank(nodes: Sequence, degree: int) -> int:
     rank is proven mod a prime (independent rows mod p are independent over
     Q); the exact rank decides only when a prime loses it.
     """
-    if degree < 0:
-        raise DomainError(f"moment degree must be nonnegative, got {degree}")
+    require_int("moment degree", degree)
     pts = [_parse_node(nd) for nd in nodes]
     if len(set(pts)) != len(pts):
         raise DomainError(f"repeated nodes rejected: {sorted(set(p for p in pts if pts.count(p) > 1))}")

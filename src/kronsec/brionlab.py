@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .characters import _table, lr_checked
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .partitions import (
     Partition,
     format_partition,
@@ -75,6 +75,7 @@ class BrionRecord:
 
 
 def _require_hypothesis(n: int, lam: Partition, omega: Partition) -> None:
+    require_int("brion size n", n)
     total = size(lam) + size(omega)
     if 2 * total > n:
         raise DomainError(
@@ -85,8 +86,7 @@ def _require_hypothesis(n: int, lam: Partition, omega: Partition) -> None:
 
 def _require_stream(kind: str, n: int, mode: str) -> None:
     """The checks both generators run on their first pull, before any record."""
-    if n < 0:
-        raise DomainError(f"brion size n must be nonnegative, got {n}")
+    require_int("brion size n", n)
     if mode not in MODES:
         raise DomainError(f"{kind} mode must be vanishing, equality, or both, got {mode!r}")
 

@@ -25,7 +25,7 @@ from itertools import groupby
 from math import factorial
 from operator import mul
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 from .partitions import (
     CycleClass,
     Partition,
@@ -187,9 +187,7 @@ def _table(n: int) -> CharacterTable:
 
 
 def character_table(n: int) -> CharacterTable:
-    if n < 1:
-        raise DomainError(f"character table needs n >= 1, got {n}")
-    return _table(n)
+    return _table(require_int("character table n", n, least=1))
 
 
 def _common_degree(*shapes: Partition) -> int:
@@ -359,6 +357,7 @@ def pieri_decompose(lam: Partition, n: int) -> dict[Partition, int]:
     decomposition of the module induced from (lam x trivial) on S_k x S_{n-k}.
     """
     lam = validate_partition(lam)
+    require_int("pieri size n", n)
     k = size(lam)
     if n < k:
         raise DomainError(f"pieri_decompose needs n >= |lam|: {n} < {k}")
@@ -392,6 +391,7 @@ def pieri_distinguished(lam: Partition, n: int) -> Partition:
     cross-checked against the full decomposition before being returned.
     """
     lam = validate_partition(lam)
+    require_int("pieri size n", n)
     k = size(lam)
     if 2 * k > n + 1:
         raise DomainError(f"regime violation: 2|lam| <= n + 1 fails ({2 * k} > {n + 1})")

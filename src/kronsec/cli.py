@@ -22,7 +22,7 @@ import mpmath
 
 from . import apolarity, brionlab, characters, curvebounds, intpoly, monodromy, seminormal
 from .config import DEFAULT_DIM_CAP, LOOP_WORK_CAP, WORD_WORK_CAP, Config, load_config
-from .errors import CapacityError, DomainError, KronsecError
+from .errors import CapacityError, DomainError, KronsecError, require_int
 from .partitions import dimension, format_partition, parse_partition, size
 from .permutations import class_word, cycle_notation
 
@@ -141,11 +141,6 @@ def _require_within(what: str, value: int, cap: int) -> None:
         raise CapacityError(f"{what} exceeds the configured bound {cap}")
 
 
-def _require_nonnegative(what: str, value: int) -> None:
-    if value < 0:
-        raise DomainError(f"{what} must be nonnegative, got {value}")
-
-
 def _require_loop_work(letters: int, n: int, precision_bits: int) -> None:
     """Tracking `letters` letters over n roots at b bits costs about letters * n * (n + 7) * max(1, b // 96).
 
@@ -239,7 +234,7 @@ def _cmd_rep_check(args, cfg: Config) -> dict:
     _require_within(f"shape {shape} of size {size(lam)}", size(lam), cfg.n_cap)
     dim = dimension(lam)  # after the size cap: the hook-length formula takes factorial(n)
     _require_within(f"shape {shape} of dimension {dim}", dim, DEFAULT_DIM_CAP)
-    _require_nonnegative("--words", args.words)
+    require_int("--words", args.words)
     _require_within(f"--words {args.words} over dimension {dim} at n={size(lam)}",
                     args.words * dim * size(lam), WORD_WORK_CAP)
     rep = seminormal.build_rep(lam)
@@ -415,7 +410,7 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
         _require_loop_work(2 * (args.n - 1), args.n, cfg.precision_bits)
         check = monodromy.spherical_word_check(args.n, **kwargs)
         return {"n": args.n, "identity": check.identity, **_loop_json(check.loop, cfg)}
-    _require_nonnegative("--samples", args.samples)
+    require_int("--samples", args.samples)
     # n - 1 generators, then each sampled word has at most 2n - 1 letters.
     _require_loop_work(args.n - 1 + args.samples * (2 * args.n - 1), args.n, cfg.precision_bits)
     report = monodromy.defining_rep_decomposition(args.n, sample_loops=args.samples,
@@ -455,13 +450,13 @@ def _stream_records(records, cfg: Config, human: bool) -> None:
 
 
 def _cmd_brion_sweep(args, cfg: Config) -> None:
-    _require_nonnegative("brion size n", args.n_max)
+    require_int("brion size n", args.n_max)
     _require_within(f"sweep up to n={args.n_max}", args.n_max, min(cfg.sweep_cap, cfg.n_cap))
     _stream_records(brionlab.sweep(args.n_max, mode=args.mode), cfg, args.human)
 
 
 def _cmd_brion_boundary(args, cfg: Config) -> None:
-    _require_nonnegative("brion size n", args.n)
+    require_int("brion size n", args.n)
     _require_within(f"boundary scan at n={args.n}", args.n, min(cfg.sweep_cap, cfg.n_cap))
     _stream_records(brionlab.boundary_scan(args.n, mode=args.mode), cfg, args.human)
 

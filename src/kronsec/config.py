@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 ENV_VAR = "KRONSEC_CONFIG"
 
@@ -56,18 +56,9 @@ class Config:
     output: str = "-"
 
     def __post_init__(self) -> None:
-        if self.n_cap < 0:
-            raise DomainError(f"n_cap must be nonnegative, got {self.n_cap}")
-        if self.precision_bits < MIN_PRECISION_BITS:
-            raise DomainError(
-                f"precision_bits must be at least {MIN_PRECISION_BITS}, got {self.precision_bits}"
-            )
-        if self.precision_bits > MAX_PRECISION_BITS:
-            raise DomainError(
-                f"precision_bits must be at most {MAX_PRECISION_BITS}, got {self.precision_bits}"
-            )
-        if self.sweep_cap < 0:
-            raise DomainError(f"sweep_cap must be nonnegative, got {self.sweep_cap}")
+        require_int("n_cap", self.n_cap)
+        require_int("precision_bits", self.precision_bits, least=MIN_PRECISION_BITS, most=MAX_PRECISION_BITS)
+        require_int("sweep_cap", self.sweep_cap)
 
 
 def parse_config_text(text: str) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,8 @@ class CurveContext:
     degree: int
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise DomainError(f"genus must be nonnegative, got {self.genus}")
-        if self.degree < 0:
-            raise DomainError(f"degree must be nonnegative, got {self.degree}")
+        require_int("genus", self.genus)
+        require_int("degree", self.degree)
 
 
 def h0(ctx: CurveContext, twist: int) -> int:
@@ -34,8 +32,7 @@ def h0(ctx: CurveContext, twist: int) -> int:
     h^1; outside that range the formula is not the dimension and the call is
     rejected by name.
     """
-    if twist < 0:
-        raise DomainError(f"twist must be nonnegative, got {twist}")
+    require_int("twist", twist)
     g, n = ctx.genus, ctx.degree
     if not n - twist > 2 * g - 2:
         raise DomainError(
@@ -47,8 +44,7 @@ def h0(ctx: CurveContext, twist: int) -> int:
 
 def separates_2k(ctx: CurveContext, k: int) -> bool:
     """Whether degree-n sections separate any 2k points: 2g - 2 - n + 2k < 0."""
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    require_int("k", k)
     return 2 * ctx.genus - 2 - ctx.degree + 2 * k < 0
 
 

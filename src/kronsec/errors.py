@@ -37,3 +37,19 @@ class ConsistencyError(KronsecError):
 
     kind = "consistency"
     exit_code = 2
+
+
+def require_int(what: str, value, least: int = 0, most: int | None = None) -> int:
+    """value, if it is an int (a bool or a float is not) in least..most; else a DomainError naming `what`.
+
+    The one check of an integer argument: every exported function runs its
+    sizes, degrees and indices through it before using them.
+    """
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an int, got {value!r}")
+    if most is not None and not least <= value <= most:
+        raise DomainError(f"{what} {value} out of range {least}..{most}")
+    if value < least:
+        raise DomainError(f"{what} must be nonnegative, got {value}" if least == 0
+                          else f"expected {what} >= {least}, got {value}")
+    return value

@@ -62,11 +62,12 @@ from math import factorial
 from . import intpoly
 from .characters import character_table
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
-from .errors import ConsistencyError, DomainError, PrecisionError
+from .errors import ConsistencyError, DomainError, PrecisionError, require_int
 from .permutations import (
     compose,
     cycle_notation,
     identity_perm,
+    validate_word,
 )
 
 DEFAULT_TOLERANCE = 2.0**-48
@@ -139,34 +140,22 @@ def parse_loop_spec(data: dict):
         raise DomainError("loop spec 'base' and 'segments' must be lists")
     base = [_as_complex(c) for c in data["base"]]
     segments = [parse_segment(s) for s in data["segments"]]
-    return base, segments, _checked_tolerance(data.get("tolerance", DEFAULT_TOLERANCE))
+    return base, segments, _positive_real("tolerance", data.get("tolerance", DEFAULT_TOLERANCE))
 
 
-def _checked_max_step(max_step) -> float:
-    """max_step as a float; a DomainError unless it is a number with 0 < max_step <= MAX_STEP_CAP."""
-    if isinstance(max_step, bool):
-        raise DomainError(f"max_step must be a number, got {max_step!r}")
-    try:
-        value = float(max_step)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"max_step must be a number, got {max_step!r}") from None
-    if not 0 < value <= MAX_STEP_CAP:
-        raise DomainError(f"max_step must be positive and at most {MAX_STEP_CAP}, got {value}")
-    return value
-
-
-def _checked_tolerance(tolerance) -> float:
-    """The tolerance as a float; a DomainError unless it is a positive finite number."""
+def _positive_real(what: str, value, most: float = math.inf) -> float:
+    """value as a float; a DomainError unless it is a number with 0 < value <= most, and finite."""
     # JSON true and false would otherwise pass as the numbers 1 and 0.
-    if isinstance(tolerance, bool):
-        raise DomainError(f"tolerance must be a number, got {tolerance!r}")
+    if isinstance(value, bool):
+        raise DomainError(f"{what} must be a number, got {value!r}")
     try:
-        value = float(tolerance)
+        x = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"tolerance must be a number, got {tolerance!r}") from None
-    if not 0 < value < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {value}")
-    return value
+        raise DomainError(f"{what} must be a number, got {value!r}") from None
+    if not 0 < x < math.inf or x > most:
+        raise DomainError(f"{what} must be positive and " + ("finite" if most == math.inf else f"at most {most}")
+                          + f", got {x}")
+    return x
 
 
 def _as_complex(entry) -> complex:
@@ -374,10 +363,9 @@ def track_roots(
     A base equal to prod(z - j), j = 1..n, starts from its roots 1..n; the
     roots of any other base are seeded and refined by _seeds and _refined.
     """
-    if precision_bits < MIN_PRECISION_BITS:
-        raise DomainError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {precision_bits}")
-    tolerance = _checked_tolerance(tolerance)
-    max_step = _checked_max_step(max_step)
+    require_int("precision_bits", precision_bits, least=MIN_PRECISION_BITS)
+    tolerance = _positive_real("tolerance", tolerance)
+    max_step = _positive_real("max_step", max_step, MAX_STEP_CAP)
     if not segments:
         raise DomainError("a loop needs at least one segment")
     base = list(base)
@@ -420,17 +408,15 @@ def _validate_segments(segs, coeffs0):
     n = len(coeffs0) - 1
     for seg in segs:
         if isinstance(seg, HalfTwist):
-            if not 1 <= seg.i <= n - 1:
-                raise DomainError(f"half_twist index {seg.i} out of range 1..{n - 1}")
+            require_int("half_twist index", seg.i, least=1, most=n - 1)
         elif isinstance(seg, CoefficientCircle):
-            if not 0 <= seg.index <= n:
-                raise DomainError(f"circle coefficient index {seg.index} out of range 0..{n}")
-            start = coeffs0[seg.index]
+            start = coeffs0[require_int("circle coefficient index", seg.index, most=n)]
             if abs(start) == 0:
                 raise DomainError(f"circle segment needs a nonzero coefficient {seg.index}")
             # Comparisons, unlike a difference, read an int past the float range exactly.
-            slack = 1e-9 * max(1.0, seg.radius)
-            if not seg.radius - slack <= abs(start) <= seg.radius + slack:
+            radius = _positive_real("circle radius", seg.radius)
+            slack = 1e-9 * max(1.0, radius)
+            if not radius - slack <= abs(start) <= radius + slack:
                 raise DomainError(
                     f"circle radius {seg.radius} does not pass through coefficient {seg.index} = {start}"
                 )
@@ -588,16 +574,17 @@ def _match(finals, base_roots, base_gap):
 
 def base_with_integer_roots(n: int):
     """Ascending coefficients of prod_{j=1..n} (z - j), exact integers."""
-    if n < 2:
-        raise DomainError(f"generator loops need degree >= 2, got {n}")
+    require_int("generator loop degree n", n, least=2)
     return intpoly.from_roots(range(1, n + 1))
 
 
 def word_loop(n: int, word, **kwargs) -> MonodromyLoop:
     """Track the concatenation of generator half-twists named by `word`."""
+    base = base_with_integer_roots(n)
+    word = validate_word(n, word)
     if not word:
         raise DomainError("word_loop needs at least one letter")
-    return track_roots(base_with_integer_roots(n), [HalfTwist(i) for i in word], **kwargs)
+    return track_roots(base, [HalfTwist(i) for i in word], **kwargs)
 
 
 @dataclass(frozen=True)
@@ -608,6 +595,7 @@ class SphericalCheck:
 
 def spherical_word_check(n: int, **kwargs) -> SphericalCheck:
     """Track the relation word 1..n-1, n-1..1; its monodromy must be trivial."""
+    require_int("generator loop degree n", n, least=2)
     word = list(range(1, n)) + list(range(n - 1, 0, -1))
     loop = word_loop(n, word, **kwargs)
     return SphericalCheck(loop=loop, identity=loop.permutation == identity_perm(n))
@@ -658,10 +646,8 @@ def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **k
     all of S_n, then splits the fixed-point character against the character
     table. The split must come out {(n): 1, (n-1, 1): 1}; callers assert that.
     """
-    if n < 2:
-        raise DomainError(f"the defining action needs n >= 2 roots, got {n}")
-    if sample_loops < 0:
-        raise DomainError(f"sample_loops must be nonnegative, got {sample_loops}")
+    require_int("generator loop degree n", n, least=2)
+    require_int("sample_loops", sample_loops)
     gen_perms = [word_loop(n, [i], **kwargs).permutation for i in range(1, n)]
     _require_connected_transpositions(n, gen_perms)
 

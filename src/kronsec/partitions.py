@@ -12,14 +12,17 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 Partition = tuple[int, ...]
 
 
 def validate_partition(parts) -> Partition:
     """Return ``parts`` as a tuple after checking it is a partition."""
-    lam = tuple(parts)
+    try:
+        lam = tuple(parts)
+    except TypeError:
+        raise DomainError(f"a partition is a sequence of parts, got {parts!r}") from None
     for p in lam:
         if type(p) is not int or p <= 0:  # bool is an int subclass, not a part
             raise DomainError(f"partition parts must be positive integers, got {p!r}")
@@ -35,11 +38,12 @@ def size(lam: Partition) -> int:
 
 @cache
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last."""
-    if n < 0:
-        raise DomainError(f"cannot partition a negative integer, got {n}")
-    if max_part is None:
-        max_part = n
+    """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last.
+
+    n and max_part are validated inside the cache, so only a miss pays.
+    """
+    require_int("partition size n", n)
+    max_part = n if max_part is None else require_int("max_part", max_part)
     if n == 0:
         return ((),)
     out = []
@@ -80,8 +84,7 @@ def attach_first_row(lam: Partition, n: int) -> Partition:
     current first row.
     """
     lam = validate_partition(lam)
-    if n < 0:
-        raise DomainError(f"target size must be nonnegative, got {n}")
+    require_int("target size", n)
     k = size(lam)
     new_row = n - k
     if lam and new_row < lam[0]:
@@ -101,6 +104,7 @@ def has_long_first_row(lam: Partition) -> bool:
     Equivalently, stripping the first row leaves at most (|lam| + 1) / 2
     boxes. Kept in halved-integer form to avoid rationals.
     """
+    lam = validate_partition(lam)
     if not lam:
         return True
     return 2 * lam[0] >= size(lam) - 1
@@ -134,9 +138,9 @@ def conjugacy_classes(n: int) -> tuple[CycleClass, ...]:
 
     n = 0 is admitted and yields the single empty class of the trivial group;
     that convention closes the base cases of induction/restriction sums.
+    n is validated inside the cache, so only a miss pays.
     """
-    if n < 0:
-        raise DomainError(f"symmetric group degree must be nonnegative, got {n}")
+    require_int("symmetric group degree", n)
     return tuple(CycleClass(mu, class_size(mu)) for mu in partitions_of(n))
 
 

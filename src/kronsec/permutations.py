@@ -7,8 +7,8 @@ applies q first, then p, matching matrix products ``M_p @ M_q``.
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .partitions import Partition
+from .errors import DomainError, require_int
+from .partitions import Partition, validate_partition
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
@@ -20,25 +20,34 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
-    """The transposition (i, i+1) in 1-based labels, as a 0-based tuple."""
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"generator index must satisfy 1 <= i <= {n - 1}, got {i}")
-    p = list(range(n))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
+def validate_word(n: int, word) -> tuple[int, ...]:
+    """Return ``word`` as a tuple after checking it is a word in s_1, ..., s_{n-1}.
+
+    Each letter is an int (a bool or a float is not) in 1..n-1.
+    """
+    require_int("n", n)
+    try:
+        letters = tuple(word)
+    except TypeError:
+        raise DomainError(f"a word is a sequence of generator indices, got {word!r}") from None
+    for letter in letters:
+        if type(letter) is not int or not 1 <= letter <= n - 1:
+            raise DomainError(f"generator index {letter!r} is not an int in 1..{n - 1}")
+    return letters
 
 
 def perm_of_word(n: int, word: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Product of adjacent transpositions, first letter applied last.
 
     Matches the matrix convention: the image of word (a, b) is the permutation
-    of s_a composed after s_b, exactly like ``M_a @ M_b``.
+    of s_a composed after s_b, exactly like ``M_a @ M_b``. Composing p after
+    s_a swaps the entries of p at a - 1 and a.
     """
-    p = identity_perm(n)
-    for letter in word:
-        p = compose(p, adjacent_transposition(n, letter))
-    return p
+    word = validate_word(n, word)
+    p = list(range(n))
+    for a in word:
+        p[a - 1], p[a] = p[a], p[a - 1]
+    return tuple(p)
 
 
 def class_word(mu: Partition) -> tuple[int, ...]:
@@ -50,14 +59,20 @@ def class_word(mu: Partition) -> tuple[int, ...]:
     """
     word: list[int] = []
     start = 0
-    for part in mu:
+    for part in validate_partition(mu):
         word.extend(range(start + 1, start + part))
         start += part
     return tuple(word)
 
 
 def cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cycle decomposition in 0-based labels, fixed points included."""
+    """Cycle decomposition in 0-based labels, fixed points included.
+
+    p must rearrange range(len(p)) into ints (a bool is not one); on a
+    tuple that does not, the cycle walk may never return to its start.
+    """
+    if any(type(x) is not int for x in p) or sorted(p) != list(range(len(p))):
+        raise DomainError(f"not a permutation of 0..{len(p) - 1}: {p!r}")
     seen = [False] * len(p)
     out = []
     for start in range(len(p)):

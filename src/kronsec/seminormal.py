@@ -44,7 +44,7 @@ from typing import Iterator
 
 from .errors import ConsistencyError, DomainError
 from .partitions import Partition, dimension, format_partition, size, validate_partition
-from .permutations import cycle_type, perm_of_word
+from .permutations import cycle_type, perm_of_word, validate_word
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -144,14 +144,8 @@ def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]
     D is the common denominator of rep and L the length of the word, so every
     entry is an int. Yields one sparse image per basis vector, in basis order.
     Zero entries are dropped, so two images are equal exactly when the
-    vectors are.
+    vectors are. The callers pass words already checked by validate_word.
     """
-    for letter in word:
-        if type(letter) is not int or not 1 <= letter <= rep.n - 1:  # bool is an int subclass, not a letter
-            raise DomainError(
-                f"word letter {letter!r} is not an int in 1..{rep.n - 1} for shape "
-                f"{format_partition(rep.shape)}"
-            )
     columns = [rep.columns[letter - 1] for letter in reversed(word)]
     rest = columns[1:]
     for c in range(rep.dim):
@@ -172,6 +166,7 @@ def evaluate_word(rep: SeminormalRep, word) -> tuple[Column, ...]:
     Column c holds the nonzero (row, Fraction) pairs of the image of v_c, by
     row; evaluate_word(rep, [i]) is s_i.
     """
+    word = validate_word(rep.n, word)
     scale = rep.denominator ** len(word)
     return tuple(tuple((r, Fraction(x, scale)) for r, x in sorted(image.items()))
                  for image in _images(rep, word))
@@ -179,6 +174,7 @@ def evaluate_word(rep: SeminormalRep, word) -> tuple[Column, ...]:
 
 def word_trace(rep: SeminormalRep, word) -> Fraction:
     """Trace of the word product; equals the character at the word's cycle type."""
+    word = validate_word(rep.n, word)
     total = sum(image.get(c, 0) for c, image in enumerate(_images(rep, word)))
     scale = rep.denominator ** len(word)
     trace, rem = divmod(total, scale)
@@ -191,7 +187,7 @@ def word_trace(rep: SeminormalRep, word) -> Fraction:
 
 
 def word_cycle_type(rep: SeminormalRep, word) -> Partition:
-    return cycle_type(perm_of_word(rep.n, list(word)))
+    return cycle_type(perm_of_word(rep.n, word))
 
 
 def check_relations(rep: SeminormalRep) -> dict[str, bool]:

@@ -290,3 +290,59 @@ def test_kron_and_tensor_build_no_character_table():
     defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert ROW_FUNCTIONS <= defined
     assert naming_functions(source, ROW_FUNCTIONS, TABLE_NAMES) == []
+
+
+# The one integer check: errors.require_int decides what a valid int argument is.
+VALIDATORS = {"require_int"}
+
+
+def hand_written_int_checks(source: str) -> list[str]:
+    """Functions outside VALIDATORS with an `if` that compares a parameter with an int literal and raises DomainError.
+
+    A parameter is read as a name or as an attribute of one (self.n_cap);
+    a comparison of a local or of two arguments is not counted.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in VALIDATORS:
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+
+        def is_param(x):
+            x = x.value if isinstance(x, ast.Attribute) else x
+            return isinstance(x, ast.Name) and x.id in params
+
+        def guards(cmp):
+            operands = [cmp.left, *cmp.comparators]
+            return any(map(is_param, operands)) and any(
+                isinstance(x, ast.Constant) and type(x.value) is int for x in operands)
+
+        for branch in (n for n in ast.walk(fn) if isinstance(n, ast.If)):
+            raises = any(isinstance(r, ast.Raise) and getattr(getattr(r.exc, "func", None), "id", None) == "DomainError"
+                         for stmt in branch.body for r in ast.walk(stmt))
+            if raises and any(guards(c) for c in ast.walk(branch.test) if isinstance(c, ast.Compare)):
+                found.append(fn.name)
+                break
+    return found
+
+
+def test_the_scan_finds_a_hand_written_int_check():
+    source = (
+        "def require_int(what, value, least=0):\n    if value < 0:\n        raise DomainError(what)\n"
+        "def h0(ctx, twist):\n    if twist < 0:\n        raise DomainError(f'twist must be nonnegative, got {twist}')\n"
+        "class C:\n    def __post_init__(self):\n        if self.n_cap < 0:\n            raise DomainError('n_cap')\n"
+        "def pieri(lam, n):\n    k = size(lam)\n    if n < k:\n        raise DomainError('n >= |lam|')\n"
+        "def build(lam):\n    n = size(lam)\n    if n < 1:\n        raise DomainError('empty')\n"
+        "def table(n):\n    if n < 1:\n        raise ValueError(n)\n"
+    )
+    assert hand_written_int_checks(source) == ["h0", "__post_init__"]
+
+
+def test_integer_arguments_are_checked_by_require_int():
+    # A copy of the integer check drifts from it: before the copies went, none
+    # of them refused a float or a bool.
+    found = [f"{path.stem}.{name}" for path in PACKAGE_MODULES
+             for name in hand_written_int_checks(path.read_text(encoding="utf-8"))]
+    assert found == []
+    assert [path.name for path in PACKAGE_MODULES
+            if "must be nonnegative" in path.read_text(encoding="utf-8")] == ["errors.py"]
