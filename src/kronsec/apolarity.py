@@ -60,7 +60,7 @@ import mpmath
 
 from . import intpoly, ratmat
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
-from .errors import ConsistencyError, DomainError, PrecisionError, require_int
+from .errors import ConsistencyError, DomainError, PrecisionError, require_int, require_str
 
 RESAMPLE_BOUND = 32
 # Largest denominator of an exact support point; a rational root with a
@@ -90,11 +90,15 @@ class BinaryForm:
 
     def __post_init__(self):
         require_int("form degree", self.degree, least=1)
+        if not isinstance(self.coeffs, tuple):
+            raise DomainError(f"form coefficients must be a tuple, got {self.coeffs!r}")
         if len(self.coeffs) != self.degree + 1:
             raise DomainError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
                 f"got {len(self.coeffs)}"
             )
+        object.__setattr__(self, "coeffs", tuple(_rational(f"form coefficient {i}", c)
+                                                 for i, c in enumerate(self.coeffs)))
         if not any(self.coeffs):
             raise DomainError("the zero form is not admitted as a BinaryForm")
 
@@ -102,8 +106,25 @@ class BinaryForm:
         return format_form(self)
 
 
+def _rational(what: str, value) -> Fraction:
+    """value as a Fraction: an int (not a bool), a Fraction or a finite float; else a DomainError naming `what`."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError):  # nan, inf
+            pass
+    raise DomainError(f"{what} must be a finite int, Fraction or float, got {value!r}")
+
+
 def form(degree: int, coeffs) -> BinaryForm:
-    return BinaryForm(degree, tuple(Fraction(c) for c in coeffs))
+    """The form sum coeffs[i] x^(degree-i) y^i; coeffs is any iterable."""
+    try:
+        coeffs = tuple(coeffs)
+    except TypeError:
+        raise DomainError(f"form coefficients must be iterable, got {coeffs!r}") from None
+    return BinaryForm(degree, coeffs)
 
 
 _FORM_RE = re.compile(r"^\s*deg\s*=\s*(\d+)\s*;\s*coeffs\s*=\s*(.*?)\s*$")
@@ -111,7 +132,7 @@ _FORM_RE = re.compile(r"^\s*deg\s*=\s*(\d+)\s*;\s*coeffs\s*=\s*(.*?)\s*$")
 
 def parse_form(text: str) -> BinaryForm:
     """Parse "deg=3; coeffs=1,0,0,1"; rationals may be written p/q."""
-    m = _FORM_RE.match(text)
+    m = _FORM_RE.match(require_str("form literal", text))
     if not m:
         raise DomainError(f"not a form literal: {text!r} (expected 'deg=n; coeffs=a_0,...,a_n')")
     degree = int(m.group(1))
@@ -138,7 +159,8 @@ def add_forms(p: BinaryForm, q: BinaryForm) -> BinaryForm | None:
 
 def power_form(alpha, beta, n: int, scale=1) -> BinaryForm:
     """scale * (alpha x + beta y)^n."""
-    a, b, s = Fraction(alpha), Fraction(beta), Fraction(scale)
+    a, b, s = (_rational("power_form alpha", alpha), _rational("power_form beta", beta),
+               _rational("power_form scale", scale))
     if not (a or b):
         raise DomainError("power_form needs (alpha, beta) != (0, 0)")
     return BinaryForm(n, tuple(s * comb(n, j) * a ** (n - j) * b**j for j in range(n + 1)))

@@ -1,16 +1,18 @@
 """Exact S_n character arithmetic.
 
 Irreducible character values come from the Murnaghan-Nakayama rule on the
-abacus, with shapes stored as bead bitmasks (beta-sets): the power sum p_mu is
-expanded in the Schur basis one part at a time, so one expansion per cycle
-type gives a whole column of the table. Kronecker coefficients and tensor
-decompositions build no table. A row of chi^lam takes one backward strip step
-per class off the expansion of the class's tail (`_rows`), and a tensor
-decomposition expands its class-weighted power sums in the Schur basis by one
-forward step per first part. Every such sum, and every multiplicity read off
-the cached table (`chartable`, the brion records, the defining representation),
-is divided by n! checked exact: a non-integral or negative multiplicity is an
-internal fault, not a value.
+abacus, with shapes stored as bead bitmasks (beta-sets). The power sum of a
+class's tail, p_(mu_2 mu_3 ...), is expanded in the Schur basis one part at a
+time (`_expansion`), and every value chi^lam(mu) is one backward strip step
+of size mu_1 off the tail's expansion (`_strip`): `mn_value` reads one value,
+and `_rows` reads whole rows for the table, for Kronecker coefficients and for
+tensor decompositions. The last two build no table: a Kronecker coefficient
+sums three rows, and a tensor decomposition expands its class-weighted power
+sums in the Schur basis by one forward step per first part. Every such sum,
+every multiplicity read off the cached table (`chartable`, the brion records,
+the defining representation) and the restriction sum of `lr_by_characters`
+is divided by its group order checked exact (`_multiplicity`): a
+non-integral or negative multiplicity is an internal fault, not a value.
 
 Littlewood-Richardson coefficients are deliberately computed twice, by the
 combinatorial tableaux rule (`lr_coefficient`) and by restricting characters
@@ -77,51 +79,44 @@ def _forward(r: int, terms: dict[int, int], out: dict[int, int]) -> None:
             out[moved] = out.get(moved, 0) + (-value if jumped.bit_count() & 1 else value)
 
 
-def _rows(n: int, shapes) -> list[list[int]]:
-    """chi^lam at every class of S_n in conjugacy_classes order, one row per shape.
+def _strip(mask: int, r: int, tail: dict[int, int]) -> int:
+    """chi^lam(r, rest) for the shape lam with bead mask `mask`, from tail = _expansion(rest).
 
     The backward Murnaghan-Nakayama step: chi^lam(r, rest) sums chi^nu(rest)
     over the shapes nu left by removing a border strip of size r from lam. On
     the abacus one bead moves from p back to an empty p - r, with sign
-    (-1)^(beads strictly between). nu has at most n - r parts, so its low r
-    beads are all full, and dropping them reads nu on n - r beads in the
-    expansion of rest.
+    (-1)^(beads strictly between). `mask` is on r + |rest| beads and nu has
+    at most |rest| parts, so its low r beads are all full, and dropping them
+    reads nu on |rest| beads in the expansion of rest.
     """
-    masks = [_beads(lam, n) for lam in shapes]
-    rows: list[list[int]] = [[] for _ in shapes]
-    for mu, _ in conjugacy_classes(n):
-        if not mu:  # the one class of S_0
-            for row in rows:
-                row.append(1)
-            continue
-        r = mu[0]
-        low = (1 << r) - 1
-        between = low >> 1
-        tail = _expansion(mu[1:])
-        for mask, row in zip(masks, rows):
-            value = 0
-            movable = mask & ~(mask << r) & ~low
-            while movable:
-                bit = movable & -movable
-                movable ^= bit
-                source = mask ^ bit ^ (bit >> r)
-                if term := tail.get(source >> r):
-                    jumped = (mask >> (bit >> r).bit_length()) & between
-                    value += -term if jumped.bit_count() & 1 else term
-            row.append(value)
-    return rows
+    low = (1 << r) - 1
+    between = low >> 1
+    value = 0
+    movable = mask & ~(mask << r) & ~low
+    while movable:
+        bit = movable & -movable
+        movable ^= bit
+        if term := tail.get((mask ^ bit ^ (bit >> r)) >> r):
+            jumped = (mask >> (bit >> r).bit_length()) & between
+            value += -term if jumped.bit_count() & 1 else term
+    return value
 
 
-def _multiplicity(total: int, n: int, sig: Partition) -> int:
-    """total / n!, the multiplicity of chi^sig, checked integral and nonnegative."""
-    value, rem = divmod(total, factorial(n))
-    if rem:
+def _rows(n: int, shapes) -> list[list[int]]:
+    """chi^lam at every class of S_n in conjugacy_classes order, one row per shape, by `_strip`."""
+    steps = [(mu[0], _expansion(mu[1:])) for mu, _ in conjugacy_classes(n) if mu]
+    # S_0 has one class, the empty cycle type, and takes no step.
+    return [[_strip(mask, r, tail) for r, tail in steps] or [1] for mask in (_beads(lam, n) for lam in shapes)]
+
+
+def _multiplicity(total: int, order: int, *shapes: Partition) -> int:
+    """total / order, a multiplicity of the character labelled by `shapes`, checked integral and nonnegative."""
+    value, rem = divmod(total, order)
+    if rem or value < 0:
+        label = ", ".join(map(format_partition, shapes))
         raise ConsistencyError(
-            f"class-weighted inner product is not integral for n={n}: {total}/{n}!"
-        )
-    if value < 0:
-        raise ConsistencyError(
-            f"negative multiplicity {value} of {format_partition(sig)} for n={n}"
+            f"class-weighted inner product is not integral for {label}: {total}/{order}" if rem
+            else f"negative multiplicity {value} for {label}"
         )
     return value
 
@@ -140,7 +135,7 @@ def mn_value(lam: Partition, mu: Partition) -> int:
             f"shape and cycle type must partition the same n: |{format_partition(lam)}| = "
             f"{size(lam)} vs |{format_partition(mu)}| = {n}"
         )
-    return _expansion(mu).get(_beads(lam, n), 0)
+    return _strip(_beads(lam, n), mu[0], _expansion(mu[1:])) if mu else 1
 
 
 class CharacterTable:
@@ -171,19 +166,13 @@ class CharacterTable:
 
     def weighed_multiplicity(self, weighed, sig: Partition) -> int:
         """Multiplicity of chi^sig in the class function whose weigh() is `weighed`, checked nonnegative."""
-        return _multiplicity(sum(map(mul, weighed, self.row(sig))), self.n, sig)
+        return _multiplicity(sum(map(mul, weighed, self.row(sig))), factorial(self.n), sig)
 
 
 @cache
 def _table(n: int) -> CharacterTable:
     shapes = partitions_of(n)
-    classes = conjugacy_classes(n)
-    columns = [_expansion(cc.cycle_type) for cc in classes]
-    values = tuple(
-        tuple(col.get(mask, 0) for col in columns)
-        for mask in (_beads(lam, n) for lam in shapes)
-    )
-    return CharacterTable(n, shapes, classes, values)
+    return CharacterTable(n, shapes, conjugacy_classes(n), tuple(map(tuple, _rows(n, shapes))))
 
 
 def character_table(n: int) -> CharacterTable:
@@ -211,7 +200,7 @@ def kronecker(lam: Partition, om: Partition, sig: Partition) -> int:
     n = _common_degree(lam, om, sig)
     rows = _rows(n, (lam, om, sig))
     total = sum(cc.cls_size * a * b * c for cc, a, b, c in zip(conjugacy_classes(n), *rows))
-    return _multiplicity(total, n, sig)
+    return _multiplicity(total, factorial(n), lam, om, sig)
 
 
 def tensor_decompose(lam: Partition, om: Partition) -> dict[Partition, int]:
@@ -236,8 +225,9 @@ def tensor_decompose(lam: Partition, om: Partition) -> dict[Partition, int]:
                 for mask, value in _expansion(mu[1:]).items():
                     combined[mask] = combined.get(mask, 0) + weight * value
         _forward(r, combined, schur)
+    order = factorial(n)
     return {sig: m for sig in partitions_of(n)
-            if (m := _multiplicity(schur.get(_beads(sig, n), 0), n, sig))}
+            if (m := _multiplicity(schur.get(_beads(sig, n), 0), order, lam, om, sig))}
 
 
 # --- Littlewood-Richardson, route one: the tableaux rule -------------------
@@ -322,18 +312,7 @@ def lr_by_characters(lam: Partition, om: Partition, sig: Partition) -> int:
                 continue
             joint = tuple(sorted(mu + nu, reverse=True))
             total += mu_size * nu_size * x_lam * x_om * mn_value(sig, joint)
-    value, rem = divmod(total, factorial(k) * factorial(m))
-    if rem:
-        raise ConsistencyError(
-            f"restriction inner product not divisible by {k}! {m}! for "
-            f"{format_partition(lam)}, {format_partition(om)}, {format_partition(sig)}"
-        )
-    if value < 0:
-        raise ConsistencyError(
-            f"negative LR multiplicity {value} for "
-            f"{format_partition(lam)}, {format_partition(om)}, {format_partition(sig)}"
-        )
-    return value
+    return _multiplicity(total, factorial(k) * factorial(m), lam, om, sig)
 
 
 def lr_checked(lam: Partition, om: Partition, sig: Partition) -> int:

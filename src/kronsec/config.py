@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, require_str
 
 ENV_VAR = "KRONSEC_CONFIG"
 
@@ -86,6 +86,8 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path: str | None = None) -> Config:
     """Defaults, overlaid with the file at KRONSEC_CONFIG or the given path."""
+    if path is not None:
+        require_str("config path", path)
     chosen = os.environ.get(ENV_VAR) or path
     cfg = Config()
     if chosen:

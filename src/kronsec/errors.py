@@ -53,3 +53,10 @@ def require_int(what: str, value, least: int = 0, most: int | None = None) -> in
         raise DomainError(f"{what} must be nonnegative, got {value}" if least == 0
                           else f"expected {what} >= {least}, got {value}")
     return value
+
+
+def require_str(what: str, value) -> str:
+    """value, if it is a str; else a DomainError naming `what`. The one check of a text argument."""
+    if not isinstance(value, str):
+        raise DomainError(f"{what} must be a str, got {value!r}")
+    return value

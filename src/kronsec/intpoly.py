@@ -6,7 +6,8 @@ A complex number x + iy is held either exactly as ints (a, b) over one power
 of two, (a + bi) / 2^e, or in fixed point as (X, Y) with x + iy ~ (X + iY) /
 2^bits, where sums are exact and each product is floored back to `bits`
 fractional bits. `dyadic` is the package's one exact reader of floats and
-mpmath numbers; `fixed` and `gaussian` put values on a grid through it.
+mpmath numbers, and `readable` says which values it reads; `fixed` and
+`gaussian` put values on a grid through it.
 `apolarity` certifies Sylvester supports with these routines and `monodromy`
 tracks loop roots with them. They share one root engine: `aberth_seeds`
 seeds the roots of a Sylvester annihilator and of a loop base, and
@@ -48,6 +49,20 @@ def dyadic(x) -> tuple[int, int]:
         return num, 1 - den.bit_length()
     sign, man, exp, _ = x._mpf_
     return -man if sign else man, exp
+
+
+def readable(z) -> bool:
+    """Whether `dyadic` reads each part of z exactly: an int (not a bool), a finite float, complex, mpf or mpc.
+
+    mpmath marks inf and nan by a negative bit count in the _mpf_ tuple;
+    `dyadic` would read them as 0.
+    """
+    if isinstance(z, int):
+        return not isinstance(z, bool)
+    if isinstance(z, (float, complex)):
+        return cmath.isfinite(z)
+    parts = getattr(z, "_mpc_", None) or (getattr(z, "_mpf_", None),)
+    return all(p is not None and p[3] >= 0 for p in parts)
 
 
 def fixed(z, bits: int) -> tuple[int, int]:

@@ -358,7 +358,8 @@ def track_roots(
     """Continue all roots of `base` around the closed path and read the permutation.
 
     base: ascending coefficients (constant term first) of a squarefree
-    polynomial; segments: a list of Segment values (each closed at base);
+    polynomial, each one intpoly.dyadic reads exactly (intpoly.readable);
+    segments: a list of Segment values (each closed at base);
     max_step: the first and largest step in t, a number in (0, 1/8].
     A base equal to prod(z - j), j = 1..n, starts from its roots 1..n; the
     roots of any other base are seeded and refined by _seeds and _refined.
@@ -368,9 +369,15 @@ def track_roots(
     max_step = _positive_real("max_step", max_step, MAX_STEP_CAP)
     if not segments:
         raise DomainError("a loop needs at least one segment")
-    base = list(base)
+    try:
+        base = list(base)
+    except TypeError:
+        raise DomainError(f"the base must be a sequence of coefficients, got {base!r}") from None
     if len(base) < 2:
         raise DomainError("monodromy needs degree >= 1")
+    for c in base:
+        if not intpoly.readable(c):
+            raise DomainError(f"base coefficient {c!r} is not an int, a finite float, complex, mpf or mpc")
     if base[-1] == 0:
         raise DomainError("leading coefficient of the base polynomial must be nonzero")
     _validate_segments(segments, base)

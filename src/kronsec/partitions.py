@@ -12,7 +12,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, require_str
 
 Partition = tuple[int, ...]
 
@@ -156,7 +156,7 @@ _PARTITION_RE = re.compile(r"^\[\s*(?:\d+\s*(?:,\s*\d+\s*)*)?\]$")
 
 def parse_partition(text: str) -> Partition:
     """Parse the bracket format: "[5,1]" -> (5, 1), "[]" -> ()."""
-    s = text.strip()
+    s = require_str("partition literal", text).strip()
     if not _PARTITION_RE.match(s):
         raise DomainError(f"not a partition literal: {text!r} (expected e.g. [5,1] or [])")
     body = s[1:-1].strip()

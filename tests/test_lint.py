@@ -7,8 +7,9 @@ benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
 standard library, one function climbs intpoly.RUNGS, the loop tracker's
-step loop runs on ints, naming no Fraction, and kronecker and
-tensor_decompose name no character table.
+step loop runs on ints, naming no Fraction, kronecker and
+tensor_decompose name no character table, and characters.py expands only
+the tails of classes.
 """
 
 import ast
@@ -271,7 +272,7 @@ def test_the_seminormal_build_and_products_name_no_fraction():
 
 
 # kron and tensor read three and two rows of the character table: building
-# all of it costs a forward expansion per class of S_n.
+# all of it costs a strip step per shape and class of S_n.
 ROW_FUNCTIONS = {"kronecker", "tensor_decompose"}
 TABLE_NAMES = {"_table", "character_table"}
 
@@ -290,6 +291,35 @@ def test_kron_and_tensor_build_no_character_table():
     defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert ROW_FUNCTIONS <= defined
     assert naming_functions(source, ROW_FUNCTIONS, TABLE_NAMES) == []
+
+
+def full_class_expansions(source: str) -> list[int]:
+    """Lines of the `_expansion(...)` calls whose argument is not a tail `x[1:]`."""
+    def is_tail(arg):
+        return (isinstance(arg, ast.Subscript) and isinstance(arg.slice, ast.Slice)
+                and isinstance(arg.slice.lower, ast.Constant) and arg.slice.lower.value == 1
+                and arg.slice.upper is None and arg.slice.step is None)
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_expansion"
+            and not (len(node.args) == 1 and not node.keywords and is_tail(node.args[0]))]
+
+
+def test_the_scan_finds_an_expansion_of_a_full_class():
+    source = (
+        "def _table(n):\n    return [_expansion(cc.cycle_type) for cc in conjugacy_classes(n)]\n"
+        "def mn_value(lam, mu):\n    return _strip(_beads(lam, 3), mu[0], _expansion(mu[1:]))\n"
+        "def other(mu):\n    return _expansion(mu[:1]), _expansion(mu[2:]), _expansion(mu[1:], 0)\n"
+    )
+    assert full_class_expansions(source) == [2, 6, 6, 6]
+
+
+def test_every_character_value_is_a_strip_step_off_a_tail():
+    # Every value is read by _strip off the expansion of a class's tail, so
+    # the forward expansion of a whole class is never built.
+    source = (PACKAGE / "characters.py").read_text(encoding="utf-8")
+    assert "_expansion(mu[1:])" in source
+    assert full_class_expansions(source) == []
 
 
 # The one integer check: errors.require_int decides what a valid int argument is.

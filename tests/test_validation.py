@@ -10,10 +10,13 @@ checked against it.
 """
 
 import itertools
+import math
+import os
 import random
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
 
 import kronsec
@@ -25,6 +28,7 @@ from conftest import (
     within_seconds,
 )
 from kronsec import (
+    BinaryForm,
     Config,
     CurveContext,
     DomainError,
@@ -32,11 +36,14 @@ from kronsec import (
     character_table,
     h0,
     kernel_dimension,
+    load_config,
     max_admissible_k,
+    parse_form,
+    parse_partition,
     track_roots,
     word_loop,
 )
-from kronsec.apolarity import form
+from kronsec.apolarity import form, format_form, power_form
 from kronsec.errors import require_int
 from kronsec.monodromy import CoefficientCircle, HalfTwist, base_with_integer_roots
 from kronsec.partitions import conjugacy_classes
@@ -57,7 +64,8 @@ def test_require_int_refuses_all_but_ints_in_range():
         require_int("k", 4, least=1, most=3)
 
 
-# Each of these once returned a number or a permutation, or ended in a bare TypeError.
+# Each of these once returned a number, a permutation, a form or a config, or
+# ended in a bare TypeError, AttributeError, ValueError or OverflowError.
 PROBES = {
     "kernel_dimension-2.5": lambda: kernel_dimension(form(3, [1, 0, 0, 1]), 2.5),
     "h0-0.5": lambda: h0(CurveContext(1, 5), 0.5),
@@ -70,6 +78,26 @@ PROBES = {
     "character_table-2.0": lambda: character_table(2.0),
     "base_with_integer_roots-2.5": lambda: base_with_integer_roots(2.5),
     "circle-index-0.0": lambda: track_roots([2, -3, 1], [CoefficientCircle(0.0, 2.0)]),
+    "BinaryForm-str": lambda: BinaryForm(3, "abcd"),
+    "BinaryForm-list": lambda: BinaryForm(3, [1, 0, 0, 1]),
+    "BinaryForm-True": lambda: BinaryForm(2, (True, 0, 1)),
+    "BinaryForm-None": lambda: BinaryForm(2, (None, 0, 1)),
+    "BinaryForm-nan": lambda: BinaryForm(2, (math.nan, 0, 1)),
+    "form-x": lambda: form(3, ["x", 0, 0, 1]),
+    "form-True": lambda: form(2, [True, 0, 1]),
+    "form-inf": lambda: form(2, [math.inf, 0, 1]),
+    "form-None": lambda: form(2, None),
+    "power_form-True": lambda: power_form(True, 1, 2),
+    "base-int": lambda: track_roots(5, [HalfTwist(1)]),
+    "base-True": lambda: track_roots([True, 0, 1], [HalfTwist(1)]),
+    "base-str": lambda: track_roots(["a", 0, 1], [HalfTwist(1)]),
+    "base-None": lambda: track_roots([None, 0, 1], [HalfTwist(1)]),
+    "base-Fraction": lambda: track_roots([Fraction(2), 0, 1], [HalfTwist(1)]),
+    "base-nan": lambda: track_roots([math.nan, 0, 1], [HalfTwist(1)]),
+    "base-inf": lambda: track_roots([math.inf, 0, 1], [HalfTwist(1)]),
+    "base-mpf-inf": lambda: track_roots([mpmath.inf, 0, 1], [HalfTwist(1)]),
+    "parse_partition-5": lambda: parse_partition(5),
+    "parse_form-5": lambda: parse_form(5),
 }
 
 
@@ -78,6 +106,31 @@ def test_integer_and_letter_probes_are_domain_errors(probe):
     with within_seconds(2):
         with pytest.raises(DomainError):
             probe()
+
+
+def test_a_form_stores_fractions_and_prints_as_before():
+    half = BinaryForm(3, (0.5, 0, 0, 1))
+    assert half.coeffs == (Fraction(1, 2), 0, 0, 1)
+    assert all(type(c) is Fraction for c in half.coeffs)
+    assert kernel_dimension(half, 1) == 0
+    assert format_form(BinaryForm(3, (1, 0, Fraction(-2, 3), 1))) == "deg=3; coeffs=1,0,-2/3,1"
+    assert format_form(form(2, [2.5, 0, 1])) == "deg=2; coeffs=5/2,0,1"
+
+
+def test_a_base_of_finite_mpmath_numbers_is_tracked():
+    assert track_roots([mpmath.mpc(2, 0), mpmath.mpf(-3), 1.0], [HalfTwist(1)]).permutation == (1, 0)
+
+
+def test_load_config_neither_reads_nor_closes_a_descriptor(tmp_path, monkeypatch):
+    monkeypatch.delenv("KRONSEC_CONFIG", raising=False)
+    (tmp_path / "kronsec.cfg").write_text("n_cap = 9\n", encoding="utf-8")
+    fd = os.open(tmp_path / "kronsec.cfg", os.O_RDONLY)
+    try:
+        with pytest.raises(DomainError, match="config path must be a str"):
+            load_config(fd)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
 
 
 # --- the fuzz ------------------------------------------------------------------
@@ -93,11 +146,13 @@ SEQUENCES = [p for p in PARTITIONS if isinstance(p, (tuple, list, str))]
 WORDS = [[], [1], [2, 1], [1, 2, 1], [1.5], [True], [0], [9], "12", 2.5, None, (1, 1)]
 FORMS = [form(1, [1, 0]), form(2, [1, 0, 1]), form(3, [1, 0, 0, 1]), form(3, [0, 1, -1, 0]),
          form(4, [1, 2, 3, 4, 5])]
-COEFFS = [(1, 0, 1), (1, 0), (0, 0, 0), (Fraction(1, 2), 1, 0, 1), (1, 0, 0, 0, 2)]
+COEFFS = [(1, 0, 1), (1, 0), (0, 0, 0), (Fraction(1, 2), 1, 0, 1), (1, 0, 0, 0, 2), "101", (1, True, 1), None,
+          (math.nan, 0, 1)]
 CONTEXTS = [CurveContext(0, 3), CurveContext(1, 5), CurveContext(3, 2)]
 TEXTS = ["[2,1]", "[]", "[1,2]", "[2,0]", "deg=3; coeffs=1,0,0,1", "deg=0; coeffs=1", "deg=2; coeffs=1,2",
-         "", "abc", "/nonexistent/kronsec.cfg"]
-BASES = [[2, -3, 1], [-1, 0, 1], [1, 2, 1], [1], [0, 0], [-6, 11, -6, 1]]
+         "", "abc", "/nonexistent/kronsec.cfg", 5]
+BASES = [[2, -3, 1], [-1, 0, 1], [1, 2, 1], [1], [0, 0], [-6, 11, -6, 1], [True, 0, 1], ["a", 0, 1],
+         [Fraction(2), -3, 1], [math.inf, 0, 1]]
 SEGMENTS = [[HalfTwist(1)], [HalfTwist(2)], [HalfTwist(True)], [HalfTwist(1.5)], [HalfTwist(0)],
             [CoefficientCircle(0, 2.0)], [CoefficientCircle(0.0, 2.0)], [CoefficientCircle(0, "x")],
             [CoefficientCircle(0, True)], [], ["half_twist(1)"]]
