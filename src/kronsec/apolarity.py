@@ -43,16 +43,18 @@ exact rebuild. On a support with approximate points, the weights at the
 refined centres are rounded to precision_bits + SOLVE_GUARD_BITS bits, and
 the error bound is the exact residual of the rebuild from them plus an
 allowance for their printed digits; no linear system is solved.
+sylvester_json prints the certificate with those digits.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, inf, isqrt, lcm, nextafter
 from operator import mul
 from typing import Sequence
 
@@ -60,7 +62,7 @@ import mpmath
 
 from . import intpoly, ratmat
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
-from .errors import ConsistencyError, DomainError, PrecisionError, require_int, require_str
+from .errors import CapacityError, ConsistencyError, DomainError, PrecisionError, require_int, require_str
 
 RESAMPLE_BOUND = 32
 # Largest denominator of an exact support point; a rational root with a
@@ -68,8 +70,8 @@ RESAMPLE_BOUND = 32
 DENOMINATOR_BOUND = 10**12
 # Guard bits above `precision_bits`: approximate support points are refined
 # to discs of radius below 2^-(precision_bits + SOLVE_GUARD_BITS) and their
-# weights rounded to that many bits, and the CLI prints them with the digits
-# that read this precision back. error_bound allows a relative error of
+# weights rounded to that many bits, and sylvester_json prints them with the
+# digits that read this precision back. error_bound allows a relative error of
 # 2^-(precision_bits + SOLVE_GUARD_BITS) in each printed value, so the
 # printed certificate rebuilds the form within it.
 SOLVE_GUARD_BITS = 96
@@ -324,20 +326,18 @@ def normalize_point(alpha, beta) -> tuple[int, int]:
 def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[SupportPoint]:
     """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
 
-    (1 : 0) and t = 0 are read off the coefficients (at_inf, U(0) = 0), with
-    the exact approximation 0j for t = 0. The other finite roots start from
-    the float seeds of intpoly.aberth_seeds on U, or U / t, a near-real seed
-    put on the real axis, so that a real root keeps an imaginary part of
-    exactly 0 through Newton. When there are no seeds, or _roots_from finds
-    them wanting (a refinement stalls or two discs meet), mpmath.polyroots
-    supplies the approximations instead; _roots_from refines either on U.
+    (1 : 0) is read off the coefficients (at_inf). The finite roots start
+    from the float seeds of intpoly.aberth_seeds on U, which seeds a root
+    t = 0 exactly, a near-real seed put on the real axis, so that a real
+    root keeps an imaginary part of exactly 0 through Newton. When there
+    are no seeds, or _roots_from finds them wanting (a refinement stalls or
+    two discs meet), mpmath.polyroots supplies the approximations instead;
+    _roots_from refines either on U.
     """
     points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
-    at_zero = not ints[0]  # U is squarefree: t = 0 is at most a simple root
-
-    seeds = intpoly.aberth_seeds(ints[at_zero:])
+    seeds = intpoly.aberth_seeds(ints)
     if seeds is not None:
-        seeds = [0j] * at_zero + [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds]
+        seeds = [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds]
         try:
             return points + _roots_from(ints, seeds, precision_bits)
         except PrecisionError:  # a refinement stalled or two discs met
@@ -705,6 +705,71 @@ def _solve_coefficients_numeric(points, at_inf: int, ints: list[int], p: BinaryF
     if worst << precision_bits // 2 > max(map(abs, target)) << prec:
         raise PrecisionError(f"numeric reconstruction residual {mpmath.nstr(bound)} too large for {p}")
     return coeffs, bound
+
+
+def sylvester_json(p: BinaryForm, precision_bits: int) -> dict:
+    """The certificate of sylvester_decompose(p) as the JSON object `kronsec sylvester` prints.
+
+    Exact values print as str gives them, approximate ones with the digits
+    that read them back. A support disc's radius covers the distance those
+    digits move its centre, and the error bound is rounded up to a float.
+    A value past Python's int-to-string limit is a CapacityError.
+    """
+    cert = sylvester_decompose(p, precision_bits=precision_bits)
+
+    def digits(x) -> int:
+        # The digits that read back every bit of the refined precision, or of a
+        # longer mantissa, as a refined centre far from 0 has.
+        bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
+        return mpmath.libmp.repr_dps(max(precision_bits + SOLVE_GUARD_BITS, bits))
+
+    def text(x) -> str:
+        # An exact value, or the annihilator, as str gives it. Past Python's
+        # int-to-string limit str raises ValueError: the request is too large
+        # to print, not a fault of the package.
+        try:
+            return str(x)
+        except ValueError:
+            raise CapacityError(f"an exact value of the certificate has more digits than Python's "
+                                f"int-to-string limit of {sys.get_int_max_str_digits()}") from None
+
+    def number(x, exact: bool) -> str:
+        return text(x) if exact else mpmath.nstr(x, digits(x))
+
+    def radius(pt) -> float:
+        # The certified radius about the refined centre plus the distance its
+        # printed digits move it, rounded up: a disc of this radius about the
+        # printed centre holds a root.
+        n, moved = digits(pt.alpha), Fraction(0)
+        for part in (pt.alpha.real, pt.alpha.imag):
+            m, k = intpoly.dyadic(part)
+            moved += (Fraction(mpmath.nstr(part, n)) - m * Fraction(2) ** k) ** 2
+        return nextafter(pt.radius + intpoly.sqrt_up(moved), inf)
+
+    def bound(x) -> float | str:
+        # The least float no smaller than the bound wherever a normal double
+        # holds it. Past the double range (JSON, RFC 8259, has no Infinity) and
+        # below it (where float() gives 0.0 or drops digits) it prints as
+        # approximate values do.
+        if not sys.float_info.min <= x <= sys.float_info.max:
+            return number(x, False)
+        up = float(x)
+        return up if up >= x else nextafter(up, inf)
+
+    return {
+        "form": format_form(p),
+        "kernel_degree": cert.annihilator.degree,
+        "rank": cert.rank,
+        "member": True,  # p lies on the secant of its first kernel degree
+        "annihilator": text(cert.annihilator),
+        "support": None if cert.support is None else [
+            {"alpha": number(q.alpha, q.exact), "beta": number(q.beta, q.exact), "exact": q.exact,
+             "radius": None if q.radius is None else radius(q)} for q in cert.support],
+        "coefficients": None if cert.coefficients is None
+                        else [number(c, cert.support_exact) for c in cert.coefficients],
+        "support_exact": cert.support_exact,
+        "error_bound": None if cert.error_bound is None else bound(cert.error_bound),
+    }
 
 
 # --- rank sampling -----------------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import groupby
 from math import factorial
 from operator import mul
 
-from .errors import ConsistencyError, DomainError, require_int
+from .errors import ConsistencyError, DomainError, checked_cache, require_int
 from .partitions import (
     CycleClass,
     Partition,
@@ -121,21 +121,26 @@ def _multiplicity(total: int, order: int, *shapes: Partition) -> int:
     return value
 
 
-@cache
+def _shape_and_cycle_type(lam, mu) -> tuple[Partition, Partition]:
+    lam, mu = validate_partition(lam), validate_partition(mu)
+    if size(lam) != size(mu):
+        raise DomainError(
+            f"shape and cycle type must partition the same n: |{format_partition(lam)}| = "
+            f"{size(lam)} vs |{format_partition(mu)}| = {size(mu)}"
+        )
+    return lam, mu
+
+
+@checked_cache(_shape_and_cycle_type)
 def mn_value(lam: Partition, mu: Partition) -> int:
     """Character value chi^lam at cycle type mu, by Murnaghan-Nakayama.
 
-    Both arguments are validated inside the cache: a miss pays for it, a hit
-    does not, and a bad call raises every time, as errors are not cached.
+    Both arguments are validated before the cache is read. lr_by_characters,
+    whose shapes are valid already, reads the cache as mn_value.cached: its
+    triple loop makes most of the calls, and checking each one costs the
+    reps workload about 13% of its ops per second (BENCH_cli_returns.json).
     """
-    lam, mu = validate_partition(lam), validate_partition(mu)
-    n = size(mu)
-    if size(lam) != n:
-        raise DomainError(
-            f"shape and cycle type must partition the same n: |{format_partition(lam)}| = "
-            f"{size(lam)} vs |{format_partition(mu)}| = {n}"
-        )
-    return _strip(_beads(lam, n), mu[0], _expansion(mu[1:])) if mu else 1
+    return _strip(_beads(lam, size(mu)), mu[0], _expansion(mu[1:])) if mu else 1
 
 
 class CharacterTable:
@@ -303,15 +308,15 @@ def lr_by_characters(lam: Partition, om: Partition, sig: Partition) -> int:
         )
     total = 0
     for mu, mu_size in conjugacy_classes(k):
-        x_lam = mn_value(lam, mu)
+        x_lam = mn_value.cached(lam, mu)
         if not x_lam:
             continue
         for nu, nu_size in conjugacy_classes(m):
-            x_om = mn_value(om, nu)
+            x_om = mn_value.cached(om, nu)
             if not x_om:
                 continue
             joint = tuple(sorted(mu + nu, reverse=True))
-            total += mu_size * nu_size * x_lam * x_om * mn_value(sig, joint)
+            total += mu_size * nu_size * x_lam * x_om * mn_value.cached(sig, joint)
     return _multiplicity(total, factorial(k) * factorial(m), lam, om, sig)
 
 

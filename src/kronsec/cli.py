@@ -11,20 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from fractions import Fraction
 
-import mpmath
-
-from . import apolarity, brionlab, characters, curvebounds, intpoly, monodromy, seminormal
+from . import apolarity, brionlab, characters, curvebounds, monodromy, seminormal
 from .config import DEFAULT_DIM_CAP, LOOP_WORK_CAP, WORD_WORK_CAP, Config, load_config
 from .errors import CapacityError, DomainError, KronsecError, require_int
 from .partitions import dimension, format_partition, parse_partition, size
-from .permutations import class_word, cycle_notation
+from .permutations import cycle_notation
 
 
 class _UsageError(KronsecError):
@@ -104,7 +99,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", help="comma-separated generator indices, e.g. 1,2,1")
     p.add_argument("--spherical", action="store_true", help="track the full relation word")
     p.add_argument("--defining", action="store_true", help="generators, group order, character split")
-    p.add_argument("--samples", type=int, default=3, help="random cross-check words for --defining")
+    p.add_argument("--samples", type=int, default=monodromy.DEFAULT_SAMPLE_LOOPS,
+                   help="random cross-check words for --defining")
 
     p = sub.add_parser("brion-sweep", help="exhaustive vanishing/equality records up to n_max")
     p.add_argument("n_max", type=int)
@@ -237,33 +233,7 @@ def _cmd_rep_check(args, cfg: Config) -> dict:
     require_int("--words", args.words)
     _require_within(f"--words {args.words} over dimension {dim} at n={size(lam)}",
                     args.words * dim * size(lam), WORD_WORK_CAP)
-    rep = seminormal.build_rep(lam)
-    relations = seminormal.check_relations(rep)
-    # Each fact below is read off the proven relations, and worked out literally
-    # only where its hypothesis fails. By s_i^2 = 1 alone the spherical word
-    # 1..n-1, n-1..1 telescopes to the identity. By all three, rho factors
-    # through S_n, so each cycle type's class word is traced once for its words.
-    spherical = relations["involution"] or all(
-        col == ((c, 1),) for c, col in enumerate(seminormal.spherical_relation_image(rep)))
-    by_class: dict | None = {} if all(relations.values()) else None
-    rng = random.Random(cfg.seed)
-    traces_ok = True
-    sampled = 0
-    if rep.n >= 2:
-        for _ in range(args.words):
-            word = [rng.randrange(1, rep.n) for _ in range(rng.randrange(1, 2 * rep.n))]
-            mu = seminormal.word_cycle_type(rep, word)
-            if by_class is None:
-                trace = seminormal.word_trace(rep, word)
-            elif (trace := by_class.get(mu)) is None:
-                trace = by_class[mu] = seminormal.word_trace(rep, class_word(mu))
-            if trace != characters.mn_value(lam, mu):
-                traces_ok = False
-            sampled += 1
-    return {"shape": shape, "n": rep.n, "dim": rep.dim,
-            **relations, "spherical_identity": spherical,
-            "word_samples": sampled, "word_traces_ok": traces_ok,
-            "seed": cfg.seed}
+    return seminormal.rep_check(lam, args.words, cfg.seed)
 
 
 def _cmd_secant(args, cfg: Config) -> dict:
@@ -273,62 +243,7 @@ def _cmd_secant(args, cfg: Config) -> dict:
 
 
 def _cmd_sylvester(args, cfg: Config) -> dict:
-    p = apolarity.parse_form(args.form)
-    cert = apolarity.sylvester_decompose(p, precision_bits=cfg.precision_bits)
-
-    def digits(x) -> int:
-        # The digits that read back every bit of the refined precision, or of a
-        # longer mantissa, as a refined centre far from 0 has.
-        bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
-        return mpmath.libmp.repr_dps(max(cfg.precision_bits + apolarity.SOLVE_GUARD_BITS, bits))
-
-    def text(x) -> str:
-        # An exact value, or the annihilator, as str gives it. Past Python's
-        # int-to-string limit str raises ValueError: the request is too large
-        # to print, not a fault of the package.
-        try:
-            return str(x)
-        except ValueError:
-            raise CapacityError(f"an exact value of the certificate has more digits than Python's "
-                                f"int-to-string limit of {sys.get_int_max_str_digits()}") from None
-
-    def number(x, exact: bool) -> str:
-        return text(x) if exact else mpmath.nstr(x, digits(x))
-
-    def radius(pt) -> float:
-        # The certified radius about the refined centre plus the distance its
-        # printed digits move it, rounded up: a disc of this radius about the
-        # printed centre holds a root.
-        n, moved = digits(pt.alpha), Fraction(0)
-        for part in (pt.alpha.real, pt.alpha.imag):
-            m, k = intpoly.dyadic(part)
-            moved += (Fraction(mpmath.nstr(part, n)) - m * Fraction(2) ** k) ** 2
-        return math.nextafter(pt.radius + intpoly.sqrt_up(moved), math.inf)
-
-    def bound(x) -> float | str:
-        # The least float no smaller than the bound wherever a normal double
-        # holds it. Past the double range (JSON, RFC 8259, has no Infinity) and
-        # below it (where float() gives 0.0 or drops digits) it prints as
-        # approximate values do.
-        if not sys.float_info.min <= x <= sys.float_info.max:
-            return number(x, False)
-        up = float(x)
-        return up if up >= x else math.nextafter(up, math.inf)
-
-    return {
-        "form": apolarity.format_form(p),
-        "kernel_degree": cert.annihilator.degree,
-        "rank": cert.rank,
-        "member": True,  # p lies on the secant of its first kernel degree
-        "annihilator": text(cert.annihilator),
-        "support": None if cert.support is None else [
-            {"alpha": number(q.alpha, q.exact), "beta": number(q.beta, q.exact), "exact": q.exact,
-             "radius": None if q.radius is None else radius(q)} for q in cert.support],
-        "coefficients": None if cert.coefficients is None
-                        else [number(c, cert.support_exact) for c in cert.coefficients],
-        "support_exact": cert.support_exact,
-        "error_bound": None if cert.error_bound is None else bound(cert.error_bound),
-    }
+    return apolarity.sylvester_json(apolarity.parse_form(args.form), cfg.precision_bits)
 
 
 def _cmd_vdm(args, cfg: Config) -> dict:

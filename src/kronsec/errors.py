@@ -4,7 +4,11 @@ Domain errors are the caller's fault (bad input, regime violation, capacity
 cap); consistency errors mean two independent computations of the same
 quantity disagreed, which is never acceptable and aborts the run.
 Each class names the `kind` the CLI reports for it and the CLI's `exit_code`.
+The argument checks every module shares live here too: require_int,
+require_str and checked_cache.
 """
+
+from functools import cache, wraps
 
 
 class KronsecError(Exception):
@@ -21,7 +25,11 @@ class DomainError(KronsecError):
 
 
 class CapacityError(DomainError):
-    """Request exceeds a configured capacity bound; only the CLI checks caps."""
+    """Request exceeds a capacity bound.
+
+    The CLI checks the configured caps before it computes; apolarity's
+    sylvester_json raises it for a value past Python's int-to-string limit.
+    """
 
     kind = "capacity"
 
@@ -60,3 +68,26 @@ def require_str(what: str, value) -> str:
     if not isinstance(value, str):
         raise DomainError(f"{what} must be a str, got {value!r}")
     return value
+
+
+def checked_cache(check):
+    """A functools cache that only arguments passed by `check` reach.
+
+    check(*args, **kwargs) raises a DomainError on a bad argument and
+    returns the positional arguments to look up, so a value equal to a valid
+    key (True for 1, 2.0 for 2) or an unhashable one (a list) is refused on
+    every call, not only on a miss. The decorated function carries the
+    cache's cache_info and cache_clear, and the cache itself as `cached`
+    for a hot loop whose arguments are valid already.
+    """
+    def decorate(fn):
+        cached = cache(fn)
+
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            return cached(*check(*args, **kwargs))
+
+        checked.cached, checked.cache_info, checked.cache_clear = cached, cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate

@@ -208,12 +208,16 @@ def aberth_seeds(coeffs) -> list[complex] | None:
     root at a time (Aberth 1973, Ehrlich 1967). A root stops moving once
     |U(u)| is within the rounding error of Horner's rule, so clustered roots
     end at the accuracy floats allow rather than never converging. Near a
-    root 0 it holds only at 0.0, so callers read t = 0 off U(0) = 0 and seed
-    U / t, as apolarity and monodromy do; a constant U gets []. None when a
-    seed is still moving after the budget of sweeps, a sweep leaves the
-    float range or a seed scaled back would.
+    root 0 it holds only at 0.0, so a root 0 is read off U(0) = 0 instead:
+    it gets the seed 0j, first, and the sweeps run on U / t. A constant U
+    gets []. None when a seed is still moving after the budget of sweeps, a
+    sweep leaves the float range or a seed scaled back would.
     """
     _, pairs = gaussian(coeffs)
+    zeros = 0
+    while zeros < len(pairs) - 1 and pairs[zeros] == (0, 0):
+        zeros += 1
+    pairs = pairs[zeros:]
     deg = len(pairs) - 1
     # |c| < 2^size(c), and |c_deg| >= 2^(size(c_deg) - 1) when c_deg is real,
     # so |c_k / c_deg| < 2^(s (deg - k)), or twice that for a non-real c_deg
@@ -252,7 +256,7 @@ def aberth_seeds(coeffs) -> list[complex] | None:
                 repel = sum(1 / (zj - zk) for k, zk in enumerate(z) if k != j)
                 z[j] = zj - ratio / (1 - ratio * repel)
             if all(done):
-                return [complex(ldexp(w.real, s), ldexp(w.imag, s)) for w in z]
+                return [0j] * zeros + [complex(ldexp(w.real, s), ldexp(w.imag, s)) for w in z]
     except (ZeroDivisionError, OverflowError):
         # U'(u) = 0 or two seeds at one point; or abs() in a sweep, or ldexp
         # on a seed scaled back, past the float range

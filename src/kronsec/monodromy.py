@@ -72,6 +72,9 @@ from .permutations import (
 
 DEFAULT_TOLERANCE = 2.0**-48
 DEFAULT_MAX_STEP = 1.0 / 32
+# Random generator words defining_rep_decomposition tracks by default, and
+# the CLI's --samples default.
+DEFAULT_SAMPLE_LOOPS = 3
 STEP_FLOOR_RATIO = 2.0**-20
 # A step must not span most of a closed segment: a step that lands back on
 # the base sees no root move. 1/8 is the largest step the acceptance checks run.
@@ -254,15 +257,13 @@ def _monic(coeffs0, grid: _Grid):
 def _seeds(base) -> list[complex]:
     """Float seeds of the roots of a base, from intpoly.aberth_seeds.
 
-    The base is first proven squarefree, exactly, by intpoly.squarefree. A
-    root 0 is read off the constant coefficient and gets the seed 0j.
+    The base is first proven squarefree, exactly, by intpoly.squarefree.
     """
     if not intpoly.squarefree(base):
         raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
-    at_zero = base[0] == 0
-    if (seeds := intpoly.aberth_seeds(base[at_zero:])) is None:
+    if (seeds := intpoly.aberth_seeds(base)) is None:
         raise PrecisionError("base roots did not converge")
-    return [0j] * at_zero + seeds
+    return seeds
 
 
 def _refined(base, seeds, grid: _Grid):
@@ -643,7 +644,8 @@ def _require_connected_transpositions(n: int, perms) -> None:
         )
 
 
-def defining_rep_decomposition(n: int, sample_loops: int = 3, seed: int = 0, **kwargs) -> DefiningRepReport:
+def defining_rep_decomposition(n: int, sample_loops: int = DEFAULT_SAMPLE_LOOPS, seed: int = 0,
+                               **kwargs) -> DefiningRepReport:
     """Decompose the permutation action of tracked loops on the n roots.
 
     Tracks every standard generator loop plus `sample_loops` random generator

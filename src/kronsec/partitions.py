@@ -8,11 +8,10 @@ so enumeration results can be cached and used as dict keys downstream.
 from __future__ import annotations
 
 import re
-from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .errors import DomainError, require_int, require_str
+from .errors import DomainError, checked_cache, require_int, require_str
 
 Partition = tuple[int, ...]
 
@@ -36,14 +35,19 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
-@cache
+def _size_and_max_part(n, max_part=None) -> tuple[int, ...]:
+    require_int("partition size n", n)
+    return (n,) if max_part is None else (n, require_int("max_part", max_part))
+
+
+@checked_cache(_size_and_max_part)
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first, (1^n) last.
 
-    n and max_part are validated inside the cache, so only a miss pays.
+    n and max_part are validated before the cache is read.
     """
-    require_int("partition size n", n)
-    max_part = n if max_part is None else require_int("max_part", max_part)
+    if max_part is None:
+        max_part = n
     if n == 0:
         return ((),)
     out = []
@@ -132,15 +136,14 @@ def class_size(mu: Partition) -> int:
     return sz
 
 
-@cache
+@checked_cache(lambda n: (require_int("symmetric group degree", n),))
 def conjugacy_classes(n: int) -> tuple[CycleClass, ...]:
     """Conjugacy classes of S_n, indexed by cycle type in reverse-lex order.
 
     n = 0 is admitted and yields the single empty class of the trivial group;
     that convention closes the base cases of induction/restriction sums.
-    n is validated inside the cache, so only a miss pays.
+    n is validated before the cache is read.
     """
-    require_int("symmetric group degree", n)
     return tuple(CycleClass(mu, class_size(mu)) for mu in partitions_of(n))
 
 

@@ -36,15 +36,17 @@ recursion.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 from typing import Iterator
 
+from .characters import mn_value
 from .errors import ConsistencyError, DomainError
 from .partitions import Partition, dimension, format_partition, size, validate_partition
-from .permutations import cycle_type, perm_of_word, validate_word
+from .permutations import class_word, cycle_type, perm_of_word, validate_word
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -215,8 +217,41 @@ def spherical_relation_image(rep: SeminormalRep) -> tuple[Column, ...]:
     """Columns of the relation word 1, 2, ..., n-1, n-1, ..., 2, 1.
 
     In S_n the word telescopes to the identity by s_i^2 = 1 alone, so column c
-    must be exactly ((c, 1),); anything else is a broken build. rep-check calls
-    this only when check_relations finds the involution relation false.
+    must be exactly ((c, 1),); anything else is a broken build. rep_check
+    calls this only when check_relations finds the involution relation false.
     """
     word = list(range(1, rep.n)) + list(range(rep.n - 1, 0, -1))
     return evaluate_word(rep, word)
+
+
+def rep_check(lam: Partition, words: int, seed: int) -> dict:
+    """The report `kronsec rep-check` prints for shape lam: relations, spherical identity, traces.
+
+    `words` random words of 1 to 2n - 1 letters, drawn by random.Random(seed),
+    are traced and compared with characters.mn_value at their cycle types.
+    """
+    rep = build_rep(lam)
+    relations = check_relations(rep)
+    # Each fact below is read off the proven relations, and worked out literally
+    # only where its hypothesis fails. By s_i^2 = 1 alone the spherical word
+    # 1..n-1, n-1..1 telescopes to the identity. By all three, rho factors
+    # through S_n, so each cycle type's class word is traced once for its words.
+    spherical = relations["involution"] or all(
+        col == ((c, 1),) for c, col in enumerate(spherical_relation_image(rep)))
+    by_class: dict | None = {} if all(relations.values()) else None
+    rng = random.Random(seed)
+    traces_ok = True
+    sampled = words if rep.n >= 2 else 0
+    for _ in range(sampled):
+        word = [rng.randrange(1, rep.n) for _ in range(rng.randrange(1, 2 * rep.n))]
+        mu = word_cycle_type(rep, word)
+        if by_class is None:
+            trace = word_trace(rep, word)
+        elif (trace := by_class.get(mu)) is None:
+            trace = by_class[mu] = word_trace(rep, class_word(mu))
+        if trace != mn_value(rep.shape, mu):
+            traces_ok = False
+    return {"shape": format_partition(rep.shape), "n": rep.n, "dim": rep.dim,
+            **relations, "spherical_identity": spherical,
+            "word_samples": sampled, "word_traces_ok": traces_ok,
+            "seed": seed}

@@ -496,15 +496,11 @@ def _isolated(monkeypatch, ints):
 
 
 def _seeded(ints):
-    """The ascending roots when the float seeds match a rational root each, else None.
-
-    The root 0 is read off U(0) = 0, and U / t seeded, as _certified_roots does.
-    """
-    at_zero = not ints[0]
-    seeds = intpoly.aberth_seeds(ints[at_zero:])
+    """The ascending roots when the float seeds match a rational root each, else None."""
+    seeds = intpoly.aberth_seeds(ints)
     if seeds is None:
         return None
-    roots, leftovers = apolarity._rational_roots(ints, [0j] * at_zero + seeds)
+    roots, leftovers = apolarity._rational_roots(ints, seeds)
     return None if leftovers else sorted(roots)
 
 
@@ -650,9 +646,10 @@ def test_the_root_zero_and_a_root_near_it_are_certified_from_seeds(monkeypatch):
 
 def test_the_package_never_seeds_a_polynomial_with_the_root_zero(monkeypatch):
     # Forms with the support point (0 : 1), so U(0) = 0: w y^n plus a sum
-    # over rational points or over a conjugate pair c +- sqrt(d).
-    seeds, constants = intpoly.aberth_seeds, []
-    monkeypatch.setattr(intpoly, "aberth_seeds", lambda ints: constants.append(ints[0]) or seeds(ints))
+    # over rational points or over a conjugate pair c +- sqrt(d). aberth_seeds
+    # reads t = 0 off U(0) = 0, so its sweeps, set up by monic_parts, run on U / t.
+    parts, constants = intpoly.monic_parts, []
+    monkeypatch.setattr(intpoly, "monic_parts", lambda pairs, *args: constants.append(pairs[0]) or parts(pairs, *args))
     rng = random.Random(41)
     pool = [pt for pt in apolarity._point_pool() if pt != (0, 1)]
     approximate = 0
@@ -667,7 +664,7 @@ def test_the_package_never_seeds_a_polynomial_with_the_root_zero(monkeypatch):
         cert = sylvester_decompose(form(n, coeffs))
         assert apolarity.SupportPoint(Fraction(0), Fraction(1), exact=True) in cert.support, coeffs
         approximate += not cert.support_exact
-    assert constants and all(constants) and approximate >= 10
+    assert constants and (0, 0) not in constants and approximate >= 10
 
 
 @pytest.mark.parametrize("e", range(51, 61))

@@ -6,10 +6,10 @@ package class declares is read somewhere as an attribute. Every function the
 benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
-standard library, one function climbs intpoly.RUNGS, the loop tracker's
-step loop runs on ints, naming no Fraction, kronecker and
-tensor_decompose name no character table, and characters.py expands only
-the tails of classes.
+standard library, kronsec/cli.py imports no arithmetic, one function climbs
+intpoly.RUNGS, the loop tracker's step loop runs on ints, naming no
+Fraction, kronecker and tensor_decompose name no character table, and
+characters.py expands only the tails of classes.
 """
 
 import ast
@@ -184,13 +184,27 @@ def test_the_scan_finds_an_import_outside_the_stdlib():
 @pytest.mark.parametrize("name, package", [
     pytest.param("intpoly.py", False, id="intpoly.py"),
     pytest.param("monodromy.py", True, id="monodromy.py"),
+    pytest.param("cli.py", True, id="cli.py"),
 ])
 def test_intpoly_imports_only_the_stdlib(name, package):
     # apolarity and monodromy share intpoly, so it must load without mpmath
-    # or the package. monodromy runs every loop on intpoly: it may import
-    # package modules, but nothing else outside the stdlib.
+    # or the package. monodromy runs every loop on intpoly, and the CLI
+    # prints what the package returns: each may import package modules, but
+    # nothing else outside the stdlib.
     imported = non_stdlib_imports((PACKAGE / name).read_text(encoding="utf-8"))
     assert [module for module in imported if not (package and module.startswith("."))] == []
+
+
+# The CLI parses, caps, calls the package and writes what it returns; the
+# numbers it prints are made and formatted in the package.
+CLI_NEVER_IMPORTS = {"mpmath", "intpoly", "math", "fractions", "random"}
+
+
+def test_the_cli_does_no_arithmetic_of_its_own():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {name.split(".")[0] for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]}
+    assert names & CLI_NEVER_IMPORTS == set()
 
 
 def rung_loops(source: str) -> list[str]:

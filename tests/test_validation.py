@@ -44,9 +44,10 @@ from kronsec import (
     word_loop,
 )
 from kronsec.apolarity import form, format_form, power_form
+from kronsec.characters import mn_value
 from kronsec.errors import require_int
 from kronsec.monodromy import CoefficientCircle, HalfTwist, base_with_integer_roots
-from kronsec.partitions import conjugacy_classes
+from kronsec.partitions import conjugacy_classes, partitions_of
 from kronsec.permutations import perm_of_word
 
 
@@ -98,6 +99,13 @@ PROBES = {
     "base-mpf-inf": lambda: track_roots([mpmath.inf, 0, 1], [HalfTwist(1)]),
     "parse_partition-5": lambda: parse_partition(5),
     "parse_form-5": lambda: parse_form(5),
+    # Each argument is checked before the cache is read: an equal key once
+    # answered from the cache, and a list ended in its TypeError (unhashable).
+    "mn_value-True-after-1": lambda: (mn_value((1,), (1,)), mn_value((1,), (True,))),
+    "partitions_of-2.0-after-2": lambda: (partitions_of(2, 2), partitions_of(2.0, 2)),
+    "partitions_of-max-3.0-after-3": lambda: (partitions_of(3, 3), partitions_of(3, 3.0)),
+    "partitions_of-list": lambda: partitions_of([2]),
+    "conjugacy_classes-list": lambda: conjugacy_classes([2]),
 }
 
 
@@ -106,6 +114,12 @@ def test_integer_and_letter_probes_are_domain_errors(probe):
     with within_seconds(2):
         with pytest.raises(DomainError):
             probe()
+
+
+def test_a_list_shape_answers_as_its_tuple():
+    # mn_value's check makes the tuple key of a list; the list once ended in
+    # the cache's TypeError (unhashable).
+    assert mn_value([2, 1], [3]) == mn_value((2, 1), (3,)) == -1
 
 
 def test_a_form_stores_fractions_and_prints_as_before():
@@ -138,9 +152,6 @@ def test_load_config_neither_reads_nor_closes_a_descriptor(tmp_path, monkeypatch
 INTS = [-3, -1, 0, 1, 2, 3, 4, 5, True, False, 2.0, 2.5, "3", None]
 PARTITIONS = [(), (1,), (2, 1), (3,), (1, 1, 1), (2, 2), (3, 1), (1, 2), (2, 0, 1), (True,), (2, True),
               (2, 1.0), (2.5,), (3, -1, 1), "21", 2.5, None, [2, 1], (2, "1")]
-# mn_value validates inside its functools cache, which perfbench reads, so a
-# list, unhashable, ends in the cache's own TypeError (ROADMAP item 24).
-HASHABLE_PARTITIONS = [p for p in PARTITIONS if not isinstance(p, list)]
 # format_partition prints any sequence of parts; only valid shapes reach it.
 SEQUENCES = [p for p in PARTITIONS if isinstance(p, (tuple, list, str))]
 WORDS = [[], [1], [2, 1], [1, 2, 1], [1.5], [True], [0], [9], "12", 2.5, None, (1, 1)]
@@ -190,7 +201,7 @@ SIGNATURES = {
     "lr_coefficient": (PARTITIONS, PARTITIONS, PARTITIONS),
     "max_admissible_k": (CONTEXTS,),
     "min_apolar_degree": (FORMS,),
-    "mn_value": (HASHABLE_PARTITIONS, HASHABLE_PARTITIONS),
+    "mn_value": (PARTITIONS, PARTITIONS),
     "parse_form": (TEXTS,),
     "parse_partition": (TEXTS,),
     "partitions_of": (INTS, INTS + [None]),
@@ -221,14 +232,12 @@ STREAM_PULLS = 20
 
 
 def _as_int(value):
-    """The int equal to value (a float or bool equal to an int may hit that int's cache key), else None."""
-    if isinstance(value, (int, float)) and value == int(value):
-        return int(value)
-    return None
+    """value if it is an int (a bool or a float is not), else None."""
+    return value if type(value) is int else None
 
 
 def _as_partition(value):
-    """The partition equal to value, part by part, else None."""
+    """value as a tuple if it is a partition (positive int parts, weakly decreasing), else None."""
     try:
         parts = tuple(_as_int(p) for p in value)
     except TypeError:
@@ -295,7 +304,8 @@ def test_the_oracle_refuses_a_return_for_an_invalid_argument():
         _check("dimension", ((1, 2),), 2)
     with pytest.raises(AssertionError):
         _check("mn_value", ((2, 1), (1, 1, 1)), 3)
-    _check("mn_value", ((2, 1), (True, True, 1.0)), 2)
+    with pytest.raises(AssertionError, match="invalid argument"):
+        _check("mn_value", ((2, 1), (True, True, 1.0)), 2)
 
 
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
