@@ -140,9 +140,10 @@ def _require_within(what: str, value: int, cap: int) -> None:
 def _require_loop_work(letters: int, n: int, precision_bits: int) -> None:
     """Tracking `letters` letters over n roots at b bits costs about letters * n * (n + 7) * max(1, b // 96).
 
-    A half-twist is one letter. A coefficient circle Newton-corrects all n
-    roots where a half-twist corrects two, so it counts as n letters. Past
-    96 bits each fixed-point product grows with the bits it carries.
+    A half-twist is one letter, answered in closed form. A coefficient
+    circle Newton-corrects all n roots at every step, so it counts as n
+    letters. Past 96 bits each fixed-point product grows with the bits it
+    carries.
     """
     _require_within(f"tracking {letters} letters over {n} roots at {precision_bits} bits",
                     letters * n * (n + 7) * max(1, precision_bits // 96), LOOP_WORK_CAP)
@@ -275,7 +276,12 @@ def _cmd_curve_bounds(args, cfg: Config) -> dict:
 
 
 def _loop_json(loop: monodromy.MonodromyLoop, cfg: Config, tolerance=monodromy.DEFAULT_TOLERANCE) -> dict:
-    """The loop's result and the settings it was tracked with, which the CLI passed."""
+    """The loop's result and the settings it was tracked with, which the CLI passed.
+
+    steps, halvings and min_step count continued steps only: the CLI
+    continues circles and answers half-twists in closed form, so a loop of
+    half-twists alone reads 0, 0 and its initial step.
+    """
     return {
         "permutation": cycle_notation(loop.permutation),
         "zero_based": list(loop.permutation),
@@ -316,7 +322,8 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
     _require_within(f"monodromy on n={args.n} roots", args.n, cfg.n_cap)
     if args.word is not None:
         try:
-            word = [int(part) for part in args.word.split(",") if part.strip()]
+            # An empty --word has no letters; an empty letter inside a word is malformed.
+            word = [int(part) for part in args.word.split(",")] if args.word.strip() else []
         except ValueError:
             raise DomainError(f"word must be comma-separated integers, got {args.word!r}") from None
         _require_loop_work(len(word), args.n, cfg.precision_bits)

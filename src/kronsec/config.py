@@ -33,17 +33,16 @@ DEFAULT_DIM_CAP = 2000
 WORD_WORK_CAP = 150_000
 # Bound on L * n * (n + 7) * max(1, b // 96) for a monodromy command that
 # tracks at most L letters over n roots at b bits; fixed, not a Config
-# field. A half-twist is one letter; a coefficient circle corrects all n
-# roots, so it counts as n. The model charges a half-twist for its two
-# moving roots only, and its step count depends only on the distances from
-# them, so two close still roots do not make one letter dear. At this
-# bound, on a 2-core host running at twice the benchmark's reference speed,
-# a command took 1.2 s at n = 2 (1,666 half-twists), 0.28 s at n = 14 (102
-# half-twists) and 0.82 s at n = 14 (7 circles, 98 letters), at 96 bits. On
-# a slower 2-core host, where the 1,666 half-twists took 2.4-3.0 s, the
-# dearest admitted commands took 1.1-1.9 s at 1024 bits (one circle at
-# n = 12), 1.9-2.2 s at 2048 bits (circles at n = 6 to 9) and 3.5-3.7 s at
-# 4096 bits (one circle at n = 7).
+# field. A half-twist is one letter and a coefficient circle counts as n.
+# The model was fitted to half-twists continued step by step over their two
+# moving roots; they are now answered in closed form after an O(n) exact
+# clearance test, so what the bound limits is the circles, which correct
+# all n roots at every step. At this bound, in fresh processes on a 2-core
+# host, 1,666 half-twists at n = 2 and 102 at n = 14 took 0.14-0.16 s
+# (1.4-1.9 s and 0.5 s continued), 7 circles at n = 14 (98 letters) took
+# 1.2-1.4 s at 96 bits, and the dearest admitted circles took 0.8 s at 1024
+# bits (one at n = 12), 0.8-1.1 s at 2048 bits (n = 6 to 9) and 1.3 s at
+# 4096 bits (one at n = 7).
 LOOP_WORK_CAP = 30_000
 
 

@@ -1,38 +1,61 @@
 """Root monodromy of closed loops in the space of squarefree polynomials.
 
 A loop is a list of closed segments deforming the coefficient vector of a
-degree-n polynomial and returning to it. Roots are continued along sampled
-parameter steps by a linear predictor plus Newton correction in
-intpoly.newton, the fixed-point kernel that also refines Sylvester supports:
-each root is a pair of Python ints scaled by 2^F, with F = precision_bits +
-ceil(log2(8 / tolerance)), so the kernel carries precision_bits bits (96 by
-default) below the Newton target tolerance/8. Before that exact Newton call,
-a few complex-float Newton steps on a float copy of the step's coefficients
-move the predicted start toward its root; the float start keeps the
-predicted point where its first step already converged, where floats fail,
-and where Horner's float rounding bound is not clearly below the least root
-gap. It only chooses where exact Newton starts: the exact kernel and the
-exact step tests below accept or refuse every step. Coefficients are held for
-u = z / 2^s, with 2^s a power of two at least every base root modulus, so
-small or clustered roots keep their relative precision. A step is accepted
-only while no moving root moved half the least distance from a moving root
-to another root and each stays more than the tolerance from all others, by
-exact comparisons of squared integers, and only where the grid's rounding
-could not alone make a Newton step past the target; else the step is
-halved, down to a hard floor of 2^-20 of the initial step. A half-twist
-corrects only its two moving roots, on the fixed product of the n - 2 still
-roots times one moving quadratic; a circle rescales one coefficient. A base
-equal to prod(z - j), j = 1..n, the base of every generator loop, starts
-from its exact roots, which land on the grid exactly. Any other base has its
-roots seeded by intpoly.aberth_seeds and refined by intpoly.certified_root,
-the engine and the certificate of Sylvester supports too, into pairwise
-disjoint inclusion discs, and floored onto the grid. Every path point is an exact
-rational turn floored once, so every loop runs on the stdlib alone. The step
-parameter t and the step h are exact dyadics, integer numerators over one
-power of two 2^D, so the step loop builds no Fraction. On the grid
-the base roots must stay more than the tolerance apart, and each final root
-must end nearer than half the least base gap to one base root; that match
-reads off the permutation of the starting roots that the loop induces.
+degree-n polynomial and returning to it; the permutation it induces on the
+base roots is read off where every root ends.
+
+A half-twist is answered in closed form. Its polynomial at every t is the
+product of the n - 2 still base roots and the moving pair mid -+ (D/2) w(t),
+with mid = (a + b) / 2 and D = b - a for the pair a, b, and |w| >= 1/2. So
+the pair sweeps the segment [a, mid - D/4], the circle |z - mid| = |D|/4 and
+the segment [mid + D/4, b], and never comes nearer than |D|/2 to itself.
+When every still root clears that path by more than the tolerance and
+|D|/2 exceeds it too, the polynomial stays squarefree along the loop, and
+the roots at base positions i and i + 1 swap. Both checks are exact integer
+comparisons on the grid, scaled by 4 so that the points 4a, 3a + b, a + 3b,
+4b and the centre 2(a + b) are integers: each segment by projection, the
+circle by (A - R - S)^2 > 4RS with A + R > S, for A the squared distance of
+a still root from the centre, R the squared radius and S the squared
+tolerance. A half-twist that fails them is a precision error, "root
+collision suspected", and is never answered.
+
+Circles, and half-twists on the continued route (track_roots(...,
+continued=True), which tests use to check the closed form), are continued
+numerically. Roots are continued along sampled parameter steps by a linear
+predictor plus Newton correction in intpoly.newton, the fixed-point kernel
+that also refines Sylvester supports: each root is a pair of Python ints
+scaled by 2^F, with F = precision_bits + ceil(log2(8 / tolerance)), so the
+kernel carries precision_bits bits (96 by default) below the Newton target
+tolerance/8. Before that exact Newton call, a few complex-float Newton steps
+on a float copy of the step's coefficients move the predicted start toward
+its root; the float start keeps the predicted point where its first step
+already converged, where floats fail, and where Horner's float rounding
+bound is not clearly below the least root gap. It only chooses where exact
+Newton starts: the exact kernel and the exact step tests below accept or
+refuse every step. Coefficients are held for u = z / 2^s, with 2^s a power
+of two at least every base root modulus, so small or clustered roots keep
+their relative precision. A step is accepted only while no moving root moved
+half the least distance from a moving root to another root and each stays
+more than the tolerance from all others, by exact comparisons of squared
+integers, and only where the grid's rounding could not alone make a Newton
+step past the target; else the step is halved, down to a hard floor of
+2^-20 of the initial step. A continued half-twist corrects only its two
+moving roots, on the fixed product of the n - 2 still roots times one moving
+quadratic; a circle rescales one coefficient and corrects all n roots. The
+step parameter t and the step h are exact dyadics, integer numerators over
+one power of two 2^D, so the step loop builds no Fraction; every path point
+is an exact rational turn floored once, so every loop runs on the stdlib
+alone. The loop's StepStats count continued steps only.
+
+A base equal to prod(z - j), j = 1..n, the base of every generator loop,
+starts from its exact roots, which land on the grid exactly. Any other base
+has its roots seeded by intpoly.aberth_seeds and refined by
+intpoly.certified_root, the engine and the certificate of Sylvester supports
+too, into pairwise disjoint inclusion discs, and floored onto the grid. On
+the grid the base roots must stay more than the tolerance apart, and each
+final root must end nearer than half the least base gap to one base root;
+that match reads off the permutation of the starting roots that the loop
+induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
 
@@ -320,6 +343,50 @@ def _half_twist_path(i: int, base_roots, bits: int):
     return coeffs_at
 
 
+def _clears_segment(z, p, q, s: int) -> bool:
+    """Whether z is farther than sqrt(s) from the segment [p, q], p != q, all Gaussian integers.
+
+    Past either end the nearest point is that end; between them the squared
+    distance is cross^2 / |q - p|^2, compared without division.
+    """
+    vx, vy = q[0] - p[0], q[1] - p[1]
+    wx, wy = z[0] - p[0], z[1] - p[1]
+    dot, length_sq = wx * vx + wy * vy, vx * vx + vy * vy
+    if dot <= 0:
+        return wx * wx + wy * wy > s
+    if dot >= length_sq:
+        return _dist_sq(z, q) > s
+    cross = wx * vy - wy * vx
+    return cross * cross > s * length_sq
+
+
+def _half_twist_clears(i: int, base_roots, separation_sq: int) -> bool:
+    """Whether the closed-form path of half_twist(i) stays more than the tolerance from every root it passes.
+
+    Scaled by 4, the pair a, b sweeps the segments [4a, 3a + b] and
+    [a + 3b, 4b] and the circle about 2(a + b) of squared radius
+    R = |b - a|^2, and the squared tolerance becomes S = 16 separation_sq.
+    The pair is never nearer than |b - a| / 2 to itself, so 4R > S. A still root at
+    squared distance A from the centre clears the circle when
+    |sqrt(A) - sqrt(R)| > sqrt(S), that is A + R > S and (A - R - S)^2 > 4RS.
+    """
+    (ax, ay), (bx, by) = base_roots[i - 1], base_roots[i]
+    s = 16 * separation_sq
+    radius_sq = (bx - ax) ** 2 + (by - ay) ** 2
+    if 4 * radius_sq <= s:
+        return False
+    ends = ((4 * ax, 4 * ay), (3 * ax + bx, 3 * ay + by)), ((ax + 3 * bx, ay + 3 * by), (4 * bx, 4 * by))
+    centre = (2 * (ax + bx), 2 * (ay + by))
+    for x, y in base_roots[:i - 1] + base_roots[i + 1:]:
+        z = (4 * x, 4 * y)
+        if not all(_clears_segment(z, p, q, s) for p, q in ends):
+            return False
+        a = _dist_sq(z, centre)
+        if not (a + radius_sq > s and (a - radius_sq - s) ** 2 > 4 * radius_sq * s):
+            return False
+    return True
+
+
 def _circle_path(index: int, monic, bits: int):
     """Coefficients along circle(index, r) at t = num / den: one coefficient times _turn(num, den)."""
     k = len(monic) - 1 - index
@@ -355,16 +422,22 @@ def track_roots(
     tolerance: float = DEFAULT_TOLERANCE,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     max_step: float = DEFAULT_MAX_STEP,
+    *,
+    continued: bool = False,
 ) -> MonodromyLoop:
     """Continue all roots of `base` around the closed path and read the permutation.
 
     base: ascending coefficients (constant term first) of a squarefree
     polynomial, each one intpoly.dyadic reads exactly (intpoly.readable);
     segments: a list of Segment values (each closed at base);
-    max_step: the first and largest step in t, a number in (0, 1/8].
+    max_step: the first and largest step in t, a number in (0, 1/8];
+    continued: track half-twists step by step too, as circles are, instead
+    of by their closed form; the two routes check each other.
     A base equal to prod(z - j), j = 1..n, starts from its roots 1..n; the
     roots of any other base are seeded and refined by _seeds and _refined.
     """
+    if not isinstance(continued, bool):
+        raise DomainError(f"continued must be True or False, got {continued!r}")
     require_int("precision_bits", precision_bits, least=MIN_PRECISION_BITS)
     tolerance = _positive_real("tolerance", tolerance)
     max_step = _positive_real("max_step", max_step, MAX_STEP_CAP)
@@ -398,17 +471,24 @@ def track_roots(
     current = base_roots
     stats = {"steps": 0, "halvings": 0, "min_step": max_step}
     for seg_index, seg in enumerate(segments):
+        where = f"segment {seg_index} ({seg.describe()})"
         if isinstance(seg, HalfTwist):
-            coeffs_at = _half_twist_path(seg.i, base_roots, grid.bits)
             # Roots are continued in tracked order; the pair to move is the one
             # now sitting at base positions i and i+1.
             moving = [min(range(len(current)), key=lambda k: _dist_sq(current[k], base_roots[j]))
                       for j in (seg.i - 1, seg.i)]
+            if not continued:
+                if not _half_twist_clears(seg.i, base_roots, grid.separation_sq):
+                    raise PrecisionError(f"the path of {where} comes within the tolerance of a root; "
+                                         "root collision suspected")
+                current = list(current)
+                current[moving[0]], current[moving[1]] = base_roots[seg.i], base_roots[seg.i - 1]
+                continue
+            coeffs_at = _half_twist_path(seg.i, base_roots, grid.bits)
         else:
             coeffs_at = _circle_path(seg.index, monic, grid.bits)
             moving = range(len(current))
-        current = _track_segment(coeffs_at, moving, current, grid, max_step, stats,
-                                 f"segment {seg_index} ({seg.describe()})")
+        current = _track_segment(coeffs_at, moving, current, grid, max_step, stats, where)
     return MonodromyLoop(permutation=_match(current, base_roots, base_gap), refinement=StepStats(**stats))
 
 

@@ -218,13 +218,12 @@ def test_c09_monodromy_group_facts(capsys):
             assert report.word_checks_ok
             assert report.group_order == factorial(n)
             assert report.decomposition == {(n,): 1, (n - 1, 1): 1}
+        # The continued route at three step sizes against the closed form.
         base = base_with_integer_roots(5)
         segs = (HalfTwist(2), HalfTwist(4), HalfTwist(2), HalfTwist(1))
-        perms = {
-            track_roots(base, segs, max_step=step).permutation
-            for step in (1.0 / 8, 1.0 / 16, 1.0 / 64)
-        }
-        assert len(perms) == 1
+        closed = track_roots(base, segs).permutation
+        for step in (1.0 / 8, 1.0 / 16, 1.0 / 64):
+            assert track_roots(base, segs, max_step=step, continued=True).permutation == closed
 
 
 def test_c10_seminormal_relations_and_traces(capsys):

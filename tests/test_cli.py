@@ -344,11 +344,11 @@ _MONODROMY_ARGV = {
 # sha256 of stdout for each command above, fixed when the monodromy output was
 # last changed on purpose.
 _MONODROMY_STDOUT = {
-    "word": "1569e7c1d07bdf3c27d3849aa34aaaac1fe1166ab37b18895b34a6291825dd2f",
-    "spherical": "cbcf0646b0244e04f77b19e0ebcb17f2221aa9576ddb718ed442cd2d1c048792",
+    "word": "d392ecc4c5d64121f91fb090513632375bf3ed43016061474d95ad8f31240e62",
+    "spherical": "fbec72de08de59aa903d8d183314c5bb36335b0e34513a0fe2622250b4dfd213",
     "defining": "8c80c35592f5b58e761d66fdccc3daf893e14f66c229c3586f60341dddf12138",
     "spec-circle": "69a5a0d28a3e3223d26eeba512a68c9d0d826542923ce8af325dcfb946cce748",
-    "spec-settings": "4e6b5e57a218b07a117ad47753a8097801e5b13a88b9c9e88e4fab8b73562741",
+    "spec-settings": "a1ff816f5ab14f98d49f9b3e3f1046ecf4331d6e350f97a511670294793ee574",
 }
 
 
@@ -372,19 +372,23 @@ def test_a_circle_off_its_coefficient_is_refused_before_isolation(capsys, monkey
 @pytest.mark.parametrize("e", [4, 7])
 def test_a_tight_still_pair_does_not_slow_a_half_twist(capsys, e):
     # z (10^e z - 1)(z - 5)(z - 6): half_twist(3) moves 5 and 6 while the
-    # still roots 0 and 10^-e sit 10^-e apart, so the step is that of a
-    # generator half-twist.
+    # still roots 0 and 10^-e sit 10^-e apart, so on the continued route the
+    # step is that of a generator half-twist. The CLI takes the closed form.
     base = [0, -30, 30 * 10**e + 11, -(11 * 10**e + 1), 10**e]
     with within_seconds(5):
         payload = run_json(capsys, "monodromy", "--spec", json.dumps({"base": base, "segments": ["half_twist(3)"]}))
-    assert (payload["permutation"], payload["steps"], payload["halvings"]) == ("(3 4)", 32, 0)
+        loop = monodromy.track_roots(base, [monodromy.HalfTwist(3)], continued=True)
+    assert (payload["permutation"], payload["steps"], payload["halvings"]) == ("(3 4)", 0, 0)
+    assert (loop.permutation, loop.refinement.steps, loop.refinement.halvings) == ((0, 1, 3, 2), 32, 0)
 
 
 def test_within_seconds_stops_a_cli_call_and_restores_the_alarm(capsys):
     previous = signal.getsignal(signal.SIGALRM)
     with pytest.raises(Overtime):
         with within_seconds(0.01):
-            main(["monodromy", "--spherical", "--n", "12"])
+            # Half-twists take no steps; a circle at 4096 bits takes 32 slow ones.
+            main(["--precision-bits", "4096", "monodromy", "--spec",
+                  '{"base": [-1, 0, 1], "segments": ["circle(0, 1.0)"]}'])
     capsys.readouterr()
     assert signal.getsignal(signal.SIGALRM) is previous
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
@@ -469,15 +473,29 @@ def test_a_root_collision_hits_the_step_floor(capsys, tolerance):
 
 @pytest.mark.parametrize("seed", [0, 1, 36, 76])
 def test_spread_magnitude_half_twists_are_precision_errors_not_consistency(capsys, seed):
+    # On the continued route these run out of precision at 96 bits; the
+    # CLI's closed form clears the path and answers at 96 bits as at 192.
     n, roots, i = spread_half_twist(seed)
-    base = [[c.real, c.imag] for c in intpoly.from_roots(roots)]
-    argv = ["monodromy", "--spec", json.dumps({"base": base, "segments": [f"half_twist({i})"]})]
-    code, out, err = run(capsys, *argv)
+    base = intpoly.from_roots(roots)
+    with pytest.raises(PrecisionError, match="precision ran out at 96 bits$"):
+        monodromy.track_roots(base, [monodromy.HalfTwist(i)], continued=True)
+    spec = {"base": [[c.real, c.imag] for c in base], "segments": [f"half_twist({i})"]}
+    argv = ["monodromy", "--spec", json.dumps(spec)]
+    for bits in ("96", "192"):
+        assert run_json(capsys, "--precision-bits", bits, *argv)["permutation"] == f"({i} {i + 1})"
+
+
+def test_a_half_twist_pair_within_the_tolerance_of_itself_is_a_precision_error(capsys):
+    # The roots 1 and 2 of z^2 - 3z + 2 are 1 apart, more than the tolerance
+    # 0.5, but half_twist(1) brings them within 1/2 of each other.
+    def spec(tolerance):
+        return json.dumps({"base": [2, -3, 1], "segments": ["half_twist(1)"], "tolerance": tolerance})
+
+    code, out, err = run(capsys, "monodromy", "--spec", spec(0.5))
     assert (code, out) == (1, "")
-    payload = json.loads(err)
-    assert payload["error"] == "precision"
-    assert payload["message"].endswith("precision ran out at 96 bits")
-    assert run_json(capsys, "--precision-bits", "192", *argv)["permutation"] == f"({i} {i + 1})"
+    assert json.loads(err) == {"error": "precision", "message": "the path of segment 0 (half_twist(1)) comes within "
+                                                                "the tolerance of a root; root collision suspected"}
+    assert run_json(capsys, "monodromy", "--spec", spec(0.49))["permutation"] == "(1 2)"
 
 
 @pytest.mark.parametrize("spec", [
@@ -506,7 +524,7 @@ def test_a_final_root_off_every_base_root_is_a_consistency_error(capsys, monkeyp
         return [(current[0][0], current[0][1] + half)] + current[1:]
 
     monkeypatch.setattr(monodromy, "_track_segment", half_gap_off)
-    code, out, err = run(capsys, "monodromy", "--spec", '{"base": [-6, 11, -6, 1], "segments": ["half_twist(2)"]}')
+    code, out, err = run(capsys, "monodromy", "--spec", '{"base": [-6, 11, -6, 1], "segments": ["circle(0, 6)"]}')
     assert (code, out) == (2, "")
     payload = json.loads(err)
     assert payload["error"] == "consistency"
@@ -567,6 +585,20 @@ def test_monodromy_needs_exactly_one_mode(capsys):
     code, out, err = run(capsys, "monodromy", "--n", "4")
     assert code == 1
     assert json.loads(err)["error"] == "domain"
+
+
+def test_an_empty_word_has_no_letters(capsys):
+    code, out, err = run(capsys, "monodromy", "--word", "", "--n", "3")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain", "message": "word_loop needs at least one letter"}
+
+
+@pytest.mark.parametrize("word", ["1,,2", "1,2,", ",1", "1, ,2"])
+def test_an_empty_word_letter_is_a_domain_error(capsys, word):
+    # Empty letters were dropped: "1,,2" and "1,2," answered as "1,2" did.
+    code, out, err = run(capsys, "monodromy", "--word", word, "--n", "3")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain", "message": f"word must be comma-separated integers, got {word!r}"}
 
 
 def test_brion_sweep_stream_shape(capsys):
@@ -793,6 +825,14 @@ def test_monodromy_work_bound_admits_up_to_the_bound(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "domain", "message": "tracking reached"}
+
+
+def test_a_word_at_the_work_bound_answers_within_a_second(capsys):
+    # 1,666 half-twists at n = 2, the most the bound admits, in closed form;
+    # the continued route took 1.2-3.0 s over them.
+    with within_seconds(1):
+        payload = run_json(capsys, "monodromy", "--word", _letters(_AT_WORK_CAP), "--n", "2")
+    assert payload["permutation"] == ("(1 2)" if _AT_WORK_CAP % 2 else "()")
 
 
 def test_rep_check_caps_the_size_before_the_dimension(capsys, monkeypatch):

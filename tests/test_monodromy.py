@@ -139,24 +139,89 @@ def _fuzz_base(rng, family, n):
     return [rng.choice([-1, 1]) * rng.randint(1, 20)] + [rng.randint(-20, 20) for _ in range(n - 1)] + [rng.choice([1, 2, 3])]
 
 
+def _closed_and_continued(base, i, **kwargs):
+    """The outcome of half_twist(i) on base in closed form and on the continued route: a permutation or an error."""
+    outcomes = []
+    for continued in (False, True):
+        try:
+            outcomes.append(track_roots(base, [HalfTwist(i)], continued=continued, **kwargs).permutation)
+        except (PrecisionError, DomainError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def test_a_half_twist_on_a_random_base_swaps_its_pair_or_stops_typed():
     # Bases with tight root pairs, spread magnitudes and integer coefficients;
     # a half-twist must answer with its transposition, or refuse with a
-    # precision or domain error, well inside its time bound.
+    # precision or domain error, well inside its time bound. Wherever the
+    # continued route answers, the closed form gives the same permutation.
     rng = random.Random(7)
     for trial in range(40):
         n = rng.randint(3, 10)
         base = _fuzz_base(rng, trial % 4, n)
         i = rng.randint(1, n - 1)
-        expected = list(range(n))
-        expected[i - 1], expected[i] = expected[i], expected[i - 1]
         try:
             with within_seconds(5):
-                assert track_roots(base, [HalfTwist(i)]).permutation == tuple(expected), (base, i)
-        except (PrecisionError, DomainError):
-            pass
+                closed, continued = _closed_and_continued(base, i)
         except Overtime:
             pytest.fail(f"half_twist({i}) on {base} ran past 5 s")
+        for outcome in (closed, continued):
+            assert isinstance(outcome, (PrecisionError, DomainError)) or outcome == _transposition(n, i), (base, i)
+        if isinstance(continued, tuple):
+            assert closed == continued, (base, i)
+
+
+def test_the_closed_form_matches_the_continued_route_on_480_fuzz_half_twists():
+    # _fuzz_base seeds 0-5, 40 trials each, continued at max_step 1/32 and
+    # 0.1. Where the continued route answers, the closed form answers the
+    # same; three of its precision errors here, on tight pairs of families 1
+    # and 2, clear the closed-form path and answer with the transposition.
+    answered_only_closed = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        for trial in range(40):
+            n = rng.randint(3, 10)
+            base = _fuzz_base(rng, trial % 4, n)
+            i = rng.randint(1, n - 1)
+            closed = track_roots(base, [HalfTwist(i)]).permutation
+            assert closed == _transposition(n, i), (seed, trial)
+            for max_step in (1 / 32, 0.1):
+                try:
+                    continued = track_roots(base, [HalfTwist(i)], max_step=max_step, continued=True).permutation
+                except PrecisionError:
+                    answered_only_closed += 1
+                    continue
+                assert continued == closed, (seed, trial, max_step)
+    assert answered_only_closed == 3
+
+
+# half_twist(i) moves its pair a, b along [a, mid - D/4], the circle
+# |z - mid| = |D|/4 and [mid + D/4, b], mid = (a + b) / 2, D = b - a. A
+# still root strictly inside a segment piece would sort between a and b, so
+# on a segment "on" is within the tolerance 2^-48, beside the piece's middle
+# and 1/2 off the circle; 1.5 + 2.25i is on the circle of 0 and 1 + 4i
+# exactly, its real part past 1 keeping the pair adjacent.
+@pytest.mark.parametrize("roots, i, expected", [
+    pytest.param([-(2.0**-50) + 0.5j, 0, 4j], 2, None, id="on-the-first-segment"),
+    pytest.param([-(2.0**-46) + 0.5j, 0, 4j], 2, (0, 2, 1), id="off-the-first-segment"),
+    pytest.param([0, 1 + 4j, 1.5 + 2.25j], 1, None, id="on-the-circle"),
+    pytest.param([0, 1 + 4j, 1.5 + 2.3j], 1, (1, 0, 2), id="off-the-circle"),
+    pytest.param([0, 4j, 2.0**-50 + 3.5j], 1, None, id="on-the-last-segment"),
+    pytest.param([0, 4j, 2.0**-46 + 3.5j], 1, (1, 0, 2), id="off-the-last-segment"),
+])
+def test_a_still_root_on_the_half_twist_path_is_a_precision_error(roots, i, expected):
+    base = intpoly.from_roots(roots)
+    if expected is None:
+        with pytest.raises(PrecisionError, match=rf"path of segment 0 \(half_twist\({i}\)\) comes within the "
+                                                 "tolerance of a root; root collision suspected"):
+            track_roots(base, [HalfTwist(i)])
+    else:
+        assert track_roots(base, [HalfTwist(i)]).permutation == expected
+
+
+def test_continued_must_be_a_bool():
+    with pytest.raises(DomainError, match="continued must be True or False, got 1"):
+        track_roots((-1, 0, 1), [HalfTwist(1)], continued=1)
 
 
 def test_every_isolated_base_root_lies_on_its_own_polyroots_root():
@@ -253,7 +318,7 @@ def _fuzz_half_twist(seed, trial):
 ])
 def test_the_step_schedule_is_the_exact_rational_one(seed, trial, max_step, permutation, stats):
     base, i = _fuzz_half_twist(seed, trial)
-    loop = track_roots(base, [HalfTwist(i)], max_step=max_step)
+    loop = track_roots(base, [HalfTwist(i)], max_step=max_step, continued=True)
     assert loop.permutation == permutation
     assert loop.refinement == monodromy.StepStats(*stats)
 
@@ -261,7 +326,7 @@ def test_the_step_schedule_is_the_exact_rational_one(seed, trial, max_step, perm
 def test_a_step_floor_message_keeps_its_exact_t():
     base, i = _fuzz_half_twist(1, 26)
     with pytest.raises(PrecisionError) as caught:
-        track_roots(base, [HalfTwist(i)], max_step=0.1)
+        track_roots(base, [HalfTwist(i)], max_step=0.1, continued=True)
     assert str(caught.value) == ("step size fell below the floor near t=0.000000 in segment 0 (half_twist(2)); "
                                  "root collision suspected")
 
@@ -301,7 +366,7 @@ def _refused_at_the_end(monkeypatch, refusals):
 ])
 def test_a_refused_clipped_step_halves_as_exact_rationals_do(monkeypatch, refusals, max_step, stats):
     _refused_at_the_end(monkeypatch, refusals)
-    loop = word_loop(3, [1], max_step=max_step)
+    loop = word_loop(3, [1], max_step=max_step, continued=True)
     assert loop.permutation == (1, 0, 2)
     assert loop.refinement == monodromy.StepStats(*stats)
 
@@ -310,7 +375,7 @@ def test_a_refused_clipped_step_halves_as_exact_rationals_do(monkeypatch, refusa
 def test_a_clipped_step_refused_to_the_floor_names_t_and_the_precision(monkeypatch, max_step):
     _refused_at_the_end(monkeypatch, math.inf)
     with pytest.raises(PrecisionError) as caught:
-        word_loop(3, [1], max_step=max_step)
+        word_loop(3, [1], max_step=max_step, continued=True)
     assert str(caught.value) == ("step size fell below the floor near t=1.000000 in segment 0 (half_twist(1)); "
                                  "precision ran out at 96 bits")
 
@@ -385,7 +450,7 @@ def test_a_lone_root_circles_at_any_precision(precision_bits):
 
 def _outcome(base, i, precision_bits):
     try:
-        loop = track_roots(base, [HalfTwist(i)], precision_bits=precision_bits)
+        loop = track_roots(base, [HalfTwist(i)], precision_bits=precision_bits, continued=True)
     except PrecisionError as exc:
         return str(exc)
     return loop.permutation, loop.refinement
@@ -421,15 +486,18 @@ def _transposition(n, i):
 # With moduli from 1e-4 to 1e4 on one grid the moving pair's derivative is
 # so small that a unit of rounding moves it past the Newton target at 96
 # bits. Seeds 0, 1, 36 and 76 once ended off every base root, a consistency
-# error, and seed 10 in "root collision suspected".
+# error, and seed 10 in "root collision suspected". The closed form needs
+# no Newton step: it answers at 96 bits what the continued route does at 192.
 @pytest.mark.parametrize("seed", [0, 1, 10, 36, 76])
 def test_spread_magnitudes_run_out_of_precision_at_96_bits_and_answer_at_192(seed):
     n, roots, i = spread_half_twist(seed)
     base = intpoly.from_roots(roots)
     with pytest.raises(PrecisionError) as caught:
-        track_roots(base, [HalfTwist(i)], precision_bits=96)
+        track_roots(base, [HalfTwist(i)], precision_bits=96, continued=True)
     assert str(caught.value).endswith(f"in segment 0 (half_twist({i})); precision ran out at 96 bits")
-    assert track_roots(base, [HalfTwist(i)], precision_bits=192).permutation == _transposition(n, i)
+    answer = track_roots(base, [HalfTwist(i)], precision_bits=192, continued=True).permutation
+    assert answer == _transposition(n, i)
+    assert track_roots(base, [HalfTwist(i)], precision_bits=96).permutation == answer
 
 
 @pytest.mark.parametrize("base", [
@@ -636,8 +704,8 @@ def test_grid_scale_is_the_magnitude_mpmath_gives():
 def test_step_halving_invariance():
     base = base_with_integer_roots(4)
     segs = (HalfTwist(2), HalfTwist(1), HalfTwist(3))
-    coarse = track_roots(base, segs, max_step=1.0 / 16)
-    fine = track_roots(base, segs, max_step=1.0 / 32)
+    coarse = track_roots(base, segs, max_step=1.0 / 16, continued=True)
+    fine = track_roots(base, segs, max_step=1.0 / 32, continued=True)
     assert coarse.permutation == fine.permutation
     assert fine.refinement.steps > coarse.refinement.steps
 
@@ -722,7 +790,7 @@ def test_two_final_roots_on_one_base_root_are_not_a_bijection(monkeypatch):
     monkeypatch.setattr(monodromy, "_track_segment",
                         lambda coeffs_at, moving, current, *rest: [current[0], current[0], current[2]])
     with pytest.raises(ConsistencyError, match="not a bijection"):
-        track_roots(base_with_integer_roots(3), (HalfTwist(1),))
+        track_roots(base_with_integer_roots(3), (HalfTwist(1),), continued=True)
 
 
 def test_degenerate_base_rejected():

@@ -15,7 +15,7 @@ SCRIPT = Path(__file__).resolve().parent / "stdout_digest.py"
 
 PINNED = """\
 forms seed=11 rounds=1 ops=96 sha256=98760925447f3e34cf328782759c8c86a43a3224bdd5312570ab34cb7ec6d1e0
-loops seed=11 rounds=1 ops=56 sha256=58483428ddb54ba8a563b7874efbbcc3f2d88379eb9cfbbf90b7b280f4e73786
+loops seed=11 rounds=1 ops=56 sha256=2b35120f55e5c5681ad8653628ede06dd57f76216836b1b500919dedca3173cf
 reps seed=11 rounds=1 ops=154 sha256=87bcfcb79da12bf757a2c31266ea82140e50efe1e6133d1cceda28ea0ee6af1e
 """
 
