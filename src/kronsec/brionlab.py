@@ -91,8 +91,13 @@ def _require_stream(kind: str, n: int, mode: str) -> None:
         raise DomainError(f"{kind} mode must be vanishing, equality, or both, got {mode!r}")
 
 
-def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[BrionRecord]:
-    """The vanishing records of one pair, then its equality records, as mode selects."""
+def _records(n: int, lam: Partition, omega: Partition, mode: str,
+             lr_values: dict) -> Iterator[BrionRecord]:
+    """The vanishing records of one pair, then its equality records, as mode selects.
+
+    lr_values holds the LR number of each (lambda, omega, sigma) already
+    checked in this stream; a triple not in it runs both routes once.
+    """
     table = _table(n)
     a, b = size(lam), size(omega)
     # The callers' pairs fit under a new row n - |lam| >= lam_1, empty only at n = 0.
@@ -131,7 +136,11 @@ def _records(n: int, lam: Partition, omega: Partition, mode: str) -> Iterator[Br
                 continue
             big_s = (threshold,) + sigma if threshold else ()
             kron_value = table.weighed_multiplicity(weighed, big_s)
-            lr_value = lr_checked(lam, omega, sigma)
+            triple = (lam, omega, sigma)
+            lr_value = lr_values.get(triple)
+            if lr_value is None:
+                # lr_checked is read from the module when called, so a wrapper set on it sees the call.
+                lr_value = lr_values[triple] = lr_checked(lam, omega, sigma)
             yield BrionRecord(
                 n=n,
                 lam=lam,
@@ -148,17 +157,17 @@ def verify_vanishing(n: int, lam: Partition, omega: Partition) -> list[BrionReco
     """All short-first-row Sigma of n checked for zero multiplicity."""
     lam, omega = validate_partition(lam), validate_partition(omega)
     _require_hypothesis(n, lam, omega)
-    return list(_records(n, lam, omega, "vanishing"))
+    return list(_records(n, lam, omega, "vanishing", {}))
 
 
 def verify_equality(n: int, lam: Partition, omega: Partition) -> list[BrionRecord]:
     """All completions Sigma = attach_first_row(sigma, n) checked against both LR routes."""
     lam, omega = validate_partition(lam), validate_partition(omega)
     _require_hypothesis(n, lam, omega)
-    return list(_records(n, lam, omega, "equality"))
+    return list(_records(n, lam, omega, "equality", {}))
 
 
-def _scan(n: int, totals: range, mode: str) -> Iterator[BrionRecord]:
+def _scan(n: int, totals: range, mode: str, lr_values: dict) -> Iterator[BrionRecord]:
     """Records of the pairs with |lambda| + |omega| in totals whose completions exist.
 
     Both sizes are at most (n+1)/2 and both first rows fit under the new
@@ -169,7 +178,7 @@ def _scan(n: int, totals: range, mode: str) -> Iterator[BrionRecord]:
         for a in range(max(0, total - half), min(total, half) + 1):
             for lam in partitions_of(a, n - a):
                 for omega in partitions_of(total - a, n - total + a):
-                    yield from _records(n, lam, omega, mode)
+                    yield from _records(n, lam, omega, mode, lr_values)
 
 
 def sweep(n_max: int, mode: str = "both") -> Iterator[BrionRecord]:
@@ -179,10 +188,16 @@ def sweep(n_max: int, mode: str = "both") -> Iterator[BrionRecord]:
     each diagram in reverse-lex order, vanishing records before equality
     records. Deterministic by construction, so repeated runs emit identical
     streams.
+
+    LR numbers do not depend on n, so the stream checks each (lambda,
+    omega, sigma) by both routes once, at the first n that reaches it, and
+    reads the value again at every larger n. The values live in one dict
+    local to this stream; a second sweep checks its triples afresh.
     """
     _require_stream("sweep", n_max, mode)
+    lr_values: dict = {}
     for n in range(1, n_max + 1):
-        yield from _scan(n, range(n // 2 + 1), mode)
+        yield from _scan(n, range(n // 2 + 1), mode, lr_values)
 
 
 def boundary_scan(n: int, mode: str = "both") -> Iterator[BrionRecord]:
@@ -193,7 +208,7 @@ def boundary_scan(n: int, mode: str = "both") -> Iterator[BrionRecord]:
     Verdicts here are observations; no claim is made either way.
     """
     _require_stream("scan", n, mode)
-    yield from _scan(n, range(n // 2 + 1, 2 * ((n + 1) // 2) + 1), mode)
+    yield from _scan(n, range(n // 2 + 1, 2 * ((n + 1) // 2) + 1), mode, {})
 
 
 def summarize(records) -> dict:

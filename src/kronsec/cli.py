@@ -348,19 +348,41 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
     }
 
 
-def _record_line(record: brionlab.BrionRecord, human: bool) -> str:
+class _ShapeTexts(dict):
+    """The quoted JSON text of each shape, formatted on first use; one per stream."""
+
+    def __missing__(self, shape):
+        text = self[shape] = f'"{format_partition(shape)}"'
+        return text
+
+
+def _record_line(record: brionlab.BrionRecord, texts: _ShapeTexts) -> str:
+    """json.dumps(record.to_json(), separators=(",", ":")), written from one template.
+
+    Keys come in to_json's order. Shape text, ints and verdicts need no
+    escaping, so the line is the compact JSON of to_json byte for byte.
+    """
+    r = record
+    sigma = f'"{brionlab.BELOW_THRESHOLD}"' if r.sigma is None else texts[r.sigma]
+    big_s = "null" if r.Sigma is None else texts[r.Sigma]
+    kron = "null" if r.kron is None else r.kron
+    lr = "null" if r.lr is None else r.lr
+    return (f'{{"n":{r.n},"lambda":{texts[r.lam]},"omega":{texts[r.omega]},"sigma":{sigma},'
+            f'"Sigma":{big_s},"kron":{kron},"lr":{lr},"verdict":"{r.verdict}"}}')
+
+
+def _human_line(record: brionlab.BrionRecord) -> str:
     obj = record.to_json()
-    if human:
-        return " ".join(f"{key}={obj[key]}" for key in obj)
-    return json.dumps(obj, separators=(",", ":"))
+    return " ".join(f"{key}={obj[key]}" for key in obj)
 
 
 def _stream_records(records, cfg: Config, human: bool) -> None:
+    texts = _ShapeTexts()
     with _sink(cfg) as out:
 
         def written():
             for record in records:
-                out.write(_record_line(record, human) + "\n")
+                out.write((_human_line(record) if human else _record_line(record, texts)) + "\n")
                 yield record
 
         # Records are written as they are tallied, never held in a list.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kronsec import brionlab
 from kronsec.brionlab import (
     BELOW_THRESHOLD,
     boundary_scan,
@@ -10,7 +11,7 @@ from kronsec.brionlab import (
     verify_equality,
     verify_vanishing,
 )
-from kronsec.characters import kronecker
+from kronsec.characters import kronecker, lr_checked
 from kronsec.errors import DomainError
 from kronsec.partitions import attach_first_row, partitions_of, size
 
@@ -97,6 +98,27 @@ def test_sweep_is_deterministic_and_clean_through_n_6():
     text_b = "\n".join(json.dumps(x, sort_keys=True) for x in second)
     assert text_a == text_b
     assert all(x["verdict"] != "violation" for x in first)
+
+
+def test_a_sweep_checks_each_lr_triple_once(monkeypatch):
+    calls = []
+
+    def spy(lam, omega, sigma):
+        calls.append((lam, omega, sigma))
+        return lr_checked(lam, omega, sigma)
+
+    monkeypatch.setattr(brionlab, "lr_checked", spy)
+    records = list(sweep(10))
+    assert summarize(records)["equality_ok"] == 800
+    # LR numbers do not depend on n: 800 equality records read 395 triples.
+    assert len(calls) == len(set(calls)) == 395
+    for r in records:
+        if r.verdict == "equality-ok":
+            assert r.lr == lr_checked(r.lam, r.omega, r.sigma)
+    # The values live in one stream: a second sweep checks its triples again.
+    calls.clear()
+    summarize(sweep(10))
+    assert len(calls) == len(set(calls)) == 395
 
 
 def test_sweep_n_max_1_emits_single_trivial_record():

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from conftest import Overtime, oracle_power_sum_coeffs, spread_half_twist, within_seconds
 
-from kronsec import apolarity, cli, intpoly, monodromy, ratmat, seminormal
+from kronsec import apolarity, brionlab, cli, intpoly, monodromy, ratmat, seminormal
 from kronsec.apolarity import parse_form
 from kronsec.cli import main
 from kronsec.config import DEFAULT_DIM_CAP, DEFAULT_N_CAP, LOOP_WORK_CAP, WORD_WORK_CAP
@@ -655,6 +655,17 @@ _BRION_STREAMS = {
     ("brion-boundary", "8", "vanishing"): "49002e5be581d2abace77a60852184aa16a8f7c4dd172407f5ff0ab6c8235f7a",
     ("brion-boundary", "8", "equality"): "ac594b3079a13e40dcf19528b535948cf54c4f27c74683ca5405fb94e694ef4d",
     ("brion-boundary", "8", "both"): "2ba09c0489019a47a0a8640f781179cd20483341b8a1790b0dff39b9f9ccd9c4",
+    # The sizes the benchmark runs.
+    ("brion-sweep", "10", "vanishing"): "9eef7ce73f3fb457d93b5af50b120ce554e50342fd853c7e915895898bb8fa37",
+    ("brion-sweep", "10", "equality"): "0b7307375c5088b1548801b2b98e37381031ca637558318647edef2c80aae730",
+    ("brion-sweep", "10", "both"): "c04d13f1ae3cb6a431d462afde92d4580c453c887125620032c3e87b0bfcd0e8",
+    ("brion-boundary", "10", "vanishing"): "f25dd420338cb5cb93c0e648da9ef6a9620059d3f6fcf747217163d080a3c7bf",
+    ("brion-boundary", "10", "equality"): "54f2a6c9fb1983fc26fdeca5aa4e07e4068f22ffac54fd0867b039bcab4a0c2e",
+    ("brion-boundary", "10", "both"): "2ce3554482e41cf2c0a1ba61c41d3bd499ecff8dbf371076a5d2ed439035afe0",
+}
+# The same for --human, which writes through BrionRecord.to_json.
+_BRION_HUMAN_STREAMS = {
+    ("brion-sweep", "7"): "68f59d36573317e774c973d570ad07430a1577632204e1313193a204ecf68a36",
 }
 
 
@@ -664,6 +675,45 @@ def test_brion_streams_are_byte_identical(capsys, key):
     code, out, err = run(capsys, command, n, "--mode", mode)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _BRION_STREAMS[key]
+
+
+@pytest.mark.parametrize("key", _BRION_HUMAN_STREAMS, ids="-".join)
+def test_human_brion_streams_are_byte_identical(capsys, key):
+    code, out, err = run(capsys, "--human", *key)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _BRION_HUMAN_STREAMS[key]
+
+
+def _brion_records():
+    """Every record of sweep(8) and boundary_scan(0..9) in each mode, and a violation of each kind."""
+    for mode in brionlab.MODES:
+        yield from brionlab.sweep(8, mode)
+        for n in range(10):
+            yield from brionlab.boundary_scan(n, mode)
+    # No stream in range has a violation; the template writes any verdict.
+    for record in (*brionlab.verify_vanishing(6, (1,), (1,))[:1], *brionlab.verify_equality(6, (1,), (1,))):
+        yield replace(record, verdict=brionlab.VIOLATION)
+
+
+def test_the_record_template_is_compact_to_json():
+    texts = cli._ShapeTexts()
+    seen = set()
+    for record in _brion_records():
+        assert cli._record_line(record, texts) == json.dumps(record.to_json(), separators=(",", ":"))
+        seen.add(record.verdict)
+        seen.update(field for field in ("sigma", "Sigma", "kron", "lr") if getattr(record, field) is None)
+        seen.update("empty" for shape in (record.lam, record.omega, record.sigma, record.Sigma) if shape == ())
+    assert seen == {"sigma", "Sigma", "kron", "lr", "empty", brionlab.VANISHING_OK,
+                    brionlab.EQUALITY_OK, brionlab.NO_SIGMA, brionlab.VIOLATION}
+
+
+def test_an_output_file_holds_the_bytes_stdout_gets(capsys, tmp_path):
+    target = tmp_path / "records.jsonl"
+    code, out, err = run(capsys, "--output", str(target), "brion-boundary", "8")
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run(capsys, "brion-boundary", "8")
+    assert (code, err) == (0, "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_brion_boundary(capsys):
