@@ -26,14 +26,15 @@ as integer rows: the rows of C_k scaled to a Hankel matrix of integers.
 The support points (1 : 0) and (0 : 1) are read off the annihilator's
 coefficients; every other point comes from intpoly's float Aberth-Ehrlich
 seeds, one per root. Rational points are exact: one matcher proposes them,
-compared exactly on integers, and exact evaluation verifies them. Each seed
-the matcher leaves over is refined by intpoly.certified_root on the integer
-annihilator into a certified disc whose exact, rounded-up radius is below
-2^-(precision_bits + SOLVE_GUARD_BITS), and the matcher runs again on the
-refined centres. The points, one per root approximation, are checked
-pairwise disjoint, which proves them all the roots. mpmath.polyroots
-supplies the approximations only when the seeds fail: none come back, a
-refinement stalls, or two discs meet.
+compared exactly on integers, and exact evaluation verifies them. The seeds
+the matcher leaves over go to intpoly.isolate on the integer annihilator:
+it refines each into a certified disc whose exact radius is below
+2^-(precision_bits + SOLVE_GUARD_BITS) and proves the discs apart from each
+other and from the rational points, which makes them, one per root
+approximation, all the roots. The matcher then runs again on the refined
+centres, and a root it matches must lie in its centre's disc.
+mpmath.polyroots supplies the approximations only when the seeds fail: none
+come back, a refinement stalls, or two discs meet.
 
 Every coefficient comes by partial fractions over the annihilator U
 (Kung-Rota), weight = N(t) / U'(t) for one numerator N built from the
@@ -53,8 +54,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from math import comb, factorial, gcd, inf, isqrt, lcm, nextafter
+from itertools import chain
+from math import comb, factorial, gcd, inf, lcm, nextafter
 from operator import mul
 from typing import Sequence
 
@@ -330,9 +331,9 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     from the float seeds of intpoly.aberth_seeds on U, which seeds a root
     t = 0 exactly, a near-real seed put on the real axis, so that a real
     root keeps an imaginary part of exactly 0 through Newton. When there
-    are no seeds, or _roots_from finds them wanting (a refinement stalls or
-    two discs meet), mpmath.polyroots supplies the approximations instead;
-    _roots_from refines either on U.
+    are no seeds, or _roots_from finds them wanting (intpoly.isolate finds a
+    refinement stalled or two discs meeting), mpmath.polyroots supplies the
+    approximations instead; _roots_from refines and isolates either on U.
     """
     points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
     seeds = intpoly.aberth_seeds(ints)
@@ -353,51 +354,36 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
 def _roots_from(ints: list[int], approx: Sequence, precision_bits: int) -> list[SupportPoint]:
     """The finite roots of U from deg(U) approximations: exact points ascending, then certified discs.
 
-    _rational_roots matches rational roots to the approximations. Each one
-    it leaves over is refined by _refine_root on the full polynomial until
-    the inclusion radius deg * |U(z)/U'(z)| drops below
-    2^-(precision_bits + SOLVE_GUARD_BITS), the precision the coefficients
-    are rounded to, which certifies a true root within the disc, and the
-    matcher runs again on the refined centres for a rational root the
-    approximation was too coarse to match. Nothing is deflated. There is one
-    point per approximation, so pairwise disjoint discs prove the points are
-    all the roots. The discs are ordered by (|im|, re, im), which is
-    polyroots' order with its conjugate pairs in a fixed order.
+    _rational_roots matches rational roots to the approximations, and
+    intpoly.isolate refines the rest on the full polynomial until
+    deg * |U(z)/U'(z)| < 2^-(precision_bits + SOLVE_GUARD_BITS), the precision
+    the coefficients are rounded to, and proves their discs apart from each
+    other and from the matched roots: so they hold every other root, one each.
+    Nothing is deflated. The matcher runs again on the refined centres for a
+    rational root an approximation was too coarse to match; a root it matches
+    must lie in its centre's disc, whose one root it then is. The discs are
+    ordered by (|im|, re, im), polyroots' order with its conjugate pairs fixed.
     """
     roots, leftovers = _rational_roots(ints, approx)
-    pairs = [(c, 0) for c in ints]
-    refined = [_refine_root(pairs, z, precision_bits + SOLVE_GUARD_BITS) for z in leftovers]
-    more, leftovers = _rational_roots(ints, [z for z, _ in refined], taken=set(roots))
-    radius = dict(refined)
-    points = [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True) for r in sorted(roots + more)]
-    points += sorted((SupportPoint(z, mpmath.mpf(1), exact=False, radius=radius[z]) for z in leftovers),
-                     key=lambda pt: (abs(pt.alpha.imag), pt.alpha.real, pt.alpha.imag))
-    if refined:  # exact points alone are distinct roots already
-        _require_disjoint_discs(points)
-    return points
-
-
-def _require_disjoint_discs(points: list[SupportPoint]) -> None:
-    """Raise PrecisionError unless the finite points hold pairwise distinct roots.
-
-    Each approximate point's disc holds a root and an exact point is one, so
-    pairwise disjoint discs, |z_i - z_j| > r_i + r_j (radius 0 for an exact
-    point), prove that the points are distinct roots. Every pair is
-    compared, exactly, on the dyadic centres and radii: a refined centre
-    can land on a root exactly, with radius 0, where another point is.
-    """
-    discs = []
-    for pt in points:
-        if pt.exact:
-            discs.append((pt.alpha / pt.beta, Fraction(0), Fraction(0)))
-        else:
-            e, [(a, b)] = intpoly.gaussian([pt.alpha])
-            discs.append((Fraction(a, 1 << e), Fraction(b, 1 << e), Fraction(pt.radius)))
-    for i, (x1, y1, r1) in enumerate(discs):
-        for x2, y2, r2 in discs[i + 1:]:
-            if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
-                near = mpmath.mpc(*(_mpf(v.numerator, v.denominator, 53) for v in (x1, y1)))  # floats overflow
-                raise PrecisionError(f"two inclusion discs meet near {mpmath.nstr(near, 15)}; the roots are not separated")
+    bits = precision_bits + SOLVE_GUARD_BITS
+    found = intpoly.isolate([(c, 0) for c in ints], leftovers, bits, [(r.numerator, 0, r.denominator) for r in roots])
+    if found is not None:
+        refined = {}
+        for (x, y), e, square in found:
+            with mpmath.workprec(1 + max(x.bit_length(), y.bit_length())):
+                refined[mpmath.mpc(mpmath.mpf((x, -e)), mpmath.mpf((y, -e)))] = x, y, e, square
+        more, leftovers = _rational_roots(ints, list(refined), taken=set(roots))
+        matched = [disc for z, disc in refined.items() if z not in leftovers]
+        # |p/q - (x + y i) / 2^e|^2 <= num / den, times den (q 2^e)^2
+        if all((((r.numerator << e) - r.denominator * x) ** 2 + (r.denominator * y) ** 2) * den
+               <= num * (r.denominator << e) ** 2 for r, (x, y, e, (num, den)) in zip(more, matched)):
+            discs = [SupportPoint(z, mpmath.mpf(1), exact=False, radius=intpoly.sqrt_up(Fraction(*refined[z][3])))
+                     for z in leftovers]
+            exact = [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
+                     for r in sorted(roots + more)]
+            return exact + sorted(discs, key=lambda pt: (abs(pt.alpha.imag), pt.alpha.real, pt.alpha.imag))
+    raise PrecisionError(f"root isolation stalled above the precision floor 2^-{bits} or two inclusion discs meet;"
+                         " the roots are not separated")
 
 
 def _rational_roots(ints: list[int], approx: Sequence, taken=frozenset()) -> tuple[list[Fraction], list]:
@@ -448,15 +434,6 @@ def _convergents(num: int, den: int):
         if q1 > DENOMINATOR_BOUND:
             return
         yield p1, q1
-
-
-def _refine_root(pairs: list[tuple[int, int]], z0, precision_bits: int) -> tuple:
-    """z0 refined by intpoly.certified_root on U, as an mpc, and its inclusion radius as a float rounded up."""
-    if (found := intpoly.certified_root(pairs, z0, precision_bits)) is None:
-        raise PrecisionError(f"root isolation stalled above the precision floor 2^-{precision_bits}")
-    z, bits, square = found
-    with mpmath.workprec(1 + max(x.bit_length() for x in z)):
-        return mpmath.mpc(*(mpmath.mpf((x, -bits)) for x in z)), intpoly.sqrt_up(Fraction(*square))
 
 
 # --- Sylvester decomposition -------------------------------------------------
@@ -532,15 +509,6 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
                              coefficients=tuple(coeffs), support_exact=all_exact, error_bound=residual)
 
 
-def _power_sum(n: int, points, weights) -> list[int]:
-    """Coefficients of sum_i w_i (a_i x + b_i y)^n for integers, by incremental powers."""
-    sums = [0] * (n + 1)
-    for w, (a, b) in zip(weights, points):
-        left = list(accumulate([w] + [a] * n, mul))  # w a^j
-        sums = [t + x * y for t, x, y in zip(sums, reversed(left), accumulate([1] + [b] * n, mul))]
-    return [comb(n, j) * t for j, t in enumerate(sums)]
-
-
 def _numerator(poly: list[int], moments: Sequence[Fraction]) -> tuple[list[int], int]:
     """(scale * N, scale) for U = sum u_l t^l (`poly`) and the moments s_m, m < deg U.
 
@@ -612,8 +580,9 @@ def _solve_coefficients_exact(points, at_inf: int, ints: list[int], p: BinaryFor
     pts = [(int(pt.alpha), int(pt.beta)) for pt in points]
     coeffs = [Fraction(x, den) for x, _, den in (_weight(charts, n, a, 0, b) for a, b in pts)]
     den = lcm(*(c.denominator for c in coeffs))
-    rebuilt = _power_sum(n, pts, [c.numerator * (den // c.denominator) for c in coeffs])
-    if rebuilt != [den * a for a in p.coeffs]:
+    weights = [(c.numerator * (den // c.denominator), 0) for c in coeffs]
+    sums = _gaussian_power_sum(n, [((a, 0), b) for a, b in pts], weights)
+    if [comb(n, j) * x for j, (x, _) in enumerate(sums)] != [den * a for a in p.coeffs]:
         raise ConsistencyError(f"exact reconstruction mismatch for {p}")
     return coeffs
 
@@ -641,9 +610,10 @@ def _homogeneous(points) -> tuple[int, list[tuple[tuple[int, int], int]]]:
 def _gaussian_power_sum(n: int, points, weights) -> list[tuple[int, int]]:
     """sum_i w_i A_i^(n-j) B_i^j, j = 0..n, for Gaussian integers w_i, A_i and integers B_i.
 
-    A centre's B is a power of two, and multiplying by B^j is a shift: on
-    the forms plans, full products, as _power_sum takes for the exact
-    rebuild, made the residual's two power sums about four times slower.
+    The package's one power sum: times C(n, j) it gives the coefficients of
+    sum_i w_i (A_i x + B_i y)^n. A centre's B is a power of two, and
+    multiplying by B^j is a shift: on the forms plans, full products made
+    the residual's two power sums about four times slower.
     """
     sums = [(0, 0)] * (n + 1)
     for (x, y), ((a, b), q) in zip(weights, points):
@@ -664,9 +634,7 @@ def _gaussian_power_sum(n: int, points, weights) -> list[tuple[int, int]]:
 
 def _ceil_abs(x: int, y: int) -> int:
     """The least integer no smaller than |x + y i|."""
-    square = x * x + y * y
-    root = isqrt(square)
-    return root + (root * root < square)
+    return intpoly.ceil_sqrt(x * x + y * y)
 
 
 def _solve_coefficients_numeric(points, at_inf: int, ints: list[int], p: BinaryForm, precision_bits: int):
@@ -806,7 +774,8 @@ def sample_rank_k_instance(n: int, k: int, seed: int) -> RankSample:
     for _ in range(RESAMPLE_BOUND):
         pts = tuple(sorted(rng.sample(pool, k)))
         weights = tuple(rng.choice([c for c in range(-9, 10) if c]) for _ in range(k))
-        coeffs = _power_sum(n, pts, weights)
+        sums = _gaussian_power_sum(n, [((a, 0), b) for a, b in pts], [(w, 0) for w in weights])
+        coeffs = [comb(n, j) * x for j, (x, _) in enumerate(sums)]
         if not any(coeffs):
             continue
         f = form(n, coeffs)

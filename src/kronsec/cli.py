@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -430,6 +431,17 @@ def _error_line(kind: str, message: str) -> None:
                                 separators=(",", ":")) + "\n")
 
 
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor, where it has one, at os.devnull, so the flush at exit raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a StringIO, or a stream already closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         args = _the_parser().parse_args(argv)
@@ -437,7 +449,12 @@ def main(argv=None) -> int:
         obj = _COMMANDS[args.command](args, cfg)
         if obj is not None:
             _emit(obj, cfg, args.human)
+        sys.stdout.flush()  # so that a closed stdout fails here, buffered or not
         return 0
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        _silence_stdout()
+        _error_line(DomainError.kind, "stdout was closed before all the output was written")
+        return DomainError.exit_code
     except KronsecError as exc:  # the class names its kind and exit code
         _error_line(exc.kind, str(exc))
         return exc.exit_code

@@ -11,10 +11,12 @@ mpmath numbers, and `readable` says which values it reads; `fixed` and
 `apolarity` certifies Sylvester supports with these routines and `monodromy`
 tracks loop roots with them. They share one root engine: `aberth_seeds`
 seeds the roots of a Sylvester annihilator and of a loop base, and
-`certified_root` refines each by `newton`, rung by rung, into an inclusion
-disc proven small enough. `squarefree` and `aberth_seeds` read coefficients
-through `gaussian`, and `certified_root` takes the Gaussian integers it
-gives, so one code path serves integer and Gaussian-rational polynomials.
+`isolate` has `certified_root` refine each by `newton`, rung by rung, into
+an inclusion disc proven small enough, then proves the discs pairwise apart
+by one integer comparison each, which makes them all the roots. `squarefree`
+and `aberth_seeds` read coefficients through `gaussian`, and
+`certified_root` takes the Gaussian integers it gives, so one code path
+serves integer and Gaussian-rational polynomials.
 """
 
 import cmath
@@ -332,6 +334,36 @@ def certified_root(pairs, z0, precision_bits: int):
             if num << 2 * precision_bits < den:
                 return z, bits, (num, den)
     return None
+
+
+def isolate(pairs, seeds, precision_bits: int, exact=()):
+    """Each seed refined by certified_root and proven a root of its own, or None.
+
+    exact holds known roots (a, b, q) of U, (a + b i) / q, pairwise distinct.
+    A disc (x + y i) / 2^bits is held on its own grid with the integer radius
+    r = ceil(2^bits sqrt(num / den)), an upper bound; discs c1 / q1, c2 / q2
+    of radii r1 / q1, r2 / q2 are apart when |c1 q2 - c2 q1|^2 > (r1 q2 + r2 q1)^2,
+    an exact root being a disc of radius 0. Every disc is compared with every
+    other and with every exact root: deg U points, each a disc holding a root
+    or an exact root, pairwise apart, are all the roots of U. Returns
+    certified_root's triples in seed order; None when a refinement stalls or
+    two discs meet.
+    """
+    found = [certified_root(pairs, z, precision_bits) for z in seeds]
+    if None in found:
+        return None
+    discs = [(x, y, 1 << bits, ceil_sqrt(-((-num << 2 * bits) // den))) for (x, y), bits, (num, den) in found]
+    points = [(a, b, q, 0) for a, b, q in exact]
+    for i, (x1, y1, q1, r1) in enumerate(discs):
+        for x2, y2, q2, r2 in discs[i + 1:] + points:
+            if (x1 * q2 - x2 * q1) ** 2 + (y1 * q2 - y2 * q1) ** 2 <= (r1 * q2 + r2 * q1) ** 2:
+                return None
+    return found
+
+
+def ceil_sqrt(n: int) -> int:
+    """The least integer no smaller than the square root of n >= 0."""
+    return isqrt(n - 1) + 1 if n else 0
 
 
 def sqrt_up(square) -> float:

@@ -49,13 +49,12 @@ alone. The loop's StepStats count continued steps only.
 
 A base equal to prod(z - j), j = 1..n, the base of every generator loop,
 starts from its exact roots, which land on the grid exactly. Any other base
-has its roots seeded by intpoly.aberth_seeds and refined by
-intpoly.certified_root, the engine and the certificate of Sylvester supports
-too, into pairwise disjoint inclusion discs, and floored onto the grid. On
-the grid the base roots must stay more than the tolerance apart, and each
-final root must end nearer than half the least base gap to one base root;
-that match reads off the permutation of the starting roots that the loop
-induces.
+has its roots seeded by intpoly.aberth_seeds, refined by intpoly.isolate
+into inclusion discs proven pairwise apart, the one completeness proof of
+Sylvester supports too, and floored onto the grid. On the grid the base
+roots must stay more than the tolerance apart, and each final root must end
+nearer than half the least base gap to one base root; that match reads off
+the permutation of the starting roots that the loop induces.
 
 Segment vocabulary (all segments are themselves closed loops at the base):
 
@@ -292,22 +291,17 @@ def _seeds(base) -> list[complex]:
 def _refined(base, seeds, grid: _Grid):
     """The roots of the base on the grid, sorted by real part, then imaginary part, refined from the seeds.
 
-    intpoly.certified_root refines each seed to a centre within 2^-T of a
-    root, T = max(F, precision_bits) for the grid's F fractional bits of z.
-    Centres more than 2^(1-T) apart, decided before they are floored onto a
-    grid that may be coarser than their gaps, prove the seeds found every root.
+    intpoly.isolate refines each seed into an inclusion disc of radius below
+    2^-T, T = max(F, precision_bits) for the grid's F fractional bits of z,
+    and proves the discs pairwise apart, so the seeds found every root; that
+    is decided before the centres are floored onto a grid that may be
+    coarser than their gaps.
     """
     f = grid.bits - grid.scale
-    target = max(f, grid.precision_bits)
     _, pairs = intpoly.gaussian(base)
-    found = [intpoly.certified_root(pairs, s, target) for s in seeds]
-    if None in found:
+    if (found := intpoly.isolate(pairs, seeds, max(f, grid.precision_bits))) is None:
         raise PrecisionError("base roots did not converge")
-    top = max(bits for _, bits, _ in found)
-    centres = [(x << top - bits, y << top - bits) for (x, y), bits, _ in found]
-    if _gap_sq(centres, range(len(centres))) <= 4 << 2 * (top - target):
-        raise PrecisionError("base roots did not converge")
-    return sorted((x >> top - f, y >> top - f) for x, y in centres)
+    return sorted((x >> bits - f, y >> bits - f) for (x, y), bits, _ in found)
 
 
 def _half_twist_path(i: int, base_roots, bits: int):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import importlib.util
 import itertools
 import random
@@ -682,13 +683,25 @@ def test_a_root_nearer_zero_than_the_seeds_reach_is_a_precision_error(e):
         assert (Fraction(a, 1 << k) - x) ** 2 + (Fraction(b, 1 << k) - y) ** 2 <= Fraction(pt.radius) ** 2
 
 
+def _support_digest(points) -> str:
+    """sha256 over every bit of the points: Fractions as text, centres by their exact mpf tuples, radii in hex."""
+    return hashlib.sha256(repr([(str(pt.alpha), str(pt.beta), pt.radius) if pt.exact else
+                                (pt.alpha._mpc_, pt.beta._mpf_, pt.radius.hex()) for pt in points]).encode()).hexdigest()
+
+
+# The digest of both routes' points over the 60 polynomials below, computed
+# where every support point was checked against every other after the second
+# matcher pass: moving that proof into intpoly.isolate moved no point.
+SUPPORTS_OF_U_OVER_T = "2a9eaed514e110b0c5a7b308d69fe99ec766b2fb454c307c9a3ba229b16eb478"
+
+
 def test_seeds_of_u_over_t_certify_what_polyroots_certifies(monkeypatch):
     # U = t V(t) with V(0) != 0 from rational roots, one near 0 at times, and
     # quadratic factors: the seed route gives the exact points of the
     # polyroots route and, for every one of its discs, one disc of that
-    # route that meets it.
+    # route that meets it; both give the points pinned by digest.
     rng = random.Random(20261029)
-    checked = 0
+    checked, digests = 0, []
     for _ in range(60):
         roots = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20)) for _ in range(rng.randint(0, 4))]
         if rng.random() < 0.3:
@@ -714,7 +727,9 @@ def test_seeds_of_u_over_t_certify_what_polyroots_certifies(monkeypatch):
                 if not pt.exact:
                     meets = [d for d in discs if abs(pt.alpha - d.alpha) <= pt.radius + d.radius]
                     assert len(meets) == 1, ints
+        digests += [_support_digest(seeded), _support_digest(isolated)]
     assert checked >= 45
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == SUPPORTS_OF_U_OVER_T
 
 
 def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
@@ -768,14 +783,14 @@ def test_approximate_radius_bounds_the_exact_residual():
 
 def test_two_discs_on_one_root_are_a_precision_error(monkeypatch):
     # Two refinements that land on one root must not pass for two roots.
-    refine = apolarity._refine_root
+    refine = intpoly.certified_root
     starts = []
 
-    def onto_the_first_root(ints, z0, precision_bits):
+    def onto_the_first_root(pairs, z0, precision_bits):
         starts.append(z0)
-        return refine(ints, starts[0], precision_bits)
+        return refine(pairs, starts[0], precision_bits)
 
-    monkeypatch.setattr(apolarity, "_refine_root", onto_the_first_root)
+    monkeypatch.setattr(intpoly, "certified_root", onto_the_first_root)
     with pytest.raises(PrecisionError, match="discs meet"):
         sylvester_decompose(parse_form("deg=3; coeffs=1,1,0,1"))
     # two float seeds, then the two polyroots values of the fallback
@@ -804,19 +819,22 @@ def test_discs_that_meet_on_the_seed_route_fall_back_to_polyroots(monkeypatch):
 
 def test_a_disc_of_radius_zero_on_an_exact_root_is_not_a_second_root():
     # A refined centre can land on a root exactly, radius 0, where an exact
-    # point is; every pair is compared, exact ones too, so the pair meets.
+    # root is; every disc is compared with every exact root, so the pair meets.
     for root in (Fraction(0), Fraction(-3, 4)):
-        exact = apolarity.SupportPoint(root, Fraction(1), exact=True)
-        disc = apolarity.SupportPoint(mpmath.mpc(_mp(root)), mpmath.mpf(1), exact=False, radius=0.0)
-        with pytest.raises(PrecisionError, match="discs meet"):
-            apolarity._require_disjoint_discs([exact, disc])
+        pairs = [(c, 0) for c in _ints_with_roots([root, 5])]
+        seed = float(root)
+        assert intpoly.certified_root(pairs, seed, 96)[2][0] == 0
+        assert intpoly.isolate(pairs, [seed], 96) is not None
+        assert intpoly.isolate(pairs, [seed], 96, exact=[(root.numerator, 0, root.denominator)]) is None
 
 
 def test_discs_that_meet_past_the_float_range_are_a_precision_error():
-    # The message names where the discs meet without float(), which overflows there.
-    disc = apolarity.SupportPoint(mpmath.mpc(2**1100), mpmath.mpf(1), exact=False, radius=0.0)
-    with pytest.raises(PrecisionError, match=r"discs meet near \(1\.358\d*e\+331 \+ 0\.0j\)"):
-        apolarity._require_disjoint_discs([disc, disc])
+    # Two seeds on the one root 2^1100 of t - 2^1100 meet, decided on
+    # integers with no float, which overflows there.
+    seeds = [mpmath.mpf(2) ** 1100] * 2
+    assert intpoly.isolate([(-(2**1100), 0), (1, 0)], seeds, 96) is None
+    with pytest.raises(PrecisionError, match="discs meet"):
+        apolarity._roots_from([-(2**1100), 1], seeds, 96)
 
 
 def test_the_second_pass_does_not_match_the_root_zero_again(monkeypatch):
@@ -836,6 +854,30 @@ def test_the_second_pass_does_not_match_the_root_zero_again(monkeypatch):
     assert first[0] == 0j and taken == {0}
     assert match(ints, second, taken) == ([], second)
     assert match(ints, second)[0] == [0]
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["own-discs", "swapped"])
+def test_a_second_pass_root_must_lie_in_its_centres_disc(monkeypatch, swap):
+    # The first pass is made to match nothing, so the roots 1 and 2 are
+    # matched only on the refined centres; matched the wrong way round, each
+    # lies in the other's disc, which would leave one disc's root unproven.
+    match, calls = apolarity._rational_roots, []
+
+    def second_pass_only(ints, approx, taken=frozenset()):
+        calls.append(approx)
+        if len(calls) == 1:
+            return [], list(approx)
+        roots, leftovers = match(ints, approx, taken)
+        return roots[::-1] if swap else roots, leftovers
+
+    monkeypatch.setattr(apolarity, "_rational_roots", second_pass_only)
+    ints = _ints_with_roots([1, 2])
+    if swap:
+        with pytest.raises(PrecisionError, match="discs meet"):
+            apolarity._roots_from(ints, [0.9, 2.1], 96)
+    else:
+        assert apolarity._roots_from(ints, [0.9, 2.1], 96) == [
+            apolarity.SupportPoint(Fraction(j), Fraction(1), exact=True) for j in (1, 2)]
 
 
 def test_a_ladder_with_no_converged_rung_is_a_precision_error(monkeypatch):

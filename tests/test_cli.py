@@ -7,6 +7,7 @@ import os
 import random
 import re
 import signal
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -1390,6 +1391,25 @@ def test_unexpected_exception_is_a_json_internal_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "internal", "message": "RuntimeError: boom"}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, lines_read", [(["chartable", "3"], 0), (["brion-sweep", "10"], 1)],
+                         ids=["closed-before-any-output", "closed-after-one-line"])
+def test_a_closed_stdout_is_a_domain_error(argv, lines_read, unbuffered):
+    # A reader that closes stdout early, as `| head -1` does: the buffered
+    # stream fails at main's flush, the unbuffered one at a write, and
+    # neither is an internal error or an "Exception ignored" line at exit.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "kronsec", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "domain"
 
 
 def test_base_exceptions_still_propagate(capsys, monkeypatch):

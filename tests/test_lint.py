@@ -7,9 +7,9 @@ benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
 standard library, kronsec/cli.py imports no arithmetic, one function climbs
-intpoly.RUNGS, the loop tracker's step loop runs on ints, naming no
-Fraction, kronecker and tensor_decompose name no character table, and
-characters.py expands only the tails of classes.
+intpoly.RUNGS and one calls intpoly.certified_root, the loop tracker's step
+loop runs on ints, naming no Fraction, kronecker and tensor_decompose name no
+character table, and characters.py expands only the tails of classes.
 """
 
 import ast
@@ -207,21 +207,32 @@ def test_the_cli_does_no_arithmetic_of_its_own():
     assert names & CLI_NEVER_IMPORTS == set()
 
 
-def rung_loops(source: str) -> list[str]:
-    """The innermost enclosing function of each for loop or comprehension over RUNGS or x.RUNGS."""
+def enclosing_functions(source: str, hit) -> list[str]:
+    """The innermost enclosing function, or <module>, of each node for which hit(node) holds."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, (ast.For, ast.comprehension)) and "RUNGS" in (
-                getattr(node.iter, "id", None), getattr(node.iter, "attr", None)):
+        if hit(node):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def rung_loops(source: str) -> list[str]:
+    """The innermost enclosing function of each for loop or comprehension over RUNGS or x.RUNGS."""
+    return enclosing_functions(source, lambda node: isinstance(node, (ast.For, ast.comprehension)) and "RUNGS" in (
+        getattr(node.iter, "id", None), getattr(node.iter, "attr", None)))
+
+
+def calls_of(source: str, name: str) -> list[str]:
+    """The innermost enclosing function of each call of name or x.name."""
+    return enclosing_functions(source, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_the_scan_finds_every_rung_loop():
@@ -238,6 +249,23 @@ def test_one_function_climbs_the_rungs():
     # ladder would bring back a second acceptance rule.
     loops = [f"{path.stem}.{where}" for path in PACKAGE_MODULES for where in rung_loops(path.read_text(encoding="utf-8"))]
     assert loops == ["intpoly.certified_root"]
+
+
+def test_the_scan_finds_every_call():
+    source = (
+        "def isolate(seeds):\n    return [certified_root(s) for s in seeds]\n"
+        "def refine(z):\n    def inner():\n        return intpoly.certified_root(z)\n    return inner\n"
+        "FIRST = certified_root(0)\nNAME = certified_root\n"
+    )
+    assert calls_of(source, "certified_root") == ["isolate", "inner", "<module>"]
+
+
+def test_one_function_proves_the_roots_complete():
+    # Every refined root set is proven complete by one rule: a second caller
+    # of certified_root would bring back a second completeness proof.
+    calls = [f"{path.stem}.{where}" for path in PACKAGE_MODULES
+             for where in calls_of(path.read_text(encoding="utf-8"), "certified_root")]
+    assert calls == ["intpoly.isolate"]
 
 
 # The functions of monodromy that run once per tracking step or path point.
