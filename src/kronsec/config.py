@@ -25,11 +25,13 @@ MAX_PRECISION_BITS = 4096
 DEFAULT_DIM_CAP = 2000
 # Bound on words * dim * n for `rep-check --words`; fixed, not a Config field.
 # It charges each sampled word as traced over all dim basis vectors, as only a
-# build whose relations fail does; elsewhere the relations' O(n^2 dim) lead.
-# It admits the default 5 words at every shape of size <= 14 and dimension
-# <= DEFAULT_DIM_CAP (at most 5 * 1716 * 14 = 120,120, at [8,1^6]). At this
-# bound `rep-check "[8,1,1,1,1,1,1]" --words 6`, the dearest command timed,
-# took 1.5-1.9 s as a whole process on a 2-core host.
+# build whose relations fail does; a sound build costs its O(n^2) relations,
+# each one O(dim) test on the column arrays, and one trace per distinct cycle
+# type. It admits the default 5 words at every shape of size <= 14 and
+# dimension <= DEFAULT_DIM_CAP (at most 5 * 1716 * 14 = 120,120, at [8,1^6]).
+# At this bound `rep-check "[8,1,1,1,1,1,1]" --words 6`, the dearest command
+# timed, took 0.31-0.32 s as a whole process on a 2-core host, and
+# `rep-check "[7,3,2]" --words 6` took 0.28-0.29 s.
 WORD_WORK_CAP = 150_000
 # Bound on L * n * (n + 7) * max(1, b // 96) for a monodromy command that
 # tracks at most L letters over n roots at b bits; fixed, not a Config

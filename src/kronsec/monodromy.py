@@ -460,7 +460,6 @@ def track_roots(
     base_gap = _gap_sq(base_roots, range(len(base_roots)))
     if base_gap <= grid.separation_sq:
         raise DomainError("base polynomial is not resolvably squarefree at this tolerance")
-    monic = _monic(base, grid)
 
     current = base_roots
     stats = {"steps": 0, "halvings": 0, "min_step": max_step}
@@ -480,7 +479,7 @@ def track_roots(
                 continue
             coeffs_at = _half_twist_path(seg.i, base_roots, grid.bits)
         else:
-            coeffs_at = _circle_path(seg.index, monic, grid.bits)
+            coeffs_at = _circle_path(seg.index, _monic(base, grid), grid.bits)
             moving = range(len(current))
         current = _track_segment(coeffs_at, moving, current, grid, max_step, stats, where)
     return MonodromyLoop(permutation=_match(current, base_roots, base_gap), refinement=StepStats(**stats))

@@ -19,10 +19,15 @@ It is built once, on Python ints. The contents of a shape lam lie in
 and with D = lcm(1, ..., h)^2 every D s_i is an integer matrix, stored as
 the one- or two-entry integer columns that every word product reads. A word
 of length L acts as D^-L times a product of them, applied to one basis
-vector at a time on sparse int vectors, with no gcd in the loop; the O(n^2)
-relations cost O(n^2 dim) in all. The exact answers come back at the edge:
+vector at a time on sparse int vectors, with no gcd in the loop. The exact
+answers come back at the edge:
 
-- a relation with sides of lengths L1 <= L2 holds exactly when the integer
+- the relations are tested on the column arrays: column c of D s_i is
+  a[c] v_c + b[c] v_{o[c]}, so each relation family has one exact,
+  sufficient integer test over c (s_i^2 = 1, the braid and the commutation
+  of one pair of letters each cost O(dim)). Only where a test fails, or
+  the build's columns have another form, are the words multiplied out: a
+  relation with sides of lengths L1 <= L2 holds exactly when the integer
   images agree after the shorter side is multiplied by D^(L2 - L1);
 - a trace is the integer diagonal sum divided by D^L, which must leave no
   remainder, as a character value is an integer;
@@ -192,24 +197,114 @@ def word_cycle_type(rep: SeminormalRep, word) -> Partition:
     return cycle_type(perm_of_word(rep.n, word))
 
 
+Arrays = tuple[list[int], list[int], list[int]]
+
+
+def _coxeter_arrays(rep: SeminormalRep) -> list[Arrays] | None:
+    """Each D s_i as three lists (a, o, b): column c is a[c] v_c + b[c] v_{o[c]}.
+
+    A one-entry column ((c, x),) reads o[c] = c and b[c] = 0; a two-entry
+    column ((c, x), (r, y)) needs r != c, a row of the basis. None when any
+    column of the build has another form, or a letter another count of them.
+    """
+    rows = range(rep.dim)
+    arrays = []
+    for cols in rep.columns:
+        if len(cols) != rep.dim:
+            return None
+        a, o, b = [], [], []
+        for c, col in enumerate(cols):
+            if len(col) == 1 and col[0][0] == c:
+                partner = (c, 0)
+            elif len(col) == 2 and col[0][0] == c != col[1][0] and col[1][0] in rows:
+                partner = col[1]
+            else:
+                return None
+            a.append(col[0][1])
+            o.append(partner[0])
+            b.append(partner[1])
+        arrays.append((a, o, b))
+    return arrays
+
+
+def _involution_holds(x: Arrays, square: int) -> bool:
+    """A sufficient test that X^2 = square times the identity, X the columns x.
+
+    X^2 v_c = (a[c]^2 + b[c] b[o[c]]) v_c + b[c] (a[c] + a[o[c]]) v_{o[c]}
+    when o[o[c]] = c, and v_c, v_{o[c]} are distinct unless b[c] = 0.
+    """
+    a, o, b = x
+    return all(o[o[c]] == c and a[c] * a[c] + b[c] * b[o[c]] == square and b[c] * (a[c] + a[o[c]]) == 0
+               for c in range(len(a)))
+
+
+def _commutation_holds(x: Arrays, y: Arrays) -> bool:
+    """A sufficient test that X Y = Y X: the paths of X Y v_c and Y X v_c, one letter
+    each time on the diagonal or to its partner, land on the same four rows
+    with equal coefficients.
+    """
+    ax, ox, bx = x
+    ay, oy, by = y
+    return all(ox[oy[c]] == oy[ox[c]] and bx[c] * ay[c] == bx[c] * ay[ox[c]]
+               and by[c] * ax[c] == by[c] * ax[oy[c]] and by[c] * bx[oy[c]] == bx[c] * by[ox[c]]
+               for c in range(len(ax)))
+
+
+def _braid_holds(x: Arrays, y: Arrays) -> bool:
+    """A sufficient test that X Y X = Y X Y.
+
+    The eight paths of each side from v_c fall in six groups by their row:
+    c (with o[o[c]] = c for both letters), o_x c, o_y c, o_x o_y c, o_y o_x c,
+    and o_x o_y o_x c on the left against o_y o_x o_y c on the right, which
+    must be one row wherever that group's coefficient is nonzero. Equal
+    coefficient sums on every group give equal images.
+    """
+    ax, ox, bx = x
+    ay, oy, by = y
+    for c in range(len(ax)):
+        xc, yc = ox[c], oy[c]
+        if ox[xc] != c or oy[yc] != c:
+            return False
+        xyx = bx[c] * by[xc] * bx[oy[xc]]
+        if xyx != by[c] * bx[yc] * by[ox[yc]] or (xyx and ox[oy[xc]] != oy[ox[yc]]):
+            return False
+        if (ax[c] * ax[c] * ay[c] + bx[c] * ay[xc] * bx[xc] != ay[c] * ay[c] * ax[c] + by[c] * ax[yc] * by[yc]
+                or bx[c] * (ay[xc] * ax[xc] + ax[c] * ay[c]) != ay[c] * bx[c] * ay[xc]
+                or by[c] * (ax[yc] * ay[yc] + ay[c] * ax[c]) != ax[c] * by[c] * ax[yc]
+                or ax[c] * by[c] * bx[yc] != by[c] * bx[yc] * ay[ox[yc]]
+                or bx[c] * by[xc] * ax[oy[xc]] != ay[c] * bx[c] * by[xc]):
+            return False
+    return True
+
+
 def check_relations(rep: SeminormalRep) -> dict[str, bool]:
     """Exact verification of the defining S_n relations on the generators.
 
     Each relation is a pair of words whose products must agree on every
-    basis vector; the integer images of the shorter word are lifted to the
-    scale of the longer one.
+    basis vector. It is first put to one exact, sufficient test on the column
+    arrays of its letters (_coxeter_arrays). Where that test fails, or the
+    build has no arrays, the words are multiplied out: the integer images of
+    the shorter word are lifted to the scale of the longer one and compared.
+    So every verdict is the literal one.
     """
     n = rep.n
     denominator = rep.denominator
+    arrays = _coxeter_arrays(rep)
+
+    def tested(test, *letters, **extra) -> bool:
+        return arrays is not None and test(*(arrays[i - 1] for i in letters), **extra)
 
     def holds(shorter, longer) -> bool:
         lift = denominator ** (len(longer) - len(shorter))
         return all(a == b for a, b in zip(_images(rep, shorter, lift), _images(rep, longer)))
 
     return {
-        "involution": all(holds([], [i, i]) for i in range(1, n)),
-        "braid": all(holds([i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, n - 1)),
-        "commutation": all(holds([i, j], [j, i]) for i in range(1, n) for j in range(i + 2, n)),
+        "involution": all(tested(_involution_holds, i, square=denominator ** 2) or holds([], [i, i])
+                          for i in range(1, n)),
+        "braid": all(tested(_braid_holds, i, i + 1) or holds([i, i + 1, i], [i + 1, i, i + 1])
+                     for i in range(1, n - 1)),
+        "commutation": all(tested(_commutation_holds, i, j) or holds([i, j], [j, i])
+                           for i in range(1, n) for j in range(i + 2, n)),
     }
 
 

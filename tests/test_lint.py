@@ -301,9 +301,10 @@ def test_the_step_loop_names_no_fraction():
     assert naming_functions(source, STEP_FUNCTIONS, {"Fraction"}) == []
 
 
-# The seminormal build and word products run on ints over one denominator D;
-# Fractions appear only at the edge, in evaluate_word and word_trace.
-INTEGER_FUNCTIONS = {"build_rep", "_images", "check_relations"}
+# The seminormal build, word products and relation tests run on ints over one
+# denominator D; Fractions appear only at the edge, in evaluate_word and word_trace.
+INTEGER_FUNCTIONS = {"build_rep", "_images", "check_relations", "_coxeter_arrays",
+                     "_involution_holds", "_commutation_holds", "_braid_holds"}
 
 
 def test_the_seminormal_build_and_products_name_no_fraction():

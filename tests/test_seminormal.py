@@ -12,11 +12,13 @@ from conftest import (
     oracle_syt_count,
 )
 
+from kronsec import seminormal
 from kronsec.characters import mn_value
 from kronsec.errors import ConsistencyError, DomainError
 from kronsec.partitions import dimension, partitions_of
 from kronsec.permutations import class_word, perm_of_word
 from kronsec.seminormal import (
+    _images,
     build_rep,
     check_relations,
     evaluate_word,
@@ -113,6 +115,146 @@ def test_check_relations_flags_corrupted_generators():
     # but s_3 s_4 != s_4 s_3.
     as_s3 = _corrupt(rep, 1, lambda c, entries: rep.columns[2][c])
     assert check_relations(as_s3) == {"involution": True, "braid": True, "commutation": False}
+
+
+SOUND = {"involution": True, "braid": True, "commutation": True}
+
+
+def literal_relations(rep):
+    """The relations decided by multiplying each pair of words out, as integer images."""
+    n = rep.n
+
+    def holds(shorter, longer):
+        lift = rep.denominator ** (len(longer) - len(shorter))
+        return all(a == b for a, b in zip(_images(rep, shorter, lift), _images(rep, longer)))
+
+    return {
+        "involution": all(holds([], [i, i]) for i in range(1, n)),
+        "braid": all(holds([i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, n - 1)),
+        "commutation": all(holds([i, j], [j, i]) for i in range(1, n) for j in range(i + 2, n)),
+    }
+
+
+def test_array_verdicts_are_the_literal_verdicts_up_to_size_9():
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            rep = build_rep(lam)
+            assert check_relations(rep) == literal_relations(rep) == SOUND
+
+
+def _corruptions(rng, rep):
+    """One seeded corruption of one letter of rep: the letter and its new column function."""
+    n, dim = rep.n, rep.dim
+    i = rng.randrange(1, n)
+    cols = rep.columns[i - 1]
+    pairs = [c for c in range(dim) if len(cols[c]) == 2]
+    kind = rng.choice(["moved", "swapped", "letter", "shuffled", "partners", "paired", "three"]
+                      if pairs else ["moved", "letter", "three"])
+    if kind == "moved":
+        target = rng.randrange(dim)
+        k = rng.randrange(len(cols[target]))
+        delta = rng.choice([-2, -1, 1, 2])
+        return i, lambda c, entries: entries if c != target else tuple(
+            (r, v + delta if m == k else v) for m, (r, v) in enumerate(entries))
+    if kind == "swapped":
+        target = rng.choice(pairs)
+        return i, lambda c, entries: entries if c != target else (
+            (entries[0][0], entries[1][1]), (entries[1][0], entries[0][1]))
+    if kind == "letter":
+        other = rng.choice([j for j in range(1, n) if j != i] or [i])
+        return i, lambda c, entries: rep.columns[other - 1][c]
+    if kind == "three":
+        target = rng.randrange(dim)
+        extra = (rng.randrange(dim), rng.choice([0, 0, 1, -rep.denominator]))
+        return i, lambda c, entries: entries if c != target else entries + (extra,)
+    # The partner rows of the two-entry columns, permuted: among all of them
+    # ("shuffled"); among columns with the same two values ("partners"), which
+    # keeps every coefficient; or, keeping the partner map an involution, by
+    # re-pairing the pairs that agree on their values and on the diagonal of
+    # a neighbouring letter ("paired"), so that every braid path with that
+    # letter meets the same coefficients and only the rows move.
+    neighbour = rep.columns[rng.choice([j for j in (i - 1, i + 1) if 1 <= j < n] or [i]) - 1]
+    values = {c: (cols[c][0][1], cols[c][1][1], neighbour[c][0][1]) for c in pairs}
+    groups = {}
+    for c in pairs:
+        r = cols[c][1][0]
+        if kind == "shuffled":
+            groups.setdefault((), []).append((c, r))
+        elif kind == "partners":
+            groups.setdefault(values[c], []).append((c, r))
+        elif c < r:
+            groups.setdefault((values[c], values[r]), []).append((c, r))
+    partner = {}
+    for group in groups.values():
+        rows = [r for _, r in group]
+        rng.shuffle(rows)
+        for (c, _), r in zip(group, rows):
+            partner[c] = r
+            if kind == "paired":
+                partner[r] = c
+    return i, lambda c, entries: entries if c not in partner else (entries[0], (partner[c], entries[1][1]))
+
+
+def test_array_verdicts_are_the_literal_verdicts_on_seeded_corruptions():
+    rng = random.Random(45)
+    shapes = [lam for n in range(3, 7) for lam in partitions_of(n) if dimension(lam) > 1]
+    verdicts = set()
+    for _ in range(480):
+        rep = build_rep(rng.choice(shapes))
+        broken = _corrupt(rep, *_corruptions(rng, rep))
+        expected = literal_relations(broken)
+        assert check_relations(broken) == expected, broken
+        verdicts.add(tuple(expected.values()))
+    assert len(verdicts) >= 5
+
+
+def test_only_the_literal_route_proves_an_involution_whose_partners_do_not_pair_up():
+    # Column c becomes D v_c + b v_c' and column c' becomes -D v_c'. The
+    # partner of c' is c' itself, so the array test fails; yet
+    # (D s)^2 v_c = D^2 v_c + (b D - D b) v_c' = D^2 v_c, so s^2 = 1 holds.
+    rep = build_rep((3, 2))
+    c, partner = next((c, entries[1][0]) for c, entries in enumerate(rep.columns[1]) if len(entries) == 2)
+    d = rep.denominator
+
+    def lopsided(k, entries):
+        if k == c:
+            return ((c, d), entries[1])
+        return ((partner, -d),) if k == partner else entries
+
+    broken = _corrupt(rep, 2, lopsided)
+    assert not seminormal._involution_holds(seminormal._coxeter_arrays(broken)[1], d * d)
+    assert check_relations(broken)["involution"] is True
+
+
+def test_a_braid_whose_paths_meet_equal_coefficients_on_other_rows_fails():
+    # Two pairs of s_5 on (3,2,1) with the same values, and the same s_4
+    # diagonal where s_4 has a partner too, trade partners. s_5 still squares
+    # to 1, and every path of s_4 s_5 s_4 and s_5 s_4 s_5 meets the
+    # coefficients it met before; only the rows of the last path group
+    # differ, so the braid fails.
+    rep = build_rep((3, 2, 1))
+    cols, neighbour = rep.columns[4], rep.columns[3]
+    groups = {}
+    for c, entries in enumerate(cols):
+        if len(entries) == 2 and len(neighbour[c]) == 2 and c < (r := entries[1][0]):
+            key = (entries[0][1], entries[1][1], neighbour[c][0][1], neighbour[r][0][1])
+            groups.setdefault(key, []).append((c, r))
+    (c1, r1), (c2, r2) = next(group for group in groups.values() if len(group) > 1)[:2]
+    partner = {c1: r2, r2: c1, c2: r1, r1: c2}
+    broken = _corrupt(rep, 5, lambda c, entries: entries if c not in partner else (
+        entries[0], (partner[c], entries[1][1])))
+    assert check_relations(broken) == literal_relations(broken) == {
+        "involution": True, "braid": False, "commutation": False}
+
+
+def test_a_sound_build_multiplies_no_words_out(monkeypatch):
+    calls = []
+    monkeypatch.setattr(seminormal, "_images", lambda *args: calls.append(args) or _images(*args))
+    assert check_relations(build_rep((4, 3, 2, 1))) == SOUND
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            assert check_relations(build_rep(lam)) == SOUND
+    assert calls == []
 
 
 def test_word_evaluation_against_dense_products():
