@@ -15,9 +15,10 @@ degree-k slice of the apolar ideal of p:
     alternative) and no finite support is reported.
 
 The minimal such k is r, the rank of the middle catalecticant. It is
-found mod a prime and certified exactly: the rows of C_mid independent mod
-p give r_p <= r, and an exact nonzero kernel of the rows of C_(r_p)
-independent mod p, checked against every row of C_(r_p), gives r <= r_p.
+found mod a prime and certified exactly: the rank r_p <= r of C_mid mod p
+is read off the linear complexity of the moments mod p (Berlekamp-Massey),
+and an exact nonzero kernel of the rows of C_(r_p) independent mod p,
+checked against every row of C_(r_p), gives r <= r_p.
 That kernel is the annihilator space of the Sylvester path. When a check
 fails (an unlucky prime) the exact route runs instead: the rank of C_mid
 over Q, then the kernel of all of C_r. Every catalecticant is built once
@@ -55,7 +56,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial, gcd, inf, lcm, nextafter
+from math import comb, factorial, gcd, inf, isqrt, lcm, nextafter
 from operator import mul
 from typing import Sequence
 
@@ -226,9 +227,13 @@ def _annihilates(basis: list[list[Fraction]], rows: list[list[int]]) -> bool:
 def _apolar_kernel(p: BinaryForm, degree_only: bool = False) -> tuple[int, list[list[Fraction]] | None]:
     """r = min_apolar_degree(p) and ratmat.kernel_basis of C_r, proven from ranks mod a prime.
 
-    With P = intpoly.SQUAREFREE_PRIME and mid = max(1, n // 2):
-      * the rows of C_mid independent mod P are independent over Q, so
-        k = max(1, their number) <= r;
+    With P = intpoly.SQUAREFREE_PRIME, read at each call, and mid = max(1, n // 2):
+      * C_mid mod P has rank min(L, n + 2 - L, mid + 1, n - mid + 1), L the
+        linear complexity of the integer moments mod P (Berlekamp-Massey):
+        the Hankel matrices of those n + 1 terms have characteristic degrees
+        L and n + 2 - L over F_P. That rank is at most r, as the rows of a
+        maximal minor nonzero mod P are independent over Q, so
+        k = max(1, rank) <= r; no row of C_mid is eliminated;
       * the exact kernel of the rows of C_k independent mod P contains
         ker C_k; a nonzero basis of it annihilating every row of C_k is
         ker C_k itself, so C_k has a kernel and r <= k.
@@ -238,12 +243,14 @@ def _apolar_kernel(p: BinaryForm, degree_only: bool = False) -> tuple[int, list[
     With degree_only, a C_mid of full rank mod P proves r = k alone (its
     rank over Q lies between), and no kernel is computed: (k, None).
     """
-    prime, mid = intpoly.SQUAREFREE_PRIME, max(1, p.degree // 2)
+    prime, n = intpoly.SQUAREFREE_PRIME, p.degree
+    mid = max(1, n // 2)
     b = _integer_moments(p)
     b_mod = [x % prime for x in b]
-    middle_rank = len(ratmat.independent_rows_mod_p(_hankel(b_mod, mid), prime))
+    length = intpoly.linear_complexity(b_mod, prime)
+    middle_rank = min(length, n + 2 - length, mid + 1, n - mid + 1)
     k = max(1, middle_rank)
-    if degree_only and middle_rank == min(p.degree - mid, mid) + 1:
+    if degree_only and middle_rank == min(n - mid, mid) + 1:
         return k, None
     rows = _hankel(b, k)
     kept = ratmat.independent_rows_mod_p(_hankel(b_mod, k), prime)
@@ -412,6 +419,9 @@ def _rational_roots(ints: list[int], approx: Sequence, taken=frozenset()) -> tup
     for j, (z, (a, b)) in enumerate(zip(approx, gauss)):
         # 4^e |z - w|^2 for the nearest other approximation w, or None
         gap = min(((a - c) ** 2 + (b - d) ** 2 for k, (c, d) in enumerate(gauss) if k != j), default=None)
+        if gap is not None and 4 * b * b >= gap:  # the test below is then false for every q: skip the walk
+            leftovers.append(z)
+            continue
         for p, q in _convergents(a, 1 << e):
             # |p/q - z| < |z - w| / 2, both sides times 2^(e+1) q and squared
             near = gap is None or 4 * (((p << e) - q * a) ** 2 + (q * b) ** 2) < q * q * gap
@@ -545,12 +555,15 @@ def _charts(at_inf: int, ints: list[int], p: BinaryForm) -> tuple:
                  for numer, s, poly, o in ((nt, st, ints, 1), (nv, sv, v, -1)))
 
 
-def _weight(charts, n: int, a: int, b: int, q: int) -> tuple[int, int, int]:
+def _weight(charts, n: int, a: int, b: int, q: int, centre: bool = False) -> tuple[int, int, int]:
     """(x, y, den), den > 0: the weight (x + y i) / den of the point (a + b i : q) in p = sum w (A x + B y)^n.
 
     A point with |A| <= |q| is read in t, where it is a root of U, and
     any other, (1 : 0) included, in tau: w = N(t) / (U'(t) q^n) or
-    N(tau) / (V'(tau) A^n), each by one exact homogeneous Horner. At an
+    N(tau) / (V'(tau) A^n), each by one exact homogeneous Horner. With
+    `centre`, q = 2^e and the weight is that of the point printed as
+    ((a + b i) / q : 1), q^n times the above: N(t) / U'(t) as it stands in
+    t, and the numerator shifted by e n in tau. At an
     exact root both charts give the same rational. At an approximate centre
     the chart where the point is small keeps its weight from carrying the
     others' error: the root near 527 of the degree-23 form
@@ -558,13 +571,16 @@ def _weight(charts, n: int, a: int, b: int, q: int) -> tuple[int, int, int]:
     near 2e-62, and read in t alone the certificate's error bound was
     7.8e-17, against 9.0e-56 in two charts.
     """
+    shift = 0
     if a * a + b * b <= q * q:
-        (numer, deriv), power = charts[0], (q**n, 0)
+        (numer, deriv), power = charts[0], (1 if centre else q**n, 0)
     else:
         (numer, deriv), power = charts[1], (1, 0)
         for _ in range(n):
             power = (power[0] * a - power[1] * b, power[0] * b + power[1] * a)
+        shift = (q.bit_length() - 1) * n if centre else 0
     x, y = intpoly.horner(numer, a, b, q)
+    x, y = x << shift, y << shift
     u, v = intpoly.horner(deriv, a, b, q)
     u, v = u * power[0] - v * power[1], u * power[1] + v * power[0]
     if not (u or v):
@@ -585,6 +601,13 @@ def _solve_coefficients_exact(points, at_inf: int, ints: list[int], p: BinaryFor
     if [comb(n, j) * x for j, (x, _) in enumerate(sums)] != [den * a for a in p.coeffs]:
         raise ConsistencyError(f"exact reconstruction mismatch for {p}")
     return coeffs
+
+
+def _decimal(text: str) -> tuple[int, int]:
+    """(d, t) with text = d 10^t exactly, for a number as mpmath.nstr prints it: [-]digits[.digits][e[+-]digits]."""
+    mantissa, _, exponent = text.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
 
 
 def _mpf(num: int, den: int, prec: int, up: bool = False):
@@ -633,8 +656,29 @@ def _gaussian_power_sum(n: int, points, weights) -> list[tuple[int, int]]:
 
 
 def _ceil_abs(x: int, y: int) -> int:
-    """The least integer no smaller than |x + y i|."""
+    """The least integer no smaller than |x + y i|; no square root when a part is 0, as on a real weight."""
+    if not (x and y):
+        return abs(x or y)
     return intpoly.ceil_sqrt(x * x + y * y)
+
+
+def _max_ceil_abs(values, extras, shift: int) -> int:
+    """max_j (_ceil_abs(*values[j]) << shift) + extras[j], with _ceil_abs taken only where it can decide.
+
+    Each |x + y i| is first bracketed by the top 64 bits of its larger part:
+    with a = |x| >> g and b = |y| >> g, isqrt(a^2 + b^2) 2^g <= _ceil_abs(x, y)
+    <= ceil_sqrt((a + 1)^2 + (b + 1)^2) 2^g, with no square of x or y taken.
+    A j whose upper end falls below the largest lower end cannot give the maximum.
+    """
+    ends = []
+    for (x, y), extra in zip(values, extras):
+        g = max(0, max(abs(x), abs(y)).bit_length() - 64)
+        a, b = abs(x) >> g, abs(y) >> g
+        ends.append(((isqrt(a * a + b * b) << (g + shift)) + extra,
+                     (intpoly.ceil_sqrt((a + 1) ** 2 + (b + 1) ** 2) << (g + shift)) + extra))
+    floor = max(low for low, _ in ends)
+    return max(((_ceil_abs(*value) << shift) + extra
+                for value, extra, (_, high) in zip(values, extras, ends) if high >= floor))
 
 
 def _solve_coefficients_numeric(points, at_inf: int, ints: list[int], p: BinaryForm, precision_bits: int):
@@ -654,10 +698,9 @@ def _solve_coefficients_numeric(points, at_inf: int, ints: list[int], p: BinaryF
     e, homog = _homogeneous(points)
     coeffs = []
     for pt, ((a, b), q) in zip(points, homog):
-        x, y, den = _weight(charts, n, a, b, q)
-        shift = 0 if pt.exact else e * n  # a centre prints as (z : 1), so its weight is q^n that of (A : q)
+        x, y, den = _weight(charts, n, a, b, q, centre=not pt.exact)  # a centre prints as (z : 1)
         with mpmath.workprec(prec):
-            coeffs.append(mpmath.mpc(_mpf(x << shift, den, prec), _mpf(y << shift, den, prec)))
+            coeffs.append(mpmath.mpc(_mpf(x, den, prec), _mpf(y, den, prec)))
     f, weights = intpoly.gaussian(coeffs)
     # Every term c_i A_i^(n-j) B_i^j over 2^(f + e n): a centre's c (A / 2^e)^(n-j) is c 2^-(e n) A^(n-j) (2^e)^j.
     weights = [(x << e * n, y << e * n) if pt.exact else (x, y) for pt, (x, y) in zip(points, weights)]
@@ -665,10 +708,10 @@ def _solve_coefficients_numeric(points, at_inf: int, ints: list[int], p: BinaryF
     target = [int(a * scale) << f + e * n for a in p.coeffs]
     sums = _gaussian_power_sum(n, homog, weights)
     sizes = _gaussian_power_sum(n, [((_ceil_abs(*a), 0), q) for a, q in homog], [(_ceil_abs(*w), 0) for w in weights])
-    worst = 0  # the largest residual plus allowance, times scale 2^(f + e n + prec)
-    for j, ((x, y), t, (size, _)) in enumerate(zip(sums, target, sizes)):
-        c = comb(n, j) * scale
-        worst = max(worst, (_ceil_abs(c * x - t, c * y) << prec) + (n + 2) * c * size)
+    # the largest residual plus allowance, times scale 2^(f + e n + prec)
+    scales = [comb(n, j) * scale for j in range(n + 1)]
+    worst = _max_ceil_abs([(c * x - t, c * y) for c, (x, y), t in zip(scales, sums, target)],
+                          [(n + 2) * c * size for c, (size, _) in zip(scales, sizes)], prec)
     bound = _mpf(worst, scale << f + e * n + prec, 53, up=True)
     if worst << precision_bits // 2 > max(map(abs, target)) << prec:
         raise PrecisionError(f"numeric reconstruction residual {mpmath.nstr(bound)} too large for {p}")
@@ -707,12 +750,16 @@ def sylvester_json(p: BinaryForm, precision_bits: int) -> dict:
     def radius(pt) -> float:
         # The certified radius about the refined centre plus the distance its
         # printed digits move it, rounded up: a disc of this radius about the
-        # printed centre holds a root.
-        n, moved = digits(pt.alpha), Fraction(0)
-        for part in (pt.alpha.real, pt.alpha.imag):
-            m, k = intpoly.dyadic(part)
-            moved += (Fraction(mpmath.nstr(part, n)) - m * Fraction(2) ** k) ** 2
-        return nextafter(pt.radius + intpoly.sqrt_up(moved), inf)
+        # printed centre holds a root. A part m 2^k printed as d 10^t moves by
+        # d 10^t - m 2^k; both parts are put over one denominator 2^twos 5^fives,
+        # and the squared distance is reduced by one gcd.
+        n = digits(pt.alpha)
+        parts = [(*_decimal(mpmath.nstr(part, n)), *intpoly.dyadic(part)) for part in (pt.alpha.real, pt.alpha.imag)]
+        fives = max(0, *(-t for _, t, _, _ in parts))
+        twos = max(fives, *(-k for _, _, _, k in parts))
+        moved = [((d * 5 ** (t + fives)) << (t + twos)) - ((m * 5**fives) << (k + twos)) for d, t, m, k in parts]
+        square = Fraction(sum(x * x for x in moved), 5 ** (2 * fives) << 2 * twos)
+        return nextafter(pt.radius + intpoly.sqrt_up(square), inf)
 
     def bound(x) -> float | str:
         # The least float no smaller than the bound wherever a normal double

@@ -244,12 +244,22 @@ def lr_coefficient(lam: Partition, om: Partition, sig: Partition) -> int:
     increasing, whose reverse reading word (each row right to left, rows top
     to bottom) is a lattice word. Pure backtracking; shapes here are tiny.
     """
+    return _lr_tableaux(*_lr_triple(lam, om, sig))
+
+
+def _lr_triple(lam, om, sig) -> tuple[Partition, Partition, Partition]:
+    """The three shapes of an LR coefficient, validated, with |sig| = |lam| + |om|."""
     lam, om, sig = validate_partition(lam), validate_partition(om), validate_partition(sig)
     if size(sig) != size(lam) + size(om):
         raise DomainError(
             f"size mismatch: |{format_partition(sig)}| != "
             f"|{format_partition(lam)}| + |{format_partition(om)}|"
         )
+    return lam, om, sig
+
+
+def _lr_tableaux(lam: Partition, om: Partition, sig: Partition) -> int:
+    """lr_coefficient on a triple _lr_triple has validated."""
     if not contains(lam, sig):
         return 0
     if not om:
@@ -299,13 +309,12 @@ def lr_by_characters(lam: Partition, om: Partition, sig: Partition) -> int:
     Sums chi^sig over concatenated cycle types, weighted by both class sizes,
     and divides by k! m! exactly. Shares nothing with the tableaux route.
     """
-    lam, om, sig = validate_partition(lam), validate_partition(om), validate_partition(sig)
+    return _lr_characters(*_lr_triple(lam, om, sig))
+
+
+def _lr_characters(lam: Partition, om: Partition, sig: Partition) -> int:
+    """lr_by_characters on a triple _lr_triple has validated."""
     k, m = size(lam), size(om)
-    if size(sig) != k + m:
-        raise DomainError(
-            f"size mismatch: |{format_partition(sig)}| != "
-            f"|{format_partition(lam)}| + |{format_partition(om)}|"
-        )
     total = 0
     for mu, mu_size in conjugacy_classes(k):
         x_lam = mn_value.cached(lam, mu)
@@ -321,9 +330,10 @@ def lr_by_characters(lam: Partition, om: Partition, sig: Partition) -> int:
 
 
 def lr_checked(lam: Partition, om: Partition, sig: Partition) -> int:
-    """Both LR routes; any disagreement aborts as an internal fault."""
-    by_tableaux = lr_coefficient(lam, om, sig)
-    by_chars = lr_by_characters(lam, om, sig)
+    """Both LR routes on one validation of the triple; any disagreement aborts as an internal fault."""
+    lam, om, sig = _lr_triple(lam, om, sig)
+    by_tableaux = _lr_tableaux(lam, om, sig)
+    by_chars = _lr_characters(lam, om, sig)
     if by_tableaux != by_chars:
         raise ConsistencyError(
             f"LR routes disagree for {format_partition(lam)}, {format_partition(om)}, "

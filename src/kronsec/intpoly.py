@@ -16,12 +16,15 @@ an inclusion disc proven small enough, then proves the discs pairwise apart
 by one integer comparison each, which makes them all the roots. `squarefree`
 and `aberth_seeds` read coefficients through `gaussian`, and
 `certified_root` takes the Gaussian integers it gives, so one code path
-serves integer and Gaussian-rational polynomials.
+serves integer and Gaussian-rational polynomials. `linear_complexity`
+(Berlekamp-Massey mod p) gives apolarity the rank of its middle
+catalecticant mod p without eliminating it.
 """
 
 import cmath
 import sys
 from math import gcd, inf, isqrt, ldexp, nextafter, pi
+from operator import mul
 
 NEWTON_ITERATIONS = 60
 # The extra fractional bits of the grids certified_root refines a root on,
@@ -86,11 +89,14 @@ def horner(pairs, a: int, b: int, q: int) -> tuple[int, int]:
     """q^d U((a + b i) / q) as a Gaussian integer (x, y), by homogeneous Horner with no rounding.
 
     That is sum_i u_i (a + b i)^i q^(d-i) for Gaussian-integer u_i; with
-    q != 0 it is (0, 0) exactly when U((a + b i) / q) = 0.
+    q != 0 it is (0, 0) exactly when U((a + b i) / q) = 0. The powers q^k
+    are shifts at a dyadic q = 2^s, the grid of every refined centre, so
+    each c q^k is one small int times a power of two; any other q, the
+    point (1 : 0) at q = 0 included, multiplies them out.
     """
-    (x, y), q_pow = pairs[-1], 1
+    (x, y), q_pow, s = pairs[-1], 1, _log2(q)
     for cr, ci in reversed(pairs[:-1]):
-        q_pow *= q
+        q_pow = q_pow * q if s is None else q_pow << s
         x, y = x * a - y * b + cr * q_pow, x * b + y * a + ci * q_pow
     return x, y
 
@@ -99,14 +105,20 @@ def horner_with_derivative(pairs, a: int, b: int, q: int):
     """horner(pairs, a, b, q) and horner(derivative(pairs), a, b, q), in one homogeneous Horner pass.
 
     With w = a + b i, each step takes D <- D w + P and P <- P w + c q^k, so
-    D ends as q^(d-1) U'(w / q) beside P = q^d U(w / q), for degree d >= 1.
+    D ends as q^(d-1) U'(w / q) beside P = q^d U(w / q), for degree d >= 1;
+    q^k as in horner.
     """
-    (x, y), (dx, dy), q_pow = pairs[-1], (0, 0), 1
+    (x, y), (dx, dy), q_pow, s = pairs[-1], (0, 0), 1, _log2(q)
     for cr, ci in reversed(pairs[:-1]):
-        q_pow *= q
+        q_pow = q_pow * q if s is None else q_pow << s
         dx, dy = dx * a - dy * b + x, dx * b + dy * a + y
         x, y = x * a - y * b + cr * q_pow, x * b + y * a + ci * q_pow
     return (x, y), (dx, dy)
+
+
+def _log2(q: int) -> int | None:
+    """s with q = 2^s, or None when q is no power of two, as q = 0 and every q < 0."""
+    return q.bit_length() - 1 if q > 0 and not q & (q - 1) else None
 
 
 def derivative(pairs):
@@ -196,6 +208,36 @@ def _coprime(a, b, reduce) -> bool:
             a = reduce(a)
         a, b = b, a
     return len(b) == 1
+
+
+def linear_complexity(seq, p: int) -> int:
+    """The linear complexity of seq mod the prime p, by Berlekamp-Massey (Massey 1969).
+
+    That is the least L with c_1, ..., c_L in F_p and s_i + c_1 s_(i-1) +
+    ... + c_L s_(i-L) = 0 mod p for i = L, ..., len(seq) - 1; 0 when every
+    term is 0 mod p. Each term costs one discrepancy of at most L products,
+    O(len(seq) L) in all. apolarity reads the rank of a Hankel matrix off
+    it: the Hankel matrices of a sequence have characteristic degrees L and
+    len(seq) + 1 - L over any field (Heinig-Rost 1984).
+    """
+    seq = [x % p for x in seq]
+    conn, prev = [1], [1]  # the connection polynomial, and the one before its last length change
+    length, gap, last = 0, 1, 1  # L, the steps since that change, and the discrepancy it met
+    for i, s in enumerate(seq):
+        d = (s + sum(map(mul, conn[1:], reversed(seq[i - length:i])))) % p
+        if not d:
+            gap += 1
+            continue
+        f = d * pow(last, -1, p)
+        new = conn + [0] * (gap + len(prev) - len(conn))
+        for j, c in enumerate(prev, start=gap):
+            new[j] = (new[j] - f * c) % p
+        if 2 * length <= i:
+            length, prev, last, gap = i + 1 - length, conn, d, 1
+        else:
+            gap += 1
+        conn = new
+    return length
 
 
 def aberth_seeds(coeffs) -> list[complex] | None:

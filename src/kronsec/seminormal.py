@@ -151,14 +151,14 @@ def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]
     D is the common denominator of rep and L the length of the word, so every
     entry is an int. Yields one sparse image per basis vector, in basis order.
     Zero entries are dropped, so two images are equal exactly when the
-    vectors are. The callers pass words already checked by validate_word.
+    vectors are; every letter, the first included, adds the entries of a
+    row its column repeats. The callers pass words already checked by
+    validate_word.
     """
     columns = [rep.columns[letter - 1] for letter in reversed(word)]
-    rest = columns[1:]
     for c in range(rep.dim):
-        # The first letter's image is its integer column, times lift.
-        vec = {r: v * lift for r, v in columns[0][c] if v} if columns else {c: lift}
-        for gen in rest:
+        vec = {c: lift}
+        for gen in columns:
             out: dict[int, int] = {}
             for k, x in vec.items():
                 for r, v in gen[k]:

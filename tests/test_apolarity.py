@@ -281,6 +281,29 @@ def test_the_package_prime_is_not_the_benchmark_oracle_prime():
     assert SQUAREFREE_PRIME != oracles.MERSENNE_61
 
 
+def test_the_middle_catalecticant_is_never_eliminated(monkeypatch):
+    # Its rank mod p comes from the linear complexity of the moments; only
+    # the rows of C_r go through independent_rows_mod_p, and a middle
+    # catalecticant of full rank mod p needs none at all.
+    widths = []
+    independent = ratmat.independent_rows_mod_p
+    monkeypatch.setattr(ratmat, "independent_rows_mod_p", lambda m, p: widths.append(len(m[0])) or independent(m, p))
+    rng = random.Random(4601)
+    for _ in range(40):
+        n = rng.randint(6, 30)
+        k = rng.randint(1, n // 2 - 1)
+        pts = rng.sample([(a, b) for a in range(-9, 10) for b in range(1, 5) if gcd(a, b) == 1], k)
+        p = form(n, oracle_power_sum_coeffs(n, pts, [rng.choice([-2, -1, 1, 3]) for _ in pts]))
+        widths.clear()
+        r, _ = apolarity._apolar_kernel(p)
+        assert r == k and widths == [k + 1], (p, widths)
+        widths.clear()
+        assert min_apolar_degree(p) == k and widths == [k + 1], (p, widths)
+    widths.clear()
+    assert min_apolar_degree(form(41, [rng.randint(-9, 9) for _ in range(42)])) == 21
+    assert widths == []
+
+
 # --- Sylvester certificates -----------------------------------------------------
 
 
@@ -475,6 +498,71 @@ def test_modular_certificate_never_claims_a_repeated_root_squarefree():
             certified += 1
             assert is_squarefree, q
     assert certified > 50
+
+
+def test_a_centre_weight_is_the_weight_of_its_homogeneous_point_times_q_to_the_n():
+    # With centre=True _weight reads ((a + b i) / 2^e : 1): N(t) / U'(t) as
+    # it stands in t, the numerator shifted by e n in tau; both charts.
+    rng = random.Random(4602)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        p = form(n, [rng.randint(-9, 9) or 1 for _ in range(n + 1)])
+        ints = [rng.randint(-9, 9) for _ in range(rng.randint(1, n))] + [rng.randint(1, 9)]
+        at_inf = rng.randint(0, 1)
+        charts = apolarity._charts(at_inf, ints, p)
+        for _ in range(6):
+            e = rng.randint(0, 200)
+            a, b = rng.randint(-(4 << e), 4 << e), rng.choice([0, rng.randint(-(4 << e), 4 << e)])
+            try:
+                x, y, den = apolarity._weight(charts, n, a, b, 1 << e, centre=True)
+            except PrecisionError:  # U' vanishes at the point
+                continue
+            hx, hy, hden = apolarity._weight(charts, n, a, b, 1 << e)
+            assert den > 0 and hden > 0
+            assert (Fraction(x, den), Fraction(y, den)) == (Fraction(hx << e * n, hden), Fraction(hy << e * n, hden))
+
+
+def test_the_bracketed_maximum_is_the_maximum_over_every_square_root():
+    rng = random.Random(4603)
+
+    def exact(x, y):
+        return intpoly.ceil_sqrt(x * x + y * y)
+
+    for _ in range(300):
+        size = rng.choice([0, 8, 64, 65, 200, 3000])
+        values = [(rng.choice([0, rng.getrandbits(size), -rng.getrandbits(size)]), rng.choice([0, rng.getrandbits(size)]))
+                  for _ in range(rng.randint(1, 8))]
+        values += rng.sample(values, rng.randint(0, len(values)))  # ties
+        extras = [rng.choice([0, rng.getrandbits(size // 2 + 8)]) for _ in values]
+        shift = rng.choice([0, 1, 96])
+        want = max((exact(*value) << shift) + extra for value, extra in zip(values, extras))
+        assert apolarity._max_ceil_abs(values, extras, shift) == want, (values, extras, shift)
+        # A zero residual whose allowance is just below the maximum does
+        # not hide the term that reaches it.
+        assert apolarity._max_ceil_abs(values + [(0, 0)], extras + [want - 1], shift) == want
+    # Parts whose bits below the bracket are all ones, near its upper end.
+    for _ in range(200):
+        g = rng.randint(1, 300)
+        x = (rng.getrandbits(64) << g) | ((1 << g) - 1)
+        y = rng.choice([0, (rng.getrandbits(64) << g) | ((1 << g) - 1)])
+        assert apolarity._max_ceil_abs([(x, y), (0, 0)], [0, exact(x, y) - 1], 0) == exact(x, y), (x, y)
+
+
+def test_ceil_abs_skips_the_square_root_of_a_real_or_imaginary_value(monkeypatch):
+    monkeypatch.setattr(intpoly, "ceil_sqrt", lambda n: pytest.fail("a square root"))
+    assert [apolarity._ceil_abs(x, y) for x, y in [(-7, 0), (0, 9), (0, 0), (3**500, 0)]] == [7, 9, 0, 3**500]
+    monkeypatch.undo()
+    assert apolarity._ceil_abs(3, -4) == 5 and apolarity._ceil_abs(1, 1) == 2
+
+
+def test_printed_digits_read_back_as_integer_times_a_power_of_ten():
+    with mpmath.workprec(200):
+        values = [mpmath.mpf(1) / 3, -mpmath.mpf(2) ** 300 / 7, mpmath.mpf(2) ** -300, mpmath.mpf(0), mpmath.mpf(-5)]
+        for x in values:
+            for digits in (1, 15, 61):
+                text = mpmath.nstr(x, digits)
+                d, t = apolarity._decimal(text)
+                assert Fraction(d) * Fraction(10) ** t == Fraction(text), text
 
 
 # --- rational supports from float seeds -----------------------------------------

@@ -384,9 +384,24 @@ def test_lr_size_mismatch_rejected():
 
 def test_lr_checked_passes_and_detects_corruption(monkeypatch):
     assert lr_checked((2, 1), (2, 1), (3, 2, 1)) == 2
-    monkeypatch.setattr(characters, "lr_by_characters", lambda *args: 99)
+    # lr_checked runs the body of each route on the triple it validated once
+    monkeypatch.setattr(characters, "_lr_characters", lambda *args: 99)
     with pytest.raises(ConsistencyError):
         lr_checked((2, 1), (2, 1), (3, 2, 1))
+
+
+def test_lr_checked_validates_each_shape_once(monkeypatch):
+    calls = []
+    validate = characters.validate_partition
+    monkeypatch.setattr(characters, "validate_partition", lambda lam: calls.append(lam) or validate(lam))
+    for triple, want in [(((2, 1), (2, 1), (3, 2, 1)), 2), (((3, 1), (2,), (4, 2)), 1), (((), (1,), (1,)), 1)]:
+        calls.clear()
+        assert lr_checked(*triple) == want
+        assert calls == list(triple)
+    calls.clear()
+    with pytest.raises(DomainError):
+        lr_checked((2,), (1,), (2, 2))
+    assert len(calls) == 3
 
 
 # --- Pieri decompositions -----------------------------------------------------

@@ -1339,10 +1339,11 @@ def test_usage_error_exits_1_not_2(capsys):
 
 def test_injected_route_corruption_exits_2(capsys, monkeypatch):
     # Exit 2 is reserved for internal cross-check failures; force one by
-    # corrupting the character-theoretic route behind the dual LR check.
+    # corrupting the character-theoretic route behind the dual LR check
+    # (lr_checked runs the body of each route on the triple it validated).
     import kronsec.characters as characters
 
-    monkeypatch.setattr(characters, "lr_by_characters", lambda *a: 10**9)
+    monkeypatch.setattr(characters, "_lr_characters", lambda *a: 10**9)
     code, out, err = run(capsys, "lr", "[1]", "[1]", "[2]")
     assert code == 2
     assert json.loads(err)["error"] == "consistency"
@@ -1351,8 +1352,8 @@ def test_injected_route_corruption_exits_2(capsys, monkeypatch):
 def test_injected_corruption_reaches_brion_sweep(capsys, monkeypatch):
     import kronsec.characters as characters
 
-    real = characters.lr_coefficient
-    monkeypatch.setattr(characters, "lr_coefficient", lambda *a: real(*a) + 1)
+    real = characters._lr_tableaux
+    monkeypatch.setattr(characters, "_lr_tableaux", lambda *a: real(*a) + 1)
     code, out, err = run(capsys, "brion-sweep", "2")
     assert code == 2
 

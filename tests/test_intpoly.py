@@ -1,8 +1,10 @@
-"""intpoly.isolate: refined seeds, each proven a root of its own, or None."""
+"""intpoly: isolate's refined seeds, each proven a root of its own or None; Horner's shift route; Berlekamp-Massey."""
 
+import random
 from fractions import Fraction
 
 import mpmath
+from conftest import oracle_rank_mod_p
 
 from kronsec import intpoly
 
@@ -48,3 +50,65 @@ def test_discs_meet_by_their_own_radii_on_their_own_grids(monkeypatch):
         monkeypatch.setattr(intpoly, "certified_root", lambda pairs, z, bits: triples[z])
         found = intpoly.isolate([(-1, 0), (0, 0), (1, 0)], [0, 1], 8)
         assert found == ([triples[0], triples[1]] if apart else None)
+
+
+def _hankel_rank(seq, k: int, p: int) -> int:
+    """Rank mod p of the Hankel matrix with rows seq[i:i + k + 1], by the conftest elimination."""
+    return oracle_rank_mod_p([seq[i:i + k + 1] for i in range(len(seq) - k)], p)
+
+
+def _sequences(rng, n: int):
+    """Length-(n + 1) sequences: moments sum_i w_i A_i^(n-m) B_i^m of small supports, the
+    points (1 : 0) and (0 : 1) among them, the unit sequences at both ends, zeros and random."""
+    points = [(1, 0), (0, 1)] + [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
+    support = rng.sample(points, rng.randint(1, 4))
+    weights = [rng.choice([-2, -1, 1, 3]) for _ in support]
+    yield [sum(w * a ** (n - m) * b**m for w, (a, b) in zip(weights, support)) for m in range(n + 1)]
+    yield [sum(w * a ** (n - m) * b**m for w, (a, b) in zip(weights, ((1, 0), (0, 1)))) for m in range(n + 1)]
+    yield [0] * n + [1]
+    yield [1] + [0] * n
+    yield [0] * (n + 1)
+    yield [rng.randint(-3, 3) for _ in range(n + 1)]
+
+
+def test_linear_complexity_gives_every_hankel_rank():
+    # The Hankel matrices of n + 1 terms have characteristic degrees L and
+    # n + 2 - L over any field, so the (n - k + 1) x (k + 1) one has rank
+    # min(L, n + 2 - L, k + 1, n - k + 1); at 43 many moments vanish mod p.
+    rng = random.Random(20261020)
+    for p in (intpoly.SQUAREFREE_PRIME, 43):
+        for _ in range(60):
+            n = rng.randint(1, 16)
+            for seq in _sequences(rng, n):
+                length = intpoly.linear_complexity(seq, p)
+                for k in range(n + 1):
+                    assert min(length, n + 2 - length, k + 1, n - k + 1) == _hankel_rank(seq, k, p), (p, seq, k)
+    assert intpoly.linear_complexity([0, 0, 0, 1], 43) == 4
+    assert intpoly.linear_complexity([5, 0, 0, 0], 43) == 1
+    assert intpoly.linear_complexity([43, 86, 0], 43) == 0
+
+
+def _homogeneous_value(pairs, a: int, b: int, q: int) -> tuple[int, int]:
+    """sum_i u_i (a + b i)^i q^(d - i), term by term on Gaussian integers (x, y) = x + y i."""
+    d, total = len(pairs) - 1, (0, 0)
+    for i, (cr, ci) in enumerate(pairs):
+        x, y = cr * q ** (d - i), ci * q ** (d - i)
+        for _ in range(i):
+            x, y = x * a - y * b, x * b + y * a
+        total = (total[0] + x, total[1] + y)
+    return total
+
+
+def test_the_shift_route_of_horner_is_the_multiply_route():
+    # q = 2^s adds shifted coefficients; q = 0, the point (1 : 0), 1, odd
+    # and negative q multiply. Every route gives the homogeneous value.
+    rng = random.Random(46)
+    for q in [0, 1, 2, 2**7, 2**100, 3, 45, -4, -1]:
+        for _ in range(20):
+            pairs = [(rng.randint(-9, 9), rng.choice([0, rng.randint(-9, 9)])) for _ in range(rng.randint(1, 9))]
+            a, b = rng.randint(-2**40, 2**40), rng.choice([0, rng.randint(-50, 50)])
+            value = _homogeneous_value(pairs, a, b, q)
+            assert intpoly.horner(pairs, a, b, q) == value, (pairs, a, b, q)
+            if len(pairs) > 1:
+                assert intpoly.horner_with_derivative(pairs, a, b, q) == (
+                    value, _homogeneous_value(intpoly.derivative(pairs), a, b, q)), (pairs, a, b, q)

@@ -273,6 +273,18 @@ def test_word_evaluation_against_dense_products():
                 assert dense_from_columns(rep.dim, evaluate_word(rep, word)) == dense
 
 
+def test_a_repeated_row_adds_up_on_the_first_letter_as_on_later_ones():
+    # Sound builds never repeat a row in a column; a hand-made one may. The
+    # first letter applied then reads the column as every later letter does,
+    # summing the entries: s_1 v_0 = 2 v_0, and [1, 1] is the square of [1].
+    rep = build_rep((2, 1))
+    doubled = _corrupt(rep, 1, lambda c, entries: ((0, rep.denominator), (0, rep.denominator)) if c == 0 else entries)
+    once = dense_from_columns(rep.dim, evaluate_word(doubled, [1]))
+    assert once[0][0] == 2
+    assert dense_from_columns(rep.dim, evaluate_word(doubled, [1, 1])) == dense_product(once, once)
+    assert word_trace(doubled, [1, 1]) == sum(dense_product(once, once)[c][c] for c in range(rep.dim))
+
+
 def test_results_are_fractions_at_the_edge():
     rep = build_rep((3, 2, 1))
     word = [1, 3, 2, 5, 4, 2]

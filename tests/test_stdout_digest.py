@@ -17,11 +17,18 @@ PINNED = """\
 forms seed=11 rounds=1 ops=96 sha256=98760925447f3e34cf328782759c8c86a43a3224bdd5312570ab34cb7ec6d1e0
 loops seed=11 rounds=1 ops=56 sha256=2b35120f55e5c5681ad8653628ede06dd57f76216836b1b500919dedca3173cf
 reps seed=11 rounds=1 ops=154 sha256=87bcfcb79da12bf757a2c31266ea82140e50efe1e6133d1cceda28ea0ee6af1e
+forms seed=21 rounds=1 ops=96 sha256=e70892e934bb9b8907e55bbfd863ac8dc5dbb5974ae94ddddd6e1b1bd1366537
 """
 
 
-def test_cli_stdout_matches_the_pinned_digests():
-    run = subprocess.run([sys.executable, str(SCRIPT), "--seeds", "11", "--rounds", "1"],
-                         capture_output=True, text=True, timeout=300)
+def _digests(*args: str) -> str:
+    run = subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == PINNED
+    return run.stdout
+
+
+def test_cli_stdout_matches_the_pinned_digests():
+    # Seed 11 for every workload; forms, whose certificates hang on the
+    # most arithmetic, at seed 21 too.
+    assert (_digests("--seeds", "11", "--rounds", "1")
+            + _digests("--workloads", "forms", "--seeds", "21", "--rounds", "1")) == PINNED
