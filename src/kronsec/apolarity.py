@@ -40,10 +40,11 @@ come back, a refinement stalls, or two discs meet.
 Every coefficient comes by partial fractions over the annihilator U
 (Kung-Rota), weight = N(t) / U'(t) for one numerator N built from the
 form, evaluated exactly on integers in the chart, t = x/y or y/x, where the
-point is small. On an exact support that gives Fractions, checked by an
-exact rebuild. On a support with approximate points, the weights at the
-refined centres are rounded to precision_bits + SOLVE_GUARD_BITS bits, and
-the error bound is the exact residual of the rebuild from them plus an
+point is small. One routine takes the weights of every support and
+rebuilds the form from them once, on integers. On an exact support the
+weights are Fractions and the rebuild's residual must be 0. Otherwise the
+weights at the refined centres are rounded to precision_bits +
+SOLVE_GUARD_BITS bits, and the error bound is the exact residual plus an
 allowance for their printed digits; no linear system is solved.
 sylvester_json prints the certificate with those digits.
 """
@@ -139,7 +140,11 @@ def parse_form(text: str) -> BinaryForm:
     m = _FORM_RE.match(require_str("form literal", text))
     if not m:
         raise DomainError(f"not a form literal: {text!r} (expected 'deg=n; coeffs=a_0,...,a_n')")
-    degree = int(m.group(1))
+    try:
+        degree = int(m.group(1))
+    except ValueError:  # past Python's int-to-string limit
+        raise DomainError(f"the form degree has more digits than Python's int-to-string limit of "
+                          f"{sys.get_int_max_str_digits()}") from None
     try:
         coeffs = tuple(Fraction(part.strip()) for part in m.group(2).split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -193,8 +198,7 @@ def _integer_moments(p: BinaryForm) -> list[int]:
     keeps every row space, so _hankel of these integers has the ranks and
     kernels of the catalecticants; ratmat clears the same row contents.
     """
-    scale = lcm(*(a.denominator for a in p.coeffs))
-    ints = [a.numerator * (scale // a.denominator) for a in p.coeffs]
+    ints, _ = _cleared(p.coeffs)
     content = gcd(*ints)
     return _moments(p.degree, [x // content for x in ints])
 
@@ -214,11 +218,16 @@ def catalecticant(p: BinaryForm, k: int) -> ratmat.Matrix:
     return [[x / (factorial(i) * factorial(n - k - i)) for x in row] for i, row in enumerate(rows)]
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with ints[i] = values[i] d, d the lcm of the denominators of the rationals `values` (1 for none)."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def _annihilates(basis: list[list[Fraction]], rows: list[list[int]]) -> bool:
     """Every vector of basis is exactly orthogonal to every integer row."""
     for v in basis:
-        scale = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (scale // x.denominator) for x in v]
+        w, _ = _cleared(v)
         if any(sum(map(mul, row, w)) for row in rows):
             return False
     return True
@@ -303,9 +312,7 @@ def _dehomogenize(coeffs: Sequence[Fraction], k: int) -> tuple[int, list[int]]:
     at_inf = 0
     while at_inf <= k and not coeffs[at_inf]:
         at_inf += 1
-    univ = [coeffs[k - d] for d in range(k - at_inf + 1)]
-    scale = lcm(*(c.denominator for c in univ))
-    return at_inf, [int(c * scale) for c in univ]
+    return at_inf, _cleared([coeffs[k - d] for d in range(k - at_inf + 1)])[0]
 
 
 # --- certified root isolation ------------------------------------------------
@@ -510,13 +517,9 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
 
     square, at_inf, ints = found
     points = _certified_roots(at_inf, ints, precision_bits)
-    all_exact = all(pt.exact for pt in points)
-    if all_exact:
-        coeffs, residual = _solve_coefficients_exact(points, at_inf, ints, p), None
-    else:
-        coeffs, residual = _solve_coefficients_numeric(points, at_inf, ints, p, precision_bits)
+    coeffs, bound = _coefficients(points, at_inf, ints, p, precision_bits)
     return SecantCertificate(rank=k, annihilator=BinaryForm(k, tuple(square)), support=tuple(points),
-                             coefficients=tuple(coeffs), support_exact=all_exact, error_bound=residual)
+                             coefficients=tuple(coeffs), support_exact=bound is None, error_bound=bound)
 
 
 def _numerator(poly: list[int], moments: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -530,8 +533,7 @@ def _numerator(poly: list[int], moments: Sequence[Fraction]) -> tuple[list[int],
     scale is the lcm of the denominators of the moments read.
     """
     d = len(poly) - 1
-    scale = lcm(*(x.denominator for x in moments[:d]))
-    s = [x.numerator * (scale // x.denominator) for x in moments[:d]]
+    s, scale = _cleared(moments[:d])
     return [sum(poly[l] * s[l - r - 1] for l in range(r + 1, d + 1)) for r in range(d)], scale
 
 
@@ -588,19 +590,6 @@ def _weight(charts, n: int, a: int, b: int, q: int, centre: bool = False) -> tup
     if not v:
         return (x, y, u) if u > 0 else (-x, -y, -u)
     return x * u + y * v, y * u - x * v, u * u + v * v
-
-
-def _solve_coefficients_exact(points, at_inf: int, ints: list[int], p: BinaryForm) -> list[Fraction]:
-    """The c_i of p = sum c_i (p_i x + q_i y)^n by partial fractions (_weight), checked by an exact rebuild."""
-    n, charts = p.degree, _charts(at_inf, ints, p)
-    pts = [(int(pt.alpha), int(pt.beta)) for pt in points]
-    coeffs = [Fraction(x, den) for x, _, den in (_weight(charts, n, a, 0, b) for a, b in pts)]
-    den = lcm(*(c.denominator for c in coeffs))
-    weights = [(c.numerator * (den // c.denominator), 0) for c in coeffs]
-    sums = _gaussian_power_sum(n, [((a, 0), b) for a, b in pts], weights)
-    if [comb(n, j) * x for j, (x, _) in enumerate(sums)] != [den * a for a in p.coeffs]:
-        raise ConsistencyError(f"exact reconstruction mismatch for {p}")
-    return coeffs
 
 
 def _decimal(text: str) -> tuple[int, int]:
@@ -681,37 +670,48 @@ def _max_ceil_abs(values, extras, shift: int) -> int:
                 for value, extra, (_, high) in zip(values, extras, ends) if high >= floor))
 
 
-def _solve_coefficients_numeric(points, at_inf: int, ints: list[int], p: BinaryForm, precision_bits: int):
-    """The weights of a support with approximate points, and a proven bound on the rebuild from their printing.
+def _coefficients(points, at_inf: int, ints: list[int], p: BinaryForm, precision_bits: int):
+    """The c_i of p = sum c_i (A_i x + B_i y)^n, _weight at each point or centre, and the bound of their rebuild.
 
-    Each weight is _weight at its point, exact or the refined centre,
-    rounded to prec = precision_bits + SOLVE_GUARD_BITS bits a part. The
-    bound is exact: the largest |sum_i C(n, j) c_i A_i^(n-j) B_i^j - a_j|
-    over the values returned, on integers, plus (n + 2) 2^-prec times
-    sum_i C(n, j) |c_i| |A_i|^(n-j) |B_i|^j, which covers any printing of
-    each part within a relative 2^-prec (a term's n + 1 factors each err by
-    at most that), rounded up to an mpf. A bound above 2^-(precision_bits // 2)
-    of the largest coefficient is a PrecisionError.
+    The form is rebuilt once, on integers over one denominator D. On an
+    all-exact support the weights are Fractions over their lcm D, the
+    residual must be exactly 0 (else a ConsistencyError), and the bound is
+    None. Otherwise each weight is rounded to prec = precision_bits +
+    SOLVE_GUARD_BITS bits a part, and the bound is exact: the largest
+    |sum_i C(n, j) c_i A_i^(n-j) B_i^j - a_j| over the values returned,
+    plus (n + 2) 2^-prec times sum_i C(n, j) |c_i| |A_i|^(n-j) |B_i|^j,
+    which covers any printing of each part within a relative 2^-prec (a
+    term's n + 1 factors each err by at most that), rounded up to an mpf.
+    A bound above 2^-(precision_bits // 2) of the largest coefficient is a
+    PrecisionError.
     """
     n, prec = p.degree, precision_bits + SOLVE_GUARD_BITS
     charts = _charts(at_inf, ints, p)
     e, homog = _homogeneous(points)
-    coeffs = []
-    for pt, ((a, b), q) in zip(points, homog):
-        x, y, den = _weight(charts, n, a, b, q, centre=not pt.exact)  # a centre prints as (z : 1)
+    # a centre prints as (z : 1)
+    weights = [_weight(charts, n, a, b, q, centre=not pt.exact) for pt, ((a, b), q) in zip(points, homog)]
+    target, scale = _cleared(p.coeffs)
+    exact = all(pt.exact for pt in points)
+    if exact:
+        coeffs = [Fraction(x, den) for x, _, den in weights]
+        numerators, den = _cleared(coeffs)
+        weights, target = [(x, 0) for x in numerators], [t * den for t in target]
+    else:
         with mpmath.workprec(prec):
-            coeffs.append(mpmath.mpc(_mpf(x, den, prec), _mpf(y, den, prec)))
-    f, weights = intpoly.gaussian(coeffs)
-    # Every term c_i A_i^(n-j) B_i^j over 2^(f + e n): a centre's c (A / 2^e)^(n-j) is c 2^-(e n) A^(n-j) (2^e)^j.
-    weights = [(x << e * n, y << e * n) if pt.exact else (x, y) for pt, (x, y) in zip(points, weights)]
-    scale = lcm(*(a.denominator for a in p.coeffs))
-    target = [int(a * scale) << f + e * n for a in p.coeffs]
-    sums = _gaussian_power_sum(n, homog, weights)
+            coeffs = [mpmath.mpc(_mpf(x, den, prec), _mpf(y, den, prec)) for x, y, den in weights]
+        f, weights = intpoly.gaussian(coeffs)
+        # Every term c_i A_i^(n-j) B_i^j over 2^(f + e n): a centre's c (A / 2^e)^(n-j) is c 2^-(e n) A^(n-j) (2^e)^j.
+        weights = [(x << e * n, y << e * n) if pt.exact else (x, y) for pt, (x, y) in zip(points, weights)]
+        target = [t << f + e * n for t in target]
+    scales = [comb(n, j) * scale for j in range(n + 1)]
+    residuals = [(c * x - t, c * y) for c, (x, y), t in zip(scales, _gaussian_power_sum(n, homog, weights), target)]
+    if exact:
+        if any(x or y for x, y in residuals):
+            raise ConsistencyError(f"exact reconstruction mismatch for {p}")
+        return coeffs, None
     sizes = _gaussian_power_sum(n, [((_ceil_abs(*a), 0), q) for a, q in homog], [(_ceil_abs(*w), 0) for w in weights])
     # the largest residual plus allowance, times scale 2^(f + e n + prec)
-    scales = [comb(n, j) * scale for j in range(n + 1)]
-    worst = _max_ceil_abs([(c * x - t, c * y) for c, (x, y), t in zip(scales, sums, target)],
-                          [(n + 2) * c * size for c, (size, _) in zip(scales, sizes)], prec)
+    worst = _max_ceil_abs(residuals, [(n + 2) * c * size for c, (size, _) in zip(scales, sizes)], prec)
     bound = _mpf(worst, scale << f + e * n + prec, 53, up=True)
     if worst << precision_bits // 2 > max(map(abs, target)) << prec:
         raise PrecisionError(f"numeric reconstruction residual {mpmath.nstr(bound)} too large for {p}")

@@ -166,9 +166,9 @@ def _sink(cfg: Config):
 def _emit(obj: dict, cfg: Config, human: bool) -> None:
     with _sink(cfg) as out:
         if human:
-            out.write(json.dumps(obj, indent=2, default=str, allow_nan=False) + "\n")
+            out.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
         else:
-            out.write(json.dumps(obj, separators=(",", ":"), default=str, allow_nan=False) + "\n")
+            out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _cmd_chartable(args, cfg: Config) -> dict | None:
@@ -248,11 +248,21 @@ def _cmd_sylvester(args, cfg: Config) -> dict:
     return apolarity.sylvester_json(apolarity.parse_form(args.form), cfg.precision_bits)
 
 
-def _cmd_vdm(args, cfg: Config) -> dict:
+def _json_arg(text: str, failure: str):
+    """The CLI's one JSON reader: json.loads(text), or a DomainError "failure: reason".
+
+    Besides malformed JSON, json.loads raises ValueError for an integer past
+    Python's int-to-string limit and RecursionError for nesting past the
+    recursion limit; each is a fault of the input.
+    """
     try:
-        raw = json.loads(args.nodes)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"nodes must be a JSON list: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise DomainError(f"{failure}: {exc}") from None
+
+
+def _cmd_vdm(args, cfg: Config) -> dict:
+    raw = _json_arg(args.nodes, "nodes must be a JSON list")
     if not isinstance(raw, list):
         raise DomainError("nodes must be a JSON list")
     return {"rank": apolarity.vandermonde_rank(raw, args.degree)}
@@ -308,11 +318,7 @@ def _cmd_monodromy(args, cfg: Config) -> dict:
                     text = fh.read()
             except OSError as exc:
                 raise DomainError(f"cannot read loop spec {args.spec}: {exc}") from None
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"loop spec is not valid JSON: {exc}") from None
-        base, segments, tolerance = monodromy.parse_loop_spec(data)
+        base, segments, tolerance = monodromy.parse_loop_spec(_json_arg(text, "loop spec is not valid JSON"))
         n = len(base) - 1
         _require_within(f"loop base of degree {n}", n, cfg.n_cap)
         letters = sum(n if isinstance(seg, monodromy.CoefficientCircle) else 1 for seg in segments)

@@ -8,6 +8,7 @@ so enumeration results can be cached and used as dict keys downstream.
 from __future__ import annotations
 
 import re
+import sys
 from math import factorial
 from typing import NamedTuple
 
@@ -165,7 +166,12 @@ def parse_partition(text: str) -> Partition:
     body = s[1:-1].strip()
     if not body:
         return ()
-    return validate_partition(int(p) for p in body.split(","))
+    try:
+        parts = [int(p) for p in body.split(",")]
+    except ValueError:  # past Python's int-to-string limit
+        raise DomainError(f"a partition part has more digits than Python's int-to-string limit of "
+                          f"{sys.get_int_max_str_digits()}") from None
+    return validate_partition(parts)
 
 
 def format_partition(lam: Partition) -> str:

@@ -218,6 +218,19 @@ def _oracle_apolar_kernel(p):
     return r, basis
 
 
+def test_cleared_puts_rationals_over_their_least_common_denominator():
+    rng = random.Random(4701)
+    cases = [[], [0], [5, -3], [Fraction(-1, 2), 0, 3], [Fraction(0), Fraction(-7, 6), Fraction(5, 4)]]
+    cases += [[rng.choice([rng.randint(-99, 99), Fraction(rng.randint(-99, 99), rng.randint(1, 60))])
+               for _ in range(rng.randint(1, 8))] for _ in range(300)]
+    for values in cases:
+        ints, d = apolarity._cleared(values)
+        assert all(type(x) is int for x in ints) and type(d) is int and d >= 1, values
+        assert [Fraction(x, d) for x in ints] == [Fraction(v) for v in values], values
+        # d is the least: a prime dividing d and every ints[i] would divide out of both
+        assert gcd(d, *ints) == 1, values
+
+
 def _middle_rank_mod_p(p, prime: int) -> int:
     """Rank mod prime of the middle catalecticant of p scaled to coprime integer coefficients."""
     scale = lcm(*(c.denominator for c in p.coeffs))
@@ -372,7 +385,7 @@ def test_exact_coefficients_check_the_rebuilt_form():
     cert = sylvester_decompose(form(3, [1, 0, 0, 1]))
     at_inf, ints = _dehomogenize(cert.annihilator.coeffs, 2)
     with pytest.raises(ConsistencyError):
-        apolarity._solve_coefficients_exact(cert.support, at_inf, ints, form(3, [1, 0, 1, 1]))
+        apolarity._coefficients(cert.support, at_inf, ints, form(3, [1, 0, 1, 1]), 96)
 
 
 def test_sylvester_irrational_support_is_certified_numerically():
@@ -978,12 +991,12 @@ def test_a_singular_numeric_solve_is_a_precision_error():
     # The centre 0 of U = t^2 - 2 is a zero of U', where no partial fraction exists.
     zero = apolarity.SupportPoint(mpmath.mpc(0), mpmath.mpf(1), exact=False, radius=2.0)
     with pytest.raises(PrecisionError, match="singular"):
-        apolarity._solve_coefficients_numeric([zero, zero], 0, [-2, 0, 1], form(4, [2, 0, 24, 0, 8]), 96)
+        apolarity._coefficients([zero, zero], 0, [-2, 0, 1], form(4, [2, 0, 24, 0, 8]), 96)
     # Two equal centres off the roots of the annihilator xy of x^3 + y^3 each
     # take a weight, and the rebuild's residual refuses them.
     two = apolarity.SupportPoint(mpmath.mpc(2), mpmath.mpf(1), exact=False, radius=2.0**-100)
     with pytest.raises(PrecisionError, match="residual"):
-        apolarity._solve_coefficients_numeric([two, two], 1, [0, 1], form(3, [1, 0, 0, 1]), 96)
+        apolarity._coefficients([two, two], 1, [0, 1], form(3, [1, 0, 0, 1]), 96)
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

@@ -582,6 +582,34 @@ def test_malformed_literals_are_domain_errors(capsys, tmp_path, argv):
     assert [f.name for f in tmp_path.iterdir()] == ["five.json"]
 
 
+# Past Python's int-to-string limit of 4300 digits, int() and json.loads
+# raise ValueError; JSON nested past the recursion limit raises RecursionError.
+_DIGITS = "9" * 5000
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sylvester", f"deg={_DIGITS}; coeffs=1,0"], id="sylvester-degree"),
+    pytest.param(["secant", f"deg={_DIGITS}; coeffs=1,0", "1"], id="secant-degree"),
+    pytest.param(["join", f"deg={_DIGITS}; coeffs=1,0", "deg=1; coeffs=1,0"], id="join-degree"),
+    pytest.param(["kron", f"[{_DIGITS}]", "[1]", "[1]"], id="kron-part"),
+    pytest.param(["lr", "[1]", "[1]", f"[{_DIGITS}]"], id="lr-part"),
+    pytest.param(["tensor", f"[{_DIGITS}]", "[1]"], id="tensor-part"),
+    pytest.param(["pieri", f"[{_DIGITS}]", "1"], id="pieri-part"),
+    pytest.param(["rep-check", f"[{_DIGITS}]"], id="rep-check-part"),
+    pytest.param(["vdm", f"[{_DIGITS}]", "2"], id="vdm-node"),
+    pytest.param(["vdm", _NESTED, "2"], id="vdm-nested"),
+    pytest.param(["monodromy", "--spec", f'{{"base": [{_DIGITS}, 0, 1], "segments": []}}'], id="spec-base"),
+    pytest.param(["monodromy", "--spec", f'{{"base": [-1, 0, 1], "segments": [], "tolerance": {_DIGITS}}}'],
+                 id="spec-tolerance"),
+    pytest.param(["monodromy", "--spec", f'{{"base": {_NESTED}}}'], id="spec-nested"),
+])
+def test_oversized_literals_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_monodromy_needs_exactly_one_mode(capsys):
     code, out, err = run(capsys, "monodromy", "--n", "4")
     assert code == 1
@@ -1088,6 +1116,15 @@ def test_a_bound_below_the_double_range_prints_as_digits(capsys):
 def test_no_command_prints_a_non_finite_number(capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "secant", lambda args, cfg: {"error_bound": math.inf})
     code, out, err = run(capsys, "secant", "deg=2; coeffs=1,0,1", "1")
+    assert (code, out) == (2, "")
+    assert _strict_json(err)["error"] == "internal"
+
+
+@pytest.mark.parametrize("human", [False, True], ids=["compact", "human"])
+def test_a_value_json_cannot_write_is_an_internal_error(capsys, monkeypatch, human):
+    # A stray Fraction would otherwise print silently as the string "1/3".
+    monkeypatch.setitem(cli._COMMANDS, "secant", lambda args, cfg: {"kernel_dimension": Fraction(1, 3)})
+    code, out, err = run(capsys, *(["--human"] if human else []), "secant", "deg=2; coeffs=1,0,1", "1")
     assert (code, out) == (2, "")
     assert _strict_json(err)["error"] == "internal"
 

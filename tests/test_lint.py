@@ -9,7 +9,9 @@ names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
 standard library, kronsec/cli.py imports no arithmetic, one function climbs
 intpoly.RUNGS and one calls intpoly.certified_root, the loop tracker's step
 loop runs on ints, naming no Fraction, kronecker and tensor_decompose name no
-character table, and characters.py expands only the tails of classes.
+character table, characters.py expands only the tails of classes,
+apolarity.py takes the lcm of denominators in one function and cli.py reads
+JSON in one function.
 """
 
 import ast
@@ -266,6 +268,44 @@ def test_one_function_proves_the_roots_complete():
     calls = [f"{path.stem}.{where}" for path in PACKAGE_MODULES
              for where in calls_of(path.read_text(encoding="utf-8"), "certified_root")]
     assert calls == ["intpoly.isolate"]
+
+
+def denominator_lcms(source: str) -> list[str]:
+    """The innermost enclosing function of each call of lcm or x.lcm whose arguments read a .denominator."""
+    return enclosing_functions(source, lambda node: isinstance(node, ast.Call) and "lcm" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)) and any(
+        isinstance(n, ast.Attribute) and n.attr == "denominator" for arg in node.args for n in ast.walk(arg)))
+
+
+def test_the_scan_finds_every_lcm_of_denominators():
+    source = (
+        "def _cleared(values):\n    return lcm(*(x.denominator for x in values))\n"
+        "def moments(p):\n    scale = math.lcm(*(a.denominator for a in p.coeffs))\n    return scale\n"
+        "def order(n):\n    return lcm(*range(1, n + 1))\n"
+        "DEN = lcm(*(c.denominator for c in COEFFS))\n"
+    )
+    assert denominator_lcms(source) == ["_cleared", "moments", "<module>"]
+
+
+def test_apolarity_clears_denominators_in_one_function():
+    # One rule puts rationals over one denominator, so no site clears them its own way.
+    assert denominator_lcms((PACKAGE / "apolarity.py").read_text(encoding="utf-8")) == ["_cleared"]
+
+
+def test_the_scan_finds_every_json_read():
+    source = (
+        "def _json_arg(text):\n    return json.loads(text)\n"
+        "def _cmd_vdm(args):\n    try:\n        return loads(args.nodes)\n    except ValueError:\n        return None\n"
+        "def _emit(obj):\n    return json.dumps(obj)\n"
+    )
+    assert calls_of(source, "loads") == ["_json_arg", "_cmd_vdm"]
+
+
+def test_the_cli_reads_json_in_one_function():
+    # json.loads raises JSONDecodeError, ValueError past the int-to-string
+    # limit and RecursionError past the recursion limit: one reader turns
+    # them all into a domain error.
+    assert calls_of((PACKAGE / "cli.py").read_text(encoding="utf-8"), "loads") == ["_json_arg"]
 
 
 # The functions of monodromy that run once per tracking step or path point.
