@@ -432,7 +432,17 @@ _COMMANDS = {
 }
 
 
+# The longest error message written whole. A longer one, most often a message
+# that quotes an oversized argument, keeps its first and last
+# ERROR_MESSAGE_LIMIT // 2 characters, since the reason often comes last.
+ERROR_MESSAGE_LIMIT = 1000
+
+
 def _error_line(kind: str, message: str) -> None:
+    if len(message) > ERROR_MESSAGE_LIMIT:
+        keep = ERROR_MESSAGE_LIMIT // 2
+        cut = len(message) - 2 * keep
+        message = f"{message[:keep]} ... [{cut} of {len(message)} characters cut] ... {message[-keep:]}"
     sys.stderr.write(json.dumps({"error": kind, "message": message},
                                 separators=(",", ":")) + "\n")
 

@@ -17,18 +17,18 @@ a row or a column.
 It is built once, on Python ints. The contents of a shape lam lie in
 [1 - l, lam_1 - 1], l its number of rows, so 1 <= |d| <= lam_1 + l - 2 = h,
 and with D = lcm(1, ..., h)^2 every D s_i is an integer matrix, stored as
-the one- or two-entry integer columns that every word product reads. A word
-of length L acts as D^-L times a product of them, applied to one basis
-vector at a time on sparse int vectors, with no gcd in the loop. The exact
-answers come back at the edge:
+three integer arrays (a, o, b): column c of D s_i is a[c] v_c + b[c] v_{o[c]},
+a diagonal entry and at most one partner entry. Every word product and every
+relation test reads these arrays. A word of length L acts as D^-L times a
+product of them, applied to one basis vector at a time on sparse int
+vectors, with no gcd in the loop. The exact answers come back at the edge:
 
-- the relations are tested on the column arrays: column c of D s_i is
-  a[c] v_c + b[c] v_{o[c]}, so each relation family has one exact,
-  sufficient integer test over c (s_i^2 = 1, the braid and the commutation
-  of one pair of letters each cost O(dim)). Only where a test fails, or
-  the build's columns have another form, are the words multiplied out: a
-  relation with sides of lengths L1 <= L2 holds exactly when the integer
-  images agree after the shorter side is multiplied by D^(L2 - L1);
+- each relation family has one exact, sufficient integer test over c on
+  the arrays (s_i^2 = 1, the braid and the commutation of one pair of
+  letters each cost O(dim)). Only where a test fails are the words
+  multiplied out: a relation with sides of lengths L1 <= L2 holds exactly
+  when the integer images agree after the shorter side is multiplied by
+  D^(L2 - L1);
 - a trace is the integer diagonal sum divided by D^L, which must leave no
   remainder, as a character value is an integer;
 - evaluate_word divides each integer entry by D^L into a Fraction, so
@@ -88,24 +88,40 @@ def _standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
 
 
 Column = tuple[tuple[int, Fraction], ...]
-IntColumn = tuple[tuple[int, int], ...]
+Arrays = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class SeminormalRep:
     """Exact action of the adjacent transpositions s_1 .. s_{n-1}.
 
-    columns[i - 1][c] is column c of D s_i, D = denominator: the (row, int)
-    pairs of D s_i v_c, v_c the basis vector of standard_tableaux(shape)[c].
-    They are D or -D when |d| = 1, else D // d and then D or D - D // (d * d);
-    both divisions are exact, as d^2 divides D = lcm(1, ..., h)^2 for |d| <= h.
+    arrays[i - 1] = (a, o, b), three tuples of dim ints: column c of D s_i,
+    D = denominator, is a[c] v_c + b[c] v_{o[c]}, v_c the basis vector of
+    standard_tableaux(shape)[c]. build_rep writes a[c] = D // d for the axial
+    distance d, and o[c] = c, b[c] = 0 when |d| = 1, else the tableau with
+    i, i+1 swapped and D or D - D // (d * d); both divisions are exact, as
+    d^2 divides D = lcm(1, ..., h)^2 for |d| <= h. Arrays other than n - 1
+    letters of three tuples of dim ints, each partner a row 0 <= o[c] < dim,
+    are a DomainError.
     """
 
     shape: Partition
     n: int
     dim: int
     denominator: int
-    columns: tuple[tuple[IntColumn, ...], ...]
+    arrays: tuple[Arrays, ...]
+
+    def __post_init__(self):
+        rows = set(range(self.dim))
+        if not (type(self.arrays) is tuple and len(self.arrays) == self.n - 1 and all(
+                type(letter) is tuple and len(letter) == 3
+                and all(type(part) is tuple and len(part) == self.dim and set(map(type, part)) <= {int}
+                        for part in letter)
+                and rows.issuperset(letter[1]) for letter in self.arrays)):
+            raise DomainError(
+                f"a seminormal representation of S_{self.n} needs n - 1 letters, each three tuples "
+                f"(a, o, b) of {self.dim} ints with every partner 0 <= o[c] < {self.dim}"
+            )
 
 
 def build_rep(lam: Partition) -> SeminormalRep:
@@ -128,21 +144,20 @@ def build_rep(lam: Partition) -> SeminormalRep:
     index = {content: c for c, content in enumerate(contents)}
     h = lam[0] + len(lam) - 2  # every axial distance has 1 <= |d| <= h
     denominator = lcm(*range(1, h + 1)) ** 2
-    columns = []
+    arrays = []
     for i in range(1, n):
-        cols: list[IntColumn] = []
+        a, o, b = [], [], []
         for c, content in enumerate(contents):
             d = content[i] - content[i - 1]
-            if d == 1:
-                cols.append(((c, denominator),))
-            elif d == -1:
-                cols.append(((c, -denominator),))
+            a.append(denominator // d)
+            if d in (1, -1):
+                o.append(c)
+                b.append(0)
             else:
-                other = index[content[:i - 1] + (content[i], content[i - 1]) + content[i + 1:]]
-                beta = denominator if d > 0 else denominator - denominator // (d * d)
-                cols.append(((c, denominator // d), (other, beta)))
-        columns.append(tuple(cols))
-    return SeminormalRep(shape=lam, n=n, dim=dim, denominator=denominator, columns=tuple(columns))
+                o.append(index[content[:i - 1] + (content[i], content[i - 1]) + content[i + 1:]])
+                b.append(denominator if d > 0 else denominator - denominator // (d * d))
+        arrays.append((tuple(a), tuple(o), tuple(b)))
+    return SeminormalRep(shape=lam, n=n, dim=dim, denominator=denominator, arrays=tuple(arrays))
 
 
 def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]:
@@ -150,19 +165,20 @@ def _images(rep: SeminormalRep, word, lift: int = 1) -> Iterator[dict[int, int]]
 
     D is the common denominator of rep and L the length of the word, so every
     entry is an int. Yields one sparse image per basis vector, in basis order.
-    Zero entries are dropped, so two images are equal exactly when the
-    vectors are; every letter, the first included, adds the entries of a
-    row its column repeats. The callers pass words already checked by
-    validate_word.
+    Each letter adds a[k] x to row k and b[k] x to row o[k] for every entry x
+    at row k; zero entries are dropped, so two images are equal exactly when
+    the vectors are. The callers pass words already checked by validate_word.
     """
-    columns = [rep.columns[letter - 1] for letter in reversed(word)]
+    letters = [rep.arrays[letter - 1] for letter in reversed(word)]
     for c in range(rep.dim):
         vec = {c: lift}
-        for gen in columns:
+        for a, o, b in letters:
             out: dict[int, int] = {}
             for k, x in vec.items():
-                for r, v in gen[k]:
-                    out[r] = out.get(r, 0) + v * x
+                out[k] = out.get(k, 0) + a[k] * x
+                if b[k]:
+                    r = o[k]
+                    out[r] = out.get(r, 0) + b[k] * x
             vec = {r: x for r, x in out.items() if x}
         yield vec
 
@@ -197,41 +213,11 @@ def word_cycle_type(rep: SeminormalRep, word) -> Partition:
     return cycle_type(perm_of_word(rep.n, word))
 
 
-Arrays = tuple[list[int], list[int], list[int]]
-
-
-def _coxeter_arrays(rep: SeminormalRep) -> list[Arrays] | None:
-    """Each D s_i as three lists (a, o, b): column c is a[c] v_c + b[c] v_{o[c]}.
-
-    A one-entry column ((c, x),) reads o[c] = c and b[c] = 0; a two-entry
-    column ((c, x), (r, y)) needs r != c, a row of the basis. None when any
-    column of the build has another form, or a letter another count of them.
-    """
-    rows = range(rep.dim)
-    arrays = []
-    for cols in rep.columns:
-        if len(cols) != rep.dim:
-            return None
-        a, o, b = [], [], []
-        for c, col in enumerate(cols):
-            if len(col) == 1 and col[0][0] == c:
-                partner = (c, 0)
-            elif len(col) == 2 and col[0][0] == c != col[1][0] and col[1][0] in rows:
-                partner = col[1]
-            else:
-                return None
-            a.append(col[0][1])
-            o.append(partner[0])
-            b.append(partner[1])
-        arrays.append((a, o, b))
-    return arrays
-
-
 def _involution_holds(x: Arrays, square: int) -> bool:
-    """A sufficient test that X^2 = square times the identity, X the columns x.
+    """A sufficient test that X^2 = square times the identity, X the letter with arrays x.
 
     X^2 v_c = (a[c]^2 + b[c] b[o[c]]) v_c + b[c] (a[c] + a[o[c]]) v_{o[c]}
-    when o[o[c]] = c, and v_c, v_{o[c]} are distinct unless b[c] = 0.
+    when o[o[c]] = c, whether or not o[c] = c.
     """
     a, o, b = x
     return all(o[o[c]] == c and a[c] * a[c] + b[c] * b[o[c]] == square and b[c] * (a[c] + a[o[c]]) == 0
@@ -281,29 +267,24 @@ def check_relations(rep: SeminormalRep) -> dict[str, bool]:
     """Exact verification of the defining S_n relations on the generators.
 
     Each relation is a pair of words whose products must agree on every
-    basis vector. It is first put to one exact, sufficient test on the column
-    arrays of its letters (_coxeter_arrays). Where that test fails, or the
-    build has no arrays, the words are multiplied out: the integer images of
-    the shorter word are lifted to the scale of the longer one and compared.
-    So every verdict is the literal one.
+    basis vector. It is first put to one exact, sufficient test on the
+    arrays of its letters. Where that test fails, the words are multiplied
+    out: the integer images of the shorter word are lifted to the scale of
+    the longer one and compared. So every verdict is the literal one.
     """
-    n = rep.n
+    n, arrays = rep.n, rep.arrays
     denominator = rep.denominator
-    arrays = _coxeter_arrays(rep)
-
-    def tested(test, *letters, **extra) -> bool:
-        return arrays is not None and test(*(arrays[i - 1] for i in letters), **extra)
 
     def holds(shorter, longer) -> bool:
         lift = denominator ** (len(longer) - len(shorter))
         return all(a == b for a, b in zip(_images(rep, shorter, lift), _images(rep, longer)))
 
     return {
-        "involution": all(tested(_involution_holds, i, square=denominator ** 2) or holds([], [i, i])
+        "involution": all(_involution_holds(arrays[i - 1], denominator ** 2) or holds([], [i, i])
                           for i in range(1, n)),
-        "braid": all(tested(_braid_holds, i, i + 1) or holds([i, i + 1, i], [i + 1, i, i + 1])
+        "braid": all(_braid_holds(arrays[i - 1], arrays[i]) or holds([i, i + 1, i], [i + 1, i, i + 1])
                      for i in range(1, n - 1)),
-        "commutation": all(tested(_commutation_holds, i, j) or holds([i, j], [j, i])
+        "commutation": all(_commutation_holds(arrays[i - 1], arrays[j - 1]) or holds([i, j], [j, i])
                            for i in range(1, n) for j in range(i + 2, n)),
     }
 

@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 import signal
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -399,3 +400,16 @@ def dense_product(a, b) -> list[list[Fraction]]:
 
 def dense_identity(dim: int) -> list[list[Fraction]]:
     return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+
+
+def corrupted(rep, letter: int, a=None, o=None, b=None):
+    """A seminormal rep with the arrays (a, o, b) of one letter changed.
+
+    Each of a, o and b that is given is either a dict of the entries to
+    change, c -> new entry, or a whole new tuple; the rest of rep is kept.
+    """
+    arrays = list(rep.arrays)
+    arrays[letter - 1] = tuple(
+        new if isinstance(new, tuple) else tuple((new or {}).get(c, x) for c, x in enumerate(old))
+        for old, new in zip(arrays[letter - 1], (a, o, b)))
+    return replace(rep, arrays=tuple(arrays))

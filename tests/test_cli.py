@@ -15,7 +15,7 @@ from itertools import dropwhile
 
 import mpmath
 import pytest
-from conftest import Overtime, oracle_power_sum_coeffs, spread_half_twist, within_seconds
+from conftest import Overtime, corrupted, oracle_power_sum_coeffs, spread_half_twist, within_seconds
 
 from kronsec import apolarity, brionlab, cli, intpoly, monodromy, ratmat, seminormal
 from kronsec.apolarity import parse_form
@@ -610,6 +610,70 @@ def test_oversized_literals_are_domain_errors(capsys, argv):
     assert json.loads(err)["error"] == "domain"
 
 
+# An error message quotes the argument it rejects, and a long argument must
+# not make a stderr line of its own size: past cli.ERROR_MESSAGE_LIMIT
+# characters the message keeps its head and its tail, with the cut counted.
+_LETTERED = "x" + _DIGITS
+_LONG_PATH = "/".join(["a" * 200] * 25)
+
+
+@pytest.mark.parametrize("argv, kind, head, tail", [
+    pytest.param(["sylvester", f"deg=1; coeffs=1,{_DIGITS}"], "domain",
+                 "bad coefficient list in 'deg=1; coeffs=1,999", "to increase the limit", id="sylvester-digits"),
+    pytest.param(["sylvester", f"deg=1; coeffs=1,{_LETTERED}"], "domain",
+                 "bad coefficient list in 'deg=1; coeffs=1,x999", "999'", id="sylvester-letter"),
+    pytest.param(["vdm", json.dumps([[_LETTERED, 1]]), "2"], "domain", "bad node ['x999", "999'", id="vdm-node"),
+    pytest.param(["monodromy", "--spec", json.dumps({"base": [-1, 0, 1], "segments": [f"half_twist({_DIGITS})"]})],
+                 "domain", "bad segment argument in 'half_twist(999", "to increase the limit", id="spec-half-twist"),
+    pytest.param(["monodromy", "--spec", json.dumps({"base": [_LETTERED, 0, 1], "segments": []})],
+                 "domain", "bad complex coefficient 'x999", "999'", id="spec-base"),
+    pytest.param(["monodromy", "--spec", json.dumps({"base": [-1, 0, 1], "segments": [], "tolerance": _LETTERED})],
+                 "domain", "tolerance must be a number, got 'x999", "999'", id="spec-tolerance"),
+    pytest.param(["monodromy", "--word", _LETTERED, "--n", "3"], "domain",
+                 "word must be comma-separated integers, got 'x999", "999'", id="word"),
+    pytest.param(["kron", f"[{_LETTERED}]", "[1]", "[1]"], "domain",
+                 "not a partition literal: '[x999", "999]' (expected e.g. [5,1] or [])", id="kron-part"),
+    pytest.param(["--config", "{tmp}/digits.cfg", "chartable", "3"], "domain",
+                 "config key n_cap needs an integer, got '999", "999'", id="config-line"),
+    pytest.param(["--config", f"{{tmp}}/{_LONG_PATH}", "chartable", "3"], "domain",
+                 "cannot read config file {tmp}/aaa", "aaa'", id="config-path"),
+    pytest.param(["--output", f"{{tmp}}/{_LONG_PATH}", "chartable", "3"], "domain",
+                 "cannot open output {tmp}/aaa", "aaa'", id="output-path"),
+    pytest.param(["monodromy", "--spec", f"{{tmp}}/{_LONG_PATH}"], "domain",
+                 "cannot read loop spec {tmp}/aaa", "aaa'", id="spec-path"),
+    pytest.param(["chartable", _LETTERED], "usage", "argument n: invalid int value: 'x999", "999'",
+                 id="usage-int"),
+    pytest.param([_LETTERED], "usage", "argument command: invalid choice: 'x999", "'brion-boundary')",
+                 id="usage-command"),
+    pytest.param(["brion-sweep", "3", "--mode", _LETTERED], "usage", "argument --mode: invalid choice: 'x999",
+                 "999' (choose from 'vanishing', 'equality', 'both')", id="usage-mode"),
+])
+def test_an_oversized_argument_makes_a_bounded_error_line(capsys, tmp_path, argv, kind, head, tail):
+    (tmp_path / "digits.cfg").write_text(f"n_cap={_DIGITS}\n")
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1 and len(err) < cli.ERROR_MESSAGE_LIMIT + 100
+    payload = json.loads(err)
+    assert payload["error"] == kind
+    message = payload["message"]
+    assert message.startswith(head.replace("{tmp}", str(tmp_path))) and message.endswith(tail)
+    cut = re.fullmatch(r".{500} \.\.\. \[(\d+) of (\d+) characters cut\] \.\.\. .{500}", message)
+    assert cut and int(cut[1]) + cli.ERROR_MESSAGE_LIMIT == int(cut[2]) > 5000
+
+
+def test_a_message_at_the_limit_is_written_whole(capsys):
+    def message(literal):
+        return f"not a partition literal: {literal!r} (expected e.g. [5,1] or [])"
+
+    literal = "[" + "x" * (cli.ERROR_MESSAGE_LIMIT - len(message("[]"))) + "]"
+    assert len(message(literal)) == cli.ERROR_MESSAGE_LIMIT
+    code, out, err = run(capsys, "kron", literal, "[1]", "[1]")
+    assert (code, out, json.loads(err)) == (1, "", {"error": "domain", "message": message(literal)})
+    longer = message(literal[:-1] + "x]")
+    code, out, err = run(capsys, "kron", literal[:-1] + "x]", "[1]", "[1]")
+    assert json.loads(err)["message"] == longer[:500] + " ... [1 of 1001 characters cut] ... " + longer[-500:]
+
+
 def test_monodromy_needs_exactly_one_mode(capsys):
     code, out, err = run(capsys, "monodromy", "--n", "4")
     assert code == 1
@@ -952,30 +1016,23 @@ def test_rep_check_traces_one_class_word_per_cycle_type(capsys, monkeypatch):
     assert traced == [list(class_word(mu)) for mu in types]
 
 
-def _corrupt_build(monkeypatch, columns) -> None:
-    """rep-check builds its representation with the integer columns columns(rep) in place of rep's own."""
+def _corrupt_build(monkeypatch, corrupt) -> None:
+    """rep-check builds its representation as corrupt(rep) in place of rep."""
     build = seminormal.build_rep
-
-    def corrupted(lam):
-        rep = build(lam)
-        return replace(rep, columns=columns(rep))
-
-    monkeypatch.setattr(seminormal, "build_rep", corrupted)
+    monkeypatch.setattr(seminormal, "build_rep", lambda lam: corrupt(build(lam)))
 
 
 def _s1_as_s3(rep):
     # As in test_check_relations_flags_corrupted_generators: the involution and
     # braid relations still hold, but s_3 s_4 != s_4 s_3.
-    return (rep.columns[2],) + rep.columns[1:]
+    return corrupted(rep, 1, *rep.arrays[2])
 
 
 def _s2_swapped(rep):
     # Swapping 1/d and beta in one two-entry column of s_2 breaks s_2^2 = 1.
-    s2 = list(rep.columns[1])
-    c = next(c for c, entries in enumerate(s2) if len(entries) == 2)
-    (r1, v1), (r2, v2) = s2[c]
-    s2[c] = ((r1, v2), (r2, v1))
-    return rep.columns[:1] + (tuple(s2),) + rep.columns[2:]
+    a, o, b = rep.arrays[1]
+    c = next(c for c in range(rep.dim) if o[c] != c)
+    return corrupted(rep, 2, a={c: b[c]}, b={c: a[c]})
 
 
 def test_rep_check_traces_the_literal_words_when_a_relation_fails(capsys, monkeypatch):

@@ -343,7 +343,7 @@ def test_the_step_loop_names_no_fraction():
 
 # The seminormal build, word products and relation tests run on ints over one
 # denominator D; Fractions appear only at the edge, in evaluate_word and word_trace.
-INTEGER_FUNCTIONS = {"build_rep", "_images", "check_relations", "_coxeter_arrays",
+INTEGER_FUNCTIONS = {"build_rep", "_images", "check_relations",
                      "_involution_holds", "_commutation_holds", "_braid_holds"}
 
 

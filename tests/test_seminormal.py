@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    corrupted,
     dense_from_columns,
     dense_identity,
     dense_product,
@@ -86,35 +87,52 @@ def test_generators_match_the_tableau_position_rule_up_to_size_7():
                 assert evaluate_word(rep, [i]) == oracle_seminormal_generator(tabs, i)
 
 
-def _corrupt(rep, i, column):
-    """rep with the integer columns of D s_i replaced by column(c, entries)."""
-    columns = list(rep.columns)
-    columns[i - 1] = tuple(column(c, entries) for c, entries in enumerate(columns[i - 1]))
-    return replace(rep, columns=tuple(columns))
+def _scalar(rep, x):
+    """The arrays of the letter x times the identity: a[c] = x, no partners."""
+    return (x,) * rep.dim, tuple(range(rep.dim)), (0,) * rep.dim
+
+
+def _first_pair(arrays):
+    """The first column c of a letter's arrays with a partner row other than c."""
+    return next(c for c, r in enumerate(arrays[1]) if r != c)
 
 
 def test_check_relations_flags_corrupted_generators():
     rep = build_rep((3, 2))
     # Swapping 1/d and beta in one two-entry column of s_2 breaks s_2^2 = 1.
-    target = next(c for c, entries in enumerate(rep.columns[1]) if len(entries) == 2)
-
-    def swapped(c, entries):
-        if c != target:
-            return entries
-        (r1, v1), (r2, v2) = entries
-        return ((r1, v2), (r2, v1))
-
-    broken = _corrupt(rep, 2, swapped)
+    a, _, b = rep.arrays[1]
+    target = _first_pair(rep.arrays[1])
+    broken = corrupted(rep, 2, a={target: b[target]}, b={target: a[target]})
     assert check_relations(broken)["involution"] is False
     assert spherical_relation_image(broken) != tuple(((c, 1),) for c in range(broken.dim))
     # s_1 -> -1 squares to 1 and commutes with everything, but
     # (-1) s_2 (-1) = s_2 differs from s_2 (-1) s_2 = -1.
-    minus_one = _corrupt(rep, 1, lambda c, entries: ((c, -rep.denominator),))
+    minus_one = corrupted(rep, 1, *_scalar(rep, -rep.denominator))
     assert check_relations(minus_one) == {"involution": True, "braid": False, "commutation": True}
     # s_1 -> s_3 keeps its braid with s_2 (s_3 s_2 s_3 = s_2 s_3 s_2),
     # but s_3 s_4 != s_4 s_3.
-    as_s3 = _corrupt(rep, 1, lambda c, entries: rep.columns[2][c])
+    as_s3 = corrupted(rep, 1, *rep.arrays[2])
     assert check_relations(as_s3) == {"involution": True, "braid": True, "commutation": False}
+
+
+def test_malformed_arrays_are_domain_errors():
+    # n - 1 letters, each three tuples of dim ints, every partner a row of the
+    # basis: a partner outside 0..dim-1 would index past the arrays, or from
+    # their end.
+    rep = build_rep((2, 1))
+    a, o, b = rep.arrays[0]
+    for bad in [lambda: replace(rep, arrays=rep.arrays[:-1]),
+                lambda: replace(rep, arrays=rep.arrays + rep.arrays[:1]),
+                lambda: corrupted(rep, 1, a=a + (0,)),
+                lambda: corrupted(rep, 2, b=rep.arrays[1][2][:-1]),
+                lambda: replace(rep, arrays=((list(a), o, b),) + rep.arrays[1:]),
+                lambda: corrupted(rep, 1, a={0: Fraction(rep.denominator)}),
+                lambda: corrupted(rep, 1, o={0: rep.dim}),
+                lambda: corrupted(rep, 1, o={0: 7}),
+                lambda: corrupted(rep, 1, o={0: -1})]:
+        with pytest.raises(DomainError, match="needs n - 1 letters"):
+            bad()
+    assert corrupted(rep, 1, o={0: 1}).arrays[0][1] == (1,) + o[1:]
 
 
 SOUND = {"involution": True, "braid": True, "commutation": True}
@@ -143,41 +161,36 @@ def test_array_verdicts_are_the_literal_verdicts_up_to_size_9():
 
 
 def _corruptions(rng, rep):
-    """One seeded corruption of one letter of rep: the letter and its new column function."""
+    """One seeded corruption of one letter of rep: the letter and the entries of its arrays that change."""
     n, dim = rep.n, rep.dim
     i = rng.randrange(1, n)
-    cols = rep.columns[i - 1]
-    pairs = [c for c in range(dim) if len(cols[c]) == 2]
-    kind = rng.choice(["moved", "swapped", "letter", "shuffled", "partners", "paired", "three"]
-                      if pairs else ["moved", "letter", "three"])
+    a, o, b = rep.arrays[i - 1]
+    pairs = [c for c in range(dim) if o[c] != c]
+    kind = rng.choice(["moved", "swapped", "letter", "shuffled", "partners", "paired"]
+                      if pairs else ["moved", "letter"])
     if kind == "moved":
         target = rng.randrange(dim)
-        k = rng.randrange(len(cols[target]))
         delta = rng.choice([-2, -1, 1, 2])
-        return i, lambda c, entries: entries if c != target else tuple(
-            (r, v + delta if m == k else v) for m, (r, v) in enumerate(entries))
+        if rng.randrange(2 if target in pairs else 1):
+            return i, {"b": {target: b[target] + delta}}
+        return i, {"a": {target: a[target] + delta}}
     if kind == "swapped":
         target = rng.choice(pairs)
-        return i, lambda c, entries: entries if c != target else (
-            (entries[0][0], entries[1][1]), (entries[1][0], entries[0][1]))
+        return i, {"a": {target: b[target]}, "b": {target: a[target]}}
     if kind == "letter":
         other = rng.choice([j for j in range(1, n) if j != i] or [i])
-        return i, lambda c, entries: rep.columns[other - 1][c]
-    if kind == "three":
-        target = rng.randrange(dim)
-        extra = (rng.randrange(dim), rng.choice([0, 0, 1, -rep.denominator]))
-        return i, lambda c, entries: entries if c != target else entries + (extra,)
+        return i, dict(zip("aob", rep.arrays[other - 1]))
     # The partner rows of the two-entry columns, permuted: among all of them
     # ("shuffled"); among columns with the same two values ("partners"), which
     # keeps every coefficient; or, keeping the partner map an involution, by
     # re-pairing the pairs that agree on their values and on the diagonal of
     # a neighbouring letter ("paired"), so that every braid path with that
     # letter meets the same coefficients and only the rows move.
-    neighbour = rep.columns[rng.choice([j for j in (i - 1, i + 1) if 1 <= j < n] or [i]) - 1]
-    values = {c: (cols[c][0][1], cols[c][1][1], neighbour[c][0][1]) for c in pairs}
+    neighbour = rep.arrays[rng.choice([j for j in (i - 1, i + 1) if 1 <= j < n] or [i]) - 1][0]
+    values = {c: (a[c], b[c], neighbour[c]) for c in pairs}
     groups = {}
     for c in pairs:
-        r = cols[c][1][0]
+        r = o[c]
         if kind == "shuffled":
             groups.setdefault((), []).append((c, r))
         elif kind == "partners":
@@ -192,7 +205,7 @@ def _corruptions(rng, rep):
             partner[c] = r
             if kind == "paired":
                 partner[r] = c
-    return i, lambda c, entries: entries if c not in partner else (entries[0], (partner[c], entries[1][1]))
+    return i, {"o": partner}
 
 
 def test_array_verdicts_are_the_literal_verdicts_on_seeded_corruptions():
@@ -201,7 +214,8 @@ def test_array_verdicts_are_the_literal_verdicts_on_seeded_corruptions():
     verdicts = set()
     for _ in range(480):
         rep = build_rep(rng.choice(shapes))
-        broken = _corrupt(rep, *_corruptions(rng, rep))
+        i, changes = _corruptions(rng, rep)
+        broken = corrupted(rep, i, **changes)
         expected = literal_relations(broken)
         assert check_relations(broken) == expected, broken
         verdicts.add(tuple(expected.values()))
@@ -213,16 +227,11 @@ def test_only_the_literal_route_proves_an_involution_whose_partners_do_not_pair_
     # partner of c' is c' itself, so the array test fails; yet
     # (D s)^2 v_c = D^2 v_c + (b D - D b) v_c' = D^2 v_c, so s^2 = 1 holds.
     rep = build_rep((3, 2))
-    c, partner = next((c, entries[1][0]) for c, entries in enumerate(rep.columns[1]) if len(entries) == 2)
+    c = _first_pair(rep.arrays[1])
+    partner = rep.arrays[1][1][c]
     d = rep.denominator
-
-    def lopsided(k, entries):
-        if k == c:
-            return ((c, d), entries[1])
-        return ((partner, -d),) if k == partner else entries
-
-    broken = _corrupt(rep, 2, lopsided)
-    assert not seminormal._involution_holds(seminormal._coxeter_arrays(broken)[1], d * d)
+    broken = corrupted(rep, 2, a={c: d, partner: -d}, o={partner: partner}, b={partner: 0})
+    assert not seminormal._involution_holds(broken.arrays[1], d * d)
     assert check_relations(broken)["involution"] is True
 
 
@@ -233,16 +242,13 @@ def test_a_braid_whose_paths_meet_equal_coefficients_on_other_rows_fails():
     # coefficients it met before; only the rows of the last path group
     # differ, so the braid fails.
     rep = build_rep((3, 2, 1))
-    cols, neighbour = rep.columns[4], rep.columns[3]
+    (a, o, b), (na, no, _) = rep.arrays[4], rep.arrays[3]
     groups = {}
-    for c, entries in enumerate(cols):
-        if len(entries) == 2 and len(neighbour[c]) == 2 and c < (r := entries[1][0]):
-            key = (entries[0][1], entries[1][1], neighbour[c][0][1], neighbour[r][0][1])
-            groups.setdefault(key, []).append((c, r))
+    for c in range(rep.dim):
+        if o[c] != c and no[c] != c and c < (r := o[c]):
+            groups.setdefault((a[c], b[c], na[c], na[r]), []).append((c, r))
     (c1, r1), (c2, r2) = next(group for group in groups.values() if len(group) > 1)[:2]
-    partner = {c1: r2, r2: c1, c2: r1, r1: c2}
-    broken = _corrupt(rep, 5, lambda c, entries: entries if c not in partner else (
-        entries[0], (partner[c], entries[1][1])))
+    broken = corrupted(rep, 5, o={c1: r2, r2: c1, c2: r1, r1: c2})
     assert check_relations(broken) == literal_relations(broken) == {
         "involution": True, "braid": False, "commutation": False}
 
@@ -274,11 +280,12 @@ def test_word_evaluation_against_dense_products():
 
 
 def test_a_repeated_row_adds_up_on_the_first_letter_as_on_later_ones():
-    # Sound builds never repeat a row in a column; a hand-made one may. The
-    # first letter applied then reads the column as every later letter does,
-    # summing the entries: s_1 v_0 = 2 v_0, and [1, 1] is the square of [1].
+    # Sound builds give a partner row other than c wherever b[c] != 0; a
+    # hand-made one may set o[c] = c with b[c] != 0. Every letter applied,
+    # the first included, then adds both entries into row c:
+    # s_1 v_0 = 2 v_0, and [1, 1] is the square of [1].
     rep = build_rep((2, 1))
-    doubled = _corrupt(rep, 1, lambda c, entries: ((0, rep.denominator), (0, rep.denominator)) if c == 0 else entries)
+    doubled = corrupted(rep, 1, a={0: rep.denominator}, o={0: 0}, b={0: rep.denominator})
     once = dense_from_columns(rep.dim, evaluate_word(doubled, [1]))
     assert once[0][0] == 2
     assert dense_from_columns(rep.dim, evaluate_word(doubled, [1, 1])) == dense_product(once, once)
@@ -308,7 +315,7 @@ def test_involution_holds_on_every_shape_up_to_size_6():
 def test_a_trace_that_is_not_an_integer_is_an_error():
     # s_1 -> (1/2) identity, D s_1 = (D // 2) identity: its trace 3/2 is no character value.
     rep = build_rep((3, 1))
-    halved = _corrupt(rep, 1, lambda c, entries: ((c, rep.denominator // 2),))
+    halved = corrupted(rep, 1, *_scalar(rep, rep.denominator // 2))
     with pytest.raises(ConsistencyError, match="not an integer"):
         word_trace(halved, [1])
 
