@@ -17,12 +17,15 @@ degree-k slice of the apolar ideal of p:
 The minimal such k is r, the rank of the middle catalecticant. It is
 found mod a prime and certified exactly: the rank r_p <= r of C_mid mod p
 is read off the linear complexity of the moments mod p (Berlekamp-Massey),
-and an exact nonzero kernel of the rows of C_(r_p) independent mod p,
-checked against every row of C_(r_p), gives r <= r_p.
-That kernel is the annihilator space of the Sylvester path. When a check
-fails (an unlucky prime) the exact route runs instead: the rank of C_mid
-over Q, then the kernel of all of C_r. Every catalecticant is built once
-as integer rows: the rows of C_k scaled to a Hankel matrix of integers.
+and a nonzero kernel of C_(r_p), checked against every row, gives r <= r_p.
+Where that kernel is one-dimensional, its vector is the connection
+polynomial of a second Berlekamp-Massey run mod a larger prime, rationally
+reconstructed; otherwise it is the exact kernel of the rows of C_(r_p)
+independent mod p. That kernel is the annihilator space of the Sylvester
+path. When a check fails (an unlucky prime) the exact route runs instead:
+the rank of C_mid over Q, then the kernel of all of C_r. Every
+catalecticant is built once as integer rows: the rows of C_k scaled to a
+Hankel matrix of integers.
 
 The support points (1 : 0) and (0 : 1) are read off the annihilator's
 coefficients; every other point comes from intpoly's float Aberth-Ehrlich
@@ -237,15 +240,28 @@ def _apolar_kernel(p: BinaryForm, degree_only: bool = False) -> tuple[int, list[
     """r = min_apolar_degree(p) and ratmat.kernel_basis of C_r, proven from ranks mod a prime.
 
     With P = intpoly.SQUAREFREE_PRIME, read at each call, and mid = max(1, n // 2):
-      * C_mid mod P has rank min(L, n + 2 - L, mid + 1, n - mid + 1), L the
-        linear complexity of the integer moments mod P (Berlekamp-Massey):
-        the Hankel matrices of those n + 1 terms have characteristic degrees
-        L and n + 2 - L over F_P. That rank is at most r, as the rows of a
-        maximal minor nonzero mod P are independent over Q, so
-        k = max(1, rank) <= r; no row of C_mid is eliminated;
-      * the exact kernel of the rows of C_k independent mod P contains
-        ker C_k; a nonzero basis of it annihilating every row of C_k is
-        ker C_k itself, so C_k has a kernel and r <= k.
+      * C_mid mod P has rank min(L, n + 2 - L, mid + 1, n - mid + 1), which
+        is min(L, n + 2 - L), L the linear complexity of the integer moments
+        mod P (Berlekamp-Massey): the Hankel matrices of those n + 1 terms
+        have characteristic degrees L and n + 2 - L over F_P. That rank is
+        at most r, as the rows of a maximal minor nonzero mod P are
+        independent over Q, so k = max(1, rank) <= r; no row of C_mid is
+        eliminated;
+      * when the rank is k and 2k < n + 2, the kernel is lifted
+        (_lifted_kernel): Berlekamp-Massey runs again mod intpoly.LIFT_PRIME,
+        on the moments when L = k and on the moments reversed otherwise.
+        When that run has length k, its connection polynomial, rationally
+        reconstructed, with the reversal undone and divided by its last
+        nonzero entry, is the answer once it annihilates every row of C_k
+        exactly. The proof: r >= k from C_mid; a nonzero v with C_k v = 0
+        gives r <= k; rank_P C_k = min(L, n + 2 - L, k + 1, n - k + 1) = k,
+        so dim ker_Q C_k <= 1; and the RREF vector of a one-dimensional
+        kernel is its generator divided by its last nonzero entry;
+      * otherwise (a kernel of dimension 2, an entry past the reconstruction
+        bound, a run of another length), the exact kernel of the rows of C_k
+        independent mod P contains ker C_k; a nonzero basis of it
+        annihilating every row of C_k is ker C_k itself, so C_k has a
+        kernel and r <= k.
     Then r = k, and the RREF basis, which depends only on the kernel, is
     the one of all of C_r. When a check fails, P divides a minor that
     matters, and the exact rank of C_mid and the kernel of C_r decide.
@@ -262,6 +278,10 @@ def _apolar_kernel(p: BinaryForm, degree_only: bool = False) -> tuple[int, list[
     if degree_only and middle_rank == min(n - mid, mid) + 1:
         return k, None
     rows = _hankel(b, k)
+    if middle_rank and 2 * k < n + 2:
+        basis = _lifted_kernel(b, k, length == k, rows)
+        if basis:
+            return k, basis
     kept = ratmat.independent_rows_mod_p(_hankel(b_mod, k), prime)
     basis = ratmat.kernel_basis([rows[i] for i in kept])
     if basis and _annihilates(basis, rows):
@@ -270,15 +290,41 @@ def _apolar_kernel(p: BinaryForm, degree_only: bool = False) -> tuple[int, list[
     return r, ratmat.kernel_basis(_hankel(b, r))
 
 
+def _lifted_kernel(b: list[int], k: int, forward: bool, rows: list[list[int]]) -> list[list[Fraction]] | None:
+    """[v], the one RREF vector of ker C_k read off the connection polynomial mod intpoly.LIFT_PRIME, or None.
+
+    Run on b (forward) or on b reversed, a connection polynomial c of length
+    k gives s_i + c_1 s_(i-1) + ... + c_k s_(i-k) = 0, so c reversed is a
+    kernel vector of the Hankel matrix of the sequence it ran on; of the
+    reversed moments that matrix is C_k with rows and columns reversed, and
+    c itself is one of C_k. None when the run's length is not k, an entry
+    has no reconstruction within the bound, or v fails to annihilate
+    `rows`, the integer rows of C_k.
+    """
+    m = intpoly.LIFT_PRIME
+    length, conn = intpoly.connection(b if forward else b[::-1], m)
+    if length != k:
+        return None
+    pairs = [intpoly.rational(c, m) for c in conn]
+    if None in pairs:
+        return None
+    v = [Fraction(*pair) for pair in (pairs[::-1] if forward else pairs)]
+    last = next(x for x in reversed(v) if x)
+    v = [x / last for x in v]
+    return [v] if _annihilates([v], rows) else None
+
+
 def min_apolar_degree(p: BinaryForm) -> int:
     """Smallest k >= 1 whose catalecticant has a kernel: r = rank C_(n//2).
 
     The apolar ideal of a binary form is a complete intersection with
     generators in degrees r <= n + 2 - r (Sylvester), and the middle
     catalecticant has rank exactly r. For n = 1, C_1 of the nonzero linear
-    form has rank 1. The rank is taken mod a prime and proven by full rank
-    or by one exact kernel on the rows of C_r independent mod that prime,
-    with the exact rank as the fallback (_apolar_kernel).
+    form has rank 1. The rank is taken mod a prime and proven by full rank,
+    or by one kernel vector of C_r lifted from a second Berlekamp-Massey run
+    and checked against every row of C_r, or else by one exact kernel on the
+    rows of C_r independent mod that prime, with the exact rank as the
+    fallback (_apolar_kernel).
     """
     return _apolar_kernel(p, degree_only=True)[0]
 

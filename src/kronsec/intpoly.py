@@ -16,9 +16,11 @@ an inclusion disc proven small enough, then proves the discs pairwise apart
 by one integer comparison each, which makes them all the roots. `squarefree`
 and `aberth_seeds` read coefficients through `gaussian`, and
 `certified_root` takes the Gaussian integers it gives, so one code path
-serves integer and Gaussian-rational polynomials. `linear_complexity`
+serves integer and Gaussian-rational polynomials. `connection`
 (Berlekamp-Massey mod p) gives apolarity the rank of its middle
-catalecticant mod p without eliminating it.
+catalecticant mod p without eliminating it, as `linear_complexity`, and,
+run again mod LIFT_PRIME, a kernel vector of a catalecticant, whose
+entries `rational` (Wang's rational reconstruction) reads back as fractions.
 """
 
 import cmath
@@ -41,6 +43,10 @@ RUNGS = (72, 160, 400, 900)
 # minor. It differs from the benchmark oracle's prime, so the two never
 # share an unlucky case.
 SQUAREFREE_PRIME = 2**31 - 1
+# The prime apolarity runs Berlekamp-Massey mod a second time to lift a
+# one-dimensional catalecticant kernel: `rational` reads back entries up to
+# sqrt(LIFT_PRIME / 2), about 2^63, and an exact product checks the lift.
+LIFT_PRIME = 2**127 - 1
 
 
 def dyadic(x) -> tuple[int, int]:
@@ -211,14 +217,23 @@ def _coprime(a, b, reduce) -> bool:
 
 
 def linear_complexity(seq, p: int) -> int:
-    """The linear complexity of seq mod the prime p, by Berlekamp-Massey (Massey 1969).
+    """The linear complexity of seq mod the prime p: the length `connection` returns."""
+    return connection(seq, p)[0]
 
-    That is the least L with c_1, ..., c_L in F_p and s_i + c_1 s_(i-1) +
-    ... + c_L s_(i-L) = 0 mod p for i = L, ..., len(seq) - 1; 0 when every
-    term is 0 mod p. Each term costs one discrepancy of at most L products,
-    O(len(seq) L) in all. apolarity reads the rank of a Hankel matrix off
-    it: the Hankel matrices of a sequence have characteristic degrees L and
-    len(seq) + 1 - L over any field (Heinig-Rost 1984).
+
+def connection(seq, p: int) -> tuple[int, list[int]]:
+    """(L, c) for seq mod the prime p, by Berlekamp-Massey (Massey 1969).
+
+    L is the linear complexity, the least L with c_1, ..., c_L in F_p and
+    s_i + c_1 s_(i-1) + ... + c_L s_(i-L) = 0 mod p for i = L, ...,
+    len(seq) - 1; 0 when every term is 0 mod p. c = [1, c_1, ..., c_L] is
+    the connection polynomial ascending, L + 1 residues, c_L = 0 when its
+    degree is below L; it is the only one of length L when 2L <= len(seq).
+    Each term costs one discrepancy of at most L products, O(len(seq) L) in
+    all. apolarity reads the rank of a Hankel matrix off L: the Hankel
+    matrices of a sequence have characteristic degrees L and len(seq) + 1 - L
+    over any field (Heinig-Rost 1984); and c, reversed, is a vector of the
+    kernel of the one with L + 1 columns.
     """
     seq = [x % p for x in seq]
     conn, prev = [1], [1]  # the connection polynomial, and the one before its last length change
@@ -237,7 +252,24 @@ def linear_complexity(seq, p: int) -> int:
         else:
             gap += 1
         conn = new
-    return length
+    return length, conn + [0] * (length + 1 - len(conn))
+
+
+def rational(u: int, m: int) -> tuple[int, int] | None:
+    """(a, b) with a = u b mod m, |a| <= sqrt(m / 2), 0 < b <= sqrt(m / 2) and gcd(a, b) = 1, or None.
+
+    Wang's rational reconstruction (SYMSAC 1981): the extended Euclid of m
+    and u, run until the remainder is within the bound, and its cofactor
+    there is the only candidate for b, the pair being unique when 2 a b < m.
+    """
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def aberth_seeds(coeffs) -> list[complex] | None:

@@ -10,9 +10,11 @@ fraction-free. `independent_rows_mod_p` eliminates integer rows mod a prime
 instead: rows independent mod p are independent over Q, so the count is a
 lower bound on the rank, and a caller that needs the rank itself proves the
 matching upper bound exactly or falls back to `rank`. It serves two
-callers: apolarity keeps the rows of C_r it takes an exact kernel of
-(checked against every row), and `vandermonde_rank` proves full rank. The
-middle catalecticant's rank mod p comes from intpoly.linear_complexity
+callers: `vandermonde_rank` proves full rank, and apolarity keeps the rows
+of C_r it takes an exact kernel of (checked against every row), with
+`kernel_basis`, only as the fallback where it cannot lift the kernel
+(apolarity._apolar_kernel). The middle catalecticant's rank
+mod p, and a one-dimensional kernel of C_r, come from intpoly.connection
 instead. No command calls `mat_mul` or `solve`;
 the benchmark tracer still spans both by name.
 """

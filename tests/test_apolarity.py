@@ -272,6 +272,9 @@ def test_the_sylvester_path_eliminates_only_the_independent_rows(monkeypatch):
     eliminate = ratmat._eliminate
     monkeypatch.setattr(ratmat, "rank", no_rank)
     monkeypatch.setattr(ratmat, "_eliminate", lambda m, reduced: seen.append(len(m)) or eliminate(m, reduced))
+    # The rank-15 support holds both (1 : 0) and (0 : 1), so neither
+    # orientation of the moments has linear complexity 15 and no kernel is
+    # lifted: this pins the kept-rows route.
     weights = [(-1) ** i * (1 + i % 4) for i in range(15)]
     cert = sylvester_decompose(form(40, oracle_power_sum_coeffs(40, _RANK_15_POINTS, weights)))
     assert cert.rank == 15 and cert.support_exact
@@ -292,12 +295,15 @@ def test_the_package_prime_is_not_the_benchmark_oracle_prime():
     oracles = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracles)
     assert SQUAREFREE_PRIME != oracles.MERSENNE_61
+    assert intpoly.LIFT_PRIME != oracles.MERSENNE_61
 
 
 def test_the_middle_catalecticant_is_never_eliminated(monkeypatch):
-    # Its rank mod p comes from the linear complexity of the moments; only
-    # the rows of C_r go through independent_rows_mod_p, and a middle
-    # catalecticant of full rank mod p needs none at all.
+    # Its rank mod p comes from the linear complexity of the moments, and
+    # the kernel of C_r of these exact supports is lifted from a second
+    # Berlekamp-Massey run, so no catalecticant goes through
+    # independent_rows_mod_p; a middle catalecticant of full rank mod p
+    # needs no kernel at all.
     widths = []
     independent = ratmat.independent_rows_mod_p
     monkeypatch.setattr(ratmat, "independent_rows_mod_p", lambda m, p: widths.append(len(m[0])) or independent(m, p))
@@ -309,12 +315,125 @@ def test_the_middle_catalecticant_is_never_eliminated(monkeypatch):
         p = form(n, oracle_power_sum_coeffs(n, pts, [rng.choice([-2, -1, 1, 3]) for _ in pts]))
         widths.clear()
         r, _ = apolarity._apolar_kernel(p)
-        assert r == k and widths == [k + 1], (p, widths)
+        assert r == k and widths == [], (p, widths)
         widths.clear()
-        assert min_apolar_degree(p) == k and widths == [k + 1], (p, widths)
+        assert min_apolar_degree(p) == k and widths == [], (p, widths)
     widths.clear()
     assert min_apolar_degree(form(41, [rng.randint(-9, 9) for _ in range(42)])) == 21
     assert widths == []
+
+
+def _spy_kernel_routes(monkeypatch) -> dict[str, list]:
+    """Record each call of the lift's Berlekamp-Massey run (its sequence) and of the eliminations."""
+    calls = {"lift": [], "independent_rows_mod_p": [], "kernel_basis": [], "rank": []}
+    connection = intpoly.connection
+    monkeypatch.setattr(intpoly, "connection", lambda seq, p: (
+        calls["lift"].append(list(seq)) if p == intpoly.LIFT_PRIME else None) or connection(seq, p))
+    for name in ("independent_rows_mod_p", "kernel_basis", "rank"):
+        def spy(*args, name=name, original=getattr(ratmat, name)):
+            calls[name].append(args)
+            return original(*args)
+        monkeypatch.setattr(ratmat, name, spy)
+    return calls
+
+
+# Neither (1 : 0) nor (0 : 1): a x + b y with a, b != 0.
+_FINITE_POINTS = [(a, b) for a in range(-9, 10) for b in range(1, 5) if a and gcd(a, b) == 1]
+
+
+def test_the_lifted_kernel_matches_the_oracle_in_both_orientations(monkeypatch):
+    # The moments b_m carry a point (1 : 0) at m = 0 only and a point (0 : 1)
+    # at m = n only. A (1 : 0) leaves the linear complexity of the moments k,
+    # and the lift runs on them as they are; a (0 : 1) makes it n + 2 - k,
+    # and the lift runs on them reversed. With both, neither orientation has
+    # linear complexity k, and the kept rows of C_k decide.
+    calls = _spy_kernel_routes(monkeypatch)
+    rng = random.Random(4902)
+    seen = {kind: 0 for kind in ("neither", "(1 : 0)", "(0 : 1)", "both")}
+    for _ in range(80):
+        kind = rng.choice(list(seen))
+        special = {"neither": [], "(1 : 0)": [(1, 0)], "(0 : 1)": [(0, 1)], "both": [(1, 0), (0, 1)]}[kind]
+        n = rng.randint(5, 24)
+        k = rng.randint(max(1, len(special)), (n + 1) // 2)
+        pts = special + rng.sample(_FINITE_POINTS, k - len(special))
+        p = form(n, oracle_power_sum_coeffs(n, pts, [rng.choice([-3, -1, 1, 2, 5]) for _ in pts]))
+        for routes in calls.values():
+            routes.clear()
+        want = _oracle_apolar_kernel(p)
+        assert want[0] == k and len(want[1]) == 1, (kind, p)
+        assert apolarity._apolar_kernel(p) == want, (kind, p)
+        assert not calls["rank"], (kind, p)
+        moments = apolarity._integer_moments(p)
+        if kind == "both":
+            assert calls["kernel_basis"] and calls["independent_rows_mod_p"], (kind, p)
+            assert calls["lift"] in ([], [moments[::-1]]), (kind, p)
+        else:
+            assert not calls["kernel_basis"] and not calls["independent_rows_mod_p"], (kind, p)
+            assert calls["lift"] == [moments[::-1] if kind == "(0 : 1)" else moments], (kind, p)
+        seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_two_dimensional_kernels_are_never_lifted(monkeypatch):
+    # A generic form of even degree n = 2m has a middle catalecticant of
+    # full rank m + 1, 2 (m + 1) = n + 2, and a pencil of annihilators at
+    # degree m + 1: one lifted vector would miss half of it.
+    calls = _spy_kernel_routes(monkeypatch)
+    rng = random.Random(4903)
+    pencils = 0
+    for _ in range(40):
+        n = 2 * rng.randint(1, 5)
+        p = form(n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        calls["lift"].clear()
+        want = _oracle_apolar_kernel(p)
+        if len(want[1]) != 2:
+            continue
+        assert apolarity._apolar_kernel(p) == want, p
+        assert calls["lift"] == [], p
+        pencils += 1
+    assert pencils >= 30, pencils
+
+
+def test_kernels_past_the_reconstruction_bound_fall_back(monkeypatch):
+    # Points with coordinates near 2^40 make kernel entries past
+    # sqrt(LIFT_PRIME / 2), about 2^63: the reconstruction is None or a
+    # wrong small fraction, which fails the exact product check, and the
+    # kept rows of C_k give the kernel.
+    calls = _spy_kernel_routes(monkeypatch)
+    rng = random.Random(4904)
+    wrong = 0
+    for _ in range(16):
+        n = rng.randint(4, 8)
+        pts = [(rng.randint(2**39, 2**40), rng.randint(2**39, 2**40)) for _ in range(2)]
+        p = form(n, oracle_power_sum_coeffs(n, pts, [rng.choice([-2, 1, 3]) for _ in pts]))
+        for routes in calls.values():
+            routes.clear()
+        want = _oracle_apolar_kernel(p)
+        assert want[0] == 2 and max(max(abs(x.numerator), x.denominator) for x in want[1][0]) > 2**64, p
+        assert apolarity._apolar_kernel(p) == want, p
+        assert calls["lift"] and calls["kernel_basis"], p
+        _, conn = intpoly.connection(calls["lift"][0], intpoly.LIFT_PRIME)
+        wrong += all(intpoly.rational(c, intpoly.LIFT_PRIME) for c in conn)
+    assert wrong >= 2, wrong  # some lifts reach the product check with every entry reconstructed
+
+
+def test_a_prime_that_loses_the_middle_rank_falls_back(monkeypatch):
+    # Mod 43 the middle rank k can fall below r; no lift can then pass the
+    # product check, since a kernel of C_k would make r <= k, and the exact
+    # rank decides.
+    calls = _spy_kernel_routes(monkeypatch)
+    monkeypatch.setattr(intpoly, "SQUAREFREE_PRIME", SMALL_PRIME)
+    lost = 0
+    for p in itertools.islice(_modular_fuzz_forms(4905), 150):
+        want = _oracle_apolar_kernel(p)
+        if _middle_rank_mod_p(p, SMALL_PRIME) == want[0]:
+            continue
+        for routes in calls.values():
+            routes.clear()
+        assert apolarity._apolar_kernel(p) == want, p
+        assert calls["rank"], p
+        lost += 1
+    assert lost >= 3, lost
 
 
 # --- Sylvester certificates -----------------------------------------------------

@@ -1,7 +1,9 @@
-"""intpoly: isolate's refined seeds, each proven a root of its own or None; Horner's shift route; Berlekamp-Massey."""
+"""intpoly: isolate's refined seeds, each proven a root of its own or None; Horner's shift route; Berlekamp-Massey
+and rational reconstruction."""
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import mpmath
 from conftest import oracle_rank_mod_p
@@ -86,6 +88,58 @@ def test_linear_complexity_gives_every_hankel_rank():
     assert intpoly.linear_complexity([0, 0, 0, 1], 43) == 4
     assert intpoly.linear_complexity([5, 0, 0, 0], 43) == 1
     assert intpoly.linear_complexity([43, 86, 0], 43) == 0
+
+
+def test_the_connection_polynomial_satisfies_its_recurrence():
+    # c = [1, c_1, ..., c_L] gives s_i + c_1 s_(i-1) + ... + c_L s_(i-L) = 0
+    # mod p for every i >= L, at the lift prime too, and L is the length
+    # linear_complexity reports.
+    rng = random.Random(20261021)
+    for p in (intpoly.SQUAREFREE_PRIME, intpoly.LIFT_PRIME, 43):
+        for _ in range(40):
+            n = rng.randint(1, 16)
+            for seq in _sequences(rng, n):
+                length, conn = intpoly.connection(seq, p)
+                assert length == intpoly.linear_complexity(seq, p), (p, seq)
+                assert len(conn) == length + 1 and conn[0] == 1, (p, seq, conn)
+                assert all(0 <= c < p for c in conn), (p, seq, conn)
+                for i in range(length, n + 1):
+                    assert sum(c * seq[i - j] for j, c in enumerate(conn)) % p == 0, (p, seq, conn, i)
+    assert intpoly.connection([0, 0, 0, 1], 43)[0] == 4
+    assert intpoly.connection([5, 0, 0, 0], 43) == (1, [1, 0])
+    assert intpoly.connection([43, 86, 0], 43) == (0, [1])
+    assert intpoly.connection([1, 2, 4, 8, 16], 43) == (1, [1, 41])
+
+
+def _small_fractions(m: int) -> dict[int, tuple[int, int]]:
+    """u -> (a, b) for every a / b in lowest terms with |a|, b <= sqrt(m / 2), u = a / b mod m."""
+    bound = isqrt(m // 2)
+    return {a * pow(b, -1, m) % m: (a, b) for b in range(1, bound + 1) for a in range(-bound, bound + 1)
+            if gcd(a, b) == 1}
+
+
+def test_rational_reconstruction_finds_exactly_the_small_fractions():
+    # At a small prime every residue is tried: the fractions within the
+    # bound come back, and every other residue is None.
+    for m in (43, 1009, 10007):
+        small = _small_fractions(m)
+        assert len(small) == sum(1 for b in range(1, isqrt(m // 2) + 1)
+                                 for a in range(-isqrt(m // 2), isqrt(m // 2) + 1) if gcd(a, b) == 1), m
+        for u in range(m):
+            assert intpoly.rational(u, m) == small.get(u), (m, u)
+    m = intpoly.LIFT_PRIME
+    bound = isqrt(m // 2)
+    assert 2 * bound * bound < m < 2 * (bound + 1) ** 2
+    rng = random.Random(4911)
+    cases = [(bound, bound), (-bound, bound), (bound, 1), (-bound, 1), (1, bound), (0, 1), (-1, 1), (6, 4)]
+    cases += [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(300)]
+    cases += [(rng.randint(-2**20, 2**20), rng.randint(1, 2**20)) for _ in range(300)]
+    for a, b in cases:
+        x = Fraction(a, b)
+        assert intpoly.rational(a * pow(b, -1, m) % m, m) == (x.numerator, x.denominator), (a, b)
+    # Past the bound the answer is another fraction or None, never a / b.
+    for a, b in ((bound + 1, 1), (1, bound + 2), (2**70 + 1, 3)):
+        assert intpoly.rational(a * pow(b, -1, m) % m, m) != (a, b)
 
 
 def _homogeneous_value(pairs, a: int, b: int, q: int) -> tuple[int, int]:
