@@ -48,8 +48,16 @@ rebuilds the form from them once, on integers. On an exact support the
 weights are Fractions and the rebuild's residual must be 0. Otherwise the
 weights at the refined centres are rounded to precision_bits +
 SOLVE_GUARD_BITS bits, and the error bound is the exact residual plus an
-allowance for their printed digits; no linear system is solved.
-sylvester_json prints the certificate with those digits.
+allowance for their printed digits; no linear system is solved. Both are
+taken at a working precision: intpoly.interval_horner evaluates each
+centre's weight and the rebuild's power sums on a fixed-point grid
+WORKING_GUARD_BITS finer than the printed bits, with a proven bound on its
+error, and each rounding the intervals decide is the one the exact
+integers give. A rounding they leave undecided (a bit length, a half-way
+point or a float boundary inside the interval, or a derivative that may
+vanish) is taken from the exact integers, so the certificate and every
+error are those of the exact route. sylvester_json prints the certificate
+with those digits.
 """
 
 from __future__ import annotations
@@ -81,6 +89,15 @@ DENOMINATOR_BOUND = 10**12
 # 2^-(precision_bits + SOLVE_GUARD_BITS) in each printed value, so the
 # printed certificate rebuilds the form within it.
 SOLVE_GUARD_BITS = 96
+# Fractional bits past prec = precision_bits + SOLVE_GUARD_BITS of the grid
+# on which _coefficients decides a centre's weight and the error bound, when
+# the centres' own grid is not finer: the intervals it gets are about
+# 2^-WORKING_GUARD_BITS of the printed ulp of the value they bound, so a
+# rounding they leave undecided, which the exact integers then settle, comes
+# about that rarely. (A part of a weight far smaller than the weight itself,
+# as the imaginary part of a nearly real one, is known only to the weight's
+# ulp, and is settled exactly more often.)
+WORKING_GUARD_BITS = 64
 # A float seed with |im| <= NEAR_REAL |z| is taken as real: floats cannot
 # tell a real root from one this near the axis, and Newton keeps a real
 # start real.
@@ -298,17 +315,20 @@ def _lifted_kernel(b: list[int], k: int, forward: bool, rows: list[list[int]]) -
     kernel vector of the Hankel matrix of the sequence it ran on; of the
     reversed moments that matrix is C_k with rows and columns reversed, and
     c itself is one of C_k. None when the run's length is not k, an entry
-    has no reconstruction within the bound, or v fails to annihilate
-    `rows`, the integer rows of C_k.
+    has no reconstruction within the bound (the first such entry ends the
+    reconstruction), or v fails to annihilate `rows`, the integer rows of C_k.
     """
     m = intpoly.LIFT_PRIME
     length, conn = intpoly.connection(b if forward else b[::-1], m)
     if length != k:
         return None
-    pairs = [intpoly.rational(c, m) for c in conn]
-    if None in pairs:
-        return None
-    v = [Fraction(*pair) for pair in (pairs[::-1] if forward else pairs)]
+    v = []
+    for c in conn:
+        pair = intpoly.rational(c, m)
+        if pair is None:  # past the reconstruction bound: the kept-rows route decides
+            return None
+        v.append(Fraction(*pair))
+    v = v[::-1] if forward else v
     last = next(x for x in reversed(v) if x)
     v = [x / last for x in v]
     return [v] if _annihilates([v], rows) else None
@@ -638,6 +658,43 @@ def _weight(charts, n: int, a: int, b: int, q: int, centre: bool = False) -> tup
     return x * u + y * v, y * u - x * v, u * u + v * v
 
 
+def _centre_weight(charts, n: int, a: int, b: int, e: int, bits: int, prec: int):
+    """The two parts of the weight of the centre (a + b i) / 2^e, as _mpf rounds _weight's (x, y, den), or None.
+
+    _weight's integers are Horner values at z = (a + b i) / 2^e itself: in
+    the chart it picks, with N its numerator list of degree m as stored (in
+    tau reversed, so read at z) and D its derivative list, times t^n in tau,
+    of degree m', x + y i = 2^(e m) N(z), times 2^(e n) in tau, and
+    u + v i = 2^(e m') D(z). intpoly.interval_horner gives N(z) and D(z)
+    on the grid of 2^-bits (bits >= e) within proven errors, which make
+    x + y i and u + v i intervals, and so den = |u| on the real axis, else
+    |u + v i|^2, and the parts of (x + y i)(u - v i): _mpf decides each
+    quotient from them. None when it does not, or when u + v i may be 0 (a
+    singular evaluation) or, off the real axis, v may be 0: _weight decides
+    those.
+    """
+    tau = a * a + b * b > 1 << 2 * e
+    numer, deriv = charts[tau]
+    deriv = [(0, 0)] * n * tau + deriv
+    z = (a << bits - e, b << bits - e)
+    (px, py, pe), (qx, qy, qe) = (intpoly.interval_horner(pairs, z, bits)[-1] for pairs in (numer, deriv))
+    sp, sq = e * (len(numer) - 1 + n * tau) - bits, e * (len(deriv) - 1) - bits
+    if not b:  # every chart coefficient is real: y = v = 0, and w = x / u
+        if abs(qx) <= qe:
+            return None
+        sign = 1 if qx > 0 else -1
+        x = _mpf((sign * px - pe, sign * px + pe, sp), (abs(qx) - qe, abs(qx) + qe, sq), prec)
+        return None if x is None else (x, mpmath.mpf(0))
+    if abs(qy) <= qe:
+        return None
+    # |P Q* - p q*| <= |P - p| |Q| + |p| |Q - q| and ||Q|^2 - |q|^2| <= |Q - q| (|Q| + |q|), |p| <= |px| + |py|
+    pm, qm = abs(px) + abs(py), abs(qx) + abs(qy)
+    err, norm, norm_err = pe * (qm + qe) + qe * pm, qx * qx + qy * qy, qe * (2 * qm + qe)
+    den = (norm - norm_err, norm + norm_err, 2 * sq)
+    parts = [_mpf((c - err, c + err, sp + sq), den, prec) for c in (px * qx + py * qy, py * qx - px * qy)]
+    return None if any(part is None for part in parts) else tuple(parts)
+
+
 def _decimal(text: str) -> tuple[int, int]:
     """(d, t) with text = d 10^t exactly, for a number as mpmath.nstr prints it: [-]digits[.digits][e[+-]digits]."""
     mantissa, _, exponent = text.partition("e")
@@ -645,17 +702,46 @@ def _decimal(text: str) -> tuple[int, int]:
     return int(whole + fraction), int(exponent or 0) - len(fraction)
 
 
-def _mpf(num: int, den: int, prec: int, up: bool = False):
-    """num / den (den > 0) on prec bits, rounded to nearest, or up when `up`, as an mpf.
+def _mpf(num, den, prec: int, up: bool = False):
+    """num / den (den > 0) on prec bits as an mpf, m 2^-shift, as the exact quotient of integers gives it, or None.
 
+    shift = prec - 1 - bitlen(|num|) + bitlen(den), so that |num / den|
+    2^shift lies in [2^(prec - 2), 2^prec), and m is the integer nearest
+    num 2^shift / den, a tie rounded up, toward +inf (not to even), or with
+    `up` the least integer no smaller. So m has prec - 1 or prec bits, or
+    is 2^prec where the rounding carries; num = 0 gives 0. num and den are
+    ints, or intervals (lo, hi, s) holding an unknown integer between lo 2^s
+    and hi 2^s: the mpf is then the one every integer there gives, and None
+    when they do not all give one, their bit lengths or their m differing.
     The quotient is taken on integers: mpmath's own rational conversion
     strips the trailing zeros of a centre's 2^(e n) factor bit by bit.
     """
-    shift = prec - 1 - abs(num).bit_length() + den.bit_length()  # so that |num / den| 2^shift < 2^prec
-    top, bottom = (num << shift, den) if shift >= 0 else (num, den << -shift)
-    m = -(-top // bottom) if up else (2 * top + bottom) // (2 * bottom)
+    (nlo, nhi, ns), (dlo, dhi, ds) = (x if isinstance(x, tuple) else (x, x, 0) for x in (num, den))
+    size, den_size = _bit_length(nlo, nhi, ns), _bit_length(dlo, dhi, ds)
+    if size is None or den_size is None:
+        return None
+    shift = prec - 1 - size + den_size
+    # the quotient is monotone in each bound, so its least and largest values are at two corners
+    low, high = (_rounded(n, d, ns - ds + shift, up) for n, d in (((nlo, dhi), (nhi, dlo)) if nlo > 0 else
+                                                                   ((nlo, dlo), (nhi, dhi))))
+    if low != high:
+        return None
     with mpmath.workprec(prec):
-        return mpmath.mpf((m, -shift))
+        return mpmath.mpf((low, -shift))
+
+
+def _bit_length(lo: int, hi: int, s: int) -> int | None:
+    """The bit length of |x| for every integer x between lo 2^s and hi 2^s, lo <= hi, or None when they differ."""
+    if lo <= 0 <= hi:
+        return None if hi > lo else 0
+    small, large = sorted((abs(lo), abs(hi)))
+    return s + small.bit_length() if small.bit_length() == large.bit_length() else None
+
+
+def _rounded(num: int, den: int, k: int, up: bool) -> int:
+    """num 2^k / den (den > 0) rounded to the nearest integer, a tie up, or with `up` up to an integer."""
+    top, bottom = (num << k, den) if k >= 0 else (num, den << -k)
+    return -(-top // bottom) if up else (2 * top + bottom) // (2 * bottom)
 
 
 def _homogeneous(points) -> tuple[int, list[tuple[tuple[int, int], int]]]:
@@ -719,49 +805,111 @@ def _max_ceil_abs(values, extras, shift: int) -> int:
 def _coefficients(points, at_inf: int, ints: list[int], p: BinaryForm, precision_bits: int):
     """The c_i of p = sum c_i (A_i x + B_i y)^n, _weight at each point or centre, and the bound of their rebuild.
 
-    The form is rebuilt once, on integers over one denominator D. On an
-    all-exact support the weights are Fractions over their lcm D, the
-    residual must be exactly 0 (else a ConsistencyError), and the bound is
-    None. Otherwise each weight is rounded to prec = precision_bits +
-    SOLVE_GUARD_BITS bits a part, and the bound is exact: the largest
-    |sum_i C(n, j) c_i A_i^(n-j) B_i^j - a_j| over the values returned,
-    plus (n + 2) 2^-prec times sum_i C(n, j) |c_i| |A_i|^(n-j) |B_i|^j,
-    which covers any printing of each part within a relative 2^-prec (a
-    term's n + 1 factors each err by at most that), rounded up to an mpf.
-    A bound above 2^-(precision_bits // 2) of the largest coefficient is a
-    PrecisionError.
+    The form is rebuilt once over one denominator D. On an all-exact
+    support the weights are Fractions over their lcm D, the residual must be
+    exactly 0 (else a ConsistencyError), and the bound is None. Otherwise
+    each part of each weight is _mpf's rounding to prec = precision_bits +
+    SOLVE_GUARD_BITS bits of _weight's x / den and y / den, and the bound is
+    exact: the largest |sum_i C(n, j) c_i A_i^(n-j) B_i^j - a_j| over the
+    values returned, plus (n + 2) 2^-prec times sum_i C(n, j) |c_i|
+    |A_i|^(n-j) |B_i|^j, which covers any printing of each part within a
+    relative 2^-prec (a term's n + 1 factors each err by at most that),
+    rounded up to an mpf. A bound above 2^-(precision_bits // 2) of the
+    largest coefficient is a PrecisionError.
+
+    A centre's weight and the bound are first decided on the working grid of
+    2^-bits, bits = max(e, prec + WORKING_GUARD_BITS) for the centres' grid
+    2^-e (_centre_weight, _interval_bound); a value their intervals leave
+    undecided, and every exact point's weight, is taken from the exact
+    integers (_weight, _exact_bound), so both routes give the same values
+    and raise the same errors.
     """
     n, prec = p.degree, precision_bits + SOLVE_GUARD_BITS
     charts = _charts(at_inf, ints, p)
     e, homog = _homogeneous(points)
-    # a centre prints as (z : 1)
-    weights = [_weight(charts, n, a, b, q, centre=not pt.exact) for pt, ((a, b), q) in zip(points, homog)]
     target, scale = _cleared(p.coeffs)
-    exact = all(pt.exact for pt in points)
-    if exact:
-        coeffs = [Fraction(x, den) for x, _, den in weights]
-        numerators, den = _cleared(coeffs)
-        weights, target = [(x, 0) for x in numerators], [t * den for t in target]
-    else:
-        with mpmath.workprec(prec):
-            coeffs = [mpmath.mpc(_mpf(x, den, prec), _mpf(y, den, prec)) for x, y, den in weights]
-        f, weights = intpoly.gaussian(coeffs)
-        # Every term c_i A_i^(n-j) B_i^j over 2^(f + e n): a centre's c (A / 2^e)^(n-j) is c 2^-(e n) A^(n-j) (2^e)^j.
-        weights = [(x << e * n, y << e * n) if pt.exact else (x, y) for pt, (x, y) in zip(points, weights)]
-        target = [t << f + e * n for t in target]
     scales = [comb(n, j) * scale for j in range(n + 1)]
-    residuals = [(c * x - t, c * y) for c, (x, y), t in zip(scales, _gaussian_power_sum(n, homog, weights), target)]
-    if exact:
-        if any(x or y for x, y in residuals):
+    if all(pt.exact for pt in points):
+        coeffs = [Fraction(x, den) for x, _, den in (_weight(charts, n, a, b, q) for (a, b), q in homog)]
+        numerators, den = _cleared(coeffs)
+        sums = _gaussian_power_sum(n, homog, [(x, 0) for x in numerators])
+        if any(c * x != t * den or y for c, (x, y), t in zip(scales, sums, target)):
             raise ConsistencyError(f"exact reconstruction mismatch for {p}")
         return coeffs, None
+    bits = max(e, prec + WORKING_GUARD_BITS)
+    coeffs = []
+    with mpmath.workprec(prec):
+        for pt, ((a, b), q) in zip(points, homog):
+            parts = None if pt.exact else _centre_weight(charts, n, a, b, e, bits, prec)
+            if parts is None:
+                # a centre prints as (z : 1)
+                x, y, den = _weight(charts, n, a, b, q, centre=not pt.exact)
+                parts = _mpf(x, den, prec), _mpf(y, den, prec)
+            coeffs.append(mpmath.mpc(*parts))
+    f, weights = intpoly.gaussian(coeffs)
+    rebuild = (points, homog, weights, target, scales, e, f, prec, precision_bits)
+    bound, too_large = _interval_bound(*rebuild, bits) or _exact_bound(*rebuild)
+    if too_large:
+        raise PrecisionError(f"numeric reconstruction residual {mpmath.nstr(bound)} too large for {p}")
+    return coeffs, bound
+
+
+def _exact_bound(points, homog, weights, target, scales, e, f, prec, precision_bits):
+    """_coefficients' bound from the exact rebuild, and whether it is too large.
+
+    Every term c_i A_i^(n-j) B_i^j is over 2^(f + e n): a centre's
+    c (A / 2^e)^(n-j) is c 2^-(e n) A^(n-j) (2^e)^j.
+    """
+    n = len(scales) - 1
+    weights = [(x << e * n, y << e * n) if pt.exact else (x, y) for pt, (x, y) in zip(points, weights)]
+    target = [t << f + e * n for t in target]
+    residuals = [(c * x - t, c * y) for c, (x, y), t in zip(scales, _gaussian_power_sum(n, homog, weights), target)]
     sizes = _gaussian_power_sum(n, [((_ceil_abs(*a), 0), q) for a, q in homog], [(_ceil_abs(*w), 0) for w in weights])
     # the largest residual plus allowance, times scale 2^(f + e n + prec)
     worst = _max_ceil_abs(residuals, [(n + 2) * c * size for c, (size, _) in zip(scales, sizes)], prec)
-    bound = _mpf(worst, scale << f + e * n + prec, 53, up=True)
-    if worst << precision_bits // 2 > max(map(abs, target)) << prec:
-        raise PrecisionError(f"numeric reconstruction residual {mpmath.nstr(bound)} too large for {p}")
-    return coeffs, bound
+    bound = _mpf(worst, scales[0] << f + e * n + prec, 53, up=True)
+    return bound, worst << precision_bits // 2 > max(map(abs, target)) << prec
+
+
+def _interval_bound(points, homog, weights, target, scales, e, f, prec, precision_bits, bits):
+    """_exact_bound's bound and verdict, decided from power sums on the grid of 2^-bits (bits >= e), or None.
+
+    In _exact_bound's units each term w A^(n-j) B^j of a centre is w 2^(e n)
+    z^(n-j), z = A / 2^e, and its size ceil|w| ceil|A|^(n-j) 2^(e j) is
+    ceil|w| 2^(e n) rho^(n-j), rho = ceil|A| / 2^e: 2^s times step n - j
+    of intpoly.interval_horner on the monomials w t^n and ceil|w| t^n, s =
+    e n - bits. An exact point's terms are exact there. So every residual,
+    size and the largest of them is an interval in units of 2^s, and _mpf
+    and one comparison decide what _exact_bound gives, or leave it undecided.
+    """
+    n = len(scales) - 1
+    s = e * n - bits
+    carry = 1 << max(0, -s)  # a ceiling in _exact_bound's units, in units of 2^s
+    rows = []  # for each point and j = 0..n: its term, the term's error, and its size, low and high
+    for pt, (x, y), ((a, b), q) in zip(points, weights, homog):
+        if pt.exact:
+            # w 2^(e n) a^(n-j) q^j, exact; ceil|w 2^(e n)| is 2^bits |w| (exact for a real w) plus at most carry
+            norm, powers = (x * x + y * y) << 2 * bits, [a ** (n - j) * q**j for j in range(n + 1)]
+            size = (isqrt(norm), intpoly.ceil_sqrt(norm) + carry * bool(y))
+            rows.append([(x * c << bits, y * c << bits, 0, size[0] * abs(c), size[1] * abs(c)) for c in powers])
+        else:
+            terms = intpoly.interval_horner([(0, 0)] * n + [(x, y)], (a << bits - e, b << bits - e), bits)
+            sizes = intpoly.interval_horner([(0, 0)] * n + [(_ceil_abs(x, y), 0)], (_ceil_abs(a, b) << bits - e, 0),
+                                            bits)
+            rows.append([(tx, ty, err, v - size_err, v + size_err)
+                         for (tx, ty, err), (v, _, size_err) in zip(reversed(terms), reversed(sizes))])
+    low = high = 0
+    for c, t, column in zip(scales, target, zip(*rows)):
+        x, y, err, small, large = map(sum, zip(*column))
+        x, y, err = c * x - (t << f + bits), c * y, c * err
+        norm = x * x + y * y
+        low = max(low, (max(0, isqrt(norm) - err) << prec) + (n + 2) * c * small)
+        high = max(high, (intpoly.ceil_sqrt(norm) + err + carry << prec) + (n + 2) * c * large)
+    bound = _mpf((low, high, s), scales[0] << f + e * n + prec, 53, up=True)
+    top = max(map(abs, target)) << f + bits + prec
+    if bound is None or low << precision_bits // 2 <= top < high << precision_bits // 2:
+        return None
+    return bound, low << precision_bits // 2 > top
 
 
 def sylvester_json(p: BinaryForm, precision_bits: int) -> dict:

@@ -107,6 +107,32 @@ def horner(pairs, a: int, b: int, q: int) -> tuple[int, int]:
     return x, y
 
 
+def interval_horner(pairs, z, bits: int) -> list[tuple[int, int, int]]:
+    """Horner's rule for U at z = (z_0 + z_1 i) / 2^bits on the grid of 2^-bits, each step with a proven error bound.
+
+    pairs are Gaussian integers, ascending, and z lies on the grid exactly.
+    Step k, for k = deg down to 0, gives (X, Y, E) with
+    |2^bits S_k - (X + Y i)| <= E for the partial sum S_k = sum_(l >= k)
+    u_l z^(l - k): the last is U(z), and for the monomial w t^d the steps
+    are w z^j, j = 0..d. Each step floors both parts of one product, an
+    error below sqrt(2) < 2 ulps, and carries the earlier error times |z|:
+    the running error bound of Horner's rule (Higham, Accuracy and
+    Stability, 5.1), E <- ceil(E mag / 2^bits) + 2 with mag >= 2^bits |z|.
+    While |z| <= 1 it grows by at most 2 a step; past 1 it grows as the
+    value does, so the relative error stays as small.
+    """
+    zr, zi = z
+    mag = ceil_sqrt(zr * zr + zi * zi)
+    (x, y), err = pairs[-1], 0
+    x, y = x << bits, y << bits
+    steps = [(x, y, err)]
+    for cr, ci in reversed(pairs[:-1]):
+        x, y = ((x * zr - y * zi) >> bits) + (cr << bits), ((x * zi + y * zr) >> bits) + (ci << bits)
+        err = -(-err * mag >> bits) + 2
+        steps.append((x, y, err))
+    return steps
+
+
 def horner_with_derivative(pairs, a: int, b: int, q: int):
     """horner(pairs, a, b, q) and horner(derivative(pairs), a, b, q), in one homogeneous Horner pass.
 

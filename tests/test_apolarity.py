@@ -5,7 +5,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -417,6 +417,34 @@ def test_kernels_past_the_reconstruction_bound_fall_back(monkeypatch):
     assert wrong >= 2, wrong  # some lifts reach the product check with every entry reconstructed
 
 
+def test_a_lift_stops_at_the_first_entry_past_the_bound(monkeypatch):
+    # The connection entries are reconstructed in order, and the first one
+    # past the bound ends the lift: the entries after it are never read, and
+    # the kept rows of C_k give the kernel the oracle gives.
+    calls = _spy_kernel_routes(monkeypatch)
+    rational, read = intpoly.rational, []
+    monkeypatch.setattr(intpoly, "rational", lambda u, m: read.append(rational(u, m)) or read[-1])
+    rng = random.Random(5001)
+    stopped = skipped = 0
+    for _ in range(16):
+        n = rng.randint(4, 8)
+        pts = [(rng.randint(2**39, 2**40), rng.randint(2**39, 2**40)) for _ in range(2)]
+        p = form(n, oracle_power_sum_coeffs(n, pts, [rng.choice([-2, 1, 3]) for _ in pts]))
+        want = _oracle_apolar_kernel(p)
+        for routes in calls.values():
+            routes.clear()
+        read.clear()
+        assert apolarity._apolar_kernel(p) == want, p
+        _, conn = intpoly.connection(calls["lift"][0], intpoly.LIFT_PRIME)
+        every = [rational(c, intpoly.LIFT_PRIME) for c in conn]
+        if None in every:
+            stopped, skipped = stopped + 1, skipped + len(every) - len(read)
+            assert read == every[:every.index(None) + 1], p
+        else:
+            assert read == every, p
+    assert stopped >= 4 and skipped >= 2, (stopped, skipped)
+
+
 def test_a_prime_that_loses_the_middle_rank_falls_back(monkeypatch):
     # Mod 43 the middle rank k can fall below r; no lift can then pass the
     # product check, since a kernel of C_k would make r <= k, and the exact
@@ -695,6 +723,78 @@ def test_printed_digits_read_back_as_integer_times_a_power_of_ten():
                 text = mpmath.nstr(x, digits)
                 d, t = apolarity._decimal(text)
                 assert Fraction(d) * Fraction(10) ** t == Fraction(text), text
+
+
+def _mpf_value(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def test_mpf_rounds_a_quotient_half_up_on_prec_bits():
+    # _mpf(num, den, prec) is m 2^-shift, shift = prec - 1 - bitlen(|num|) +
+    # bitlen(den), so that |num / den| 2^shift lies in [2^(prec - 2), 2^prec),
+    # and m the integer nearest num 2^shift / den, a tie rounded up toward
+    # +inf, not to even and not away from 0; with up=True the least integer
+    # no smaller. 2.5, 3.5, -2.5, -3.5 on 2 bits:
+    assert [_mpf_value(apolarity._mpf(num, 2, 2)) for num in (5, 7, -5, -7)] == [3, 4, -2, -3]
+    assert [_mpf_value(apolarity._mpf(num, 3, 2, up=True)) for num in (5, -5)] == [2, -1]
+    rng = random.Random(5002)
+    seen = set()
+    for _ in range(3000):
+        prec, up = rng.choice([2, 3, 8, 53, 200]), rng.random() < 0.3
+        den = rng.randint(1, 1 << rng.randint(1, 250))
+        if rng.random() < 0.4:  # often a tie: an odd multiple of den / 2^k
+            odd = rng.randint(1 << prec - 1, 1 << prec + 1) | 1
+            den, num = den << rng.randint(0, 40), odd * den * rng.choice([1, -1])
+        else:
+            num = rng.randint(-(1 << 250), 1 << 250) >> rng.randint(0, 250)
+        got = apolarity._mpf(num, den, prec, up)
+        if not num:
+            assert got == 0
+            continue
+        shift = prec - 1 - abs(num).bit_length() + den.bit_length()
+        x = Fraction(num, den) * Fraction(2) ** shift
+        assert 2 ** (prec - 2) <= abs(x) < 2**prec
+        m = -((-x.numerator) // x.denominator) if up else (x + Fraction(1, 2)).__floor__()
+        assert _mpf_value(got) == m / Fraction(2) ** shift, (num, den, prec, up)
+        seen.add(("up" if up else "tie" if x.denominator == 2 else "near", num > 0, abs(m).bit_length() - prec))
+    # every sign, ties, and mantissas of prec - 1 and prec bits, and 2^prec where the rounding carries
+    assert {(kind, sign, bits) for kind in ("tie", "near") for sign in (True, False) for bits in (-1, 0)} <= seen
+    assert {("near", True, 1), ("up", True, 0), ("up", False, -1)} <= seen
+
+
+def _integers_between(lo: int, hi: int, s: int) -> range:
+    """The integers between lo 2^s and hi 2^s."""
+    if s >= 0:
+        return range(lo << s, (hi << s) + 1)
+    return range(-((-lo) >> -s), (hi >> -s) + 1)
+
+
+def test_mpf_of_intervals_is_the_mpf_of_every_integer_in_them():
+    # An interval (lo, hi, s) holds an unknown integer between lo 2^s and hi
+    # 2^s: _mpf gives the mpf that every integer in both intervals gives, or
+    # None. Intervals near powers of two cross bit lengths, and small
+    # mantissas put half-way points inside them.
+    rng = random.Random(5003)
+    decided = undecided = 0
+    for _ in range(1500):
+        prec, up = rng.choice([2, 3, 5]), rng.random() < 0.3
+        ends = []
+        for positive in (False, True):
+            centre = rng.choice([1 << rng.randint(1, 10), rng.randint(1, 3000)])
+            lo = centre * (1 if positive else rng.choice([1, -1])) - rng.randint(0, 3)
+            lo = max(lo, 1) if positive else lo
+            ends.append((lo, lo + rng.randint(0, 3 if positive else 5), rng.randint(-2, 2)))
+        nums, dens = (_integers_between(*end) for end in ends)
+        if not (nums and dens):
+            continue
+        got = apolarity._mpf(*ends, prec, up)
+        if got is None:
+            undecided += 1
+            continue
+        decided += 1
+        assert {apolarity._mpf(x, d, prec, up)._mpf_ for x in nums for d in dens} == {got._mpf_}, (ends, prec, up)
+    assert decided > 300 and undecided > 300, (decided, undecided)
 
 
 # --- rational supports from float seeds -----------------------------------------
@@ -1116,6 +1216,115 @@ def test_a_singular_numeric_solve_is_a_precision_error():
     two = apolarity.SupportPoint(mpmath.mpc(2), mpmath.mpf(1), exact=False, radius=2.0**-100)
     with pytest.raises(PrecisionError, match="residual"):
         apolarity._coefficients([two, two], 1, [0, 1], form(3, [1, 0, 0, 1]), 96)
+
+
+def _conjugate_pair_terms(n: int, s: Fraction, c: Fraction, a: Fraction, b: Fraction) -> list[Fraction]:
+    """The coefficients of w (z x + y)^n + w' (z' x + y)^n, z = s + sqrt(c) and w = a + b sqrt(c), ' conjugating.
+
+    With (s + sqrt(c))^m = P_m + Q_m sqrt(c), coefficient j is 2 C(n, j) (a P_m + b c Q_m), m = n - j.
+    """
+    powers, (p, q) = [], (Fraction(1), Fraction(0))
+    for _ in range(n + 1):
+        powers.append((p, q))
+        p, q = p * s + q * c, p + q * s
+    return [2 * comb(n, j) * (a * p + b * c * q) for j, (p, q) in enumerate(reversed(powers))]
+
+
+def _working_precision_forms(seed: int):
+    """(form, precision_bits) for the fuzz of the working-precision route.
+
+    Half are generic forms, mostly of degree 2-14 and some of 15-60, with
+    coefficients up to 10^60. The others sum conjugate pairs (s +- sqrt(c) : 1),
+    some flipped to (1 : s +- sqrt(c)): Gaussian rationals (c = -d^2, often
+    dyadic, so the refined centre is the root and the weight and the bound
+    are exact values that fall on rounding boundaries), and quadratic
+    irrationals up to 10^+-15 away from 1 (the tau chart); and up to three
+    exact points, (1 : 0) and (0 : 1) among them.
+    """
+    rng = random.Random(seed)
+    while True:
+        bits = rng.choice([53, 53, 96, 96, 160, 300])
+        if rng.random() < 0.5:
+            n = rng.randint(2, 14) if rng.random() < 0.85 else rng.randint(15, 60)
+            size = 10 ** rng.choice([1, 3, 12, 60])
+            coeffs = [rng.randint(-size, size) for _ in range(n + 1)]
+        else:
+            pairs, rationals = rng.randint(1, 3), rng.randint(0, 3)
+            n = rng.randint(4 * pairs + 2 * rationals - 1, 4 * pairs + 2 * rationals + 8)
+            coeffs = [Fraction(0)] * (n + 1)
+            for _ in range(pairs):
+                s = Fraction(rng.randint(-40, 40), 1 << rng.randint(0, 3)) if rng.random() < 0.5 else \
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                if rng.random() < 0.4:
+                    c = -Fraction(rng.randint(1, 40), rng.choice([1, 2, 4, 8, 3])) ** 2
+                else:
+                    c = Fraction(rng.choice([2, 3, 5, 7, 10, -1, -3]))
+                    c *= Fraction(10) ** rng.choice([0, 0, 12, -12, 30, -30])
+                terms = _conjugate_pair_terms(n, s, c, Fraction(rng.randint(-9, 9) or 1), Fraction(rng.randint(-9, 9)))
+                coeffs = [x + y for x, y in zip(coeffs, terms[::rng.choice([1, 1, 1, -1])])]
+            for _ in range(rationals):
+                a, b = rng.choice([(1, 0), (0, 1), (rng.randint(-9, 9), rng.randint(1, 5))])
+                w = rng.randint(-9, 9) or 1
+                coeffs = [x + w * comb(n, j) * Fraction(a) ** (n - j) * Fraction(b) ** j for j, x in enumerate(coeffs)]
+        if any(coeffs):
+            yield form(n, coeffs), bits
+
+
+def _coefficient_certificate(call):
+    """_coefficients' values for one call as exact tuples, or the class and message of its error."""
+    try:
+        coeffs, bound = apolarity._coefficients(*call)
+    except PrecisionError as err:
+        return type(err), str(err)
+    return [pt.alpha._mpc_ for pt in call[0] if not pt.exact], [c._mpc_ for c in coeffs], bound._mpf_
+
+
+def test_the_working_precision_route_gives_the_exact_certificate(monkeypatch):
+    # Every support with a refined centre is taken twice: by the working
+    # precision, where intervals decide every weight and the bound or leave
+    # them to the exact integers, and by the exact integers alone. Besides
+    # the supports of 300 forms, centres moved by about 2^-(precision_bits
+    # // 2) of their size make residuals on either side of the PrecisionError
+    # threshold, and a centre on a zero of U' is singular.
+    calls, coefficients = [], apolarity._coefficients
+    monkeypatch.setattr(apolarity, "_coefficients", lambda *call: calls.append(call) or coefficients(*call))
+    for p, bits in itertools.islice(_working_precision_forms(5004), 300):
+        try:
+            sylvester_decompose(p, bits)
+        except PrecisionError:  # the float seeds or the isolation cannot tell two roots apart
+            pass
+    monkeypatch.setattr(apolarity, "_coefficients", coefficients)
+    calls = [call for call in calls if not all(pt.exact for pt in call[0])]
+    rng = random.Random(5005)
+    for points, *rest in calls[::3]:
+        bits = rest[-1]
+        with mpmath.workprec(4096):
+            moved = [pt if pt.exact else apolarity.SupportPoint(
+                pt.alpha + rng.choice([1, -1, 1j, -1j]) * mpmath.ldexp(1, mpmath.mag(pt.alpha) - bits // 2
+                                                                       - rng.randint(-4, 24)),
+                pt.beta, exact=False, radius=pt.radius) for pt in points]
+        calls.append((moved, *rest))
+    for _ in range(8):
+        c, bits = rng.randint(2, 50), rng.choice([53, 96])
+        zero, root = (apolarity.SupportPoint(mpmath.mpc(z), mpmath.mpf(1), exact=False, radius=2.0**-bits)
+                      for z in (0, mpmath.sqrt(c)))
+        points = [zero, root][::rng.choice([1, -1])]
+        calls.append((points, 0, [-c, 0, 1], form(4, [rng.randint(1, 9) for _ in range(5)]), bits))
+    routes = {"_centre_weight": [], "_interval_bound": []}
+    for name, seen in routes.items():
+        route = getattr(apolarity, name)
+        monkeypatch.setattr(apolarity, name,
+                            lambda *args, route=route, seen=seen: seen.append(route(*args)) or seen[-1])
+    working = [_coefficient_certificate(call) for call in calls]
+    for name in routes:
+        monkeypatch.setattr(apolarity, name, lambda *args: None)
+    for call, got in zip(calls, working):
+        assert got == _coefficient_certificate(call), call
+    ends = [got[1].split(":")[0].split(" ")[0] for got in working if got[0] is PrecisionError]
+    assert len(calls) > 350 and ends.count("numeric") > 20 and ends.count("singular") == 8, (len(calls), ends)
+    # both routes are taken: most values are decided at working precision, and some are not
+    for (name, seen), least in zip(routes.items(), (1000, 300)):
+        assert len(seen) > least and 0 < seen.count(None) < len(seen) // 10, (name, len(seen), seen.count(None))
 
 
 # --- seeded rank-k sampling -----------------------------------------------------

@@ -1,5 +1,5 @@
-"""intpoly: isolate's refined seeds, each proven a root of its own or None; Horner's shift route; Berlekamp-Massey
-and rational reconstruction."""
+"""intpoly: isolate's refined seeds, each proven a root of its own or None; Horner's shift route and its
+fixed-point route with a running error bound; Berlekamp-Massey and rational reconstruction."""
 
 import random
 from fractions import Fraction
@@ -166,3 +166,35 @@ def test_the_shift_route_of_horner_is_the_multiply_route():
             if len(pairs) > 1:
                 assert intpoly.horner_with_derivative(pairs, a, b, q) == (
                     value, _homogeneous_value(intpoly.derivative(pairs), a, b, q)), (pairs, a, b, q)
+
+
+def test_the_interval_horner_bounds_the_error_of_every_step():
+    # Each step k is 2^bits S_k(z) within its error, S_k = sum_(l >= k) u_l z^(l-k),
+    # against the exact homogeneous value q^(d-k) S_k(z) at q = 2^bits; for
+    # |z| <= 1 and past it, with real and Gaussian coefficients up to 10^60.
+    rng = random.Random(50)
+    used = 0.0
+    for _ in range(400):
+        bits, d = rng.randint(1, 300), rng.randint(0, 30)
+        pairs = [(rng.randint(-10**60, 10**60) >> rng.randint(0, 190), rng.choice([0, rng.randint(-10**20, 10**20)]))
+                 for _ in range(d + 1)]
+        grow = rng.choice([0, 0, 1, 3, 20])  # |z| up to about 2^grow
+        z = (rng.randint(-(1 << bits + grow), 1 << bits + grow) >> (grow == 0), rng.choice([0, rng.randint(-(1 << bits), 1 << bits)]))
+        steps = intpoly.interval_horner(pairs, z, bits)
+        assert len(steps) == d + 1
+        for k, (x, y, err) in zip(range(d, -1, -1), steps):
+            vx, vy = _homogeneous_value(pairs[k:], *z, 1 << bits)
+            q = 1 << bits * (d - k)
+            off = (Fraction(vx << bits, q) - x) ** 2 + (Fraction(vy << bits, q) - y) ** 2
+            assert off <= err * err, (pairs, z, bits, k)
+            if err:
+                used = max(used, float(off / err**2))
+    assert used > 0.05, used  # the bound is not idle: some step errs by more than a fifth of it
+
+
+def test_the_interval_horner_steps_of_a_monomial_are_its_powers():
+    # w t^d gives 2^bits w z^j at step j, both parts floored: z = 1/2 on 2
+    # bits, and the bound goes ceil(E |z|) + 2 = 2, 3, 4, 4.
+    steps = intpoly.interval_horner([(0, 0)] * 4 + [(3, -1)], (2, 0), 2)
+    assert [(x, y) for x, y, _ in steps] == [(12, -4), (6, -2), (3, -1), (1, -1), (0, -1)]
+    assert [err for _, _, err in steps] == [0, 2, 3, 4, 4]

@@ -7,11 +7,12 @@ benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
 names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
 standard library, kronsec/cli.py imports no arithmetic, one function climbs
-intpoly.RUNGS and one calls intpoly.certified_root, the loop tracker's step
-loop runs on ints, naming no Fraction, kronecker and tensor_decompose name no
-character table, characters.py expands only the tails of classes,
-apolarity.py takes the lcm of denominators in one function and cli.py reads
-JSON in one function.
+intpoly.RUNGS and one calls intpoly.certified_root, one loop evaluates on a
+fixed-point grid with an error bound and apolarity.py truncates no product of
+its own, the loop tracker's step loop runs on ints, naming no Fraction,
+kronecker and tensor_decompose name no character table, characters.py expands
+only the tails of classes, apolarity.py takes the lcm of denominators in one
+function and cli.py reads JSON in one function.
 """
 
 import ast
@@ -268,6 +269,55 @@ def test_one_function_proves_the_roots_complete():
     calls = [f"{path.stem}.{where}" for path in PACKAGE_MODULES
              for where in calls_of(path.read_text(encoding="utf-8"), "certified_root")]
     assert calls == ["intpoly.isolate"]
+
+
+def _truncates(node) -> bool:
+    """Whether node right-shifts a product: truncates it to a fixed-point grid."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift) and any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(node.left))
+
+
+def _rounds_up(node) -> bool:
+    """Whether node is -(x >> k), a shift rounded up, as in -(-e * m >> k)."""
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and isinstance(node.operand, ast.BinOp) \
+        and isinstance(node.operand.op, ast.RShift)
+
+
+def truncated_products(source: str) -> list[str]:
+    """The innermost enclosing function of each right shift of a product."""
+    return enclosing_functions(source, _truncates)
+
+
+def error_bounded_horners(source: str) -> list[str]:
+    """The innermost enclosing function of each loop that truncates products and rounds a shift up.
+
+    Such a loop evaluates on a fixed-point grid and carries a bound on its error.
+    """
+    return enclosing_functions(source, lambda node: isinstance(node, (ast.For, ast.While)) and any(
+        map(_rounds_up, ast.walk(node))) and any(map(_truncates, ast.walk(node))))
+
+
+def test_the_scan_finds_every_error_bounded_horner():
+    source = (
+        "def interval_horner(pairs, z, bits):\n    for c in pairs:\n"
+        "        x = (x * z >> bits) + c\n        err = -(-err * mag >> bits) + 2\n"
+        "def newton(desc, z, bits):\n    for c in desc:\n        u = (u * z >> bits) + c\n"
+        "def _centre_weight(numer, z, bits):\n    def inner():\n        while numer:\n"
+        "            x = (x * z >> bits) + numer.pop()\n            e = -(-e * m >> bits) + 1\n    return inner\n"
+        "CEIL = -(-A // B)\nTOP = abs(X) >> G\n"
+    )
+    assert error_bounded_horners(source) == ["interval_horner", "inner"]
+    assert truncated_products(source) == ["interval_horner", "interval_horner", "newton", "inner", "inner"]
+
+
+def test_one_function_evaluates_on_the_grid_with_an_error_bound():
+    # Every fixed-point evaluation that carries a proven error bound is
+    # intpoly.interval_horner, and apolarity truncates no product of its own:
+    # a second copy would be a second error analysis to get right.
+    found = [f"{path.stem}.{where}" for path in PACKAGE_MODULES
+             for where in error_bounded_horners(path.read_text(encoding="utf-8"))]
+    assert found == ["intpoly.interval_horner"]
+    assert truncated_products((PACKAGE / "apolarity.py").read_text(encoding="utf-8")) == []
 
 
 def denominator_lcms(source: str) -> list[str]:
