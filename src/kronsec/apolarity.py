@@ -28,17 +28,17 @@ catalecticant is built once as integer rows: the rows of C_k scaled to a
 Hankel matrix of integers.
 
 The support points (1 : 0) and (0 : 1) are read off the annihilator's
-coefficients; every other point comes from intpoly's float Aberth-Ehrlich
-seeds, one per root. Rational points are exact: one matcher proposes them,
-compared exactly on integers, and exact evaluation verifies them. The seeds
-the matcher leaves over go to intpoly.isolate on the integer annihilator:
-it refines each into a certified disc whose exact radius is below
-2^-(precision_bits + SOLVE_GUARD_BITS) and proves the discs apart from each
-other and from the rational points, which makes them, one per root
-approximation, all the roots. The matcher then runs again on the refined
-centres, and a root it matches must lie in its centre's disc.
-mpmath.polyroots supplies the approximations only when the seeds fail: none
-come back, a refinement stalls, or two discs meet.
+coefficients. Every rational point is exact, and no float decides which
+they are: intpoly.rational_roots lifts the roots of U mod a small prime
+p-adically, reconstructs each rational one and proves it by one exact
+Horner, and divides U by their linear factors. Only the cofactor's roots,
+the irrational ones, get intpoly's float Aberth-Ehrlich seeds, one per
+root, and intpoly.isolate refines each on the full integer annihilator into
+a certified disc whose exact radius is below
+2^-(precision_bits + SOLVE_GUARD_BITS), and proves the discs apart from
+each other and from the rational points, which makes them, one per root,
+all the roots. mpmath.polyroots approximates the cofactor's roots only when
+the seeds fail: none come back, a refinement stalls, or two discs meet.
 
 Every coefficient comes by partial fractions over the annihilator U
 (Kung-Rota), weight = N(t) / U'(t) for one numerator N built from the
@@ -79,9 +79,6 @@ from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .errors import CapacityError, ConsistencyError, DomainError, PrecisionError, require_int, require_str
 
 RESAMPLE_BOUND = 32
-# Largest denominator of an exact support point; a rational root with a
-# larger one comes out as a certified approximation.
-DENOMINATOR_BOUND = 10**12
 # Guard bits above `precision_bits`: approximate support points are refined
 # to discs of radius below 2^-(precision_bits + SOLVE_GUARD_BITS) and their
 # weights rounded to that many bits, and sylvester_json prints them with the
@@ -405,118 +402,44 @@ def normalize_point(alpha, beta) -> tuple[int, int]:
 
 
 def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[SupportPoint]:
-    """All projective roots of a squarefree form given by _dehomogenize, exact when rational.
+    """All projective roots of a squarefree form given by _dehomogenize: exact points ascending, then certified discs.
 
-    (1 : 0) is read off the coefficients (at_inf). The finite roots start
-    from the float seeds of intpoly.aberth_seeds on U, which seeds a root
-    t = 0 exactly, a near-real seed put on the real axis, so that a real
-    root keeps an imaginary part of exactly 0 through Newton. When there
-    are no seeds, or _roots_from finds them wanting (intpoly.isolate finds a
-    refinement stalled or two discs meeting), mpmath.polyroots supplies the
-    approximations instead; _roots_from refines and isolates either on U.
-    """
-    points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
-    seeds = intpoly.aberth_seeds(ints)
-    if seeds is not None:
-        seeds = [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds]
-        try:
-            return points + _roots_from(ints, seeds, precision_bits)
-        except PrecisionError:  # a refinement stalled or two discs met
-            pass
-    try:
-        with mpmath.workprec(max(96, precision_bits + 32)):
-            approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)], maxsteps=220, extraprec=120)
-    except mpmath.libmp.NoConvergence as exc:
-        raise PrecisionError(f"support roots did not converge: {exc}") from None
-    return points + _roots_from(ints, approx, precision_bits)
-
-
-def _roots_from(ints: list[int], approx: Sequence, precision_bits: int) -> list[SupportPoint]:
-    """The finite roots of U from deg(U) approximations: exact points ascending, then certified discs.
-
-    _rational_roots matches rational roots to the approximations, and
-    intpoly.isolate refines the rest on the full polynomial until
-    deg * |U(z)/U'(z)| < 2^-(precision_bits + SOLVE_GUARD_BITS), the precision
-    the coefficients are rounded to, and proves their discs apart from each
-    other and from the matched roots: so they hold every other root, one each.
-    Nothing is deflated. The matcher runs again on the refined centres for a
-    rational root an approximation was too coarse to match; a root it matches
-    must lie in its centre's disc, whose one root it then is. The discs are
+    (1 : 0) is read off the coefficients (at_inf), and the rational roots of
+    U come exactly from intpoly.rational_roots, with the cofactor C of U over
+    their linear factors. Only C's roots are approximated: by the float seeds
+    of intpoly.aberth_seeds, a near-real seed put on the real axis so that a
+    real root keeps an imaginary part of exactly 0 through Newton; or, when
+    there are none or intpoly.isolate finds a refinement stalled or two discs
+    meeting, by mpmath.polyroots of C at the refinement target. isolate
+    refines each on the full U until deg * |U(z)/U'(z)| < 2^-(precision_bits
+    + SOLVE_GUARD_BITS), the precision the coefficients are rounded to, and
+    proves the discs apart from each other and from the exact roots: deg U
+    points, so the discs hold the other roots, one each. The discs are
     ordered by (|im|, re, im), polyroots' order with its conjugate pairs fixed.
     """
-    roots, leftovers = _rational_roots(ints, approx)
-    bits = precision_bits + SOLVE_GUARD_BITS
-    found = intpoly.isolate([(c, 0) for c in ints], leftovers, bits, [(r.numerator, 0, r.denominator) for r in roots])
-    if found is not None:
-        refined = {}
-        for (x, y), e, square in found:
-            with mpmath.workprec(1 + max(x.bit_length(), y.bit_length())):
-                refined[mpmath.mpc(mpmath.mpf((x, -e)), mpmath.mpf((y, -e)))] = x, y, e, square
-        more, leftovers = _rational_roots(ints, list(refined), taken=set(roots))
-        matched = [disc for z, disc in refined.items() if z not in leftovers]
-        # |p/q - (x + y i) / 2^e|^2 <= num / den, times den (q 2^e)^2
-        if all((((r.numerator << e) - r.denominator * x) ** 2 + (r.denominator * y) ** 2) * den
-               <= num * (r.denominator << e) ** 2 for r, (x, y, e, (num, den)) in zip(more, matched)):
-            discs = [SupportPoint(z, mpmath.mpf(1), exact=False, radius=intpoly.sqrt_up(Fraction(*refined[z][3])))
-                     for z in leftovers]
-            exact = [SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
-                     for r in sorted(roots + more)]
-            return exact + sorted(discs, key=lambda pt: (abs(pt.alpha.imag), pt.alpha.real, pt.alpha.imag))
-    raise PrecisionError(f"root isolation stalled above the precision floor 2^-{bits} or two inclusion discs meet;"
-                         " the roots are not separated")
-
-
-def _rational_roots(ints: list[int], approx: Sequence, taken=frozenset()) -> tuple[list[Fraction], list]:
-    """The rational roots of U that the approximations match, and the approximations matching none.
-
-    Each approximation z (a float seed, a polyroots value or a refined
-    centre) takes the first continued-fraction convergent p/q
-    (q <= DENOMINATOR_BOUND) of its real part that is not in `taken`, lies
-    strictly nearer to z than half its distance to every other
-    approximation and passes the exact identity sum_i c_i p^i q^(d-i) = 0
-    (q | c_d tested first, as for any root p/q in lowest terms). So a seed
-    near -8/3 never takes the root -3 of its neighbour, one off the real
-    axis takes nothing, and no root is taken twice: two such discs are
-    disjoint. Distances are compared exactly on intpoly.gaussian's
-    integers. The roots come in the order of their approximations; a
-    leftover only says that z matched no rational root.
-
-    `taken` holds the roots an earlier pass matched. The second pass of
-    _roots_from sees only the refined centres, not the approximations that
-    matched those roots, so no distance test keeps a centre off them: on one
-    degree-16 annihilator, the centre near 0.1035 has the first convergent
-    0/1, and the root 0, matched by its seed 0j, would be taken twice.
-    """
-    e, gauss = intpoly.gaussian(approx)
-    roots, leftovers = [], []
-    for j, (z, (a, b)) in enumerate(zip(approx, gauss)):
-        # 4^e |z - w|^2 for the nearest other approximation w, or None
-        gap = min(((a - c) ** 2 + (b - d) ** 2 for k, (c, d) in enumerate(gauss) if k != j), default=None)
-        if gap is not None and 4 * b * b >= gap:  # the test below is then false for every q: skip the walk
-            leftovers.append(z)
-            continue
-        for p, q in _convergents(a, 1 << e):
-            # |p/q - z| < |z - w| / 2, both sides times 2^(e+1) q and squared
-            near = gap is None or 4 * (((p << e) - q * a) ** 2 + (q * b) ** 2) < q * q * gap
-            if (near and not ints[-1] % q and intpoly.horner([(c, 0) for c in ints], p, 0, q) == (0, 0)
-                    and Fraction(p, q) not in taken):
-                roots.append(Fraction(p, q))
-                break
-        else:
-            leftovers.append(z)
-    return roots, leftovers
-
-
-def _convergents(num: int, den: int):
-    """The continued-fraction convergents p/q of num/den (den > 0) with q <= DENOMINATOR_BOUND, in order."""
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while den:
-        a, rem = divmod(num, den)
-        num, den = den, rem
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > DENOMINATOR_BOUND:
-            return
-        yield p1, q1
+    points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
+    roots, cofactor = intpoly.rational_roots(ints)
+    points += [SupportPoint(Fraction(a), Fraction(b), exact=True) for a, b in sorted(roots, key=lambda r: Fraction(*r))]
+    pairs, bits, exact = [(c, 0) for c in ints], precision_bits + SOLVE_GUARD_BITS, [(a, 0, b) for a, b in roots]
+    seeds = intpoly.aberth_seeds(cofactor)
+    found = None if seeds is None else intpoly.isolate(
+        pairs, [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds], bits, exact)
+    if found is None:
+        try:
+            with mpmath.workprec(bits):
+                approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(cofactor)], maxsteps=220, extraprec=120)
+        except mpmath.libmp.NoConvergence as exc:
+            raise PrecisionError(f"support roots did not converge: {exc}") from None
+        found = intpoly.isolate(pairs, approx, bits, exact)
+    if found is None:
+        raise PrecisionError(f"root isolation stalled above the precision floor 2^-{bits} or two inclusion discs "
+                             "meet; the roots are not separated")
+    discs = []
+    for (x, y), e, square in found:
+        with mpmath.workprec(1 + max(x.bit_length(), y.bit_length())):
+            z = mpmath.mpc(mpmath.mpf((x, -e)), mpmath.mpf((y, -e)))
+        discs.append(SupportPoint(z, mpmath.mpf(1), exact=False, radius=intpoly.sqrt_up(Fraction(*square))))
+    return points + sorted(discs, key=lambda pt: (abs(pt.alpha.imag), pt.alpha.real, pt.alpha.imag))
 
 
 # --- Sylvester decomposition -------------------------------------------------

@@ -21,6 +21,10 @@ serves integer and Gaussian-rational polynomials. `connection`
 catalecticant mod p without eliminating it, as `linear_complexity`, and,
 run again mod LIFT_PRIME, a kernel vector of a catalecticant, whose
 entries `rational` (Wang's rational reconstruction) reads back as fractions.
+`rational_roots` finds the rational roots of an integer polynomial with no
+float, by the routines over F_p: a small prime (`root_prime`), the roots mod
+p (`roots_mod_p`) and their Hensel lifts (`hensel_lift`), each read back by
+`rational` and proven by one exact `horner`.
 """
 
 import cmath
@@ -47,6 +51,9 @@ SQUAREFREE_PRIME = 2**31 - 1
 # one-dimensional catalecticant kernel: `rational` reads back entries up to
 # sqrt(LIFT_PRIME / 2), about 2^63, and an exact product checks the lift.
 LIFT_PRIME = 2**127 - 1
+# The least prime rational_roots tries. It evaluates U at every residue mod
+# p, so p is small; p = 3 mod 4, so that coprime_mod_p proves U squarefree mod p.
+ROOT_PRIME_START = 103
 
 
 def dyadic(x) -> tuple[int, int]:
@@ -178,16 +185,16 @@ def times_linear(desc, r, bits: int):
     return out
 
 
-def coprime_mod_p(coeffs) -> bool:
-    """p does not divide lc(U), and U, U' are coprime in F_p[i][t] for p = SQUAREFREE_PRIME.
+def coprime_mod_p(coeffs, p: int) -> bool:
+    """p does not divide lc(U), and U, U' are coprime in F_p[i][t], for a prime p = 3 mod 4.
 
     U's coefficients are any numbers gaussian reads exactly. As p = 3 mod 4,
     -1 is no square mod p and F_p[i] is a field. That proves U squarefree
     over Q(i) (Brown 1971): a repeated factor g^2 | U over Z[i] keeps its
     degree mod p, because lc(g) divides lc(U), and its image would divide
-    both U and U' mod p. False only means "maybe".
+    both U and U' mod p. False only means "maybe". For integer U it says
+    that U mod p keeps its degree and is squarefree over F_p.
     """
-    p = SQUAREFREE_PRIME
     return _coprime(*_with_derivative(coeffs), lambda poly: _trimmed([(x % p, y % p) for x, y in poly]))
 
 
@@ -201,7 +208,7 @@ def squarefree(coeffs) -> bool:
     over Q(i) hang at high degree.
     """
     u, du = _with_derivative(coeffs)
-    return not du or coprime_mod_p(coeffs) or _coprime(u, du, _primitive)  # a constant U has no root to repeat
+    return not du or coprime_mod_p(coeffs, SQUAREFREE_PRIME) or _coprime(u, du, _primitive)  # a constant U has no root to repeat
 
 
 def _with_derivative(coeffs):
@@ -296,6 +303,74 @@ def rational(u: int, m: int) -> tuple[int, int] | None:
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def rational_roots(u: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The rational roots a / b of a squarefree integer U, as (a, b) in lowest terms with b > 0, and U over prod (b t - a).
+
+    A root 0 is read off U(0) = 0 and divided out; every other is found
+    p-adically (Loos, SIAM J. Comput. 1983; von zur Gathen-Gerhard, Modern
+    Computer Algebra, ch. 15) as a root of V = U / t. A root a / b in lowest
+    terms has a | v_0 and b | v_d, and p = root_prime(V) divides neither v_d
+    nor disc(V), so a / b reduces to a simple root of V mod p (roots_mod_p),
+    which hensel_lift lifts to m = p^(2^j) > 2 max(|v_0|, |v_d|)^2. There
+    `rational` gives a / b back uniquely, as |a|, b <= sqrt(m / 2), and one
+    exact horner proves it; a root mod p of no rational root fails the one
+    or the other. The cofactor is divided exactly in Z[t] (Gauss's lemma).
+    The roots come in no set order.
+    """
+    zero = not u[0]
+    v, roots = u[zero:], [(0, 1)] * zero
+    if len(v) > 1:
+        p, bound, pairs = root_prime(v), 2 * max(abs(v[0]), abs(v[-1])) ** 2, [(c, 0) for c in v]
+        for r in roots_mod_p(v, p):
+            pair = rational(*hensel_lift(v, r, p, bound))
+            if pair and horner(pairs, pair[0], 0, pair[1]) == (0, 0):
+                roots.append(pair)
+    for a, b in roots[zero:]:
+        quotient = [0]  # q_d = 0, then q_(k-1) = (v_k + a q_k) / b for k = d down to 1
+        for c in reversed(v[1:]):
+            quotient.append((c + a * quotient[-1]) // b)
+        v = quotient[:0:-1]
+    return roots, v
+
+
+def root_prime(u: list[int]) -> int:
+    """The first prime p = 3 mod 4 from ROOT_PRIME_START with coprime_mod_p(U, p): p does not divide u_d, and U is squarefree mod p.
+
+    Every prime passed over divides res(U, U') = +-u_d disc(U), which is
+    nonzero for the squarefree U of degree >= 1 that callers give, so the
+    search ends.
+    """
+    p = ROOT_PRIME_START
+    while not (all(p % q for q in range(3, isqrt(p) + 1, 2)) and coprime_mod_p(u, p)):
+        p += 4
+    return p
+
+
+def roots_mod_p(u: list[int], p: int) -> list[int]:
+    """The residues r = 0..p-1 with U(r) = 0 mod p, ascending, by one Horner sweep over all of them."""
+    values = [u[-1] % p] * p
+    for c in reversed(u[:-1]):
+        values = [(v * r + c) % p for r, v in enumerate(values)]
+    return [r for r, v in enumerate(values) if not v]
+
+
+def hensel_lift(u: list[int], r: int, p: int, bound: int) -> tuple[int, int]:
+    """(s, m): the root s mod m of U lifting its simple root r mod p, m the first p^(2^j) past bound.
+
+    Newton's step s - U(s) / U'(s), taken mod m^2 from a root mod m, is a
+    root mod m^2 while U'(s) stays a unit, as it does for a simple root
+    mod p (Hensel).
+    """
+    m = p
+    while m <= bound:
+        m *= m
+        value = slope = 0
+        for c in reversed(u):
+            slope, value = (slope * r + value) % m, (value * r + c) % m
+        r = (r - value * pow(slope, -1, m)) % m
+    return r, m
 
 
 def aberth_seeds(coeffs) -> list[complex] | None:

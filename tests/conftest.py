@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import math
 import random
+import re
 import signal
 from dataclasses import replace
 from fractions import Fraction
@@ -336,6 +337,141 @@ def oracle_has_repeated_root(q_coeffs) -> bool:
     sylvester = [[0] * i + u + [0] * (size - d - 1 - i) for i in range(d - 1)]
     sylvester += [[0] * i + du + [0] * (size - d - i) for i in range(d)]
     return _oracle_determinant(sylvester) == 0
+
+
+def oracle_rational_roots(u) -> list[Fraction]:
+    """The rational roots of U = sum u_i t^i (ascending integers, not all 0), ascending, by trying each candidate.
+
+    A root 0 is read off the zero coefficients at the bottom; with them
+    dropped, every other root is +-a/b with a | u_0 and b | u_d, and each
+    such candidate is evaluated exactly.
+    """
+    low = next(i for i, c in enumerate(u) if c)
+    u = u[low:]
+
+    def divisors(m):
+        m = abs(m)
+        return {k for j in range(1, math.isqrt(m) + 1) if m % j == 0 for k in (j, m // j)}
+
+    candidates = {sign * Fraction(a, b) for a in divisors(u[0]) for b in divisors(u[-1]) for sign in (1, -1)}
+    d = len(u) - 1  # b^d U(a / b) = sum u_i a^i b^(d - i), on integers
+    roots = {x for x in candidates
+             if not sum(c * x.numerator**i * x.denominator ** (d - i) for i, c in enumerate(u))}
+    return sorted(roots | {Fraction(0)} if low else roots)
+
+
+def oracle_form(text: str) -> tuple[int, list[Fraction]]:
+    """(n, [a_0, ..., a_n]) of a form literal "deg=n; coeffs=a_0,...,a_n", each a_i read by Fraction."""
+    degree, coeffs = re.fullmatch(r"\s*deg\s*=\s*(\d+)\s*;\s*coeffs\s*=\s*(.*?)\s*", text).groups()
+    return int(degree), [Fraction(c.strip()) for c in coeffs.split(",")]
+
+
+def oracle_printed(text: str) -> tuple[Fraction, Fraction]:
+    """A printed exact or approximate value, read exactly as a Gaussian rational (re, im)."""
+    parts = re.fullmatch(r"\((\S+) ([+-]) (\S+)j\)", text)
+    if parts:
+        re_part, sign, im_part = parts.groups()
+        return Fraction(re_part), Fraction(sign + im_part)
+    return Fraction(text), Fraction(0)
+
+
+def _oracle_times(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _oracle_homogeneous(u, w, q: int):
+    """q^d U(w / q) and q^(d-1) U'(w / q) as Gaussian integers, for U = sum u_i t^i of degree d (u ascending integers), w = (x, y) = x + y i and q > 0.
+
+    Horner's rule on sum u_i w^i q^(d-i) and on its derivative in w.
+    """
+    (x, y), value, slope, power = w, (u[-1], 0), (0, 0), 1
+    for c in reversed(u[:-1]):
+        power *= q
+        slope = (slope[0] * x - slope[1] * y + value[0], slope[0] * y + slope[1] * x + value[1])
+        value = (value[0] * x - value[1] * y + c * power, value[0] * y + value[1] * x)
+    return value, slope
+
+
+def _oracle_apart(points) -> bool:
+    """Whether the discs (centre, radius) are pairwise disjoint: |c1 - c2| > r1 + r2 for every pair."""
+    return all((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > (r + s) ** 2
+               for i, (a, r) in enumerate(points) for b, s in points[i + 1:])
+
+
+def oracle_check_certificate(form_text: str, payload: dict) -> None:
+    """Assert that a printed `sylvester` certificate of the form proves what it claims, from its digits alone.
+
+    The annihilator annihilates the form (oracle_apply_operator), and with
+    no support it has a repeated root. Otherwise, with U(t) = q(t, 1) for
+    the annihilator q and its roots at (1 : 0) dropped:
+      * every exact point is a root of U, by exact evaluation;
+      * every disc (c, r) holds a root: one exact Newton step from c to N,
+        and |N - c| + deg U |U(N) / U'(N)| <= r, compared on squares. Some
+        root of U lies within deg U |U(z) / U'(z)| of any z with U'(z) != 0;
+      * the discs and the exact points (radius 0) are pairwise apart and
+        number deg U, so each holds one root and together they hold all;
+      * the printed points and weights, read exactly, rebuild every
+        coefficient of the form within error_bound (exactly when it is null).
+    """
+    n, coeffs = oracle_form(form_text)
+    k, q = oracle_form(payload["annihilator"])
+    assert payload["kernel_degree"] == k, payload
+    assert not any(oracle_apply_operator(q, n, coeffs)), "the annihilator does not annihilate the form"
+    if payload["support"] is None:
+        assert oracle_has_repeated_root(q), "no support, but the annihilator has no repeated root"
+        return
+    assert payload["rank"] == k == len(payload["support"]) == len(payload["coefficients"]), payload
+    at_inf = next(i for i, c in enumerate(q) if c)
+    scale = math.lcm(*(c.denominator for c in q))
+    u = [int(c * scale) for c in q[at_inf:]][::-1]  # U(t), ascending in t, over the integers
+    d = len(u) - 1
+    finite = []
+    for pt in payload["support"]:
+        (a, b), (beta, _) = oracle_printed(pt["alpha"]), oracle_printed(pt["beta"])
+        if beta:
+            finite.append(((a / beta, b / beta), Fraction(pt["radius"] or 0), pt["exact"]))
+        else:
+            assert pt["exact"] and (a, b) != (0, 0)
+    assert len(payload["support"]) - len(finite) == at_inf <= 1, "points at (1 : 0)"
+    assert len(finite) == d, "the points are not deg U in number"
+    for z, r, exact in finite:
+        den = math.lcm(z[0].denominator, z[1].denominator)
+        w = (int(z[0] * den), int(z[1] * den))
+        value, slope = _oracle_homogeneous(u, w, den)
+        if exact:
+            assert value == (0, 0), f"the exact point {z} is no root"
+            continue
+        # The Newton point (w slope - value) conj(slope) / (den |slope|^2), rounded down to N = (X + Y i) / 2^bits, a
+        # grid far finer than r: the inclusion bound holds at any point, so rounding N costs the proof nothing.
+        norm = slope[0] ** 2 + slope[1] ** 2
+        assert r and norm, f"U' vanishes at the centre {z}, or its radius is 0"
+        bits = max(0, r.denominator.bit_length() - r.numerator.bit_length()) + 64 + 2 * d.bit_length()
+        top = _oracle_times((w[0] * slope[0] - w[1] * slope[1] - value[0], w[0] * slope[1] + w[1] * slope[0] - value[1]),
+                            (slope[0], -slope[1]))
+        point = tuple((part << bits) // (den * norm) for part in top)
+        value, slope = _oracle_homogeneous(u, point, 1 << bits)
+        norm = slope[0] ** 2 + slope[1] ** 2
+        assert norm, f"U' vanishes at the Newton point of {z}"
+        moved = Fraction(sum((p * den - (c << bits)) ** 2 for p, c in zip(point, w)), (den << bits) ** 2)
+        inclusion = Fraction(d * d * (value[0] ** 2 + value[1] ** 2), norm << 2 * bits)
+        # sqrt(moved) + sqrt(inclusion) <= r, squared twice
+        room = r * r + moved - inclusion
+        assert moved <= r * r and room >= 0 and 4 * r * r * moved <= room * room, f"no root proven in the disc about {z}"
+    assert _oracle_apart([(z, r) for z, r, _ in finite]), "two discs or exact points meet"
+    bound = Fraction(payload["error_bound"] or 0)
+    rebuilt = [(Fraction(0), Fraction(0))] * (n + 1)
+    for pt, c in zip(payload["support"], payload["coefficients"]):
+        alpha, beta = oracle_printed(pt["alpha"]), oracle_printed(pt["beta"])
+        left = [oracle_printed(c)]  # c alpha^m
+        for _ in range(n):
+            left.append(_oracle_times(left[-1], alpha))
+        right = (Fraction(1), Fraction(0))  # beta^j
+        for j in range(n + 1):
+            x, y = _oracle_times(left[n - j], right)
+            rebuilt[j] = (rebuilt[j][0] + comb(n, j) * x, rebuilt[j][1] + comb(n, j) * y)
+            right = _oracle_times(right, beta)
+    for j, ((x, y), target) in enumerate(zip(rebuilt, coeffs)):
+        assert (x - target) ** 2 + y * y <= bound * bound, f"coefficient {j} is not rebuilt within error_bound"
 
 
 def oracle_last_letter_tableaux(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:

@@ -14,10 +14,12 @@ import pytest
 from conftest import (
     oracle_apply_operator,
     oracle_catalecticant,
+    oracle_check_certificate,
     oracle_has_repeated_root,
     oracle_power_sum_coeffs,
     oracle_rank_mod_p,
     oracle_rref,
+    within_seconds,
 )
 from test_cli import _RANK_15_POINTS, _power_sums
 
@@ -637,7 +639,7 @@ def test_squarefree_without_a_modular_certificate_runs_the_exact_test(q):
     # a repeated root mod p, so only the remainder sequence over Z decides.
     coeffs = [Fraction(c) for c in q]
     at_inf, ints = _dehomogenize(coeffs, len(q) - 1)
-    assert not coprime_mod_p(ints)
+    assert not coprime_mod_p(ints, SQUAREFREE_PRIME)
     assert (at_inf <= 1 and squarefree(ints)) == (not oracle_has_repeated_root(coeffs))
 
 
@@ -654,7 +656,7 @@ def test_modular_certificate_never_claims_a_repeated_root_squarefree():
         at_inf, ints = _dehomogenize(coeffs, len(q) - 1)
         is_squarefree = not oracle_has_repeated_root(coeffs)
         assert (at_inf <= 1 and squarefree(ints)) == is_squarefree, q
-        if at_inf <= 1 and coprime_mod_p(ints):
+        if at_inf <= 1 and coprime_mod_p(ints, SQUAREFREE_PRIME):
             certified += 1
             assert is_squarefree, q
     assert certified > 50
@@ -816,34 +818,38 @@ def _isolated(monkeypatch, ints):
         return apolarity._certified_roots(0, ints, 96)
 
 
-def _seeded(ints):
-    """The ascending roots when the float seeds match a rational root each, else None."""
-    seeds = intpoly.aberth_seeds(ints)
-    if seeds is None:
-        return None
-    roots, leftovers = apolarity._rational_roots(ints, seeds)
-    return None if leftovers else sorted(roots)
+def _lifted(ints):
+    """The ascending rational roots intpoly.rational_roots gives when they are all the roots of U, else None."""
+    roots, cofactor = intpoly.rational_roots(ints)
+    return sorted(Fraction(*r) for r in roots) if len(cofactor) == 1 else None
 
 
 def _no_isolation(*args, **kwargs):
     raise AssertionError("a support was isolated by mpmath.polyroots")
 
 
+def _no_seeds(*args, **kwargs):
+    raise AssertionError("a rational support was seeded by floats")
+
+
 def test_rational_supports_match_the_isolating_path(monkeypatch):
-    # The float-seed path gives the certificate mpmath isolation gives, point
-    # order included, and reaches every one of these all-rational supports.
+    # The lift reaches every one of these all-rational supports: with the
+    # float seeds and mpmath isolation both switched off, the certificate
+    # is the same, point order included.
     rng = random.Random(20261019)
     for _ in range(100):
         n = rng.randrange(4, 25)
         k = rng.randrange(1, (n + 1) // 2 + 1)
-        f = sample_rank_k_instance(n, k, seed=rng.randrange(2**32)).form
-        cert = sylvester_decompose(f)
-        assert cert.support_exact, f
+        sample = sample_rank_k_instance(n, k, seed=rng.randrange(2**32))
+        cert = sylvester_decompose(sample.form)
+        assert cert.support_exact, sample.form
         with monkeypatch.context() as m:
-            m.setattr(intpoly, "aberth_seeds", lambda ints: None)
-            assert sylvester_decompose(f) == cert, f
-        _, ints = _dehomogenize(list(cert.annihilator.coeffs), k)
-        assert _seeded(ints) is not None, f
+            m.setattr(intpoly, "aberth_seeds", lambda ints: _no_seeds() if len(ints) > 1 else [])
+            m.setattr(mpmath, "polyroots", _no_isolation)
+            assert sylvester_decompose(sample.form) == cert, sample.form
+        at_inf, ints = _dehomogenize(list(cert.annihilator.coeffs), k)
+        want = sorted(Fraction(a, b) for a, b in sample.points if b)
+        assert _lifted(ints) == want and at_inf == (len(want) < k), sample.form
 
 
 @pytest.mark.parametrize("roots", [
@@ -852,12 +858,28 @@ def test_rational_supports_match_the_isolating_path(monkeypatch):
     [Fraction(-8, 3), -3, -2, Fraction(-5, 2), 0, 7],
 ], ids=["j-over-997", "thousandths", "neighbours-of-minus-8-thirds"])
 def test_clustered_rational_roots_stay_exact_on_both_paths(monkeypatch, roots):
+    # Roots closer than floats could part, found by the lift whether the
+    # float seeds are on or off.
     ints = _ints_with_roots(roots)
     want = [apolarity.SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
             for r in sorted(map(Fraction, roots))]
-    assert _seeded(ints) == sorted(map(Fraction, roots))
+    assert _lifted(ints) == sorted(map(Fraction, roots))
     assert apolarity._certified_roots(0, ints, 96) == want
     assert _isolated(monkeypatch, ints) == want
+
+
+def test_a_rank_60_rational_support_is_lifted_in_time():
+    # U = prod (b t - a), |a| <= 60, 1 <= b <= 9: float seeds cannot part
+    # these roots, and polyroots took about 5 s; the lift needs no float.
+    rng = random.Random(6060)
+    roots = set()
+    while len(roots) < 60:
+        roots.add(Fraction(rng.randint(-60, 60), rng.randint(1, 9)))
+    ints = _ints_with_roots(sorted(roots))
+    with within_seconds(1.5):
+        points = apolarity._certified_roots(0, ints, 96)
+    assert points == [apolarity.SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True)
+                      for r in sorted(roots)]
 
 
 def test_coefficients_past_the_float_range_raise_no_overflow():
@@ -865,7 +887,7 @@ def test_coefficients_past_the_float_range_raise_no_overflow():
     big = 3**700
     ints = [big * c for c in _ints_with_roots([1, 2, Fraction(-1, 3)])]
     assert big.bit_length() > 1024
-    assert _seeded(ints) == [Fraction(-1, 3), 1, 2]
+    assert _lifted(ints) == [Fraction(-1, 3), 1, 2]
     # a monic coefficient past the float range: the sweeps run in t = 2^s u,
     # and the seeds of the roots near +-3^350 ~ 2^555 come back in range
     seeds = intpoly.aberth_seeds([-big, 1, 1])
@@ -919,7 +941,7 @@ def test_gaussian_squarefree_matches_the_roots_it_was_built_from():
         coeffs = _gaussian_poly(lead, roots)
         is_squarefree = len(set(roots)) == len(roots)
         assert squarefree(coeffs) == is_squarefree, (lead, roots)
-        if coprime_mod_p(coeffs):
+        if coprime_mod_p(coeffs, SQUAREFREE_PRIME):
             certified += 1
             assert is_squarefree, (lead, roots)
     assert certified > 100
@@ -937,7 +959,7 @@ def test_gaussian_squarefree_without_a_modular_certificate_runs_the_exact_test(l
     # p divides lc(U) in Z[i], or two roots agree mod p, so only the
     # remainder sequence over Z[i] decides.
     coeffs = _gaussian_poly(lead, roots)
-    assert not coprime_mod_p(coeffs)
+    assert not coprime_mod_p(coeffs, SQUAREFREE_PRIME)
     assert squarefree(coeffs) == want
 
 
@@ -949,20 +971,22 @@ def test_the_root_zero_is_read_off_the_coefficients(monkeypatch):
     assert points == [apolarity.SupportPoint(Fraction(j), Fraction(1), exact=True) for j in range(4)]
 
 
+def _assert_zero_tiny_and_plus_minus_i(points, e):
+    """points are 0 and 10^-e exactly, then discs of radius below 2^-96 holding -i and i."""
+    assert [pt.alpha / pt.beta for pt in points if pt.exact] == [0, Fraction(1, 10**e)], e
+    discs = [pt for pt in points if not pt.exact]
+    assert len(discs) == 2, e
+    with mpmath.workprec(256):
+        held = {root for pt in discs for root in (-1j, 1j) if abs(pt.alpha - root) <= pt.radius < 2.0**-96}
+    assert held == {-1j, 1j}, e
+
+
 def test_the_root_zero_and_a_root_near_it_are_certified_from_seeds(monkeypatch):
-    # t(10^e t - 1)(t^2 + 1): the seeds of 10^-e, -i and i come from U / t, so
-    # nothing stops the seed of 10^-e near 0. Up to 10^-12 it is exact, then a
-    # disc. The seeds used to fall back to polyroots from e = 15 on.
+    # t(10^e t - 1)(t^2 + 1): 0 is read off U(0) = 0 and 10^-e lifted
+    # exactly at every e, and the seeds of the cofactor t^2 + 1 give -i and i.
     monkeypatch.setattr(mpmath, "polyroots", _no_isolation)
     for e in range(1, 51):
-        roots = [0, Fraction(1, 10**e), -1j, 1j]
-        points = apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96)
-        exact = [pt.alpha / pt.beta for pt in points if pt.exact]
-        assert exact == roots[:1 + (e <= 12)], e
-        with mpmath.workprec(256):
-            held = sorted(j for pt in points if not pt.exact for j, root in enumerate(roots)
-                          if abs(pt.alpha - _mp(root)) <= pt.radius < 2.0**-96)
-        assert held == list(range(len(exact), 4)), e
+        _assert_zero_tiny_and_plus_minus_i(apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96), e)
 
 
 def test_the_package_never_seeds_a_polynomial_with_the_root_zero(monkeypatch):
@@ -990,17 +1014,10 @@ def test_the_package_never_seeds_a_polynomial_with_the_root_zero(monkeypatch):
 
 @pytest.mark.parametrize("e", range(51, 61))
 def test_a_root_nearer_zero_than_the_seeds_reach_is_a_precision_error(e):
-    # Past 10^-50 the seeds do not reach 10^-e and polyroots supplies the
-    # approximations. Refined to 2^-96, the discs about 0 and 10^-e met, a
-    # precision error; refined past SOLVE_GUARD_BITS more, they certify 0
-    # exactly and discs about 10^-e, -i and i.
-    points = apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96)
-    assert [(pt.alpha, pt.beta) for pt in points if pt.exact] == [(0, 1)]
-    discs = [pt for pt in points if not pt.exact]
-    assert len(discs) == 3
-    for pt, (x, y) in zip(discs, [(Fraction(1, 10**e), 0), (0, -1), (0, 1)]):
-        k, [(a, b)] = intpoly.gaussian([pt.alpha])
-        assert (Fraction(a, 1 << k) - x) ** 2 + (Fraction(b, 1 << k) - y) ** 2 <= Fraction(pt.radius) ** 2
+    # Past 10^-50 the float seeds of U / t do not reach 10^-e, and refined
+    # polyroots discs about 0 and 10^-e met at 2^-96. The lift gives 10^-e
+    # exactly, and the seeds see only t^2 + 1.
+    _assert_zero_tiny_and_plus_minus_i(apolarity._certified_roots(0, [0, -1, 10**e, -1, 10**e], 96), e)
 
 
 def _support_digest(points) -> str:
@@ -1009,17 +1026,40 @@ def _support_digest(points) -> str:
                                 (pt.alpha._mpc_, pt.beta._mpf_, pt.radius.hex()) for pt in points]).encode()).hexdigest()
 
 
-# The digest of both routes' points over the 60 polynomials below, computed
-# where every support point was checked against every other after the second
-# matcher pass: moving that proof into intpoly.isolate moved no point.
-SUPPORTS_OF_U_OVER_T = "2a9eaed514e110b0c5a7b308d69fe99ec766b2fb454c307c9a3ba229b16eb478"
+def _form_of_roots(u) -> str:
+    """The form sum (t x + y)^(2d - 1) over the roots t of U (ascending integers, degree d), whose annihilator is U.
+
+    Its coefficients are C(n, j) p_(n-j) for the power sums p_m of the
+    roots, by Newton's identities: u_d p_m + ... + u_(d-m+1) p_1 + m u_(d-m) = 0
+    for m <= d, and the recurrence of U past d.
+    """
+    d = len(u) - 1
+    n, sums = 2 * d - 1, [Fraction(d)]
+    for m in range(1, 2 * d):
+        total = sum(u[d - i] * sums[m - i] for i in range(1, min(m, d) + 1)) + (m * u[d - m] if m <= d else 0)
+        sums.append(-total / u[d])
+    return format_form(form(n, [comb(n, j) * sums[n - j] for j in range(n + 1)]))
+
+
+def _assert_certified(monkeypatch, ints, points):
+    """oracle_check_certificate passes the certificate that sylvester prints with support `points` of U = ints."""
+    text = _form_of_roots(ints)
+    with monkeypatch.context() as m:
+        m.setattr(apolarity, "_certified_roots", lambda at_inf, annihilator, bits: points)
+        oracle_check_certificate(text, apolarity.sylvester_json(parse_form(text), 96))
+
+
+# The digest of both routes' points over the 59 squarefree polynomials
+# below, pinned once the certificate checker passed every one of them.
+SUPPORTS_OF_U_OVER_T = "31ef422be9858c973a80023181e7ae4af94f6c4477e418e63dbb18bfa56946f2"
 
 
 def test_seeds_of_u_over_t_certify_what_polyroots_certifies(monkeypatch):
     # U = t V(t) with V(0) != 0 from rational roots, one near 0 at times, and
     # quadratic factors: the seed route gives the exact points of the
     # polyroots route and, for every one of its discs, one disc of that
-    # route that meets it; both give the points pinned by digest.
+    # route that meets it. The certificate checker proves both routes'
+    # points as the support of a form annihilated by U, and a digest pins them.
     rng = random.Random(20261029)
     checked, digests = 0, []
     for _ in range(60):
@@ -1047,28 +1087,26 @@ def test_seeds_of_u_over_t_certify_what_polyroots_certifies(monkeypatch):
                 if not pt.exact:
                     meets = [d for d in discs if abs(pt.alpha - d.alpha) <= pt.radius + d.radius]
                     assert len(meets) == 1, ints
+        for points in (seeded, isolated):
+            _assert_certified(monkeypatch, ints, points)
         digests += [_support_digest(seeded), _support_digest(isolated)]
     assert checked >= 45
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == SUPPORTS_OF_U_OVER_T
 
 
-def test_a_denominator_past_the_bound_comes_out_approximate(monkeypatch):
-    tiny = Fraction(1, apolarity.DENOMINATOR_BOUND + 1)
+def test_a_denominator_past_10_to_the_12_comes_out_exact(monkeypatch):
+    # 10^12 was the largest denominator the float matcher made exact.
+    tiny = Fraction(1, 10**12 + 1)
     ints = _ints_with_roots([tiny, 2, -1])
-    assert _seeded(ints) is None
-    points = apolarity._certified_roots(0, ints, 96)
-    assert points == _isolated(monkeypatch, ints)
-    exact = [(pt.alpha, pt.beta) for pt in points if pt.exact]
-    assert sorted(exact) == [(-1, 1), (2, 1)]
-    (approx,) = [pt for pt in points if not pt.exact]
-    with mpmath.workprec(256):
-        assert abs(approx.alpha - _mp(tiny)) < 2.0**-96
+    assert _lifted(ints) == [-1, tiny, 2]
+    want = [apolarity.SupportPoint(Fraction(r.numerator), Fraction(r.denominator), exact=True) for r in (-1, tiny, 2)]
+    assert apolarity._certified_roots(0, ints, 96) == _isolated(monkeypatch, ints) == want
 
 
 def test_isolated_rational_roots_are_matched_exactly():
     # (t - 10^6)(10^12 t - 10^18 - 1)(t^2 - 2): the two rational roots are
-    # 10^-12 apart near 10^6, closer than a float's spacing there, so only an
-    # exact distance test matches them to their polyroots approximations.
+    # 10^-12 apart near 10^6, closer than a float's spacing there; the lift
+    # gives both exactly, and the seeds see only t^2 - 2.
     ints = [-2, 0, 1]
     for linear in ([-10**6, 1], [-10**18 - 1, 10**12]):
         ints = [a * linear[1] + b * linear[0] for a, b in zip([0] + ints, ints + [0])]
@@ -1148,56 +1186,15 @@ def test_a_disc_of_radius_zero_on_an_exact_root_is_not_a_second_root():
         assert intpoly.isolate(pairs, [seed], 96, exact=[(root.numerator, 0, root.denominator)]) is None
 
 
-def test_discs_that_meet_past_the_float_range_are_a_precision_error():
-    # Two seeds on the one root 2^1100 of t - 2^1100 meet, decided on
-    # integers with no float, which overflows there.
-    seeds = [mpmath.mpf(2) ** 1100] * 2
-    assert intpoly.isolate([(-(2**1100), 0), (1, 0)], seeds, 96) is None
+def test_discs_that_meet_past_the_float_range_are_a_precision_error(monkeypatch):
+    # Two approximations of the one root 2^1100 sqrt(2) of t^2 - 2^2201
+    # meet, decided on integers with no float, which overflows there.
+    ints, approx = [-(2**2201), 0, 1], [mpmath.sqrt(2) * mpmath.mpf(2) ** 1100] * 2
+    assert intpoly.isolate([(c, 0) for c in ints], approx, 96) is None
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda ints: None)
+    monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kwargs: approx)
     with pytest.raises(PrecisionError, match="discs meet"):
-        apolarity._roots_from([-(2**1100), 1], seeds, 96)
-
-
-def test_the_second_pass_does_not_match_the_root_zero_again(monkeypatch):
-    # The pinned degree-30 form of tests/test_cli.py has the annihilator
-    # root 0 and a root near 0.1035 whose refined centre has the first
-    # convergent 0/1. The seed 0j is not in the second pass, so only `taken`
-    # keeps that centre from matching 0 a second time.
-    cert = sylvester_decompose(form(30, [(7 * j) % 19 - 9 for j in range(31)]))
-    at_inf, ints = _dehomogenize(list(cert.annihilator.coeffs), cert.annihilator.degree)
-    assert (at_inf, ints[0]) == (0, 0)
-    match, passes = apolarity._rational_roots, []
-    monkeypatch.setattr(apolarity, "_rational_roots",
-                        lambda ints, approx, taken=frozenset(): passes.append((approx, taken)) or match(ints, approx, taken))
-    points = apolarity._certified_roots(0, ints, 96)
-    assert points == list(cert.support)
-    (first, _), (second, taken) = passes
-    assert first[0] == 0j and taken == {0}
-    assert match(ints, second, taken) == ([], second)
-    assert match(ints, second)[0] == [0]
-
-
-@pytest.mark.parametrize("swap", [False, True], ids=["own-discs", "swapped"])
-def test_a_second_pass_root_must_lie_in_its_centres_disc(monkeypatch, swap):
-    # The first pass is made to match nothing, so the roots 1 and 2 are
-    # matched only on the refined centres; matched the wrong way round, each
-    # lies in the other's disc, which would leave one disc's root unproven.
-    match, calls = apolarity._rational_roots, []
-
-    def second_pass_only(ints, approx, taken=frozenset()):
-        calls.append(approx)
-        if len(calls) == 1:
-            return [], list(approx)
-        roots, leftovers = match(ints, approx, taken)
-        return roots[::-1] if swap else roots, leftovers
-
-    monkeypatch.setattr(apolarity, "_rational_roots", second_pass_only)
-    ints = _ints_with_roots([1, 2])
-    if swap:
-        with pytest.raises(PrecisionError, match="discs meet"):
-            apolarity._roots_from(ints, [0.9, 2.1], 96)
-    else:
-        assert apolarity._roots_from(ints, [0.9, 2.1], 96) == [
-            apolarity.SupportPoint(Fraction(j), Fraction(1), exact=True) for j in (1, 2)]
+        apolarity._certified_roots(0, ints, 96)
 
 
 def test_a_ladder_with_no_converged_rung_is_a_precision_error(monkeypatch):

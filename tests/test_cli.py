@@ -1,4 +1,5 @@
 import argparse
+import copy
 import hashlib
 import inspect
 import json
@@ -11,14 +12,20 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import dropwhile
 
 import mpmath
 import pytest
-from conftest import Overtime, corrupted, oracle_power_sum_coeffs, spread_half_twist, within_seconds
+from conftest import (
+    Overtime,
+    corrupted,
+    oracle_check_certificate,
+    oracle_power_sum_coeffs,
+    oracle_printed,
+    spread_half_twist,
+    within_seconds,
+)
 
 from kronsec import apolarity, brionlab, cli, intpoly, monodromy, ratmat, seminormal
-from kronsec.apolarity import parse_form
 from kronsec.cli import main
 from kronsec.config import DEFAULT_DIM_CAP, DEFAULT_N_CAP, LOOP_WORK_CAP, WORD_WORK_CAP
 from kronsec.errors import (
@@ -161,64 +168,20 @@ def _power_sums(n: int, centre: int, square: int) -> list[int]:
 def test_sylvester_approximate_support_rebuilds_the_form(capsys, text):
     # Rebuilt from the printed digits, so stdout carries enough of them to
     # meet the certificate's own error_bound, and each printed disc holds a
-    # root of the printed annihilator.
+    # root of the printed annihilator, proven from the digits alone.
     payload = run_json(capsys, "sylvester", text)
     assert payload["support_exact"] is False
-    assert payload["rank"] == len(payload["support"]) == len(payload["coefficients"])
-    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
-    annihilator = parse_form(payload["annihilator"]).coeffs
-    with mpmath.workprec(1024):
-        # U(t) = a(t, 1) with its leading zeros, the roots at (1 : 0), dropped
-        roots = mpmath.polyroots([_exact(c) for c in dropwhile(lambda c: not c, annihilator)],
-                                 maxsteps=400, extraprec=1024)
-        for z, radius, exact in _printed_discs(payload):
-            if not exact:
-                assert min(abs(_exact(z[0]) + 1j * _exact(z[1]) - r) for r in roots) <= _exact(radius)
-
-
-def _exact(x: Fraction):
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
-def _printed(text: str) -> tuple[Fraction, Fraction]:
-    """A printed exact or approximate value, read exactly as a Gaussian rational (re, im)."""
-    parts = re.fullmatch(r"\((\S+) ([+-]) (\S+)j\)", text)
-    if parts:
-        re_part, sign, im_part = parts.groups()
-        return Fraction(re_part), Fraction(sign + im_part)
-    return Fraction(text), Fraction(0)
-
-
-def _times(z, w):
-    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+    oracle_check_certificate(text, payload)
 
 
 def _printed_discs(payload) -> list:
     """(alpha / beta, radius, exact) of each printed finite support point, read exactly; an exact point has radius 0."""
     discs = []
     for pt in payload["support"]:
-        (a, b), (beta, _) = _printed(pt["alpha"]), _printed(pt["beta"])
+        (a, b), (beta, _) = oracle_printed(pt["alpha"]), oracle_printed(pt["beta"])
         if beta:
             discs.append(((a / beta, b / beta), Fraction(pt["radius"] or 0), pt["exact"]))
     return discs
-
-
-def _assert_rebuilds_within_bound(payload, coeffs) -> None:
-    """The printed support and weights, read exactly, rebuild every coefficient within the printed error_bound."""
-    n, bound = len(coeffs) - 1, Fraction(payload["error_bound"])
-    rebuilt = [(Fraction(0), Fraction(0))] * (n + 1)
-    for pt, c in zip(payload["support"], payload["coefficients"]):
-        alpha, beta = _printed(pt["alpha"]), _printed(pt["beta"])
-        left = [_printed(c)]  # c alpha^m
-        for _ in range(n):
-            left.append(_times(left[-1], alpha))
-        right = (Fraction(1), Fraction(0))  # beta^j
-        for j in range(n + 1):
-            x, y = _times(left[n - j], right)
-            rebuilt[j] = (rebuilt[j][0] + math.comb(n, j) * x, rebuilt[j][1] + math.comb(n, j) * y)
-            right = _times(right, beta)
-    for j, ((x, y), target) in enumerate(zip(rebuilt, coeffs)):
-        assert (x - target) ** 2 + y * y <= bound * bound, (j, payload["form"])
 
 
 def _near_double_root_form(delta: Fraction) -> str:
@@ -241,12 +204,8 @@ def test_near_double_roots_are_certified_or_a_precision_error(capsys, exponent):
         assert (code, json.loads(err)["error"]) == (1, "precision"), err
         return
     payload = json.loads(out)
-    assert payload["rank"] == len(payload["support"]) == 4
-    discs = _printed_discs(payload)
-    for i, (z1, r1, _) in enumerate(discs):
-        for z2, r2, _ in discs[i + 1:]:
-            assert (z1[0] - z2[0]) ** 2 + (z1[1] - z2[1]) ** 2 > (r1 + r2) ** 2
-    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+    assert payload["rank"] == 4
+    oracle_check_certificate(text, payload)
 
 
 def test_vdm(capsys):
@@ -1132,32 +1091,41 @@ def _strict_json(text: str):
 
 
 def _far_point_form(scale: int) -> list[int]:
-    """scale times the sum of (x + b y)^9 over b = 10^40, 2, -1 and (3x + y)^9: coefficients near scale * 10^360."""
-    return [scale * sum(math.comb(9, j) * a ** (9 - j) * b**j for a, b in ((1, 10**40), (1, 2), (1, -1), (3, 1)))
+    """scale times the sum of (x + b y)^9 over b = 2, -1, the roots b of b^2 - 10^40 b - 1, and (3x + y)^9.
+
+    Those roots are near 10^40 and -10^-40, irrational, so the support is
+    approximate, and the coefficients are near scale * 10^360.
+    """
+    sums = [2, 10**40]  # b^j summed over the roots of b^2 - 10^40 b - 1
+    for _ in range(8):
+        sums.append(10**40 * sums[-1] + sums[-2])
+    return [scale * (math.comb(9, j) * sums[j] + sum(math.comb(9, j) * a ** (9 - j) * b**j
+                                                   for a, b in ((1, 2), (1, -1), (3, 1))))
             for j in range(10)]
 
 
 def test_an_error_bound_past_the_double_range_prints_as_digits(capsys):
     # A bound past the largest double printed as Infinity, which JSON does
     # not have. This form's is near 1.9e309.
-    coeffs = _far_point_form(10**6)
-    code, out, err = run(capsys, "sylvester", _form_text(coeffs))
+    text = _form_text(_far_point_form(10**6))
+    code, out, err = run(capsys, "sylvester", text)
     assert (code, err) == (0, "")
     payload = _strict_json(out)
     assert isinstance(payload["error_bound"], str) and Fraction(payload["error_bound"]) > sys.float_info.max
-    _assert_rebuilds_within_bound(payload, coeffs)
+    oracle_check_certificate(text, payload)
 
 
 def test_exact_points_beside_a_far_one_take_their_exact_weights(capsys):
     # The least-squares solve printed the weights of the exact points
     # (-1 : 1), (1 : 2) and (3 : 1) as 1.46e306, -2.45e305 and 2.79e303 and
     # passed its residual check; partial fractions give -1, 1 and 1.
-    payload = run_json(capsys, "sylvester", _form_text(_far_point_form(1)))
+    text = _form_text(_far_point_form(1))
+    payload = run_json(capsys, "sylvester", text)
     assert payload["support_exact"] is False
-    weights = {(pt["alpha"], pt["beta"]): _printed(c) for pt, c in zip(payload["support"], payload["coefficients"])
+    weights = {(pt["alpha"], pt["beta"]): oracle_printed(c) for pt, c in zip(payload["support"], payload["coefficients"])
                if pt["exact"]}
     assert weights == {("-1", "1"): (-1, 0), ("1", "2"): (1, 0), ("3", "1"): (1, 0)}
-    _assert_rebuilds_within_bound(payload, _far_point_form(1))
+    oracle_check_certificate(text, payload)
 
 
 def test_a_bound_below_the_double_range_prints_as_digits(capsys):
@@ -1167,7 +1135,7 @@ def test_a_bound_below_the_double_range_prints_as_digits(capsys):
     payload = _strict_json(run(capsys, "--precision-bits", "1024", "sylvester", text)[1])
     bound = payload["error_bound"]
     assert isinstance(bound, str) and 0 < Fraction(bound) < sys.float_info.min
-    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+    oracle_check_certificate(text, payload)
 
 
 def test_no_command_prints_a_non_finite_number(capsys, monkeypatch):
@@ -1200,7 +1168,7 @@ def test_the_root_zero_beside_a_tiny_root_ends_in_the_coefficient_solve(capsys, 
     if code:
         assert (code, out, json.loads(err)["error"]) == (1, "", "precision"), err
     else:
-        _assert_rebuilds_within_bound(json.loads(out), parse_form(text).coeffs)
+        oracle_check_certificate(text, json.loads(out))
 
 
 def test_precision_bits_are_bounded_above(capsys, tmp_path):
@@ -1323,7 +1291,7 @@ def test_irrational_supports_are_certified_from_float_seeds(capsys, monkeypatch)
         if payload["support"] is None or payload["support_exact"]:
             continue
         approximate += 1
-        _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+        oracle_check_certificate(text, payload)
         for (_, imag), radius, exact in _printed_discs(payload):
             if not exact and abs(imag) <= radius:
                 assert imag == 0, text
@@ -1339,9 +1307,10 @@ def _generic_form(n: int) -> str:
 @pytest.mark.parametrize("text, rank", [
     # An annihilator of degree 26.
     pytest.param(_generic_form(50), 26, id="generic-degree-50"),
-    # Annihilator roots 10^-40 and 10^-33 beside 1, 2 and 3.
-    pytest.param(_form_text(oracle_power_sum_coeffs(10, [(1, 10**40), (1, 10**33), (1, 1), (2, 1), (3, 1)], [1] * 5)),
-                 5, id="tiny-cluster"),
+    # Annihilator roots +-sqrt(2) 10^-40 and +-sqrt(3) 10^-33 beside +-sqrt(5).
+    pytest.param(_form_text([a + b + c for a, b, c in zip(_power_sums(11, 0, Fraction(2, 10**80)),
+                                                            _power_sums(11, 0, Fraction(3, 10**66)), _power_sums(11, 0, 5))]),
+                 6, id="tiny-cluster"),
 ])
 def test_supports_past_sixty_sweeps_are_certified_from_float_seeds(capsys, monkeypatch, text, rank):
     # The seeds of both took more than the fixed 60 Aberth sweeps there used
@@ -1352,35 +1321,93 @@ def test_supports_past_sixty_sweeps_are_certified_from_float_seeds(capsys, monke
     monkeypatch.setattr(mpmath, "polyroots", no_isolation)
     payload = run_json(capsys, "sylvester", text)
     assert (payload["rank"], payload["support_exact"]) == (rank, False)
-    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+    oracle_check_certificate(text, payload)
 
 
-def test_a_support_point_past_the_float_range_is_certified_by_the_fallback(capsys, monkeypatch):
-    # The annihilator's roots are 0 and one near 2^1100: its seed, scaled
-    # back, is past the float range, so there are no seeds and
-    # mpmath.polyroots isolates the support, once.
-    isolate, isolated = mpmath.polyroots, []
-    monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kwargs: isolated.append(1) or isolate(*args, **kwargs))
-    text = _form_text(oracle_power_sum_coeffs(2, [(2**1100, 1), (1, 1)], [1, 1]))
+@pytest.mark.parametrize("degree, points", [
+    (2, [(2**1100, 1), (1, 1)]),
+    (3, [(2**1100, 1), (1, 1)]),
+    (5, [(2**600 + 1, 1), (1, 1), (3, 1)]),
+], ids=["degree-2-two-to-the-1100", "two-to-the-1100", "two-to-the-600-plus-one"])
+def test_a_far_exact_support_point_is_exact(capsys, monkeypatch, degree, points):
+    # The seeds of a root near 2^1100, scaled back, are past the float range,
+    # and those of (2^600 + 1 : 1) saw 1 and 3 as one cluster near 1.2e19: the
+    # first went to mpmath.polyroots and the others ended in `precision`. The
+    # lift gives every point exactly, with no float. The degree-2 form has a
+    # two-dimensional kernel, whose first squarefree member has the roots 0
+    # and a rational near 2^1100 with a 332-digit denominator.
+    monkeypatch.setattr(mpmath, "polyroots", _no_isolation)
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda ints: [] if len(ints) == 1 else _no_isolation())
+    text = _form_text(oracle_power_sum_coeffs(degree, points, [1] * len(points)))
     payload = run_json(capsys, "sylvester", text)
-    assert isolated == [1]
-    assert (payload["rank"], payload["support_exact"]) == (2, False)
-    _assert_rebuilds_within_bound(payload, parse_form(text).coeffs)
+    assert (payload["rank"], payload["support_exact"], payload["error_bound"]) == (len(points), True, None)
+    oracle_check_certificate(text, payload)
+    if degree > 2:
+        assert {(int(pt["alpha"]), int(pt["beta"])) for pt in payload["support"]} == set(points)
 
 
-@pytest.mark.parametrize("points", [
-    [(2**1100, 1), (1, 1)],
-    [(2**600 + 1, 1), (1, 1), (3, 1)],
-], ids=["two-to-the-1100", "two-to-the-600-plus-one"])
-def test_a_far_exact_support_point_polyroots_cannot_isolate_is_a_precision_error(capsys, points):
-    # Neither the seeds nor the polyroots fallback reach these exact points
-    # yet (ROADMAP item 22); the command refuses them typed, never as an
-    # internal error, which the first one was when a seed scaled back past
-    # the float range raised OverflowError.
-    text = _form_text(oracle_power_sum_coeffs(2 * len(points) - 1, points, [1] * len(points)))
-    code, out, err = run(capsys, "sylvester", text)
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == "precision"
+def test_two_roots_2_to_the_minus_101_apart_are_certified_at_53_bits(capsys):
+    # Rank 4, support 1 +- sqrt(2) and 1 +- sqrt(2 + 10^-30) with weights
+    # 3 +- sqrt(2) and 1 +- 2 sqrt(2 + 10^-30): two roots about 2^-101 apart,
+    # which the float seeds merge. The polyroots fallback ran at
+    # max(96, 53 + 32) bits and could not part them; it now runs at the
+    # refinement target 53 + 96 bits.
+    sums = [a + b for a, b in zip(_conjugate_sums(7, 1, 2, 3, 1), _conjugate_sums(7, 1, 2 + Fraction(1, 10**30), 1, 2))]
+    text = _form_text([math.comb(7, j) * sums[7 - j] for j in range(8)])
+    payload = _strict_json(run(capsys, "--precision-bits", "53", "sylvester", text)[1])
+    assert (payload["rank"], payload["support_exact"]) == (4, False)
+    oracle_check_certificate(text, payload)
+
+
+def test_the_certificate_checker_refuses_broken_certificates(capsys):
+    # Support sqrt(2), -sqrt(2) and the exact point (1 : 1). Each change
+    # below makes a false claim, and the checker must refuse it.
+    sums = [a + b for a, b in zip(_power_sums(5, 0, 2), [math.comb(5, j) for j in range(6)])]
+    text = _form_text(sums)
+    payload = run_json(capsys, "sylvester", text)
+    oracle_check_certificate(text, payload)
+    (exact,) = [j for j, pt in enumerate(payload["support"]) if pt["exact"]]
+    first, second = [j for j, pt in enumerate(payload["support"]) if not pt["exact"]]
+    centre, _ = oracle_printed(payload["support"][first]["alpha"])
+    radius = payload["support"][first]["radius"]
+    with mpmath.workprec(512):
+        distance = float(min(abs(mpmath.mpf(centre.numerator) / centre.denominator - s * mpmath.sqrt(2)) for s in (1, -1)))
+
+    def broken(change):
+        mutant = copy.deepcopy(payload)
+        change(mutant)
+        return mutant
+
+    def moved_centre(p):
+        p["support"][first]["alpha"] = f"({centre + 2 * Fraction(radius)} + 0j)"
+
+    mutants = {
+        "radius below the distance to the root": lambda p: p["support"][first].update(radius=distance / 4),
+        "centre moved by 2r": moved_centre,
+        "error_bound 0": lambda p: p.update(error_bound=0.0),
+        "discs made to overlap": lambda p: p["support"][second].update(alpha=p["support"][first]["alpha"]),
+        "exact point moved": lambda p: p["support"][exact].update(alpha="2"),
+        "disc dropped": lambda p: p["support"].pop(second),
+    }
+    for name, change in mutants.items():
+        try:
+            oracle_check_certificate(text, broken(change))
+        except AssertionError:
+            continue
+        raise AssertionError(f"the checker passed a certificate with the {name}")
+
+
+def _conjugate_sums(n: int, centre, square, u, v) -> list[Fraction]:
+    """sum (u + v sqrt(square)) r^m over r = centre + sqrt(square) and its conjugate, m = 0..n."""
+    a, b, sums = Fraction(1), Fraction(0), []  # r^m = a + b sqrt(square)
+    for _ in range(n + 1):
+        sums.append(2 * (u * a + v * b * square))
+        a, b = centre * a + square * b, a + centre * b
+    return sums
+
+
+def _no_isolation(*args, **kwargs):
+    raise AssertionError("a support was isolated by floats")
 
 
 @pytest.mark.parametrize("argv", [

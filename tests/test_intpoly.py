@@ -1,12 +1,13 @@
 """intpoly: isolate's refined seeds, each proven a root of its own or None; Horner's shift route and its
-fixed-point route with a running error bound; Berlekamp-Massey and rational reconstruction."""
+fixed-point route with a running error bound; Berlekamp-Massey and rational reconstruction; rational roots
+by Hensel lifting."""
 
 import random
 from fractions import Fraction
 from math import gcd, isqrt
 
 import mpmath
-from conftest import oracle_rank_mod_p
+from conftest import oracle_rank_mod_p, oracle_rational_roots
 
 from kronsec import intpoly
 
@@ -140,6 +141,51 @@ def test_rational_reconstruction_finds_exactly_the_small_fractions():
     # Past the bound the answer is another fraction or None, never a / b.
     for a, b in ((bound + 1, 1), (1, bound + 2), (2**70 + 1, 3)):
         assert intpoly.rational(a * pow(b, -1, m) % m, m) != (a, b)
+
+
+def _times_factors(u, factors):
+    """U times each factor, all ascending integer coefficients."""
+    for f in factors:
+        u = [sum(u[i] * f[k - i] for i in range(len(u)) if 0 <= k - i < len(f)) for k in range(len(u) + len(f) - 1)]
+    return u
+
+
+def test_rational_roots_are_the_roots_the_oracle_tries():
+    # Products of linear factors b t - a and of small quadratics and cubics,
+    # some times t, against every a / b with a | u_0 and b | u_d. The first
+    # cases pin the prime choice and the lift: 1 and 104 meet mod 103, 103
+    # divides the leading coefficient of 103 t - 1, and 10007 / 9999 is as
+    # large as max(|u_0|, |u_d|), so only a lift past 2 max(|u_0|, |u_d|)^2
+    # reconstructs it. t^2 - 2, t^2 - 3 and t^2 + 1 have roots mod many
+    # primes that lift to no rational root.
+    rng = random.Random(5150)
+    cases = [[-1, 1], [2, 3], [0, 1], [0, -2, 3], _times_factors([-1, 1], [[-104, 1]]), _times_factors([-1, 103], [[-2, 1]]),
+             _times_factors([-10007, 9999], [[-1, -1, 1]]), _times_factors([-2, 0, 1], [[-3, 0, 1], [1, 0, 1], [-5, 2]])]
+    for _ in range(200):
+        factors = [[-rng.randint(-12, 12), rng.randint(1, 12)] for _ in range(rng.randint(0, 5))]
+        factors += [[rng.randint(-9, 9) or 1 for _ in range(rng.choice([3, 4]))] for _ in range(rng.randint(0, 2))]
+        factors += [[0, 1]] * (rng.random() < 0.3)
+        cases.append(_times_factors([rng.choice([-3, -1, 1, 2])], factors))
+    checked = 0
+    for u in cases:
+        if len(u) < 2 or not intpoly.squarefree(u):
+            continue
+        checked += 1
+        roots, cofactor = intpoly.rational_roots(u)
+        assert sorted(Fraction(a, b) for a, b in roots) == oracle_rational_roots(u), u
+        assert all(b > 0 and gcd(a, b) == 1 for a, b in roots), u
+        assert _times_factors(cofactor, [[-a, b] for a, b in roots]) == u, u
+    assert checked > 160
+
+
+def test_the_root_prime_keeps_the_degree_and_the_roots_apart():
+    # 103 divides the leading coefficient of the first and makes 1 and 104
+    # one double root of the second; 107 does neither.
+    assert intpoly.ROOT_PRIME_START == 103
+    assert intpoly.root_prime(_times_factors([-1, 103], [[-2, 1]])) == 107
+    assert intpoly.root_prime(_times_factors([-1, 1], [[-104, 1]])) == 107
+    assert intpoly.root_prime([-2, 0, 1]) == 103
+    assert intpoly.roots_mod_p([-2, 0, 1], 103) == sorted(r for r in range(103) if (r * r - 2) % 103 == 0)
 
 
 def _homogeneous_value(pairs, a: int, b: int, q: int) -> tuple[int, int]:
