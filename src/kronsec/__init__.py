@@ -2,6 +2,33 @@
 and numeric monodromy tracking, with a harness relating stable Kronecker
 coefficients to Littlewood-Richardson numbers."""
 
+
+def _register_mpmath_unloaded() -> None:
+    """Put mpmath in sys.modules unloaded: it executes on its first attribute access.
+
+    The package imports mpmath only inside the functions that use it, so
+    importing kronsec loads none of it. This registration, the stdlib
+    importlib.util.LazyLoader recipe, serves code that reads
+    sys.modules["mpmath"] by name, as perfbench's tracer does, and is to go
+    once that code skips unloaded modules.
+    """
+    import importlib.util
+    import sys
+
+    if "mpmath" in sys.modules:
+        return
+    spec = importlib.util.find_spec("mpmath")
+    if spec is None:  # not installed: the functions that need it raise ImportError
+        return
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["mpmath"] = module
+    spec.loader.exec_module(module)
+
+
+_register_mpmath_unloaded()
+del _register_mpmath_unloaded
+
 from .apolarity import (
     BinaryForm,
     JoinRank,

@@ -38,7 +38,8 @@ a certified disc whose exact radius is below
 2^-(precision_bits + SOLVE_GUARD_BITS), and proves the discs apart from
 each other and from the rational points, which makes them, one per root,
 all the roots. mpmath.polyroots approximates the cofactor's roots only when
-the seeds fail: none come back, a refinement stalls, or two discs meet.
+the seeds fail: none come back, a refinement stalls, or two discs meet. That
+fallback is the one place the certificate loads mpmath.
 
 Every coefficient comes by partial fractions over the annihilator U
 (Kung-Rota), weight = N(t) / U'(t) for one numerator N built from the
@@ -56,8 +57,14 @@ error, and each rounding the intervals decide is the one the exact
 integers give. A rounding they leave undecided (a bit length, a half-way
 point or a float boundary inside the interval, or a derivative that may
 vanish) is taken from the exact integers, so the certificate and every
-error are those of the exact route. sylvester_json prints the certificate
-with those digits.
+error are those of the exact route.
+
+Every approximate value is the exact dyadic it is, a pair (m, k) meaning
+m 2^k with m odd as mpmath normalizes it (kronsec.numerals), and a complex
+one a pair of them: the refined centres, the rounded weights and the error
+bound. sylvester_json prints them with numerals, the characters mpmath.nstr
+prints; sylvester_decompose converts them exactly to mpmath numbers at its
+return.
 """
 
 from __future__ import annotations
@@ -65,16 +72,14 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, gcd, inf, isqrt, lcm, nextafter
 from operator import mul
 from typing import Sequence
 
-import mpmath
-
-from . import intpoly, ratmat
+from . import intpoly, numerals, ratmat
 from .config import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .errors import CapacityError, ConsistencyError, DomainError, PrecisionError, require_int, require_str
 
@@ -163,10 +168,23 @@ def parse_form(text: str) -> BinaryForm:
         raise DomainError(f"the form degree has more digits than Python's int-to-string limit of "
                           f"{sys.get_int_max_str_digits()}") from None
     try:
-        coeffs = tuple(Fraction(part.strip()) for part in m.group(2).split(","))
+        coeffs = tuple(_coefficient(part.strip()) for part in m.group(2).split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad coefficient list in {text!r}: {exc}") from exc
     return BinaryForm(degree, coeffs)
+
+
+def _coefficient(part: str) -> Fraction:
+    """Fraction(part), read by int first: int takes every integer literal Fraction takes, with the same value.
+
+    Fraction's own parse is a regular expression; any other literal (p/q,
+    a decimal point or an exponent) or a failure of int (past its digit
+    limit, say) goes to Fraction, whose value or error is then the answer.
+    """
+    try:
+        return Fraction(int(part))
+    except ValueError:
+        return Fraction(part)
 
 
 def format_form(f: BinaryForm) -> str:
@@ -384,7 +402,7 @@ def _dehomogenize(coeffs: Sequence[Fraction], k: int) -> tuple[int, list[int]]:
 class SupportPoint:
     """A projective point (alpha : beta); exact, or certified within `radius`."""
 
-    alpha: object  # Fraction when exact, mpmath.mpc otherwise
+    alpha: object  # Fraction when exact; else mpmath.mpc, or its Gaussian dyadic inside the package
     beta: object
     exact: bool
     radius: float | None = None
@@ -415,7 +433,9 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     + SOLVE_GUARD_BITS), the precision the coefficients are rounded to, and
     proves the discs apart from each other and from the exact roots: deg U
     points, so the discs hold the other roots, one each. The discs are
-    ordered by (|im|, re, im), polyroots' order with its conjugate pairs fixed.
+    ordered by (|im|, re, im), polyroots' order with its conjugate pairs
+    fixed, |im| rounded to 53 bits (_order). A disc's centre is its
+    Gaussian dyadic, and its beta the dyadic 1.
     """
     points = [SupportPoint(Fraction(1), Fraction(0), exact=True)] if at_inf else []
     roots, cofactor = intpoly.rational_roots(ints)
@@ -425,6 +445,8 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     found = None if seeds is None else intpoly.isolate(
         pairs, [complex(z.real) if abs(z.imag) <= NEAR_REAL * abs(z) else z for z in seeds], bits, exact)
     if found is None:
+        import mpmath  # loaded only here: the seeds failed
+
         try:
             with mpmath.workprec(bits):
                 approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(cofactor)], maxsteps=220, extraprec=120)
@@ -434,12 +456,31 @@ def _certified_roots(at_inf: int, ints: list[int], precision_bits: int) -> list[
     if found is None:
         raise PrecisionError(f"root isolation stalled above the precision floor 2^-{bits} or two inclusion discs "
                              "meet; the roots are not separated")
-    discs = []
-    for (x, y), e, square in found:
-        with mpmath.workprec(1 + max(x.bit_length(), y.bit_length())):
-            z = mpmath.mpc(mpmath.mpf((x, -e)), mpmath.mpf((y, -e)))
-        discs.append(SupportPoint(z, mpmath.mpf(1), exact=False, radius=intpoly.sqrt_up(Fraction(*square))))
-    return points + sorted(discs, key=lambda pt: (abs(pt.alpha.imag), pt.alpha.real, pt.alpha.imag))
+    discs = [SupportPoint((numerals.normal(x, -e), numerals.normal(y, -e)), (1, 0), exact=False,
+                          radius=intpoly.sqrt_up(Fraction(*square))) for (x, y), e, square in found]
+    return points + sorted(discs, key=_order)
+
+
+def _order(pt: SupportPoint) -> tuple[Fraction, Fraction, Fraction]:
+    """(|im|, re, im) of a disc's centre, |im| rounded to 53 bits, the nearest and a tie to even.
+
+    The two centres of a conjugate pair differ in their last bits, and the
+    rounding makes their |im| tie, so the real part orders them: the order
+    mpmath's abs gives at its default precision, which certificates print.
+    """
+    re, im = pt.alpha
+    m, k = abs(im[0]), im[1]
+    drop = m.bit_length() - 53
+    if drop > 0:
+        q, r = divmod(m, 1 << drop)
+        m, k = q + (2 * r > 1 << drop or 2 * r == 1 << drop and q & 1), k + drop
+    return _fraction((m, k)), _fraction(re), _fraction(im)
+
+
+def _fraction(value) -> Fraction:
+    """The dyadic (m, k) as the Fraction m 2^k."""
+    m, k = value
+    return Fraction(m << k) if k >= 0 else Fraction(m, 1 << -k)
 
 
 # --- Sylvester decomposition -------------------------------------------------
@@ -456,7 +497,8 @@ class SecantCertificate:
     partial fractions at the refined centres as mpc values. error_bound, an
     mpf rounded up, bounds every coefficient of the rebuild from those values
     printed to a relative 2^-(precision_bits + SOLVE_GUARD_BITS): the exact
-    residual plus that allowance.
+    residual plus that allowance. Inside the package (_sylvester) each mpc
+    and mpf is the Gaussian dyadic or dyadic it holds.
     """
 
     rank: int
@@ -464,7 +506,7 @@ class SecantCertificate:
     support: tuple[SupportPoint, ...] | None
     coefficients: tuple | None
     support_exact: bool
-    error_bound: mpmath.mpf | None
+    error_bound: object  # an mpf, or its dyadic inside the package
 
 
 def _pencil_squarefree(basis, k: int):
@@ -490,7 +532,33 @@ def sylvester_decompose(p: BinaryForm, precision_bits: int = DEFAULT_PRECISION_B
     the kernel of C_k, which is then the annihilator space. A squarefree
     kernel form there yields rank k with explicit support and coefficients;
     a non-squarefree unique generator yields rank n - k + 2 with no support.
+    Approximate values come as mpmath numbers, converted exactly from the
+    dyadics _sylvester computes.
     """
+    cert = _sylvester(p, precision_bits)
+    if cert.support_exact:
+        return cert
+    return replace(cert, support=tuple(map(_mpmath_point, cert.support)),
+                   coefficients=tuple(map(_to_mpmath, cert.coefficients)), error_bound=_to_mpmath(cert.error_bound))
+
+
+def _mpmath_point(pt: SupportPoint) -> SupportPoint:
+    """The point as sylvester_decompose returns it: a disc's centre an mpc and its beta an mpf."""
+    return pt if pt.exact else replace(pt, alpha=_to_mpmath(pt.alpha), beta=_to_mpmath(pt.beta))
+
+
+def _to_mpmath(value):
+    """The mpf holding a dyadic, or the mpc holding a Gaussian dyadic, exactly."""
+    import mpmath  # the public types of approximate values
+
+    if isinstance(value[0], int):
+        m, k = value
+        return mpmath.mp.make_mpf((int(m < 0), abs(m), k, abs(m).bit_length()))
+    return mpmath.mp.make_mpc(tuple(_to_mpmath(part)._mpf_ for part in value))
+
+
+def _sylvester(p: BinaryForm, precision_bits: int) -> SecantCertificate:
+    """sylvester_decompose(p) with every approximate value the dyadic it is."""
     require_int("precision_bits", precision_bits, least=MIN_PRECISION_BITS)
     n = p.degree
     k, basis = _apolar_kernel(p)
@@ -607,7 +675,7 @@ def _centre_weight(charts, n: int, a: int, b: int, e: int, bits: int, prec: int)
             return None
         sign = 1 if qx > 0 else -1
         x = _mpf((sign * px - pe, sign * px + pe, sp), (abs(qx) - qe, abs(qx) + qe, sq), prec)
-        return None if x is None else (x, mpmath.mpf(0))
+        return None if x is None else (x, (0, 0))
     if abs(qy) <= qe:
         return None
     # |P Q* - p q*| <= |P - p| |Q| + |p| |Q - q| and ||Q|^2 - |q|^2| <= |Q - q| (|Q| + |q|), |p| <= |px| + |py|
@@ -618,15 +686,8 @@ def _centre_weight(charts, n: int, a: int, b: int, e: int, bits: int, prec: int)
     return None if any(part is None for part in parts) else tuple(parts)
 
 
-def _decimal(text: str) -> tuple[int, int]:
-    """(d, t) with text = d 10^t exactly, for a number as mpmath.nstr prints it: [-]digits[.digits][e[+-]digits]."""
-    mantissa, _, exponent = text.partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    return int(whole + fraction), int(exponent or 0) - len(fraction)
-
-
-def _mpf(num, den, prec: int, up: bool = False):
-    """num / den (den > 0) on prec bits as an mpf, m 2^-shift, as the exact quotient of integers gives it, or None.
+def _mpf(num, den, prec: int, up: bool = False) -> tuple[int, int] | None:
+    """num / den (den > 0) on prec bits as the dyadic of an mpf, m 2^-shift, as the exact quotient of integers gives it, or None.
 
     shift = prec - 1 - bitlen(|num|) + bitlen(den), so that |num / den|
     2^shift lies in [2^(prec - 2), 2^prec), and m is the integer nearest
@@ -636,8 +697,7 @@ def _mpf(num, den, prec: int, up: bool = False):
     ints, or intervals (lo, hi, s) holding an unknown integer between lo 2^s
     and hi 2^s: the mpf is then the one every integer there gives, and None
     when they do not all give one, their bit lengths or their m differing.
-    The quotient is taken on integers: mpmath's own rational conversion
-    strips the trailing zeros of a centre's 2^(e n) factor bit by bit.
+    The dyadic is normalized (numerals.normal), as mpmath would hold m 2^-shift.
     """
     (nlo, nhi, ns), (dlo, dhi, ds) = (x if isinstance(x, tuple) else (x, x, 0) for x in (num, den))
     size, den_size = _bit_length(nlo, nhi, ns), _bit_length(dlo, dhi, ds)
@@ -649,8 +709,7 @@ def _mpf(num, den, prec: int, up: bool = False):
                                                                    ((nlo, dlo), (nhi, dhi))))
     if low != high:
         return None
-    with mpmath.workprec(prec):
-        return mpmath.mpf((low, -shift))
+    return numerals.normal(low, -shift)
 
 
 def _bit_length(lo: int, hi: int, s: int) -> int | None:
@@ -667,9 +726,15 @@ def _rounded(num: int, den: int, k: int, up: bool) -> int:
     return -(-top // bottom) if up else (2 * top + bottom) // (2 * bottom)
 
 
+def _grid(values) -> tuple[int, list[tuple[int, int]]]:
+    """e >= 0 and Gaussian integers (a, b) with each Gaussian dyadic (a + b i) / 2^e exactly, one e for all: the least."""
+    e = max([0] + [-k for value in values for _, k in value])
+    return e, [tuple(m << k + e for m, k in value) for value in values]
+
+
 def _homogeneous(points) -> tuple[int, list[tuple[tuple[int, int], int]]]:
     """e and each point as (A, B), A a Gaussian integer: (p, q) for an exact one, (2^e z, 2^e) for a centre z."""
-    e, centres = intpoly.gaussian([pt.alpha for pt in points if not pt.exact])
+    e, centres = _grid([pt.alpha for pt in points if not pt.exact])
     centres = iter(centres)
     return e, [((int(pt.alpha), 0), int(pt.beta)) if pt.exact else (next(centres), 1 << e) for pt in points]
 
@@ -732,7 +797,8 @@ def _coefficients(points, at_inf: int, ints: list[int], p: BinaryForm, precision
     support the weights are Fractions over their lcm D, the residual must be
     exactly 0 (else a ConsistencyError), and the bound is None. Otherwise
     each part of each weight is _mpf's rounding to prec = precision_bits +
-    SOLVE_GUARD_BITS bits of _weight's x / den and y / den, and the bound is
+    SOLVE_GUARD_BITS bits of _weight's x / den and y / den, a Gaussian
+    dyadic, and the bound, a dyadic, is
     exact: the largest |sum_i C(n, j) c_i A_i^(n-j) B_i^j - a_j| over the
     values returned, plus (n + 2) 2^-prec times sum_i C(n, j) |c_i|
     |A_i|^(n-j) |B_i|^j, which covers any printing of each part within a
@@ -761,19 +827,18 @@ def _coefficients(points, at_inf: int, ints: list[int], p: BinaryForm, precision
         return coeffs, None
     bits = max(e, prec + WORKING_GUARD_BITS)
     coeffs = []
-    with mpmath.workprec(prec):
-        for pt, ((a, b), q) in zip(points, homog):
-            parts = None if pt.exact else _centre_weight(charts, n, a, b, e, bits, prec)
-            if parts is None:
-                # a centre prints as (z : 1)
-                x, y, den = _weight(charts, n, a, b, q, centre=not pt.exact)
-                parts = _mpf(x, den, prec), _mpf(y, den, prec)
-            coeffs.append(mpmath.mpc(*parts))
-    f, weights = intpoly.gaussian(coeffs)
+    for pt, ((a, b), q) in zip(points, homog):
+        parts = None if pt.exact else _centre_weight(charts, n, a, b, e, bits, prec)
+        if parts is None:
+            # a centre prints as (z : 1)
+            x, y, den = _weight(charts, n, a, b, q, centre=not pt.exact)
+            parts = _mpf(x, den, prec), _mpf(y, den, prec)
+        coeffs.append(parts)
+    f, weights = _grid(coeffs)
     rebuild = (points, homog, weights, target, scales, e, f, prec, precision_bits)
     bound, too_large = _interval_bound(*rebuild, bits) or _exact_bound(*rebuild)
     if too_large:
-        raise PrecisionError(f"numeric reconstruction residual {mpmath.nstr(bound)} too large for {p}")
+        raise PrecisionError(f"numeric reconstruction residual {numerals.nstr(bound, 6)} too large for {p}")
     return coeffs, bound
 
 
@@ -838,18 +903,19 @@ def _interval_bound(points, homog, weights, target, scales, e, f, prec, precisio
 def sylvester_json(p: BinaryForm, precision_bits: int) -> dict:
     """The certificate of sylvester_decompose(p) as the JSON object `kronsec sylvester` prints.
 
-    Exact values print as str gives them, approximate ones with the digits
-    that read them back. A support disc's radius covers the distance those
+    Exact values print as str gives them, approximate ones, dyadics, with
+    the digits that read them back, as mpmath.nstr prints them
+    (numerals.nstr). A support disc's radius covers the distance those
     digits move its centre, and the error bound is rounded up to a float.
     A value past Python's int-to-string limit is a CapacityError.
     """
-    cert = sylvester_decompose(p, precision_bits=precision_bits)
+    cert = _sylvester(p, precision_bits)
 
     def digits(x) -> int:
         # The digits that read back every bit of the refined precision, or of a
         # longer mantissa, as a refined centre far from 0 has.
-        bits = max(abs(intpoly.dyadic(part)[0]).bit_length() for part in (x.real, x.imag))
-        return mpmath.libmp.repr_dps(max(precision_bits + SOLVE_GUARD_BITS, bits))
+        bits = max(abs(m).bit_length() for m, _ in ((x,) if isinstance(x[0], int) else x))
+        return numerals.repr_dps(max(precision_bits + SOLVE_GUARD_BITS, bits))
 
     def text(x) -> str:
         # An exact value, or the annihilator, as str gives it. Past Python's
@@ -862,7 +928,7 @@ def sylvester_json(p: BinaryForm, precision_bits: int) -> dict:
                                 f"int-to-string limit of {sys.get_int_max_str_digits()}") from None
 
     def number(x, exact: bool) -> str:
-        return text(x) if exact else mpmath.nstr(x, digits(x))
+        return text(x) if exact else numerals.nstr(x, digits(x))
 
     def radius(pt) -> float:
         # The certified radius about the refined centre plus the distance its
@@ -871,7 +937,7 @@ def sylvester_json(p: BinaryForm, precision_bits: int) -> dict:
         # d 10^t - m 2^k; both parts are put over one denominator 2^twos 5^fives,
         # and the squared distance is reduced by one gcd.
         n = digits(pt.alpha)
-        parts = [(*_decimal(mpmath.nstr(part, n)), *intpoly.dyadic(part)) for part in (pt.alpha.real, pt.alpha.imag)]
+        parts = [(*numerals.decimal(m, k, n), m, k) for m, k in pt.alpha]
         fives = max(0, *(-t for _, t, _, _ in parts))
         twos = max(fives, *(-k for _, _, _, k in parts))
         moved = [((d * 5 ** (t + fives)) << (t + twos)) - ((m * 5**fives) << (k + twos)) for d, t, m, k in parts]
@@ -883,10 +949,11 @@ def sylvester_json(p: BinaryForm, precision_bits: int) -> dict:
         # holds it. Past the double range (JSON, RFC 8259, has no Infinity) and
         # below it (where float() gives 0.0 or drops digits) it prints as
         # approximate values do.
-        if not sys.float_info.min <= x <= sys.float_info.max:
+        value = _fraction(x)
+        if not sys.float_info.min <= value <= sys.float_info.max:
             return number(x, False)
-        up = float(x)
-        return up if up >= x else nextafter(up, inf)
+        up = float(value)
+        return up if up >= value else nextafter(up, inf)
 
     return {
         "form": format_form(p),

@@ -42,7 +42,7 @@ from kronsec.apolarity import (
 )
 from kronsec.errors import ConsistencyError, DomainError, PrecisionError
 from kronsec.intpoly import SQUAREFREE_PRIME, coprime_mod_p, squarefree
-from kronsec import apolarity, intpoly, ratmat
+from kronsec import apolarity, intpoly, numerals, ratmat
 
 
 # --- forms and parsing --------------------------------------------------------
@@ -53,6 +53,39 @@ def test_parse_format_round_trip():
     assert f.degree == 3
     assert f.coeffs == (1, 0, Fraction(-2, 3), 1)
     assert parse_form(format_form(f)) == f
+
+
+# Coefficient literals for both routes of parse_form: signs and leading
+# zeros, underscores, non-ASCII digits (Arabic-Indic, full-width, Vai),
+# p/q, exponents and decimal points, malformed ones, and literals past
+# Python's int-to-string limit.
+_COEFFICIENT_LITERALS = [
+    "7", "-7", "+7", "007", "-007", "+0", "-0", "000",
+    "1_000", "-1_000_000", "1__000", "_1", "1_", "1_/2",
+    "٣", "-١٢", "１２", "꘠", "٣/٤",
+    "3/4", "-3/4", "+06/08", "3 / 4", "3/-4", "1/0", "1e3", "1E-3", "-2.5e2", "0.5", ".5", "5.", "1.5/2",
+    "", "x", "0x10", "inf", "nan", "1 2", "--1", "+-1",
+    "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000, "9" * 5000 + "/7", "1e" + "9" * 5000,
+]
+
+
+@pytest.mark.parametrize("literal", _COEFFICIENT_LITERALS, ids=lambda s: s if len(s) < 12 else f"{len(s)}-chars")
+def test_a_coefficient_read_by_int_first_is_what_fraction_reads(literal):
+    # parse_form reads each coefficient with int first and falls back to
+    # Fraction only where int fails; Fraction alone, the route before, gives
+    # the same Fraction or the same DomainError text.
+    text = f"deg=1; coeffs={literal},1"
+    try:
+        want = (Fraction(literal.strip()), Fraction(1))
+    except (ValueError, ZeroDivisionError) as exc:
+        want = f"bad coefficient list in {text!r}: {exc}"
+    try:
+        got = parse_form(text).coeffs
+    except DomainError as exc:
+        got = str(exc)
+    assert got == want
+    if isinstance(got, tuple):
+        assert all(type(c) is Fraction for c in got)
 
 
 @pytest.mark.parametrize("bad", ["", "deg=3 coeffs=1,0,0,1", "deg=2; coeffs=1,2",
@@ -551,6 +584,19 @@ def test_sylvester_irrational_support_is_certified_numerically():
     assert abs(values[1] - 2 ** -0.5) < 1e-10
 
 
+def test_sylvester_decompose_returns_its_dyadics_as_mpmath_numbers():
+    # The package holds each approximate value as the dyadic it is, and the
+    # public certificate converts it exactly: the same bits as an mpc or mpf.
+    p = form(4, [2, 0, 24, 0, 8])
+    inner, cert = apolarity._sylvester(p, 96), sylvester_decompose(p)
+    assert isinstance(cert.error_bound, mpmath.mpf) and intpoly.dyadic(cert.error_bound) == inner.error_bound
+    values = [(pt.alpha, public.alpha) for pt, public in zip(inner.support, cert.support)]
+    values += list(zip(inner.coefficients, cert.coefficients))
+    assert all(isinstance(z, mpmath.mpc) and (intpoly.dyadic(z.real), intpoly.dyadic(z.imag)) == value
+               for value, z in values)
+    assert [pt.beta for pt in cert.support] == [1, 1] and all(isinstance(pt.beta, mpmath.mpf) for pt in cert.support)
+
+
 def test_sylvester_wide_kernel_picks_a_squarefree_element():
     # For x^2 + y^2 the degree-2 kernel is two dimensional; the squarefree
     # member xy of the pencil gives the rational decomposition x^2 + y^2.
@@ -718,18 +764,19 @@ def test_ceil_abs_skips_the_square_root_of_a_real_or_imaginary_value(monkeypatch
 
 
 def test_printed_digits_read_back_as_integer_times_a_power_of_ten():
+    # numerals.decimal gives the value mpmath.nstr prints as d 10^t.
     with mpmath.workprec(200):
         values = [mpmath.mpf(1) / 3, -mpmath.mpf(2) ** 300 / 7, mpmath.mpf(2) ** -300, mpmath.mpf(0), mpmath.mpf(-5)]
         for x in values:
             for digits in (1, 15, 61):
                 text = mpmath.nstr(x, digits)
-                d, t = apolarity._decimal(text)
+                d, t = numerals.decimal(*intpoly.dyadic(x), digits)
                 assert Fraction(d) * Fraction(10) ** t == Fraction(text), text
 
 
 def _mpf_value(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
+    m, k = x
+    return Fraction(m) * Fraction(2) ** k
 
 
 def test_mpf_rounds_a_quotient_half_up_on_prec_bits():
@@ -751,8 +798,9 @@ def test_mpf_rounds_a_quotient_half_up_on_prec_bits():
         else:
             num = rng.randint(-(1 << 250), 1 << 250) >> rng.randint(0, 250)
         got = apolarity._mpf(num, den, prec, up)
+        assert got == numerals.normal(*got), got  # m odd, as mpmath keeps it
         if not num:
-            assert got == 0
+            assert got == (0, 0)
             continue
         shift = prec - 1 - abs(num).bit_length() + den.bit_length()
         x = Fraction(num, den) * Fraction(2) ** shift
@@ -795,7 +843,7 @@ def test_mpf_of_intervals_is_the_mpf_of_every_integer_in_them():
             undecided += 1
             continue
         decided += 1
-        assert {apolarity._mpf(x, d, prec, up)._mpf_ for x in nums for d in dens} == {got._mpf_}, (ends, prec, up)
+        assert {apolarity._mpf(x, d, prec, up) for x in nums for d in dens} == {got}, (ends, prec, up)
     assert decided > 300 and undecided > 300, (decided, undecided)
 
 
@@ -974,7 +1022,7 @@ def test_the_root_zero_is_read_off_the_coefficients(monkeypatch):
 def _assert_zero_tiny_and_plus_minus_i(points, e):
     """points are 0 and 10^-e exactly, then discs of radius below 2^-96 holding -i and i."""
     assert [pt.alpha / pt.beta for pt in points if pt.exact] == [0, Fraction(1, 10**e)], e
-    discs = [pt for pt in points if not pt.exact]
+    discs = [apolarity._mpmath_point(pt) for pt in points if not pt.exact]
     assert len(discs) == 2, e
     with mpmath.workprec(256):
         held = {root for pt in discs for root in (-1j, 1j) if abs(pt.alpha - root) <= pt.radius < 2.0**-96}
@@ -1022,6 +1070,7 @@ def test_a_root_nearer_zero_than_the_seeds_reach_is_a_precision_error(e):
 
 def _support_digest(points) -> str:
     """sha256 over every bit of the points: Fractions as text, centres by their exact mpf tuples, radii in hex."""
+    points = map(apolarity._mpmath_point, points)
     return hashlib.sha256(repr([(str(pt.alpha), str(pt.beta), pt.radius) if pt.exact else
                                 (pt.alpha._mpc_, pt.beta._mpf_, pt.radius.hex()) for pt in points]).encode()).hexdigest()
 
@@ -1080,10 +1129,10 @@ def test_seeds_of_u_over_t_certify_what_polyroots_certifies(monkeypatch):
         isolated = _isolated(monkeypatch, ints)
         assert apolarity.SupportPoint(Fraction(0), Fraction(1), exact=True) in seeded, ints
         assert [pt for pt in seeded if pt.exact] == [pt for pt in isolated if pt.exact], ints
-        discs = [pt for pt in isolated if not pt.exact]
+        discs = [apolarity._mpmath_point(pt) for pt in isolated if not pt.exact]
         assert len(discs) == len(seeded) - sum(pt.exact for pt in seeded), ints
         with mpmath.workprec(256):
-            for pt in seeded:
+            for pt in map(apolarity._mpmath_point, seeded):
                 if not pt.exact:
                     meets = [d for d in discs if abs(pt.alpha - d.alpha) <= pt.radius + d.radius]
                     assert len(meets) == 1, ints
@@ -1113,7 +1162,7 @@ def test_isolated_rational_roots_are_matched_exactly():
     points = apolarity._certified_roots(0, ints, 96)
     exact = [(pt.alpha, pt.beta) for pt in points if pt.exact]
     assert exact == [(10**6, 1), (10**18 + 1, 10**12)]
-    approx = [pt for pt in points if not pt.exact]
+    approx = [apolarity._mpmath_point(pt) for pt in points if not pt.exact]
     assert len(approx) == 2
     with mpmath.workprec(512):
         for pt, root in zip(approx, (-mpmath.sqrt(2), mpmath.sqrt(2))):
@@ -1205,12 +1254,12 @@ def test_a_ladder_with_no_converged_rung_is_a_precision_error(monkeypatch):
 
 def test_a_singular_numeric_solve_is_a_precision_error():
     # The centre 0 of U = t^2 - 2 is a zero of U', where no partial fraction exists.
-    zero = apolarity.SupportPoint(mpmath.mpc(0), mpmath.mpf(1), exact=False, radius=2.0)
+    zero = apolarity.SupportPoint(((0, 0), (0, 0)), (1, 0), exact=False, radius=2.0)
     with pytest.raises(PrecisionError, match="singular"):
         apolarity._coefficients([zero, zero], 0, [-2, 0, 1], form(4, [2, 0, 24, 0, 8]), 96)
     # Two equal centres off the roots of the annihilator xy of x^3 + y^3 each
     # take a weight, and the rebuild's residual refuses them.
-    two = apolarity.SupportPoint(mpmath.mpc(2), mpmath.mpf(1), exact=False, radius=2.0**-100)
+    two = apolarity.SupportPoint(((1, 1), (0, 0)), (1, 0), exact=False, radius=2.0**-100)
     with pytest.raises(PrecisionError, match="residual"):
         apolarity._coefficients([two, two], 1, [0, 1], form(3, [1, 0, 0, 1]), 96)
 
@@ -1268,12 +1317,17 @@ def _working_precision_forms(seed: int):
 
 
 def _coefficient_certificate(call):
-    """_coefficients' values for one call as exact tuples, or the class and message of its error."""
+    """_coefficients' values for one call as exact dyadics, or the class and message of its error."""
     try:
         coeffs, bound = apolarity._coefficients(*call)
     except PrecisionError as err:
         return type(err), str(err)
-    return [pt.alpha._mpc_ for pt in call[0] if not pt.exact], [c._mpc_ for c in coeffs], bound._mpf_
+    return [pt.alpha for pt in call[0] if not pt.exact], coeffs, bound
+
+
+def _gaussian_dyadic(z):
+    """The Gaussian dyadic of a complex mpmath value, as the package holds a centre."""
+    return intpoly.dyadic(z.real), intpoly.dyadic(z.imag)
 
 
 def test_the_working_precision_route_gives_the_exact_certificate(monkeypatch):
@@ -1296,14 +1350,14 @@ def test_the_working_precision_route_gives_the_exact_certificate(monkeypatch):
     for points, *rest in calls[::3]:
         bits = rest[-1]
         with mpmath.workprec(4096):
-            moved = [pt if pt.exact else apolarity.SupportPoint(
-                pt.alpha + rng.choice([1, -1, 1j, -1j]) * mpmath.ldexp(1, mpmath.mag(pt.alpha) - bits // 2
-                                                                       - rng.randint(-4, 24)),
-                pt.beta, exact=False, radius=pt.radius) for pt in points]
+            moved = [pt if pt.exact else apolarity.SupportPoint(_gaussian_dyadic(
+                z + rng.choice([1, -1, 1j, -1j]) * mpmath.ldexp(1, mpmath.mag(z) - bits // 2 - rng.randint(-4, 24))),
+                pt.beta, exact=False, radius=pt.radius)
+                for pt, z in ((pt, None if pt.exact else apolarity._to_mpmath(pt.alpha)) for pt in points)]
         calls.append((moved, *rest))
     for _ in range(8):
         c, bits = rng.randint(2, 50), rng.choice([53, 96])
-        zero, root = (apolarity.SupportPoint(mpmath.mpc(z), mpmath.mpf(1), exact=False, radius=2.0**-bits)
+        zero, root = (apolarity.SupportPoint(_gaussian_dyadic(mpmath.mpc(z)), (1, 0), exact=False, radius=2.0**-bits)
                       for z in (0, mpmath.sqrt(c)))
         points = [zero, root][::rng.choice([1, -1])]
         calls.append((points, 0, [-c, 0, 1], form(4, [rng.randint(1, 9) for _ in range(5)]), bits))

@@ -375,7 +375,8 @@ _EXACT_COMMANDS = {
     # Not exact, but a base whose roots are isolated runs on the stdlib too.
     "spec-isolated": ["monodromy", "--spec", '{"base": [1, 0, 1], "segments": ["half_twist(1)"]}'],
 }
-# The control: an irrational Sylvester support.
+# An irrational Sylvester support: certified from float seeds on the
+# stdlib, and by mpmath.polyroots only when the seeds fail.
 _APPROXIMATE_COMMANDS = {
     "sylvester-approximate": ["sylvester", "deg=6; coeffs=-1,2,-1,3,2,3,2"],
 }
@@ -406,8 +407,75 @@ def test_exact_commands_call_no_mpmath(capsys, key):
 
 
 @pytest.mark.parametrize("key", _APPROXIMATE_COMMANDS)
-def test_the_mpmath_probe_sees_approximate_commands(capsys, key):
-    assert _mpmath_calls(capsys, _APPROXIMATE_COMMANDS[key])
+def test_approximate_commands_call_no_mpmath_while_the_seeds_hold(capsys, key):
+    assert _mpmath_calls(capsys, _APPROXIMATE_COMMANDS[key]) == []
+
+
+@pytest.mark.parametrize("key", _APPROXIMATE_COMMANDS)
+def test_the_mpmath_probe_sees_approximate_commands(capsys, monkeypatch, key):
+    # The control: with the float seeds switched off the support goes to the
+    # polyroots fallback, the one caller of mpmath, and the probe sees it.
+    monkeypatch.setattr(intpoly, "aberth_seeds", lambda ints: None)
+    assert "polyroots" in _mpmath_calls(capsys, _APPROXIMATE_COMMANDS[key])
+
+
+# Run in a fresh process from the repository root: with argv[1] == "plans",
+# one operation of every kind the three benchmark plans hold, then the
+# command argv[2]; with "fallback", the float seeds made to fail, argv[2]
+# alone. Prints, after `import kronsec` and after each operation through
+# cli.main, whether mpmath's arithmetic (mpmath.libmp) is loaded.
+_LOADS_SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = ["src", "."]
+from kronsec import cli, intpoly
+from perfbench import oracles, plans
+
+mode, ops = sys.argv[1], {}
+loads = {"import": "mpmath.libmp" in sys.modules}
+if mode == "plans":
+    for workload in ("forms", "loops", "reps"):
+        for op in plans.build(workload, 11, 1, oracles.CharacterOracle()):
+            ops.setdefault(op.kind, op.argv)
+else:
+    intpoly.aberth_seeds = lambda coeffs: None
+ops["approximate"] = json.loads(sys.argv[2])
+for kind, argv in ops.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    loads[kind] = "mpmath.libmp" in sys.modules
+    if kind.startswith("sylvester") or kind == "approximate":
+        loads[kind + " support_exact"] = json.loads(out.getvalue())["support_exact"] if code == 0 else None
+print(json.dumps(loads))
+"""
+
+
+def _mpmath_loads(mode: str) -> dict:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    approximate = json.dumps(_APPROXIMATE_COMMANDS["sylvester-approximate"])
+    run = subprocess.run([sys.executable, "-c", _LOADS_SCRIPT, mode, approximate], cwd=root, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_no_command_of_the_plans_loads_mpmath():
+    # import kronsec leaves mpmath unloaded, and no command the benchmark
+    # plans run loads it: approximate, exact and non-squarefree sylvester
+    # included, since only the polyroots fallback imports it.
+    loads = _mpmath_loads("plans")
+    kinds = {"sylvester-generic", "sylvester-exact", "sylvester-nonsquarefree", "join", "secant", "vdm",
+             "generator", "word", "spherical", "defining", "circle",
+             "chartable", "kron", "tensor", "lr", "rep-check", "brion-sweep", "brion-boundary"}
+    assert kinds <= set(loads), sorted(set(loads))
+    assert (loads["sylvester-generic support_exact"], loads["approximate support_exact"]) == (False, False)
+    assert (loads["sylvester-exact support_exact"], loads["sylvester-nonsquarefree support_exact"]) == (True, True)
+    assert [kind for kind, loaded in loads.items() if loaded is True and "support_exact" not in kind] == []
+
+
+def test_the_polyroots_fallback_loads_mpmath():
+    # The control: where the float seeds fail, the fallback imports mpmath.
+    assert _mpmath_loads("fallback") == {"import": False, "approximate": True, "approximate support_exact": False}
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -1241,7 +1309,7 @@ def test_an_exact_point_or_weight_past_the_int_to_string_limit_is_a_capacity_err
     cert = apolarity.SecantCertificate(rank=1, annihilator=apolarity.form(1, [1, -1]), support=(point,),
                                        coefficients=(huge if where == "weight" else Fraction(1),),
                                        support_exact=True, error_bound=None)
-    monkeypatch.setattr(apolarity, "sylvester_decompose", lambda p, precision_bits: cert)
+    monkeypatch.setattr(apolarity, "_sylvester", lambda p, precision_bits: cert)
     code, out, err = run(capsys, "sylvester", "deg=1; coeffs=1,1")
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "capacity"

@@ -5,8 +5,9 @@ module defines a private top-level name it never uses, and every field a
 package class declares is read somewhere as an attribute. Every function the
 benchmark tracer spans by name exists, every cache the benchmark reads
 statistics from stays a functools cache, kronsec.__all__ lists exactly the
-names kronsec/__init__.py imports, kronsec/intpoly.py imports only the
-standard library, kronsec/cli.py imports no arithmetic, one function climbs
+names kronsec/__init__.py imports, kronsec/intpoly.py and numerals.py
+import only the standard library, no module body in the package imports
+mpmath or binds it to a name, kronsec/cli.py imports no arithmetic, one function climbs
 intpoly.RUNGS and one calls intpoly.certified_root, one loop evaluates on a
 fixed-point grid with an error bound and apolarity.py truncates no product of
 its own, the loop tracker's step loop runs on ints, naming no Fraction,
@@ -186,6 +187,7 @@ def test_the_scan_finds_an_import_outside_the_stdlib():
 
 @pytest.mark.parametrize("name, package", [
     pytest.param("intpoly.py", False, id="intpoly.py"),
+    pytest.param("numerals.py", False, id="numerals.py"),
     pytest.param("monodromy.py", True, id="monodromy.py"),
     pytest.param("cli.py", True, id="cli.py"),
 ])
@@ -196,6 +198,55 @@ def test_intpoly_imports_only_the_stdlib(name, package):
     # nothing else outside the stdlib.
     imported = non_stdlib_imports((PACKAGE / name).read_text(encoding="utf-8"))
     assert [module for module in imported if not (package and module.startswith("."))] == []
+
+
+def module_level_mpmath(source: str) -> list[int]:
+    """The lines of statements that run at import and import mpmath or bind a name to it, and of `global mpmath`.
+
+    Everything outside a function body runs at import, class bodies
+    included. A binding is an assignment to a name of a value that names
+    mpmath, as sys.modules["mpmath"] or importlib.import_module("mpmath").
+    """
+    def names_mpmath(node) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == "mpmath" or isinstance(n, ast.Constant) and n.value == "mpmath"
+                   for n in ast.walk(node))
+
+    found = []
+
+    def visit(node, at_import):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global) and "mpmath" in child.names:
+                found.append(child.lineno)
+            if at_import and (
+                    isinstance(child, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in child.names)
+                    or isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "mpmath"
+                    or isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr))
+                    and child.value is not None and names_mpmath(child.value)
+                    and any(isinstance(t, ast.Name)
+                            for t in (child.targets if isinstance(child, ast.Assign) else [child.target]))):
+                found.append(child.lineno)
+            visit(child, at_import and not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), True)
+    return sorted(found)
+
+
+def test_the_scan_finds_every_import_time_use_of_mpmath():
+    source = (
+        "import os, mpmath.libmp\nfrom mpmath import mpf\ntry:\n    import mpmath as mp\nexcept ImportError:\n"
+        "    pass\nmp2 = importlib.import_module('mpmath')\nlazy = sys.modules['mpmath']\nclass A:\n"
+        "    import mpmath\ndef f():\n    global mpmath\n    import mpmath\n    x = sys.modules['mpmath']\n"
+        "    return mpmath.mpf(1)\ndef g():\n    import mpmath\n    return mpmath\nsys.modules['mpmath'] = lazy\n"
+    )
+    assert module_level_mpmath(source) == [1, 2, 4, 7, 8, 10, 12]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_module_body_imports_mpmath(path):
+    # mpmath loads only where a function needs it: importing kronsec leaves
+    # it unloaded, and perfbench reads every global of the package modules
+    # (hasattr), which would load a module bound to one.
+    assert module_level_mpmath(path.read_text(encoding="utf-8")) == []
 
 
 # The CLI parses, caps, calls the package and writes what it returns; the
